@@ -47,6 +47,7 @@ import numpy as np
 from ..obs.chrome_trace import validate_events
 from ..obs.metrics import MetricsRegistry, validate_metrics
 from ..serve.batcher import BatchPolicy
+from ..serve.cli import _outcome_sig, _solutions_identical
 from ..serve.request import OUTCOMES
 from ..serve.workload import WorkloadSpec, build_matrices, generate_requests, summarize
 from .faults import NodeFaultPlan
@@ -68,23 +69,6 @@ def _service(matrices, *, n_nodes, replication, plan=None, registry=None,
         drop_failover=drop_failover,
         hedge_after=hedge_after,
     )
-
-
-def _outcome_sig(results):
-    """A run's comparable signature: placement + scheduling + numerics."""
-    return [
-        (r.request_id, r.outcome, r.shard, r.batch_size, r.iterations, r.residual)
-        for r in results
-    ]
-
-
-def _solutions_identical(a, b):
-    for ra, rb in zip(a, b):
-        if (ra.x is None) != (rb.x is None):
-            return False
-        if ra.x is not None and not np.array_equal(ra.x, rb.x, equal_nan=True):
-            return False
-    return True
 
 
 def _storm_plan(matrices, reqs, *, n_nodes, replication):

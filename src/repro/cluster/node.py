@@ -77,7 +77,8 @@ class ClusterNode:
             retry_policy=retry_policy,
             fault_plan=plan.shard_plan if plan is not None else None,
         )
-        self.shard.cache.name = f"node{self.node_id}"
+        self.cache = self.shard.cache
+        self.cache.name = f"node{self.node_id}"
         self.free_at = 0.0
         self.busy = False
         self.n_batches = 0

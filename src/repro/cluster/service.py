@@ -9,8 +9,8 @@ by a consistent-hash :class:`~repro.cluster.ring.Router` across
 delays.  The failure protocol, end to end:
 
 * **heartbeat suspicion** — every node heartbeats on the shared
-  virtual clock at ``heartbeat_interval`` ticks; a node whose last
-  heartbeat is older than ``suspicion_timeout`` is *believed down* and
+  virtual clock every :data:`HEARTBEAT_INTERVAL`; a node whose last
+  heartbeat is older than :data:`SUSPICION_TIMEOUT` is *believed down* and
   excluded from routing.  A crashed node is thus mis-trusted for up to
   one suspicion window — dispatches to it fail fast (the connect is
   refused) and fall through to the next ring owner — while a gray
@@ -36,11 +36,20 @@ delays.  The failure protocol, end to end:
   audit (the rewrite is bit-identical) and exists for the protocol
   model checker (:mod:`repro.verify.protocol`) to catch statically;
 * **cache-aware re-warming** — when a fingerprint is promoted to the
-  zipf-head hot set (``hot_promote`` requests), its factor is copied
-  to all ``replication`` ring owners; when a node joins late or
+  zipf-head hot set (:data:`HOT_PROMOTE` requests), its factor is
+  copied to all ``replication`` ring owners; when a node joins late or
   recovers from a crash it re-adopts the hot entries it now owns from
-  any live holder, paying ``rewarm_cost`` per copy instead of a cold
-  refactorization.
+  any live holder, paying :data:`REWARM_COST` per copy instead of a
+  cold refactorization.
+
+The event loop itself is :meth:`SolveService.run
+<repro.serve.workers.SolveService.run>`; this class only answers the
+questions a cluster answers differently — who owns a key (the ring
+walk over believed-up nodes), when a node is idle (up and not busy),
+what starting a batch means (one in-flight :class:`_Flight`, extras to
+the failover backlog) and which extra events exist (plan crashes,
+recoveries and joins; flight completion or loss; hedge, redispatch and
+unbusy timers).
 
 Everything is a pure function of (workload, plan, seeds): the same
 inputs replay bit-for-bit, and — the acceptance gate — the solutions
@@ -54,18 +63,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..kernels.cache import matrix_fingerprint
 from ..obs import spans as _spans
 from ..resilience import RetryPolicy
-from ..serve.batcher import Batch, BatchPolicy, MicroBatcher
-from ..serve.queue import AdmissionQueue
+from ..serve.batcher import Batch, BatchPolicy
 from ..serve.request import RequestResult
-from ..serve.workers import SOLVERS, CostModel
+from ..serve.workers import CostModel, SolveService, _rejected
 from .faults import NodeFaultPlan
 from .node import ClusterNode
 from .ring import Router
 
 __all__ = ["ClusterService"]
+
+#: heartbeat grid spacing on the virtual clock
+HEARTBEAT_INTERVAL = 0.005
+#: a node with no heartbeat this recent is believed down
+SUSPICION_TIMEOUT = 0.02
+#: base delay of the seeded exponential backoff before a failover
+FAILOVER_BACKOFF = 1e-3
+#: requests after which a fingerprint joins the replicated hot set
+HOT_PROMOTE = 3
+#: virtual charge for copying one factor replica onto a node
+REWARM_COST = 5e-4
+#: virtual points per node on the consistent-hash ring
+VNODES = 64
+
+assert 0.0 < HEARTBEAT_INTERVAL <= SUSPICION_TIMEOUT, (
+    "the suspicion window must cover at least one heartbeat interval"
+)
 
 
 @dataclass(eq=False)
@@ -91,8 +115,11 @@ class _Flight:
         return self.lost_at if self.lost else self.finish
 
 
-class ClusterService:
+class ClusterService(SolveService):
     """Deterministic multi-node solve service with chaos-driven failover."""
+
+    metric_prefix = "cluster"
+    stranded_detail = "cluster down: no live node and no scheduled recovery"
 
     def __init__(
         self,
@@ -100,7 +127,6 @@ class ClusterService:
         *,
         n_nodes=3,
         replication=2,
-        vnodes=64,
         ring_seed=0,
         capacity=128,
         admission="reject",
@@ -110,65 +136,43 @@ class ClusterService:
         retry_policy: RetryPolicy | None = None,
         node_fault_plan: NodeFaultPlan | None = None,
         factor_cache_entries=8,
-        heartbeat_interval=0.005,
-        suspicion_timeout=0.02,
         hedge_after=0.02,
         max_hedges=1,
-        failover_backoff=1e-3,
-        hot_promote=3,
-        rewarm_cost=5e-4,
         registry=None,
         drop_failover=False,
         dual_dispatch=False,
     ):
-        if n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-        if heartbeat_interval <= 0.0:
-            raise ValueError(f"heartbeat_interval must be positive, got {heartbeat_interval}")
-        if suspicion_timeout < heartbeat_interval:
-            raise ValueError(
-                "suspicion_timeout must cover at least one heartbeat interval "
-                f"({suspicion_timeout} < {heartbeat_interval})"
-            )
-        self.matrices = dict(matrices)
-        # value-aware digests: the ring places *factors*, and a factor
-        # depends on the values — two matrices sharing a stencil (same
-        # pattern_fingerprint) must not share a ring slot or cache entry
-        self.fingerprints = {k: matrix_fingerprint(A) for k, A in self.matrices.items()}
         self.plan = node_fault_plan if node_fault_plan is not None else NodeFaultPlan()
-        self.router = Router(
-            range(int(n_nodes)),
-            replication=replication,
-            vnodes=vnodes,
-            seed=ring_seed,
-            hot_promote=hot_promote,
+        # the fingerprints are value-aware: the ring places *factors*, and
+        # a factor depends on the values — two matrices sharing a stencil
+        # must not share a ring slot or cache entry
+        super().__init__(
+            matrices,
+            n_shards=n_nodes,
+            capacity=capacity,
+            admission=admission,
+            batch_policy=batch_policy,
+            cost=cost,
+            options=options,
+            retry_policy=retry_policy,
+            factor_cache_entries=factor_cache_entries,
+            registry=registry,
         )
-        self.capacity = int(capacity)
-        self.admission = admission
-        self.batch_policy = batch_policy or BatchPolicy()
-        self.cost = cost or CostModel()
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.suspicion_timeout = float(suspicion_timeout)
+        self.nodes = self.shards
+        self.router = Router(
+            range(len(self.nodes)),
+            replication=replication,
+            vnodes=VNODES,
+            seed=ring_seed,
+            hot_promote=HOT_PROMOTE,
+        )
         self.hedge_after = None if hedge_after is None else float(hedge_after)
         self.max_hedges = int(max_hedges)
-        self.rewarm_cost = float(rewarm_cost)
-        self.registry = registry
         self.drop_failover = bool(drop_failover)
         self.dual_dispatch = bool(dual_dispatch)
         self._backoff = (retry_policy or RetryPolicy()).backoff(
-            base=float(failover_backoff), jitter_seed=self.plan.seed
+            base=FAILOVER_BACKOFF, jitter_seed=self.plan.seed
         )
-        self.nodes = [
-            ClusterNode(
-                i,
-                plan=self.plan,
-                cache_entries=factor_cache_entries,
-                cost=self.cost,
-                options=options,
-                retry_policy=retry_policy,
-            )
-            for i in range(int(n_nodes))
-        ]
         self.n_failovers = 0
         self.n_hedges = 0
         self.n_hedge_wins = 0
@@ -183,31 +187,34 @@ class ClusterService:
         # by repro.verify.protocol.check_cluster_trace (abstraction check)
         self.protocol_trace: list = []
 
+    def _make_shard(self, node_id, *, fault_plan, **kw):
+        return ClusterNode(node_id, plan=self.plan, cost=self.cost, **kw)
+
     # ------------------------------------------------------------------
     # failure detection and routing
     # ------------------------------------------------------------------
     def _believed_up(self, node, now) -> bool:
         """The heartbeat view: any heartbeat inside the suspicion window?
 
-        Heartbeats land on the ``heartbeat_interval`` grid whenever the
-        node is actually up, so this is a bounded backward scan over at
-        most ``suspicion_timeout / heartbeat_interval`` grid points.
+        Heartbeats land on the :data:`HEARTBEAT_INTERVAL` grid whenever
+        the node is actually up, so this is a bounded backward scan over
+        at most ``SUSPICION_TIMEOUT / HEARTBEAT_INTERVAL`` grid points.
         Gray nodes pass (they heartbeat on time); crashed nodes fail
         once their last heartbeat ages out of the window.
         """
-        hb = self.heartbeat_interval
+        hb = HEARTBEAT_INTERVAL
         g = math.floor(now / hb + 1e-12) * hb
         if g > now:
             g -= hb
-        lo = now - self.suspicion_timeout
+        lo = now - SUSPICION_TIMEOUT
         while g >= lo and g >= 0.0:
             if self.plan.is_up(node, g):
                 return True
             g -= hb
         return False
 
-    def _route(self, fingerprint, now):
-        """The node this fingerprint dispatches to right now, or None.
+    def _owner(self, matrix_key, now):
+        """The node this matrix dispatches to right now, or None.
 
         First *believed-up* candidate on the ring walk; a candidate
         that is believed up but actually down (crashed inside the
@@ -215,25 +222,31 @@ class ClusterService:
         the fast-failover path that makes fresh crashes cost a
         re-route, not a suspicion timeout.
         """
+        fingerprint = self.fingerprints[matrix_key]
         tried: set = set()
         while True:
-            node = self.router.pick(
+            nid = self.router.pick(
                 fingerprint, lambda n: self._believed_up(n, now), exclude=tried
             )
-            if node is None or self.plan.is_up(node, now):
-                return node
-            tried.add(node)
+            if nid is None:
+                return None
+            if self.plan.is_up(nid, now):
+                return self.nodes[nid]
+            tried.add(nid)
 
-    def _est_cost(self, key, size):
-        """Deadline-pressure estimate before anything has been factored."""
-        A = self.matrices[key[0]]
-        est_levels = max(1, int(A.n_rows**0.5))
-        return self.cost.estimate_solve(est_levels, A.nnz, size)
+    def _is_idle(self, node, now) -> bool:
+        return node is not None and not node.busy and self.plan.is_up(node.node_id, now)
 
     # ------------------------------------------------------------------
     # replication / re-warming
     # ------------------------------------------------------------------
-    def _maybe_replicate(self, fp, now, timers):
+    def _admitted(self, req, now):
+        """Hotness accounting; a fresh promotion replicates the factor."""
+        fp = self.fingerprints[req.matrix_key]
+        if self.router.observe(fp):
+            self._maybe_replicate(fp, now)
+
+    def _maybe_replicate(self, fp, now):
         """Copy a hot fingerprint's factor to every live ring owner."""
         if not self.router.is_hot(fp):
             return
@@ -255,12 +268,12 @@ class ClusterService:
             tgt.adopt(entry)
             self.n_rewarms += 1
             tgt.busy = True  # the copy briefly occupies the adopter
-            tgt.free_at = now + self.rewarm_cost
-            timers.append((tgt.free_at, self._tick(), "unbusy", nid))
+            tgt.free_at = now + REWARM_COST
+            self._timers.append((tgt.free_at, self._tick(), "unbusy", nid))
             self._events_log.append((now, "rewarm", nid, fp[:12]))
             _spans.instant("cluster.rewarm", cat="cluster", node=nid, key=fp[:12])
 
-    def _rewarm_node(self, nid, now, timers):
+    def _rewarm_node(self, nid, now):
         """A joining/recovering node re-adopts the hot entries it owns."""
         node = self.nodes[nid]
         adopted = 0
@@ -286,8 +299,8 @@ class ClusterService:
             _spans.instant("cluster.rewarm", cat="cluster", node=nid, key=fp[:12])
         if adopted and not node.busy:
             node.busy = True
-            node.free_at = now + adopted * self.rewarm_cost
-            timers.append((node.free_at, self._tick(), "unbusy", nid))
+            node.free_at = now + adopted * REWARM_COST
+            self._timers.append((node.free_at, self._tick(), "unbusy", nid))
 
     # ------------------------------------------------------------------
     # dispatch
@@ -296,13 +309,19 @@ class ClusterService:
         self._seq += 1
         return self._seq
 
-    def _dispatch(self, batch, nid, now, inflight, timers, bstate, *, bid=None, is_hedge=False):
+    def _new_batch(self, batch):
+        bid = self._tick()
+        self._bstate[bid] = {
+            "batch": batch, "done": False, "nodes": [], "failovers": 0, "hedges": 0,
+        }
+        return bid
+
+    def _dispatch(self, batch, nid, now, *, bid=None, is_hedge=False):
         node = self.nodes[nid]
         fp = self.fingerprints[batch.matrix_key]
         if bid is None:
-            bid = self._tick()
-            bstate[bid] = {"batch": batch, "done": False, "nodes": [], "failovers": 0, "hedges": 0}
-        st = bstate[bid]
+            bid = self._new_batch(batch)
+        st = self._bstate[bid]
         st["batch"] = batch
         st["nodes"].append(nid)
         self.protocol_trace.append(("dispatch", now, bid, nid, bool(is_hedge)))
@@ -310,11 +329,11 @@ class ClusterService:
         results, finish = node.execute(batch, A, fp, now)
         lost_at = self.plan.down_during(nid, now, finish)
         fl = _Flight(self._tick(), bid, batch, nid, now, finish, lost_at, results, is_hedge)
-        inflight.append(fl)
+        self._inflight.append(fl)
         node.busy = True
         node.free_at = fl.event_time
         if self.hedge_after is not None and st["hedges"] < self.max_hedges:
-            timers.append((now + self.hedge_after, self._tick(), "hedge", bid))
+            self._timers.append((now + self.hedge_after, self._tick(), "hedge", bid))
         self._timeline.append(
             {
                 "node": nid,
@@ -326,316 +345,210 @@ class ClusterService:
                 "lost": fl.lost,
             }
         )
-        self._maybe_replicate(fp, now, timers)
+        self._maybe_replicate(fp, now)
         return fl
 
-    def _reject(self, req, now, detail):
-        return RequestResult(
-            request_id=req.request_id,
-            outcome="rejected",
-            arrival_time=req.arrival_time,
-            start_time=now,
-            finish_time=now,
-            detail=detail,
-        )
+    def _start(self, node, batches, now, queue, results):
+        """One batch flies now; the rest wait in the failover backlog."""
+        self._dispatch(batches[0], node.node_id, now)
+        for extra in batches[1:]:
+            self._ready.append((self._new_batch(extra), extra))
 
     # ------------------------------------------------------------------
-    # the event loop
+    # the cluster's events, stepped by SolveService.run
     # ------------------------------------------------------------------
-    def run(self, requests):
-        """Serve a workload to completion; returns results by request id.
-
-        Same contract as the single-machine service — every request
-        terminates in exactly one structured outcome (the request-
-        conservation property :func:`repro.verify.check_conservation`
-        audits), the whole run is a pure function of (workload, plan,
-        seeds) — plus the cluster promise: node crashes, gray slowdowns
-        and late joins move outcomes and timings, never solution bits.
-        """
-        reqs = list(requests)
-        for r in reqs:
-            if r.matrix_key not in self.matrices:
-                raise KeyError(f"unknown matrix_key {r.matrix_key!r}")
-            if r.solver not in SOLVERS:
-                raise ValueError(f"unknown solver {r.solver!r}; supported: {SOLVERS}")
-        reqs.sort(key=lambda r: (r.arrival_time, r.request_id))
-        queue = AdmissionQueue(self.capacity, self.admission)
-        batcher = MicroBatcher(self.batch_policy)
-        results: dict[int, RequestResult] = {}
-        inflight: list[_Flight] = []
-        timers: list = []  # (t, seq, kind, payload)
-        bstate: dict = {}
+    def _begin_run(self):
         self._seq = 0
         self._ready = []
         self.protocol_trace = []
-        for node in self.nodes:
-            node.busy = False
-            node.free_at = 0.0
-        plan_events = self.plan.events()
-        ei = 0
-        i = 0
-        now = 0.0
-        while i < len(reqs) or queue or inflight or timers or self._ready:
-            # -- 0. choose the next instant anything can happen -------------
-            cands = []
-            if i < len(reqs):
-                cands.append(reqs[i].arrival_time)
-            cands.extend(fl.event_time for fl in inflight)
-            cands.extend(t for t, _, _, _ in timers)
-            if ei < len(plan_events):
-                cands.append(plan_events[ei][0])
-            for _, batch in self._ready:
-                nid = self._route(self.fingerprints[batch.matrix_key], now)
-                if nid is not None and not self.nodes[nid].busy:
-                    cands.append(now)
-                    break
-            idle_keys = set()
-            for key in queue.group_sizes():
-                nid = self._route(self.fingerprints[key[0]], now)
-                if nid is not None and not self.nodes[nid].busy:
-                    idle_keys.add(key)
-            if idle_keys:
-                cands.append(batcher.next_close_time(queue, self._est_cost, keys=idle_keys))
-            if not cands:
-                # cluster permanently dead with work stranded: backpressure
-                # turns into rejection, never a silent drop
-                detail = "cluster down: no live node and no scheduled recovery"
-                for bid, batch in self._ready:
-                    self.protocol_trace.append(("reject", now, bid))
-                    for r in batch.requests:
-                        results[r.request_id] = self._reject(r, now, detail)
-                self._ready = []
-                while queue:
-                    sizes = queue.group_sizes()
-                    key = next(iter(sizes))
-                    for r in queue.take(key, sizes[key]):
-                        results[r.request_id] = self._reject(r, now, detail)
-                break
-            now = max(now, min(cands))
+        self._inflight: list[_Flight] = []
+        self._timers: list = []  # (t, seq, kind, payload)
+        self._bstate: dict = {}
+        self._plan_events = self.plan.events()
+        self._ei = 0
+        super()._begin_run()
 
-            # -- 1. the world changes: crashes, recoveries, joins -----------
-            while ei < len(plan_events) and plan_events[ei][0] <= now:
-                t_ev, kind, nid = plan_events[ei]
-                ei += 1
-                self._events_log.append((t_ev, kind, nid, ""))
-                if kind in ("crash", "recover", "join"):
-                    self.protocol_trace.append((kind, t_ev, nid))
-                _spans.instant(f"cluster.{kind}", cat="cluster", node=nid)
-                if kind == "crash":
-                    self.nodes[nid].on_crash()
-                    self.nodes[nid].free_at = t_ev
-                elif kind in ("recover", "join"):
-                    self._rewarm_node(nid, t_ev, timers)
+    def _pending(self) -> bool:
+        return bool(self._inflight or self._timers or self._ready)
 
-            # -- 2. flights resolve: completion, loss, duplicate ------------
-            due = sorted(
-                (fl for fl in inflight if fl.event_time <= now),
-                key=lambda f: (f.event_time, f.seq),
-            )
-            for fl in due:
-                inflight.remove(fl)
-                st = bstate[fl.bid]
-                if fl.lost:
-                    # the node died under the batch; its work is gone
-                    self.protocol_trace.append(("lose", now, fl.bid, fl.node))
-                    if st["done"] or any(f.bid == fl.bid for f in inflight):
-                        continue  # another copy already won / is still running
-                    if self.drop_failover:
-                        # PLANTED BUG (CI gate): the re-route is dropped, the
-                        # batch's requests never terminate
-                        self.n_dropped += len(fl.batch.requests)
-                        continue
-                    st["failovers"] += 1
-                    self.n_failovers += 1
-                    delay = self._backoff.delay(st["failovers"] - 1)
-                    timers.append((fl.lost_at + delay, self._tick(), "redispatch", fl.bid))
-                    self._events_log.append(
-                        (now, "failover", fl.node, f"batch of {fl.batch.size}")
-                    )
-                    _spans.instant(
-                        "cluster.failover", cat="cluster", node=fl.node, size=fl.batch.size
-                    )
+    def _event_times(self, now):
+        cands = [fl.event_time for fl in self._inflight]
+        cands.extend(t for t, _, _, _ in self._timers)
+        if self._ei < len(self._plan_events):
+            cands.append(self._plan_events[self._ei][0])
+        if any(self._is_idle(self._owner(b.matrix_key, now), now) for _, b in self._ready):
+            cands.append(now)
+        return cands
+
+    def _advance(self, now, results):
+        self._apply_plan_events(now)
+        self._resolve_flights(now, results)
+        self._fire_timers(now)
+
+    def _apply_plan_events(self, now):
+        """The world changes: crashes, recoveries, joins."""
+        events = self._plan_events
+        while self._ei < len(events) and events[self._ei][0] <= now:
+            t_ev, kind, nid = events[self._ei]
+            self._ei += 1
+            self._events_log.append((t_ev, kind, nid, ""))
+            if kind in ("crash", "recover", "join"):
+                self.protocol_trace.append((kind, t_ev, nid))
+            _spans.instant(f"cluster.{kind}", cat="cluster", node=nid)
+            if kind == "crash":
+                self.nodes[nid].on_crash()
+                self.nodes[nid].free_at = t_ev
+            elif kind in ("recover", "join"):
+                self._rewarm_node(nid, t_ev)
+
+    def _resolve_flights(self, now, results):
+        """Flights resolve: completion, loss, duplicate."""
+        inflight = self._inflight
+        due = sorted(
+            (fl for fl in inflight if fl.event_time <= now),
+            key=lambda f: (f.event_time, f.seq),
+        )
+        for fl in due:
+            inflight.remove(fl)
+            st = self._bstate[fl.bid]
+            if fl.lost:
+                # the node died under the batch; its work is gone
+                self.protocol_trace.append(("lose", now, fl.bid, fl.node))
+                if st["done"] or any(f.bid == fl.bid for f in inflight):
+                    continue  # another copy already won / is still running
+                if self.drop_failover:
+                    # PLANTED BUG (CI gate): the re-route is dropped, the
+                    # batch's requests never terminate
+                    self.n_dropped += len(fl.batch.requests)
                     continue
-                node = self.nodes[fl.node]
-                if node.free_at <= now and not any(f.node == fl.node for f in inflight):
+                st["failovers"] += 1
+                self.n_failovers += 1
+                delay = self._backoff.delay(st["failovers"] - 1)
+                self._timers.append((fl.lost_at + delay, self._tick(), "redispatch", fl.bid))
+                self._events_log.append(
+                    (now, "failover", fl.node, f"batch of {fl.batch.size}")
+                )
+                _spans.instant(
+                    "cluster.failover", cat="cluster", node=fl.node, size=fl.batch.size
+                )
+                continue
+            node = self.nodes[fl.node]
+            if node.free_at <= now and not any(f.node == fl.node for f in inflight):
+                node.busy = False
+            if st["done"]:
+                if not self.dual_dispatch:
+                    self.n_duplicates += 1  # a slower copy finishing after the winner
+                    self.protocol_trace.append(("duplicate", now, fl.bid, fl.node))
+                    continue
+                # PLANTED BUG (CI gate): the duplicate-completion guard is
+                # skipped — a hedge loser terminates the batch a *second*
+                # time.  Invisible to check_conservation (the rewritten
+                # results are bit-identical), which is exactly why the
+                # protocol model checker must catch it statically.
+                self.n_double_terminations += 1
+            st["done"] = True
+            self.protocol_trace.append(("complete", now, fl.bid, fl.node))
+            if fl.is_hedge:
+                self.n_hedge_wins += 1
+                self._events_log.append((now, "hedge_win", fl.node, ""))
+            for res in fl.results:
+                results[res.request_id] = res
+
+    def _fire_timers(self, now):
+        """Timers: hedges, failover re-dispatches, rewarm holds."""
+        due = sorted(t for t in self._timers if t[0] <= now)
+        self._timers = [t for t in self._timers if t[0] > now]
+        for _, _, kind, payload in due:
+            if kind == "unbusy":
+                node = self.nodes[payload]
+                if node.busy and not any(f.node == payload for f in self._inflight):
                     node.busy = False
-                if st["done"]:
-                    if not self.dual_dispatch:
-                        self.n_duplicates += 1  # a slower copy finishing after the winner
-                        self.protocol_trace.append(("duplicate", now, fl.bid, fl.node))
-                        continue
-                    # PLANTED BUG (CI gate): the duplicate-completion guard is
-                    # skipped — a hedge loser terminates the batch a *second*
-                    # time.  Invisible to check_conservation (the rewritten
-                    # results are bit-identical), which is exactly why the
-                    # protocol model checker must catch it statically.
-                    self.n_double_terminations += 1
+            elif kind == "hedge":
+                st = self._bstate[payload]
+                if (
+                    st["done"]
+                    or st["hedges"] >= self.max_hedges
+                    or not any(f.bid == payload for f in self._inflight)
+                ):
+                    continue
+                fp = self.fingerprints[st["batch"].matrix_key]
+                tried = set(st["nodes"])
+                cand = None
+                while True:
+                    n = self.router.pick(
+                        fp, lambda m: self._believed_up(m, now), exclude=tried
+                    )
+                    if n is None:
+                        break
+                    if self.plan.is_up(n, now) and not self.nodes[n].busy:
+                        cand = n
+                        break
+                    tried.add(n)
+                if cand is None:
+                    continue
+                st["hedges"] += 1
+                self.n_hedges += 1
+                self._events_log.append((now, "hedge", cand, ""))
+                _spans.instant("cluster.hedge", cat="cluster", node=cand)
+                self._dispatch(st["batch"], cand, now, bid=payload, is_hedge=True)
+            elif kind == "redispatch":
+                st = self._bstate[payload]
+                if st["done"] or any(f.bid == payload for f in self._inflight):
+                    continue
+                self._ready.append((payload, st["batch"]))
+
+    def _dispatch_backlog(self, now, results):
+        """The failover backlog goes before fresh batches."""
+        still = []
+        for bid, batch in self._ready:
+            st = self._bstate[bid]
+            expired = [r for r in batch.requests if r.deadline <= now]
+            alive = [r for r in batch.requests if r.deadline > now]
+            for r in expired:
+                results[r.request_id] = RequestResult(
+                    request_id=r.request_id,
+                    outcome="deadline_miss",
+                    arrival_time=r.arrival_time,
+                    start_time=now,
+                    finish_time=now,
+                    detail="lost to node crash; deadline passed before failover",
+                )
+            if not alive:
                 st["done"] = True
-                self.protocol_trace.append(("complete", now, fl.bid, fl.node))
-                if fl.is_hedge:
-                    self.n_hedge_wins += 1
-                    self._events_log.append((now, "hedge_win", fl.node, ""))
-                for res in fl.results:
-                    results[res.request_id] = res
+                self.protocol_trace.append(("deadline", now, bid))
+                continue
+            if len(alive) != len(batch.requests):
+                batch = Batch(key=batch.key, requests=alive, formed_at=now)
+            node = self._owner(batch.matrix_key, now)
+            if self._is_idle(node, now):
+                self._dispatch(batch, node.node_id, now, bid=bid)
+            else:
+                still.append((bid, batch))
+        self._ready = still
 
-            # -- 3. timers: hedges, failover re-dispatches, rewarm holds ----
-            due_t = sorted(t for t in timers if t[0] <= now)
-            timers = [t for t in timers if t[0] > now]
-            for _, _, kind, payload in due_t:
-                if kind == "unbusy":
-                    node = self.nodes[payload]
-                    if node.busy and not any(f.node == payload for f in inflight):
-                        node.busy = False
-                elif kind == "hedge":
-                    st = bstate[payload]
-                    if (
-                        st["done"]
-                        or st["hedges"] >= self.max_hedges
-                        or not any(f.bid == payload for f in inflight)
-                    ):
-                        continue
-                    fp = self.fingerprints[st["batch"].matrix_key]
-                    tried = set(st["nodes"])
-                    cand = None
-                    while True:
-                        n = self.router.pick(
-                            fp, lambda m: self._believed_up(m, now), exclude=tried
-                        )
-                        if n is None:
-                            break
-                        if self.plan.is_up(n, now) and not self.nodes[n].busy:
-                            cand = n
-                            break
-                        tried.add(n)
-                    if cand is None:
-                        continue
-                    st["hedges"] += 1
-                    self.n_hedges += 1
-                    self._events_log.append((now, "hedge", cand, ""))
-                    _spans.instant("cluster.hedge", cat="cluster", node=cand)
-                    self._dispatch(
-                        st["batch"], cand, now, inflight, timers, bstate,
-                        bid=payload, is_hedge=True,
-                    )
-                elif kind == "redispatch":
-                    st = bstate[payload]
-                    if st["done"] or any(f.bid == payload for f in inflight):
-                        continue
-                    self._ready.append((payload, st["batch"]))
-
-            # -- 4. arrivals: admission + hotness accounting ----------------
-            while i < len(reqs) and reqs[i].arrival_time <= now:
-                req = reqs[i]
-                i += 1
-                fp = self.fingerprints[req.matrix_key]
-                promoted = self.router.observe(fp)
-                for victim in queue.push(req):
-                    results[victim.request_id] = self._reject(
-                        victim,
-                        now,
-                        f"queue full (capacity {self.capacity}, policy {self.admission})",
-                    )
-                if promoted:
-                    self._maybe_replicate(fp, now, timers)
-
-            # -- 5. dispatch: failover backlog first, then fresh batches ----
-            still = []
-            for bid, batch in self._ready:
-                st = bstate[bid]
-                expired = [r for r in batch.requests if r.deadline <= now]
-                alive = [r for r in batch.requests if r.deadline > now]
-                for r in expired:
-                    results[r.request_id] = RequestResult(
-                        request_id=r.request_id,
-                        outcome="deadline_miss",
-                        arrival_time=r.arrival_time,
-                        start_time=now,
-                        finish_time=now,
-                        detail="lost to node crash; deadline passed before failover",
-                    )
-                if not alive:
-                    st["done"] = True
-                    self.protocol_trace.append(("deadline", now, bid))
-                    continue
-                if len(alive) != len(batch.requests):
-                    batch = Batch(key=batch.key, requests=alive, formed_at=now)
-                nid = self._route(self.fingerprints[batch.matrix_key], now)
-                if nid is not None and not self.nodes[nid].busy:
-                    self._dispatch(batch, nid, now, inflight, timers, bstate, bid=bid)
-                else:
-                    still.append((bid, batch))
-            self._ready = still
-            for node in self.nodes:
-                if node.busy or not self.plan.is_up(node.node_id, now):
-                    continue
-                keys_for = {
-                    key
-                    for key in queue.group_sizes()
-                    if self._route(self.fingerprints[key[0]], now) == node.node_id
-                }
-                if not keys_for:
-                    continue
-                batches = batcher.pop_ready(queue, now, self._est_cost, keys=keys_for)
-                if not batches:
-                    continue
-                self._dispatch(batches[0], node.node_id, now, inflight, timers, bstate)
-                for extra in batches[1:]:
-                    bid = self._tick()
-                    bstate[bid] = {
-                        "batch": extra, "done": False, "nodes": [],
-                        "failovers": 0, "hedges": 0,
-                    }
-                    self._ready.append((bid, extra))
-
-        ordered = [
-            results[r.request_id]
-            for r in sorted(reqs, key=lambda r: r.request_id)
-            if r.request_id in results
-        ]
-        self._record_metrics(ordered, queue, batcher)
-        return ordered
+    def _reject_stranded(self, queue, results, now):
+        for bid, batch in self._ready:
+            self.protocol_trace.append(("reject", now, bid))
+            for r in batch.requests:
+                results[r.request_id] = _rejected(r, now, self.stranded_detail)
+        self._ready = []
+        super()._reject_stranded(queue, results, now)
 
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def _record_metrics(self, results, queue, batcher):
-        reg = self.registry
-        if reg is None:
-            return
-        from ..serve.request import OUTCOMES
-
-        reg.counter("cluster.requests").inc(len(results))
-        for outcome in OUTCOMES:
-            n = sum(1 for r in results if r.outcome == outcome)
-            if n:
-                reg.counter(f"cluster.{outcome}").inc(n)
-        reg.counter("cluster.batches").inc(batcher.n_batches)
-        reg.counter("cluster.failovers").inc(self.n_failovers)
-        reg.counter("cluster.hedges").inc(self.n_hedges)
-        reg.counter("cluster.hedge_wins").inc(self.n_hedge_wins)
-        reg.counter("cluster.duplicates").inc(self.n_duplicates)
-        reg.counter("cluster.rewarms").inc(self.n_rewarms)
+    def _record_fleet_metrics(self, reg, finished):
+        for name in ("failovers", "hedges", "hedge_wins", "duplicates", "rewarms"):
+            reg.counter(f"cluster.{name}").inc(getattr(self, f"n_{name}"))
         if self.n_dropped:
             reg.counter("cluster.dropped").inc(self.n_dropped)
         if self.n_double_terminations:
             reg.counter("cluster.double_terminations").inc(self.n_double_terminations)
         reg.gauge("cluster.nodes").set(len(self.nodes))
-        reg.gauge("cluster.queue_depth_peak").set(queue.peak_depth)
         for node in self.nodes:
             reg.gauge(f"cluster.node{node.node_id}.batches").set(node.n_batches)
             reg.gauge(f"cluster.node{node.node_id}.crashes").set(node.n_crashes)
             reg.gauge(f"cluster.node{node.node_id}.rewarms").set(node.n_rewarms)
-        finished = [r for r in results if r.outcome != "rejected"]
-        if finished:
-            reg.histogram("cluster.latency").observe_many(r.latency for r in finished)
-            reg.histogram("cluster.batch_size").observe_many(
-                r.batch_size for r in finished if r.batch_size
-            )
-        from ..obs.metrics import record_factor_cache_metrics
-
-        record_factor_cache_metrics(
-            reg, [n.shard.cache for n in self.nodes], prefix="cluster.factor_cache"
-        )
 
     def trace_events(self, *, pid=5):
         """Chrome trace-event dicts: one lane per node, faults as instants.

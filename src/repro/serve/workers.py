@@ -538,6 +538,11 @@ class WorkerShard:
 class SolveService:
     """Deterministic batched solve service over registered matrices."""
 
+    #: namespace of this service's metrics and trace instants
+    metric_prefix = "serve"
+    #: detail of requests no worker can ever serve
+    stranded_detail = "no worker can serve the request"
+
     def __init__(
         self,
         matrices,
@@ -580,19 +585,20 @@ class SolveService:
         # default — serve never imports repro.tune
         self.controller = controller
         self.shards = [
-            WorkerShard(
+            self._make_shard(
                 i,
                 cache_entries=factor_cache_entries,
-                cost=self.cost,
                 options=options,
                 retry_policy=retry_policy,
                 fault_plan=fault_plan,
-                staleness=self.staleness,
             )
             for i in range(int(n_shards))
         ]
         self._inbox: list = []
         self._lock = threading.Lock()  # thread-safe submit(); run() is single-threaded
+
+    def _make_shard(self, shard_id, **kw):
+        return WorkerShard(shard_id, cost=self.cost, staleness=self.staleness, **kw)
 
     # ------------------------------------------------------------------
     def submit(self, req: SolveRequest):
@@ -655,6 +661,8 @@ class SolveService:
         return self.cost.estimate_solve(est_levels, A.nnz, size)
 
     # ------------------------------------------------------------------
+    # the event loop
+    # ------------------------------------------------------------------
     def run(self, requests=None):
         """Serve a workload to completion; returns results by request id.
 
@@ -662,6 +670,13 @@ class SolveService:
         terminates with a structured outcome; the run is a pure
         function of the inputs (virtual clock, seeded numerics), so the
         same workload replays identically.
+
+        This is the one serving event loop: a subclass changes *who*
+        owns a key (:meth:`_owner`), *when* a worker is idle
+        (:meth:`_is_idle`), *what* starting a batch means
+        (:meth:`_start`) and which extra events exist
+        (:meth:`_event_times` / :meth:`_advance` /
+        :meth:`_dispatch_backlog`) — never the order of the steps.
         """
         reqs = list(requests) if requests is not None else self.drain_inbox()
         for r in reqs:
@@ -674,79 +689,57 @@ class SolveService:
         ctl = self.controller
         batcher = MicroBatcher(ctl.batch_policy if ctl is not None else self.batch_policy)
         results: dict[int, RequestResult] = {}
-        for s in self.shards:
-            s.busy = False
-            s.free_at = 0.0
+        self._begin_run()
+        prefix = self.metric_prefix
         i = 0
         now = 0.0
-        while i < len(reqs) or queue or any(s.busy for s in self.shards):
-            cands = []
+        while i < len(reqs) or queue or self._pending():
+            # -- 0. choose the next instant anything can happen -------------
+            cands = self._event_times(now)
             if i < len(reqs):
                 cands.append(reqs[i].arrival_time)
-            for s in self.shards:
-                if s.busy:
-                    cands.append(s.free_at)
             idle_keys = {
                 key
                 for key in queue.group_sizes()
-                if not self.shards[self.shard_of(key[0])].busy
+                if self._is_idle(self._owner(key[0], now), now)
             }
             if idle_keys:
                 cands.append(batcher.next_close_time(queue, self._est_cost, keys=idle_keys))
+            if not cands:
+                # nothing can ever happen again: stranded work is
+                # rejected, never silently dropped
+                self._reject_stranded(queue, results, now)
+                break
             now = max(now, min(cands))
-            for s in self.shards:
-                if s.busy and s.free_at <= now:
-                    s.busy = False
+            # -- 1. workers advance to ``now`` ------------------------------
+            self._advance(now, results)
+            # -- 2. arrivals: admission --------------------------------------
             while i < len(reqs) and reqs[i].arrival_time <= now:
                 req = reqs[i]
                 i += 1
                 for victim in queue.push(req):
-                    results[victim.request_id] = RequestResult(
-                        request_id=victim.request_id,
-                        outcome="rejected",
-                        arrival_time=victim.arrival_time,
-                        start_time=now,
-                        finish_time=now,
-                        detail=f"queue full (capacity {self.capacity}, "
-                        f"policy {self.admission})",
+                    results[victim.request_id] = _rejected(
+                        victim,
+                        now,
+                        f"queue full (capacity {self.capacity}, policy {self.admission})",
                     )
                     _spans.instant(
-                        "serve.reject", cat="serve", request_id=victim.request_id
+                        f"{prefix}.reject", cat=prefix, request_id=victim.request_id
                     )
+                self._admitted(req, now)
+            # -- 3. close and start ready batches per idle worker -----------
+            self._dispatch_backlog(now, results)
             for s in self.shards:
-                if s.busy:
+                if not self._is_idle(s, now):
                     continue
                 keys_for_s = {
-                    key
-                    for key in queue.group_sizes()
-                    if self.shard_of(key[0]) == s.shard_id
+                    key for key in queue.group_sizes() if self._owner(key[0], now) is s
                 }
                 if not keys_for_s:
                     continue
                 batches = batcher.pop_ready(queue, now, self._est_cost, keys=keys_for_s)
-                start = now
-                for batch in batches:
-                    A = self.matrices[batch.matrix_key]
-                    override = (
-                        ctl.scheduler_override(A) if ctl is not None else None
-                    )
-                    batch_results, finish = s.execute(
-                        batch,
-                        A,
-                        self.fingerprints[batch.matrix_key],
-                        start,
-                        scheduler_override=override,
-                    )
-                    for res in batch_results:
-                        results[res.request_id] = res
-                    start = finish
-                    if ctl is not None:
-                        ctl.observe(
-                            batch_results, queue_depth=len(queue), now=finish
-                        )
                 if batches:
-                    s.busy = True
-                    s.free_at = start
+                    self._start(s, batches, now, queue, results)
             if ctl is not None:
                 # re-read the knobs the controller may have moved; all
                 # of them select among bit-identical paths only
@@ -754,37 +747,127 @@ class SolveService:
                 for sh in self.shards:
                     sh.staleness = ctl.staleness
                     sh.budget_bias = ctl.budget_bias
-        ordered = [results[r.request_id] for r in sorted(reqs, key=lambda r: r.request_id)]
+        ordered = [
+            results[r.request_id]
+            for r in sorted(reqs, key=lambda r: r.request_id)
+            if r.request_id in results
+        ]
         self._record_metrics(ordered, queue, batcher)
         return ordered
 
+    # ------------------------------------------------------------------
+    # what a fleet decides: the single-machine answers
+    # ------------------------------------------------------------------
+    def _begin_run(self):
+        """Reset per-run worker state."""
+        for s in self.shards:
+            s.busy = False
+            s.free_at = 0.0
+
+    def _pending(self) -> bool:
+        """Work the loop must still wait out, beyond arrivals and queue."""
+        return any(s.busy for s in self.shards)
+
+    def _event_times(self, now):
+        """Future instants at which a worker changes state."""
+        return [s.free_at for s in self.shards if s.busy]
+
+    def _owner(self, matrix_key, now):
+        """The worker that serves ``matrix_key`` at ``now``."""
+        return self.shards[self.shard_of(matrix_key)]
+
+    def _is_idle(self, shard, now) -> bool:
+        return not shard.busy
+
+    def _advance(self, now, results):
+        """Free every shard whose back-to-back batches have finished."""
+        for s in self.shards:
+            if s.busy and s.free_at <= now:
+                s.busy = False
+
+    def _admitted(self, req, now):
+        """Hook after a request enters the queue (no-op on one machine)."""
+
+    def _dispatch_backlog(self, now, results):
+        """Hook before fresh batches start (one machine has no backlog)."""
+
+    def _start(self, shard, batches, now, queue, results):
+        """Run ``batches`` back to back on ``shard`` starting at ``now``."""
+        ctl = self.controller
+        start = now
+        for batch in batches:
+            A = self.matrices[batch.matrix_key]
+            override = ctl.scheduler_override(A) if ctl is not None else None
+            batch_results, finish = shard.execute(
+                batch,
+                A,
+                self.fingerprints[batch.matrix_key],
+                start,
+                scheduler_override=override,
+            )
+            for res in batch_results:
+                results[res.request_id] = res
+            start = finish
+            if ctl is not None:
+                ctl.observe(batch_results, queue_depth=len(queue), now=finish)
+        shard.busy = True
+        shard.free_at = start
+
+    def _reject_stranded(self, queue, results, now):
+        while queue:
+            sizes = queue.group_sizes()
+            key = next(iter(sizes))
+            for r in queue.take(key, sizes[key]):
+                results[r.request_id] = _rejected(r, now, self.stranded_detail)
+
+    # ------------------------------------------------------------------
+    # observability
     # ------------------------------------------------------------------
     def _record_metrics(self, results, queue, batcher):
         reg = self.registry
         if reg is None:
             return
+        from ..obs.metrics import record_factor_cache_metrics
         from .request import OUTCOMES
 
-        reg.counter("serve.requests").inc(len(results))
+        p = self.metric_prefix
+        reg.counter(f"{p}.requests").inc(len(results))
         for outcome in OUTCOMES:
             n = sum(1 for r in results if r.outcome == outcome)
             if n:
-                reg.counter(f"serve.{outcome}").inc(n)
-        reg.counter("serve.batches").inc(batcher.n_batches)
-        reg.counter("serve.demotions").inc(sum(s.n_demotions for s in self.shards))
-        reg.counter("serve.refactors").inc(sum(s.n_refactors for s in self.shards))
-        reg.counter("serve.stale_steps").inc(sum(s.n_stale_steps for s in self.shards))
-        reg.gauge("serve.queue_depth_peak").set(queue.peak_depth)
+                reg.counter(f"{p}.{outcome}").inc(n)
+        reg.counter(f"{p}.batches").inc(batcher.n_batches)
+        reg.gauge(f"{p}.queue_depth_peak").set(queue.peak_depth)
         finished = [r for r in results if r.outcome != "rejected"]
         if finished:
-            reg.histogram("serve.latency").observe_many(r.latency for r in finished)
-            reg.histogram("serve.wait_time").observe_many(r.wait_time for r in finished)
-            reg.histogram("serve.batch_size").observe_many(r.batch_size for r in finished)
-        from ..obs.metrics import record_factor_cache_metrics
-
+            reg.histogram(f"{p}.latency").observe_many(r.latency for r in finished)
+            reg.histogram(f"{p}.batch_size").observe_many(
+                r.batch_size for r in finished if r.batch_size
+            )
         record_factor_cache_metrics(
-            reg, [s.cache for s in self.shards], prefix="serve.factor_cache"
+            reg, [s.cache for s in self.shards], prefix=f"{p}.factor_cache"
         )
+        self._record_fleet_metrics(reg, finished)
+
+    def _record_fleet_metrics(self, reg, finished):
+        """Metrics only this kind of fleet has."""
+        p = self.metric_prefix
+        for name in ("demotions", "refactors", "stale_steps"):
+            reg.counter(f"{p}.{name}").inc(sum(getattr(s, f"n_{name}") for s in self.shards))
+        if finished:
+            reg.histogram(f"{p}.wait_time").observe_many(r.wait_time for r in finished)
         if self.controller is not None:
             for name, value in self.controller.metrics().items():
                 reg.counter(name).inc(int(value))
+
+
+def _rejected(req, now, detail):
+    """The structured outcome of a request that never ran."""
+    return RequestResult(
+        request_id=req.request_id,
+        outcome="rejected",
+        arrival_time=req.arrival_time,
+        start_time=now,
+        finish_time=now,
+        detail=detail,
+    )
