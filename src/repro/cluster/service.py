@@ -67,7 +67,7 @@ from ..obs import spans as _spans
 from ..resilience import RetryPolicy
 from ..serve.batcher import Batch, BatchPolicy
 from ..serve.request import RequestResult
-from ..serve.workers import CostModel, SolveService, _rejected
+from ..serve.workers import CostModel, SolveService
 from .faults import NodeFaultPlan
 from .node import ClusterNode
 from .ring import Router
@@ -143,9 +143,6 @@ class ClusterService(SolveService):
         dual_dispatch=False,
     ):
         self.plan = node_fault_plan if node_fault_plan is not None else NodeFaultPlan()
-        # the fingerprints are value-aware: the ring places *factors*, and
-        # a factor depends on the values — two matrices sharing a stencil
-        # must not share a ring slot or cache entry
         super().__init__(
             matrices,
             n_shards=n_nodes,
@@ -187,7 +184,7 @@ class ClusterService(SolveService):
         # by repro.verify.protocol.check_cluster_trace (abstraction check)
         self.protocol_trace: list = []
 
-    def _make_shard(self, node_id, *, fault_plan, **kw):
+    def _make_shard(self, node_id, *, fault_plan=None, **kw):  # faults: self.plan
         return ClusterNode(node_id, plan=self.plan, cost=self.cost, **kw)
 
     # ------------------------------------------------------------------
@@ -213,6 +210,17 @@ class ClusterService(SolveService):
             g -= hb
         return False
 
+    def _walk(self, fingerprint, now, accept, tried=()):
+        """First *believed-up* node on the ring walk that ``accept`` admits."""
+        tried = set(tried)
+        while True:
+            nid = self.router.pick(
+                fingerprint, lambda n: self._believed_up(n, now), exclude=tried
+            )
+            if nid is None or accept(nid):
+                return nid
+            tried.add(nid)
+
     def _owner(self, matrix_key, now):
         """The node this matrix dispatches to right now, or None.
 
@@ -222,17 +230,10 @@ class ClusterService(SolveService):
         the fast-failover path that makes fresh crashes cost a
         re-route, not a suspicion timeout.
         """
-        fingerprint = self.fingerprints[matrix_key]
-        tried: set = set()
-        while True:
-            nid = self.router.pick(
-                fingerprint, lambda n: self._believed_up(n, now), exclude=tried
-            )
-            if nid is None:
-                return None
-            if self.plan.is_up(nid, now):
-                return self.nodes[nid]
-            tried.add(nid)
+        nid = self._walk(
+            self.fingerprints[matrix_key], now, lambda n: self.plan.is_up(n, now)
+        )
+        return None if nid is None else self.nodes[nid]
 
     def _is_idle(self, node, now) -> bool:
         return node is not None and not node.busy and self.plan.is_up(node.node_id, now)
@@ -246,18 +247,18 @@ class ClusterService(SolveService):
         if self.router.observe(fp):
             self._maybe_replicate(fp, now)
 
+    def _donor(self, fp, now, skip=None):
+        """First live node (other than ``skip``) holding ``fp``'s factor."""
+        for n in self.nodes:
+            if n.node_id != skip and n.holds(fp) and self.plan.is_up(n.node_id, now):
+                return n
+        return None
+
     def _maybe_replicate(self, fp, now):
         """Copy a hot fingerprint's factor to every live ring owner."""
         if not self.router.is_hot(fp):
             return
-        donor = next(
-            (
-                n
-                for n in self.nodes
-                if n.holds(fp) and self.plan.is_up(n.node_id, now)
-            ),
-            None,
-        )
+        donor = self._donor(fp, now)
         if donor is None:
             return
         entry = donor.entry(fp)
@@ -280,16 +281,7 @@ class ClusterService(SolveService):
         for fp in self.router.hot():
             if nid not in self.router.replicas(fp) or node.holds(fp):
                 continue
-            donor = next(
-                (
-                    n
-                    for n in self.nodes
-                    if n.node_id != nid
-                    and n.holds(fp)
-                    and self.plan.is_up(n.node_id, now)
-                ),
-                None,
-            )
+            donor = self._donor(fp, now, skip=nid)
             if donor is None:
                 continue
             node.adopt(donor.entry(fp))
@@ -471,19 +463,12 @@ class ClusterService(SolveService):
                     or not any(f.bid == payload for f in self._inflight)
                 ):
                     continue
-                fp = self.fingerprints[st["batch"].matrix_key]
-                tried = set(st["nodes"])
-                cand = None
-                while True:
-                    n = self.router.pick(
-                        fp, lambda m: self._believed_up(m, now), exclude=tried
-                    )
-                    if n is None:
-                        break
-                    if self.plan.is_up(n, now) and not self.nodes[n].busy:
-                        cand = n
-                        break
-                    tried.add(n)
+                cand = self._walk(
+                    self.fingerprints[st["batch"].matrix_key],
+                    now,
+                    lambda n: self.plan.is_up(n, now) and not self.nodes[n].busy,
+                    tried=st["nodes"],
+                )
                 if cand is None:
                     continue
                 st["hedges"] += 1
@@ -505,13 +490,9 @@ class ClusterService(SolveService):
             expired = [r for r in batch.requests if r.deadline <= now]
             alive = [r for r in batch.requests if r.deadline > now]
             for r in expired:
-                results[r.request_id] = RequestResult(
-                    request_id=r.request_id,
-                    outcome="deadline_miss",
-                    arrival_time=r.arrival_time,
-                    start_time=now,
-                    finish_time=now,
-                    detail="lost to node crash; deadline passed before failover",
+                results[r.request_id] = RequestResult.unrun(
+                    r, "deadline_miss", now,
+                    "lost to node crash; deadline passed before failover",
                 )
             if not alive:
                 st["done"] = True
@@ -530,7 +511,9 @@ class ClusterService(SolveService):
         for bid, batch in self._ready:
             self.protocol_trace.append(("reject", now, bid))
             for r in batch.requests:
-                results[r.request_id] = _rejected(r, now, self.stranded_detail)
+                results[r.request_id] = RequestResult.unrun(
+                    r, "rejected", now, self.stranded_detail
+                )
         self._ready = []
         super()._reject_stranded(queue, results, now)
 

@@ -130,6 +130,18 @@ class RequestResult:
         if self.outcome not in OUTCOMES:
             raise ValueError(f"outcome must be one of {OUTCOMES}, got {self.outcome!r}")
 
+    @classmethod
+    def unrun(cls, req, outcome, now, detail):
+        """The terminal state of a request that never ran, decided at ``now``."""
+        return cls(
+            request_id=req.request_id,
+            outcome=outcome,
+            arrival_time=req.arrival_time,
+            start_time=now,
+            finish_time=now,
+            detail=detail,
+        )
+
     @property
     def latency(self) -> float:
         """Arrival → termination on the virtual clock (NaN for rejects)."""

@@ -11,16 +11,21 @@ charges (stragglers, spin faults, dropped completion publishes) without
 ever touching the numbers.  The same seed therefore replays the same
 run bit-for-bit, which is what the acceptance tests assert.
 
-Shape of the core loop (:meth:`SolveService.run`):
+Shape of the core loop (:meth:`SolveService.run`, the package's only
+serving event loop):
 
-1. advance the virtual clock to the next event — an arrival, a shard
-   completion, or a batch-close time;
+1. advance the virtual clock to the next event — an arrival, a worker
+   state change, or a batch-close time — and advance the workers to it;
 2. admit arrivals through the bounded
    :class:`~repro.serve.queue.AdmissionQueue` (displaced requests
    terminate immediately with a ``rejected`` outcome);
-3. for each idle shard, close ready batches
-   (:class:`~repro.serve.batcher.MicroBatcher`) for the groups that
-   hash to it and execute them back-to-back.
+3. for each idle worker, close ready batches
+   (:class:`~repro.serve.batcher.MicroBatcher`) for the groups it owns
+   and start them — on one machine, back-to-back.
+
+:class:`~repro.cluster.ClusterService` reuses the loop and overrides
+only the worker hooks: who owns a key, when a worker is idle, what
+starting a batch means, and which extra events exist.
 
 Each :class:`WorkerShard` owns a private pattern-keyed
 :class:`~repro.serve.factor_cache.FactorCache`: a warm hit is pure
@@ -670,13 +675,6 @@ class SolveService:
         terminates with a structured outcome; the run is a pure
         function of the inputs (virtual clock, seeded numerics), so the
         same workload replays identically.
-
-        This is the one serving event loop: a subclass changes *who*
-        owns a key (:meth:`_owner`), *when* a worker is idle
-        (:meth:`_is_idle`), *what* starting a batch means
-        (:meth:`_start`) and which extra events exist
-        (:meth:`_event_times` / :meth:`_advance` /
-        :meth:`_dispatch_backlog`) — never the order of the steps.
         """
         reqs = list(requests) if requests is not None else self.drain_inbox()
         for r in reqs:
@@ -718,8 +716,9 @@ class SolveService:
                 req = reqs[i]
                 i += 1
                 for victim in queue.push(req):
-                    results[victim.request_id] = _rejected(
+                    results[victim.request_id] = RequestResult.unrun(
                         victim,
+                        "rejected",
                         now,
                         f"queue full (capacity {self.capacity}, policy {self.admission})",
                     )
@@ -818,7 +817,9 @@ class SolveService:
             sizes = queue.group_sizes()
             key = next(iter(sizes))
             for r in queue.take(key, sizes[key]):
-                results[r.request_id] = _rejected(r, now, self.stranded_detail)
+                results[r.request_id] = RequestResult.unrun(
+                    r, "rejected", now, self.stranded_detail
+                )
 
     # ------------------------------------------------------------------
     # observability
@@ -860,14 +861,3 @@ class SolveService:
             for name, value in self.controller.metrics().items():
                 reg.counter(name).inc(int(value))
 
-
-def _rejected(req, now, detail):
-    """The structured outcome of a request that never ran."""
-    return RequestResult(
-        request_id=req.request_id,
-        outcome="rejected",
-        arrival_time=req.arrival_time,
-        start_time=now,
-        finish_time=now,
-        detail=detail,
-    )
