@@ -81,7 +81,7 @@ def freeze_product(obj):
                   "lev_ent_ptr", "diag_idx",
                   # superstep plans (repro.sched)
                   "step_ptr", "thread_ptr", "thread_of", "step_of",
-                  "step_level_ptr", "seg_rows", "seg_ptr", "seg_ent_ptr",
+                  "step_level_ptr",
                   # elastic schedules (repro.sched)
                   "block_of", "final_sweep", "ent_ptr"):
         arr = getattr(obj, field, None)
@@ -191,7 +191,7 @@ class SymbolicAnalysis:
         )
 
     def superstep_plan(self, part, *, n_threads, opts=None):
-        """The DAG-partition superstep plan (reuses levels + diag_pos).
+        """The DAG-partition superstep plan (reuses the level sets).
 
         Keyed beside the level/plan products: same pattern, distinct
         plans per ``(part, n_threads, superstep knobs)``.
@@ -210,7 +210,6 @@ class SymbolicAnalysis:
                 n_threads=n_threads,
                 opts=opts,
                 levels=self.levels(part),
-                diag_idx=self.diag_pos() if part == "upper" else None,
             ),
         )
 

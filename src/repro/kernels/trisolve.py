@@ -231,115 +231,6 @@ def trisolve_upper_multi_batched(F, Y, plan=None):
 
 
 # ----------------------------------------------------------------------
-# superstep sweeps (repro.sched DAG-partition plans)
-# ----------------------------------------------------------------------
-def _resolve_superstep_plan(F, part, plan, n_threads):
-    if plan is None:
-        plan = cached_analysis(F).superstep_plan(part, n_threads=n_threads)
-    elif plan.part != part:
-        raise ValueError(f"plan is for part {plan.part!r}, kernel needs {part!r}")
-    return plan
-
-
-@register_kernel("trisolve_lower_superstep", "scalar")
-def trisolve_lower_superstep_scalar(F, b, plan=None, *, n_threads=8):
-    """Forward solve in superstep execution order, one row at a time.
-
-    The superstep plan's ``rows`` is a valid topological order, and each
-    row's accumulation is the same ascending-entry sum as the serial
-    reference — so the result is bit-identical to it.
-    """
-    plan = _resolve_superstep_plan(F, "lower", plan, n_threads)
-    b = np.asarray(b, dtype=np.float64)
-    y = np.empty(plan.n)
-    indptr, indices, data = F.indptr, F.indices, F.data
-    for r in plan.rows:
-        r = int(r)
-        lo, hi = int(indptr[r]), int(indptr[r + 1])
-        cols = indices[lo:hi]
-        cut = int(np.searchsorted(cols, r))
-        s = 0.0
-        for kk in range(lo, lo + cut):
-            s += data[kk] * y[indices[kk]]
-        y[r] = b[r] - s
-    return y
-
-
-@register_kernel("trisolve_upper_superstep", "scalar")
-def trisolve_upper_superstep_scalar(F, y, plan=None, *, n_threads=8):
-    """Backward solve in superstep execution order (scalar reference)."""
-    plan = _resolve_superstep_plan(F, "upper", plan, n_threads)
-    y = np.asarray(y, dtype=np.float64)
-    x = np.empty(plan.n)
-    indptr, indices, data = F.indptr, F.indices, F.data
-    for r in plan.rows:
-        r = int(r)
-        lo, hi = int(indptr[r]), int(indptr[r + 1])
-        cols = indices[lo:hi]
-        cut = int(np.searchsorted(cols, r))
-        if cut >= hi - lo or cols[cut] != r:
-            raise ValueError(f"missing diagonal in factored row {r}")
-        s = 0.0
-        for kk in range(lo + cut + 1, hi):
-            s += data[kk] * x[indices[kk]]
-        x[r] = (y[r] - s) / data[lo + cut]
-    return x
-
-
-@register_kernel("trisolve_lower_superstep", "batched", default=True)
-def trisolve_lower_superstep_batched(F, b, plan=None, *, n_threads=8):
-    """Forward solve, one gather/reduce per (superstep, level) segment.
-
-    Segments group rows of one level inside one superstep, so every
-    dependency of a segment's rows is already final when the segment
-    runs; ``np.bincount`` keeps each row's ascending entry order, hence
-    bit-identity with the serial sweep.
-    """
-    plan = _resolve_superstep_plan(F, "lower", plan, n_threads)
-    b = np.asarray(b, dtype=np.float64)
-    data, indices = F.data, F.indices
-    y = np.empty(plan.n)
-    seg_rows, seg_ptr = plan.seg_rows, plan.seg_ptr
-    ent_idx, ent_local, eptr = plan.ent_idx, plan.ent_local, plan.seg_ent_ptr
-    for g in range(plan.n_segments):
-        rlo, rhi = seg_ptr[g], seg_ptr[g + 1]
-        rows_g = seg_rows[rlo:rhi]
-        elo, ehi = eptr[g], eptr[g + 1]
-        if ehi > elo:
-            ents = ent_idx[elo:ehi]
-            prod = data[ents] * y[indices[ents]]
-            s = np.bincount(ent_local[elo:ehi], weights=prod, minlength=rhi - rlo)
-        else:
-            s = 0.0
-        y[rows_g] = b[rows_g] - s
-    return y
-
-
-@register_kernel("trisolve_upper_superstep", "batched", default=True)
-def trisolve_upper_superstep_batched(F, y, plan=None, *, n_threads=8):
-    """Backward solve, one gather/reduce per (superstep, level) segment."""
-    plan = _resolve_superstep_plan(F, "upper", plan, n_threads)
-    y = np.asarray(y, dtype=np.float64)
-    data, indices = F.data, F.indices
-    x = np.empty(plan.n)
-    seg_rows, seg_ptr = plan.seg_rows, plan.seg_ptr
-    ent_idx, ent_local, eptr = plan.ent_idx, plan.ent_local, plan.seg_ent_ptr
-    diag_idx = plan.diag_idx
-    for g in range(plan.n_segments):
-        rlo, rhi = seg_ptr[g], seg_ptr[g + 1]
-        rows_g = seg_rows[rlo:rhi]
-        elo, ehi = eptr[g], eptr[g + 1]
-        if ehi > elo:
-            ents = ent_idx[elo:ehi]
-            prod = data[ents] * x[indices[ents]]
-            s = np.bincount(ent_local[elo:ehi], weights=prod, minlength=rhi - rlo)
-        else:
-            s = 0.0
-        x[rows_g] = (y[rows_g] - s) / data[diag_idx[rows_g]]
-    return x
-
-
-# ----------------------------------------------------------------------
 # elastic (stale-synchronous) sweeps — thin dispatch shims
 # ----------------------------------------------------------------------
 @register_kernel("trisolve_lower_elastic", "batched", default=True)

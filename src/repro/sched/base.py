@@ -157,13 +157,11 @@ class SuperstepScheduler(TriSolveScheduler):
         return simulate_trisolve_superstep(S, machine, opts=opts, both=both)
 
     def solve(self, F, b, *, opts=None, analysis=None):
-        opts = self._opts(opts)
-        if analysis is None:
-            analysis = cached_analysis(F)
-        pl = analysis.superstep_plan("lower", n_threads=opts.n_threads, opts=opts)
-        pu = analysis.superstep_plan("upper", n_threads=opts.n_threads, opts=opts)
-        y = get_kernel("trisolve_lower_superstep")(F, b, plan=pl)
-        return get_kernel("trisolve_upper_superstep")(F, y, plan=pu)
+        # a superstep plan only reorders the level sweep's rows; in one
+        # process the numerics are the shared sweep, bit for bit
+        from ..core.trisolve import trisolve_factor_levels
+
+        return trisolve_factor_levels(F, b, analysis=analysis)
 
     def sync_points(self, S, *, opts=None) -> int:
         opts = self._opts(opts)

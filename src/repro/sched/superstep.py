@@ -22,12 +22,13 @@ Fusion is greedy and bounded by two knobs (:class:`SchedOptions`):
   in parallel, but a pure chain (component == critical path) is always
   fusable because it was serial to begin with.
 
-The numeric execution order is any-topological, so superstep solves
-are bit-identical to the scalar reference (each row's accumulation
-arithmetic is untouched); the plan additionally carries a batched
-segmentation — rows grouped by (superstep, original level), every
-segment an independent set — so the vectorized backend keeps the same
-gather/multiply/``bincount`` contract as the level-batched kernels.
+The plan changes *when* rows run and where the barriers fall, never
+what a row computes: the numeric solve of
+:class:`~repro.sched.base.SuperstepScheduler` is the shared level sweep
+(:func:`~repro.core.trisolve.trisolve_factor_levels`), and the plan
+drives the DES, the real-thread executor
+(:func:`~repro.sched.threaded.threaded_trisolve_superstep`), the
+verify deadlock replay, the sync-point pricing and the tuner.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels.plans import backward_level_sets, diag_positions, forward_level_sets
+from ..kernels.plans import backward_level_sets, forward_level_sets
 from .options import SchedOptions
 
 __all__ = [
@@ -56,13 +57,6 @@ class SuperstepPlan:
     topological order of each thread's program).  ``thread_ptr`` has
     ``n_steps * n_threads + 1`` entries: thread ``t``'s rows of step
     ``s`` are ``rows[thread_ptr[s*p + t] : thread_ptr[s*p + t + 1]]``.
-
-    ``seg_rows`` is the batched execution order — rows grouped by
-    ``(superstep, original level)``; each segment is an independent set
-    and ``ent_idx``/``ent_local``/``seg_ent_ptr`` are its strict-part
-    gather arrays in exactly the :class:`~repro.kernels.plans.TriSolvePlan`
-    layout, so the batched sweep reproduces the scalar accumulation
-    order bit-for-bit.
     """
 
     part: str
@@ -75,20 +69,10 @@ class SuperstepPlan:
     step_of: np.ndarray
     level_of: np.ndarray
     step_level_ptr: np.ndarray
-    seg_rows: np.ndarray
-    seg_ptr: np.ndarray
-    ent_idx: np.ndarray
-    ent_local: np.ndarray
-    seg_ent_ptr: np.ndarray
-    diag_idx: np.ndarray | None = None
 
     @property
     def n_steps(self) -> int:
         return self.step_ptr.shape[0] - 1
-
-    @property
-    def n_segments(self) -> int:
-        return self.seg_ptr.shape[0] - 1
 
     @property
     def n_levels(self) -> int:
@@ -160,12 +144,11 @@ def build_superstep_plan(
     n_threads: int,
     opts: SchedOptions | None = None,
     levels=None,
-    diag_idx=None,
 ) -> SuperstepPlan:
     """Partition ``pattern``'s ``part`` dependency DAG into supersteps.
 
-    ``levels`` (a :class:`~repro.ordering.levelsets.LevelSets`) and
-    ``diag_idx`` may be supplied by the symbolic cache; the plan is a
+    ``levels`` (a :class:`~repro.ordering.levelsets.LevelSets`) may be
+    supplied by the symbolic cache; the plan is a
     pure function of the pattern, the part, ``n_threads`` and the
     superstep knobs of ``opts`` — which is exactly how
     :meth:`repro.kernels.cache.SymbolicAnalysis.superstep_plan` keys it.
@@ -179,8 +162,6 @@ def build_superstep_plan(
     n = pattern.n_rows
     if levels is None:
         levels = forward_level_sets(pattern) if part == "lower" else backward_level_sets(pattern)
-    if part == "upper" and diag_idx is None:
-        diag_idx = diag_positions(pattern)
     level_of = np.asarray(levels.level_of, dtype=np.int64)
     level_ptr = np.asarray(levels.level_ptr, dtype=np.int64)
     lrows = np.asarray(levels.rows, dtype=np.int64)
@@ -279,31 +260,6 @@ def build_superstep_plan(
             thread_ptr[s * p + t + 1] = pos
         step_ptr[s + 1] = pos
 
-    # ---- batched segmentation: (step, level) groups ------------------
-    ids = np.arange(n, dtype=np.int64)
-    seg_rows = ids[np.lexsort((ids, level_of, step_of))] if n else ids
-    if n:
-        sk = step_of[seg_rows] * (int(level_of.max()) + 1 if n else 1) + level_of[seg_rows]
-        bounds = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-        seg_ptr = np.r_[bounds, n].astype(np.int64)
-    else:
-        seg_ptr = np.zeros(1, dtype=np.int64)
-    # strict-part entry gather arrays, in seg_rows order (TriSolvePlan layout)
-    row_of = np.repeat(ids, np.diff(pattern.indptr))
-    mask = pattern.indices < row_of if part == "lower" else pattern.indices > row_of
-    ent_all = np.flatnonzero(mask)  # CSR order: ascending column within a row
-    pos_of_row = np.empty(n, dtype=np.int64)
-    pos_of_row[seg_rows] = ids
-    key = pos_of_row[row_of[ent_all]]
-    order = np.argsort(key, kind="stable")
-    ent_idx = ent_all[order]
-    ent_pos = key[order]
-    cnt = np.bincount(row_of[ent_all], minlength=n) if ent_all.size else np.zeros(n, np.int64)
-    row_ent_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(cnt[seg_rows], out=row_ent_ptr[1:])
-    seg_ent_ptr = row_ent_ptr[seg_ptr]
-    seg_of_ent = np.searchsorted(seg_ptr, ent_pos, side="right") - 1
-    ent_local = ent_pos - seg_ptr[seg_of_ent]
     return SuperstepPlan(
         part=part,
         n=n,
@@ -315,12 +271,6 @@ def build_superstep_plan(
         step_of=step_of,
         level_of=level_of,
         step_level_ptr=step_level_ptr,
-        seg_rows=seg_rows,
-        seg_ptr=seg_ptr,
-        ent_idx=ent_idx,
-        ent_local=ent_local,
-        seg_ent_ptr=seg_ent_ptr,
-        diag_idx=diag_idx,
     )
 
 
@@ -329,21 +279,19 @@ def validate_superstep_plan(plan: SuperstepPlan, pattern) -> list[str]:
 
     The contract ``bench_sched --check`` and the property tests gate on:
 
-    * both orderings cover every row exactly once;
+    * the execution order covers every row exactly once;
     * the pointer arrays are consistent partitions of the orderings;
     * every dependency of a row lands in an earlier superstep, or on
       the same thread earlier in program order (thread programs are
-      topological and cross-thread edges never stay inside a step);
-    * every dependency's batched segment precedes its consumer's.
+      topological and cross-thread edges never stay inside a step).
     """
     errors: list[str] = []
     n = plan.n
     p = plan.n_threads
     ids = np.arange(n, dtype=np.int64)
-    for name, arr in (("rows", plan.rows), ("seg_rows", plan.seg_rows)):
-        if arr.shape != (n,) or not np.array_equal(np.sort(arr), ids):
-            errors.append(f"{name} is not a permutation of 0..{n - 1}")
-            return errors
+    if plan.rows.shape != (n,) or not np.array_equal(np.sort(plan.rows), ids):
+        errors.append(f"rows is not a permutation of 0..{n - 1}")
+        return errors
     if plan.step_ptr[0] != 0 or plan.step_ptr[-1] != n or np.any(np.diff(plan.step_ptr) < 0):
         errors.append("step_ptr is not a monotone partition of rows")
     if (
@@ -353,8 +301,6 @@ def validate_superstep_plan(plan: SuperstepPlan, pattern) -> list[str]:
         or not np.array_equal(plan.thread_ptr[:: p][: plan.n_steps + 1], plan.step_ptr)
     ):
         errors.append("thread_ptr does not refine step_ptr")
-    if plan.seg_ptr[0] != 0 or plan.seg_ptr[-1] != n or np.any(np.diff(plan.seg_ptr) < 0):
-        errors.append("seg_ptr is not a monotone partition of seg_rows")
     # exec-order grouping must agree with the per-row maps
     for s in range(plan.n_steps):
         srows = plan.step_rows(s)
@@ -388,15 +334,6 @@ def validate_superstep_plan(plan: SuperstepPlan, pattern) -> list[str]:
             f"{int(plan.thread_of[r[j]])}) not ordered after dependency "
             f"{int(d[j])} (step {int(plan.step_of[d[j]])}, thread "
             f"{int(plan.thread_of[d[j]])})"
-        )
-    seg_pos = np.empty(n, dtype=np.int64)
-    seg_pos[plan.seg_rows] = ids
-    seg_of = np.searchsorted(plan.seg_ptr, seg_pos, side="right") - 1
-    bad_seg = np.flatnonzero(seg_of[d] >= seg_of[r])
-    for j in bad_seg[:8]:
-        errors.append(
-            f"batched segment of row {int(r[j])} does not follow its "
-            f"dependency {int(d[j])}'s segment"
         )
     return errors
 

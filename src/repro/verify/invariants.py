@@ -209,7 +209,7 @@ def validate_analysis(ana: Any, *, name: str = "SymbolicAnalysis") -> bool:
                     if errs:
                         _fail(where, errs[0])
                 for f in ("rows", "step_ptr", "thread_ptr", "thread_of", "step_of",
-                          "level_of", "ent_idx", "ent_local", "diag_idx"):
+                          "level_of", "step_level_ptr"):
                     arr = getattr(item, f, None)
                     if arr is not None:
                         _assert_frozen(arr, f"{key}.{f}", name)

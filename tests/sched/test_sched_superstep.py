@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_csr
-from repro.kernels import cached_analysis, clear_default_cache, get_kernel
+from repro.kernels import cached_analysis, clear_default_cache
 from repro.machine import SimMachine, uniform_machine
 from repro.sched import (
     SchedOptions,
@@ -66,21 +66,6 @@ def test_chain_fuses_to_one_step():
     assert plan.n_steps == 1
     st = superstep_stats(plan)
     assert st["n_steps"] == 1 and st["n_levels"] == n
-
-
-@pytest.mark.parametrize("backend", ["scalar", "batched"])
-def test_kernels_bit_identical_to_reference(F, backend):
-    from repro.core.trisolve import trisolve_factor_levels
-
-    rng = np.random.default_rng(3)
-    b = rng.standard_normal(F.n_rows)
-    ref = trisolve_factor_levels(F, b)
-    an = cached_analysis(F)
-    pl = an.superstep_plan("lower", n_threads=4)
-    pu = an.superstep_plan("upper", n_threads=4)
-    y = get_kernel("trisolve_lower_superstep", backend)(F, b, plan=pl)
-    x = get_kernel("trisolve_upper_superstep", backend)(F, y, plan=pu)
-    assert np.array_equal(x, ref)
 
 
 def test_threaded_executor_bit_identical(F):
