@@ -40,24 +40,14 @@ class ProgressBoard:
     def load(self, thread):
         return self._progress[thread]
 
-    def wait_for(self, producer_thread, row, *, timeout=30.0):
-        """Spin until ``producer_thread`` has completed ``row``."""
-        deadline = time.monotonic() + timeout
-        while self._progress[producer_thread] < row:
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"waited {timeout}s for thread {producer_thread} to reach "
-                    f"row {row} (at {self._progress[producer_thread]})"
-                )
-            time.sleep(0)  # yield the GIL
-
     def try_wait(self, producer_thread, row, *, timeout=30.0, stop=None):
         """Bounded spin: True when satisfied, False on timeout or ``stop``.
 
-        The watchdog variant of :meth:`wait_for` — a stalled dependency
-        (lost notification, dead producer) returns False instead of
-        raising, so the caller can trigger the barrier-schedule fallback
-        (``repro.runtime.threadpool``).  ``stop`` is an optional
+        The board's one wait primitive.  A stalled dependency (lost
+        notification, dead producer) returns False instead of raising,
+        so the caller picks the response: the barrier-schedule fallback
+        (``repro.runtime.threadpool``) or a ``TimeoutError``
+        (``repro.runtime.threaded_lower``).  ``stop`` is an optional
         ``threading.Event`` that aborts the spin early once some other
         worker has already given up.
         """

@@ -7,6 +7,11 @@ upper-stage columns (FACTOR_L), a barrier, then the corner factorization
 (serial, "good enough for most matrices").  Together they execute the
 full two-stage algorithm concurrently and must reproduce the sequential
 factor bit-for-bit.
+
+Fail-fast: a worker that raises (a pivot breakdown, a genuine stall)
+sets a shared stop event and aborts the barrier, so its peers stand
+down at once instead of spinning out their wait timeouts; the caller
+receives the failing worker's own exception.
 """
 
 from __future__ import annotations
@@ -25,6 +30,13 @@ from .threadpool import deps_by_producer
 
 __all__ = ["threaded_factor_two_stage"]
 
+#: wall-clock seconds a dependency wait may spin before it is a stall
+WAIT_TIMEOUT = 30.0
+
+
+class _StandDown(Exception):
+    """A peer failed: leave quietly, the peer's error is the result."""
+
 
 def threaded_factor_two_stage(
     A: CSRMatrix,
@@ -41,7 +53,9 @@ def threaded_factor_two_stage(
     the lower stage, factored with Even-Rows.  Upper stage: p2p spin
     synchronization.  Lower stage: per-thread blocks + barrier + serial
     corner.  Returns the combined factor, bit-identical to the
-    sequential reference.
+    sequential reference.  A worker's exception reaches the caller as
+    soon as the other workers stand down; a dependency that stays
+    unmet for :data:`WAIT_TIMEOUT` seconds raises ``TimeoutError``.
     """
     if int(level_ptr[-1]) != m:
         raise ValueError("level_ptr must cover exactly the upper rows")
@@ -53,7 +67,23 @@ def threaded_factor_two_stage(
     er = EvenRows(m=m, n=n, n_threads=n_threads)
     blocks = {t: (lo, hi) for t, lo, hi in er.blocks()}
     barrier = threading.Barrier(n_threads)
+    stop = threading.Event()
     errors = []
+
+    def wait(rec, u, need, name, **args):
+        """Spin until thread ``u`` has published row ``need``."""
+        if rec is None:
+            ok = board.try_wait(u, need, timeout=WAIT_TIMEOUT, stop=stop)
+        else:
+            with rec.span(name, cat="runtime", producer=int(u), need=int(need), **args):
+                ok = board.try_wait(u, need, timeout=WAIT_TIMEOUT, stop=stop)
+        if not ok:
+            if stop.is_set():
+                raise _StandDown
+            raise TimeoutError(
+                f"waited {WAIT_TIMEOUT}s for thread {u} to reach row {need} "
+                f"(at {board.load(u)})"
+            )
 
     def worker(t):
         try:
@@ -64,14 +94,7 @@ def threaded_factor_two_stage(
                 for r in my_rows:
                     r = int(r)
                     for u, need in deps_by_producer(S, r, thread_of, t).items():
-                        if rec is None:
-                            board.wait_for(u, need)
-                        else:
-                            with rec.span(
-                                "wait", cat="runtime",
-                                producer=int(u), need=int(need), row=r,
-                            ):
-                                board.wait_for(u, need)
+                        wait(rec, u, need, "wait", row=r)
                     with _spans.span("factor_row", cat="runtime", row=r):
                         factor_row(F, r, diag_pos, pivot_tol=pivot_tol)
                     board.publish(t, r)
@@ -79,14 +102,7 @@ def threaded_factor_two_stage(
                 for u in range(n_threads):
                     rows_u = np.nonzero(thread_of == u)[0]
                     if rows_u.size:
-                        if rec is None:
-                            board.wait_for(u, int(rows_u[-1]))
-                        else:
-                            with rec.span(
-                                "wait.stage", cat="runtime",
-                                producer=int(u), need=int(rows_u[-1]),
-                            ):
-                                board.wait_for(u, int(rows_u[-1]))
+                        wait(rec, u, int(rows_u[-1]), "wait.stage")
             # ---- lower stage phase 1: my block's FACTOR_L
             lo, hi = blocks[t]
             with _spans.span("lower_block", cat="runtime", lo=lo, hi=hi):
@@ -102,12 +118,12 @@ def threaded_factor_two_stage(
                 with _spans.span("corner", cat="runtime", m=m, n=n):
                     for r in range(m, n):
                         _factor_row_range(F, r, diag_pos, m, r, pivot_tol=pivot_tol)
+        except _StandDown:
+            pass
         except BaseException as e:
-            errors.append(e)
-            try:
-                barrier.abort()
-            except Exception:
-                pass
+            errors.append(e)  # before stop: the first failure is the result
+            stop.set()
+            barrier.abort()
 
     threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
     for th in threads:

@@ -6,7 +6,7 @@ has *published* a row ``>= c``, and the owner publishes its rows in
 ascending order.  The claim that this is *sufficient* is a
 happens-before argument, and this module checks it the way a dynamic
 race detector (TSan) would: replay the schedule with one vector clock
-per thread, join clocks along every ``publish → wait_for`` edge the
+per thread, join clocks along every ``publish → try_wait`` edge the
 schedule actually performs, and report any read of row ``c`` during the
 factorization of row ``r`` that is not ordered after ``c``'s completion.
 

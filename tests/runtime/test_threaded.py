@@ -33,16 +33,6 @@ class TestProgressBoard:
         with pytest.raises(ValueError, match="after"):
             b.publish(0, 4)
 
-    def test_wait_satisfied_immediately(self):
-        b = ProgressBoard(2)
-        b.publish(1, 10)
-        b.wait_for(1, 7)  # no spin needed
-
-    def test_wait_timeout(self):
-        b = ProgressBoard(1)
-        with pytest.raises(TimeoutError, match="waited"):
-            b.wait_for(0, 99, timeout=0.05)
-
     def test_snapshot(self):
         b = ProgressBoard(3)
         b.publish(2, 1)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -50,9 +52,28 @@ class TestThreadedTwoStage:
         cols, _ = A2.row(0)
         p0 = int(np.searchsorted(cols, 0))
         A2.data[A2.indptr[0] + p0] = 0.0
+        t0 = time.perf_counter()
         with pytest.raises(PivotBreakdownError):
             threaded_factor_two_stage(
                 A2, ilu.S_perm, ilu.level_ptr, ilu.m, 2, pivot_tol=1e-30
+            )
+        # fail-fast: peers stand down instead of spinning out their waits
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_stalled_dependency_times_out(self, monkeypatch):
+        from repro.runtime import pointtopoint, threaded_lower
+
+        class LosesThreadZero(pointtopoint.ProgressBoard):
+            def publish(self, thread, row):
+                if thread != 0:
+                    super().publish(thread, row)
+
+        monkeypatch.setattr(threaded_lower, "ProgressBoard", LosesThreadZero)
+        monkeypatch.setattr(threaded_lower, "WAIT_TIMEOUT", 0.2)
+        ilu = staged(seed=1)
+        with pytest.raises(TimeoutError, match="thread 0"):
+            threaded_factor_two_stage(
+                ilu.A_perm, ilu.S_perm, ilu.level_ptr, ilu.m, 2
             )
 
 
