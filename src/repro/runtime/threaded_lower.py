@@ -7,11 +7,6 @@ upper-stage columns (FACTOR_L), a barrier, then the corner factorization
 (serial, "good enough for most matrices").  Together they execute the
 full two-stage algorithm concurrently and must reproduce the sequential
 factor bit-for-bit.
-
-Fail-fast: a worker that raises (a pivot breakdown, a genuine stall)
-sets a shared stop event and aborts the barrier, so its peers stand
-down at once instead of spinning out their wait timeouts; the caller
-receives the failing worker's own exception.
 """
 
 from __future__ import annotations
@@ -53,9 +48,9 @@ def threaded_factor_two_stage(
     the lower stage, factored with Even-Rows.  Upper stage: p2p spin
     synchronization.  Lower stage: per-thread blocks + barrier + serial
     corner.  Returns the combined factor, bit-identical to the
-    sequential reference.  A worker's exception reaches the caller as
-    soon as the other workers stand down; a dependency that stays
-    unmet for :data:`WAIT_TIMEOUT` seconds raises ``TimeoutError``.
+    sequential reference.  Fail-fast: a failing worker stops its peers
+    at once and its exception reaches the caller; a dependency unmet
+    for :data:`WAIT_TIMEOUT` seconds raises ``TimeoutError``.
     """
     if int(level_ptr[-1]) != m:
         raise ValueError("level_ptr must cover exactly the upper rows")
