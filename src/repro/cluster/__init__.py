@@ -15,10 +15,10 @@ failures fleets actually have:
 * :mod:`repro.cluster.node` — :class:`ClusterNode`, the worker-shard
   wrapper that never demotes a factor tier (placement must be
   invisible in the bits) and re-warms from replicas after a crash;
-* :mod:`repro.cluster.service` — :class:`ClusterService`, the
-  deterministic event loop: heartbeat suspicion, hedged requests with
-  shared exponential backoff, failover re-dispatch, cache-aware
-  re-warming.
+* :mod:`repro.cluster.service` — :class:`ClusterService`, the serving
+  event loop with the cluster's answers plugged in: heartbeat
+  suspicion, hedged requests with shared exponential backoff, failover
+  re-dispatch, cache-aware re-warming.
 
 Everything runs on the same virtual clock as the serving layer: a
 cluster run is a pure function of (workload, plan, seeds), replays

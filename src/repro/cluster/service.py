@@ -184,7 +184,8 @@ class ClusterService(SolveService):
         # by repro.verify.protocol.check_cluster_trace (abstraction check)
         self.protocol_trace: list = []
 
-    def _make_shard(self, node_id, *, fault_plan=None, **kw):  # faults: self.plan
+    def _make_shard(self, node_id, *, fault_plan=None, **kw):
+        # node faults, thread-level shard faults included, come from self.plan
         return ClusterNode(node_id, plan=self.plan, cost=self.cost, **kw)
 
     # ------------------------------------------------------------------
