@@ -18,7 +18,6 @@ Both modes assert *exact* equality between backends — the bit-identical
 contract of ``repro.kernels`` — before reporting any timing.
 """
 
-import argparse
 import json
 import os
 import sys
@@ -32,7 +31,13 @@ from repro.core.iluk import ilu0_factor
 from repro.core.trisolve import trisolve_factor
 from repro.sparse import CSR5Matrix, spmv_csr, spmv_csr5
 
-from bench_util import RESULTS_DIR, level_ordered_pattern, suite_ilu, suite_matrix
+from bench_util import (
+    RESULTS_DIR,
+    bench_main,
+    level_ordered_pattern,
+    suite_ilu,
+    suite_matrix,
+)
 from bench_util import timeit_best as _timeit
 
 
@@ -218,9 +223,20 @@ def _des_case(nx=64, p=8, repeats=3):
     }
 
 
-def _run_full():
-    entries = [_trisolve_case(nx) for nx in FULL_CASES]
-    entries.append(_des_case())
+def run(check):
+    """Scalar vs batched trisolve + DES; ``check`` adds the baseline gate.
+
+    Full mode times the acceptance case (n = 50k); the fast gate runs
+    the small case and fails on divergence or a >2x speedup regression
+    against the recorded baseline.
+    """
+    if check:
+        entry = _trisolve_case(CHECK_CASE, repeats=3)
+        des = _des_case(nx=24, p=4, repeats=1)
+        entries = [entry, des]
+    else:
+        entries = [_trisolve_case(nx) for nx in FULL_CASES]
+        entries.append(_des_case())
     record = {
         "meta": {
             "numpy": np.__version__,
@@ -231,36 +247,23 @@ def _run_full():
         },
         "entries": entries,
     }
-    failures = [e for e in entries if not e["exact_equal"]]
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(BASELINE_PATH, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    for e in entries:
-        print(
-            f"{e['kernel']:>14} {e['case']:>11} n={e['n']:>6}: "
-            f"scalar {e['scalar_s'] * 1e3:8.2f} ms, "
-            f"batched {e['batched_s'] * 1e3:8.2f} ms, "
-            f"speedup {e['speedup']:6.1f}x, exact={e['exact_equal']}"
-        )
-    print(f"wrote {BASELINE_PATH}")
-    if failures:
-        print("FAIL: backends diverged", file=sys.stderr)
-        return 1
-    return 0
+    failures = []
+    if not check:
+        for e in entries:
+            print(
+                f"{e['kernel']:>14} {e['case']:>11} n={e['n']:>6}: "
+                f"scalar {e['scalar_s'] * 1e3:8.2f} ms, "
+                f"batched {e['batched_s'] * 1e3:8.2f} ms, "
+                f"speedup {e['speedup']:6.1f}x, exact={e['exact_equal']}"
+            )
+        if not all(e["exact_equal"] for e in entries):
+            failures.append("backends diverged")
+        return record, failures
 
-
-def _run_check():
-    """Fast gate: divergence or a >2x regression vs baseline fails."""
-    entry = _trisolve_case(CHECK_CASE, repeats=3)
-    des = _des_case(nx=24, p=4, repeats=1)
-    ok = True
     if not entry["exact_equal"] or entry["max_abs_diff"] != 0.0:
-        print("FAIL: batched trisolve diverges from scalar", file=sys.stderr)
-        ok = False
+        failures.append("batched trisolve diverges from scalar")
     if not des["exact_equal"]:
-        print("FAIL: batched DES diverges from scalar", file=sys.stderr)
-        ok = False
+        failures.append("batched DES diverges from scalar")
     if os.path.exists(BASELINE_PATH):
         with open(BASELINE_PATH) as fh:
             baseline = json.load(fh)
@@ -273,32 +276,18 @@ def _run_check():
             None,
         )
         if base is not None and entry["speedup"] < base["speedup"] / 2.0:
-            print(
-                f"FAIL: trisolve speedup {entry['speedup']:.1f}x regressed "
-                f">2x vs recorded baseline {base['speedup']:.1f}x",
-                file=sys.stderr,
+            failures.append(
+                f"trisolve speedup {entry['speedup']:.1f}x regressed "
+                f">2x vs recorded baseline {base['speedup']:.1f}x"
             )
-            ok = False
     else:
         print(f"note: no baseline at {BASELINE_PATH}; divergence check only")
     print(
         f"check {entry['case']}: speedup {entry['speedup']:.1f}x, "
         f"exact={entry['exact_equal']}; DES exact={des['exact_equal']}"
     )
-    return 0 if ok else 1
-
-
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--check",
-        action="store_true",
-        help="fast mode: small case only, fail on divergence or >2x "
-        "regression vs the recorded baseline",
-    )
-    args = ap.parse_args(argv)
-    return _run_check() if args.check else _run_full()
+    return record, failures
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main("kernels", run, __doc__))

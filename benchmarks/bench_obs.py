@@ -25,9 +25,6 @@ the versioned ``repro.obs.metrics/v1`` schema — the file ``repro obs
 diff`` compares across commits.
 """
 
-import argparse
-import json
-import os
 import sys
 
 import numpy as np
@@ -42,9 +39,7 @@ from repro.matrices import grid2d
 from repro.runtime import threaded_factor
 from repro.solvers import bicgstab, cg, fgmres, gmres, sor_solve
 
-from bench_util import RESULTS_DIR, level_ordered_matrix, timeit_best as _timeit
-
-BASELINE_PATH = os.path.join(RESULTS_DIR, "BENCH_obs.json")
+from bench_util import bench_main, level_ordered_matrix, timeit_best as _timeit
 
 
 def traced_factor(nx=32, p=8):
@@ -201,14 +196,13 @@ def _report(entries):
             print(f"zero_rhs         {e['case']}: all_exact={ok}")
 
 
-def _run_full():
-    entries = [
-        traced_factor(nx=32, p=8),
-        span_overhead(nx=16, p=4),
-        zero_rhs(nx=12),
-    ]
+def run(check):
+    """Both modes assert every contract; ``check`` runs smaller cases."""
+    if check:
+        entries = [traced_factor(nx=16, p=4), span_overhead(nx=10, p=4), zero_rhs(nx=8)]
+    else:
+        entries = [traced_factor(nx=32, p=8), span_overhead(nx=16, p=4), zero_rhs(nx=12)]
     failures = _verify(entries)
-    metrics = entries[0]["metrics"]
     record = {
         "meta": {
             "numpy": np.__version__,
@@ -217,45 +211,13 @@ def _run_full():
             "zero-RHS short-circuit; tracing must never change numeric bits",
         },
         "entries": entries,
-        "metrics": metrics,
+        "metrics": entries[0]["metrics"],
     }
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(BASELINE_PATH, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
     _report(entries)
-    print(f"wrote {BASELINE_PATH}")
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _run_check():
-    """Fast gate: small cases, invariants only."""
-    entries = [
-        traced_factor(nx=16, p=4),
-        span_overhead(nx=10, p=4),
-        zero_rhs(nx=8),
-    ]
-    failures = _verify(entries)
-    _report(entries)
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    if not failures:
+    if check and not failures:
         print("obs check: schema=valid nesting=wellformed bit_identical=True")
-    return 1 if failures else 0
-
-
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--check",
-        action="store_true",
-        help="fast mode: small cases, fail on any broken observability contract",
-    )
-    args = ap.parse_args(argv)
-    return _run_check() if args.check else _run_full()
+    return record, failures
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main("obs", run, __doc__))

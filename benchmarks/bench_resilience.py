@@ -25,9 +25,6 @@ Both modes assert the layer's core contract: faults and breakdowns cost
 time or preconditioner quality, never correctness.
 """
 
-import argparse
-import json
-import os
 import sys
 import time
 
@@ -44,10 +41,8 @@ from repro.resilience import FaultPlan, FaultRunReport, ResilientFactor
 from repro.runtime import threaded_factor
 from repro.sparse import from_dense
 
-from bench_util import RESULTS_DIR, level_ordered_pattern
+from bench_util import bench_main, level_ordered_pattern
 from bench_util import timeit_best as _timeit
-
-BASELINE_PATH = os.path.join(RESULTS_DIR, "BENCH_resilience.json")
 
 SLOWDOWNS = [1.0, 2.0, 4.0, 8.0]
 
@@ -223,13 +218,21 @@ def _report(entries):
             )
 
 
-def _run_full():
-    entries = [
-        straggler_sweep(nx=48, p=8),
-        breakdown_recovery(nx=16),
-        retry_overhead(nx=32),
-        runtime_watchdog(nx=12),
-    ]
+def run(check):
+    """Full mode adds the retry-overhead timing; ``check`` runs small cases."""
+    if check:
+        entries = [
+            straggler_sweep(nx=20, p=4),
+            breakdown_recovery(nx=10),
+            runtime_watchdog(nx=8, watchdog_timeout=0.1),
+        ]
+    else:
+        entries = [
+            straggler_sweep(nx=48, p=8),
+            breakdown_recovery(nx=16),
+            retry_overhead(nx=32),
+            runtime_watchdog(nx=12),
+        ]
     failures = _verify(entries)
     record = {
         "meta": {
@@ -240,43 +243,11 @@ def _run_full():
         },
         "entries": entries,
     }
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(BASELINE_PATH, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
     _report(entries)
-    print(f"wrote {BASELINE_PATH}")
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _run_check():
-    """Fast gate: small cases, invariants only."""
-    entries = [
-        straggler_sweep(nx=20, p=4),
-        breakdown_recovery(nx=10),
-        runtime_watchdog(nx=8, watchdog_timeout=0.1),
-    ]
-    failures = _verify(entries)
-    _report(entries)
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    if not failures:
+    if check and not failures:
         print("resilience check: recovery=True bit_identical=True")
-    return 1 if failures else 0
-
-
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--check",
-        action="store_true",
-        help="fast mode: small cases, fail on any broken resilience invariant",
-    )
-    args = ap.parse_args(argv)
-    return _run_check() if args.check else _run_full()
+    return record, failures
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main("resilience", run, __doc__))

@@ -31,9 +31,6 @@ Run as a script::
         # gate: exits non-zero on any broken contract
 """
 
-import argparse
-import json
-import os
 import sys
 
 import numpy as np
@@ -50,9 +47,7 @@ from repro.sched import (
 from repro.tune.shapes import chain_matrix, grid_matrix, wide_matrix
 from repro.verify import replay_superstep_schedule
 
-from bench_util import HASWELL, KNL, RESULTS_DIR, SCALE
-
-BASELINE_PATH = os.path.join(RESULTS_DIR, "BENCH_sched.json")
+from bench_util import HASWELL, KNL, SCALE, bench_main
 
 GPULIKE = gpulike().scaled_overheads(SCALE)
 
@@ -177,6 +172,7 @@ def crossover(check):
 
 
 def run(check):
+    """Plan validity + numeric identity per shape, then the crossover study."""
     failures = []
     print("bench_sched: plan validity + numeric identity")
     for shape, F in shapes(check).items():
@@ -206,21 +202,9 @@ def run(check):
             f"no crossover: best new-scheduler win is {best['speedup_vs_p2p']:.2f}x "
             "(need >= 1.3x at some shape x machine point)"
         )
-    return points, best, failures
-
-
-def _run_check():
-    _, _, failures = run(check=True)
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    if not failures:
+    if check and not failures:
         print("sched check: plans=valid exact=bit-identical staleness=converged "
               "crossover>=1.3x")
-    return 1 if failures else 0
-
-
-def _run_full():
-    points, best, failures = run(check=False)
     record = {
         "meta": {
             "numpy": np.__version__,
@@ -235,26 +219,8 @@ def _run_full():
         "gate": {"min_speedup_vs_p2p": 1.3, "met": best["speedup_vs_p2p"] >= 1.3},
         "failures": failures,
     }
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(BASELINE_PATH, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {BASELINE_PATH}")
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--check",
-        action="store_true",
-        help="fast CI gate: small shapes, fail on any broken scheduler contract",
-    )
-    args = ap.parse_args(argv)
-    return _run_check() if args.check else _run_full()
+    return record, failures
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main("sched", run, __doc__))

@@ -13,7 +13,7 @@ each measured against ground truth that does *not* come from the model:
   configuration counts only when all three picks are right;
 * **controller recovery** — the serve bench's seeded fault workload
   (straggler shard, spin faults, dropped completions, tight deadlines)
-  run untuned vs ``--tune``: the controller must cut the deadline-miss
+  run untuned vs tuned: the controller must cut the deadline-miss
   rate to ≤ 20% (the committed baseline recorded 39%), beat the
   untuned run, keep bit-identical per-request solutions, and replay
   deterministically;
@@ -30,8 +30,6 @@ Run as a script::
         # exits non-zero when any of the three gates fails
 """
 
-import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -40,17 +38,14 @@ import numpy as np
 
 from repro.core.trisolve import trisolve_factor, trisolve_factor_levels
 from repro.kernels import cached_analysis
-from repro.resilience import FaultPlan
-from repro.serve.cli import _outcome_sig, _run_workload, _solutions_identical
-from repro.serve.workload import WorkloadSpec, summarize
+from repro.serve.workload import outcome_signature, solutions_identical, summarize
 from repro.tune import SlaSpec, bench_shape, check_regressions, extract_features
 from repro.tune.model import WIDTHS, default_model
 from repro.tune.regress import format_report
 
-from bench_util import RESULTS_DIR
+from bench_serve import fault_workload, run_workload, workload_spec
+from bench_util import RESULTS_DIR, bench_main
 from bench_util import timeit_best as _timeit
-
-BASELINE_PATH = os.path.join(RESULTS_DIR, "BENCH_tune.json")
 
 #: recorded times within this factor of the oracle best count as correct
 #: (p2p and syncfree are priced identically by the DES — true ties)
@@ -161,36 +156,16 @@ def grid_accuracy(model, sched_doc):
 # ----------------------------------------------------------------------
 # gate 2: controller recovery of the perturbed fault workload
 # ----------------------------------------------------------------------
-def controller_recovery(seed=0):
-    """The serve bench's fault workload, untuned vs ``--tune``.
+def controller_recovery():
+    """The serve bench's full-mode fault workload, untuned vs tuned.
 
-    Exactly the full-mode spec + fault plan ``repro serve bench``
-    records — the committed ``BENCH_serve.json`` baseline for this
-    workload logged a 39% deadline-miss rate.
+    The committed ``BENCH_serve.json`` baseline for this workload
+    logged a 39% deadline-miss rate.
     """
-    spec = WorkloadSpec(
-        seed=seed,
-        n_requests=240,
-        rate=500.0,
-        patterns=("grid2d-16", "grid2d-24", "convect2d-16", "circuit-400"),
-        deadline_lo=0.05,
-        deadline_hi=0.5,
-        maxiter=80,
-    )
-    fault_spec = dataclasses.replace(spec, deadline_lo=0.01, deadline_hi=0.1)
-    plan = FaultPlan.seeded(
-        2,
-        n_rows=spec.n_requests,
-        seed=seed + 1,
-        n_stragglers=1,
-        slowdown=4.0,
-        spin_fault_frac=0.1,
-        dropped=((0, 3), (1, 7)),
-        watchdog_timeout=0.02,
-    )
-    _, base = _run_workload(fault_spec, fault_plan=plan, tune=False)
-    service, tuned = _run_workload(fault_spec, fault_plan=plan, tune=True)
-    _, tuned2 = _run_workload(fault_spec, fault_plan=plan, tune=True)
+    fault_spec, plan = fault_workload(workload_spec(check=False))
+    _, base = run_workload(fault_spec, fault_plan=plan, tune=False)
+    service, tuned = run_workload(fault_spec, fault_plan=plan, tune=True)
+    _, tuned2 = run_workload(fault_spec, fault_plan=plan, tune=True)
 
     recorded = None
     serve_path = os.path.join(RESULTS_DIR, "BENCH_serve.json")
@@ -209,9 +184,9 @@ def controller_recovery(seed=0):
         "tuned_miss_rate": tuned_sum["deadline_miss_rate"],
         "untuned_served_fraction": base_sum["served_fraction"],
         "tuned_served_fraction": tuned_sum["served_fraction"],
-        "bit_identical": _solutions_identical(base, tuned),
-        "replay_identical": _outcome_sig(tuned) == _outcome_sig(tuned2)
-        and _solutions_identical(tuned, tuned2),
+        "bit_identical": solutions_identical(base, tuned),
+        "replay_identical": outcome_signature(tuned) == outcome_signature(tuned2)
+        and solutions_identical(tuned, tuned2),
         "n_decisions": len(ctl.decisions),
         "decisions": list(ctl.decisions),
         "tune_metrics": ctl.metrics(),
@@ -293,7 +268,8 @@ def _report(entries):
             )
 
 
-def _run(check):
+def run(check):
+    """The three gates; both modes run them in full."""
     model = default_model(RESULTS_DIR)
     with open(os.path.join(RESULTS_DIR, "BENCH_sched.json")) as fh:
         sched_doc = json.load(fh)
@@ -303,50 +279,30 @@ def _run(check):
         tracker_gate(),
     ]
     failures = _verify(entries)
-    if not check:
-        record = {
-            "meta": {
-                "numpy": np.__version__,
-                "python": sys.version.split()[0],
-                "note": "autotuner gates: recommend-vs-oracle grid accuracy, "
-                "controller fault-workload recovery (bit-identical numerics), "
-                "regression-tracker self-test",
-                "model": model.to_dict(),
-            },
-            "entries": [
-                # drop the bulky per-config details and rendered report
-                # from the committed file; keep every gate number
-                {k: v for k, v in e.items() if k not in ("configs", "report")}
-                for e in entries
-            ],
-        }
-        os.makedirs(RESULTS_DIR, exist_ok=True)
-        with open(BASELINE_PATH, "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+    record = {
+        "meta": {
+            "numpy": np.__version__,
+            "python": sys.version.split()[0],
+            "note": "autotuner gates: recommend-vs-oracle grid accuracy, "
+            "controller fault-workload recovery (bit-identical numerics), "
+            "regression-tracker self-test",
+            "model": model.to_dict(),
+        },
+        "entries": [
+            # drop the bulky per-config details and rendered report
+            # from the committed file; keep every gate number
+            {k: v for k, v in e.items() if k not in ("configs", "report")}
+            for e in entries
+        ],
+    }
     _report(entries)
-    if not check:
-        print(f"wrote {BASELINE_PATH}")
-    for f in failures:
-        print(f"FAIL: {f}", file=sys.stderr)
     if not failures:
         print(
             "tune check: recommend>=80% tuned_miss<=20% "
             "bit_identical=True tracker=ok"
         )
-    return 1 if failures else 0
-
-
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--check",
-        action="store_true",
-        help="CI gate: run all three gates, write nothing",
-    )
-    args = ap.parse_args(argv)
-    return _run(args.check)
+    return record, failures
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(bench_main("tune", run, __doc__))

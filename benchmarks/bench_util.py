@@ -1,5 +1,14 @@
 """Shared benchmark utilities: cached matrices, machines, result files.
 
+Every gated bench (``bench_{kernels,resilience,obs,sched,tune,serve,
+cluster,apps}.py``) defines one ``run(check, ...) -> (record, failures)``
+and hands it to :func:`bench_main`, the one command line they share::
+
+    PYTHONPATH=src python benchmarks/bench_<name>.py           # full run,
+        # records benchmarks/results/BENCH_<name>.json
+    PYTHONPATH=src python benchmarks/bench_<name>.py --check   # fast CI
+        # gate: writes nothing, exits non-zero on any failed gate
+
 The suite matrices are ~1/30 of the published sizes, so the simulated
 machines scale their fixed latencies by the same factor (see
 ``MachineSpec.scaled_overheads``) — keeping the overhead-to-work ratio,
@@ -8,8 +17,11 @@ the quantity the paper's comparisons actually probe.
 
 from __future__ import annotations
 
+import argparse
 import functools
+import json
 import os
+import sys
 
 from repro import (
     JavelinILU,
@@ -126,3 +138,50 @@ def level_ordered_matrix(nx):
     A = A0.permute(perm, perm)
     S = ilu0_pattern(A)
     return A, S, level_schedule(S)
+
+
+class Gates:
+    """Named pass/fail gates, printed as ``[ok]``/``[FAIL] name`` as they land.
+
+    Call it with ``(ok, name)``; the failed names collect in
+    :attr:`failures`, the list a bench's ``run`` returns.
+    """
+
+    def __init__(self):
+        self.failures = []
+
+    def __call__(self, ok, name):
+        print(f"  [{'ok' if ok else 'FAIL'}] {name}")
+        if not ok:
+            self.failures.append(name)
+
+
+def bench_main(name, run, doc, argv=None, **options):
+    """The command line of every gated bench; returns the exit code.
+
+    Parses ``--check`` plus any bench-specific ``options`` (each
+    ``--<key>`` with its ``argparse`` keywords), calls
+    ``run(check=..., **options)``, writes the record to
+    ``RESULTS_DIR/BENCH_<name>.json`` in full mode only, and prints the
+    failures.  Exit code 1 when any gate failed, else 0.
+    """
+    ap = argparse.ArgumentParser(description=doc)
+    ap.add_argument(
+        "--check", action="store_true", help="fast CI gate: small cases, write nothing"
+    )
+    for key, kwargs in options.items():
+        ap.add_argument(f"--{key}", **kwargs)
+    args = ap.parse_args(argv)
+    record, failures = run(**vars(args))
+    if not args.check:
+        os.makedirs(RESULTS_DIR, exist_ok=True)
+        path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
+        with open(path, "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {path}")
+    for f in failures:
+        print(f"FAIL: {f}", file=sys.stderr)
+    print(f"bench_{name}: {len(failures)} gate(s) failed" if failures
+          else f"bench_{name}: all gates passed")
+    return 1 if failures else 0

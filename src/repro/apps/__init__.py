@@ -13,11 +13,11 @@ actually about: one sparsity pattern, thousands of numeric updates.
   coefficients (scripted value drift, fixed 5-point pattern);
 * :mod:`repro.apps.powerflow` — :class:`PowerFlowNewton`, a Newton
   load-ramp continuation on a nonlinear conductance network
-  (solution-driven value drift, fixed circuit pattern);
-* :mod:`repro.apps.cli` — ``repro apps bench [--check]``, writing
-  ``BENCH_apps.json``: cold-rebuild vs value-only-refactor vs
-  stale-factor steps/sec, iteration-drift curves, and the refactor
-  bit-identity gates.
+  (solution-driven value drift, fixed circuit pattern).
+
+``benchmarks/bench_apps.py [--check]`` writes ``BENCH_apps.json``:
+cold-rebuild vs value-only-refactor vs stale-factor steps/sec,
+iteration-drift curves, and the refactor bit-identity gates.
 
 Everything inherits the serve layer's determinism: virtual clock,
 seeded numerics, bit-identical replays.

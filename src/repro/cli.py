@@ -25,22 +25,6 @@ obs {report,export,diff}
     (``report``), export it as Chrome trace-event JSON for
     ``chrome://tracing`` / Perfetto (``export``), or compare two
     metrics snapshots (``diff``).
-serve bench [--check]
-    Batched solve service (``repro.serve``): run the seeded serving
-    benchmark — admission, micro-batching, deadline-aware retries,
-    fault injection — and write ``BENCH_serve.json``.  ``--check``
-    is the fast CI gate.
-cluster bench [--check]
-    Fault-tolerant multi-node serving (``repro.cluster``): consistent-
-    hash placement, replication, heartbeat suspicion, hedging and
-    failover under a kill-one-node storm and seeded chaos plans;
-    writes ``BENCH_cluster.json``.  ``--check`` is the fast CI gate.
-apps bench [--check]
-    Time-evolving application drivers (``repro.apps``): implicit
-    heat/convection stepping and power-flow Newton loops over the
-    serve API, comparing cold-rebuild vs value-only refactor vs
-    stale-factor policies; writes ``BENCH_apps.json``.  ``--check``
-    is the fast CI gate (refactor bit-identity, staleness sanity).
 tune {recommend,fit,check-regressions}
     Autotuning and regression tracking (``repro.tune``): ``recommend``
     prints the fitted model's (backend, scheduler, batch width, tier)
@@ -48,6 +32,10 @@ tune {recommend,fit,check-regressions}
     committed ``BENCH_*.json``; ``check-regressions`` diffs bench
     snapshots with noise-aware thresholds (with a planted-slowdown
     self-test) and fails on unexplained slowdowns.
+
+The gated benches (kernels, resilience, obs, sched, tune, serve,
+cluster, apps) are scripts, not subcommands:
+``python benchmarks/bench_<name>.py [--check]``.
 
 The ``REPRO_SYMBOLIC_CACHE_SIZE`` environment variable resizes the
 process-wide symbolic cache (``repro.kernels.cache``) before any
@@ -57,12 +45,20 @@ command runs.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 
 import numpy as np
 
 __all__ = ["main", "build_parser"]
+
+#: subcommands whose argv goes straight to another module's ``main``:
+#: name -> (module, help)
+PASSTHROUGH = {
+    "verify": ("repro.verify.cli", "run the static-analysis suite"),
+    "tune": ("repro.tune.cli", "autotuning and performance-regression tracking"),
+}
 
 
 def _load_matrix(args):
@@ -189,36 +185,6 @@ def cmd_solve(args):
         f"relative residual {r.residual:.3e}"
     )
     return 0 if r.converged else 1
-
-
-def cmd_verify(args):
-    from .verify.cli import main as verify_main
-
-    return verify_main(args.rest)
-
-
-def cmd_serve(args):
-    from .serve.cli import main as serve_main
-
-    return serve_main(args.rest)
-
-
-def cmd_cluster(args):
-    from .cluster.cli import main as cluster_main
-
-    return cluster_main(args.rest)
-
-
-def cmd_apps(args):
-    from .apps.cli import main as apps_main
-
-    return apps_main(args.rest)
-
-
-def cmd_tune(args):
-    from .tune.cli import main as tune_main
-
-    return tune_main(args.rest)
 
 
 def _traced_factor_run(args):
@@ -445,33 +411,10 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_solve)
 
-    # no add_help: -h/--help fall through to the repro.verify parser
-    sp = sub.add_parser("verify", help="run the static-analysis suite", add_help=False)
-    sp.add_argument("rest", nargs=argparse.REMAINDER, help="arguments for repro.verify")
-    sp.set_defaults(func=cmd_verify)
-
-    # routed early in main() like verify; listed here for --help only
-    sp = sub.add_parser("serve", help="batched solve service benchmark", add_help=False)
-    sp.add_argument("rest", nargs=argparse.REMAINDER, help="arguments for repro.serve")
-    sp.set_defaults(func=cmd_serve)
-
-    sp = sub.add_parser(
-        "cluster", help="fault-tolerant multi-node serving benchmark", add_help=False
-    )
-    sp.add_argument("rest", nargs=argparse.REMAINDER, help="arguments for repro.cluster")
-    sp.set_defaults(func=cmd_cluster)
-
-    sp = sub.add_parser(
-        "apps", help="time-evolving application drivers benchmark", add_help=False
-    )
-    sp.add_argument("rest", nargs=argparse.REMAINDER, help="arguments for repro.apps")
-    sp.set_defaults(func=cmd_apps)
-
-    sp = sub.add_parser(
-        "tune", help="autotuning and performance-regression tracking", add_help=False
-    )
-    sp.add_argument("rest", nargs=argparse.REMAINDER, help="arguments for repro.tune")
-    sp.set_defaults(func=cmd_tune)
+    # routed early in main(); listed here for --help only (no add_help:
+    # -h/--help fall through to the passthrough's own parser)
+    for name, (_, help_text) in PASSTHROUGH.items():
+        sub.add_parser(name, help=help_text, add_help=False)
 
     sp = sub.add_parser("obs", help="observability: trace, export, compare")
     obs_sub = sp.add_subparsers(dest="obs_command", required=True)
@@ -531,28 +474,11 @@ def main(argv=None):
         except ValueError as exc:
             print(f"error: REPRO_SYMBOLIC_CACHE_SIZE={cache_size!r}: {exc}", file=sys.stderr)
             return 2
-    # argparse.REMAINDER mis-parses leading options ("verify --list-rules"),
-    # so the verify passthrough is routed before the parser runs
-    if argv[:1] == ["verify"]:
-        from .verify.cli import main as verify_main
-
-        return verify_main(argv[1:])
-    if argv[:1] == ["serve"]:
-        from .serve.cli import main as serve_main
-
-        return serve_main(argv[1:])
-    if argv[:1] == ["cluster"]:
-        from .cluster.cli import main as cluster_main
-
-        return cluster_main(argv[1:])
-    if argv[:1] == ["apps"]:
-        from .apps.cli import main as apps_main
-
-        return apps_main(argv[1:])
-    if argv[:1] == ["tune"]:
-        from .tune.cli import main as tune_main
-
-        return tune_main(argv[1:])
+    # routed before the parser runs, so every option ("verify --list-rules",
+    # "tune --help") reaches the passthrough's own parser
+    if argv and argv[0] in PASSTHROUGH:
+        module = importlib.import_module(PASSTHROUGH[argv[0]][0])
+        return module.main(argv[1:])
     args = build_parser().parse_args(argv)
     return args.func(args)
 

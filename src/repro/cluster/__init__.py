@@ -23,7 +23,7 @@ failures fleets actually have:
 Everything runs on the same virtual clock as the serving layer: a
 cluster run is a pure function of (workload, plan, seeds), replays
 bit-for-bit, and computes solutions bit-identical to a single node's —
-the properties ``repro cluster bench --check`` gates in CI, with
+the properties ``benchmarks/bench_cluster.py --check`` gates in CI, with
 :func:`repro.verify.check_conservation` auditing that no fault
 schedule can make a request disappear.  See ``docs/cluster.md``.
 """

@@ -18,8 +18,9 @@ stack below it into a request/response system:
 * :mod:`repro.serve.workers` — :class:`WorkerShard` and the
   virtual-clock :class:`SolveService` event loop (deadline-aware
   factorization demotion, fault-plan perturbations, metric wiring);
-* :mod:`repro.serve.workload` — seeded open-loop Poisson workloads;
-* :mod:`repro.serve.cli` — ``repro serve bench`` and its CI gate.
+* :mod:`repro.serve.workload` — seeded open-loop Poisson workloads
+  and the run summaries/signatures the bench gates compare
+  (``benchmarks/bench_serve.py``).
 
 The core is synchronous and single-threaded on a *virtual* clock:
 time is charged by a :class:`CostModel`, so every run — including

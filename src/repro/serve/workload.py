@@ -40,6 +40,8 @@ __all__ = [
     "arrival_rate",
     "build_matrices",
     "generate_requests",
+    "outcome_signature",
+    "solutions_identical",
     "summarize",
 ]
 
@@ -349,3 +351,21 @@ def summarize(results):
         "throughput": (len(finished) / makespan) if makespan > 0 else math.nan,
         "goodput": (served / makespan) if makespan > 0 else math.nan,
     }
+
+
+def outcome_signature(results):
+    """A run's comparable signature: per-request scheduling + numerics."""
+    return [
+        (r.request_id, r.outcome, r.shard, r.batch_size, r.iterations, r.residual)
+        for r in results
+    ]
+
+
+def solutions_identical(a, b):
+    """Bitwise equality of per-request solutions across two runs."""
+    for ra, rb in zip(a, b):
+        if (ra.x is None) != (rb.x is None):
+            return False
+        if ra.x is not None and not np.array_equal(ra.x, rb.x, equal_nan=True):
+            return False
+    return True

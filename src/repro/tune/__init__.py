@@ -7,7 +7,7 @@ The eighth layer: turns the committed bench artifacts and the
   fingerprint feature vector read off the symbolic cache, and a
   deterministic least-squares cost model fit from ``BENCH_*.json``
   exposing ``recommend(pattern, machine, sla)``;
-* :mod:`repro.tune.controller` — the ``--tune`` opt-in serving-loop
+* :mod:`repro.tune.controller` — the opt-in serving-loop
   feedback controller (scheduler override, batch shape, staleness,
   factor tier), bit-identical numerics by construction;
 * :mod:`repro.tune.regress` — noise-aware diffing of committed bench

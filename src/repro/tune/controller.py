@@ -102,7 +102,8 @@ class TuneController:
     :meth:`observe` after each batch completes; it then re-reads
     :attr:`batch_policy`, :attr:`staleness` and :attr:`budget_bias`.
     The service never imports this module — the controller is duck-
-    typed and ``--tune`` opt-in, so the untuned path is untouched.
+    typed and opt-in (``SolveService(controller=...)``), so the untuned
+    path is untouched.
     """
 
     def __init__(self, model=None, *, policy=None, batch_policy=None, staleness=None):

@@ -25,7 +25,7 @@ the requests that went in and the results that came out and returns a
 
 It is a *dynamic* checker — it audits a run, not the source — and so
 lives beside the static analyses as the piece the fault-schedule
-property tests and ``repro cluster bench --check`` call after every
+property tests and ``benchmarks/bench_cluster.py --check`` call after every
 simulated run (see ``docs/cluster.md``).
 """
 

@@ -19,7 +19,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tune import default_model, extract_features
+from repro.serve import (
+    BatchPolicy,
+    CostModel,
+    SolveService,
+    WorkloadSpec,
+    build_matrices,
+    generate_requests,
+)
+from repro.serve.workload import solutions_identical
+from repro.tune import TuneController, default_model, extract_features
 from repro.tune.shapes import bench_shape
 
 MACHINES = ("haswell", "knl", "gpulike")
@@ -90,11 +99,26 @@ class TestRecommendPurity:
         assert json.loads(proc.stdout) == here
 
 
+def _run_workload(spec, tune):
+    """Serve ``spec`` on the serve bench's service, optionally tuned."""
+    matrices = build_matrices(spec.patterns)
+    service = SolveService(
+        matrices,
+        n_shards=2,
+        capacity=64,
+        batch_policy=BatchPolicy(max_batch=16, max_wait=0.01),
+        cost=CostModel(),
+        controller=(
+            TuneController(batch_policy=BatchPolicy(max_batch=16, max_wait=0.01))
+            if tune
+            else None
+        ),
+    )
+    return service.run(generate_requests(spec, matrices))
+
+
 class TestControllerBitIdentity:
     def test_tuned_serve_run_is_bitwise_identical(self):
-        from repro.serve.cli import _run_workload, _solutions_identical
-        from repro.serve.workload import WorkloadSpec
-
         spec = WorkloadSpec(
             seed=5,
             n_requests=48,
@@ -105,17 +129,14 @@ class TestControllerBitIdentity:
             maxiter=60,
             shape="multi_region",
         )
-        _, plain = _run_workload(spec, tune=False)
-        _, tuned = _run_workload(spec, tune=True)
-        _, tuned2 = _run_workload(spec, tune=True)
-        assert _solutions_identical(plain, tuned)
-        assert _solutions_identical(tuned, tuned2)
+        plain = _run_workload(spec, tune=False)
+        tuned = _run_workload(spec, tune=True)
+        tuned2 = _run_workload(spec, tune=True)
+        assert solutions_identical(plain, tuned)
+        assert solutions_identical(tuned, tuned2)
         assert [r.outcome for r in tuned] == [r.outcome for r in tuned2]
 
     def test_tuned_run_with_tight_deadlines_still_identical(self):
-        from repro.serve.cli import _run_workload, _solutions_identical
-        from repro.serve.workload import WorkloadSpec
-
         spec = WorkloadSpec(
             seed=9,
             n_requests=40,
@@ -125,8 +146,8 @@ class TestControllerBitIdentity:
             deadline_hi=0.05,
             maxiter=60,
         )
-        _, plain = _run_workload(spec, tune=False)
-        _, tuned = _run_workload(spec, tune=True)
+        plain = _run_workload(spec, tune=False)
+        tuned = _run_workload(spec, tune=True)
         served_plain = [r for r in plain if r.x is not None]
         served_tuned = [r for r in tuned if r.x is not None]
         # scheduling may differ (that is the point); any request served
@@ -135,4 +156,4 @@ class TestControllerBitIdentity:
         for r in served_tuned:
             if r.request_id in by_id:
                 assert np.array_equal(r.x, by_id[r.request_id].x)
-        assert _solutions_identical(tuned, _run_workload(spec, tune=True)[1])
+        assert solutions_identical(tuned, _run_workload(spec, tune=True))

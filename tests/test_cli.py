@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import PASSTHROUGH, build_parser, main
 
 
 class TestParser:
@@ -30,6 +30,13 @@ class TestParser:
     def test_obs_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["obs"])
+
+    @pytest.mark.parametrize("cmd", sorted(PASSTHROUGH))
+    def test_passthrough_help_exits_zero(self, cmd, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
     def test_obs_export_defaults(self):
         args = build_parser().parse_args(["obs", "export", "wang3"])
