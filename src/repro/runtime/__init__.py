@@ -1,4 +1,4 @@
-"""Real-thread execution of the p2p-scheduled algorithms.
+"""Real-thread execution of the p2p- and superstep-scheduled algorithms.
 
 Python's GIL means these executors cannot show wall-clock speedup (the
 repro limitation the machine simulator exists to work around), but they
@@ -17,15 +17,21 @@ verify the claims the simulator takes for granted:
   (stragglers, lost notifications) the watchdog falls back to the
   barrier schedule and the result is *still* bit-identical — faults
   cost time, never correctness.
+
+All four executors run on one core (:mod:`repro.runtime.team`): one team
+runner spawns and joins the workers and raises the first real error at
+once, and one p2p row loop performs every dependency wait, reading the
+pruned wait table :func:`repro.kernels.plans.build_producer_csr` — the
+same table the DES and the ``repro.verify`` proofs use.
 """
 
 from .pointtopoint import ProgressBoard, FaultInjectedBoard
-from .threadpool import threaded_factor, threaded_trisolve_lower
+from .threadpool import (
+    threaded_factor,
+    threaded_trisolve_lower,
+    threaded_trisolve_superstep,
+)
 from .threaded_lower import threaded_factor_two_stage
-
-# the superstep executor lives in repro.sched (its plans do too) but is
-# re-exported here beside the other real-thread entry points
-from ..sched.threaded import threaded_trisolve_superstep
 
 __all__ = [
     "ProgressBoard",

@@ -43,13 +43,14 @@ class ProgressBoard:
     def try_wait(self, producer_thread, row, *, timeout=30.0, stop=None):
         """Bounded spin: True when satisfied, False on timeout or ``stop``.
 
-        The board's one wait primitive.  A stalled dependency (lost
+        The board's one wait primitive, called only from
+        :func:`repro.runtime.team.p2p_wait`.  A stalled dependency (lost
         notification, dead producer) returns False instead of raising,
-        so the caller picks the response: the barrier-schedule fallback
-        (``repro.runtime.threadpool``) or a ``TimeoutError``
-        (``repro.runtime.threaded_lower``).  ``stop`` is an optional
+        so the executor picks the response: the barrier-schedule
+        fallback (``threaded_factor``, ``threaded_trisolve_lower``) or a
+        ``TimeoutError`` (``threaded_factor_two_stage``).  ``stop`` is a
         ``threading.Event`` that aborts the spin early once some other
-        worker has already given up.
+        worker has already given up (lint rule JAV009 demands it).
         """
         deadline = time.monotonic() + timeout
         while self._progress[producer_thread] < row:

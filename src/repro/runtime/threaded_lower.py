@@ -18,19 +18,16 @@ import numpy as np
 from ..core.iluk import _diag_positions, _scatter_values, factor_row
 from ..core.lower_er import EvenRows, _factor_row_range
 from ..core.upper import assign_round_robin
+from ..kernels.plans import build_producer_csr
 from ..obs import spans as _spans
 from ..sparse.csr import CSRMatrix
 from .pointtopoint import ProgressBoard
-from .threadpool import deps_by_producer
+from .team import p2p_rows, p2p_wait, run_team
 
 __all__ = ["threaded_factor_two_stage"]
 
 #: wall-clock seconds a dependency wait may spin before it is a stall
 WAIT_TIMEOUT = 30.0
-
-
-class _StandDown(Exception):
-    """A peer failed: leave quietly, the peer's error is the result."""
 
 
 def threaded_factor_two_stage(
@@ -59,72 +56,49 @@ def threaded_factor_two_stage(
     n = F.n_rows
     thread_of = assign_round_robin(level_ptr, n_threads)
     board = ProgressBoard(n_threads)
-    er = EvenRows(m=m, n=n, n_threads=n_threads)
-    blocks = {t: (lo, hi) for t, lo, hi in er.blocks()}
+    waits = build_producer_csr(S, m, thread_of)
+    done = np.zeros(m, dtype=bool)
+    blocks = {t: (lo, hi) for t, lo, hi in EvenRows(m=m, n=n, n_threads=n_threads).blocks()}
     barrier = threading.Barrier(n_threads)
     stop = threading.Event()
-    errors = []
 
-    def wait(rec, u, need, name, **args):
-        """Spin until thread ``u`` has published row ``need``."""
-        if rec is None:
-            ok = board.try_wait(u, need, timeout=WAIT_TIMEOUT, stop=stop)
-        else:
-            with rec.span(name, cat="runtime", producer=int(u), need=int(need), **args):
-                ok = board.try_wait(u, need, timeout=WAIT_TIMEOUT, stop=stop)
-        if not ok:
-            if stop.is_set():
-                raise _StandDown
-            raise TimeoutError(
-                f"waited {WAIT_TIMEOUT}s for thread {u} to reach row {need} "
-                f"(at {board.load(u)})"
+    def timed_out(u, need):
+        return TimeoutError(
+            f"waited {WAIT_TIMEOUT}s for thread {u} to reach row {need} "
+            f"(at {board.load(u)})"
+        )
+
+    def work(t):
+        # ---- upper stage: p2p level-scheduled rows
+        with _spans.span("upper_stage", cat="runtime", thread=t):
+            stall = p2p_rows(
+                t, thread_of, waits, board,
+                lambda r: factor_row(F, r, diag_pos, pivot_tol=pivot_tol), "factor_row",
+                done=done, stop=stop, timeout=WAIT_TIMEOUT,
             )
+            if stall is not None:
+                raise timed_out(*stall[1:])
+            # ---- wait until every upper row is published
+            for u in range(n_threads):
+                rows_u = np.nonzero(thread_of == u)[0]
+                if rows_u.size:
+                    need = int(rows_u[-1])
+                    if not p2p_wait(
+                        board, u, need, "wait.stage", timeout=WAIT_TIMEOUT, stop=stop
+                    ):
+                        raise timed_out(u, need)
+        # ---- lower stage phase 1: my block's FACTOR_L
+        lo, hi = blocks[t]
+        with _spans.span("lower_block", cat="runtime", lo=lo, hi=hi):
+            for r in range(lo, hi):
+                _factor_row_range(F, r, diag_pos, 0, m, pivot_tol=pivot_tol)
+        with _spans.span("wait.barrier", cat="runtime"):
+            barrier.wait()
+        # ---- corner: serial on thread 0
+        if t == 0:
+            with _spans.span("corner", cat="runtime", m=m, n=n):
+                for r in range(m, n):
+                    _factor_row_range(F, r, diag_pos, m, r, pivot_tol=pivot_tol)
 
-    def worker(t):
-        try:
-            rec = _spans.active()
-            # ---- upper stage: p2p level-scheduled rows
-            my_rows = np.nonzero(thread_of == t)[0]
-            with _spans.span("upper_stage", cat="runtime", thread=t):
-                for r in my_rows:
-                    r = int(r)
-                    for u, need in deps_by_producer(S, r, thread_of, t).items():
-                        wait(rec, u, need, "wait", row=r)
-                    with _spans.span("factor_row", cat="runtime", row=r):
-                        factor_row(F, r, diag_pos, pivot_tol=pivot_tol)
-                    board.publish(t, r)
-                # ---- wait until every upper row is published
-                for u in range(n_threads):
-                    rows_u = np.nonzero(thread_of == u)[0]
-                    if rows_u.size:
-                        wait(rec, u, int(rows_u[-1]), "wait.stage")
-            # ---- lower stage phase 1: my block's FACTOR_L
-            lo, hi = blocks[t]
-            with _spans.span("lower_block", cat="runtime", lo=lo, hi=hi):
-                for r in range(lo, hi):
-                    _factor_row_range(F, r, diag_pos, 0, m, pivot_tol=pivot_tol)
-            if rec is None:
-                barrier.wait()
-            else:
-                with rec.span("wait.barrier", cat="runtime"):
-                    barrier.wait()
-            # ---- corner: serial on thread 0
-            if t == 0:
-                with _spans.span("corner", cat="runtime", m=m, n=n):
-                    for r in range(m, n):
-                        _factor_row_range(F, r, diag_pos, m, r, pivot_tol=pivot_tol)
-        except _StandDown:
-            pass
-        except BaseException as e:
-            errors.append(e)  # before stop: the first failure is the result
-            stop.set()
-            barrier.abort()
-
-    threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    if errors:
-        raise errors[0]
+    run_team(n_threads, work, stop=stop, barrier=barrier)
     return F

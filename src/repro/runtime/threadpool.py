@@ -1,14 +1,15 @@
-"""Threaded executors for the p2p-scheduled kernels.
+"""Threaded executors for the p2p- and superstep-scheduled kernels.
 
 ``threaded_factor`` runs the upper-stage algorithm with real
 ``threading.Thread`` workers: rows dealt round-robin in level order,
 each worker factoring its rows in sequence and spin-waiting on the
 :class:`~repro.runtime.pointtopoint.ProgressBoard` for cross-thread
 dependencies.  ``threaded_trisolve_lower`` does the same for the
-forward solve.  Both must produce results bit-identical to their
-sequential counterparts — that determinism is the point.
+forward solve; ``threaded_trisolve_superstep`` runs the same row sweep
+under a superstep plan.  All must produce results bit-identical to
+their sequential counterparts — that determinism is the point.
 
-Resilience (``docs/resilience.md``): both executors accept a
+Resilience (``docs/resilience.md``): both p2p executors accept a
 :class:`repro.resilience.FaultPlan` (straggler sleeps, dropped publish
 notifications) and run a *watchdog* around every dependency wait.  A
 wait that exceeds ``watchdog_timeout`` wall-clock seconds — a lost
@@ -26,57 +27,82 @@ bit-identical to the fault-free run.
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 
 from ..core.iluk import factor_row, _diag_positions, _scatter_values
 from ..core.upper import assign_round_robin
+from ..kernels.plans import build_producer_csr
 from ..obs import spans as _spans
 from ..sparse.csr import CSRMatrix
 from .pointtopoint import FaultInjectedBoard, ProgressBoard
+from .team import p2p_rows, run_team
 
-__all__ = ["deps_by_producer", "threaded_factor", "threaded_trisolve_lower"]
+__all__ = ["threaded_factor", "threaded_trisolve_lower", "threaded_trisolve_superstep"]
 
 
-def _traced_wait(board, u, need, *, timeout, stop, rec, row):
-    """One dependency wait, wrapped in a ``wait`` span when tracing.
+def _sweep_row(F, rhs, out, r, upper=False):
+    """One row of a triangular sweep of ``F`` into ``out``.
 
-    The span brackets the spin only — it reads the clock and appends an
-    event, so the wait's outcome (and therefore the factor bits) is
-    identical with tracing on or off.
+    Sequential entry-order accumulation over already-final values: the
+    kernel layer's bit-identical contract (np.dot may pair products).
     """
-    if rec is None:
-        return board.try_wait(u, need, timeout=timeout, stop=stop)
-    with rec.span("wait", cat="runtime", producer=int(u), need=int(need), row=int(row)):
-        return board.try_wait(u, need, timeout=timeout, stop=stop)
+    lo, hi = int(F.indptr[r]), int(F.indptr[r + 1])
+    indices, data = F.indices, F.data
+    cut = lo + int(np.searchsorted(indices[lo:hi], r))
+    s = 0.0
+    if upper:
+        for kk in range(cut + 1, hi):
+            s += data[kk] * out[indices[kk]]
+        out[r] = (rhs[r] - s) / data[cut]
+    else:
+        for kk in range(lo, cut):
+            s += data[kk] * out[indices[kk]]
+        out[r] = rhs[r] - s
 
 
-def deps_by_producer(S, r, thread_of, own_thread):
-    """Latest dependency row per distinct producer thread (pruned waits)."""
-    cols = S.indices[S.indptr[r] : S.indptr[r + 1]]
-    deps = cols[cols < r]
-    out = {}
-    for d in deps:
-        u = int(thread_of[d])
-        if u == own_thread:
-            continue
-        if d > out.get(u, -1):
-            out[u] = int(d)
-    return out
-
-
-def _make_board(n_threads, fault_plan, fault_report):
+def _p2p_watchdog(M, level_ptr, n_threads, row_op, span, fault_plan, fault_report, timeout):
+    """Run ``row_op`` over every row of ``M``'s pattern, p2p, with the watchdog."""
+    n = M.n_rows
+    if int(level_ptr[-1]) != n:
+        raise ValueError("level_ptr must cover every row")
+    thread_of = assign_round_robin(level_ptr, n_threads)
     if fault_plan is not None and fault_plan.dropped:
-        return FaultInjectedBoard(n_threads, fault_plan, report=fault_report)
-    return ProgressBoard(n_threads)
+        board = FaultInjectedBoard(n_threads, fault_plan, report=fault_report)
+    else:
+        board = ProgressBoard(n_threads)
+    waits = build_producer_csr(M, n, thread_of)
+    done = np.zeros(n, dtype=bool)
+    stop = threading.Event()
+    stalled: list[tuple[int, int, int]] = []
 
+    def work(t):
+        sleep = 0.0
+        if fault_plan is not None and fault_plan.real_sleep_per_row > 0.0:
+            sleep = fault_plan.real_sleep_per_row * (fault_plan.rate(t) - 1.0)
+        stall = p2p_rows(
+            t, thread_of, waits, board, row_op, span,
+            done=done, stop=stop, timeout=timeout, sleep=sleep,
+        )
+        if stall is not None and not stop.is_set():
+            r, u, need = stall
+            stalled.append((t, u, need))
+            stop.set()
+            _spans.instant("watchdog", cat="runtime", row=r, producer=u, need=need)
 
-def _straggler_sleep(fault_plan, t):
-    """Per-row wall-clock delay of a straggler thread (0 when healthy)."""
-    if fault_plan is None or fault_plan.real_sleep_per_row <= 0.0:
-        return 0.0
-    return fault_plan.real_sleep_per_row * (fault_plan.rate(t) - 1.0)
+    run_team(n_threads, work, stop=stop)
+    if stop.is_set():
+        # watchdog fallback: barrier-schedule the remaining rows.  All
+        # workers have joined, deps of row r are rows < r, and done[]
+        # keeps non-idempotent factor_row off completed rows.
+        todo = np.nonzero(~done)[0]
+        with _spans.span("watchdog_fallback", cat="runtime"):
+            for r in todo:
+                row_op(int(r))
+        if fault_report is not None:
+            fault_report.watchdog_engaged = True
+            fault_report.n_fallback_rows = len(todo)
+            fault_report.stalls.extend(stalled)
 
 
 def threaded_factor(
@@ -104,69 +130,11 @@ def threaded_factor(
     """
     F = _scatter_values(S, A)
     diag_pos = _diag_positions(F)
-    n = F.n_rows
-    if int(level_ptr[-1]) != n:
-        raise ValueError("level_ptr must cover every row")
-    thread_of = assign_round_robin(level_ptr, n_threads)
-    board = _make_board(n_threads, fault_plan, fault_report)
-    done = np.zeros(n, dtype=bool)
-    stop = threading.Event()
-    stalled = []
-    errors = []
-
-    def worker(t):
-        try:
-            rec = _spans.active()
-            sleep_per_row = _straggler_sleep(fault_plan, t)
-            my_rows = np.nonzero(thread_of == t)[0]
-            for r in my_rows:
-                r = int(r)
-                if stop.is_set():
-                    return
-                for u, need in deps_by_producer(S, r, thread_of, t).items():
-                    if not _traced_wait(
-                        board, u, need, timeout=watchdog_timeout, stop=stop, rec=rec, row=r
-                    ):
-                        if not stop.is_set():
-                            stalled.append((t, u, need))
-                            stop.set()
-                            if rec is not None:
-                                rec.instant(
-                                    "watchdog", cat="runtime",
-                                    row=r, producer=int(u), need=int(need),
-                                )
-                        return
-                if sleep_per_row:
-                    time.sleep(sleep_per_row)
-                with _spans.span("factor_row", cat="runtime", row=r):
-                    factor_row(F, r, diag_pos, pivot_tol=pivot_tol)
-                done[r] = True  # before publish: truth even if the publish drops
-                board.publish(t, r)
-        except BaseException as e:  # surface worker failures to the caller
-            errors.append(e)
-            stop.set()  # don't leave the other workers spinning forever
-
-    threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    if errors:
-        raise errors[0]
-    if stop.is_set():
-        # watchdog fallback: barrier-schedule the remaining rows.  All
-        # workers have joined, deps of row r are rows < r, and done[]
-        # keeps non-idempotent factor_row off completed rows.
-        n_fallback = 0
-        with _spans.span("watchdog_fallback", cat="runtime"):
-            for r in range(n):
-                if not done[r]:
-                    factor_row(F, r, diag_pos, pivot_tol=pivot_tol)
-                    n_fallback += 1
-        if fault_report is not None:
-            fault_report.watchdog_engaged = True
-            fault_report.n_fallback_rows = n_fallback
-            fault_report.stalls.extend(stalled)
+    _p2p_watchdog(
+        S, level_ptr, n_threads,
+        lambda r: factor_row(F, r, diag_pos, pivot_tol=pivot_tol), "factor_row",
+        fault_plan, fault_report, watchdog_timeout,
+    )
     return F
 
 
@@ -184,78 +152,41 @@ def threaded_trisolve_lower(
 
     Same watchdog/fallback contract as :func:`threaded_factor`.
     """
-    n = F.n_rows
-    if int(level_ptr[-1]) != n:
-        raise ValueError("level_ptr must cover every row")
     b = np.asarray(b, dtype=np.float64)
-    y = np.zeros(n)
-    thread_of = assign_round_robin(level_ptr, n_threads)
-    board = _make_board(n_threads, fault_plan, fault_report)
-    indptr, indices, data = F.indptr, F.indices, F.data
-    done = np.zeros(n, dtype=bool)
-    stop = threading.Event()
-    stalled = []
-    errors = []
-
-    def solve_row(r):
-        lo, hi = int(indptr[r]), int(indptr[r + 1])
-        cols = indices[lo:hi]
-        cut = int(np.searchsorted(cols, r))
-        # sequential entry-order accumulation: the kernel layer's
-        # bit-identical contract (np.dot may pair products)
-        s = 0.0
-        for kk in range(lo, lo + cut):
-            s += data[kk] * y[indices[kk]]
-        y[r] = b[r] - s
-
-    def worker(t):
-        try:
-            rec = _spans.active()
-            sleep_per_row = _straggler_sleep(fault_plan, t)
-            my_rows = np.nonzero(thread_of == t)[0]
-            for r in my_rows:
-                r = int(r)
-                if stop.is_set():
-                    return
-                for u, need in deps_by_producer(F, r, thread_of, t).items():
-                    if not _traced_wait(
-                        board, u, need, timeout=watchdog_timeout, stop=stop, rec=rec, row=r
-                    ):
-                        if not stop.is_set():
-                            stalled.append((t, u, need))
-                            stop.set()
-                            if rec is not None:
-                                rec.instant(
-                                    "watchdog", cat="runtime",
-                                    row=r, producer=int(u), need=int(need),
-                                )
-                        return
-                if sleep_per_row:
-                    time.sleep(sleep_per_row)
-                with _spans.span("solve_row", cat="runtime", row=r):
-                    solve_row(r)
-                done[r] = True
-                board.publish(t, r)
-        except BaseException as e:
-            errors.append(e)
-            stop.set()
-
-    threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    if errors:
-        raise errors[0]
-    if stop.is_set():
-        n_fallback = 0
-        with _spans.span("watchdog_fallback", cat="runtime"):
-            for r in range(n):
-                if not done[r]:
-                    solve_row(r)
-                    n_fallback += 1
-        if fault_report is not None:
-            fault_report.watchdog_engaged = True
-            fault_report.n_fallback_rows = n_fallback
-            fault_report.stalls.extend(stalled)
+    y = np.zeros(F.n_rows)
+    _p2p_watchdog(
+        F, level_ptr, n_threads, lambda r: _sweep_row(F, b, y, r), "solve_row",
+        fault_plan, fault_report, watchdog_timeout,
+    )
     return y
+
+
+def threaded_trisolve_superstep(F, rhs, plan):
+    """Solve one triangular part of ``F`` under a superstep plan.
+
+    ``plan.part`` selects the sweep: ``"lower"`` solves ``L y = rhs``
+    (unit diagonal), ``"upper"`` solves ``U x = rhs``.  Spawns
+    ``plan.n_threads`` workers, the count the plan was partitioned for.
+    The whole synchronization budget is one barrier per superstep
+    boundary: inside a step every cross-thread dependency points at an
+    *earlier* step (the invariant
+    :func:`~repro.sched.superstep.validate_superstep_plan` checks) and
+    each worker runs its rows in plan order — no board, no spin waits,
+    no watchdog.
+    """
+    rhs = np.asarray(rhs, dtype=np.float64)
+    out = np.zeros(plan.n)
+    upper = plan.part == "upper"
+    barrier = threading.Barrier(plan.n_threads)
+
+    def work(t):
+        for s in range(plan.n_steps):
+            with _spans.span(
+                "sched.superstep", cat="sched", step=s, thread=t, part=plan.part
+            ):
+                for r in plan.thread_rows(s, t):
+                    _sweep_row(F, rhs, out, int(r), upper)
+            barrier.wait()
+
+    run_team(plan.n_threads, work, barrier=barrier)
+    return out

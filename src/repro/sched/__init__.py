@@ -44,7 +44,6 @@ from .superstep import (
     validate_superstep_plan,
 )
 from .syncfree import simulate_syncfree
-from .threaded import threaded_trisolve_superstep
 
 __all__ = [
     "SCHEDULER_NAMES",
@@ -68,5 +67,4 @@ __all__ = [
     "elastic_solve_part",
     "simulate_elastic",
     "simulate_syncfree",
-    "threaded_trisolve_superstep",
 ]

@@ -27,7 +27,7 @@ what a row computes: the numeric solve of
 :class:`~repro.sched.base.SuperstepScheduler` is the shared level sweep
 (:func:`~repro.core.trisolve.trisolve_factor_levels`), and the plan
 drives the DES, the real-thread executor
-(:func:`~repro.sched.threaded.threaded_trisolve_superstep`), the
+(:func:`~repro.runtime.threaded_trisolve_superstep`), the
 verify deadlock replay, the sync-point pricing and the tuner.
 """
 

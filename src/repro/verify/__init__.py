@@ -72,7 +72,6 @@ from .pruning import (
     check_lower_er,
     check_lower_sr,
     check_pruning,
-    implementation_sync_sets_agree,
 )
 from .races import (
     RaceReport,
@@ -117,7 +116,6 @@ __all__ = [
     "check_pruning",
     "check_lower_er",
     "check_lower_sr",
-    "implementation_sync_sets_agree",
     "RaceWitness",
     "RaceReport",
     "replay_schedule",

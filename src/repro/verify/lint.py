@@ -1,6 +1,6 @@
 """Repo-specific AST lint rules for ``src/repro``.
 
-Generic linters cannot know this codebase's contracts, so the five
+Generic linters cannot know this codebase's contracts, so the
 rules here encode them directly (each with a stable ID, used both in
 reports and in suppression comments):
 
@@ -69,6 +69,12 @@ reports and in suppression comments):
     left-to-right over whatever order its iterable happens to have
     and rounds at every step.  Use ``math.fsum`` (exact) or a fixed
     ``np.add.reduce`` ordering instead.
+
+``JAV009`` — *every progress wait is stoppable.*  In ``runtime/`` and
+    ``sched/``, a ``try_wait(...)`` call without a ``stop=`` keyword is
+    flagged: a multi-worker executor whose waits ignore the team's stop
+    event leaves its peers spinning out the full timeout after one
+    worker has failed, so the error reaches the caller late.
 
 A finding can be suppressed in place with a trailing comment
 ``# verify: ok[JAV002] <reason>`` (comma-separate several IDs, ``*``
@@ -608,6 +614,29 @@ def _check_builtin_sum(tree: ast.Module, path: str) -> list[Finding]:
     return findings
 
 
+# ----------------------------------------------------------------------
+# JAV009
+# ----------------------------------------------------------------------
+def _check_unstoppable_wait(tree: ast.Module, path: str) -> list[Finding]:
+    """runtime/ and sched/ progress waits must pass the team's stop event."""
+    if not ({"runtime", "sched"} & set(_path_parts(path))):
+        return []
+    return [
+        Finding(
+            "JAV009",
+            path,
+            node.lineno,
+            node.col_offset,
+            "try_wait(...) without stop= — a failed peer would leave this "
+            "wait spinning until its timeout; pass the team's stop event",
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "try_wait" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        and not any(k.arg == "stop" for k in node.keywords)
+    ]
+
+
 RULES = {
     "JAV001": _check_core_division,
     "JAV002": _check_sync_primitives,
@@ -617,6 +646,7 @@ RULES = {
     "JAV006": _check_unordered_iteration,
     "JAV007": _check_unseeded_random,
     "JAV008": _check_builtin_sum,
+    "JAV009": _check_unstoppable_wait,
 }
 _MODULE_SCOPE_RULES = {"JAV004"}
 

@@ -19,9 +19,9 @@ dependency DAG (strict-lower pattern entries) and proves every edge
   monotonic counter passing ``need`` implies ``c`` is complete.
 
 The retained set defaults to the implementation's own
-(:func:`repro.kernels.plans.build_producer_csr`, the table the batched
-DES and the threaded runtime both derive their waits from), so the
-check certifies the shipped code, not a re-derivation.  The report
+(:func:`repro.kernels.plans.build_producer_csr`, the one table the
+batched DES and the threaded runtime both wait on), so the check
+certifies the shipped code, not a re-derivation.  The report
 carries the paper's sparsification diagnostic: retained syncs vs. total
 cross-thread edges (the pruning ratio).
 
@@ -42,7 +42,6 @@ from .races import sync_edges_from_producer_csr, thread_sequences
 __all__ = [
     "PruningReport",
     "check_pruning",
-    "implementation_sync_sets_agree",
     "check_lower_er",
     "check_lower_sr",
 ]
@@ -150,30 +149,6 @@ def check_pruning(S, thread_of, *, m: int | None = None, sync=None) -> PruningRe
                     (r, c, u, f"retained sync bound {int(need)} < dependency {c}")
                 )
     return report
-
-
-def implementation_sync_sets_agree(S, thread_of, *, m: int | None = None):
-    """Cross-check the DES and threaded-runtime pruned sync derivations.
-
-    ``upper_p2p_sim`` waits per :func:`repro.kernels.plans.build_producer_csr`;
-    the real threads wait per
-    :func:`repro.runtime.threadpool.deps_by_producer`.  Both must derive
-    the identical ``{producer: latest}`` map for every row — returns the
-    list of rows where they disagree (empty = agreement).
-    """
-    from ..kernels.plans import build_producer_csr
-    from ..runtime.threadpool import deps_by_producer
-
-    thread_of = np.asarray(thread_of, dtype=np.int64)
-    if m is None:
-        m = int(thread_of.shape[0])
-    des = sync_edges_from_producer_csr(*build_producer_csr(S, m, thread_of))
-    mismatches = []
-    for r in range(m):
-        mine = deps_by_producer(S, r, thread_of, int(thread_of[r]))
-        if mine != des[r]:
-            mismatches.append((r, mine, des[r]))
-    return mismatches
 
 
 def check_lower_er(S, m: int, n_threads: int) -> PruningReport:

@@ -15,11 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.trisolve import trisolve_factor_levels
 from repro.kernels.cache import SymbolicAnalysis
+from repro.runtime import threaded_trisolve_superstep
 from repro.sched import (
     SchedOptions,
     build_elastic_schedule,
     build_superstep_plan,
-    threaded_trisolve_superstep,
     validate_superstep_plan,
 )
 from repro.sched.elastic import elastic_solve_part

@@ -6,12 +6,12 @@ import pytest
 from helpers import random_csr
 from repro.kernels import cached_analysis, clear_default_cache
 from repro.machine import SimMachine, uniform_machine
+from repro.runtime import threaded_trisolve_superstep
 from repro.sched import (
     SchedOptions,
     build_superstep_plan,
     get_scheduler,
     superstep_stats,
-    threaded_trisolve_superstep,
     validate_superstep_plan,
 )
 from repro.sched.base import SuperstepScheduler
@@ -78,12 +78,6 @@ def test_threaded_executor_bit_identical(F):
     y = threaded_trisolve_superstep(F, b, an.superstep_plan("lower", n_threads=3))
     x = threaded_trisolve_superstep(F, y, an.superstep_plan("upper", n_threads=3))
     assert np.array_equal(x, ref)
-
-
-def test_threaded_executor_rejects_wrong_thread_count(F):
-    plan = cached_analysis(F).superstep_plan("lower", n_threads=3)
-    with pytest.raises(ValueError, match="partitioned for 3"):
-        threaded_trisolve_superstep(F, np.ones(F.n_rows), plan, n_threads=5)
 
 
 def test_sync_points_never_exceed_levels(F):

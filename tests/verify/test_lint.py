@@ -236,6 +236,7 @@ def test_rules_have_ids_and_docstrings():
         "JAV006",
         "JAV007",
         "JAV008",
+        "JAV009",
     }
     for check in RULES.values():
         assert check.__doc__, check.__name__
@@ -409,3 +410,31 @@ def test_jav008_suppression_comment():
         return sum(xs)  # verify: ok[JAV008] integer counters, no rounding
     """
     assert _lint(src, "src/repro/kernels/ok.py", rules=["JAV008"]) == []
+
+
+# ----------------------------------------------------------------------
+# JAV009 — every progress wait in runtime/ and sched/ is stoppable
+# ----------------------------------------------------------------------
+def test_jav009_flags_try_wait_without_stop():
+    src = """
+    __all__ = []
+    def spin(board, u, need):
+        return board.try_wait(u, need, timeout=1.0)
+    """
+    for path in ("src/repro/runtime/bad.py", "src/repro/sched/bad.py"):
+        assert _ids(_lint(src, path, rules=["JAV009"])) == ["JAV009"]
+
+
+def test_jav009_passes_stoppable_wait_and_other_layers():
+    stoppable = """
+    __all__ = []
+    def spin(board, u, need, stop):
+        return board.try_wait(u, need, timeout=1.0, stop=stop)
+    """
+    assert _lint(stoppable, "src/repro/runtime/ok.py", rules=["JAV009"]) == []
+    bare = """
+    __all__ = []
+    def spin(board, u, need):
+        return board.try_wait(u, need)
+    """
+    assert _lint(bare, "src/repro/solvers/fine.py", rules=["JAV009"]) == []

@@ -13,7 +13,6 @@ from repro.verify import (
     check_lower_er,
     check_lower_sr,
     check_pruning,
-    implementation_sync_sets_agree,
     sync_edges_from_producer_csr,
 )
 
@@ -103,12 +102,6 @@ def test_self_wait_is_unsound():
     sync[int(second)][t] = int(first)
     rep = check_pruning(S, thread_of, m=m, sync=sync)
     assert any("self-wait" in why for (_, _, _, why) in rep.uncovered)
-
-
-def test_des_and_threadpool_sync_sets_agree():
-    ilu = _staged()
-    thread_of = assign_round_robin(ilu.level_ptr, 4)
-    assert implementation_sync_sets_agree(ilu.S_perm, thread_of, m=ilu.m) == []
 
 
 def _staged_with_lower(method):
