@@ -10,9 +10,9 @@ from __future__ import annotations
 
 
 from ..machine.core import SimMachine
-from ..ordering.levelsets import level_sets_lower
+from ..kernels.plans import forward_level_sets
 from ..sparse.csr import CSRMatrix
-from ..sparse.pattern import lower_pattern, symmetrize_pattern
+from ..sparse.pattern import symmetrize_pattern
 from ..core.trisolve import (
     trisolve_lower_serial,
     trisolve_upper_serial,
@@ -31,7 +31,7 @@ class CSRLevelSetSolver:
 
     def __init__(self, F: CSRMatrix):
         self.F = F
-        self.levels = level_sets_lower(lower_pattern(symmetrize_pattern(F)))
+        self.levels = forward_level_sets(symmetrize_pattern(F))
 
     def solve(self, b):
         """x = U⁻¹ L⁻¹ b (sequential numeric sweeps)."""

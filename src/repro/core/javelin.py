@@ -55,8 +55,8 @@ from .trisolve import (
     simulate_trisolve_p2p,
     simulate_trisolve_two_stage,
 )
-from ..ordering.levelsets import level_sets_lower
-from ..sparse.pattern import lower_pattern, symmetrize_pattern
+from ..kernels.plans import forward_level_sets
+from ..sparse.pattern import symmetrize_pattern
 
 __all__ = ["JavelinOptions", "FactorResult", "SimReport", "JavelinILU"]
 
@@ -386,8 +386,7 @@ class JavelinILU:
         Used by the LS-only simulations, where no rows are excluded: the
         schedule's own level sets already cover every row.
         """
-        ls = level_sets_lower(lower_pattern(symmetrize_pattern(self.S_perm)))
-        return ls
+        return forward_level_sets(symmetrize_pattern(self.S_perm))
 
     def simulate_factor(
         self,

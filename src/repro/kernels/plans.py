@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ordering.levelsets import LevelSets
+from ..sparse.segscan import ptr_from_segment_ids, segment_ids_from_ptr, segment_positions
 
 __all__ = [
     "TriSolvePlan",
@@ -37,47 +38,56 @@ __all__ = [
 ]
 
 
-def _pack_levels(level_of, n):
-    n_levels = int(level_of.max()) + 1 if n else 0
-    counts = np.bincount(level_of, minlength=n_levels)
-    level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
-    np.cumsum(counts, out=level_ptr[1:])
-    rows = np.argsort(level_of, kind="stable").astype(np.int64)
+def _peel_levels(pattern, deps_mask) -> LevelSets:
+    """Longest-path level sets of the DAG ``row -> col`` over masked entries.
+
+    A Kahn peel, one level at a time: level 0 is every row without a
+    dependency; a row joins the next level once the current level has
+    released all of its dependencies.  It therefore lands one level above
+    its deepest dependency, and each level comes out in ascending row id.
+    """
+    n = pattern.n_rows
+    row_of = segment_ids_from_ptr(pattern.indptr)
+    keep = deps_mask(row_of, pattern.indices)
+    dep_row, dep_col = row_of[keep], pattern.indices[keep]
+    waiting = np.bincount(dep_row, minlength=n)
+    # dependents of every row, grouped by the row they wait on
+    by_dep = np.argsort(dep_col, kind="stable")
+    release_ptr = ptr_from_segment_ids(dep_col[by_dep], n)
+    released = dep_row[by_dep]
+    level_of = np.zeros(n, dtype=np.int64)
+    frontier = np.flatnonzero(waiting == 0)
+    levels = []
+    while frontier.size:
+        level_of[frontier] = len(levels)
+        levels.append(frontier)
+        rows = released[segment_positions(release_ptr, frontier)[1]]
+        np.subtract.at(waiting, rows, 1)
+        ready = np.sort(rows[waiting[rows] == 0])  # one copy per released dep
+        frontier = ready[np.r_[True, ready[1:] != ready[:-1]]] if ready.size else ready
+    level_ptr = np.zeros(len(levels) + 1, dtype=np.int64)
+    np.cumsum([lv.shape[0] for lv in levels], out=level_ptr[1:])
+    rows = np.concatenate(levels) if levels else np.empty(0, dtype=np.int64)
     return LevelSets(level_of=level_of, level_ptr=level_ptr, rows=rows)
 
 
 def forward_level_sets(pattern) -> LevelSets:
     """Level sets of the forward sweep: deps are strict-lower entries.
 
-    Equivalent to ``level_sets_lower(lower_pattern(S))`` without the
-    pattern copy.
+    ``level[i] = 1 + max(level[j] : j < i, s_ij ≠ 0)``, 0 without deps;
+    upper and diagonal entries are ignored, so this is also the level
+    schedule of ``lower(S)``.
     """
-    n = pattern.n_rows
-    indptr, indices = pattern.indptr, pattern.indices
-    level_of = np.zeros(n, dtype=np.int64)
-    for r in range(n):
-        cols = indices[indptr[r] : indptr[r + 1]]
-        deps = cols[cols < r]
-        if deps.size:
-            level_of[r] = int(level_of[deps].max()) + 1
-    return _pack_levels(level_of, n)
+    return _peel_levels(pattern, lambda row, col: col < row)
 
 
 def backward_level_sets(pattern) -> LevelSets:
     """Level sets of the backward sweep: deps are strict-upper entries.
 
-    ``level[i] = 1 + max(level[j] : j > i, s_ij ≠ 0)`` computed bottom to
-    top; rows solved first (no upper deps) land in level 0.
+    ``level[i] = 1 + max(level[j] : j > i, s_ij ≠ 0)``; rows solved
+    first (no upper deps) land in level 0.
     """
-    n = pattern.n_rows
-    indptr, indices = pattern.indptr, pattern.indices
-    level_of = np.zeros(n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        cols = indices[indptr[i] : indptr[i + 1]]
-        deps = cols[cols > i]
-        if deps.size:
-            level_of[i] = int(level_of[deps].max()) + 1
-    return _pack_levels(level_of, n)
+    return _peel_levels(pattern, lambda row, col: col > row)
 
 
 def diag_positions(pattern, *, message="missing diagonal in factored row {row}"):
@@ -92,9 +102,7 @@ def diag_positions(pattern, *, message="missing diagonal in factored row {row}")
     if n == 0:
         return np.empty(0, dtype=np.int64)
     ncol = np.int64(pattern.n_cols)
-    keys = (
-        np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * ncol + indices
-    )
+    keys = segment_ids_from_ptr(indptr) * ncol + indices
     want = np.arange(n, dtype=np.int64) * (ncol + 1)
     pos = np.searchsorted(keys, want)
     nnz = keys.shape[0]
@@ -147,7 +155,7 @@ def build_trisolve_plan(pattern, part, *, levels=None, diag_idx=None) -> TriSolv
     rows = np.asarray(levels.rows, dtype=np.int64)
     level_ptr = np.asarray(levels.level_ptr, dtype=np.int64)
 
-    row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    row_of = segment_ids_from_ptr(indptr)
     mask = indices < row_of if part == "lower" else indices > row_of
     ent_all = np.flatnonzero(mask)  # CSR order: row-major, ascending column
     # position of each entry's row in the level ordering
@@ -194,7 +202,7 @@ def build_producer_csr(S, m, thread_of):
         return ptr, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     end = int(S.indptr[m])
     cols = S.indices[:end]
-    row_of = np.repeat(np.arange(m, dtype=np.int64), np.diff(S.indptr[: m + 1]))
+    row_of = segment_ids_from_ptr(S.indptr[: m + 1])
     dep_mask = cols < row_of  # deps of r<m are all < r, hence below m too
     d = cols[dep_mask]
     r_of = row_of[dep_mask]

@@ -28,7 +28,6 @@ from .dulmage_mendelsohn import maximum_matching, dulmage_mendelsohn_row_perm
 from .coloring import greedy_coloring, coloring_order
 from .levelsets import (
     LevelSets,
-    level_sets_lower,
     level_schedule,
     level_set_stats,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "greedy_coloring",
     "coloring_order",
     "LevelSets",
-    "level_sets_lower",
     "level_schedule",
     "level_set_stats",
 ]

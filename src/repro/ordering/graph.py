@@ -11,6 +11,7 @@ import numpy as np
 
 from ..sparse.csr import CSRMatrix
 from ..sparse.pattern import symmetrize_pattern
+from ..sparse.segscan import ptr_from_segment_ids, segment_ids_from_ptr, segment_positions
 
 __all__ = [
     "adjacency_from_pattern",
@@ -31,16 +32,9 @@ def adjacency_from_pattern(A: CSRMatrix, symmetrize: bool = True):
     if A.n_rows != A.n_cols:
         raise ValueError("adjacency requires a square matrix")
     S = symmetrize_pattern(A) if symmetrize else A
-    n = S.n_rows
-    xadj = np.zeros(n + 1, dtype=np.int64)
-    chunks = []
-    for r in range(n):
-        cols = S.indices[S.indptr[r] : S.indptr[r + 1]]
-        cols = cols[cols != r]
-        chunks.append(cols)
-        xadj[r + 1] = xadj[r] + cols.shape[0]
-    adjncy = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return xadj, adjncy
+    row_of = segment_ids_from_ptr(S.indptr)
+    off = S.indices != row_of
+    return ptr_from_segment_ids(row_of[off], S.n_rows), S.indices[off]
 
 
 def vertex_degrees(xadj):
@@ -54,24 +48,36 @@ def bfs_levels(xadj, adjncy, root, mask=None):
     (-1 for unreached / masked-out vertices) and ``order`` lists the
     reached vertices in visit order.  ``mask`` restricts the traversal to
     vertices where it is true (used by nested dissection on subgraphs).
+
+    The traversal advances one whole frontier at a time, yet ``order``
+    is the visit order of the queue BFS: the next frontier is the
+    frontier's neighbour lists concatenated in frontier order, with
+    reached and masked-out vertices dropped and each remaining vertex
+    kept at its first occurrence.
     """
     n = xadj.shape[0] - 1
     levels = np.full(n, -1, dtype=np.int64)
     if mask is not None and not mask[root]:
         raise ValueError("root not in mask")
     levels[root] = 0
-    order = np.empty(n, dtype=np.int64)
-    order[0] = root
-    head, tail = 0, 1
-    while head < tail:
-        v = order[head]
-        head += 1
-        for u in adjncy[xadj[v] : xadj[v + 1]]:
-            if levels[u] < 0 and (mask is None or mask[u]):
-                levels[u] = levels[v] + 1
-                order[tail] = u
-                tail += 1
-    return levels, order[:tail]
+    frontier = np.array([root], dtype=np.int64)
+    visited = [frontier]
+    # first[v]: earliest position of v in the current candidate list
+    first = np.full(n, adjncy.shape[0], dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        nbrs = adjncy[segment_positions(xadj, frontier)[1]]
+        keep = levels[nbrs] < 0
+        if mask is not None:
+            keep &= mask[nbrs]
+        nbrs = nbrs[keep]
+        at = np.arange(nbrs.shape[0])
+        np.minimum.at(first, nbrs, at)
+        frontier = nbrs[first[nbrs] == at]
+        depth += 1
+        levels[frontier] = depth
+        visited.append(frontier)
+    return levels, np.concatenate(visited)
 
 
 def connected_components(xadj, adjncy, mask=None):
@@ -82,7 +88,7 @@ def connected_components(xadj, adjncy, mask=None):
     n = xadj.shape[0] - 1
     labels = np.full(n, -1, dtype=np.int64)
     comp = 0
-    for s in range(n):
+    for s in range(n):  # verify: ok[JAV010] one BFS per component seed
         if labels[s] >= 0 or (mask is not None and not mask[s]):
             continue
         levels, order = bfs_levels(xadj, adjncy, s, mask=mask)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse.csr import CSRMatrix
-from ..sparse.pattern import lower_pattern, symmetrize_pattern
+from ..sparse.pattern import symmetrize_pattern
 
-__all__ = ["LevelSets", "level_sets_lower", "level_schedule", "level_set_stats"]
+__all__ = ["LevelSets", "level_schedule", "level_set_stats"]
 
 
 @dataclass
@@ -67,51 +67,6 @@ class LevelSets:
         """The level ordering as a gather permutation (new ← old)."""
         return self.rows.copy()
 
-    def validate(self, L: CSRMatrix):
-        """Check levels are a valid topological stratification of ``L``."""
-        lof = self.level_of
-        for r in range(L.n_rows):
-            cols = L.indices[L.indptr[r] : L.indptr[r + 1]]
-            deps = cols[cols < r]
-            if deps.size:
-                if lof[r] <= lof[deps].max():
-                    raise AssertionError(f"row {r}: level not above its dependencies")
-            elif lof[r] != 0:
-                # a row with no strict-lower deps must sit in level 0
-                raise AssertionError(f"row {r}: independent row not in level 0")
-        # ptr/rows consistency
-        if int(self.level_ptr[-1]) != L.n_rows:
-            raise AssertionError("level_ptr does not cover all rows")
-        seen = np.sort(self.rows)
-        if not np.array_equal(seen, np.arange(L.n_rows)):
-            raise AssertionError("rows is not a permutation")
-        for l in range(self.n_levels):
-            if np.any(lof[self.level_rows(l)] != l):
-                raise AssertionError("rows grouped under the wrong level")
-        return True
-
-
-def level_sets_lower(L: CSRMatrix) -> LevelSets:
-    """Compute level sets of a lower-triangular dependency pattern.
-
-    ``L`` may contain diagonal/upper entries; only strictly-lower ones
-    induce dependencies.  Single forward sweep, O(nnz).
-    """
-    n = L.n_rows
-    level_of = np.zeros(n, dtype=np.int64)
-    indptr, indices = L.indptr, L.indices
-    for r in range(n):
-        cols = indices[indptr[r] : indptr[r + 1]]
-        deps = cols[cols < r]
-        if deps.size:
-            level_of[r] = int(level_of[deps].max()) + 1
-    n_levels = int(level_of.max()) + 1 if n else 0
-    counts = np.bincount(level_of, minlength=n_levels)
-    level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
-    np.cumsum(counts, out=level_ptr[1:])
-    rows = np.argsort(level_of, kind="stable").astype(np.int64)
-    return LevelSets(level_of=level_of, level_ptr=level_ptr, rows=rows)
-
 
 def level_schedule(A: CSRMatrix, *, use_ata: bool = True) -> LevelSets:
     """Level sets of ``lower(A + Aᵀ)`` (default) or ``lower(A)``.
@@ -120,8 +75,9 @@ def level_schedule(A: CSRMatrix, *, use_ata: bool = True) -> LevelSets:
     valid for both L and U sweeps and enables the Segmented-Rows lower
     stage (§III-B, §VII Table IV discussion).
     """
-    S = symmetrize_pattern(A) if use_ata else A
-    return level_sets_lower(lower_pattern(S))
+    from ..kernels.plans import forward_level_sets  # plans imports LevelSets from here
+
+    return forward_level_sets(symmetrize_pattern(A) if use_ata else A)
 
 
 def level_set_stats(ls: LevelSets) -> dict:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..sparse.segscan import segment_ids_from_ptr, segment_positions
 from .graph import adjacency_from_pattern, bfs_levels, pseudo_peripheral_node
 
 __all__ = ["nested_dissection_order"]
@@ -84,13 +85,13 @@ def _dissect_connected(xadj, adjncy, verts, leaf_size, out):
     near = reached[levels[reached] < cut]
     mid = reached[levels[reached] == cut]
     far = reached[levels[reached] > cut]
-    sep_mask = np.zeros(n, dtype=bool)
-    for v in mid:
-        nbrs = adjncy[xadj[v] : xadj[v + 1]]
-        if np.any(mask[nbrs] & (levels[nbrs] > cut)):
-            sep_mask[v] = True
-    sep = mid[sep_mask[mid]]
-    left = np.concatenate([near, mid[~sep_mask[mid]]])
+    # a cut-level vertex is a separator vertex when it touches the far side
+    ptr, pos = segment_positions(xadj, mid)
+    nbrs = adjncy[pos]
+    touches = mask[nbrs] & (levels[nbrs] > cut)
+    is_sep = np.bincount(segment_ids_from_ptr(ptr)[touches], minlength=mid.shape[0]) > 0
+    sep = mid[is_sep]
+    left = np.concatenate([near, mid[~is_sep]])
     right = far
     if left.size == 0 or right.size == 0:
         out.extend(_min_degree_local(xadj, adjncy, verts))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .segscan import sort_segments
+
 __all__ = ["CSCMatrix"]
 
 
@@ -46,14 +48,8 @@ class CSCMatrix:
             raise ValueError("row index out of range")
 
     def sort_indices(self):
-        for c in range(self.n_cols):
-            lo, hi = self.indptr[c], self.indptr[c + 1]
-            if hi - lo > 1:
-                seg = self.indices[lo:hi]
-                if np.any(seg[1:] < seg[:-1]):
-                    order = np.argsort(seg, kind="stable")
-                    self.indices[lo:hi] = seg[order]
-                    self.data[lo:hi] = self.data[lo:hi][order]
+        """Sort row indices (and values) within every column, in place."""
+        sort_segments(self.indptr, self.indices, self.data)
         return self
 
     @property

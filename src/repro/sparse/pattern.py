@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .csr import CSRMatrix
+from .segscan import ptr_from_segment_ids, segment_ids_from_ptr
 
 __all__ = [
     "lower_pattern",
@@ -28,21 +29,8 @@ __all__ = [
 
 
 def _triangular(csr: CSRMatrix, keep) -> CSRMatrix:
-    """Filter stored entries by a predicate ``keep(row, cols) -> bool mask``."""
-    n = csr.n_rows
-    lens = np.zeros(n, dtype=np.int64)
-    masks = []
-    for r in range(n):
-        cols = csr.indices[csr.indptr[r] : csr.indptr[r + 1]]
-        m = keep(r, cols)
-        masks.append(m)
-        lens[r] = int(np.count_nonzero(m))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    mask = np.concatenate(masks) if masks else np.empty(0, dtype=bool)
-    return CSRMatrix(
-        n, csr.n_cols, indptr, csr.indices[mask], csr.data[mask], sort=False, check=False
-    )
+    """Filter stored entries by a predicate ``keep(rows, cols) -> bool mask``."""
+    return csr.prune(keep(segment_ids_from_ptr(csr.indptr), csr.indices))
 
 
 def lower_pattern(csr: CSRMatrix) -> CSRMatrix:
@@ -73,16 +61,18 @@ def pattern_union(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    n = a.n_rows
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    chunks = []
-    for r in range(n):
-        ca = a.indices[a.indptr[r] : a.indptr[r + 1]]
-        cb = b.indices[b.indptr[r] : b.indptr[r + 1]]
-        u = np.union1d(ca, cb)
-        chunks.append(u)
-        indptr[r + 1] = indptr[r] + u.shape[0]
-    indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    n, m = a.n_rows, max(a.n_cols, 1)
+    keys = np.concatenate(
+        [
+            segment_ids_from_ptr(a.indptr) * m + a.indices,
+            segment_ids_from_ptr(b.indptr) * m + b.indices,
+        ]
+    )
+    keys.sort(kind="stable")  # sorted operands make two runs: one merge
+    new = np.ones(keys.shape[0], dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    rows, indices = np.divmod(keys[new], m)
+    indptr = ptr_from_segment_ids(rows, n)
     return CSRMatrix(n, a.n_cols, indptr, indices, np.ones(indices.shape[0]), sort=False, check=False)
 
 
@@ -116,13 +106,13 @@ def has_full_diagonal(csr: CSRMatrix) -> bool:
     structurally full diagonal; Dulmage–Mendelsohn matching is the
     preprocessing step that establishes it.
     """
-    n = min(csr.n_rows, csr.n_cols)
-    for r in range(n):
-        cols = csr.indices[csr.indptr[r] : csr.indptr[r + 1]]
-        k = np.searchsorted(cols, r)
-        if k >= cols.shape[0] or cols[k] != r:
-            return False
-    return True
+    return bool(np.all(_diagonal_count(csr)[: min(csr.n_rows, csr.n_cols)] > 0))
+
+
+def _diagonal_count(csr: CSRMatrix):
+    """Number of stored ``(r, r)`` entries of every row."""
+    row_of = segment_ids_from_ptr(csr.indptr)
+    return np.bincount(row_of[csr.indices == row_of], minlength=csr.n_rows)
 
 
 def add_diagonal_pattern(csr: CSRMatrix, value=0.0) -> CSRMatrix:
@@ -132,27 +122,17 @@ def add_diagonal_pattern(csr: CSRMatrix, value=0.0) -> CSRMatrix:
     are untouched.
     """
     n = csr.n_rows
-    chunks_c = []
-    chunks_v = []
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for r in range(n):
-        lo, hi = csr.indptr[r], csr.indptr[r + 1]
-        cols = csr.indices[lo:hi]
-        vals = csr.data[lo:hi]
-        if r < csr.n_cols:
-            k = np.searchsorted(cols, r)
-            if k >= cols.shape[0] or cols[k] != r:
-                cols = np.insert(cols, k, r)
-                vals = np.insert(vals, k, value)
-        chunks_c.append(cols)
-        chunks_v.append(vals)
-        indptr[r + 1] = indptr[r] + cols.shape[0]
+    row_of = segment_ids_from_ptr(csr.indptr)
+    missing = np.flatnonzero(_diagonal_count(csr)[: min(n, csr.n_cols)] == 0)
+    # a row is sorted, so its diagonal goes after its strict-lower entries
+    below = np.bincount(row_of[csr.indices < row_of], minlength=n)
+    at = csr.indptr[missing] + below[missing]
     return CSRMatrix(
         n,
         csr.n_cols,
-        indptr,
-        np.concatenate(chunks_c) if chunks_c else np.empty(0, dtype=np.int64),
-        np.concatenate(chunks_v) if chunks_v else np.empty(0),
+        csr.indptr + np.searchsorted(missing, np.arange(n + 1)),
+        np.insert(csr.indices, at, missing),
+        np.insert(csr.data, at, value),
         sort=False,
         check=False,
     )
@@ -166,30 +146,17 @@ def split_lu(csr: CSRMatrix):
     L gets an implicit unit diagonal made explicit; U keeps the diagonal.
     """
     n = csr.n_rows
-    l_indptr = np.zeros(n + 1, dtype=np.int64)
-    u_indptr = np.zeros(n + 1, dtype=np.int64)
-    l_cols, l_vals, u_cols, u_vals = [], [], [], []
-    for r in range(n):
-        cols, vals = csr.row(r)
-        below = cols < r
-        at_or_above = ~below
-        lc = cols[below]
-        lv = vals[below]
-        # explicit unit diagonal for L
-        lc = np.append(lc, r)
-        lv = np.append(lv, 1.0)
-        uc = cols[at_or_above]
-        uv = vals[at_or_above]
-        l_cols.append(lc)
-        l_vals.append(lv)
-        u_cols.append(uc)
-        u_vals.append(uv)
-        l_indptr[r + 1] = l_indptr[r] + lc.shape[0]
-        u_indptr[r + 1] = u_indptr[r] + uc.shape[0]
+    below = csr.indices < segment_ids_from_ptr(csr.indptr)
+    strict, U = csr.prune(below), csr.prune(~below)
+    # explicit unit diagonal for L, last in each row
+    ends = strict.indptr[1:]
     L = CSRMatrix(
-        n, n, l_indptr, np.concatenate(l_cols), np.concatenate(l_vals), sort=False, check=False
+        n,
+        n,
+        strict.indptr + np.arange(n + 1),
+        np.insert(strict.indices, ends, np.arange(n)),
+        np.insert(strict.data, ends, 1.0),
+        sort=False,
+        check=False,
     )
-    U = CSRMatrix(
-        n, n, u_indptr, np.concatenate(u_cols), np.concatenate(u_vals), sort=False, check=False
-    )
-    return L, U
+    return L, CSRMatrix(n, n, U.indptr, U.indices, U.data, sort=False, check=False)

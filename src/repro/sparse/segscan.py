@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["segment_ids_from_ptr", "segmented_scan_sum", "segmented_reduce"]
+__all__ = [
+    "segment_ids_from_ptr",
+    "segment_positions",
+    "ptr_from_segment_ids",
+    "sort_segments",
+    "segmented_scan_sum",
+    "segmented_reduce",
+]
 
 
 def segment_ids_from_ptr(ptr, total=None):
@@ -25,19 +32,57 @@ def segment_ids_from_ptr(ptr, total=None):
     array([0, 0, 2, 2, 2])
     """
     ptr = np.asarray(ptr, dtype=np.int64)
-    if total is None:
-        total = int(ptr[-1])
-    ids = np.zeros(total, dtype=np.int64)
-    lens = np.diff(ptr)
-    nonempty = np.nonzero(lens > 0)[0]
-    if nonempty.size == 0:
-        return ids
-    starts = ptr[nonempty]
-    # scatter segment starts then forward-fill with a running maximum
-    marks = np.full(total, -1, dtype=np.int64)
-    marks[starts] = nonempty
-    ids = np.maximum.accumulate(marks)
+    ids = np.repeat(np.arange(ptr.shape[0] - 1, dtype=np.int64), np.diff(ptr))
+    if total is not None and total != ids.shape[0]:
+        raise ValueError(f"ptr covers {ids.shape[0]} elements, not {total}")
     return ids
+
+
+def sort_segments(ptr, indices, data):
+    """Sort ``indices`` (and ``data`` alongside) within every segment, in place.
+
+    Nothing is written when every segment is already sorted.  The sort is
+    stable, so equal indices keep the order of their values.
+    """
+    seg = segment_ids_from_ptr(ptr)
+    if np.any((indices[1:] < indices[:-1]) & (seg[1:] == seg[:-1])):
+        order = np.lexsort((indices, seg))
+        indices[:] = indices[order]
+        data[:] = data[order]
+
+
+def segment_positions(ptr, segs):
+    """Flat positions of the elements of segments ``segs``, in the order given.
+
+    Returns ``(out_ptr, pos)``: ``pos[out_ptr[i]:out_ptr[i+1]]`` are the
+    positions of segment ``segs[i]``, so ``values[pos]`` gathers a row
+    subset (or a permutation of rows) of a CSR array in one step.
+
+    >>> segment_positions([0, 2, 2, 5], [2, 0])
+    (array([0, 3, 5]), array([2, 3, 4, 0, 1]))
+    """
+    ptr = np.asarray(ptr, dtype=np.int64)
+    segs = np.asarray(segs, dtype=np.int64)
+    start = ptr[segs]
+    lens = ptr[segs + 1] - start
+    out_ptr = np.zeros(segs.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lens, out=out_ptr[1:])
+    pos = np.arange(out_ptr[-1], dtype=np.int64) + np.repeat(start - out_ptr[:-1], lens)
+    return out_ptr, pos
+
+
+def ptr_from_segment_ids(ids, n_segments):
+    """CSR-style pointer of ``n_segments`` segments holding the elements ``ids``.
+
+    The inverse of :func:`segment_ids_from_ptr` for nondecreasing ``ids``
+    (for example the row ids of the entries a mask keeps).
+
+    >>> ptr_from_segment_ids([0, 0, 2, 2, 2], 4)
+    array([0, 2, 2, 5, 5])
+    """
+    ptr = np.zeros(n_segments + 1, dtype=np.int64)
+    np.cumsum(np.bincount(np.asarray(ids, dtype=np.int64), minlength=n_segments), out=ptr[1:])
+    return ptr
 
 
 def segmented_scan_sum(values, seg_ids):

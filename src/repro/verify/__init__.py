@@ -16,7 +16,7 @@ into executable checks:
   matrices, level sets, sweep plans and cached symbolic products
   (including the frozen-cache-arrays rule), installable as debug hooks
   on kernel dispatch and cache lookups.
-* :mod:`repro.verify.lint` — repo-specific AST rules (JAV001–JAV008).
+* :mod:`repro.verify.lint` — repo-specific AST rules (JAV001–JAV010).
 * :mod:`repro.verify.conservation` — the dynamic request-conservation
   auditor for the serving/cluster layers: every admitted request
   terminates in exactly one structured outcome, under any fault

@@ -76,6 +76,16 @@ reports and in suppression comments):
     event leaves its peers spinning out the full timeout after one
     worker has failed, so the error reaches the caller late.
 
+``JAV010`` — *no per-row loops on the cold structural path.*  In
+    ``sparse/csr.py``, ``sparse/pattern.py``, ``ordering/graph.py``,
+    ``ordering/levelsets.py`` and ``kernels/plans.py``, a ``for`` loop
+    (or comprehension) over ``range(<x>.n_rows)``, ``range(n)`` or
+    ``range(n_rows)`` is flagged: these modules run once per matrix
+    before any numeric work, and a Python-level pass per row there
+    dominated the cold solve.  Express the transform with whole-array
+    numpy (``segment_ids_from_ptr``, ``segment_positions``, masks,
+    stable sorts); its per-row form lives in the tests as the reference.
+
 A finding can be suppressed in place with a trailing comment
 ``# verify: ok[JAV002] <reason>`` (comma-separate several IDs, ``*``
 suppresses all); module-scope rules accept the comment anywhere in the
@@ -637,6 +647,44 @@ def _check_unstoppable_wait(tree: ast.Module, path: str) -> list[Finding]:
     ]
 
 
+# ----------------------------------------------------------------------
+# JAV010
+# ----------------------------------------------------------------------
+_STRUCTURAL_MODULES = {("sparse", "csr.py"), ("sparse", "pattern.py"), ("ordering", "graph.py"),
+                       ("ordering", "levelsets.py"), ("kernels", "plans.py")}
+
+
+def _is_row_count(node: ast.AST) -> bool:
+    """``<x>.n_rows``, ``n`` or ``n_rows``, possibly offset by a constant."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        return _is_row_count(node.left) and isinstance(node.right, ast.Constant)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "n_rows"
+    return isinstance(node, ast.Name) and node.id in ("n", "n_rows")
+
+
+def _check_per_row_loops(tree: ast.Module, path: str) -> list[Finding]:
+    """the cold structural modules must not loop over every row in Python."""
+    if _path_parts(path)[-2:] not in _STRUCTURAL_MODULES:
+        return []
+    loops = [n.iter for n in ast.walk(tree) if isinstance(n, (ast.For, ast.comprehension))]
+    return [
+        Finding(
+            "JAV010",
+            path,
+            it.lineno,
+            it.col_offset,
+            "per-row Python loop on the cold structural path — express it with "
+            "whole-array numpy and keep the loop form as a test reference",
+        )
+        for it in loops
+        if isinstance(it, ast.Call)
+        and isinstance(it.func, ast.Name)
+        and it.func.id == "range"
+        and any(_is_row_count(a) for a in it.args)
+    ]
+
+
 RULES = {
     "JAV001": _check_core_division,
     "JAV002": _check_sync_primitives,
@@ -647,6 +695,7 @@ RULES = {
     "JAV007": _check_unseeded_random,
     "JAV008": _check_builtin_sum,
     "JAV009": _check_unstoppable_wait,
+    "JAV010": _check_per_row_loops,
 }
 _MODULE_SCOPE_RULES = {"JAV004"}
 

@@ -12,9 +12,9 @@ from repro.core.trisolve import (
     upper_solve_levels,
 )
 from repro.machine import SimMachine, uniform_machine
-from repro.ordering.levelsets import level_sets_lower
+from repro.kernels import forward_level_sets
 from repro.sparse import from_dense, split_lu
-from repro.sparse.pattern import lower_pattern, symmetrize_pattern
+from repro.sparse.pattern import symmetrize_pattern
 
 from helpers import random_csr, random_sparse_dense
 
@@ -81,7 +81,7 @@ class TestBackwardLevels:
 class TestSimulatedSolves:
     def _setup(self, seed=5, n=40):
         F = ilu0_factor(random_csr(n, 0.12, seed=seed))
-        ls = level_sets_lower(lower_pattern(symmetrize_pattern(F)))
+        ls = forward_level_sets(symmetrize_pattern(F))
         return F, ls
 
     def _machine(self, p):
@@ -130,8 +130,8 @@ class TestSimulatedSolves:
         Fchain = from_dense(Dchain)
         Fdiag = from_dense(np.eye(n))
         m = self._machine(4)
-        ls_c = level_sets_lower(lower_pattern(symmetrize_pattern(Fchain)))
-        ls_d = level_sets_lower(lower_pattern(symmetrize_pattern(Fdiag)))
+        ls_c = forward_level_sets(symmetrize_pattern(Fchain))
+        ls_d = forward_level_sets(symmetrize_pattern(Fdiag))
         assert simulate_trisolve_barrier(Fchain, ls_c, m) > simulate_trisolve_barrier(
             Fdiag, ls_d, m
         )

@@ -35,3 +35,21 @@ def dense_ilu0(D):
                     if P[c, j] and P[i, j]:
                         F[i, j] -= F[i, c] * F[c, j]
     return F
+
+
+def has_sorted_indices(A):
+    """True when every row's column indices are nondecreasing."""
+    for r in range(A.n_rows):
+        seg = A.indices[A.indptr[r] : A.indptr[r + 1]]
+        if np.any(seg[1:] < seg[:-1]):
+            return False
+    return True
+
+
+def has_duplicates(A):
+    """True when some row stores the same column twice."""
+    for r in range(A.n_rows):
+        seg = A.indices[A.indptr[r] : A.indptr[r + 1]]
+        if np.unique(seg).shape[0] != seg.shape[0]:
+            return True
+    return False

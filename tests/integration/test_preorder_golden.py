@@ -1,0 +1,55 @@
+"""Golden digests of the cold structural front end on the oneshot matrices.
+
+``preorder_for_javelin`` (DM + nested dissection) and a default
+``JavelinILU`` setup/factor on the four e2ebench ``oneshot`` matrices at
+``scale=0.25``.  The digests cover every array of the permuted matrix and
+of the factor, dtype included, plus the level and lower-row counts; they
+were recorded from the per-row implementations that
+``tests/reference_structure.py`` keeps, so any change to ordering,
+symbolic setup or factor bits shows up here.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.core import JavelinILU
+from repro.matrices import build_matrix, preorder_for_javelin
+
+SCALE = 0.25
+
+GOLDEN = {
+    "thermal2": ("68d6e49ea9610164e2fad58be51d4b9e", "aa529e03d08b097113b324b78d26114c", 9, 13),
+    "scircuit": ("18dd6edadf250190d3e1ee50eff7f82a", "4bad6d67dd0ffa47bd22e6e4c9005f2c", 19, 49),
+    "af_shell3": ("a31131b78a11dcb533c5f38ee4784729", "f3091e0d1056153f32bf0fffbe98ccc7", 66, 96),
+    "TSOPF_RS_b300_c2": ("217844a8eb33341fe9d4e76ac2e7a6dd", "4fb68ad5bbcf2c5da977472ac408b761", 171, 142),
+}
+
+
+def _digest(*arrays):
+    h = hashlib.blake2b(digest_size=16)
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(str(a.dtype).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def front_end_record(name, scale=SCALE):
+    """``(permuted-matrix digest, factor digest, levels, lower rows)``."""
+    B = preorder_for_javelin(build_matrix(name, scale=scale))
+    ilu = JavelinILU().setup(B)
+    ilu.factor()
+    st = ilu.stats()
+    return (
+        _digest(B.indptr, B.indices, B.data),
+        _digest(ilu.F.indptr, ilu.F.indices, ilu.F.data),
+        int(st["n_levels"]),
+        int(st["n_lower_rows"]),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_front_end_matches_golden(name):
+    assert front_end_record(name) == GOLDEN[name]

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from repro.matrices.generators import grid2d
-from repro.ordering import level_schedule, level_set_stats, level_sets_lower
+from repro.kernels import forward_level_sets
+from repro.ordering import level_schedule, level_set_stats
 from repro.sparse import from_dense, lower_pattern, symmetrize_pattern
+from repro.verify.invariants import InvariantViolation, validate_levels
 
 from helpers import random_csr
 
 
 class TestLevelSetsLower:
     def test_diagonal_matrix_single_level(self):
-        ls = level_sets_lower(from_dense(np.eye(5)))
+        ls = forward_level_sets(from_dense(np.eye(5)))
         assert ls.n_levels == 1
         assert np.array_equal(ls.level_rows(0), np.arange(5))
 
@@ -19,7 +21,7 @@ class TestLevelSetsLower:
         D = np.eye(n)
         for i in range(1, n):
             D[i, i - 1] = 1.0
-        ls = level_sets_lower(from_dense(D))
+        ls = forward_level_sets(from_dense(D))
         assert ls.n_levels == n
         assert np.array_equal(ls.level_of, np.arange(n))
 
@@ -27,29 +29,29 @@ class TestLevelSetsLower:
         # row 3 depends on rows 0 and 2; row 2 depends on 1; row 1 on 0
         D = np.eye(4)
         D[1, 0] = D[2, 1] = D[3, 0] = D[3, 2] = 1.0
-        ls = level_sets_lower(from_dense(D))
+        ls = forward_level_sets(from_dense(D))
         assert list(ls.level_of) == [0, 1, 2, 3]
 
     def test_upper_entries_ignored(self):
         D = np.eye(4)
         D[0, 3] = 7.0  # upper entry: not a forward dependency
-        ls = level_sets_lower(from_dense(D))
+        ls = forward_level_sets(from_dense(D))
         assert ls.n_levels == 1
 
     def test_validate_passes_on_random(self):
         A = random_csr(40, 0.12, seed=1)
         L = lower_pattern(symmetrize_pattern(A))
-        ls = level_sets_lower(L)
-        assert ls.validate(L)
+        ls = forward_level_sets(L)
+        assert validate_levels(ls, L)
 
     def test_validate_catches_bad_levels(self):
         D = np.eye(3)
         D[1, 0] = 1.0
         L = from_dense(D)
-        ls = level_sets_lower(L)
+        ls = forward_level_sets(L)
         ls.level_of[1] = 0  # corrupt
-        with pytest.raises(AssertionError):
-            ls.validate(L)
+        with pytest.raises(InvariantViolation):
+            validate_levels(ls, L)
 
     def test_permutation_groups_by_level(self):
         A = random_csr(30, 0.15, seed=2)

@@ -1,0 +1,267 @@
+"""The whole-array structural front end equals its per-row reference.
+
+Every function of the cold structural path (CSR transforms, pattern
+algebra, graph traversal, nested dissection, level sets) is checked
+against the loop form kept in ``tests/reference_structure.py``: each
+output array must match element for element, in order, with the same
+dtype.  Inputs cover unsorted rows, duplicate entries and empty rows
+wherever the function accepts them; the functions that locate the
+diagonal by binary search (``diagonal``, ``has_full_diagonal``,
+``add_diagonal_pattern``) get rows sorted as the CSR invariant demands.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import reference_structure as ref
+from repro.kernels import backward_level_sets, forward_level_sets
+from repro.ordering import (
+    adjacency_from_pattern,
+    bfs_levels,
+    level_schedule,
+    nested_dissection_order,
+    pseudo_peripheral_node,
+)
+from repro.sparse import CSCMatrix, CSRMatrix
+from repro.sparse import pattern as pat
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _random_csr(seed, n_rows, n_cols, *, sorted_rows):
+    """Random CSR with empty rows, duplicates and (optionally) unsorted rows."""
+    rng = np.random.default_rng(seed)
+    density = rng.uniform(0.05, 0.6)
+    lens = rng.binomial(max(n_cols, 1), density, size=n_rows) if n_cols else np.zeros(n_rows, int)
+    lens[rng.random(n_rows) < 0.15] = 0
+    indptr = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+    indices = rng.integers(0, max(n_cols, 1), size=int(indptr[-1])).astype(np.int64)
+    if rng.random() < 0.5:  # guarantee some duplicated entries
+        dup = rng.random(indices.shape[0]) < 0.2
+        indices[1:][dup[1:]] = indices[:-1][dup[1:]]
+    data = rng.standard_normal(indices.shape[0])
+    A = CSRMatrix(n_rows, n_cols, indptr, indices, data, sort=False)
+    if sorted_rows:
+        ref.sort_indices(A)
+    return A
+
+
+@st.composite
+def matrices(draw, *, square=False, sorted_rows=False, min_n=0, max_n=14):
+    n_rows = draw(st.integers(min_n, max_n))
+    n_cols = n_rows if square else draw(st.integers(0, max_n))
+    return _random_csr(draw(st.integers(0, 2**32 - 1)), n_rows, n_cols, sorted_rows=sorted_rows)
+
+
+def assert_same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype, (a.dtype, b.dtype)
+    assert np.array_equal(a, b), (a, b)
+
+
+def assert_same_csr(A, B):
+    assert A.shape == B.shape
+    for name in ("indptr", "indices", "data"):
+        assert_same(getattr(A, name), getattr(B, name))
+
+
+def assert_same_levels(ls, want):
+    for name in ("level_of", "level_ptr", "rows"):
+        assert_same(getattr(ls, name), getattr(want, name))
+
+
+# ----------------------------------------------------------------------
+# CSRMatrix methods
+# ----------------------------------------------------------------------
+@SETTINGS
+@given(matrices())
+def test_sort_indices_matches_reference_in_place(A):
+    indices, data = A.indices.copy(), A.data.copy()
+    got = CSRMatrix(A.n_rows, A.n_cols, A.indptr.copy(), indices, data, sort=False)
+    assert got.sort_indices() is got
+    want = ref.sort_indices(A.copy())
+    assert_same_csr(got, want)
+    # the sort writes back into the arrays the caller handed in
+    assert got.indices is indices and got.data is data
+
+
+@SETTINGS
+@given(matrices())
+def test_csc_sort_indices_matches_reference(A):
+    # the same arrays read as CSC: segments are columns, indices are rows
+    got = CSCMatrix(A.n_cols, A.n_rows, A.indptr.copy(), A.indices.copy(), A.data.copy(), sort=False)
+    want = ref.sort_indices(A.copy())
+    got.sort_indices()
+    assert_same(got.indices, want.indices)
+    assert_same(got.data, want.data)
+
+
+@SETTINGS
+@given(matrices())
+def test_constructor_sort_matches_reference(A):
+    got = CSRMatrix(A.n_rows, A.n_cols, A.indptr, A.indices, A.data)
+    assert_same_csr(got, ref.sort_indices(A.copy()))
+
+
+@SETTINGS
+@given(matrices())
+def test_transpose_matches_reference(A):
+    assert_same_csr(A.transpose(), ref.transpose(A))
+
+
+@SETTINGS
+@given(matrices(sorted_rows=True))
+def test_diagonal_matches_reference(A):
+    assert_same(A.diagonal(), ref.diagonal(A))
+
+
+@SETTINGS
+@given(matrices(), st.integers(0, 2**32 - 1), st.sampled_from(["row", "col", "both"]))
+def test_permute_matches_reference(A, seed, sides):
+    rng = np.random.default_rng(seed)
+    rp = rng.permutation(A.n_rows) if sides in ("row", "both") else None
+    cp = rng.permutation(A.n_cols) if sides in ("col", "both") else None
+    assert_same_csr(A.permute(row_perm=rp, col_perm=cp), ref.permute(A, row_perm=rp, col_perm=cp))
+
+
+@SETTINGS
+@given(matrices(square=True), st.integers(0, 2**32 - 1))
+def test_symmetric_permute_matches_reference(A, seed):
+    p = np.random.default_rng(seed).permutation(A.n_rows)
+    assert_same_csr(A.permute(row_perm=p, col_perm=p), ref.permute(A, row_perm=p, col_perm=p))
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_extract_rows_matches_reference(A, data):
+    rows = data.draw(st.lists(st.integers(0, max(A.n_rows - 1, 0)), max_size=20)) if A.n_rows else []
+    assert_same_csr(A.extract_rows(rows), ref.extract_rows(A, rows))
+
+
+@SETTINGS
+@given(matrices(), st.integers(0, 2**32 - 1))
+def test_prune_matches_reference(A, seed):
+    keep = np.random.default_rng(seed).random(A.nnz) < 0.5
+    assert_same_csr(A.prune(keep), ref.prune(A, keep))
+
+
+# ----------------------------------------------------------------------
+# sparse/pattern.py
+# ----------------------------------------------------------------------
+@SETTINGS
+@given(matrices())
+def test_triangle_filters_match_reference(A):
+    for name in ("lower_pattern", "upper_pattern", "strict_lower_pattern", "strict_upper_pattern"):
+        assert_same_csr(getattr(pat, name)(A), getattr(ref, name)(A))
+
+
+@SETTINGS
+@given(matrices(), st.integers(0, 2**32 - 1), st.booleans())
+def test_pattern_union_matches_reference(A, seed, sorted_b):
+    B = _random_csr(seed, A.n_rows, A.n_cols, sorted_rows=sorted_b)
+    assert_same_csr(pat.pattern_union(A, B), ref.pattern_union(A, B))
+
+
+@SETTINGS
+@given(matrices(square=True))
+def test_symmetrize_pattern_matches_reference(A):
+    assert_same_csr(pat.symmetrize_pattern(A), ref.symmetrize_pattern(A))
+
+
+@SETTINGS
+@given(matrices(sorted_rows=True))
+def test_has_full_diagonal_matches_reference(A):
+    full = pat.add_diagonal_pattern(A)  # every case also gets a full twin
+    for M in (A, full):
+        assert pat.has_full_diagonal(M) is ref.has_full_diagonal(M)
+
+
+@SETTINGS
+@given(matrices(sorted_rows=True), st.floats(-2.0, 2.0))
+def test_add_diagonal_pattern_matches_reference(A, value):
+    assert_same_csr(pat.add_diagonal_pattern(A, value), ref.add_diagonal_pattern(A, value))
+
+
+@SETTINGS
+@given(matrices(square=True, min_n=1))
+def test_split_lu_matches_reference(A):
+    L, U = pat.split_lu(A)
+    L_ref, U_ref = ref.split_lu(A)
+    assert_same_csr(L, L_ref)
+    assert_same_csr(U, U_ref)
+
+
+# ----------------------------------------------------------------------
+# ordering: adjacency, BFS, nested dissection
+# ----------------------------------------------------------------------
+@SETTINGS
+@given(matrices(square=True), st.booleans())
+def test_adjacency_matches_reference(A, symmetrize):
+    xadj, adjncy = adjacency_from_pattern(A, symmetrize=symmetrize)
+    want_xadj, want_adjncy = ref.adjacency_from_pattern(A, symmetrize=symmetrize)
+    assert_same(xadj, want_xadj)
+    assert_same(adjncy, want_adjncy)
+
+
+@SETTINGS
+@given(matrices(square=True, min_n=1, max_n=40), st.data())
+def test_masked_bfs_matches_reference(A, data):
+    xadj, adjncy = ref.adjacency_from_pattern(A)
+    n = A.n_rows
+    root = data.draw(st.integers(0, n - 1))
+    mask = None
+    if data.draw(st.booleans()):
+        mask = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(n) < 0.7
+        mask[root] = True
+    levels, order = bfs_levels(xadj, adjncy, root, mask=mask)
+    want_levels, want_order = ref.bfs_levels(xadj, adjncy, root, mask=mask)
+    assert_same(levels, want_levels)
+    assert_same(order, want_order)
+    got = pseudo_peripheral_node(xadj, adjncy, root, mask=mask)
+    want = ref.pseudo_peripheral_node(xadj, adjncy, root, mask=mask)
+    assert got[0] == want[0]
+    assert_same(got[1], want[1])
+    assert_same(got[2], want[2])
+
+
+def _multi_component(seed):
+    """Square pattern of several random blocks plus isolated vertices, shuffled."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 30, size=rng.integers(1, 5))
+    n = int(sizes.sum())
+    D = np.zeros((n, n))
+    start = 0
+    for s in sizes:
+        block = rng.random((s, s)) < rng.uniform(0.05, 0.4)
+        D[start : start + s, start : start + s] = block
+        start += s
+    np.fill_diagonal(D, 1.0)
+    p = rng.permutation(n)
+    D = D[p][:, p]
+    rows, cols = np.nonzero(D)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return CSRMatrix(n, n, indptr, cols, np.ones(cols.shape[0]))
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_nested_dissection_matches_reference(seed, leaf_size):
+    A = _multi_component(seed)
+    assert_same(nested_dissection_order(A, leaf_size=leaf_size), ref.nested_dissection_order(A, leaf_size))
+
+
+# ----------------------------------------------------------------------
+# level sets
+# ----------------------------------------------------------------------
+@SETTINGS
+@given(matrices(square=True, max_n=30))
+def test_level_sets_match_reference(A):
+    assert_same_levels(forward_level_sets(A), ref.forward_level_sets(A))
+    assert_same_levels(backward_level_sets(A), ref.backward_level_sets(A))
+
+
+@SETTINGS
+@given(matrices(square=True, max_n=30), st.booleans())
+def test_level_schedule_matches_reference(A, use_ata):
+    S = ref.symmetrize_pattern(A) if use_ata else A
+    assert_same_levels(level_schedule(A, use_ata=use_ata), ref.forward_level_sets(ref.lower_pattern(S)))

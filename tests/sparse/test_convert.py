@@ -11,7 +11,7 @@ from repro.sparse import (
     to_dense,
 )
 
-from helpers import random_sparse_dense
+from helpers import has_sorted_indices, random_sparse_dense
 
 
 class TestCooToCsr:
@@ -29,7 +29,7 @@ class TestCooToCsr:
     def test_rows_sorted(self):
         coo = COOMatrix(2, 4, [1, 0, 1, 0], [3, 2, 0, 0], [1, 2, 3, 4])
         A = coo_to_csr(coo)
-        assert A.has_sorted_indices()
+        assert has_sorted_indices(A)
 
     def test_matches_dense(self):
         D = random_sparse_dense(12, 0.3, seed=1)

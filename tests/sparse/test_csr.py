@@ -3,7 +3,7 @@ import pytest
 
 from repro.sparse import CSRMatrix, from_dense
 
-from helpers import random_sparse_dense
+from helpers import has_duplicates, has_sorted_indices, random_sparse_dense
 
 
 class TestInvariants:
@@ -31,13 +31,13 @@ class TestInvariants:
         m = CSRMatrix(1, 4, [0, 3], [2, 0, 1], [1.0, 2.0, 3.0])
         assert np.array_equal(m.indices, [0, 1, 2])
         assert np.array_equal(m.data, [2.0, 3.0, 1.0])
-        assert m.has_sorted_indices()
+        assert has_sorted_indices(m)
 
     def test_has_duplicates_detection(self):
         m = CSRMatrix(1, 3, [0, 2], [1, 1], [1.0, 2.0])
-        assert m.has_duplicates()
+        assert has_duplicates(m)
         m2 = CSRMatrix(1, 3, [0, 2], [0, 1], [1.0, 2.0])
-        assert not m2.has_duplicates()
+        assert not has_duplicates(m2)
 
 
 class TestAccessors:
@@ -76,7 +76,7 @@ class TestTransforms:
 
     def test_transpose_rows_sorted(self, rng):
         A = from_dense(random_sparse_dense(20, 0.2, seed=2))
-        assert A.transpose().has_sorted_indices()
+        assert has_sorted_indices(A.transpose())
 
     def test_double_transpose_identity(self):
         D = random_sparse_dense(12, 0.25, seed=3)

@@ -237,6 +237,7 @@ def test_rules_have_ids_and_docstrings():
         "JAV007",
         "JAV008",
         "JAV009",
+        "JAV010",
     }
     for check in RULES.values():
         assert check.__doc__, check.__name__
@@ -438,3 +439,47 @@ def test_jav009_passes_stoppable_wait_and_other_layers():
         return board.try_wait(u, need)
     """
     assert _lint(bare, "src/repro/solvers/fine.py", rules=["JAV009"]) == []
+
+
+# ----------------------------------------------------------------------
+# JAV010 — no per-row Python loops on the cold structural path
+# ----------------------------------------------------------------------
+def test_jav010_flags_per_row_loops_in_structural_modules():
+    src = """
+    __all__ = []
+    def lens(A, n):
+        out = [A.indptr[r + 1] - A.indptr[r] for r in range(A.n_rows)]
+        for r in range(n):
+            pass
+        for i in range(n - 1, -1, -1):
+            pass
+        return out
+    """
+    for path in (
+        "src/repro/sparse/csr.py",
+        "src/repro/sparse/pattern.py",
+        "src/repro/ordering/graph.py",
+        "src/repro/ordering/levelsets.py",
+        "src/repro/kernels/plans.py",
+    ):
+        assert _ids(_lint(src, path, rules=["JAV010"])) == ["JAV010"] * 3
+
+
+def test_jav010_passes_other_loops_modules_and_suppression():
+    fine = """
+    __all__ = []
+    def walk(levels, n_levels):
+        for lvl in range(n_levels):
+            pass
+        for r in range(n):  # verify: ok[JAV010] one BFS per component seed
+            pass
+    """
+    assert _lint(fine, "src/repro/ordering/graph.py", rules=["JAV010"]) == []
+    loop = """
+    __all__ = []
+    def rows(A):
+        for r in range(A.n_rows):
+            pass
+    """
+    assert _lint(loop, "src/repro/core/iluk.py", rules=["JAV010"]) == []
+    assert _lint(loop, "src/repro/sparse/csr5.py", rules=["JAV010"]) == []
