@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.symbolic import ilu0_pattern
+from ..kernels import cached_analysis
 from ..machine.core import SimMachine
 from ..sparse.csr import CSRMatrix
 
@@ -90,11 +91,11 @@ def chow_patel_ilu(
     """
     if S is None:
         S = ilu0_pattern(A)
-    from ..core.iluk import _scatter_values, _diag_positions
+    from ..core.iluk import _scatter_values
 
     F = _scatter_values(S, A)
     A_on_S = F.data.copy()  # A's values aligned with S's storage
-    diag_idx = _diag_positions(F)
+    diag_idx = cached_analysis(F).diag_pos()
     maps = _row_map(S)
     rows, cols, idxs = _entry_lists(S)
     rng = np.random.default_rng(seed)
@@ -128,9 +129,7 @@ def fixed_point_residual(A: CSRMatrix, F: CSRMatrix):
     Zero exactly when F is the (unique, under nonzero pivots) ILU
     factor; Chow–Patel convergence is measured by this dropping.
     """
-    from ..core.iluk import _diag_positions
-
-    diag_idx = _diag_positions(F)
+    diag_idx = cached_analysis(F).diag_pos()
     maps = _row_map(F)
     from ..core.iluk import _scatter_values
 

@@ -127,7 +127,8 @@ def cmd_factor(args):
     print(f"matrix: n={A.n_rows} nnz={A.nnz} rd={A.row_density():.2f}")
     print(
         f"schedule: {st['n_levels']} levels, {st['n_upper_levels']} kept upper, "
-        f"{st['n_lower_rows']} rows to the lower stage (method {res.method})"
+        f"{st['n_lower_rows']} rows to the lower stage "
+        f"(method {ilu.resolved_lower_method()})"
     )
     print(f"pattern nnz: {st['nnz_pattern']} ({st['nnz_pattern'] / A.nnz:.2f}x A)")
     print(

@@ -15,7 +15,8 @@ Layout mirrors §III of the paper:
 * :mod:`upper` — the upper stage: level scheduling with point-to-point
   synchronizations (and the barrier variant for comparison);
 * :mod:`lower_er`, :mod:`lower_sr` — the Even-Rows and Segmented-Rows
-  lower-stage methods;
+  lower-stage orders (partition and simulation; the numeric factor is
+  one loop over :func:`iluk.factor_row` whatever the order);
 * :mod:`trisolve` — sparse triangular solves co-designed with the
   factorization (serial, barrier CSR-LS, p2p LS, LS+Lower);
 * :mod:`javelin` — the user-facing :class:`JavelinILU` façade.
@@ -25,14 +26,13 @@ from .symbolic import ilu0_pattern, iluk_pattern, row_factor_costs, row_solve_co
 from .breakdown import FactorizationBreakdown, classify_pivot
 from .iluk import (
     ilu_factor_sequential,
-    ilu_refactor,
     ilu0_factor,
     iluk_factor,
     PivotBreakdownError,
 )
 from .ilut import ilut_factor, iluk_tau_factor
 from .schedule import TwoStageSchedule, ScheduleOptions, build_schedule, rows_moved_for_alpha
-from .upper import simulate_upper_p2p, simulate_upper_barrier, factor_rows_upper
+from .upper import simulate_upper_p2p, simulate_upper_barrier
 from .lower_er import EvenRows, simulate_lower_er
 from .lower_sr import SegmentedRows, simulate_lower_sr
 from .trisolve import (
@@ -59,7 +59,6 @@ __all__ = [
     "row_factor_costs",
     "row_solve_costs",
     "ilu_factor_sequential",
-    "ilu_refactor",
     "ilu0_factor",
     "iluk_factor",
     "PivotBreakdownError",
@@ -73,7 +72,6 @@ __all__ = [
     "rows_moved_for_alpha",
     "simulate_upper_p2p",
     "simulate_upper_barrier",
-    "factor_rows_upper",
     "EvenRows",
     "simulate_lower_er",
     "SegmentedRows",

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import cached_analysis
 from ..sparse.csr import CSRMatrix
 from ..sparse.pattern import split_lu
-from .iluk import _diag_positions, factor_row
+from .iluk import factor_row
 
 __all__ = [
     "row_residual_norms",
@@ -134,7 +135,7 @@ def verify_row(F: CSRMatrix, A: CSRMatrix, r, *, atol=0.0, rtol=1e-12):
     pos = np.searchsorted(cols, a_cols)
     ok = (pos < cols.shape[0]) & (cols[np.minimum(pos, cols.shape[0] - 1)] == a_cols)
     scratch.data[lo + pos[ok]] = a_vals[ok]
-    diag_pos = _diag_positions(scratch)
+    diag_pos = cached_analysis(scratch).diag_pos()
     factor_row(scratch, r, diag_pos)
     return np.allclose(scratch.data[lo:hi], F.data[lo:hi], atol=atol, rtol=rtol)
 

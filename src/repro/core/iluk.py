@@ -7,25 +7,28 @@ the positions of row ``i`` that also appear in the upper part of row
 ``c``.  L and U are stored together in one CSR matrix (unit diagonal of
 L implicit).
 
-Every parallel execution path in the framework (upper stage p2p/barrier,
-Even-Rows, Segmented-Rows, the threaded runtime) must reproduce this
-factorization *exactly* — the dependency structure makes traditional ILU
-deterministic, which is the robustness property the paper contrasts with
-the fine-grained asynchronous method of Chow & Patel.  Tests assert
-bit-for-bit agreement.
+:func:`factor_row` is the one row-elimination kernel: the sequential
+reference, :meth:`~repro.core.javelin.JavelinILU.factor` and both
+threaded executors call it.  Every parallel execution order in the
+framework (upper stage p2p/barrier, Even-Rows, Segmented-Rows, the
+threaded runtime) must reproduce this factorization *exactly* — the
+dependency structure makes traditional ILU deterministic, which is the
+robustness property the paper contrasts with the fine-grained
+asynchronous method of Chow & Patel.  Tests assert bit-for-bit
+agreement.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import cached_analysis
 from ..sparse.csr import CSRMatrix
 from .breakdown import FactorizationBreakdown, classify_pivot
 from .symbolic import ilu0_pattern, iluk_pattern
 
 __all__ = [
     "ilu_factor_sequential",
-    "ilu_refactor",
     "ilu0_factor",
     "PivotBreakdownError",
     "factor_row",
@@ -75,13 +78,16 @@ def _scatter_values(S: CSRMatrix, A: CSRMatrix):
     return F
 
 
-def factor_row(F: CSRMatrix, i, diag_pos, pivot_tol=0.0):
-    """Factor row ``i`` of F in place (all pivot rows < i must be done).
+def factor_row(F: CSRMatrix, i, diag_pos, pivot_tol=0.0, *, window=None):
+    """Factor row ``i`` of F in place (all pivot rows it reads must be done).
 
     ``diag_pos[r]`` is the storage index of ``F[r, r]``.  This is the
-    unit of work every executor schedules; keeping it a standalone
-    function lets the sequential reference, the simulated stages and the
-    threaded runtime share one numerical kernel.  ``pivot_tol`` is the
+    one row-elimination kernel every executor schedules: the sequential
+    reference, the staged factor and the threaded runtime all call it.
+    ``window = (col_lo, col_hi)`` eliminates only the strict-lower
+    columns in ``[col_lo, col_hi)`` — Even-Rows' split of a lower row
+    into FACTOR_L (``(0, m)``) and its corner part (``(m, i)``); the
+    default covers every strict-lower column.  ``pivot_tol`` is the
     pivot floor: a pivot with ``|p| <= pivot_tol``, or a non-finite
     pivot, raises :class:`PivotBreakdownError` instead of dividing
     through and poisoning every dependent row.
@@ -90,10 +96,15 @@ def factor_row(F: CSRMatrix, i, diag_pos, pivot_tol=0.0):
     lo, hi = int(indptr[i]), int(indptr[i + 1])
     cols = indices[lo:hi]
     ncols = cols.shape[0]
+    start, stop = lo, i
+    if window is not None:
+        col_lo, col_hi = window
+        start = lo + int(np.searchsorted(cols, col_lo))
+        stop = min(i, col_hi)
     inf = float("inf")
-    for kk in range(lo, hi):
+    for kk in range(start, hi):
         c = int(indices[kk])
-        if c >= i:
+        if c >= stop:
             break
         pivot = data[diag_pos[c]]
         # one comparison covers zero, tiny AND NaN/Inf: abs(NaN) > tol
@@ -107,15 +118,15 @@ def factor_row(F: CSRMatrix, i, diag_pos, pivot_tol=0.0):
         # (same element order as the scalar loop, so bit-identical)
         c_lo, c_hi = int(indptr[c]), int(indptr[c + 1])
         u_cols = indices[c_lo:c_hi]
-        start = int(np.searchsorted(u_cols, c + 1))
-        if c_lo + start == c_hi:
+        u_start = int(np.searchsorted(u_cols, c + 1))
+        if c_lo + u_start == c_hi:
             continue
-        u_cols = u_cols[start:]
+        u_cols = u_cols[u_start:]
         pos = np.searchsorted(cols, u_cols)
         pos[pos == ncols] = ncols - 1
         hit = cols[pos] == u_cols
         if np.any(hit):
-            data[lo + pos[hit]] -= lic * data[c_lo + start : c_hi][hit]
+            data[lo + pos[hit]] -= lic * data[c_lo + u_start : c_hi][hit]
 
 
 def drop_row_fixed_pattern(F: CSRMatrix, r, diag_pos, threshold, *, modified=False):
@@ -143,13 +154,6 @@ def drop_row_fixed_pattern(F: CSRMatrix, r, diag_pos, threshold, *, modified=Fal
     return dropped
 
 
-def _diag_positions(S: CSRMatrix):
-    """Storage index of each diagonal entry, one whole-matrix searchsorted."""
-    from ..kernels import diag_positions
-
-    return diag_positions(S, message="pattern has no diagonal entry in row {row}")
-
-
 def ilu_factor_sequential(A: CSRMatrix, S: CSRMatrix | None = None, *, pivot_tol=0.0):
     """Up-looking ILU of A on pattern S (default: ILU(0) pattern).
 
@@ -159,32 +163,7 @@ def ilu_factor_sequential(A: CSRMatrix, S: CSRMatrix | None = None, *, pivot_tol
     if S is None:
         S = ilu0_pattern(A)
     F = _scatter_values(S, A)
-    diag_pos = _diag_positions(F)
-    for i in range(F.n_rows):
-        factor_row(F, i, diag_pos, pivot_tol=pivot_tol)
-    return F
-
-
-def ilu_refactor(A: CSRMatrix, S: CSRMatrix, *, pivot_tol=0.0):
-    """Value-only numeric phase: factor new values on a known pattern ``S``.
-
-    The symbolic identity of an incomplete factorization is
-    ``(indptr, indices)`` alone — so when only values change (a Newton
-    step, an implicit time step), the diagonal positions come from the
-    pattern-keyed symbolic cache instead of being recomputed, and no
-    pattern analysis runs at all.  Bitwise identical to
-    :func:`ilu_factor_sequential` on the same ``(A, S)``; the only
-    difference is where ``diag_pos`` comes from.
-
-    This is the sequential reference for the value-only path; the
-    staged equivalent is :meth:`repro.core.javelin.JavelinILU.refactor`.
-    """
-    from ..kernels import cached_analysis
-
-    F = _scatter_values(S, A)
-    diag_pos = cached_analysis(F).diag_pos(
-        message="pattern has no diagonal entry in row {row}"
-    )
+    diag_pos = cached_analysis(F).diag_pos()
     for i in range(F.n_rows):
         factor_row(F, i, diag_pos, pivot_tol=pivot_tol)
     return F

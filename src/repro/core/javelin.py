@@ -15,10 +15,12 @@ Typical use::
 ``setup`` performs the paper's preprocessing (§III): predetermine the
 fill pattern (ILU(k)), level-schedule ``lower(S + Sᵀ)``, split into the
 two stages, and symmetrically permute the matrix into the level
-ordering.  ``factor`` runs the staged numeric factorization; the result
-is provably identical to the sequential up-looking reference because
-every stage eliminates each row's columns in ascending order.
-``simulate_*`` replay the same schedules on a simulated machine.
+ordering.  ``factor`` is one loop of :func:`~repro.core.iluk.factor_row`
+over the permuted rows (plus the ILU(k, τ) drop hook): every stage
+order — the p2p upper levels, Even-Rows, Segmented-Rows — eliminates
+each row's columns in ascending order, so each gives the same bits as
+this loop, and the orders themselves run in the threaded executor
+(:mod:`repro.runtime`) and the ``simulate_*`` replays.
 """
 
 from __future__ import annotations
@@ -39,16 +41,11 @@ from .symbolic import (
 )
 from ..kernels import cached_analysis
 from ..kernels.cache import pattern_fingerprint
-from .iluk import (
-    _scatter_values,
-    drop_row_fixed_pattern,
-    factor_row,
-    ilu_factor_sequential,
-)
+from .iluk import _scatter_values, drop_row_fixed_pattern, factor_row
 from .schedule import ScheduleOptions, build_schedule
 from .upper import simulate_upper_p2p, simulate_upper_barrier
-from .lower_er import factor_lower_er, simulate_lower_er
-from .lower_sr import SegmentedRows, factor_lower_sr, simulate_lower_sr
+from .lower_er import simulate_lower_er
+from .lower_sr import SegmentedRows, simulate_lower_sr
 from .trisolve import (
     LevelizedTriangularSolver,
     simulate_trisolve_barrier,
@@ -93,7 +90,6 @@ class FactorResult:
     F: CSRMatrix  # combined L\\U factor of P A Pᵀ
     perm: np.ndarray  # gather permutation (new ← old)
     inv_perm: np.ndarray
-    method: str  # lower-stage method actually used
 
     def factor_in_original_order(self):
         """The factor permuted back to the input row/column numbering."""
@@ -179,7 +175,7 @@ class JavelinILU:
         else:
             self.drop_threshold = None
 
-    def refactor(self, A: CSRMatrix, method: str | None = None) -> FactorResult:
+    def refactor(self, A: CSRMatrix) -> FactorResult:
         """Value-only re-factorization: new values, same sparsity pattern.
 
         The time-evolving regime the framework targets — Newton loops,
@@ -192,7 +188,7 @@ class JavelinILU:
         runs the numeric phase against the cached symbolic products.
 
         Contract: the result is **bitwise identical** to
-        ``JavelinILU(options).setup(A).factor(method)`` on the same
+        ``JavelinILU(options).setup(A).factor()`` on the same
         ``A`` — value-only reuse is a cost optimization, never a
         numerical one.  Raises ``ValueError`` when ``A``'s pattern
         differs from the setup pattern (call :meth:`setup` instead).
@@ -208,12 +204,19 @@ class JavelinILU:
             )
         self.A_perm = A.permute(row_perm=self.perm, col_perm=self.perm)
         self._set_drop_threshold()
-        return self.factor(method)
+        return self.factor()
 
     # ------------------------------------------------------------------
     # numeric phase
     # ------------------------------------------------------------------
-    def _resolve_method(self, n_threads=None):
+    def resolved_lower_method(self, n_threads=None):
+        """The lower-stage order ("er" | "sr" | "none") for ``n_threads``.
+
+        Resolves the schedule's "auto" choice: Even-Rows when the lower
+        rows are at least the thread count (or the count is unknown),
+        else Segmented-Rows.  It decides what the simulations and the
+        CLI report; the numeric factor is the same for every choice.
+        """
         method = self.schedule.chosen_lower_method
         if method == "auto":
             if self.schedule.n_lower_rows == 0:
@@ -223,83 +226,33 @@ class JavelinILU:
             return "er" if self.schedule.n_lower_rows >= n_threads else "sr"
         return method
 
-    def factor(self, method: str | None = None) -> FactorResult:
-        """Numeric factorization with the staged execution order.
+    def factor(self) -> FactorResult:
+        """Numeric factorization: one loop of ``factor_row`` over all rows.
 
-        ``method`` overrides the lower-stage choice ("er" | "sr" |
-        "none").  All choices produce the identical factor; tests assert
-        bit-for-bit agreement with the sequential reference.
+        Each row is followed by the ILU(k, τ) drop hook when ``tau > 0``.
+        The lower-stage choice does not enter: every stage order gives
+        these bits (the threaded executor runs the ER order), and
+        without dropping they are those of
+        :func:`~repro.core.iluk.ilu_factor_sequential` on
+        ``(A_perm, S_perm)``.
         """
         if not self._ready:
             raise RuntimeError("call setup(A) before factor()")
         opts = self.options
-        method = method or self._resolve_method()
         F = _scatter_values(self.S_perm, self.A_perm)
         # the cache keys on F's pattern, so the solve plans built later
         # (build_solver / the lazy solve path) reuse this same analysis
-        diag_pos = cached_analysis(F).diag_pos(
-            message="pattern has no diagonal entry in row {row}"
-        )
-        n = F.n_rows
-        m = self.m if method != "none" else n
-        if self.drop_threshold is not None:
-            thresh = self.drop_threshold
-
-            def on_done(r):
-                drop_row_fixed_pattern(
-                    F, r, diag_pos, thresh[r], modified=opts.modified
-                )
-
-        else:
-            on_done = None
-        for r in range(m):
+        diag_pos = cached_analysis(F).diag_pos()
+        thresh = self.drop_threshold
+        for r in range(F.n_rows):
             factor_row(F, r, diag_pos, pivot_tol=opts.pivot_tol)
-            if on_done is not None:
-                on_done(r)
-        if method == "er":
-            factor_lower_er(
-                F, self.m, diag_pos, pivot_tol=opts.pivot_tol, on_row_complete=on_done
-            )
-        elif method == "sr":
-            sr = SegmentedRows.build(
-                self.S_perm, self.m, self.level_ptr, tile_size=opts.tile_size
-            )
-            factor_lower_sr(
-                F, sr, diag_pos, pivot_tol=opts.pivot_tol, on_row_complete=on_done
-            )
-        elif method != "none":
-            raise ValueError(f"unknown lower method {method!r}")
+            if thresh is not None:
+                drop_row_fixed_pattern(F, r, diag_pos, thresh[r], modified=opts.modified)
         self.F = F
         self._factored = True
         self._solver = None  # values changed; sweeps rebind on next solve
-        self.result = FactorResult(
-            F=F, perm=self.perm, inv_perm=self.inv_perm, method=method
-        )
+        self.result = FactorResult(F=F, perm=self.perm, inv_perm=self.inv_perm)
         return self.result
-
-    def factor_reference(self) -> CSRMatrix:
-        """Plain sequential up-looking ILU of the permuted matrix.
-
-        Applies the same fixed-pattern dropping as :meth:`factor` when
-        ``tau > 0`` (drop at each row's completion), so staged-vs-
-        sequential parity tests cover the ILU(k, τ) path too.
-        """
-        if not self._ready:
-            raise RuntimeError("call setup(A) before factor_reference()")
-        if self.drop_threshold is None:
-            return ilu_factor_sequential(
-                self.A_perm, self.S_perm, pivot_tol=self.options.pivot_tol
-            )
-        F = _scatter_values(self.S_perm, self.A_perm)
-        diag_pos = cached_analysis(F).diag_pos(
-            message="pattern has no diagonal entry in row {row}"
-        )
-        for r in range(F.n_rows):
-            factor_row(F, r, diag_pos, pivot_tol=self.options.pivot_tol)
-            drop_row_fixed_pattern(
-                F, r, diag_pos, self.drop_threshold[r], modified=self.options.modified
-            )
-        return F
 
     # ------------------------------------------------------------------
     # preconditioner application
@@ -446,7 +399,7 @@ class JavelinILU:
                 n_threads=machine.n_threads,
                 trace=trace,
             )
-        method = self._resolve_method(machine.n_threads)
+        method = self.resolved_lower_method(machine.n_threads)
         makespan_u, _finish, trace = sim_upper(
             self.S_perm, self.level_ptr, machine, flops, touched, **upper_kw
         )

@@ -9,9 +9,14 @@ into the row's corner entries.  A barrier, then the corner block
 paper finds "good enough" for most matrices.
 
 In permuted space the excluded rows are ``m .. n-1`` and the corner is
-the trailing ``(n-m) × (n-m)`` block.  Because each row's columns are
-still eliminated in ascending order, the numeric result is bit-identical
-to the sequential reference; only the simulated timeline differs.
+the trailing ``(n-m) × (n-m)`` block.  Each row's columns are still
+eliminated in ascending order, so the ER order gives the sequential
+reference's bits: this module keeps the partition (:class:`EvenRows`)
+and its timing (:func:`simulate_lower_er`).  The one place the order
+runs for real is :func:`repro.runtime.threaded_factor_two_stage`, which
+calls :func:`repro.core.iluk.factor_row` with a column window for each
+phase; :meth:`repro.core.javelin.JavelinILU.factor` is one sequential
+loop over the same kernel.
 """
 
 from __future__ import annotations
@@ -23,9 +28,8 @@ import numpy as np
 from ..machine.core import SimMachine
 from ..machine.trace import ExecutionTrace
 from ..sparse.csr import CSRMatrix
-from .iluk import PivotBreakdownError
 
-__all__ = ["EvenRows", "factor_lower_er", "simulate_lower_er"]
+__all__ = ["EvenRows", "simulate_lower_er"]
 
 
 @dataclass
@@ -45,59 +49,6 @@ class EvenRows:
             size = base + (1 if t < extra else 0)
             yield t, lo, lo + size
             lo += size
-
-
-def _factor_row_range(F: CSRMatrix, i, diag_pos, col_lo, col_hi, *, pivot_tol=0.0):
-    """Eliminate row ``i``'s strict-lower columns within ``[col_lo, col_hi)``.
-
-    The ER split of Fig. 1's inner loop: FACTOR_L uses ``[0, m)``,
-    the corner factorization uses ``[m, i)``.
-    """
-    indptr, indices, data = F.indptr, F.indices, F.data
-    lo, hi = int(indptr[i]), int(indptr[i + 1])
-    cols = indices[lo:hi]
-    ncols = cols.shape[0]
-    for kk in range(lo, hi):
-        c = int(indices[kk])
-        if c >= min(i, col_hi):
-            break
-        if c < col_lo:
-            continue
-        pivot = data[diag_pos[c]]
-        if abs(pivot) <= pivot_tol:
-            raise PivotBreakdownError(c, pivot)
-        lic = data[kk] / pivot
-        data[kk] = lic
-        c_lo, c_hi = int(indptr[c]), int(indptr[c + 1])
-        u_cols = indices[c_lo:c_hi]
-        start = int(np.searchsorted(u_cols, c + 1))
-        if c_lo + start == c_hi:
-            continue
-        u_cols = u_cols[start:]
-        pos = np.searchsorted(cols, u_cols)
-        pos[pos == ncols] = ncols - 1
-        hit = cols[pos] == u_cols
-        if np.any(hit):
-            data[lo + pos[hit]] -= lic * data[c_lo + start : c_hi][hit]
-
-
-def factor_lower_er(F: CSRMatrix, m, diag_pos, *, pivot_tol=0.0, on_row_complete=None):
-    """Numerically factor lower rows with the ER phase structure.
-
-    Phase 1 (parallel in the real runtime): per row, eliminate columns
-    ``< m``.  Phase 2: factor the corner block row by row.  Row-internal
-    column order is preserved, so the result matches the reference.
-    ``on_row_complete(r)`` fires when a row is final (after its corner
-    columns) — the hook ILU(k, τ) dropping attaches to.
-    """
-    n = F.n_rows
-    for r in range(m, n):
-        _factor_row_range(F, r, diag_pos, 0, m, pivot_tol=pivot_tol)
-    for r in range(m, n):
-        _factor_row_range(F, r, diag_pos, m, r, pivot_tol=pivot_tol)
-        if on_row_complete is not None:
-            on_row_complete(r)
-    return F
 
 
 def simulate_lower_er(

@@ -16,9 +16,12 @@ Per Fig. 6, the execution is a task DAG:
 * ``FACTOR_LU`` — factor the trailing corner block once every update
   has landed.
 
-The numeric path processes entries in ascending column order (levels are
-contiguous in the permuted numbering), which reproduces the sequential
-reference bit-for-bit; the simulated path builds a
+Over ascending levels the subblocks list each row's columns ``< m`` in
+ascending order (levels are contiguous in the permuted numbering), so
+the SR order gives the sequential reference's bits and the numeric
+factor is the one loop of :meth:`repro.core.javelin.JavelinILU.factor`.
+This module keeps the tiling (:class:`SegmentedRows`) and its timing:
+:func:`simulate_lower_sr` builds a
 :class:`~repro.machine.tasking.TaskGraph` and runs it through the
 OpenMP-task model, whose per-task overheads are what the paper observes
 drowning SR's benefit at 68 KNL threads.
@@ -34,10 +37,8 @@ from ..machine.core import SimMachine
 from ..machine.tasking import TaskGraph, simulate_task_graph
 from ..machine.trace import ExecutionTrace
 from ..sparse.csr import CSRMatrix
-from .iluk import PivotBreakdownError
-from .lower_er import _factor_row_range
 
-__all__ = ["SegmentedRows", "factor_lower_sr", "simulate_lower_sr"]
+__all__ = ["SegmentedRows", "simulate_lower_sr"]
 
 
 @dataclass
@@ -103,45 +104,6 @@ class SegmentedRows:
         if c >= self.m:
             return self.n_levels  # corner pseudo-level
         return int(np.searchsorted(self.level_ptr, c, side="right")) - 1
-
-
-def factor_lower_sr(F: CSRMatrix, sr: SegmentedRows, diag_pos, *, pivot_tol=0.0, on_row_complete=None):
-    """Numerically factor the lower rows with the SR phase structure.
-
-    Subblocks are processed in ascending level; within a subblock,
-    entries in ascending column order.  Global column order is therefore
-    ascending (levels are contiguous in permuted ids), so each target
-    position accumulates its updates in exactly the reference order.
-    """
-    indptr, indices, data = F.indptr, F.indices, F.data
-    m, n = sr.m, F.n_rows
-    for lvl in range(sr.n_levels):
-        for kk, r, c in sr.sub_entries[lvl]:
-            pivot = data[diag_pos[c]]
-            if abs(pivot) <= pivot_tol:
-                raise PivotBreakdownError(int(c), pivot)
-            lic = data[kk] / pivot
-            data[kk] = lic
-            c_lo, c_hi = int(indptr[c]), int(indptr[c + 1])
-            u_cols = indices[c_lo:c_hi]
-            start = int(np.searchsorted(u_cols, c + 1))
-            if c_lo + start == c_hi:
-                continue
-            r_lo, r_hi = int(indptr[r]), int(indptr[r + 1])
-            row_cols = indices[r_lo:r_hi]
-            nrc = row_cols.shape[0]
-            u_cols = u_cols[start:]
-            pos = np.searchsorted(row_cols, u_cols)
-            pos[pos == nrc] = nrc - 1
-            hit = row_cols[pos] == u_cols
-            if np.any(hit):
-                data[r_lo + pos[hit]] -= lic * data[c_lo + start : c_hi][hit]
-    # corner FACTOR_LU
-    for r in range(m, n):
-        _factor_row_range(F, r, diag_pos, m, r, pivot_tol=pivot_tol)
-        if on_row_complete is not None:
-            on_row_complete(r)
-    return F
 
 
 def _tile_update_counts(S: CSRMatrix, sr: SegmentedRows, tile_entries):

@@ -36,12 +36,9 @@ from .symbolic import row_solve_costs
 __all__ = [
     "trisolve_lower_serial",
     "trisolve_upper_serial",
-    "trisolve_lower_levels",
-    "trisolve_upper_levels",
     "trisolve_factor",
     "trisolve_factor_levels",
     "trisolve_factor_multi",
-    "upper_solve_levels",
     "LevelizedTriangularSolver",
     "simulate_trisolve_barrier",
     "simulate_trisolve_p2p",
@@ -70,23 +67,6 @@ def trisolve_upper_serial(F: CSRMatrix, y):
     return get_kernel("trisolve_upper", "scalar")(F, y)
 
 
-def trisolve_lower_levels(F: CSRMatrix, b, *, plan=None, backend="batched"):
-    """Forward solve driven by precomputed level sets.
-
-    All rows of a level solve in one gather/multiply/segment-reduce
-    pass; results are bit-identical to :func:`trisolve_lower_serial`.
-    ``plan`` (a :class:`~repro.kernels.TriSolvePlan`) defaults to the
-    pattern-keyed symbolic cache, so repeated solves on one factor pay
-    the level analysis once.
-    """
-    return get_kernel("trisolve_lower", backend)(F, b, plan=plan)
-
-
-def trisolve_upper_levels(F: CSRMatrix, y, *, plan=None, backend="batched"):
-    """Backward solve driven by precomputed level sets (see above)."""
-    return get_kernel("trisolve_upper", backend)(F, y, plan=plan)
-
-
 def trisolve_factor(F: CSRMatrix, b):
     """Apply the full preconditioner solve ``x = U⁻¹ L⁻¹ b`` (scalar)."""
     return trisolve_upper_serial(F, trisolve_lower_serial(F, b))
@@ -96,8 +76,8 @@ def trisolve_factor_levels(F: CSRMatrix, b, *, analysis=None):
     """Level-batched ``x = U⁻¹ L⁻¹ b`` — bit-identical to :func:`trisolve_factor`."""
     if analysis is None:
         analysis = cached_analysis(F)
-    y = trisolve_lower_levels(F, b, plan=analysis.plan("lower"))
-    return trisolve_upper_levels(F, y, plan=analysis.plan("upper"))
+    y = get_kernel("trisolve_lower", "batched")(F, b, plan=analysis.plan("lower"))
+    return get_kernel("trisolve_upper", "batched")(F, y, plan=analysis.plan("upper"))
 
 
 def trisolve_factor_multi(F: CSRMatrix, B, *, analysis=None, backend=None):
@@ -114,19 +94,6 @@ def trisolve_factor_multi(F: CSRMatrix, B, *, analysis=None, backend=None):
         analysis = cached_analysis(F)
     Y = get_kernel("trisolve_lower_multi", backend)(F, B, plan=analysis.plan("lower"))
     return get_kernel("trisolve_upper_multi", backend)(F, Y, plan=analysis.plan("upper"))
-
-
-# ----------------------------------------------------------------------
-# level structure for the backward sweep
-# ----------------------------------------------------------------------
-def upper_solve_levels(S: CSRMatrix):
-    """Level sets of the backward solve: deps are strict-upper entries.
-
-    ``level[i] = 1 + max(level[j] : j > i, s_ij ≠ 0)``, computed bottom
-    to top.  Returns a :class:`LevelSets` whose permutation orders rows
-    by backward level (rows solved first come first).
-    """
-    return backward_level_sets(S)
 
 
 # ----------------------------------------------------------------------
@@ -162,11 +129,11 @@ class LevelizedTriangularSolver:
 
     def forward(self, b):
         """Solve ``L y = b`` (unit diagonal), one vector op per level."""
-        return trisolve_lower_levels(self.F, b, plan=self._fwd_plan)
+        return get_kernel("trisolve_lower", "batched")(self.F, b, plan=self._fwd_plan)
 
     def backward(self, y):
         """Solve ``U x = y``, one vector op per level."""
-        return trisolve_upper_levels(self.F, y, plan=self._bwd_plan)
+        return get_kernel("trisolve_upper", "batched")(self.F, y, plan=self._bwd_plan)
 
     def solve(self, b):
         """Apply the preconditioner: ``x = U⁻¹ L⁻¹ b``."""
@@ -240,7 +207,7 @@ def simulate_trisolve_barrier(S: CSRMatrix, levels: LevelSets, machine: SimMachi
     t = _sweep_barrier(machine, groups, fl, tl, 0.0)
     if both:
         fu, tu = row_solve_costs(S, part="upper")
-        bl = upper_solve_levels(S)
+        bl = backward_level_sets(S)
         groups_b = [list(bl.level_rows(l)) for l in range(bl.n_levels)]
         t = _sweep_barrier(machine, groups_b, fu, tu, t + machine.barrier_cost())
     return t
@@ -258,7 +225,7 @@ def simulate_trisolve_p2p(S: CSRMatrix, levels: LevelSets, machine: SimMachine, 
     t = _sweep_p2p(machine, groups, fdeps, fl, tl, 0.0)
     if both:
         fu, tu = row_solve_costs(S, part="upper")
-        bl = upper_solve_levels(S)
+        bl = backward_level_sets(S)
         groups_b = [list(bl.level_rows(l)) for l in range(bl.n_levels)]
 
         def bdeps(r):
@@ -319,7 +286,7 @@ def simulate_trisolve_two_stage(
         t += machine.work_time(corner_flops, corner_touch, thread=0)
     if both:
         fu, tu = row_solve_costs(S, part="upper")
-        bl = upper_solve_levels(S)
+        bl = backward_level_sets(S)
         groups_b = [list(bl.level_rows(l)) for l in range(bl.n_levels)]
 
         def bdeps(r):

@@ -10,11 +10,14 @@ dependency on u.  The simulator therefore charges, per row, at most one
 spin-wait per distinct producer thread (the sparsified synchronization
 of Park et al.), instead of a barrier per level.
 
-Numerics and timing are decoupled: :func:`factor_rows_upper` executes
-the shared row kernel in schedule order (bit-identical to the sequential
-reference), while :func:`simulate_upper_p2p` / :func:`simulate_upper_barrier`
-replay the same schedule on a :class:`~repro.machine.SimMachine` to
-produce the time the paper would have measured.
+This module holds the schedule and its timing only: the numeric factor
+is one loop over :func:`repro.core.iluk.factor_row` (a row's
+elimination reads only finished rows, so any order that respects the
+dependencies gives the sequential reference's bits), and the real-thread
+p2p executor lives in :mod:`repro.runtime`.  :func:`simulate_upper_p2p` /
+:func:`simulate_upper_barrier` replay the schedule on a
+:class:`~repro.machine.SimMachine` to produce the time the paper would
+have measured.
 """
 
 from __future__ import annotations
@@ -25,12 +28,10 @@ from ..machine.core import SimMachine
 from ..machine.trace import ExecutionTrace
 from ..sparse.csr import CSRMatrix
 from ..kernels import get_kernel
-from .iluk import factor_row
 
 __all__ = [
     "assign_round_robin",
     "assign_dynamic",
-    "factor_rows_upper",
     "simulate_upper_p2p",
     "simulate_upper_barrier",
 ]
@@ -50,13 +51,6 @@ def assign_round_robin(level_ptr, n_threads):
     m = int(level_ptr[-1])
     thread_of = np.arange(m, dtype=np.int64) % n_threads
     return thread_of
-
-
-def factor_rows_upper(F: CSRMatrix, m, diag_pos, *, pivot_tol=0.0):
-    """Numerically factor permuted rows ``0 .. m-1`` (the upper stage)."""
-    for r in range(m):
-        factor_row(F, r, diag_pos, pivot_tol=pivot_tol)
-    return F
 
 
 def assign_dynamic(level_ptr, n_threads, machine, flops, touched, chunk=1):

@@ -161,9 +161,9 @@ class SymbolicAnalysis:
                 self.compute_counts[key] = self.compute_counts.get(key, 0) + 1
             return self._memo[key]
 
-    def diag_pos(self, *, message="missing diagonal in factored row {row}"):
+    def diag_pos(self):
         """Storage index of every diagonal entry (whole-matrix searchsorted)."""
-        return self._get("diag_pos", lambda: diag_positions(self._pattern, message=message))
+        return self._get("diag_pos", lambda: diag_positions(self._pattern))
 
     def levels(self, part):
         """Level sets of the forward ('lower') or backward ('upper') sweep."""

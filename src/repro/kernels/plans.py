@@ -90,12 +90,12 @@ def backward_level_sets(pattern) -> LevelSets:
     return _peel_levels(pattern, lambda row, col: col > row)
 
 
-def diag_positions(pattern, *, message="missing diagonal in factored row {row}"):
+def diag_positions(pattern):
     """Storage index of every ``(r, r)`` entry, whole-matrix vectorized.
 
     One ``searchsorted`` over global ``(row, col)`` keys replaces the
-    per-row loop; ``message`` keeps the caller's historical
-    ``ValueError`` diagnostics (``{row}`` is substituted).
+    per-row loop.  A row without a stored diagonal raises
+    ``ValueError`` naming the first such row.
     """
     n = pattern.n_rows
     indptr, indices = pattern.indptr, pattern.indices
@@ -109,7 +109,7 @@ def diag_positions(pattern, *, message="missing diagonal in factored row {row}")
     bad = (pos >= nnz) | (keys[np.minimum(pos, nnz - 1)] != want)
     if np.any(bad):
         row = int(np.flatnonzero(bad)[0])
-        raise ValueError(message.format(row=row))
+        raise ValueError(f"missing diagonal in factored row {row}")
     return pos.astype(np.int64)
 
 

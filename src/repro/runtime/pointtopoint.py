@@ -19,11 +19,17 @@ __all__ = ["ProgressBoard", "FaultInjectedBoard"]
 
 
 class ProgressBoard:
-    """Monotonic per-thread progress counters with spin-waiting."""
+    """Monotonic per-thread progress counters with spin-waiting.
+
+    ``waiting[t]`` is the ``(producer, row)`` thread ``t`` is blocked
+    on, or None: the wait-for graph a timeout follows to name the stalled
+    root.  An entry stays set after its wait times out.
+    """
 
     def __init__(self, n_threads):
         self.n_threads = int(n_threads)
         self._progress = [-1] * self.n_threads
+        self.waiting: list[tuple[int, int] | None] = [None] * self.n_threads
 
     def publish(self, thread, row):
         """Thread ``thread`` announces it has completed ``row``.
@@ -40,7 +46,7 @@ class ProgressBoard:
     def load(self, thread):
         return self._progress[thread]
 
-    def try_wait(self, producer_thread, row, *, timeout=30.0, stop=None):
+    def try_wait(self, producer_thread, row, *, timeout=30.0, stop=None, waiter=None):
         """Bounded spin: True when satisfied, False on timeout or ``stop``.
 
         The board's one wait primitive, called only from
@@ -51,7 +57,11 @@ class ProgressBoard:
         ``TimeoutError`` (``threaded_factor_two_stage``).  ``stop`` is a
         ``threading.Event`` that aborts the spin early once some other
         worker has already given up (lint rule JAV009 demands it).
+        ``waiter`` is the calling thread, recorded in :attr:`waiting`
+        until the wait is met.
         """
+        if waiter is not None:
+            self.waiting[waiter] = (producer_thread, row)
         deadline = time.monotonic() + timeout
         while self._progress[producer_thread] < row:
             if stop is not None and stop.is_set():
@@ -59,6 +69,8 @@ class ProgressBoard:
             if time.monotonic() > deadline:
                 return False
             time.sleep(0)  # yield the GIL
+        if waiter is not None:
+            self.waiting[waiter] = None
         return True
 
     def snapshot(self):

@@ -6,7 +6,8 @@ Fig. 8 describes — each thread independently eliminates its block's
 upper-stage columns (FACTOR_L), a barrier, then the corner factorization
 (serial, "good enough for most matrices").  Together they execute the
 full two-stage algorithm concurrently and must reproduce the sequential
-factor bit-for-bit.
+factor bit-for-bit.  It is the one real-thread ER executor; both phases
+call :func:`~repro.core.iluk.factor_row` with a column window.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import threading
 
 import numpy as np
 
-from ..core.iluk import _diag_positions, _scatter_values, factor_row
-from ..core.lower_er import EvenRows, _factor_row_range
+from ..core.iluk import _scatter_values, factor_row
+from ..core.lower_er import EvenRows
 from ..core.upper import assign_round_robin
+from ..kernels import cached_analysis
 from ..kernels.plans import build_producer_csr
 from ..obs import spans as _spans
 from ..sparse.csr import CSRMatrix
@@ -52,7 +54,7 @@ def threaded_factor_two_stage(
     if int(level_ptr[-1]) != m:
         raise ValueError("level_ptr must cover exactly the upper rows")
     F = _scatter_values(S, A)
-    diag_pos = _diag_positions(F)
+    diag_pos = cached_analysis(F).diag_pos()
     n = F.n_rows
     thread_of = assign_round_robin(level_ptr, n_threads)
     board = ProgressBoard(n_threads)
@@ -63,6 +65,16 @@ def threaded_factor_two_stage(
     stop = threading.Event()
 
     def timed_out(u, need):
+        # follow the wait-for chain to the stalled root: a producer whose
+        # awaited row is done but unpublished lost its publish; otherwise
+        # the chain ends at a thread that is not waiting (or closes a cycle)
+        seen: set[int] = set()
+        while u not in seen and not (done[need] and board.load(u) < need):
+            seen.add(u)
+            nxt = board.waiting[u]
+            if nxt is None:
+                break
+            u, need = nxt
         return TimeoutError(
             f"waited {WAIT_TIMEOUT}s for thread {u} to reach row {need} "
             f"(at {board.load(u)})"
@@ -84,21 +96,22 @@ def threaded_factor_two_stage(
                 if rows_u.size:
                     need = int(rows_u[-1])
                     if not p2p_wait(
-                        board, u, need, "wait.stage", timeout=WAIT_TIMEOUT, stop=stop
+                        board, u, need, "wait.stage",
+                        timeout=WAIT_TIMEOUT, stop=stop, waiter=t,
                     ):
                         raise timed_out(u, need)
         # ---- lower stage phase 1: my block's FACTOR_L
         lo, hi = blocks[t]
         with _spans.span("lower_block", cat="runtime", lo=lo, hi=hi):
             for r in range(lo, hi):
-                _factor_row_range(F, r, diag_pos, 0, m, pivot_tol=pivot_tol)
+                factor_row(F, r, diag_pos, pivot_tol=pivot_tol, window=(0, m))
         with _spans.span("wait.barrier", cat="runtime"):
             barrier.wait()
         # ---- corner: serial on thread 0
         if t == 0:
             with _spans.span("corner", cat="runtime", m=m, n=n):
                 for r in range(m, n):
-                    _factor_row_range(F, r, diag_pos, m, r, pivot_tol=pivot_tol)
+                    factor_row(F, r, diag_pos, pivot_tol=pivot_tol, window=(m, r))
 
     run_team(n_threads, work, stop=stop, barrier=barrier)
     return F

@@ -30,8 +30,9 @@ import threading
 
 import numpy as np
 
-from ..core.iluk import factor_row, _diag_positions, _scatter_values
+from ..core.iluk import factor_row, _scatter_values
 from ..core.upper import assign_round_robin
+from ..kernels import cached_analysis
 from ..kernels.plans import build_producer_csr
 from ..obs import spans as _spans
 from ..sparse.csr import CSRMatrix
@@ -129,7 +130,7 @@ def threaded_factor(
     The returned factor is bit-identical either way.
     """
     F = _scatter_values(S, A)
-    diag_pos = _diag_positions(F)
+    diag_pos = cached_analysis(F).diag_pos()
     _p2p_watchdog(
         S, level_ptr, n_threads,
         lambda r: factor_row(F, r, diag_pos, pivot_tol=pivot_tol), "factor_row",

@@ -10,7 +10,11 @@ reports and in suppression comments):
     legal inside a function that goes through the pivot-floor breakdown
     path — i.e. one that raises a ``*Breakdown*`` error or calls
     ``classify_pivot``.  An unguarded division silently turns a zero or
-    NaN pivot into a poisoned factor.
+    NaN pivot into a poisoned factor.  In ``core/`` and ``runtime/``,
+    every ``PivotBreakdownError(...)`` call must pass
+    ``kind=classify_pivot(...)``, and one that does not guards nothing:
+    a hand-rolled ``abs(pivot) <= tol`` check lets NaN through and
+    reports a tiny pivot as ``"zero"``.
 
 ``JAV002`` — *synchronization primitives live in runtime/.*  ``time.sleep``
     and ``threading`` lock-family constructors (``Lock``, ``RLock``,
@@ -153,10 +157,29 @@ def _path_parts(path: str) -> tuple[str, ...]:
 # ----------------------------------------------------------------------
 # JAV001
 # ----------------------------------------------------------------------
+def _callee_name(call: ast.Call) -> str:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+
+
+def _unclassified_pivot_error(node: ast.AST) -> bool:
+    """A ``PivotBreakdownError(...)`` call without ``kind=classify_pivot(...)``."""
+    if not (isinstance(node, ast.Call) and _callee_name(node) == "PivotBreakdownError"):
+        return False
+    return not any(
+        kw.arg == "kind"
+        and isinstance(kw.value, ast.Call)
+        and _callee_name(kw.value) == "classify_pivot"
+        for kw in node.keywords
+    )
+
+
 def _is_guarded(fn: ast.AST) -> bool:
     for node in ast.walk(fn):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc
+            if _unclassified_pivot_error(exc):
+                continue
             name = ""
             if isinstance(exc, ast.Call):
                 exc = exc.func
@@ -166,11 +189,8 @@ def _is_guarded(fn: ast.AST) -> bool:
                 name = exc.attr
             if "Breakdown" in name:
                 return True
-        if isinstance(node, ast.Call):
-            f = node.func
-            callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
-            if callee == "classify_pivot":
-                return True
+        if isinstance(node, ast.Call) and _callee_name(node) == "classify_pivot":
+            return True
     return False
 
 
@@ -189,9 +209,23 @@ def _data_derived_names(fn: ast.AST) -> set[str]:
 
 def _check_core_division(tree: ast.Module, path: str) -> list[Finding]:
     """core/ kernels must not divide by a stored entry without a pivot-floor guard."""
-    if "core" not in _path_parts(path):
+    parts = _path_parts(path)
+    if "core" not in parts and "runtime" not in parts:
         return []
-    findings = []
+    findings = [
+        Finding(
+            "JAV001",
+            path,
+            node.lineno,
+            node.col_offset,
+            "PivotBreakdownError without kind=classify_pivot(...) — the one "
+            "classification rule, which also catches NaN/Inf and tiny pivots",
+        )
+        for node in ast.walk(tree)
+        if _unclassified_pivot_error(node)
+    ]
+    if "core" not in parts:
+        return findings
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
-from repro.core.iluk import drop_row_fixed_pattern, ilu0_factor, _diag_positions
+from repro.core.iluk import drop_row_fixed_pattern, ilu0_factor
+from repro.kernels import cached_analysis
 
-from helpers import random_csr
+from helpers import dense_reference, random_csr
 
 
-def opts(tau, modified=False, alpha=8, k=0):
+def opts(tau, modified=False, alpha=8, k=0, lower_method="auto"):
     return JavelinOptions(
         fill_level=k,
         tau=tau,
         modified=modified,
-        schedule=ScheduleOptions(min_rows_per_level=alpha),
+        schedule=ScheduleOptions(min_rows_per_level=alpha, lower_method=lower_method),
     )
 
 
@@ -22,7 +23,7 @@ class TestDropPrimitive:
     def test_drops_small_keeps_diagonal(self):
         A = random_csr(10, 0.4, seed=1)
         F = ilu0_factor(A)
-        dp = _diag_positions(F)
+        dp = cached_analysis(F).diag_pos()
         big = np.abs(F.data).max()
         drop_row_fixed_pattern(F, 3, dp, threshold=big * 10)
         lo, hi = int(F.indptr[3]), int(F.indptr[3 + 1])
@@ -34,7 +35,7 @@ class TestDropPrimitive:
     def test_modified_adds_mass_to_diagonal(self):
         A = random_csr(10, 0.4, seed=2)
         F = ilu0_factor(A)
-        dp = _diag_positions(F)
+        dp = cached_analysis(F).diag_pos()
         lo, hi = int(F.indptr[5]), int(F.indptr[6])
         before_diag = F.data[dp[5]]
         before_sum = F.data[lo:hi].sum()
@@ -46,7 +47,7 @@ class TestDropPrimitive:
     def test_returns_dropped_mass(self):
         A = random_csr(10, 0.4, seed=3)
         F = ilu0_factor(A)
-        dp = _diag_positions(F)
+        dp = cached_analysis(F).diag_pos()
         lo, hi = int(F.indptr[2]), int(F.indptr[3])
         offdiag = F.data[lo:hi].sum() - F.data[dp[2]]
         dropped = drop_row_fixed_pattern(F, 2, dp, threshold=1e9)
@@ -58,10 +59,9 @@ class TestFacadeParity:
     @pytest.mark.parametrize("modified", [False, True])
     def test_staged_equals_reference_with_dropping(self, method, modified):
         A = random_csr(45, 0.1, seed=4, dominance=1.5)
-        ilu = JavelinILU(opts(tau=0.05, modified=modified)).setup(A)
-        res = ilu.factor(method=method)
-        ref = ilu.factor_reference()
-        assert np.array_equal(res.F.data, ref.data)
+        ilu = JavelinILU(opts(tau=0.05, modified=modified, lower_method=method)).setup(A)
+        res = ilu.factor()
+        assert np.array_equal(res.F.data, dense_reference(ilu))
 
     def test_tau_zero_identical_to_plain(self):
         A = random_csr(30, 0.15, seed=5)
@@ -82,8 +82,7 @@ class TestFacadeParity:
         A = random_csr(30, 0.15, seed=7, dominance=1.2)
         ilu = JavelinILU(opts(tau=0.02, k=1)).setup(A)
         res = ilu.factor()
-        ref = ilu.factor_reference()
-        assert np.array_equal(res.F.data, ref.data)
+        assert np.array_equal(res.F.data, dense_reference(ilu))
         assert ilu.S_perm.nnz > A.nnz  # level-1 fill present structurally
 
     def test_solve_works_after_dropping(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
-from repro.core.iluk import ilu0_factor
+from repro.core.iluk import ilu0_factor, ilu_factor_sequential
 from repro.core.trisolve import trisolve_factor
 from repro.machine import SimMachine, haswell, uniform_machine
 from repro.sparse import from_dense
@@ -10,8 +10,11 @@ from repro.sparse import from_dense
 from helpers import random_csr, random_sparse_dense
 
 
-def opts(alpha=8, **kw):
-    return JavelinOptions(schedule=ScheduleOptions(min_rows_per_level=alpha), **kw)
+def opts(alpha=8, lower_method="auto", **kw):
+    return JavelinOptions(
+        schedule=ScheduleOptions(min_rows_per_level=alpha, lower_method=lower_method),
+        **kw,
+    )
 
 
 class TestSetup:
@@ -52,18 +55,18 @@ class TestSetup:
 class TestFactorParity:
     @pytest.mark.parametrize("method", ["none", "er", "sr"])
     def test_bitwise_equal_to_permuted_reference(self, method):
-        ilu = JavelinILU(opts()).setup(random_csr(45, 0.1, seed=4))
-        res = ilu.factor(method=method)
-        ref = ilu.factor_reference()
+        ilu = JavelinILU(opts(lower_method=method)).setup(random_csr(45, 0.1, seed=4))
+        res = ilu.factor()
+        ref = ilu_factor_sequential(ilu.A_perm, ilu.S_perm)
         assert np.array_equal(res.F.data, ref.data)
-        assert res.method == method
+        assert ilu.resolved_lower_method() == method
 
     def test_methods_agree_with_each_other(self):
         A = random_csr(45, 0.1, seed=5)
         datas = []
         for method in ["none", "er", "sr"]:
-            ilu = JavelinILU(opts()).setup(A)
-            datas.append(ilu.factor(method=method).F.data)
+            ilu = JavelinILU(opts(lower_method=method)).setup(A)
+            datas.append(ilu.factor().F.data)
         assert np.array_equal(datas[0], datas[1])
         assert np.array_equal(datas[1], datas[2])
 
@@ -81,11 +84,6 @@ class TestFactorParity:
         ilu0 = JavelinILU(JavelinOptions(fill_level=0)).setup(A)
         ilu2 = JavelinILU(JavelinOptions(fill_level=2)).setup(A)
         assert ilu2.S_perm.nnz >= ilu0.S_perm.nnz
-
-    def test_unknown_method_rejected(self):
-        ilu = JavelinILU(opts()).setup(random_csr(20, 0.2, seed=8))
-        with pytest.raises(ValueError, match="unknown lower method"):
-            ilu.factor(method="bogus")
 
 
 class TestSolve:

@@ -1,14 +1,14 @@
-"""Even-Rows and Segmented-Rows: numeric parity and simulated behaviour."""
+"""Even-Rows and Segmented-Rows: the orders that keep the bits, and simulated behaviour."""
 
 import numpy as np
 import pytest
 
 from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
-from repro.core.iluk import _diag_positions, _scatter_values, ilu_factor_sequential
-from repro.core.lower_er import EvenRows, factor_lower_er, simulate_lower_er
-from repro.core.lower_sr import SegmentedRows, factor_lower_sr, simulate_lower_sr
+from repro.core.iluk import _scatter_values, factor_row, ilu_factor_sequential
+from repro.core.lower_er import EvenRows, simulate_lower_er
+from repro.core.lower_sr import SegmentedRows, simulate_lower_sr
 from repro.core.symbolic import row_factor_costs_split
-from repro.core.upper import factor_rows_upper
+from repro.kernels import cached_analysis
 from repro.machine import SimMachine, uniform_machine
 
 from helpers import random_csr
@@ -40,38 +40,51 @@ class TestEvenRowsBlocks:
         assert len(sizes) == 5  # trailing threads get empty blocks
 
 
+def assert_sr_lists_row_columns_ascending(ilu, tile_size):
+    """SR's tiles, over ascending levels, give each lower row its columns ``< m`` in order.
+
+    That per-row order is the reference's elimination order, which is
+    why the SR execution order leaves the factor's bits unchanged.
+    """
+    S, m = ilu.S_perm, ilu.m
+    sr = SegmentedRows.build(S, m, ilu.level_ptr, tile_size=tile_size)
+    listed = {r: [] for r in range(m, S.n_rows)}
+    for lvl in range(sr.n_levels):
+        for _, ents in sr.tiles_of(lvl):
+            for kk, r, c in ents:
+                assert S.indptr[r] <= kk < S.indptr[r + 1] and S.indices[kk] == c
+                listed[int(r)].append(int(c))
+    for r, got in listed.items():
+        cols = S.indices[S.indptr[r] : S.indptr[r + 1]]
+        assert got == cols[cols < m].tolist()
+
+
 class TestNumericParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_er_matches_reference(self, seed):
+        # ER's phases in their order: every lower row's FACTOR_L, then
+        # the corner, each through factor_row's column window
         ilu = staged_setup(seed=seed)
         F = _scatter_values(ilu.S_perm, ilu.A_perm)
-        dp = _diag_positions(F)
-        factor_rows_upper(F, ilu.m, dp)
-        factor_lower_er(F, ilu.m, dp)
+        dp = cached_analysis(F).diag_pos()
+        n, m = F.n_rows, ilu.m
+        assert 0 < m < n
+        for r in range(m):
+            factor_row(F, r, dp)
+        for r in range(m, n):
+            factor_row(F, r, dp, window=(0, m))
+        for r in range(m, n):
+            factor_row(F, r, dp, window=(m, r))
         Fref = ilu_factor_sequential(ilu.A_perm, ilu.S_perm)
         assert np.array_equal(F.data, Fref.data)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sr_matches_reference(self, seed):
-        ilu = staged_setup(seed=seed)
-        F = _scatter_values(ilu.S_perm, ilu.A_perm)
-        dp = _diag_positions(F)
-        factor_rows_upper(F, ilu.m, dp)
-        sr = SegmentedRows.build(ilu.S_perm, ilu.m, ilu.level_ptr, tile_size=5)
-        factor_lower_sr(F, sr, dp)
-        Fref = ilu_factor_sequential(ilu.A_perm, ilu.S_perm)
-        assert np.array_equal(F.data, Fref.data)
+        assert_sr_lists_row_columns_ascending(staged_setup(seed=seed), tile_size=5)
 
     @pytest.mark.parametrize("tile_size", [1, 3, 64])
     def test_sr_tile_size_does_not_change_values(self, tile_size):
-        ilu = staged_setup(seed=3)
-        F = _scatter_values(ilu.S_perm, ilu.A_perm)
-        dp = _diag_positions(F)
-        factor_rows_upper(F, ilu.m, dp)
-        sr = SegmentedRows.build(ilu.S_perm, ilu.m, ilu.level_ptr, tile_size=tile_size)
-        factor_lower_sr(F, sr, dp)
-        Fref = ilu_factor_sequential(ilu.A_perm, ilu.S_perm)
-        assert np.array_equal(F.data, Fref.data)
+        assert_sr_lists_row_columns_ascending(staged_setup(seed=3), tile_size)
 
 
 class TestSegmentedRowsStructure:

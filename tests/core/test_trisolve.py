@@ -9,10 +9,9 @@ from repro.core.trisolve import (
     trisolve_factor,
     trisolve_lower_serial,
     trisolve_upper_serial,
-    upper_solve_levels,
 )
 from repro.machine import SimMachine, uniform_machine
-from repro.kernels import forward_level_sets
+from repro.kernels import backward_level_sets, forward_level_sets
 from repro.sparse import from_dense, split_lu
 from repro.sparse.pattern import symmetrize_pattern
 
@@ -57,7 +56,7 @@ class TestNumericSweeps:
 class TestBackwardLevels:
     def test_diagonal_single_level(self):
         F = from_dense(np.diag([1.0, 2.0, 3.0]))
-        bl = upper_solve_levels(F)
+        bl = backward_level_sets(F)
         assert bl.n_levels == 1
 
     def test_chain_reverse_order(self):
@@ -65,12 +64,12 @@ class TestBackwardLevels:
         D = np.eye(n)
         for i in range(n - 1):
             D[i, i + 1] = 1.0
-        bl = upper_solve_levels(from_dense(D))
+        bl = backward_level_sets(from_dense(D))
         assert list(bl.level_of) == [4, 3, 2, 1, 0]
 
     def test_levels_valid_topologically(self):
         A = random_csr(30, 0.15, seed=4)
-        bl = upper_solve_levels(A)
+        bl = backward_level_sets(A)
         for r in range(30):
             cols = A.indices[A.indptr[r] : A.indptr[r + 1]]
             deps = cols[cols > r]

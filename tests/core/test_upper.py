@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from repro.core.iluk import _diag_positions, _scatter_values, ilu_factor_sequential
+from repro.core.iluk import ilu_factor_sequential
 from repro.core.symbolic import ilu0_pattern, row_factor_costs
 from repro.core.upper import (
     assign_round_robin,
-    factor_rows_upper,
     simulate_upper_barrier,
     simulate_upper_p2p,
 )
@@ -44,10 +43,11 @@ class TestAssignment:
 
 class TestNumericUpper:
     def test_matches_sequential_reference(self):
+        # the upper stage's p2p schedule, run on real threads
+        from repro.runtime import threaded_factor
+
         A, S, ls = level_ordered(seed=1)
-        F = _scatter_values(S, A)
-        dp = _diag_positions(F)
-        factor_rows_upper(F, F.n_rows, dp)
+        F = threaded_factor(A, S, ls.level_ptr, 3)
         Fref = ilu_factor_sequential(A, S)
         assert np.array_equal(F.data, Fref.data)
 

@@ -6,7 +6,10 @@
 of the factor, dtype included, plus the level and lower-row counts; they
 were recorded from the per-row implementations that
 ``tests/reference_structure.py`` keeps, so any change to ordering,
-symbolic setup or factor bits shows up here.
+symbolic setup or factor bits shows up here.  ``GOLDEN_CONFIGS`` pins
+the factor under four non-default options on two of the matrices; it
+was recorded while the ER and SR lower stages still ran their own
+numeric loops, so it also pins that the one factor loop kept their bits.
 """
 
 import hashlib
@@ -14,7 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import JavelinILU
+from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
 from repro.matrices import build_matrix, preorder_for_javelin
 
 SCALE = 0.25
@@ -53,3 +56,38 @@ def front_end_record(name, scale=SCALE):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_front_end_matches_golden(name):
     assert front_end_record(name) == GOLDEN[name]
+
+
+#: factor options beyond the default, each pinned on two matrices: the
+#: ILU(k, τ) drop hook with MILU, ILU(1) fill, and the SR and LS-only
+#: lower-stage choices
+CONFIGS = {
+    "tau_milu": JavelinOptions(tau=0.05, modified=True),
+    "fill1": JavelinOptions(fill_level=1),
+    "lower_sr": JavelinOptions(schedule=ScheduleOptions(lower_method="sr")),
+    "lower_none": JavelinOptions(schedule=ScheduleOptions(lower_method="none")),
+}
+
+GOLDEN_CONFIGS = {
+    ("scircuit", "tau_milu"): "649f754800adb915c6f40190c79ceab4",
+    ("scircuit", "fill1"): "adba9184c23f625bd4394c23ab2e8f27",
+    ("scircuit", "lower_sr"): "4bad6d67dd0ffa47bd22e6e4c9005f2c",
+    ("scircuit", "lower_none"): "4bad6d67dd0ffa47bd22e6e4c9005f2c",
+    ("TSOPF_RS_b300_c2", "tau_milu"): "0be487b8c05c83209c30847929ae8f37",
+    ("TSOPF_RS_b300_c2", "fill1"): "b344c4604072784401f9666567b17130",
+    ("TSOPF_RS_b300_c2", "lower_sr"): "4fb68ad5bbcf2c5da977472ac408b761",
+    ("TSOPF_RS_b300_c2", "lower_none"): "4fb68ad5bbcf2c5da977472ac408b761",
+}
+
+
+def factor_digest(name, config, scale=SCALE):
+    """Factor digest of one matrix under one of :data:`CONFIGS`."""
+    B = preorder_for_javelin(build_matrix(name, scale=scale))
+    ilu = JavelinILU(CONFIGS[config]).setup(B)
+    ilu.factor()
+    return _digest(ilu.F.indptr, ilu.F.indices, ilu.F.data)
+
+
+@pytest.mark.parametrize("name,config", sorted(GOLDEN_CONFIGS))
+def test_factor_options_match_golden(name, config):
+    assert factor_digest(name, config) == GOLDEN_CONFIGS[name, config]

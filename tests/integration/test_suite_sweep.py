@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import JavelinILU, SUITE, build_matrix, preorder_for_javelin
-from repro.core import JavelinOptions, ScheduleOptions
+from repro.core import JavelinOptions, ScheduleOptions, ilu_factor_sequential
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))
@@ -15,7 +15,7 @@ def test_staged_parity_across_suite(name):
         JavelinOptions(schedule=ScheduleOptions(min_rows_per_level=12))
     ).setup(A)
     res = ilu.factor()  # auto method
-    ref = ilu.factor_reference()
+    ref = ilu_factor_sequential(ilu.A_perm, ilu.S_perm)
     assert np.array_equal(res.F.data, ref.data), name
 
 
@@ -23,11 +23,12 @@ def test_staged_parity_across_suite(name):
 def test_er_and_sr_agree_on_hard_matrices(name):
     """The structurally nastiest families: both lower methods, same factor."""
     A = preorder_for_javelin(build_matrix(name, scale=0.3))
-    opts = JavelinOptions(schedule=ScheduleOptions(min_rows_per_level=24))
     data = []
     for method in ["er", "sr"]:
-        ilu = JavelinILU(opts).setup(A)
-        data.append(ilu.factor(method=method).F.data)
+        opts = JavelinOptions(
+            schedule=ScheduleOptions(min_rows_per_level=24, lower_method=method)
+        )
+        data.append(JavelinILU(opts).setup(A).factor().F.data)
     assert np.array_equal(data[0], data[1])
 
 

@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import chow_patel_ilu
 from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
 from repro.core.ichol import ichol_factor
-from repro.core.iluk import _diag_positions, drop_row_fixed_pattern, ilu0_factor
+from repro.core.iluk import drop_row_fixed_pattern, ilu0_factor
+from repro.kernels import cached_analysis
 from repro.solvers import ssor_preconditioner
 from repro.sparse import from_dense
+
+from helpers import dense_reference
 
 
 @st.composite
@@ -60,7 +63,7 @@ def test_ichol_diag_positive(D):
 def test_drop_preserves_row_sum_in_milu(D, thresh_scale):
     A = from_dense(D)
     F = ilu0_factor(A)
-    dp = _diag_positions(F)
+    dp = cached_analysis(F).diag_pos()
     r = D.shape[0] // 2
     lo, hi = int(F.indptr[r]), int(F.indptr[r + 1])
     before = F.data[lo:hi].sum()
@@ -72,11 +75,12 @@ def test_drop_preserves_row_sum_in_milu(D, thresh_scale):
 @given(dominant_dense(), st.floats(0.001, 0.5))
 def test_staged_tau_parity_property(D, tau):
     ilu = JavelinILU(
-        JavelinOptions(tau=tau, schedule=ScheduleOptions(min_rows_per_level=3))
+        JavelinOptions(
+            tau=tau, schedule=ScheduleOptions(min_rows_per_level=3, lower_method="er")
+        )
     ).setup(from_dense(D))
-    res = ilu.factor(method="er")
-    ref = ilu.factor_reference()
-    assert np.array_equal(res.F.data, ref.data)
+    res = ilu.factor()
+    assert np.array_equal(res.F.data, dense_reference(ilu))
 
 
 @settings(max_examples=20, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
-from repro.core.iluk import ilu0_factor, iluk_factor
+from repro.core.iluk import ilu0_factor, ilu_factor_sequential, iluk_factor
 from repro.core.ilut import ilut_factor
 from repro.core.symbolic import iluk_pattern, row_factor_costs
 from repro.sparse import from_dense, split_lu
@@ -67,10 +67,14 @@ def test_ilut_keeps_diagonal_and_shrinks(D, tau):
 @given(dominant_dense(), st.sampled_from(["none", "er", "sr"]), st.integers(1, 30))
 def test_javelin_stages_equal_reference(D, method, alpha):
     """Any lower method, any α: bit-identical to the sequential reference."""
-    ilu = JavelinILU(JavelinOptions(schedule=ScheduleOptions(min_rows_per_level=alpha)))
+    ilu = JavelinILU(
+        JavelinOptions(
+            schedule=ScheduleOptions(min_rows_per_level=alpha, lower_method=method)
+        )
+    )
     ilu.setup(from_dense(D))
-    res = ilu.factor(method=method)
-    ref = ilu.factor_reference()
+    res = ilu.factor()
+    ref = ilu_factor_sequential(ilu.A_perm, ilu.S_perm)
     assert np.array_equal(res.F.data, ref.data)
 
 

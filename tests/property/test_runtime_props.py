@@ -74,7 +74,7 @@ EXECUTORS = {
         lambda p, part: lambda: threaded_factor_two_stage(
             ILU.A_perm, ILU.S_perm, ILU.level_ptr, ILU.m, p
         ),
-        [(threaded_lower, "factor_row", 1), (threaded_lower, "_factor_row_range", 1)],
+        [(threaded_lower, "factor_row", 1)],
     ),
     "superstep": (_superstep, [(threadpool, "_sweep_row", 3)]),
 }

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     FactorizationBreakdown,
+    JavelinILU,
     JavelinOptions,
     PivotBreakdownError,
     classify_pivot,
@@ -18,6 +19,8 @@ from repro.matrices import grid2d, singular_block, zero_diag_rows
 from repro.resilience import ResilienceReport, ResilientFactor, RetryPolicy
 from repro.solvers import gmres
 from repro.sparse import from_dense
+
+from helpers import lower_only_pivot, random_csr, with_diagonal
 
 
 # ----------------------------------------------------------------------
@@ -60,6 +63,40 @@ class TestBreakdownDetection:
             ilu0_factor(A, pivot_tol=0.0)
         assert ei.value.kind == "nonfinite"
         assert ei.value.row == 0
+
+    @staticmethod
+    def _lower_only_poisoned(value, seed=0, **opts):
+        """A set-up ILU and a copy of its input whose lower-stage-only pivot is ``value``."""
+        A = random_csr(60, 0.08, seed=seed)
+        ilu = JavelinILU(JavelinOptions(**opts)).setup(A)
+        c = lower_only_pivot(ilu)
+        return ilu, c, with_diagonal(A, int(ilu.perm[c]), value)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_lower_stage_pivot_fails_factor(self, seed, bad):
+        # the ER/SR loops checked abs(pivot) <= tol, which NaN/Inf pass
+        _, c, B = self._lower_only_poisoned(bad, seed)
+        with pytest.raises(PivotBreakdownError) as ei:
+            JavelinILU().setup(B).factor()
+        assert ei.value.kind == "nonfinite"
+        assert ei.value.row == c
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_lower_stage_pivot_fails_refactor(self, bad):
+        ilu, c, B = self._lower_only_poisoned(bad)
+        ilu.factor()
+        with pytest.raises(PivotBreakdownError) as ei:
+            ilu.refactor(B)
+        assert ei.value.kind == "nonfinite"
+        assert ei.value.row == c
+
+    def test_tiny_lower_stage_pivot_kind(self):
+        _, c, B = self._lower_only_poisoned(1e-30, pivot_tol=1e-12)
+        with pytest.raises(PivotBreakdownError) as ei:
+            JavelinILU(JavelinOptions(pivot_tol=1e-12)).setup(B).factor()
+        assert ei.value.kind == "tiny"
+        assert ei.value.row == c
 
     def test_ilut_breakdown_structured(self):
         A = zero_diag_rows(grid2d(6), [0])

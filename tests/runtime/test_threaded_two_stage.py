@@ -3,10 +3,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
+from repro.core import JavelinILU, JavelinOptions, ScheduleOptions, ilu_factor_sequential
 from repro.runtime import threaded_factor_two_stage
 
-from helpers import random_csr
+from helpers import lower_only_pivot, random_csr, with_diagonal
 
 
 def staged(seed=0, alpha=8, n=60):
@@ -19,7 +19,7 @@ class TestThreadedTwoStage:
     @pytest.mark.parametrize("p", [1, 2, 4, 8])
     def test_bit_identical_any_thread_count(self, p):
         ilu = staged(seed=1)
-        ref = ilu.factor_reference()
+        ref = ilu_factor_sequential(ilu.A_perm, ilu.S_perm)
         F = threaded_factor_two_stage(ilu.A_perm, ilu.S_perm, ilu.level_ptr, ilu.m, p)
         assert np.array_equal(F.data, ref.data)
 
@@ -33,7 +33,7 @@ class TestThreadedTwoStage:
         ilu = JavelinILU(JavelinOptions(schedule=ScheduleOptions(lower_method="none")))
         ilu.setup(random_csr(40, 0.12, seed=3))
         assert ilu.m == 40
-        ref = ilu.factor_reference()
+        ref = ilu_factor_sequential(ilu.A_perm, ilu.S_perm)
         F = threaded_factor_two_stage(ilu.A_perm, ilu.S_perm, ilu.level_ptr, ilu.m, 3)
         assert np.array_equal(F.data, ref.data)
 
@@ -59,6 +59,18 @@ class TestThreadedTwoStage:
             )
         # fail-fast: peers stand down instead of spinning out their waits
         assert time.perf_counter() - t0 < 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_lower_stage_pivot_propagates(self, bad):
+        from repro.core.iluk import PivotBreakdownError
+
+        ilu = JavelinILU().setup(random_csr(60, 0.08, seed=0))
+        c = lower_only_pivot(ilu)
+        A2 = with_diagonal(ilu.A_perm, c, bad)
+        with pytest.raises(PivotBreakdownError) as ei:
+            threaded_factor_two_stage(A2, ilu.S_perm, ilu.level_ptr, ilu.m, 2)
+        assert ei.value.kind == "nonfinite"
+        assert ei.value.row == c
 
     def test_stalled_dependency_times_out(self, monkeypatch):
         from repro.runtime import pointtopoint, threaded_lower

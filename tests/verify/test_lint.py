@@ -42,10 +42,49 @@ def test_jav001_passes_breakdown_guarded_function():
     __all__ = []
     def kernel(data, k, x):
         if data[k] == 0.0:
-            raise PivotBreakdownError(k)
+            raise ICholBreakdownError(k, data[k])
         return x / data[k]
     """
     assert _lint(src, "src/repro/core/good.py") == []
+
+
+def test_jav001_flags_pivot_error_without_classify_pivot():
+    # a hand-rolled floor check: NaN passes it, and a tiny pivot is
+    # reported as "zero"; the unclassified raise guards nothing
+    src = """
+    __all__ = []
+    def kernel(data, k, x, tol):
+        pivot = data[k]
+        if abs(pivot) <= tol:
+            raise PivotBreakdownError(k, pivot)
+        return x / pivot
+    """
+    assert _ids(_lint(src, "src/repro/core/bad.py")) == ["JAV001", "JAV001"]
+    runtime = """
+    __all__ = []
+    def stage(data, k):
+        raise PivotBreakdownError(k, data[k], kind="zero")
+    """
+    assert _ids(_lint(runtime, "src/repro/runtime/bad.py")) == ["JAV001"]
+
+
+def test_jav001_passes_classified_pivot_error():
+    src = """
+    __all__ = []
+    def kernel(data, k, x, tol):
+        pivot = data[k]
+        if not (tol < abs(pivot) < float("inf")):
+            raise PivotBreakdownError(k, pivot, kind=classify_pivot(pivot, tol))
+        return x / pivot
+    """
+    assert _lint(src, "src/repro/core/good.py") == []
+    assert _lint(src, "src/repro/runtime/good.py") == []
+    unclassified = """
+    __all__ = []
+    def retry(data, k):
+        raise PivotBreakdownError(k, data[k])
+    """
+    assert _lint(unclassified, "src/repro/resilience/free.py") == []
 
 
 def test_jav001_passes_classify_pivot_path():
