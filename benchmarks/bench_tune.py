@@ -3,14 +3,13 @@
 The three acceptance properties of ``repro.tune`` (``docs/tuning.md``),
 each measured against ground truth that does *not* come from the model:
 
-* **grid accuracy** — ``recommend()`` replayed over every configuration
-  of the committed crossover study (shape × machine × p × SLA class).
-  The scheduler oracle is the recorded DES time grid (2% regret: p2p
-  and syncfree are priced identically, several points are true ties);
-  the backend oracle is a fresh wall-clock scalar-vs-batched trisolve
-  on the actual shape; the width oracle is exhaustive enumeration of
-  the serve cost model under the oracle scheduler's sync charge.  A
-  configuration counts only when all three picks are right;
+* **grid accuracy** — ``recommend()`` replayed over every (shape, p)
+  point of the committed crossover study × SLA class.  The backend
+  oracle is a fresh wall-clock scalar-vs-batched trisolve on the actual
+  shape; the width oracle is exhaustive enumeration of the serve cost
+  model under the sync charge of the scheduler the serve rule picks
+  (the one the service runs).  A configuration counts only when both
+  picks are right;
 * **controller recovery** — the serve bench's seeded fault workload
   (straggler shard, spin faults, dropped completions, tight deadlines)
   run untuned vs tuned: the controller must cut the deadline-miss
@@ -47,9 +46,6 @@ from bench_serve import fault_workload, run_workload, workload_spec
 from bench_util import RESULTS_DIR, bench_main
 from bench_util import timeit_best as _timeit
 
-#: recorded times within this factor of the oracle best count as correct
-#: (p2p and syncfree are priced identically by the DES — true ties)
-SCHED_REGRET = 1.02
 #: wall-clock backend comparison tolerance (measurement noise floor)
 BACKEND_REGRET = 1.3
 #: per-request cost of the chosen width vs the enumerated optimum
@@ -88,38 +84,26 @@ def _oracle_width(model, features, sched, sla):
 
 
 def grid_accuracy(model, sched_doc):
-    """recommend() over every (shape, machine, p, SLA) bench configuration."""
-    points = sched_doc["points"]
+    """recommend() over every (shape, p) bench point × SLA class."""
     feature_cache = {}
     backend_cache = {}
     configs = []
-    for pt in points:
-        name, mach, p = pt["shape"], pt["machine"], pt["p"]
+    for pt in sched_doc["points"]:
+        name, p = pt["shape"], pt["p"]
         if (name, p) not in feature_cache:
-            feature_cache[name, p] = extract_features(
-                bench_shape(name), n_threads=p
-            )
+            feature_cache[name, p] = extract_features(bench_shape(name), n_threads=p)
         f = feature_cache[name, p]
         if name not in backend_cache:
             backend_cache[name] = _measure_backends(name)
         t_meas = backend_cache[name]
-        recorded = {
-            s: pt["times"][k]
-            for s, k in (
-                ("p2p", "p2p"), ("barrier", "barrier"), ("superstep", "superstep"),
-                ("syncfree", "syncfree"), ("elastic", "elastic-s4"),
-            )
-            if k in pt["times"]
-        }
-        oracle_sched = min(recorded, key=recorded.get)
         for sla_class in SLA_CLASSES:
             sla = SlaSpec.from_class(sla_class)
-            choice = model.recommend(f, mach, sla, p=p)
-            sched_ok = recorded[choice.scheduler] <= SCHED_REGRET * recorded[oracle_sched]
+            choice = model.recommend(f, sla)
+            sched = choice.scheduler
             backend_ok = t_meas[choice.backend] <= BACKEND_REGRET * min(t_meas.values())
-            ok_width, oracle_per_req = _oracle_width(model, f, oracle_sched, sla)
-            chosen_batch = model.batch_cost(f, oracle_sched, choice.max_batch)
-            budget = sla.budget_factor * model.batch_cost(f, oracle_sched, 1)
+            ok_width, oracle_per_req = _oracle_width(model, f, sched, sla)
+            chosen_batch = model.batch_cost(f, sched, choice.max_batch)
+            budget = sla.budget_factor * model.batch_cost(f, sched, 1)
             width_ok = (
                 chosen_batch <= budget
                 and chosen_batch / choice.max_batch
@@ -128,16 +112,13 @@ def grid_accuracy(model, sched_doc):
             configs.append(
                 {
                     "shape": name,
-                    "machine": mach,
                     "p": p,
                     "sla": sla_class,
                     "choice": choice.as_dict(),
-                    "oracle_scheduler": oracle_sched,
                     "oracle_width": ok_width,
-                    "scheduler_ok": bool(sched_ok),
                     "backend_ok": bool(backend_ok),
                     "width_ok": bool(width_ok),
-                    "ok": bool(sched_ok and backend_ok and width_ok),
+                    "ok": bool(backend_ok and width_ok),
                 }
             )
     n_ok = sum(c["ok"] for c in configs)
@@ -146,7 +127,6 @@ def grid_accuracy(model, sched_doc):
         "n_configs": len(configs),
         "n_correct": n_ok,
         "accuracy": n_ok / len(configs) if configs else 0.0,
-        "scheduler_accuracy": sum(c["scheduler_ok"] for c in configs) / len(configs),
         "backend_accuracy": sum(c["backend_ok"] for c in configs) / len(configs),
         "width_accuracy": sum(c["width_ok"] for c in configs) / len(configs),
         "configs": configs,
@@ -247,8 +227,7 @@ def _report(entries):
         if e["kernel"] == "grid_accuracy":
             print(
                 f"grid_accuracy       {e['n_correct']}/{e['n_configs']} "
-                f"({e['accuracy']:.0%}; sched {e['scheduler_accuracy']:.0%}, "
-                f"backend {e['backend_accuracy']:.0%}, "
+                f"({e['accuracy']:.0%}; backend {e['backend_accuracy']:.0%}, "
                 f"width {e['width_accuracy']:.0%})"
             )
         elif e["kernel"] == "controller_recovery":

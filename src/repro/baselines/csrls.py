@@ -10,7 +10,7 @@ from __future__ import annotations
 
 
 from ..machine.core import SimMachine
-from ..kernels.plans import forward_level_sets
+from ..kernels.cache import cached_analysis
 from ..sparse.csr import CSRMatrix
 from ..sparse.pattern import symmetrize_pattern
 from ..core.trisolve import (
@@ -31,7 +31,7 @@ class CSRLevelSetSolver:
 
     def __init__(self, F: CSRMatrix):
         self.F = F
-        self.levels = forward_level_sets(symmetrize_pattern(F))
+        self.levels = cached_analysis(symmetrize_pattern(F)).levels("lower")
 
     def solve(self, b):
         """x = U⁻¹ L⁻¹ b (sequential numeric sweeps)."""

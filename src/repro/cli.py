@@ -27,8 +27,8 @@ obs {report,export,diff}
     metrics snapshots (``diff``).
 tune {recommend,fit,check-regressions}
     Autotuning and regression tracking (``repro.tune``): ``recommend``
-    prints the fitted model's (backend, scheduler, batch width, tier)
-    pick for a bench shape; ``fit`` re-fits the cost model from the
+    prints the fitted model's (backend, scheduler, batch width) pick
+    for a bench shape; ``fit`` re-fits the cost model from the
     committed ``BENCH_*.json``; ``check-regressions`` diffs bench
     snapshots with noise-aware thresholds (with a planted-slowdown
     self-test) and fails on unexplained slowdowns.

@@ -52,7 +52,6 @@ from .trisolve import (
     simulate_trisolve_p2p,
     simulate_trisolve_two_stage,
 )
-from ..kernels.plans import forward_level_sets
 from ..sparse.pattern import symmetrize_pattern
 
 __all__ = ["JavelinOptions", "FactorResult", "SimReport", "JavelinILU"]
@@ -339,7 +338,7 @@ class JavelinILU:
         Used by the LS-only simulations, where no rows are excluded: the
         schedule's own level sets already cover every row.
         """
-        return forward_level_sets(symmetrize_pattern(self.S_perm))
+        return cached_analysis(symmetrize_pattern(self.S_perm)).levels("lower")
 
     def simulate_factor(
         self,

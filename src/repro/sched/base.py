@@ -89,9 +89,16 @@ class TriSolveScheduler(ABC):
     def simulate(self, S, machine, *, opts=None, both=True) -> float:
         """Modelled solve time of pattern ``S`` on a SimMachine."""
 
-    @abstractmethod
     def solve(self, F, b, *, opts=None, analysis=None) -> np.ndarray:
-        """Numeric ``x = U⁻¹ L⁻¹ b`` on the combined factor ``F``."""
+        """Numeric ``x = U⁻¹ L⁻¹ b`` on the combined factor ``F``.
+
+        Every exact mode only reorders or re-synchronizes the level
+        sweep's rows; in one process its numerics are the shared sweep,
+        bit for bit.  Only the elastic mode overrides this.
+        """
+        from ..core.trisolve import trisolve_factor_levels
+
+        return trisolve_factor_levels(F, b, analysis=analysis)
 
     def sync_points(self, S, *, opts=None) -> int:
         """Synchronization points of one full (lower+upper) apply."""
@@ -114,11 +121,6 @@ class BarrierScheduler(TriSolveScheduler):
         levels = cached_analysis(S).levels("lower")
         return simulate_trisolve_barrier(S, levels, machine, both=both)
 
-    def solve(self, F, b, *, opts=None, analysis=None):
-        from ..core.trisolve import trisolve_factor_levels
-
-        return trisolve_factor_levels(F, b, analysis=analysis)
-
 
 @register_scheduler
 class P2PScheduler(TriSolveScheduler):
@@ -132,11 +134,6 @@ class P2PScheduler(TriSolveScheduler):
 
         levels = cached_analysis(S).levels("lower")
         return simulate_trisolve_p2p(S, levels, machine, both=both)
-
-    def solve(self, F, b, *, opts=None, analysis=None):
-        from ..core.trisolve import trisolve_factor_levels
-
-        return trisolve_factor_levels(F, b, analysis=analysis)
 
 
 @register_scheduler
@@ -155,13 +152,6 @@ class SuperstepScheduler(TriSolveScheduler):
         from ..core.trisolve import simulate_trisolve_superstep
 
         return simulate_trisolve_superstep(S, machine, opts=opts, both=both)
-
-    def solve(self, F, b, *, opts=None, analysis=None):
-        # a superstep plan only reorders the level sweep's rows; in one
-        # process the numerics are the shared sweep, bit for bit
-        from ..core.trisolve import trisolve_factor_levels
-
-        return trisolve_factor_levels(F, b, analysis=analysis)
 
     def sync_points(self, S, *, opts=None) -> int:
         opts = self._opts(opts)
@@ -228,11 +218,6 @@ class SyncFreeScheduler(TriSolveScheduler):
         from ..core.trisolve import simulate_trisolve_syncfree
 
         return simulate_trisolve_syncfree(S, machine, both=both)
-
-    def solve(self, F, b, *, opts=None, analysis=None):
-        from ..core.trisolve import trisolve_factor_levels
-
-        return trisolve_factor_levels(F, b, analysis=analysis)
 
     def sync_points(self, S, *, opts=None) -> int:
         return 1  # the lower→upper hand-off; everything else is a flag poll

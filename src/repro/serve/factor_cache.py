@@ -59,16 +59,14 @@ def live_factor_caches():
 class FactorEntry:
     """One cached preconditioner and what it cost to build.
 
-    ``apply_one``/``apply_multi`` are the current 1-RHS and multi-RHS
-    applies (rebuilt together on a mid-solve demotion); ``variant`` is
-    the resilience chain's winner; ``demoted`` records that the factor
-    tier was lowered to fit a deadline budget; ``n_levels``/``nnz``
-    feed the virtual cost model.
+    ``apply_multi`` is the current multi-RHS apply (rebuilt on a revalue
+    or a mid-solve demotion); ``variant`` is the resilience chain's
+    winner; ``demoted`` records that the factor tier was lowered to fit
+    a deadline budget; ``n_levels``/``nnz`` feed the virtual cost model.
     """
 
     fingerprint: str
     factor: object
-    apply_one: object
     apply_multi: object
     variant: str
     n_levels: int
@@ -95,7 +93,7 @@ class FactorEntry:
         """Value-only refresh: same pattern, new values, factor in place.
 
         Runs the resilient chain's :meth:`refactor` (numeric phase only,
-        symbolic products reused) and rebuilds the applies.  The caller
+        symbolic products reused) and rebuilds the apply.  The caller
         guarantees ``A_new`` shares this entry's pattern; the factor
         itself re-verifies via its pattern key and raises ``ValueError``
         on a mismatch, so a fingerprint collision cannot silently
@@ -108,8 +106,7 @@ class FactorEntry:
         self.refactors += 1
 
     def refresh_applies(self):
-        """Rebuild both applies after the factor's chain advanced."""
-        self.apply_one = self.factor.build_solver()
+        """Rebuild the apply after the factor's chain advanced."""
         self.apply_multi = self.factor.build_multi_solver()
         self.variant = self.factor.report.final_variant
         self.resetups = self.factor.report.resetups

@@ -250,9 +250,6 @@ class WorkerShard:
         self.retry_policy = retry_policy or RetryPolicy()
         self.fault_plan = fault_plan
         self.staleness = staleness or StalenessPolicy()
-        # cold-build budget multiplier the tune controller may shrink:
-        # bias < 1 makes tight-deadline cold misses demote sooner
-        self.budget_bias = 1.0
         self.free_at = 0.0
         self.busy = False
         self.n_batches = 0
@@ -278,7 +275,6 @@ class WorkerShard:
         preconditioner serves nobody, a cruder one might.
         """
         full = self.cost.factor_cost(A.nnz, self.options.fill_level)
-        budget = budget * self.budget_bias
         opts, pol, demoted, charge = self.options, self.retry_policy, False, full
         if budget < full:
             opts = self.options.with_(fill_level=0, tau=0.0, modified=False)
@@ -298,7 +294,6 @@ class WorkerShard:
         entry = FactorEntry(
             fingerprint=fingerprint,
             factor=rf,
-            apply_one=rf.build_solver(),
             apply_multi=rf.build_multi_solver(),
             variant=rf.report.final_variant,
             n_levels=n_levels,
@@ -586,8 +581,8 @@ class SolveService:
         self.cost = cost or CostModel()
         self.registry = registry
         # duck-typed repro.tune controller (scheduler_override / observe
-        # / batch_policy / staleness / budget_bias); None = untuned, the
-        # default — serve never imports repro.tune
+        # / batch_policy / staleness); None = untuned, the default —
+        # serve never imports repro.tune
         self.controller = controller
         self.shards = [
             self._make_shard(
@@ -745,7 +740,6 @@ class SolveService:
                 batcher.policy = ctl.batch_policy
                 for sh in self.shards:
                     sh.staleness = ctl.staleness
-                    sh.budget_bias = ctl.budget_bias
         ordered = [
             results[r.request_id]
             for r in sorted(reqs, key=lambda r: r.request_id)

@@ -4,12 +4,13 @@ The eighth layer: turns the committed bench artifacts and the
 ``repro.obs`` counters into decisions.  Three parts:
 
 * :mod:`repro.tune.features` / :mod:`repro.tune.model` — a pattern
-  fingerprint feature vector read off the symbolic cache, and a
-  deterministic least-squares cost model fit from ``BENCH_*.json``
-  exposing ``recommend(pattern, machine, sla)``;
-* :mod:`repro.tune.controller` — the opt-in serving-loop
-  feedback controller (scheduler override, batch shape, staleness,
-  factor tier), bit-identical numerics by construction;
+  fingerprint feature vector read off the symbolic cache, the serving
+  layer's structural superstep rule, and a deterministic least-squares
+  backend/width model fit from ``BENCH_*.json`` exposing
+  ``recommend(pattern, sla)``;
+* :mod:`repro.tune.controller` — the opt-in, model-free serving-loop
+  feedback controller (scheduler override, batch shape, staleness),
+  bit-identical numerics by construction;
 * :mod:`repro.tune.regress` — noise-aware diffing of committed bench
   files, the ``repro tune check-regressions`` CI gate.
 """

@@ -2,18 +2,17 @@
 
 ::
 
-    python -m repro tune recommend --shape grid-24 --machine haswell --sla standard
+    python -m repro tune recommend --shape grid-24 --sla standard
     python -m repro tune fit --out model.json
     python -m repro tune check-regressions
     python -m repro tune check-regressions --against /path/to/old/results
 
-``recommend`` prints the static (backend, scheduler, batch width,
-factorization tier) pick for a named bench shape; ``fit`` re-fits the
-cost model from the committed ``benchmarks/results/BENCH_*.json`` and
-writes it as JSON; ``check-regressions`` diffs bench snapshots with
-noise-aware thresholds and exits non-zero on an unexplained slowdown
-— including when its own planted-slowdown negative control goes
-uncaught.
+``recommend`` prints the static (backend, scheduler, batch width) pick
+for a named bench shape; ``fit`` re-fits the cost model from the
+committed ``benchmarks/results/BENCH_*.json`` and writes it as JSON;
+``check-regressions`` diffs bench snapshots with noise-aware thresholds
+and exits non-zero on an unexplained slowdown — including when its own
+planted-slowdown negative control goes uncaught.
 """
 
 from __future__ import annotations
@@ -34,18 +33,18 @@ def _load_model(args):
 
 
 def cmd_recommend(args):
-    from .features import extract_features
+    from .features import extract_features, serve_scheduler
     from .shapes import bench_shape
 
     model = _load_model(args)
     features = extract_features(bench_shape(args.shape))
-    choice = model.recommend(features, args.machine, args.sla, p=args.p)
     doc = {
         "shape": args.shape,
-        "machine": args.machine,
         "sla": args.sla,
-        "choice": choice.as_dict(),
-        "serve_scheduler_override": model.serve_scheduler(features),
+        "choice": model.recommend(features, args.sla).as_dict(),
+        "serve_scheduler_override": serve_scheduler(
+            features.superstep_steps, features.n_levels_lower
+        ),
     }
     print(json.dumps(doc, indent=2))
     return 0
@@ -89,15 +88,11 @@ def build_parser():
     sp = sub.add_parser("recommend", help="static config pick for a bench shape")
     sp.add_argument("--shape", required=True, help="chain-N, wide-LxW or grid-N")
     sp.add_argument(
-        "--machine", default="haswell", help="haswell | knl | gpulike (default haswell)"
-    )
-    sp.add_argument(
         "--sla",
         default="standard",
         choices=("interactive", "standard", "batch"),
         help="SLA class setting the batch-width budget",
     )
-    sp.add_argument("--p", type=int, default=None, help="thread count (default: all cores)")
     sp.add_argument("--model", default=None, help="fitted model JSON (default: re-fit)")
     sp.add_argument("--results", default=None, help="bench results dir to fit from")
     sp.set_defaults(func=cmd_recommend)

@@ -18,26 +18,23 @@ already-bit-identical paths runs next:
 * **staleness** — when mean iteration counts drift up (stale factors
   degrading convergence), tighten the
   :class:`~repro.serve.staleness.StalenessPolicy` degradation
-  thresholds so refactors trigger sooner;
-* **factor tier** — optionally (``adapt_tier``) shrink the perceived
-  cold-build budget so tight-deadline cold misses demote to the
-  cheaper tier immediately rather than gambling on the full build.
+  thresholds so refactors trigger sooner.
 
 Everything is a pure function of the observed window counters, which
 are themselves a pure function of the (seeded) workload — so a tuned
 run replays identically, and the bitwise-identity guarantee of every
-underlying path (batched columns, scheduler modes, demoted-but-equal
-default options) is inherited rather than asserted.
+underlying path (batched columns, scheduler modes) is inherited rather
+than asserted.
 
-The controller deliberately has *no wall-clock inputs and no
-randomness*: determinism is what makes the tuned serve bench a
-replayable artifact instead of a demo.
+The controller deliberately has *no wall-clock inputs, no randomness
+and no fitted model*: it reads no file, and determinism is what makes
+the tuned serve bench a replayable artifact instead of a demo.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["TunePolicy", "TuneController"]
 
@@ -66,7 +63,6 @@ class TunePolicy:
     adapt_scheduler: bool = True
     adapt_batch: bool = True
     adapt_staleness: bool = True
-    adapt_tier: bool = False
 
     def __post_init__(self):
         if self.window < 1:
@@ -100,18 +96,13 @@ class TuneController:
     service consults :meth:`scheduler_override` when dispatching a
     batch whose requests did not pin a scheduler, and calls
     :meth:`observe` after each batch completes; it then re-reads
-    :attr:`batch_policy`, :attr:`staleness` and :attr:`budget_bias`.
+    :attr:`batch_policy` and :attr:`staleness`.
     The service never imports this module — the controller is duck-
     typed and opt-in (``SolveService(controller=...)``), so the untuned
     path is untouched.
     """
 
-    def __init__(self, model=None, *, policy=None, batch_policy=None, staleness=None):
-        if model is None:
-            from .model import default_model
-
-            model = default_model()
-        self.model = model
+    def __init__(self, *, policy=None, batch_policy=None, staleness=None):
         self.policy = policy or TunePolicy()
         # base_* are what "relaxed" returns to; current values start there
         from ..serve.batcher import BatchPolicy
@@ -121,7 +112,6 @@ class TuneController:
         self.batch_policy = self.base_batch_policy
         self.base_staleness = staleness or StalenessPolicy()
         self.staleness = self.base_staleness
-        self.budget_bias = 1.0
         self._window = _Window()
         self._baseline_iters = None  # first completed window's mean
         self._sched_cache: dict = {}  # pattern fingerprint -> override
@@ -132,19 +122,21 @@ class TuneController:
     def scheduler_override(self, A):
         """Scheduler to run an unpinned batch under (or ``None``).
 
-        Pure per-pattern decision, cached by pattern fingerprint; the
-        feature extraction itself is a symbolic-cache read, so the
-        steady-state cost is one dict lookup per batch.
+        Pure per-pattern decision, cached by pattern fingerprint: the
+        superstep rule over two counts read off the symbolic cache, so
+        the steady-state cost is one dict lookup per batch.
         """
         if not self.policy.adapt_scheduler:
             return None
-        from ..kernels.cache import pattern_fingerprint
+        from ..kernels.cache import cached_analysis, pattern_fingerprint
+        from .features import count_supersteps, serve_scheduler
 
         fp = pattern_fingerprint(A)
         if fp not in self._sched_cache:
-            from .features import extract_features
-
-            self._sched_cache[fp] = self.model.serve_scheduler(extract_features(A))
+            an = cached_analysis(A)
+            self._sched_cache[fp] = serve_scheduler(
+                count_supersteps(an), an.levels("lower").n_levels
+            )
         return self._sched_cache[fp]
 
     # ------------------------------------------------------------------
@@ -213,17 +205,6 @@ class TuneController:
             elif not drifting and st != self.base_staleness:
                 self.staleness = self.base_staleness
                 self._log(now, "relax_staleness", None)
-
-        if pol.adapt_tier:
-            if miss_rate > pol.miss_high and self.budget_bias == 1.0:
-                # shrink the perceived cold-build budget: tight-deadline
-                # cold misses demote immediately instead of gambling on
-                # the full-tier build
-                self.budget_bias = 0.5
-                self._log(now, "demote_bias", 0.5)
-            elif miss_rate < pol.miss_low and self.budget_bias != 1.0:
-                self.budget_bias = 1.0
-                self._log(now, "restore_bias", 1.0)
 
     def _log(self, now, action, value):
         self.decisions.append({"now": float(now), "action": action, "value": value})

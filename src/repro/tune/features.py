@@ -2,20 +2,17 @@
 
 Everything the cost model conditions on is a pure function of the
 sparsity pattern, and everything here is *already computed* by the
-symbolic layer: level sets, superstep plans, elastic schedules and
-per-row sweep costs all live in the pattern-keyed
-:class:`~repro.kernels.cache.SymbolicAnalysis`.  Feature extraction is
-therefore a read — it never re-analyzes a pattern the system has
-already touched, which is what makes consulting the tuner cheap enough
-to do per batch in the serving loop.
+symbolic layer: level sets and superstep plans live in the
+pattern-keyed :class:`~repro.kernels.cache.SymbolicAnalysis`.  Feature
+extraction is therefore a read — it never re-analyzes a pattern the
+system has already touched, which is what makes consulting the tuner
+cheap enough to do per batch in the serving loop.
 
-The feature vector deliberately mirrors the quantities the paper's
-crossover discussion ranks schedulers by: level count and level-width
-histogram (thin levels ⇒ sync-bound), critical-path depth (the serial
-floor), total sweep work and bytes (the parallel term), bandwidth and
-row density (locality), plus the two scheduler-specific structural
-counts — superstep count at a reference thread count and the elastic
-sweep bound — that price the alternatives' synchronization economy.
+The feature vector holds the level count and level-width histogram
+(thin levels ⇒ sync-bound), bandwidth and row density (locality), and
+the superstep count at a reference thread count, which prices the DAG
+partition's synchronization economy against the level-set default
+(:func:`serve_scheduler`).
 """
 
 from __future__ import annotations
@@ -26,21 +23,30 @@ import numpy as np
 
 from ..kernels.cache import cached_analysis
 
-__all__ = ["N_WIDTH_BUCKETS", "PatternFeatures", "extract_features"]
+__all__ = [
+    "N_WIDTH_BUCKETS",
+    "PLAN_THREADS",
+    "PatternFeatures",
+    "extract_features",
+    "count_supersteps",
+    "serve_scheduler",
+]
 
 #: log2-spaced level-width histogram buckets: bucket ``k`` counts
 #: levels of width in ``[2^k, 2^(k+1))``; the last bucket is open-ended
 N_WIDTH_BUCKETS = 12
+#: thread count the superstep plans are counted at
+PLAN_THREADS = 8
 
 
 @dataclass(frozen=True)
 class PatternFeatures:
     """One pattern's tuning-relevant fingerprint (both sweep directions).
 
-    ``superstep_steps`` and ``elastic_sweeps`` are evaluated at
-    ``plan_threads`` / ``plan_staleness`` — they are structural counts
-    of cached plans, recorded so a recommendation is reproducible from
-    the features alone (the purity contract the property tests assert).
+    ``superstep_steps`` is evaluated at ``plan_threads`` — a structural
+    count of the cached plans, recorded so a recommendation is
+    reproducible from the features alone (the purity contract the
+    property tests assert).
     """
 
     fingerprint: str
@@ -56,13 +62,8 @@ class PatternFeatures:
     width_hist: tuple  # fraction of levels per log2 width bucket
     bandwidth: int
     row_density: float
-    total_flops: float  # one full L+U sweep, all rows
-    total_bytes: float
-    crit_flops: float  # sum over levels of the widest row's flops
     superstep_steps: int
-    elastic_sweeps: int
     plan_threads: int
-    plan_staleness: int
 
     def as_vector(self):
         """Flat numeric tuple (histogram inlined) — hashing/property-test aid."""
@@ -95,7 +96,32 @@ def _width_histogram(widths):
     return tuple(hist / widths.size)
 
 
-def extract_features(M, *, n_threads=8, staleness=4) -> PatternFeatures:
+def count_supersteps(analysis, n_threads=PLAN_THREADS):
+    """Supersteps of one full apply (lower + upper sweep) at ``n_threads``."""
+    return sum(
+        int(analysis.superstep_plan(part, n_threads=n_threads).n_steps)
+        for part in ("lower", "upper")
+    )
+
+
+def serve_scheduler(superstep_steps, n_levels_lower):
+    """Serving-loop scheduler override: ``"superstep"`` when the DAG
+    partition pays fewer syncs than the level-set charge (two per lower
+    level), else ``None`` (keep the p2p default).
+
+    The structural rule of superstep scheduling (Böhnlein et al.,
+    arXiv 2503.05408), restricted to superstep deliberately:
+    it is the one exact mode whose serve-side sync economy is a pure
+    count of the cached plan (``n_steps``), so the override is
+    reproducible from two structural counts and provably changes only
+    the virtual-time charge, never the applied numerics.
+    """
+    if superstep_steps < 2 * n_levels_lower:
+        return "superstep"
+    return None
+
+
+def extract_features(M, *, n_threads=PLAN_THREADS) -> PatternFeatures:
     """Feature vector of ``M``'s pattern, read off the symbolic cache.
 
     Deterministic: same pattern (same fingerprint) ⇒ same features,
@@ -106,26 +132,6 @@ def extract_features(M, *, n_threads=8, staleness=4) -> PatternFeatures:
     lv_lo = an.levels("lower")
     lv_up = an.levels("upper")
     widths = np.diff(lv_lo.level_ptr)
-
-    total_flops = total_bytes = crit_flops = 0.0
-    for part, lv in (("lower", lv_lo), ("upper", lv_up)):
-        fl, tl = an.solve_costs(part)
-        total_flops += float(np.sum(fl))
-        total_bytes += 8.0 * float(np.sum(tl))
-        fl_levelled = fl[lv.rows]
-        lp = lv.level_ptr
-        crit_flops += float(
-            sum(fl_levelled[lp[i]: lp[i + 1]].max() for i in range(lv.n_levels))
-        )
-
-    steps = sum(
-        int(an.superstep_plan(part, n_threads=n_threads).n_steps)
-        for part in ("lower", "upper")
-    )
-    sweeps = 0
-    for part in ("lower", "upper"):
-        es = an.elastic_schedule(part, staleness=staleness)
-        sweeps += int(es.final_sweep.max()) + 1 if es.final_sweep.size else 1
 
     row_of_entry = np.repeat(np.arange(M.n_rows), np.diff(M.indptr))
     bandwidth = (
@@ -147,11 +153,6 @@ def extract_features(M, *, n_threads=8, staleness=4) -> PatternFeatures:
         width_hist=_width_histogram(widths),
         bandwidth=bandwidth,
         row_density=float(M.nnz / max(1, M.n_rows)),
-        total_flops=total_flops,
-        total_bytes=total_bytes,
-        crit_flops=crit_flops,
-        superstep_steps=steps,
-        elastic_sweeps=sweeps,
+        superstep_steps=count_supersteps(an, n_threads),
         plan_threads=int(n_threads),
-        plan_staleness=int(staleness),
     )

@@ -1,20 +1,16 @@
-"""Fitted cost model and ``recommend(pattern, machine, sla)``.
+"""Fitted cost model and ``recommend(pattern, sla)``.
 
 The model turns the committed bench artifacts into a *policy*: given a
-pattern's :class:`~repro.tune.features.PatternFeatures`, a machine and
-an SLA, pick the (backend, scheduler, batch width, factorization tier)
-tuple the knobs currently leave to the operator.
+pattern's :class:`~repro.tune.features.PatternFeatures` and an SLA,
+pick the (backend, scheduler, batch width) tuple the knobs currently
+leave to the operator.
 
-Three fits, all deterministic (``numpy.linalg.lstsq`` on fixed inputs
-— the recorded ``seed`` only stamps provenance):
+The scheduler is not fitted: it is the serving layer's structural
+superstep rule (:func:`~repro.tune.features.serve_scheduler`), so a
+recommendation prices width under the scheduler the service would
+actually run.  Two fits, both deterministic (``numpy.linalg.lstsq`` on
+fixed inputs — the recorded ``seed`` only stamps provenance):
 
-* **Scheduler** — per-scheduler linear models over structural columns
-  (serial critical-path time, roofline parallel time, and each mode's
-  own sync term: levels × spin for p2p/syncfree, levels × barrier for
-  the barrier baseline, supersteps × barrier for DAG partitions, sweep
-  multiples for elastic), fit against ``BENCH_sched.json`` in
-  *relative* error — ``lstsq(X / y, 1)`` — so the microsecond chain
-  points weigh the same as the millisecond grids.
 * **Backend** — scalar sweeps pay per entry, batched sweeps pay per
   level plus per entry; the crossover is the entries-per-level ratio.
   Fit from ``BENCH_kernels.json`` trisolve rows.
@@ -23,28 +19,21 @@ Three fits, all deterministic (``numpy.linalg.lstsq`` on fixed inputs
   margin grows to twice the worst coefficient of variation, so a width
   step is only taken when its gain clears measurement noise.
 
-The scheduler fit is the ROADMAP item-2 follow-on: superstep vs p2p vs
-elastic is read off the level structure instead of a ``--scheduler``
-knob.  Correctness on the bench grid is judged with 2% regret — a pick
-is right if its *true* time is within 2% of the oracle best — because
-p2p and syncfree are priced identically by the DES and several points
-are genuine ties.
+Both fall back to fixed rates when their bench file is absent, so a
+model is always constructible.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import PatternFeatures, extract_features
+from .features import PatternFeatures, extract_features, serve_scheduler
 
 __all__ = [
-    "SCHEDULERS",
-    "PREFERENCE",
     "WIDTHS",
     "SlaSpec",
     "TuneChoice",
@@ -54,13 +43,7 @@ __all__ = [
     "results_dir",
 ]
 
-SCHEDULERS = ("p2p", "barrier", "superstep", "syncfree", "elastic")
-#: tie-break order for equal predictions: prefer the modes that are
-#: exact and cheapest to plan
-PREFERENCE = ("p2p", "superstep", "syncfree", "barrier", "elastic")
 WIDTHS = (1, 2, 4, 8, 16, 32, 64)
-#: staleness the elastic columns are fit against (the bench's middle arm)
-ELASTIC_STALENESS = 4
 
 
 @dataclass(frozen=True)
@@ -95,10 +78,8 @@ class TuneChoice:
     """One recommendation — every field names an existing bit-identical path."""
 
     backend: str  # "scalar" | "batched"
-    scheduler: str
+    scheduler: str  # "p2p" | "superstep"
     max_batch: int
-    factor_tier: str  # "full" | "ilu0"
-    predicted_solve_s: float  # picked scheduler, DES scale
     predicted_batch_s: float  # picked width, serve CostModel scale
 
     def as_dict(self):
@@ -106,68 +87,19 @@ class TuneChoice:
             "backend": self.backend,
             "scheduler": self.scheduler,
             "max_batch": self.max_batch,
-            "factor_tier": self.factor_tier,
-            "predicted_solve_s": self.predicted_solve_s,
             "predicted_batch_s": self.predicted_batch_s,
         }
-
-
-def _scheduler_columns(f: PatternFeatures, spec, p, sched):
-    """Structural cost columns for one scheduler on one machine point."""
-    spin = spec.spin_poll
-    barrier = spec.barrier_base + spec.barrier_per_log2p * math.log2(max(2, p))
-    serial = f.crit_flops / spec.flops_per_core
-    par = f.total_flops / (p * spec.flops_per_core) + f.total_bytes / min(
-        p * spec.single_thread_bw, spec.socket_bw * spec.n_sockets
-    )
-    if sched in ("p2p", "syncfree"):
-        chain_frac = f.crit_flops / f.total_flops if f.total_flops else 0.0
-        return [serial, par, f.n_levels * spin, chain_frac * f.n_levels * spin]
-    if sched == "barrier":
-        return [serial, par, f.n_levels * barrier]
-    if sched == "superstep":
-        return [serial, par, f.superstep_steps * barrier]
-    if sched == "elastic":
-        return [serial * f.elastic_sweeps, par * f.elastic_sweeps,
-                f.elastic_sweeps * barrier]
-    raise ValueError(f"unknown scheduler {sched!r}")
-
-
-def _machine_presets(scale):
-    from ..machine import gpulike, haswell, knl
-
-    specs = {"haswell": haswell(), "knl": knl(), "gpulike": gpulike()}
-    if scale is not None:
-        specs = {k: v.scaled_overheads(scale) for k, v in specs.items()}
-    return specs
 
 
 @dataclass
 class TuneModel:
     """Fitted predictor behind :meth:`recommend`; serializable, pure."""
 
-    sched_coef: dict  # scheduler -> list of column weights
     backend_scalar_rate: float  # seconds per factor entry, scalar sweep
     backend_batched_coef: tuple  # (per-level, per-entry) seconds
     width_margin: float = 0.05
-    overhead_scale: float | None = None  # machine overhead scale the fit used
     seed: int = 0
     meta: dict = field(default_factory=dict)
-
-    # -- scheduler ----------------------------------------------------
-    def predict_scheduler_times(self, features, machine, *, p=None):
-        spec = self._resolve_machine(machine)
-        if p is None:
-            p = spec.n_sockets * spec.cores_per_socket
-        return {
-            s: float(np.dot(_scheduler_columns(features, spec, p, s), w))
-            for s, w in self.sched_coef.items()
-        }
-
-    def pick_scheduler(self, features, machine, *, p=None):
-        preds = self.predict_scheduler_times(features, machine, p=p)
-        pick = min(preds, key=lambda k: (preds[k], PREFERENCE.index(k)))
-        return pick, preds
 
     # -- backend ------------------------------------------------------
     def predict_backend_times(self, features):
@@ -180,20 +112,15 @@ class TuneModel:
         t = self.predict_backend_times(features)
         return ("batched" if t["batched"] < t["scalar"] else "scalar"), t
 
-    # -- width / tier (serve CostModel economics) ---------------------
+    # -- width (serve CostModel economics) ----------------------------
     def sync_points_for(self, features, scheduler):
         """Sync charge one preconditioner pass pays under ``scheduler``,
         read off the features (mirrors ``repro.sched.effective_sync_passes``
-        as the serving layer prices it; elastic is approximated by its
-        sweep multiple since the exact count needs the block schedule)."""
-        if scheduler in ("p2p", "barrier"):
+        as the serving layer prices it)."""
+        if scheduler == "p2p":
             return 2.0 * features.n_levels_lower
         if scheduler == "superstep":
             return float(features.superstep_steps)
-        if scheduler == "syncfree":
-            return 1.0
-        if scheduler == "elastic":
-            return float(features.n_levels * features.elastic_sweeps)
         raise ValueError(f"unknown scheduler {scheduler!r}")
 
     def batch_cost(self, features, scheduler, k, *, cost=None):
@@ -232,70 +159,36 @@ class TuneModel:
                 return k, per_req[k] * k
         return 1, c1  # unreachable; keeps the contract total
 
-    def pick_tier(self, features, sla: SlaSpec):
-        """Demote to ILU(0) when a full-tier factor blows the SLA budget."""
-        cost = self._serve_cost()
-        c1 = self.batch_cost(features, "p2p", 1, cost=cost)
-        full = cost.factor_cost(features.nnz, fill_level=1)
-        return "full" if full <= sla.budget_factor * c1 else "ilu0"
-
     # -- the policy ---------------------------------------------------
-    def recommend(self, pattern, machine, sla=None, *, p=None) -> TuneChoice:
-        """Pure function of (features, machine, sla) → :class:`TuneChoice`.
+    def recommend(self, pattern, sla=None) -> TuneChoice:
+        """Pure function of (features, sla) → :class:`TuneChoice`.
 
         ``pattern`` may be a matrix or an already-extracted
-        :class:`PatternFeatures`; ``machine`` a MachineSpec or a preset
-        name; ``sla`` an :class:`SlaSpec` or an SLA class name.
+        :class:`PatternFeatures`; ``sla`` an :class:`SlaSpec` or an SLA
+        class name.
         """
         features = self._resolve_features(pattern)
         if sla is None:
             sla = SlaSpec()
         elif isinstance(sla, str):
             sla = SlaSpec.from_class(sla)
-        scheduler, sched_preds = self.pick_scheduler(features, machine, p=p)
+        scheduler = (
+            serve_scheduler(features.superstep_steps, features.n_levels_lower) or "p2p"
+        )
         backend, _ = self.pick_backend(features)
         width, batch_s = self.pick_width(features, scheduler, sla)
-        tier = self.pick_tier(features, sla)
         return TuneChoice(
             backend=backend,
             scheduler=scheduler,
             max_batch=width,
-            factor_tier=tier,
-            predicted_solve_s=sched_preds[scheduler],
             predicted_batch_s=batch_s,
         )
-
-    def serve_scheduler(self, features):
-        """Serving-loop scheduler override: ``"superstep"`` when the DAG
-        partition pays fewer syncs than the default level-set charge,
-        else ``None`` (keep the p2p default).
-
-        Restricted to superstep deliberately: it is the one exact mode
-        whose serve-side sync economy is a pure structural count of the
-        cached plan (``n_steps``), so the override is reproducible from
-        features alone and provably changes only the virtual-time
-        charge, never the applied numerics.
-        """
-        if features.superstep_steps < 2 * features.n_levels_lower:
-            return "superstep"
-        return None
 
     # -- plumbing -----------------------------------------------------
     def _resolve_features(self, pattern):
         if isinstance(pattern, PatternFeatures):
             return pattern
         return extract_features(pattern)
-
-    def _resolve_machine(self, machine):
-        if isinstance(machine, str):
-            try:
-                return _machine_presets(self.overhead_scale)[machine]
-            except KeyError:
-                raise ValueError(
-                    f"unknown machine preset {machine!r}; expected one of "
-                    "('haswell', 'knl', 'gpulike') or a MachineSpec"
-                ) from None
-        return machine
 
     def _serve_cost(self):
         from ..serve.workers import CostModel
@@ -307,9 +200,7 @@ class TuneModel:
         return {
             "schema": "repro.tune.model/v1",
             "seed": self.seed,
-            "overhead_scale": self.overhead_scale,
             "width_margin": self.width_margin,
-            "sched_coef": {k: list(map(float, v)) for k, v in self.sched_coef.items()},
             "backend": {
                 "scalar_rate": self.backend_scalar_rate,
                 "batched_coef": list(self.backend_batched_coef),
@@ -322,11 +213,9 @@ class TuneModel:
         if doc.get("schema") != "repro.tune.model/v1":
             raise ValueError(f"unexpected model schema {doc.get('schema')!r}")
         return cls(
-            sched_coef={k: [float(x) for x in v] for k, v in doc["sched_coef"].items()},
             backend_scalar_rate=float(doc["backend"]["scalar_rate"]),
             backend_batched_coef=tuple(float(x) for x in doc["backend"]["batched_coef"]),
             width_margin=float(doc.get("width_margin", 0.05)),
-            overhead_scale=doc.get("overhead_scale"),
             seed=int(doc.get("seed", 0)),
             meta=doc.get("meta", {}),
         )
@@ -335,51 +224,6 @@ class TuneModel:
 # ----------------------------------------------------------------------
 # fitting
 # ----------------------------------------------------------------------
-def _fit_schedulers(sched_doc):
-    """Per-scheduler relative-error least squares over the crossover grid."""
-    from .shapes import bench_shape
-
-    scale = sched_doc.get("meta", {}).get("scale")
-    specs = _machine_presets(scale)
-    points = sched_doc["points"]
-
-    shapes = {}
-    rows = []
-    for pt in points:
-        name = pt["shape"]
-        if name not in shapes:
-            shapes[name] = bench_shape(name)
-        f = extract_features(
-            shapes[name], n_threads=pt["p"], staleness=ELASTIC_STALENESS
-        )
-        rows.append((pt, f))
-
-    coef = {}
-    residuals = {}
-    for sched in SCHEDULERS:
-        X, y = [], []
-        for pt, f in rows:
-            t = pt["times"].get(
-                f"elastic-s{ELASTIC_STALENESS}" if sched == "elastic" else sched
-            )
-            if t is None:
-                continue
-            X.append(_scheduler_columns(f, specs[pt["machine"]], pt["p"], sched))
-            y.append(t)
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        # relative-error least squares: solve (X / y) w ≈ 1 so every
-        # grid point counts equally regardless of its absolute scale
-        w, *_ = np.linalg.lstsq(X / y[:, None], np.ones(len(y)), rcond=None)
-        coef[sched] = [float(c) for c in w]
-        rel = np.abs(X @ w - y) / y
-        residuals[sched] = {
-            "max_rel": float(rel.max()),
-            "mean_rel": float(rel.mean()),
-        }
-    return coef, scale, residuals
-
-
 def _fit_backend(kernels_doc):
     """Segmented backend fit: scalar per-entry rate vs batched per-level
     + per-entry rates, from the trisolve rows of ``BENCH_kernels.json``.
@@ -430,17 +274,16 @@ def _calibrate_width_margin(serve_doc, base=0.05):
     return float(min(margin, 0.5))
 
 
-def fit_model(sched_doc, kernels_doc=None, serve_doc=None, *, seed=0) -> TuneModel:
+def fit_model(kernels_doc=None, serve_doc=None, *, seed=0) -> TuneModel:
     """Fit a :class:`TuneModel` from the committed bench documents.
 
     Deterministic: the fit is closed-form least squares on fixed
     inputs; ``seed`` is recorded so two fits are comparable by
     provenance, and a re-fit from the same JSON is bit-identical.
     """
-    coef, scale, residuals = _fit_schedulers(sched_doc)
     scalar_rate, batched = _fit_backend(kernels_doc)
     margin = _calibrate_width_margin(serve_doc)
-    meta = {"n_points": len(sched_doc["points"]), "sched_residuals": residuals}
+    meta = {}
     if serve_doc:
         obs = serve_doc.get("metrics", {}).get("metrics", {})
         observed = {}
@@ -452,11 +295,9 @@ def fit_model(sched_doc, kernels_doc=None, serve_doc=None, *, seed=0) -> TuneMod
         if observed:
             meta["observed"] = observed
     return TuneModel(
-        sched_coef=coef,
         backend_scalar_rate=scalar_rate,
         backend_batched_coef=batched,
         width_margin=margin,
-        overhead_scale=scale,
         seed=seed,
         meta=meta,
     )
@@ -479,15 +320,14 @@ def _load_json(path):
 
 
 def default_model(results=None, *, seed=0) -> TuneModel:
-    """Fit from the committed ``benchmarks/results/BENCH_*.json``."""
+    """Fit from the committed ``benchmarks/results/BENCH_*.json``.
+
+    Missing files fall back to the fixed rates of :func:`_fit_backend`
+    and the base width margin, so this never raises on an absent
+    results directory (an installed package has none).
+    """
     results = results or results_dir()
-    sched_doc = _load_json(os.path.join(results, "BENCH_sched.json"))
-    if sched_doc is None:
-        raise FileNotFoundError(
-            f"no BENCH_sched.json under {results}; run benchmarks/bench_sched.py first"
-        )
     return fit_model(
-        sched_doc,
         _load_json(os.path.join(results, "BENCH_kernels.json")),
         _load_json(os.path.join(results, "BENCH_serve.json")),
         seed=seed,

@@ -51,7 +51,6 @@ def _entry(A):
     return FactorEntry(
         fingerprint="t",
         factor=rf,
-        apply_one=rf.build_solver(),
         apply_multi=rf.build_multi_solver(),
         variant=rf.report.final_variant,
         n_levels=1,

@@ -1,6 +1,6 @@
 """Property tests of the tuner's two contracts.
 
-* ``recommend()`` is a **pure function** of (features, machine, SLA):
+* ``recommend()`` is a **pure function** of (features, SLA):
   the same inputs give the same choice — within a process, across
   independently re-fitted models, and across processes (the fit is
   closed-form least squares on committed JSON, so there is nothing to
@@ -31,7 +31,6 @@ from repro.serve.workload import solutions_identical
 from repro.tune import TuneController, default_model, extract_features
 from repro.tune.shapes import bench_shape
 
-MACHINES = ("haswell", "knl", "gpulike")
 SLAS = ("interactive", "standard", "batch")
 
 
@@ -52,13 +51,12 @@ def model():
 
 class TestRecommendPurity:
     @settings(max_examples=20, deadline=None)
-    @given(shape_names(), st.sampled_from(MACHINES), st.sampled_from(SLAS),
-           st.integers(2, 64))
-    def test_same_inputs_same_choice(self, model, name, machine, sla, p):
-        f = extract_features(bench_shape(name))
-        first = model.recommend(f, machine, sla, p=p)
-        again = model.recommend(f, machine, sla, p=p)
-        refit = default_model().recommend(f, machine, sla, p=p)
+    @given(shape_names(), st.sampled_from(SLAS), st.integers(2, 64))
+    def test_same_inputs_same_choice(self, model, name, sla, p):
+        f = extract_features(bench_shape(name), n_threads=p)
+        first = model.recommend(f, sla)
+        again = model.recommend(f, sla)
+        refit = default_model().recommend(f, sla)
         assert first == again == refit
 
     @settings(max_examples=10, deadline=None)
@@ -67,17 +65,17 @@ class TestRecommendPurity:
         """Two matrices with the same pattern get the same choice."""
         A, B = bench_shape(name), bench_shape(name)
         B.data = B.data * 3.0 - 1.0  # values differ; pattern identical
-        assert model.recommend(A, "haswell") == model.recommend(B, "haswell")
+        assert model.recommend(A) == model.recommend(B)
 
     def test_choice_identical_across_processes(self, model, tmp_path):
         """The purity contract that matters for fleet config: a choice
         computed in a fresh interpreter matches this process bit-for-bit."""
-        cases = [("chain-32", "knl", "interactive", 8),
-                 ("wide-4x8", "haswell", "batch", 14),
-                 ("grid-8", "gpulike", "standard", 32)]
+        cases = [("chain-32", "interactive", 8),
+                 ("wide-4x8", "batch", 14),
+                 ("grid-8", "standard", 32)]
         here = [
-            model.recommend(extract_features(bench_shape(n)), m, s, p=p).as_dict()
-            for n, m, s, p in cases
+            model.recommend(extract_features(bench_shape(n), n_threads=p), s).as_dict()
+            for n, s, p in cases
         ]
         prog = (
             "import json, sys\n"
@@ -85,8 +83,8 @@ class TestRecommendPurity:
             "from repro.tune.shapes import bench_shape\n"
             "model = default_model()\n"
             "cases = json.loads(sys.argv[1])\n"
-            "out = [model.recommend(extract_features(bench_shape(n)), m, s, p=p)"
-            ".as_dict() for n, m, s, p in cases]\n"
+            "out = [model.recommend(extract_features(bench_shape(n), n_threads=p), s)"
+            ".as_dict() for n, s, p in cases]\n"
             "print(json.dumps(out))\n"
         )
         env = dict(os.environ)

@@ -11,7 +11,6 @@ from repro.serve.factor_cache import _reset_name_counter
 
 
 def _entry(fp="fp", factor=None, **kw):
-    kw.setdefault("apply_one", None)
     kw.setdefault("apply_multi", None)
     kw.setdefault("variant", "primary")
     kw.setdefault("n_levels", 3)
@@ -77,10 +76,10 @@ class TestRevalue:
         assert entry.fingerprint == new_fp
         assert entry.refactors == 1
         assert entry.stale_steps == 0
-        # the refreshed applies match a from-scratch factor of A1
+        # the refreshed factor matches a from-scratch factor of A1
         fresh = ResilientFactor().setup(A1)
         x = np.linspace(0.0, 1.0, A1.n_rows)
-        assert np.array_equal(entry.apply_one(x), fresh.build_solver()(x))
+        assert np.array_equal(entry.factor.build_solver()(x), fresh.build_solver()(x))
 
     def test_revalue_rejects_pattern_mismatch(self):
         rf = ResilientFactor().setup(grid2d(8))

@@ -57,7 +57,6 @@ class TestStalenessPolicy:
     def _entry(self, **kw):
         kw.setdefault("fingerprint", "fp")
         kw.setdefault("factor", None)
-        kw.setdefault("apply_one", None)
         kw.setdefault("apply_multi", None)
         kw.setdefault("variant", "primary")
         kw.setdefault("n_levels", 1)

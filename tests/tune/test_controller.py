@@ -4,9 +4,18 @@ from dataclasses import dataclass
 
 import pytest
 
+import repro.tune.model
+from repro.serve import (
+    CostModel,
+    SolveService,
+    WorkloadSpec,
+    build_matrices,
+    generate_requests,
+)
 from repro.serve.batcher import BatchPolicy
 from repro.serve.staleness import StalenessPolicy
-from repro.tune import TuneController, TunePolicy, default_model
+from repro.serve.workload import solutions_identical
+from repro.tune import TuneController, TunePolicy
 from repro.tune.shapes import chain_matrix, wide_matrix
 
 
@@ -18,14 +27,8 @@ class _R:
     iterations: int = 10
 
 
-@pytest.fixture(scope="module")
-def model():
-    return default_model()
-
-
-def _controller(model, **policy_kw):
+def _controller(**policy_kw):
     return TuneController(
-        model,
         policy=TunePolicy(window=2, **policy_kw),
         batch_policy=BatchPolicy(max_batch=16, max_wait=0.01),
     )
@@ -51,82 +54,105 @@ class TestPolicyValidation:
 
 
 class TestBatchAdaptation:
-    def test_miss_pressure_tightens(self, model):
-        ctl = _controller(model)
+    def test_miss_pressure_tightens(self):
+        ctl = _controller()
         _feed(ctl, 2, outcome="deadline_miss")
         assert ctl.batch_policy.max_wait < ctl.base_batch_policy.max_wait
         assert ctl.batch_policy.max_batch > ctl.base_batch_policy.max_batch
         assert ctl.decisions[0]["action"] == "tighten_batch"
 
-    def test_deep_queue_alone_does_not_tighten(self, model):
+    def test_deep_queue_alone_does_not_tighten(self):
         """A deep queue with zero misses just means batching can drain it."""
-        ctl = _controller(model)
+        ctl = _controller()
         _feed(ctl, 2, queue=50)
         assert ctl.batch_policy == ctl.base_batch_policy
         assert ctl.decisions == []
 
-    def test_calm_window_relaxes_back_to_base(self, model):
-        ctl = _controller(model)
+    def test_calm_window_relaxes_back_to_base(self):
+        ctl = _controller()
         _feed(ctl, 2, outcome="deadline_miss")
         tightened = ctl.batch_policy
         _feed(ctl, 4, outcome="served", t0=1.0)
         assert ctl.batch_policy.max_wait >= tightened.max_wait
         assert ctl.batch_policy.max_batch <= tightened.max_batch
 
-    def test_tighten_is_clamped(self, model):
-        ctl = _controller(model)
+    def test_tighten_is_clamped(self):
+        ctl = _controller()
         _feed(ctl, 20, outcome="deadline_miss")
         assert ctl.batch_policy.max_wait >= ctl.policy.min_wait
         assert ctl.batch_policy.max_batch <= ctl.policy.max_batch
 
 
 class TestStalenessAdaptation:
-    def test_drift_tightens_stale_mode_only(self, model):
+    def test_drift_tightens_stale_mode_only(self):
         stale = StalenessPolicy(mode="stale", degrade_factor=2.0, degrade_margin=4)
-        ctl = TuneController(
-            model, policy=TunePolicy(window=2), staleness=stale
-        )
+        ctl = TuneController(policy=TunePolicy(window=2), staleness=stale)
         _feed(ctl, 2, iters=10)  # establishes the baseline
         _feed(ctl, 2, iters=40, t0=1.0)  # 4x drift
         assert ctl.staleness.degrade_factor < stale.degrade_factor
         assert ctl.staleness.degrade_margin == 3
 
-    def test_refactor_mode_untouched(self, model):
-        ctl = _controller(model)  # default staleness: refactor mode
+    def test_refactor_mode_untouched(self):
+        ctl = _controller()  # default staleness: refactor mode
         _feed(ctl, 2, iters=10)
         _feed(ctl, 2, iters=40, t0=1.0)
         assert ctl.staleness == ctl.base_staleness
 
 
-class TestTierBias:
-    def test_bias_demotes_and_restores(self, model):
-        ctl = _controller(model, adapt_tier=True)
-        _feed(ctl, 2, outcome="deadline_miss")
-        assert ctl.budget_bias == 0.5
-        _feed(ctl, 2, outcome="served", t0=1.0)
-        assert ctl.budget_bias == 1.0
-
-
 class TestSchedulerOverride:
-    def test_cached_per_fingerprint(self, model):
-        ctl = _controller(model)
+    def test_cached_per_fingerprint(self):
+        ctl = _controller()
         A = chain_matrix(60)
         first = ctl.scheduler_override(A)
         assert first == "superstep"
         assert ctl.scheduler_override(A) == first
         assert len(ctl._sched_cache) == 1
 
-    def test_disabled_by_policy(self, model):
-        ctl = _controller(model, adapt_scheduler=False)
+    def test_disabled_by_policy(self):
+        ctl = _controller(adapt_scheduler=False)
         assert ctl.scheduler_override(wide_matrix(3, 8)) is None
         assert ctl._sched_cache == {}
 
 
 class TestMetrics:
-    def test_counters_namespace(self, model):
-        ctl = _controller(model)
+    def test_counters_namespace(self):
+        ctl = _controller()
         _feed(ctl, 2, outcome="deadline_miss")
         m = ctl.metrics()
         assert m["tune.windows"] == 1
         assert m["tune.decisions"] == len(ctl.decisions) == 1
         assert m["tune.action.tighten_batch"] == 1
+
+
+class TestNoBenchFiles:
+    def test_tuned_run_needs_no_results_dir(self, tmp_path, monkeypatch):
+        """An installed package has no ``benchmarks/results``: the
+        controller must construct and serve the same outcomes without it."""
+        spec = WorkloadSpec(
+            seed=5,
+            n_requests=32,
+            rate=700.0,
+            patterns=("grid2d-8", "grid2d-10"),
+            deadline_lo=0.02,
+            deadline_hi=0.2,
+            maxiter=60,
+        )
+
+        def tuned_run():
+            matrices = build_matrices(spec.patterns)
+            service = SolveService(
+                matrices,
+                n_shards=2,
+                batch_policy=BatchPolicy(max_batch=16, max_wait=0.01),
+                cost=CostModel(),
+                controller=TuneController(
+                    batch_policy=BatchPolicy(max_batch=16, max_wait=0.01)
+                ),
+            )
+            return service.run(generate_requests(spec, matrices))
+
+        committed = tuned_run()
+        monkeypatch.setattr(repro.tune.model, "results_dir", lambda: str(tmp_path))
+        empty = tuned_run()
+        assert [r.outcome for r in empty] == [r.outcome for r in committed]
+        assert solutions_identical(empty, committed)

@@ -30,10 +30,8 @@ class TestStructuralCounts:
 
     def test_totals_positive(self):
         f = extract_features(grid_matrix(6))
-        assert f.total_flops > 0 and f.total_bytes > 0
-        assert 0 < f.crit_flops <= f.total_flops
+        assert f.nnz > 0 and f.n_levels == f.n_levels_lower + f.n_levels_upper
         assert f.superstep_steps >= 2  # at least one step per sweep direction
-        assert f.elastic_sweeps >= 2
 
 
 class TestDeterminism:
@@ -44,9 +42,8 @@ class TestDeterminism:
         assert a.as_vector() == b.as_vector()
 
     def test_plan_params_recorded(self):
-        f = extract_features(chain_matrix(10), n_threads=3, staleness=2)
+        f = extract_features(chain_matrix(10), n_threads=3)
         assert f.plan_threads == 3
-        assert f.plan_staleness == 2
 
     def test_values_do_not_matter(self):
         A = grid_matrix(6)
