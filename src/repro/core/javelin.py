@@ -356,9 +356,10 @@ class JavelinILU:
         """Modelled factorization time on a simulated machine.
 
         ``sync`` is "p2p" (Javelin) or "barrier" (traditional level
-        scheduling).  ``lower=False`` forces the LS-only configuration
-        (every row level-scheduled); ``lower=True``/None uses the
-        two-stage schedule with the resolved ER/SR method.
+        scheduling); any other value raises ``ValueError``.
+        ``lower=False`` forces the LS-only configuration (every row
+        level-scheduled); ``lower=True``/None uses the two-stage
+        schedule with the resolved ER/SR method.
         ``tasking_runtime`` ("openmp" | "lightweight") selects the SR
         task model; ``numa_aware_er`` applies §V's proposed first-touch
         blocking to the ER stage; ``sched_policy``/``sched_chunk``
@@ -367,23 +368,31 @@ class JavelinILU:
         ``fault_plan``/``fault_report`` inject machine faults into the
         p2p DES and report what fired (see ``repro.resilience``); for
         straggler slowdowns to apply, construct the machine itself with
-        the plan (``SimMachine(spec, p, fault_plan=plan)``).
+        the plan (``SimMachine(spec, p, fault_plan=plan)``).  These four
+        options apply only to ``sync="p2p"``; passing a non-default one
+        with ``sync="barrier"`` raises ``ValueError``.
         """
+        if sync not in ("p2p", "barrier"):
+            raise ValueError(f"unknown sync model {sync!r}; use 'p2p' or 'barrier'")
+        upper_kw = {
+            "policy": sched_policy,
+            "chunk": sched_chunk,
+            "fault_plan": fault_plan,
+            "fault_report": fault_report,
+        }
+        sim_upper = simulate_upper_p2p
+        if sync == "barrier":
+            defaults = {"policy": "static", "chunk": 1, "fault_plan": None, "fault_report": None}
+            if upper_kw != defaults:
+                raise ValueError(
+                    "sched_policy, sched_chunk, fault_plan and fault_report "
+                    "apply only to sync='p2p'"
+                )
+            sim_upper, upper_kw = simulate_upper_barrier, {}
         flops, touched = self._factor_costs()
         use_lower = (
             self.schedule.n_lower_rows > 0 if lower is None else bool(lower)
         ) and self.schedule.n_lower_rows > 0
-        sim_upper = simulate_upper_p2p if sync == "p2p" else simulate_upper_barrier
-        upper_kw = (
-            {
-                "policy": sched_policy,
-                "chunk": sched_chunk,
-                "fault_plan": fault_plan,
-                "fault_report": fault_report,
-            }
-            if sync == "p2p"
-            else {}
-        )
         if not use_lower:
             ls = self._full_level_ptr()
             # rows are already in level order, so ls.level_ptr applies

@@ -20,7 +20,14 @@ structure computed on the strict-upper pattern.
 
 Numeric solves are plain sequential sweeps on the combined L\\U factor;
 the simulate_* functions replay the strategy on a
-:class:`~repro.machine.SimMachine` and return the modelled time.
+:class:`~repro.machine.SimMachine` and return the modelled time.  Each
+strategy is a row order plus a row→thread map handed to the DES sweep
+:func:`repro.core.upper.simulate_sweep` — CSR-LS with one barrier step
+per level and each level dealt from thread 0 (the ``superstep_sim``
+kernel), LS and LS + Lower point-to-point with positions dealt
+round-robin (the ``upper_p2p_sim`` kernel).  This module adds only
+LS + Lower's tile and corner charges, and :func:`simulate_sweeps`, the
+forward-then-backward frame every scheduler's ``simulate`` shares.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from ..sparse.csr import CSRMatrix
 from ..ordering.levelsets import LevelSets
 from ..kernels import backward_level_sets, cached_analysis, get_kernel
 from .symbolic import row_solve_costs
+from .upper import simulate_sweep
 
 __all__ = [
     "trisolve_lower_serial",
@@ -43,9 +51,7 @@ __all__ = [
     "simulate_trisolve_barrier",
     "simulate_trisolve_p2p",
     "simulate_trisolve_two_stage",
-    "simulate_trisolve_superstep",
-    "simulate_trisolve_elastic",
-    "simulate_trisolve_syncfree",
+    "simulate_sweeps",
 ]
 
 
@@ -152,88 +158,59 @@ class LevelizedTriangularSolver:
 # ----------------------------------------------------------------------
 # simulated sweeps
 # ----------------------------------------------------------------------
-def _sweep_barrier(machine, groups, flops, touched, start_time):
-    """Barrier-per-level sweep over ``groups`` (lists of row ids)."""
-    clock = float(start_time)
-    p = machine.n_threads
-    for gi, rows in enumerate(groups):
-        thread_time = np.full(p, clock)
-        for k, r in enumerate(rows):
-            t = k % p
-            thread_time[t] += machine.work_time(flops[r], touched[r], thread=t)
-        clock = float(thread_time.max())
-        if gi < len(groups) - 1:
-            clock += machine.barrier_cost()
-    return clock
+def simulate_sweeps(S: CSRMatrix, machine: SimMachine, sweep, *, both=True):
+    """Forward sweep, then (``both``) the backward sweep one barrier later.
+
+    ``sweep(part, flops, touched, start_time)`` returns the end time of
+    one ``part`` sweep priced with :func:`row_solve_costs`.
+    """
+    fl, tl = row_solve_costs(S, part="lower")
+    t = sweep("lower", fl, tl, 0.0)
+    if both:
+        fu, tu = row_solve_costs(S, part="upper")
+        t = sweep("upper", fu, tu, t + machine.barrier_cost())
+    return t
 
 
-def _sweep_p2p(machine, groups, deps_of, flops, touched, start_time):
-    """P2p sweep: continuous dealing, spin-waits instead of barriers."""
-    p = machine.n_threads
-    thread_time = np.full(p, float(start_time))
-    finish = {}
-    owner = {}
-    k = 0
-    for rows in groups:
-        for r in rows:
-            owner[int(r)] = k % p
-            k += 1
-    for rows in groups:
-        for r in rows:
-            r = int(r)
-            t = owner[r]
-            start = thread_time[t]
-            producers = {}
-            for d in deps_of(r):
-                d = int(d)
-                if d not in finish:
-                    continue
-                u = owner[d]
-                if u == t:
-                    continue
-                producers[u] = max(producers.get(u, 0.0), finish[d])
-            for u, ft in producers.items():
-                start = max(start, ft + machine.sync_latency(t, u))
-            stop = start + machine.work_time(flops[r], touched[r], thread=t)
-            finish[r] = stop
-            thread_time[t] = stop
-    return float(thread_time.max()) if len(finish) else float(start_time)
+def _ls_sweep(S, machine, forward_order):
+    """LS: rows in level order, dealt continuously (position mod p).
+
+    The forward sweep runs ``forward_order``; the backward sweep the
+    mirrored levels of the strict-upper pattern.
+    """
+
+    def sweep(part, flops, touched, start_time):
+        order = forward_order if part == "lower" else backward_level_sets(S).rows
+        thread_of = np.arange(len(order)) % machine.n_threads
+        return simulate_sweep(
+            S, machine, order, thread_of, flops, touched, part=part, start_time=start_time
+        )[0]
+
+    return sweep
 
 
 def simulate_trisolve_barrier(S: CSRMatrix, levels: LevelSets, machine: SimMachine, *, both=True):
-    """CSR-LS: barrier level-set solve (forward, plus backward if both)."""
-    fl, tl = row_solve_costs(S, part="lower")
-    groups = [list(levels.level_rows(l)) for l in range(levels.n_levels)]
-    t = _sweep_barrier(machine, groups, fl, tl, 0.0)
-    if both:
-        fu, tu = row_solve_costs(S, part="upper")
-        bl = backward_level_sets(S)
-        groups_b = [list(bl.level_rows(l)) for l in range(bl.n_levels)]
-        t = _sweep_barrier(machine, groups_b, fu, tu, t + machine.barrier_cost())
-    return t
+    """CSR-LS: barrier level-set solve (forward, plus backward if both).
+
+    Each level deals its rows from thread 0 again (``k % p`` for the
+    level's ``k``-th row).
+    """
+
+    def sweep(part, flops, touched, start_time):
+        ls = levels if part == "lower" else backward_level_sets(S)
+        first = np.repeat(ls.level_ptr[:-1], np.diff(ls.level_ptr))
+        thread_of = (np.arange(ls.n_rows) - first) % machine.n_threads
+        return simulate_sweep(
+            S, machine, ls.rows, thread_of, flops, touched,
+            steps=ls.level_ptr, part=part, start_time=start_time,
+        )[0]
+
+    return simulate_sweeps(S, machine, sweep, both=both)
 
 
 def simulate_trisolve_p2p(S: CSRMatrix, levels: LevelSets, machine: SimMachine, *, both=True):
     """LS: point-to-point level-scheduled solve on the whole matrix."""
-    fl, tl = row_solve_costs(S, part="lower")
-    groups = [list(levels.level_rows(l)) for l in range(levels.n_levels)]
-
-    def fdeps(r):
-        cols = S.indices[S.indptr[r] : S.indptr[r + 1]]
-        return cols[cols < r]
-
-    t = _sweep_p2p(machine, groups, fdeps, fl, tl, 0.0)
-    if both:
-        fu, tu = row_solve_costs(S, part="upper")
-        bl = backward_level_sets(S)
-        groups_b = [list(bl.level_rows(l)) for l in range(bl.n_levels)]
-
-        def bdeps(r):
-            cols = S.indices[S.indptr[r] : S.indptr[r + 1]]
-            return cols[cols > r]
-
-        t = _sweep_p2p(machine, groups_b, bdeps, fu, tu, t + machine.barrier_cost())
-    return t
+    return simulate_sweeps(S, machine, _ls_sweep(S, machine, levels.rows), both=both)
 
 
 def simulate_trisolve_two_stage(
@@ -250,137 +227,31 @@ def simulate_trisolve_two_stage(
     The lower rows' sub-diagonal entries are swept as segmented spmv
     tiles (vectorized, one task per tile batch per level — the stri
     payoff of building SR's structure during factorization), followed by
-    a dense-ish corner solve.
+    a dense-ish corner solve.  The backward sweep reuses the same tiled
+    structure for the lower rows; it is modelled as LS's p2p sweep,
+    whose first levels are the (cheap, wide) lower rows.
     """
-    n = S.n_rows
-    fl, tl = row_solve_costs(S, part="lower")
-    # ---- forward: upper rows via p2p within their levels
-    groups = [
-        list(range(int(level_ptr[l]), int(level_ptr[l + 1])))
-        for l in range(len(level_ptr) - 1)
-    ]
+    ls_sweep = _ls_sweep(S, machine, np.arange(int(level_ptr[-1])))
 
-    def fdeps(r):
-        cols = S.indices[S.indptr[r] : S.indptr[r + 1]]
-        return cols[cols < min(r, m)]
+    def sweep(part, flops, touched, start_time):
+        t = ls_sweep(part, flops, touched, start_time)
+        if part != "lower":
+            return t
+        # the lower block as vectorized tile updates + corner
+        n = S.n_rows
+        row = np.repeat(np.arange(n), np.diff(S.indptr))
+        cols, row = S.indices[row >= m], row[row >= m]
+        lower_entries = int(np.count_nonzero(cols < m))
+        corner = int(np.count_nonzero((cols >= m) & (cols < row)))
+        if lower_entries:
+            n_tiles = -(-lower_entries // tile_size)
+            per_thread_tiles = -(-n_tiles // machine.n_threads)
+            tile_time = machine.work_time(
+                2.0 * tile_size, tile_size, thread=0, vectorized=True
+            )
+            t += per_thread_tiles * tile_time + machine.barrier_cost()
+        if corner:
+            t += machine.work_time(2.0 * corner, float(corner + 2 * (n - m)), thread=0)
+        return t
 
-    t = _sweep_p2p(machine, groups, fdeps, fl, tl, 0.0)
-    # ---- forward: lower block as vectorized tile updates + corner
-    lower_entries = 0
-    corner_flops = 0.0
-    corner_touch = 0.0
-    for r in range(m, n):
-        cols = S.indices[S.indptr[r] : S.indptr[r + 1]]
-        lower_entries += int(np.count_nonzero(cols < m))
-        cc = int(np.count_nonzero((cols >= m) & (cols < r)))
-        corner_flops += 2.0 * cc
-        corner_touch += cc + 2
-    if lower_entries:
-        n_tiles = -(-lower_entries // tile_size)
-        per_thread_tiles = -(-n_tiles // machine.n_threads)
-        tile_time = machine.work_time(
-            2.0 * tile_size, tile_size, thread=0, vectorized=True
-        )
-        t += per_thread_tiles * tile_time + machine.barrier_cost()
-    if corner_flops:
-        t += machine.work_time(corner_flops, corner_touch, thread=0)
-    if both:
-        fu, tu = row_solve_costs(S, part="upper")
-        bl = backward_level_sets(S)
-        groups_b = [list(bl.level_rows(l)) for l in range(bl.n_levels)]
-
-        def bdeps(r):
-            cols = S.indices[S.indptr[r] : S.indptr[r + 1]]
-            return cols[cols > r]
-
-        # the backward sweep reuses the same tiled structure for the
-        # lower rows; model it with the p2p sweep whose first levels are
-        # the (cheap, wide) lower rows
-        t = _sweep_p2p(machine, groups_b, bdeps, fu, tu, t + machine.barrier_cost())
-    return t
-
-
-def simulate_trisolve_superstep(
-    S: CSRMatrix,
-    machine: SimMachine,
-    *,
-    opts=None,
-    both=True,
-    backend=None,
-):
-    """Superstep solve: fused multi-level partitions, one barrier each.
-
-    Plans come from the pattern-keyed symbolic cache (so repeated
-    simulations of one pattern reuse the DAG partition); the DES itself
-    is the ``superstep_sim`` kernel from the dispatch registry.
-    """
-    analysis = cached_analysis(S)
-    sim = get_kernel("superstep_sim", backend)
-    fl, tl = row_solve_costs(S, part="lower")
-    plan_l = analysis.superstep_plan(
-        "lower", n_threads=machine.n_threads, opts=opts
-    )
-    t, _, _ = sim(S, machine, plan_l, fl, tl)
-    if both:
-        fu, tu = row_solve_costs(S, part="upper")
-        plan_u = analysis.superstep_plan(
-            "upper", n_threads=machine.n_threads, opts=opts
-        )
-        t, _, _ = sim(
-            S, machine, plan_u, fu, tu, start_time=t + machine.barrier_cost()
-        )
-    return t
-
-
-def simulate_trisolve_elastic(
-    S: CSRMatrix,
-    machine: SimMachine,
-    *,
-    opts=None,
-    both=True,
-    events=None,
-):
-    """Stale-synchronous solve: blocks race, correction sweeps repair."""
-    from ..sched.elastic import simulate_elastic
-    from ..sched.options import SchedOptions
-
-    if opts is None:
-        opts = SchedOptions()
-    analysis = cached_analysis(S)
-    fl, tl = row_solve_costs(S, part="lower")
-    sched_l = analysis.elastic_schedule("lower", staleness=opts.staleness)
-    t = simulate_elastic(
-        S, sched_l, machine, fl, tl, max_sweeps=opts.max_sweeps, events=events
-    )
-    if both:
-        fu, tu = row_solve_costs(S, part="upper")
-        sched_u = analysis.elastic_schedule("upper", staleness=opts.staleness)
-        t = simulate_elastic(
-            S, sched_u, machine, fu, tu,
-            start_time=t + machine.barrier_cost(),
-            max_sweeps=opts.max_sweeps,
-            events=events,
-        )
-    return t
-
-
-def simulate_trisolve_syncfree(
-    S: CSRMatrix,
-    machine: SimMachine,
-    *,
-    both=True,
-    trace=None,
-):
-    """Sync-free self-scheduled solve (GPU-style flag polling, no levels)."""
-    from ..sched.syncfree import simulate_syncfree
-
-    fl, tl = row_solve_costs(S, part="lower")
-    t, _, trace = simulate_syncfree(S, machine, fl, tl, part="lower", trace=trace)
-    if both:
-        fu, tu = row_solve_costs(S, part="upper")
-        # the stage hand-off is one device-wide flush, not per-level
-        t, _, trace = simulate_syncfree(
-            S, machine, fu, tu, part="upper",
-            start_time=t + machine.barrier_cost(), trace=trace,
-        )
-    return t
+    return simulate_sweeps(S, machine, sweep, both=both)

@@ -18,6 +18,10 @@ p2p executor lives in :mod:`repro.runtime`.  :func:`simulate_upper_p2p` /
 :func:`simulate_upper_barrier` replay the schedule on a
 :class:`~repro.machine.SimMachine` to produce the time the paper would
 have measured.
+
+:func:`simulate_sweep` is the DES sweep every p2p and barrier sync
+model runs on, the ``upper_p2p_sim`` or the ``superstep_sim`` kernel; a
+model supplies only its row order, row→thread map and barrier steps.
 """
 
 from __future__ import annotations
@@ -25,15 +29,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..machine.core import SimMachine
-from ..machine.trace import ExecutionTrace
+from ..machine.trace import ExecutionTrace, Interval
 from ..sparse.csr import CSRMatrix
 from ..kernels import get_kernel
+from ..sched.superstep import SuperstepPlan
 
 __all__ = [
     "assign_round_robin",
     "assign_dynamic",
     "simulate_upper_p2p",
     "simulate_upper_barrier",
+    "simulate_sweep",
 ]
 
 
@@ -187,23 +193,89 @@ def simulate_upper_barrier(
     the barrier latency — the overhead Javelin's p2p design removes.
     """
     m = int(level_ptr[-1])
-    p = machine.n_threads
-    thread_of = assign_round_robin(level_ptr, p)
-    finish = np.zeros(m)
+    makespan, finish, trace = simulate_sweep(
+        S, machine, np.arange(m), assign_round_robin(level_ptr, machine.n_threads),
+        flops, touched, steps=level_ptr, start_time=start_time, trace=trace,
+    )
+    return makespan, finish[:m], trace
+
+
+def simulate_sweep(
+    S: CSRMatrix, machine: SimMachine, order, thread_of, flops, touched, *,
+    steps=None, part="lower", start_time=0.0, trace: ExecutionTrace | None = None,
+):
+    """One DES sweep of the rows ``order`` on a registered DES kernel.
+
+    A sync model is only data: a row order (original ids), a row→thread
+    map (``thread_of[i]`` runs the ``i``-th row) and, for barriers, step
+    bounds (step ``s`` runs ``order[steps[s]:steps[s+1]]``).  A row
+    depends on its strict-``part`` entries of ``S``.  With
+    ``steps=None`` the sweep is point-to-point: the ``upper_p2p_sim``
+    kernel over the dependency pattern permuted into execution order.
+    Otherwise it is the ``superstep_sim`` kernel over a plan with one
+    step per bound, emitting no ``sched.superstep`` spans.
+
+    Raises ``ValueError`` naming the row and the dependency when a row
+    runs before one of its dependencies (or, with ``steps``, in the
+    same step).  Returns ``(makespan, finish, trace)``: ``finish`` has
+    length ``S.n_rows`` (zero for rows not swept), and ``finish`` and
+    the trace's ``("row", r)`` labels use the original row ids; a
+    barrier sweep records its trace step by step in ``order``.
+    """
+    order = np.asarray(order, dtype=np.int64)
+    thread_of = np.asarray(thread_of, dtype=np.int64)
+    k, p = order.size, machine.n_threads
+    # dependency edges in execution positions: row ``i`` waits for row
+    # ``j``; a dependency outside ``order`` sorts after every swept row
+    pos = np.full(S.n_rows, k, dtype=np.int64)
+    pos[order] = np.arange(k)
+    lens = np.diff(S.indptr)[order]
+    i = np.repeat(np.arange(k), lens)
+    dep = S.indices[np.repeat(S.indptr[order] - np.cumsum(lens) + lens, lens) + np.arange(i.size)]
+    keep = dep < order[i] if part == "lower" else dep > order[i]
+    i, dep = i[keep], dep[keep]
+    j = pos[dep]
+    if steps is None:
+        late = j >= i
+    else:
+        steps = np.asarray(steps, dtype=np.int64)
+        n_steps = steps.size - 1
+        step_of = np.repeat(np.arange(n_steps), np.diff(steps))
+        late = np.append(step_of, n_steps)[j] >= step_of[i]
+    if late.any():
+        b = int(np.argmax(late))
+        where = "before" if steps is None else "in the step of or before"
+        raise ValueError(f"row {order[i[b]]} is scheduled {where} its dependency {dep[b]}")
     if trace is None:
         trace = ExecutionTrace(p)
-    clock = float(start_time)
-    for l in range(len(level_ptr) - 1):
-        lo, hi = int(level_ptr[l]), int(level_ptr[l + 1])
-        thread_time = np.full(p, clock)
-        for r in range(lo, hi):
-            t = int(thread_of[r])
-            start = thread_time[t]
-            stop = start + machine.work_time(flops[r], touched[r], thread=t)
-            finish[r] = stop
-            thread_time[t] = stop
-            trace.record(t, start, stop, label=("row", r))
-        clock = float(thread_time.max())
-        if hi < m or l < len(level_ptr) - 2:
-            clock += machine.barrier_cost()
-    return clock, finish, trace
+    n0 = len(trace.intervals)
+    fl, tl = np.asarray(flops)[order], np.asarray(touched)[order]
+    if steps is None:
+        ptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(i, minlength=k), out=ptr[1:])
+        P = CSRMatrix(k, k, ptr, j[np.lexsort((j, i))], sort=False, check=False)
+        makespan, finish, trace = get_kernel("upper_p2p_sim")(
+            P, machine, thread_of, fl, tl, m=k, start_time=start_time, trace=trace
+        )
+    else:
+        key = step_of * p + thread_of
+        thread_ptr = np.zeros(n_steps * p + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=n_steps * p), out=thread_ptr[1:])
+        plan = SuperstepPlan(
+            part=part, n=k, n_threads=p, rows=np.argsort(key, kind="stable"),
+            step_ptr=steps, thread_ptr=thread_ptr, thread_of=thread_of,
+            step_of=step_of, level_of=step_of, step_level_ptr=np.arange(n_steps + 1),
+        )
+        makespan, finish, trace = get_kernel("superstep_sim")(
+            S, machine, plan, fl, tl, start_time=start_time, trace=trace, spans=False
+        )
+    new = trace.intervals[n0:]
+    if steps is not None:  # the kernel records thread by thread within a step
+        new.sort(key=lambda iv: iv.label[1])
+    rows = order.tolist()
+    trace.intervals[n0:] = [
+        Interval(iv.thread, iv.start, iv.stop, ("row", rows[iv.label[1]])) for iv in new
+    ]
+    out = np.zeros(S.n_rows)
+    out[order] = finish
+    return makespan, out, trace

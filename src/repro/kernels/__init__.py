@@ -12,7 +12,8 @@ Registered kernels (each with ``scalar`` and ``batched`` backends):
 
 * ``trisolve_lower`` — forward solve ``L y = b`` on the combined factor;
 * ``trisolve_upper`` — backward solve ``U x = y``;
-* ``upper_p2p_sim`` — the point-to-point upper-stage DES.
+* ``upper_p2p_sim`` — the point-to-point DES sweep;
+* ``superstep_sim`` — the barrier DES sweep (one barrier per step).
 
 Backends agree bit-for-bit; see ``docs/kernel_backends.md`` for the
 accumulation-order contract and how to add a backend.

@@ -41,6 +41,8 @@ scalar/batched bit-parity are unaffected.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from ..machine.trace import ExecutionTrace
@@ -211,6 +213,13 @@ def upper_p2p_sim_batched(
 # ----------------------------------------------------------------------
 # superstep DES kernels (repro.sched DAG-partition schedules)
 # ----------------------------------------------------------------------
+def _step_events(spans):
+    """The per-step span/instant pair of the superstep DES; no-ops when off."""
+    if spans:
+        return _spans.span, _spans.instant
+    return (lambda *a, **k: nullcontext()), (lambda *a, **k: None)
+
+
 def _check_superstep_machine(machine, plan):
     if plan.n_threads > machine.n_threads:
         raise ValueError(
@@ -230,6 +239,7 @@ def superstep_sim_scalar(
     start_time=0.0,
     trace=None,
     step_times=None,
+    spans=True,
 ):
     """Reference superstep DES: per-row costing inside each superstep.
 
@@ -237,15 +247,19 @@ def superstep_sim_scalar(
     by construction of the plan); one barrier separates consecutive
     supersteps.  ``step_times`` (optional list) receives the clock at
     each superstep boundary — the observability export's instants.
+    ``spans=False`` keeps the ``sched.superstep`` spans and boundary
+    instants out of the obs trace (a barrier-per-level sweep is a plan
+    with one level per step, not a superstep schedule).
     """
     _check_superstep_machine(machine, plan)
+    span, instant = _step_events(spans)
     p = plan.n_threads
     if trace is None:
         trace = ExecutionTrace(machine.n_threads)
     clock = float(start_time)
     finish = np.zeros(plan.n)
     for s in range(plan.n_steps):
-        with _spans.span("sched.superstep", cat="sched", step=s, part=plan.part):
+        with span("sched.superstep", cat="sched", step=s, part=plan.part):
             step_end = clock
             for t in range(p):
                 tt = clock
@@ -260,7 +274,7 @@ def superstep_sim_scalar(
             clock = step_end
             if s < plan.n_steps - 1:
                 clock += machine.barrier_cost()
-        _spans.instant(
+        instant(
             "sched.superstep_boundary", cat="sched",
             step=s, part=plan.part, t=clock,
         )
@@ -280,9 +294,11 @@ def superstep_sim_batched(
     start_time=0.0,
     trace=None,
     step_times=None,
+    spans=True,
 ):
     """Batched superstep DES: vectorized row costs, plain-Python loop."""
     _check_superstep_machine(machine, plan)
+    span, instant = _step_events(spans)
     p = plan.n_threads
     if trace is None:
         trace = ExecutionTrace(machine.n_threads)
@@ -302,7 +318,7 @@ def superstep_sim_batched(
     finish = [0.0] * n
     record = trace.record
     for s in range(plan.n_steps):
-        with _spans.span("sched.superstep", cat="sched", step=s, part=plan.part):
+        with span("sched.superstep", cat="sched", step=s, part=plan.part):
             step_end = clock
             for t in range(p):
                 tt = clock
@@ -317,7 +333,7 @@ def superstep_sim_batched(
             clock = step_end
             if s < plan.n_steps - 1:
                 clock += barrier
-        _spans.instant(
+        instant(
             "sched.superstep_boundary", cat="sched",
             step=s, part=plan.part, t=clock,
         )

@@ -29,7 +29,9 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from ..kernels import cached_analysis, get_kernel
+from .elastic import simulate_elastic
 from .options import SCHEDULER_NAMES, SchedOptions
+from .syncfree import simulate_syncfree
 
 __all__ = [
     "TriSolveScheduler",
@@ -149,9 +151,18 @@ class SuperstepScheduler(TriSolveScheduler):
         return cached_analysis(S).superstep_plan(part, n_threads=p, opts=opts)
 
     def simulate(self, S, machine, *, opts=None, both=True) -> float:
-        from ..core.trisolve import simulate_trisolve_superstep
+        """Each part's cached plan on the ``superstep_sim`` DES kernel."""
+        from ..core.trisolve import simulate_sweeps
 
-        return simulate_trisolve_superstep(S, machine, opts=opts, both=both)
+        analysis = cached_analysis(S)
+
+        def sweep(part, flops, touched, start_time):
+            plan = analysis.superstep_plan(part, n_threads=machine.n_threads, opts=opts)
+            return get_kernel("superstep_sim")(
+                S, machine, plan, flops, touched, start_time=start_time
+            )[0]
+
+        return simulate_sweeps(S, machine, sweep, both=both)
 
     def sync_points(self, S, *, opts=None) -> int:
         opts = self._opts(opts)
@@ -173,9 +184,20 @@ class ElasticScheduler(TriSolveScheduler):
         return cached_analysis(S).elastic_schedule(part, staleness=opts.staleness)
 
     def simulate(self, S, machine, *, opts=None, both=True) -> float:
-        from ..core.trisolve import simulate_trisolve_elastic
+        """Blocks race, correction sweeps repair (:func:`simulate_elastic`)."""
+        from ..core.trisolve import simulate_sweeps
 
-        return simulate_trisolve_elastic(S, machine, opts=opts, both=both)
+        opts = self._opts(opts)
+        analysis = cached_analysis(S)
+
+        def sweep(part, flops, touched, start_time):
+            sched = analysis.elastic_schedule(part, staleness=opts.staleness)
+            return simulate_elastic(
+                S, sched, machine, flops, touched,
+                start_time=start_time, max_sweeps=opts.max_sweeps,
+            )
+
+        return simulate_sweeps(S, machine, sweep, both=both)
 
     def solve(self, F, b, *, opts=None, analysis=None):
         opts = self._opts(opts)
@@ -215,9 +237,16 @@ class SyncFreeScheduler(TriSolveScheduler):
     exact = True
 
     def simulate(self, S, machine, *, opts=None, both=True) -> float:
-        from ..core.trisolve import simulate_trisolve_syncfree
+        """The p2p sweep on lanes ``r mod p``; the stage hand-off is one
+        device-wide flush, not per-level."""
+        from ..core.trisolve import simulate_sweeps
 
-        return simulate_trisolve_syncfree(S, machine, both=both)
+        def sweep(part, flops, touched, start_time):
+            return simulate_syncfree(
+                S, machine, flops, touched, part=part, start_time=start_time
+            )[0]
+
+        return simulate_sweeps(S, machine, sweep, both=both)
 
     def sync_points(self, S, *, opts=None) -> int:
         return 1  # the lower→upper hand-off; everything else is a flag poll

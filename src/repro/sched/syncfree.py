@@ -14,7 +14,9 @@ Numerically the mode is exact by construction — any completion order
 consumes finished dependency values and each row's accumulation
 arithmetic is unchanged — so the numeric path is the standard batched
 kernel; only the *time* model differs, which is what
-:func:`simulate_syncfree` computes.
+:func:`simulate_syncfree` computes.  That model is the shared p2p DES
+sweep under another row→thread map: rows in natural order (reversed
+for the upper part) on lane ``r mod L``.
 """
 
 from __future__ import annotations
@@ -37,37 +39,21 @@ def simulate_syncfree(
     """Modelled time of the self-scheduled sweep on a SimMachine.
 
     Lane assignment is ``r mod n_threads`` in row order (the natural
-    CUDA block/warp numbering).  A row starts when its lane is free and
-    every dependency's ready flag has been observed — one
-    ``sync_latency`` poll per *distinct producing lane*, no barriers
-    anywhere.  Returns ``(makespan, finish, trace)`` like the DES
-    kernels.
+    CUDA block/warp numbering); the upper part runs the rows in
+    reverse.  A row starts when its lane is free and every dependency's
+    ready flag has been observed — one ``sync_latency`` poll per
+    *distinct producing lane*, no barriers anywhere: the p2p DES sweep
+    (:func:`repro.core.upper.simulate_sweep`) under this order and lane
+    map.  Returns ``(makespan, finish, trace)`` like the DES
+    kernels; ``trace`` is the one passed in (None records nothing).
     """
-    n = S.n_rows
-    p = machine.n_threads
-    lane_time = [float(start_time)] * p
-    finish = [0.0] * n
-    sync = machine.sync_latency_matrix().tolist()
-    indptr, indices = S.indptr, S.indices
-    if trace is not None:
-        record = trace.record
-    order = range(n) if part == "lower" else range(n - 1, -1, -1)
-    for r in order:
-        t = r % p
-        start = lane_time[t]
-        cols = indices[indptr[r] : indptr[r + 1]]
-        deps = cols[cols < r] if part == "lower" else cols[cols > r]
-        row_sync = sync[t]
-        for d in deps:
-            d = int(d)
-            u = d % p
-            cand = finish[d] + (row_sync[u] if u != t else 0.0)
-            if cand > start:
-                start = cand
-        stop = start + machine.work_time(flops[r], touched[r], thread=t)
-        finish[r] = stop
-        lane_time[t] = stop
-        if trace is not None:
-            record(t, start, stop, label=("row", r))
-    makespan = float(max(lane_time)) if n else float(start_time)
-    return makespan, np.asarray(finish), trace
+    from ..core.upper import simulate_sweep
+
+    order = np.arange(S.n_rows, dtype=np.int64)
+    if part != "lower":
+        order = order[::-1]
+    makespan, finish, _ = simulate_sweep(
+        S, machine, order, order % machine.n_threads, flops, touched,
+        part=part, start_time=start_time, trace=trace,
+    )
+    return makespan, finish, trace

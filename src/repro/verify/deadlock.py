@@ -18,7 +18,10 @@ acyclic:
   static twin of the replay's ``missing-sync`` witness;
 * **sync-free** (:func:`check_syncfree_deadlock`) — lane ``r mod p``
   executes its rows in traversal order and polls a ready flag per
-  dependency (:func:`repro.sched.syncfree.simulate_syncfree`).  The
+  dependency (:func:`repro.sched.syncfree.simulate_syncfree`, the p2p
+  DES sweep :func:`repro.core.upper.simulate_sweep` under that
+  order and lane map, which itself rejects a traversal that runs a row
+  before a dependency).  The
   wait-for graph is (data edges) ∪ (lane program order); with the
   natural ascending/descending traversal it is a DAG because data
   edges always point against the traversal, and the check proves it by
@@ -233,7 +236,8 @@ def check_syncfree_deadlock(
 
     ``order`` overrides the traversal (default: ascending rows for the
     lower part, descending for the upper — the order
-    :func:`~repro.sched.syncfree.simulate_syncfree` uses).  Edges are
+    :func:`~repro.sched.syncfree.simulate_syncfree` hands the shared
+    p2p DES sweep, :func:`~repro.core.upper.simulate_sweep`).  Edges are
     ``row -> dependency`` (flag poll) and ``row -> lane predecessor``
     (a lane is one in-order program).  A cycle means a set of lanes
     each spinning on a flag the others can never set.

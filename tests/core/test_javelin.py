@@ -5,6 +5,7 @@ from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
 from repro.core.iluk import ilu0_factor, ilu_factor_sequential
 from repro.core.trisolve import trisolve_factor
 from repro.machine import SimMachine, haswell, uniform_machine
+from repro.resilience import FaultPlan, FaultRunReport
 from repro.sparse import from_dense
 
 from helpers import random_csr, random_sparse_dense
@@ -163,6 +164,28 @@ class TestSimulation:
     def test_trisolve_unknown_method(self):
         with pytest.raises(ValueError, match="unknown trisolve"):
             self._ilu().simulate_trisolve(SimMachine(haswell(), 2), method="zzz")
+
+    @pytest.mark.parametrize("sync", ["P2P", "superstep", "sync-free"])
+    def test_factor_unknown_sync(self, sync):
+        with pytest.raises(ValueError, match="unknown sync model"):
+            self._ilu().simulate_factor(SimMachine(haswell(), 2), sync=sync)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"sched_policy": "dynamic"},
+            {"sched_chunk": 4},
+            {"fault_plan": FaultPlan(spin_faults=frozenset({3}))},
+            {"fault_report": FaultRunReport()},
+        ],
+    )
+    def test_barrier_rejects_p2p_only_options(self, kw):
+        """The barrier DES has no dealing policy and no fault injection."""
+        ilu = self._ilu()
+        m = SimMachine(haswell(), 4)
+        with pytest.raises(ValueError, match="only to sync='p2p'"):
+            ilu.simulate_factor(m, sync="barrier", lower=False, **kw)
+        assert np.isfinite(ilu.simulate_factor(m, sync="p2p", lower=False, **kw).total)
 
     def test_simulation_deterministic(self):
         ilu = self._ilu()

@@ -12,6 +12,7 @@ from repro.core.trisolve import (
 )
 from repro.machine import SimMachine, uniform_machine
 from repro.kernels import backward_level_sets, forward_level_sets
+from repro.ordering.levelsets import LevelSets
 from repro.sparse import from_dense, split_lu
 from repro.sparse.pattern import symmetrize_pattern
 
@@ -120,6 +121,21 @@ class TestSimulatedSolves:
         t = simulate_trisolve_two_stage(ilu.S_perm, ilu.level_ptr, ilu.m, m)
         assert np.isfinite(t) and t > 0
 
+    def test_barrier_sweep_emits_no_superstep_spans(self):
+        """A barrier-per-level sweep runs on the superstep DES kernel, but
+        the obs trace keeps ``sched.superstep`` for real superstep plans."""
+        from repro import obs
+        from repro.sched import get_scheduler
+
+        F, ls = self._setup()
+        m = self._machine(4)
+        with obs.tracing() as rec:
+            simulate_trisolve_barrier(F, ls, m)
+        assert not [e for e in rec.events() if e.name.startswith("sched.superstep")]
+        with obs.tracing() as rec:
+            get_scheduler("superstep").simulate(F, m)
+        assert [e for e in rec.spans() if e.name == "sched.superstep"]
+
     def test_barrier_time_grows_with_levels(self):
         """A chain (many levels) pays many barriers; a diagonal pays none."""
         n = 30
@@ -134,3 +150,42 @@ class TestSimulatedSolves:
         assert simulate_trisolve_barrier(Fchain, ls_c, m) > simulate_trisolve_barrier(
             Fdiag, ls_d, m
         )
+
+
+class TestNonTopologicalOrder:
+    """A row scheduled before one of its dependencies is an error.
+
+    The old hand-written p2p sweep skipped a dependency that had not run
+    yet, so a reversed chain priced as four independent rows.
+    """
+
+    def _chain(self, n=4):
+        D = np.eye(n) * 2.0
+        for i in range(1, n):
+            D[i, i - 1] = 0.5
+        return from_dense(D)
+
+    def _levels(self, groups):
+        rows = np.concatenate([np.asarray(g, dtype=np.int64) for g in groups])
+        level_ptr = np.cumsum([0] + [len(g) for g in groups]).astype(np.int64)
+        level_of = np.empty(rows.size, dtype=np.int64)
+        level_of[rows] = np.repeat(np.arange(len(groups)), np.diff(level_ptr))
+        return LevelSets(level_of=level_of, level_ptr=level_ptr, rows=rows)
+
+    def _machine(self):
+        return SimMachine(uniform_machine(n_cores=2), 2)
+
+    def test_p2p_reversed_levels_raise(self):
+        F = self._chain()
+        with pytest.raises(ValueError, match="row 3 is scheduled before its dependency 2"):
+            simulate_trisolve_p2p(F, self._levels([[3], [2], [1], [0]]), self._machine())
+
+    def test_barrier_same_level_dependency_raises(self):
+        F = self._chain()
+        with pytest.raises(ValueError, match="row 1 .* its dependency 0"):
+            simulate_trisolve_barrier(F, self._levels([[0, 1], [2], [3]]), self._machine())
+
+    def test_barrier_later_level_dependency_raises(self):
+        F = self._chain()
+        with pytest.raises(ValueError, match="row 2 .* its dependency 1"):
+            simulate_trisolve_barrier(F, self._levels([[0], [2], [1], [3]]), self._machine())
