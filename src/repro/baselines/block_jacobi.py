@@ -62,6 +62,10 @@ class BlockJacobi:
         if not self._ready:
             raise RuntimeError("call setup(A) first")
         r = np.asarray(r, dtype=np.float64)
+        if r.shape != (self.n,):
+            raise ValueError(
+                f"right-hand side of shape {r.shape} does not match {self.n} rows"
+            )
         z = np.empty(self.n)
         for lo, hi, inv in self.blocks:
             z[lo:hi] = inv @ r[lo:hi]

@@ -40,6 +40,7 @@ from .symbolic import (
     row_factor_costs_split,
 )
 from ..kernels import cached_analysis
+from ..kernels.trisolve import as_rhs
 from ..kernels.cache import pattern_fingerprint
 from .iluk import _scatter_values, drop_row_fixed_pattern, factor_row
 from .schedule import ScheduleOptions, build_schedule
@@ -47,10 +48,10 @@ from .upper import simulate_upper_p2p, simulate_upper_barrier
 from .lower_er import simulate_lower_er
 from .lower_sr import SegmentedRows, simulate_lower_sr
 from .trisolve import (
-    LevelizedTriangularSolver,
     simulate_trisolve_barrier,
     simulate_trisolve_p2p,
     simulate_trisolve_two_stage,
+    trisolve_factor_levels,
 )
 from ..sparse.pattern import symmetrize_pattern
 
@@ -121,7 +122,7 @@ class JavelinILU:
         self.options = options or JavelinOptions()
         self._ready = False
         self._factored = False
-        self._solver = None
+        self._apply = None
 
     # ------------------------------------------------------------------
     # symbolic phase
@@ -160,7 +161,7 @@ class JavelinILU:
         self._split_costs = None
         self._ready = True
         self._factored = False
-        self._solver = None
+        self._apply = None
         return self
 
     def _set_drop_threshold(self):
@@ -249,7 +250,7 @@ class JavelinILU:
                 drop_row_fixed_pattern(F, r, diag_pos, thresh[r], modified=opts.modified)
         self.F = F
         self._factored = True
-        self._solver = None  # values changed; sweeps rebind on next solve
+        self._apply = None  # values changed; sweeps rebind on next solve
         self.result = FactorResult(F=F, perm=self.perm, inv_perm=self.inv_perm)
         return self.result
 
@@ -259,65 +260,44 @@ class JavelinILU:
     def solve(self, b):
         """Apply the preconditioner: ``x ≈ A⁻¹ b`` via L/U sweeps.
 
-        Backed by a lazily built
-        :class:`~repro.core.trisolve.LevelizedTriangularSolver` (rebuilt
-        after each :meth:`factor`), whose level-batched sweeps are
-        bit-identical to the scalar reference sweeps — so this is both
-        the convenient and the fast path.
+        Runs the apply of :meth:`build_solver`, built on first use after
+        each :meth:`factor` — both the convenient and the fast path.
         """
         if not self._factored:
             raise RuntimeError("call factor() before solve()")
-        if self._solver is None:
-            self._solver = LevelizedTriangularSolver(self.F)
-        bp = np.asarray(b, dtype=np.float64)[self.perm]
-        xp = self._solver.solve(bp)
-        x = np.empty_like(xp)
-        x[self.perm] = xp
-        return x
+        if self._apply is None:
+            self._apply = self.build_solver()
+        return self._apply(b)
 
     def build_solver(self):
-        """A fast reusable preconditioner apply (vectorized level sweeps).
+        """A fast reusable preconditioner apply: ``apply(B) -> X``.
 
-        Returns a callable ``apply(b) -> x`` backed by
-        :class:`~repro.core.trisolve.LevelizedTriangularSolver`: the
-        per-level structures come from the pattern-keyed symbolic cache,
-        built once and reused across the thousands of preconditioner
-        applications a Krylov loop performs (§VI).  Results match
-        :meth:`solve` bit-for-bit.
+        ``B`` is a vector ``(n,)`` or a block ``(n, k)`` in the original
+        row order.  The apply permutes it, runs the level-batched sweeps
+        of :func:`~repro.core.trisolve.trisolve_factor_levels` on plans
+        from the pattern-keyed symbolic cache — built once and reused
+        across the thousands of applies a Krylov loop performs (§VI) —
+        and permutes back.  Column ``j`` of a block apply is
+        bit-identical to the apply of ``B[:, j]``, and to :meth:`solve`.
         """
         if not self._factored:
             raise RuntimeError("call factor() before build_solver()")
-        lv = LevelizedTriangularSolver(self.F)
-        perm, inv = self.perm, self.inv_perm
-
-        def apply(b):
-            xp = lv.solve(np.asarray(b, dtype=np.float64)[perm])
-            x = np.empty_like(xp)
-            x[perm] = xp
-            return x
-
-        return apply
-
-    def build_multi_solver(self):
-        """A reusable multi-RHS preconditioner apply: ``apply(B) -> X``.
-
-        ``B`` is a 2-D block of shape ``(n, k)``; column ``j`` of the
-        result is bit-identical to ``build_solver()(B[:, j])`` — the
-        multi-RHS sweeps only amortize per-level dispatch across the
-        block (the serving layer's micro-batch contract).
-        """
-        if not self._factored:
-            raise RuntimeError("call factor() before build_multi_solver()")
-        lv = LevelizedTriangularSolver(self.F)
-        perm = self.perm
+        F, perm = self.F, self.perm
+        analysis = cached_analysis(F)
+        # both plans now: a missing diagonal raises here, not mid-solve
+        analysis.plan("lower"), analysis.plan("upper")
 
         def apply(B):
-            Xp = lv.solve_multi(np.asarray(B, dtype=np.float64)[perm, :])
+            B = as_rhs(B, F.n_rows)  # before the permutation gathers rows
+            Xp = trisolve_factor_levels(F, B[perm], analysis=analysis)
             X = np.empty_like(Xp)
-            X[perm, :] = Xp
+            X[perm] = Xp
             return X
 
         return apply
+
+    # the serving layer's name for the same apply (a block of requests)
+    build_multi_solver = build_solver
 
     # ------------------------------------------------------------------
     # simulation

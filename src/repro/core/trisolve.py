@@ -18,8 +18,12 @@ The forward solve (unit-diagonal L) shares the factorization's
 dependency structure; the backward solve (U) runs the mirrored level
 structure computed on the strict-upper pattern.
 
-Numeric solves are plain sequential sweeps on the combined L\\U factor;
-the simulate_* functions replay the strategy on a
+Numeric solves run on the combined L\\U factor and take a right-hand
+side of shape ``(n,)`` or ``(n, k)``: :func:`trisolve_factor` is the
+scalar reference (one row at a time), :func:`trisolve_factor_levels`
+the level-batched sweep, bit-identical to it per column; a caller that
+applies one factor many times passes the same ``analysis`` every time.
+The simulate_* functions replay the strategy on a
 :class:`~repro.machine.SimMachine` and return the modelled time.  Each
 strategy is a row order plus a row→thread map handed to the DES sweep
 :func:`repro.core.upper.simulate_sweep` — CSR-LS with one barrier step
@@ -46,8 +50,6 @@ __all__ = [
     "trisolve_upper_serial",
     "trisolve_factor",
     "trisolve_factor_levels",
-    "trisolve_factor_multi",
-    "LevelizedTriangularSolver",
     "simulate_trisolve_barrier",
     "simulate_trisolve_p2p",
     "simulate_trisolve_two_stage",
@@ -74,85 +76,26 @@ def trisolve_upper_serial(F: CSRMatrix, y):
 
 
 def trisolve_factor(F: CSRMatrix, b):
-    """Apply the full preconditioner solve ``x = U⁻¹ L⁻¹ b`` (scalar)."""
+    """Apply the full preconditioner solve ``x = U⁻¹ L⁻¹ b`` (scalar).
+
+    ``b`` is a vector ``(n,)`` or a block ``(n, k)``, solved column by
+    column.
+    """
     return trisolve_upper_serial(F, trisolve_lower_serial(F, b))
 
 
 def trisolve_factor_levels(F: CSRMatrix, b, *, analysis=None):
-    """Level-batched ``x = U⁻¹ L⁻¹ b`` — bit-identical to :func:`trisolve_factor`."""
+    """Level-batched ``x = U⁻¹ L⁻¹ b`` — bit-identical to :func:`trisolve_factor`.
+
+    ``b`` is a vector ``(n,)`` or a block ``(n, k)``; a block pays the
+    per-level overhead once for all ``k`` columns.  ``analysis`` defaults
+    to ``cached_analysis(F)``, which hashes ``F``'s pattern, so a caller
+    applying one factor repeatedly captures it once and passes it in.
+    """
     if analysis is None:
         analysis = cached_analysis(F)
     y = get_kernel("trisolve_lower", "batched")(F, b, plan=analysis.plan("lower"))
     return get_kernel("trisolve_upper", "batched")(F, y, plan=analysis.plan("upper"))
-
-
-def trisolve_factor_multi(F: CSRMatrix, B, *, analysis=None, backend=None):
-    """Multi-RHS ``X = U⁻¹ L⁻¹ B`` on a 2-D block ``B`` of shape ``(n, k)``.
-
-    Column ``j`` of the result is bit-identical to
-    ``trisolve_factor_levels(F, B[:, j])`` (and so to the scalar
-    reference) — the multi-RHS kernels keep each column's accumulation
-    order unchanged and only amortize the per-level dispatch across the
-    block.  This is the warm-path kernel behind
-    :mod:`repro.serve`'s micro-batched preconditioner applies.
-    """
-    if analysis is None:
-        analysis = cached_analysis(F)
-    Y = get_kernel("trisolve_lower_multi", backend)(F, B, plan=analysis.plan("lower"))
-    return get_kernel("trisolve_upper_multi", backend)(F, Y, plan=analysis.plan("upper"))
-
-
-# ----------------------------------------------------------------------
-# vectorized level-sweep solver
-# ----------------------------------------------------------------------
-class LevelizedTriangularSolver:
-    """Vectorized level-sweep solves over a factored matrix.
-
-    The numeric counterpart of the parallel stri: rows of one level are
-    independent, so each level solves as *one* batched gather-multiply-
-    segmented-reduce instead of a Python-level loop per row — the
-    closest a pure-NumPy implementation gets to the vector-lane
-    execution the paper targets.  The per-level plans come from the
-    pattern-keyed symbolic cache, built once (vectorized, no per-row
-    Python loop) and reused across the thousands of solves an
-    ILU-preconditioned Krylov run performs (§VI's amortization
-    argument).
-
-    Results are bit-identical to the scalar reference sweeps
-    (:func:`trisolve_lower_serial` / :func:`trisolve_upper_serial`): the
-    batched segment reduction adds entries in exactly the scalar
-    ascending-column order.
-    """
-
-    def __init__(self, F: CSRMatrix):
-        self.F = F
-        analysis = cached_analysis(F)
-        # plan construction validates the diagonal and raises the same
-        # "missing diagonal in factored row" error the sweeps would
-        self._fwd_plan = analysis.plan("lower")
-        self._bwd_plan = analysis.plan("upper")
-        self.analysis = analysis
-
-    def forward(self, b):
-        """Solve ``L y = b`` (unit diagonal), one vector op per level."""
-        return get_kernel("trisolve_lower", "batched")(self.F, b, plan=self._fwd_plan)
-
-    def backward(self, y):
-        """Solve ``U x = y``, one vector op per level."""
-        return get_kernel("trisolve_upper", "batched")(self.F, y, plan=self._bwd_plan)
-
-    def solve(self, b):
-        """Apply the preconditioner: ``x = U⁻¹ L⁻¹ b``."""
-        return self.backward(self.forward(b))
-
-    def solve_multi(self, B):
-        """Multi-RHS apply on a 2-D block ``B`` of shape ``(n, k)``.
-
-        Bit-identical per column to :meth:`solve` — see
-        :func:`trisolve_factor_multi` for the contract.
-        """
-        Y = get_kernel("trisolve_lower_multi")(self.F, B, plan=self._fwd_plan)
-        return get_kernel("trisolve_upper_multi")(self.F, Y, plan=self._bwd_plan)
 
 
 # ----------------------------------------------------------------------

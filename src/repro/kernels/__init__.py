@@ -10,8 +10,9 @@ factor/solve cycles reuse them.
 
 Registered kernels (each with ``scalar`` and ``batched`` backends):
 
-* ``trisolve_lower`` — forward solve ``L y = b`` on the combined factor;
-* ``trisolve_upper`` — backward solve ``U x = y``;
+* ``trisolve_lower`` — forward solve ``L y = b`` on the combined factor,
+  for ``b`` of shape ``(n,)`` or ``(n, k)``;
+* ``trisolve_upper`` — backward solve ``U x = y``, likewise;
 * ``upper_p2p_sim`` — the point-to-point DES sweep;
 * ``superstep_sim`` — the barrier DES sweep (one barrier per step).
 

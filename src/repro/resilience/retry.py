@@ -35,6 +35,7 @@ more robust variant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -42,8 +43,8 @@ from ..baselines.block_jacobi import BlockJacobi
 from ..core.breakdown import FactorizationBreakdown
 from ..core.ilut import ilut_factor
 from ..core.javelin import JavelinILU, JavelinOptions
-from ..core.trisolve import LevelizedTriangularSolver
-from ..kernels.cache import default_cache, pattern_fingerprint
+from ..core.trisolve import trisolve_factor_levels
+from ..kernels.cache import cached_analysis, default_cache, pattern_fingerprint
 from ..obs import spans as _spans
 from ..sparse.pattern import has_full_diagonal
 
@@ -440,7 +441,10 @@ class ResilientFactor:
         F = ilut_factor(
             B, tau=self.policy.milu_tau, modified=True, pivot_tol=self.policy.pivot_floor
         )
-        return LevelizedTriangularSolver(F).solve, F.data, None
+        analysis = cached_analysis(F)
+        # both plans now: a missing diagonal raises here, not mid-solve
+        analysis.plan("lower"), analysis.plan("upper")
+        return partial(trisolve_factor_levels, F, analysis=analysis), F.data, None
 
     def _try_block_jacobi(self):
         try:

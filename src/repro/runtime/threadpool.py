@@ -34,32 +34,13 @@ from ..core.iluk import factor_row, _scatter_values
 from ..core.upper import assign_round_robin
 from ..kernels import cached_analysis
 from ..kernels.plans import build_producer_csr
+from ..kernels.trisolve import sweep_row
 from ..obs import spans as _spans
 from ..sparse.csr import CSRMatrix
 from .pointtopoint import FaultInjectedBoard, ProgressBoard
 from .team import p2p_rows, run_team
 
 __all__ = ["threaded_factor", "threaded_trisolve_lower", "threaded_trisolve_superstep"]
-
-
-def _sweep_row(F, rhs, out, r, upper=False):
-    """One row of a triangular sweep of ``F`` into ``out``.
-
-    Sequential entry-order accumulation over already-final values: the
-    kernel layer's bit-identical contract (np.dot may pair products).
-    """
-    lo, hi = int(F.indptr[r]), int(F.indptr[r + 1])
-    indices, data = F.indices, F.data
-    cut = lo + int(np.searchsorted(indices[lo:hi], r))
-    s = 0.0
-    if upper:
-        for kk in range(cut + 1, hi):
-            s += data[kk] * out[indices[kk]]
-        out[r] = (rhs[r] - s) / data[cut]
-    else:
-        for kk in range(lo, cut):
-            s += data[kk] * out[indices[kk]]
-        out[r] = rhs[r] - s
 
 
 def _p2p_watchdog(M, level_ptr, n_threads, row_op, span, fault_plan, fault_report, timeout):
@@ -156,7 +137,7 @@ def threaded_trisolve_lower(
     b = np.asarray(b, dtype=np.float64)
     y = np.zeros(F.n_rows)
     _p2p_watchdog(
-        F, level_ptr, n_threads, lambda r: _sweep_row(F, b, y, r), "solve_row",
+        F, level_ptr, n_threads, lambda r: sweep_row(F, b, y, r, False), "solve_row",
         fault_plan, fault_report, watchdog_timeout,
     )
     return y
@@ -186,7 +167,7 @@ def threaded_trisolve_superstep(F, rhs, plan):
                 "sched.superstep", cat="sched", step=s, thread=t, part=plan.part
             ):
                 for r in plan.thread_rows(s, t):
-                    _sweep_row(F, rhs, out, int(r), upper)
+                    sweep_row(F, rhs, out, int(r), upper)
             barrier.wait()
 
     run_team(plan.n_threads, work, barrier=barrier)

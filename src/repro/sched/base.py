@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from ..kernels import cached_analysis, get_kernel
-from .elastic import simulate_elastic
+from .elastic import elastic_solve_part, simulate_elastic
 from .options import SCHEDULER_NAMES, SchedOptions
 from .syncfree import simulate_syncfree
 
@@ -205,9 +205,9 @@ class ElasticScheduler(TriSolveScheduler):
             analysis = cached_analysis(F)
         sl = analysis.elastic_schedule("lower", staleness=opts.staleness)
         su = analysis.elastic_schedule("upper", staleness=opts.staleness)
-        kw = dict(tol=opts.elastic_tol, max_sweeps=opts.max_sweeps)
-        y = get_kernel("trisolve_lower_elastic")(F, b, sched=sl, **kw)
-        return get_kernel("trisolve_upper_elastic")(F, y, sched=su, **kw)
+        tol, max_sweeps = opts.elastic_tol, opts.max_sweeps
+        y = elastic_solve_part(F, b, sl, tol=tol, max_sweeps=max_sweeps)
+        return elastic_solve_part(F, y, su, tol=tol, max_sweeps=max_sweeps)
 
     def sync_points(self, S, *, opts=None) -> int:
         opts = self._opts(opts)

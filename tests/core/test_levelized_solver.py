@@ -1,57 +1,63 @@
+"""The level-batched solve (``trisolve_factor_levels``) and FGMRES."""
+
 import numpy as np
 import pytest
 
 from repro.core import JavelinILU
 from repro.core.iluk import ilu0_factor
 from repro.core.trisolve import (
-    LevelizedTriangularSolver,
     trisolve_factor,
+    trisolve_factor_levels,
     trisolve_lower_serial,
     trisolve_upper_serial,
 )
+from repro.kernels import cached_analysis, get_kernel
+from repro.solvers import as_preconditioner
 from repro.sparse import from_dense
 
-from helpers import random_csr, random_sparse_dense
+from helpers import random_csr
 
 
 class TestLevelizedSolver:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_serial_sweeps(self, seed, rng):
         F = ilu0_factor(random_csr(40, 0.12, seed=seed))
-        lv = LevelizedTriangularSolver(F)
         b = rng.standard_normal(40)
-        assert np.allclose(lv.forward(b), trisolve_lower_serial(F, b), atol=1e-13)
-        assert np.allclose(
-            lv.backward(trisolve_lower_serial(F, b)),
-            trisolve_upper_serial(F, trisolve_lower_serial(F, b)),
-            atol=1e-12,
+        y = trisolve_lower_serial(F, b)
+        assert np.array_equal(get_kernel("trisolve_lower", "batched")(F, b), y)
+        assert np.array_equal(
+            get_kernel("trisolve_upper", "batched")(F, y), trisolve_upper_serial(F, y)
         )
 
     def test_solve_equals_full_apply(self, rng):
         F = ilu0_factor(random_csr(30, 0.15, seed=3))
-        lv = LevelizedTriangularSolver(F)
         b = rng.standard_normal(30)
-        assert np.allclose(lv.solve(b), trisolve_factor(F, b), atol=1e-12)
+        assert np.array_equal(trisolve_factor_levels(F, b), trisolve_factor(F, b))
 
     def test_reusable_across_rhs(self, rng):
         F = ilu0_factor(random_csr(25, 0.2, seed=4))
-        lv = LevelizedTriangularSolver(F)
+        analysis = cached_analysis(F)
+        apply = as_preconditioner(F, guard=False)
         for _ in range(3):
             b = rng.standard_normal(25)
-            assert np.allclose(lv.solve(b), trisolve_factor(F, b), atol=1e-12)
+            ref = trisolve_factor(F, b)
+            assert np.array_equal(trisolve_factor_levels(F, b, analysis=analysis), ref)
+            assert np.array_equal(apply(b), ref)
 
     def test_missing_diagonal_rejected(self):
         from repro.sparse import CSRMatrix
 
         F = CSRMatrix(2, 2, [0, 1, 2], [1, 0], [1.0, 1.0])
+        # at build time, before any right-hand side arrives
         with pytest.raises(ValueError, match="diagonal"):
-            LevelizedTriangularSolver(F)
+            as_preconditioner(F)
 
     def test_diagonal_matrix_one_level_each_way(self):
         F = from_dense(np.diag([2.0, 4.0]))
-        lv = LevelizedTriangularSolver(F)
-        assert lv._fwd_plan.n_levels == 1 and lv._bwd_plan.n_levels == 1
-        assert np.allclose(lv.solve(np.array([2.0, 8.0])), [1.0, 2.0])
+        analysis = cached_analysis(F)
+        assert analysis.plan("lower").n_levels == 1
+        assert analysis.plan("upper").n_levels == 1
+        assert np.allclose(trisolve_factor_levels(F, np.array([2.0, 8.0])), [1.0, 2.0])
 
     def test_facade_build_solver(self, rng):
         A = random_csr(35, 0.12, seed=5)
@@ -74,7 +80,7 @@ class TestLevelizedSolver:
 
         A = grid2d(40)
         F = ilu0_factor(A)
-        lv = LevelizedTriangularSolver(F)
+        analysis = cached_analysis(F)
         b = rng.standard_normal(A.n_rows)
         t0 = time.perf_counter()
         for _ in range(3):
@@ -82,7 +88,7 @@ class TestLevelizedSolver:
         t_ser = time.perf_counter() - t0
         t0 = time.perf_counter()
         for _ in range(3):
-            lv.solve(b)
+            trisolve_factor_levels(F, b, analysis=analysis)
         t_lvl = time.perf_counter() - t0
         assert t_lvl < t_ser  # typically ~50x, assert conservatively
 

@@ -1,14 +1,12 @@
-"""Multi-RHS trisolve kernels: per-column bit-identity with the 1-RHS path."""
+"""Block right-hand sides: per-column bit-identity with the vector sweep."""
 
 import numpy as np
 import pytest
 
+from repro.baselines import BlockJacobi
+from repro.core import JavelinILU
 from repro.core.iluk import ilu0_factor
-from repro.core.trisolve import (
-    LevelizedTriangularSolver,
-    trisolve_factor,
-    trisolve_factor_multi,
-)
+from repro.core.trisolve import trisolve_factor, trisolve_factor_levels
 from repro.kernels import cached_analysis, get_kernel
 from repro.matrices import grid2d
 from repro.resilience import ResilientFactor
@@ -26,7 +24,7 @@ def _block(n, k, seed=1):
 
 class TestKernelBitIdentity:
     @pytest.mark.parametrize("k", [1, 3, 7])
-    @pytest.mark.parametrize("name", ["trisolve_lower_multi", "trisolve_upper_multi"])
+    @pytest.mark.parametrize("name", ["trisolve_lower", "trisolve_upper"])
     def test_batched_matches_scalar_reference(self, name, k):
         F = _factor()
         B = _block(F.n_rows, k)
@@ -38,7 +36,7 @@ class TestKernelBitIdentity:
     def test_each_column_identical_to_one_rhs_solve(self, k):
         F = _factor(seed=3)
         B = _block(F.n_rows, k, seed=4)
-        X = trisolve_factor_multi(F, B)
+        X = trisolve_factor_levels(F, B)
         for j in range(k):
             xj = trisolve_factor(F, B[:, j])
             assert np.array_equal(X[:, j], xj)
@@ -48,38 +46,51 @@ class TestKernelBitIdentity:
         F = _factor(seed=5)
         B = _block(F.n_rows, 4, seed=6)
         perm = [2, 0, 3, 1]
-        X = trisolve_factor_multi(F, B)
-        Xp = trisolve_factor_multi(F, B[:, perm])
+        X = trisolve_factor_levels(F, B)
+        Xp = trisolve_factor_levels(F, B[:, perm])
         assert np.array_equal(X[:, perm], Xp)
 
     def test_zero_width_block(self):
         F = _factor()
-        X = trisolve_factor_multi(F, np.empty((F.n_rows, 0)))
-        assert X.shape == (F.n_rows, 0)
+        for name in ("trisolve_lower", "trisolve_upper"):
+            for backend in ("scalar", "batched"):
+                X = get_kernel(name, backend)(F, np.empty((F.n_rows, 0)))
+                assert X.shape == (F.n_rows, 0)
+        assert trisolve_factor_levels(F, np.empty((F.n_rows, 0))).shape == (F.n_rows, 0)
 
-    def test_rejects_1d_input(self):
+    @pytest.mark.parametrize("backend", ["scalar", "batched"])
+    @pytest.mark.parametrize("name", ["trisolve_lower", "trisolve_upper"])
+    def test_vector_and_single_column_agree(self, name, backend):
         F = _factor()
-        with pytest.raises(ValueError, match="2-D block"):
-            get_kernel("trisolve_lower_multi")(F, np.ones(F.n_rows))
+        b = _block(F.n_rows, 1, seed=2)[:, 0]
+        kernel = get_kernel(name, backend)
+        x = kernel(F, b)
+        X = kernel(F, b[:, None])
+        assert x.shape == (F.n_rows,) and X.shape == (F.n_rows, 1)
+        assert np.array_equal(x, X[:, 0])
 
     def test_explicit_analysis_reused(self):
         F = _factor(seed=7)
         a = cached_analysis(F)
         B = _block(F.n_rows, 3, seed=8)
-        X1 = trisolve_factor_multi(F, B, analysis=a)
-        X2 = trisolve_factor_multi(F, B)
+        X1 = trisolve_factor_levels(F, B, analysis=a)
+        X2 = trisolve_factor_levels(F, B)
         assert np.array_equal(X1, X2)
 
 
 class TestSolverIntegration:
-    def test_levelized_solver_solve_multi(self):
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_build_solver_block_equals_vector_applies(self, k):
         A = grid2d(10)
-        F = ilu0_factor(A)
-        solver = LevelizedTriangularSolver(F)
-        B = _block(A.n_rows, 4, seed=9)
-        X = solver.solve_multi(B)
-        for j in range(4):
-            assert np.array_equal(X[:, j], solver.solve(B[:, j]))
+        ilu = JavelinILU().setup(A)
+        ilu.factor()
+        apply = ilu.build_solver()
+        B = _block(A.n_rows, k, seed=9)
+        X = apply(B)
+        assert X.shape == (A.n_rows, k)
+        for j in range(k):
+            assert np.array_equal(X[:, j], apply(B[:, j]))
+            assert np.array_equal(X[:, j], ilu.solve(B[:, j]))
 
     def test_resilient_factor_multi_solver(self):
         A = grid2d(10)
@@ -90,3 +101,59 @@ class TestSolverIntegration:
         Z = apply_multi(B)
         for j in range(5):
             assert np.array_equal(Z[:, j], apply_one(B[:, j]))
+
+
+class TestRightHandSideShape:
+    """A right-hand side that does not have the factor's rows is an error.
+
+    An oversized one used to be truncated silently to its first n rows,
+    and a short one failed with an opaque ``IndexError``.
+    """
+
+    N = 64  # grid2d(8)
+
+    @pytest.fixture(scope="class")
+    def ilu(self):
+        ilu = JavelinILU().setup(grid2d(8))
+        ilu.factor()
+        return ilu
+
+    @staticmethod
+    def _bad(n):
+        rng = np.random.default_rng(11)
+        return [rng.standard_normal(n + 1), rng.standard_normal(n - 1),
+                rng.standard_normal((n + 1, 2)), rng.standard_normal((n, 2, 1))]
+
+    @pytest.mark.parametrize("backend", ["scalar", "batched"])
+    @pytest.mark.parametrize("name", ["trisolve_lower", "trisolve_upper"])
+    def test_kernels_reject(self, ilu, name, backend):
+        for b in self._bad(self.N):
+            with pytest.raises(ValueError, match=rf"shape \({b.shape[0]},.*{self.N} rows"):
+                get_kernel(name, backend)(ilu.F, b)
+
+    def test_factor_solves_reject(self, ilu):
+        for fn in (trisolve_factor, trisolve_factor_levels):
+            for b in self._bad(self.N):
+                with pytest.raises(ValueError, match=f"{self.N} rows"):
+                    fn(ilu.F, b)
+
+    def test_preconditioner_applies_reject(self, ilu):
+        rf = ResilientFactor().setup(grid2d(8))
+        bj = BlockJacobi(8).setup(grid2d(8))
+        applies = [ilu.solve, ilu.build_solver(), ilu.build_multi_solver(),
+                   rf.solve, rf.build_multi_solver(), bj.solve]
+        b = np.ones(self.N + 1)
+        for apply in applies:
+            with pytest.raises(ValueError, match=f"{self.N} rows"):
+                apply(b)
+        B = np.ones((self.N + 1, 2))
+        for apply in (ilu.build_multi_solver(), rf.build_multi_solver()):
+            with pytest.raises(ValueError, match=f"{self.N} rows"):
+                apply(B)
+
+    def test_plan_of_another_pattern_rejected(self, ilu):
+        other = cached_analysis(ilu0_factor(grid2d(9)))
+        b = np.ones(self.N)
+        for part in ("lower", "upper"):
+            with pytest.raises(ValueError, match="plan is for 81 rows"):
+                get_kernel(f"trisolve_{part}", "batched")(ilu.F, b, plan=other.plan(part))

@@ -68,7 +68,7 @@ EXECUTORS = {
     ),
     "trisolve_lower": (
         lambda p, part: lambda: threaded_trisolve_lower(F, F.data[:N], LEVEL_PTR, p),
-        [(threadpool, "_sweep_row", 3)],
+        [(threadpool, "sweep_row", 3)],
     ),
     "two_stage": (
         lambda p, part: lambda: threaded_factor_two_stage(
@@ -76,7 +76,7 @@ EXECUTORS = {
         ),
         [(threaded_lower, "factor_row", 1)],
     ),
-    "superstep": (_superstep, [(threadpool, "_sweep_row", 3)]),
+    "superstep": (_superstep, [(threadpool, "sweep_row", 3)]),
 }
 
 
