@@ -3,7 +3,8 @@
 Unlike the figure benches (which report *simulated* machine times),
 these time the actual implementation with pytest-benchmark: spmv in CSR
 vs CSR5 tiles, the numeric ILU(0) factorization, the staged
-factorization, and the triangular solves.  They guard against
+factorization, the triangular solves, and the scalar vs batched
+``ilu_factor`` kernel.  They guard against
 performance regressions in the library itself.
 
 Run as a script for the scalar-vs-batched kernel comparison::
@@ -223,8 +224,39 @@ def _des_case(nx=64, p=8, repeats=3):
     }
 
 
+def _factor_case(nx, repeats=3):
+    """Time the scalar vs batched ``ilu_factor`` kernel: ILU(1) of grid2d(nx).
+
+    The batched backend's update schedule is built once before timing,
+    as a refactor loop reuses it; ``exact_equal`` compares the factor
+    bytes.
+    """
+    from repro.core import JavelinILU, JavelinOptions
+    from repro.kernels import get_kernel
+    from repro.matrices.generators import grid2d
+
+    ilu = JavelinILU(JavelinOptions(fill_level=1)).setup(grid2d(nx))
+    A, S = ilu.A_perm, ilu.S_perm
+    scalar, batched = get_kernel("ilu_factor", "scalar"), get_kernel("ilu_factor", "batched")
+    batched(A, S)
+    t_scalar, F_scalar, scalar_samples = _timeit(scalar, A, S, repeats=repeats)
+    t_batched, F_batched, batched_samples = _timeit(batched, A, S, repeats=repeats)
+    return {
+        "case": f"grid2d-{nx}-ilu1",
+        "kernel": "ilu_factor",
+        "n": int(S.n_rows),
+        "nnz": int(S.nnz),
+        "scalar_s": t_scalar,
+        "batched_s": t_batched,
+        "scalar_samples": scalar_samples,
+        "batched_samples": batched_samples,
+        "speedup": t_scalar / t_batched,
+        "exact_equal": F_scalar.data.tobytes() == F_batched.data.tobytes(),
+    }
+
+
 def run(check):
-    """Scalar vs batched trisolve + DES; ``check`` adds the baseline gate.
+    """Scalar vs batched trisolve, DES and factor; ``check`` adds the baseline gate.
 
     Full mode times the acceptance case (n = 50k); the fast gate runs
     the small case and fails on divergence or a >2x speedup regression
@@ -233,10 +265,12 @@ def run(check):
     if check:
         entry = _trisolve_case(CHECK_CASE, repeats=3)
         des = _des_case(nx=24, p=4, repeats=1)
-        entries = [entry, des]
+        fac = _factor_case(24, repeats=1)
+        entries = [entry, des, fac]
     else:
         entries = [_trisolve_case(nx) for nx in FULL_CASES]
         entries.append(_des_case())
+        entries.append(_factor_case(48))
     record = {
         "meta": {
             "numpy": np.__version__,
@@ -264,6 +298,8 @@ def run(check):
         failures.append("batched trisolve diverges from scalar")
     if not des["exact_equal"]:
         failures.append("batched DES diverges from scalar")
+    if not fac["exact_equal"]:
+        failures.append("batched ilu_factor diverges from scalar")
     if os.path.exists(BASELINE_PATH):
         with open(BASELINE_PATH) as fh:
             baseline = json.load(fh)
@@ -284,7 +320,8 @@ def run(check):
         print(f"note: no baseline at {BASELINE_PATH}; divergence check only")
     print(
         f"check {entry['case']}: speedup {entry['speedup']:.1f}x, "
-        f"exact={entry['exact_equal']}; DES exact={des['exact_equal']}"
+        f"exact={entry['exact_equal']}; DES exact={des['exact_equal']}; "
+        f"ilu_factor exact={fac['exact_equal']} ({fac['speedup']:.1f}x)"
     )
     return record, failures
 

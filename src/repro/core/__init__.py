@@ -6,7 +6,9 @@ Layout mirrors §III of the paper:
   level-of-fill, ILU(0) = pattern of A) plus the per-row cost model the
   machine simulator charges;
 * :mod:`iluk` — the sequential up-looking factorization of Fig. 1,
-  the numerical reference every parallel path must match bit-for-bit;
+  the numerical reference every parallel path must match bit-for-bit,
+  and the ``ilu_factor`` kernel whose level-batched backend runs it on
+  a cached update schedule with the same bits;
 * :mod:`ilut` — threshold dropping ILU(τ), the combined ILU(k, τ), and
   modified ILU (MILU) compensation;
 * :mod:`schedule` — the two-stage partition: which levels stay in the
@@ -16,7 +18,8 @@ Layout mirrors §III of the paper:
   synchronizations (and the barrier variant for comparison);
 * :mod:`lower_er`, :mod:`lower_sr` — the Even-Rows and Segmented-Rows
   lower-stage orders (partition and simulation; the numeric factor is
-  one loop over :func:`iluk.factor_row` whatever the order);
+  the ``ilu_factor`` kernel, with the bits of the :func:`iluk.factor_row`
+  loop, whatever the order);
 * :mod:`trisolve` — sparse triangular solves co-designed with the
   factorization (serial, barrier CSR-LS, p2p LS, LS+Lower);
 * :mod:`javelin` — the user-facing :class:`JavelinILU` façade.

@@ -1,4 +1,4 @@
-"""Sequential up-looking incomplete LU — the numerical reference.
+"""Up-looking incomplete LU: the row reference and the level-batched factor.
 
 This is Fig. 1 of the paper verbatim: rows top to bottom; within row
 ``i`` scan the strict-lower pattern columns ``c`` in ascending order,
@@ -7,22 +7,33 @@ the positions of row ``i`` that also appear in the upper part of row
 ``c``.  L and U are stored together in one CSR matrix (unit diagonal of
 L implicit).
 
-:func:`factor_row` is the one row-elimination kernel: the sequential
-reference, :meth:`~repro.core.javelin.JavelinILU.factor` and both
-threaded executors call it.  Every parallel execution order in the
-framework (upper stage p2p/barrier, Even-Rows, Segmented-Rows, the
-threaded runtime) must reproduce this factorization *exactly* — the
-dependency structure makes traditional ILU deterministic, which is the
-robustness property the paper contrasts with the fine-grained
-asynchronous method of Chow & Patel.  Tests assert bit-for-bit
-agreement.
+:func:`factor_row` is the row-elimination kernel: the sequential
+reference and both threaded executors call it.  Every parallel
+execution order in the framework (upper stage p2p/barrier, Even-Rows,
+Segmented-Rows, the threaded runtime) must reproduce this factorization
+*exactly* — the dependency structure makes traditional ILU
+deterministic, which is the robustness property the paper contrasts
+with the fine-grained asynchronous method of Chow & Patel.  Tests
+assert bit-for-bit agreement.
+
+The ``ilu_factor`` kernel is the whole numeric factor, with the
+ILU(k, τ) drop hook.  Its ``scalar`` backend is the :func:`factor_row`
+loop (what :func:`ilu_factor_sequential` runs); its ``batched`` backend,
+the default behind :meth:`~repro.core.javelin.JavelinILU.factor`, runs
+§III's level schedule on the numeric phase: the cached
+:class:`~repro.kernels.plans.FactorSchedule` groups the strict-lower
+slots into steps (the level sets of the slot DAG), and each step is one
+divide and one multiply-subtract over all its rows.  A step holds at
+most one slot per row and reads only rows finished in earlier steps, so
+every slot sees the same operations in the same order as in
+:func:`factor_row`, and the bits are the same.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import cached_analysis
+from ..kernels import cached_analysis, get_kernel, register_kernel
 from ..sparse.csr import CSRMatrix
 from .breakdown import FactorizationBreakdown, classify_pivot
 from .symbolic import ilu0_pattern, iluk_pattern
@@ -154,19 +165,113 @@ def drop_row_fixed_pattern(F: CSRMatrix, r, diag_pos, threshold, *, modified=Fal
     return dropped
 
 
+@register_kernel("ilu_factor", "scalar")
+def _ilu_factor_scalar(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=False):
+    """ILU of A on pattern S: one :func:`factor_row` per row, then its drop hook.
+
+    ``drop_threshold[r]`` (optional) is row ``r``'s ILU(k, τ) threshold
+    for :func:`drop_row_fixed_pattern`, ``modified`` its MILU switch.
+    """
+    F = _scatter_values(S, A)
+    diag_pos = cached_analysis(F).diag_pos()
+    for r in range(F.n_rows):
+        factor_row(F, r, diag_pos, pivot_tol=pivot_tol)
+        if drop_threshold is not None:
+            drop_row_fixed_pattern(F, r, diag_pos, drop_threshold[r], modified=modified)
+    return F
+
+
+@register_kernel("ilu_factor", "batched", default=True)
+def _ilu_factor_batched(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=False):
+    """The scalar backend's factor, one schedule step at a time.
+
+    A failed pivot re-runs the scalar backend on a fresh scatter: step
+    order is not row order, so only the row loop raises the sequential
+    :class:`PivotBreakdownError` (row, value, kind).
+    """
+    F = _scatter_values(S, A)
+    analysis = cached_analysis(F)
+    try:
+        _run_factor_schedule(
+            F, analysis.factor_schedule(), analysis.diag_pos(), pivot_tol, drop_threshold, modified
+        )
+    except PivotBreakdownError:
+        return _ilu_factor_scalar(
+            A, S, pivot_tol=pivot_tol, drop_threshold=drop_threshold, modified=modified
+        )
+    return F
+
+
+def _run_factor_schedule(F, sch, diag_pos, pivot_tol, drop_threshold, modified):
+    """Factor ``F`` in place along the schedule ``sch``, one step at a time.
+
+    A step's pivots are final before it starts (their rows finished in
+    earlier steps), so one vectorized test checks them all.  Inside a
+    step the targets are distinct rows' slots and the sources are final,
+    so one fancy-indexed multiply-subtract applies every update.
+    """
+    d = F.data
+    step_ptr, pair_ptr = sch.step_ptr.tolist(), sch.pair_ptr.tolist()
+    slot, pivot, tgt, src, own = sch.slot, sch.pivot, sch.tgt, sch.src, sch.own
+    if drop_threshold is not None:
+        drop_row_ptr, drop_ptr = sch.drop_row_ptr.tolist(), sch.drop_ptr.tolist()
+        row_thresh = np.asarray(drop_threshold)[sch.drop_rows]
+        row_diag = diag_pos[sch.drop_rows]
+    inf = np.inf
+    for s in range(sch.n_steps + 1):
+        if drop_threshold is not None:
+            r0, r1 = drop_row_ptr[s], drop_row_ptr[s + 1]
+            _drop_rows(
+                d, sch, drop_ptr[s], drop_ptr[s + 1], row_thresh[r0:r1], row_diag[r0:r1], modified
+            )
+        if s == sch.n_steps:
+            break
+        a, b = step_ptr[s], step_ptr[s + 1]
+        cur = slot[a:b]
+        piv = d[pivot[a:b]]
+        mag = np.abs(piv)
+        bad = np.flatnonzero(~((pivot_tol < mag) & (mag < inf)))
+        if bad.size:
+            k = int(bad[0])
+            raise PivotBreakdownError(
+                int(F.indices[cur[k]]), piv[k], kind=classify_pivot(piv[k], pivot_tol)
+            )
+        lic = d[cur] / piv
+        d[cur] = lic
+        p0, p1 = pair_ptr[s], pair_ptr[s + 1]
+        d[tgt[p0:p1]] -= lic[own[p0:p1]] * d[src[p0:p1]]
+
+
+def _drop_rows(d, sch, a, b, thresh, diag, modified):
+    """:func:`drop_row_fixed_pattern` on the rows of one drop phase.
+
+    ``thresh`` and ``diag`` are the phase's rows' thresholds and
+    diagonal slots.  ``np.bincount`` sums each row's dropped mass in
+    ascending column order, the order of the row loop's ``+=``.
+    """
+    slots, local = sch.drop_slot[a:b], sch.drop_local[a:b]
+    v = d[slots]
+    hit = (v != 0.0) & (np.abs(v) < thresh[local])
+    if not hit.any():
+        return
+    if modified:
+        mass = np.bincount(local[hit], weights=v[hit], minlength=thresh.shape[0])
+        nz = mass != 0.0
+        d[diag[nz]] += mass[nz]
+    d[slots[hit]] = 0.0
+
+
 def ilu_factor_sequential(A: CSRMatrix, S: CSRMatrix | None = None, *, pivot_tol=0.0):
     """Up-looking ILU of A on pattern S (default: ILU(0) pattern).
 
     Returns the factored CSR matrix holding L (strictly below the
-    diagonal, unit diagonal implicit) and U (diagonal and above).
+    diagonal, unit diagonal implicit) and U (diagonal and above).  This
+    is the ``scalar`` backend of the ``ilu_factor`` kernel, the
+    reference every other factor path is tested against.
     """
     if S is None:
         S = ilu0_pattern(A)
-    F = _scatter_values(S, A)
-    diag_pos = cached_analysis(F).diag_pos()
-    for i in range(F.n_rows):
-        factor_row(F, i, diag_pos, pivot_tol=pivot_tol)
-    return F
+    return get_kernel("ilu_factor", "scalar")(A, S, pivot_tol=pivot_tol)
 
 
 def ilu0_factor(A: CSRMatrix, *, pivot_tol=0.0):

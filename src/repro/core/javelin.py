@@ -15,12 +15,15 @@ Typical use::
 ``setup`` performs the paper's preprocessing (§III): predetermine the
 fill pattern (ILU(k)), level-schedule ``lower(S + Sᵀ)``, split into the
 two stages, and symmetrically permute the matrix into the level
-ordering.  ``factor`` is one loop of :func:`~repro.core.iluk.factor_row`
-over the permuted rows (plus the ILU(k, τ) drop hook): every stage
-order — the p2p upper levels, Even-Rows, Segmented-Rows — eliminates
-each row's columns in ascending order, so each gives the same bits as
-this loop, and the orders themselves run in the threaded executor
-(:mod:`repro.runtime`) and the ``simulate_*`` replays.
+ordering.  ``factor`` runs the ``ilu_factor`` kernel's level-batched
+backend (plus the ILU(k, τ) drop hook) on the permuted matrix: one
+vectorized step per level of the slot DAG, on an update schedule
+cached per pattern, giving the bits of the row-by-row
+:func:`~repro.core.iluk.factor_row` loop.  Every stage order — the p2p
+upper levels, Even-Rows, Segmented-Rows — eliminates each row's
+columns in ascending order, so each gives those same bits, and the
+orders themselves run in the threaded executor (:mod:`repro.runtime`)
+and the ``simulate_*`` replays.
 """
 
 from __future__ import annotations
@@ -39,10 +42,9 @@ from .symbolic import (
     row_factor_costs,
     row_factor_costs_split,
 )
-from ..kernels import cached_analysis
+from ..kernels import cached_analysis, get_kernel
 from ..kernels.trisolve import as_rhs
 from ..kernels.cache import pattern_fingerprint
-from .iluk import _scatter_values, drop_row_fixed_pattern, factor_row
 from .schedule import ScheduleOptions, build_schedule
 from .upper import simulate_upper_p2p, simulate_upper_barrier
 from .lower_er import simulate_lower_er
@@ -165,12 +167,22 @@ class JavelinILU:
         return self
 
     def _set_drop_threshold(self):
-        """Value-dependent ILU(k, τ) thresholds of the current ``A_perm``."""
+        """Value-dependent ILU(k, τ) thresholds ``τ·‖A[r,:]‖₂`` of ``A_perm``.
+
+        Rows of one length are summed in one 2-D ``np.sum``: numpy's
+        pairwise summation tree depends only on the length, so each norm
+        has the bits of ``np.sum`` over its row alone, which
+        ``np.add.reduceat`` does not give for rows of 8 or more entries.
+        """
         if self.options.tau > 0.0:
-            norms = np.zeros(self.A_perm.n_rows)
-            for r in range(self.A_perm.n_rows):
-                _, vals = self.A_perm.row(r)
-                norms[r] = np.sqrt(np.sum(vals * vals))
+            A = self.A_perm
+            lens = np.diff(A.indptr)
+            sq = A.data * A.data
+            norms = np.empty(A.n_rows)
+            for length in np.unique(lens).tolist():
+                rows = np.flatnonzero(lens == length)
+                seg = sq[A.indptr[rows, None] + np.arange(length)]
+                norms[rows] = np.sqrt(np.sum(seg, axis=1))
             self.drop_threshold = self.options.tau * norms
         else:
             self.drop_threshold = None
@@ -227,27 +239,29 @@ class JavelinILU:
         return method
 
     def factor(self) -> FactorResult:
-        """Numeric factorization: one loop of ``factor_row`` over all rows.
+        """Numeric factorization: the ``ilu_factor`` kernel on ``A_perm``.
 
-        Each row is followed by the ILU(k, τ) drop hook when ``tau > 0``.
-        The lower-stage choice does not enter: every stage order gives
-        these bits (the threaded executor runs the ER order), and
-        without dropping they are those of
+        The default ``batched`` backend runs the pattern's cached update
+        schedule one step at a time, dropping each row (ILU(k, τ), when
+        ``tau > 0``) once its last step is done; its bits are those of
+        the ``scalar`` row loop.  The lower-stage choice does not enter:
+        every stage order gives these bits (the threaded executor runs
+        the ER order), and without dropping they are those of
         :func:`~repro.core.iluk.ilu_factor_sequential` on
         ``(A_perm, S_perm)``.
         """
         if not self._ready:
             raise RuntimeError("call setup(A) before factor()")
         opts = self.options
-        F = _scatter_values(self.S_perm, self.A_perm)
-        # the cache keys on F's pattern, so the solve plans built later
-        # (build_solver / the lazy solve path) reuse this same analysis
-        diag_pos = cached_analysis(F).diag_pos()
-        thresh = self.drop_threshold
-        for r in range(F.n_rows):
-            factor_row(F, r, diag_pos, pivot_tol=opts.pivot_tol)
-            if thresh is not None:
-                drop_row_fixed_pattern(F, r, diag_pos, thresh[r], modified=opts.modified)
+        # the kernel's analysis is keyed on F's pattern, so the solve
+        # plans built later (build_solver / the lazy solve path) reuse it
+        F = get_kernel("ilu_factor")(
+            self.A_perm,
+            self.S_perm,
+            pivot_tol=opts.pivot_tol,
+            drop_threshold=self.drop_threshold,
+            modified=opts.modified,
+        )
         self.F = F
         self._factored = True
         self._apply = None  # values changed; sweeps rebind on next solve

@@ -15,8 +15,8 @@ reference's bits: this module keeps the partition (:class:`EvenRows`)
 and its timing (:func:`simulate_lower_er`).  The one place the order
 runs for real is :func:`repro.runtime.threaded_factor_two_stage`, which
 calls :func:`repro.core.iluk.factor_row` with a column window for each
-phase; :meth:`repro.core.javelin.JavelinILU.factor` is one sequential
-loop over the same kernel.
+phase; :meth:`repro.core.javelin.JavelinILU.factor` runs the
+``ilu_factor`` kernel, which gives the same bits.
 """
 
 from __future__ import annotations

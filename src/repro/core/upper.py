@@ -11,7 +11,7 @@ spin-wait per distinct producer thread (the sparsified synchronization
 of Park et al.), instead of a barrier per level.
 
 This module holds the schedule and its timing only: the numeric factor
-is one loop over :func:`repro.core.iluk.factor_row` (a row's
+is the ``ilu_factor`` kernel of :mod:`repro.core.iluk` (a row's
 elimination reads only finished rows, so any order that respects the
 dependencies gives the sequential reference's bits), and the real-thread
 p2p executor lives in :mod:`repro.runtime`.  :func:`simulate_upper_p2p` /

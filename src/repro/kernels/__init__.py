@@ -4,7 +4,8 @@ The framework's hot numeric paths — triangular sweeps and the
 upper-stage DES — live here as named kernels with interchangeable
 backends (``"scalar"`` reference vs ``"batched"`` level-set NumPy),
 resolved through :func:`get_kernel`.  Symbolic analysis products
-(diagonal positions, level sets, sweep plans, row costs) are memoized
+(diagonal positions, level sets, sweep plans, the numeric factor's
+update schedule, row costs) are memoized
 per sparsity-pattern fingerprint in :class:`SymbolicCache` so repeated
 factor/solve cycles reuse them.
 
@@ -14,7 +15,10 @@ Registered kernels (each with ``scalar`` and ``batched`` backends):
   for ``b`` of shape ``(n,)`` or ``(n, k)``;
 * ``trisolve_upper`` — backward solve ``U x = y``, likewise;
 * ``upper_p2p_sim`` — the point-to-point DES sweep;
-* ``superstep_sim`` — the barrier DES sweep (one barrier per step).
+* ``superstep_sim`` — the barrier DES sweep (one barrier per step);
+* ``ilu_factor`` — the numeric ILU factor, registered by
+  :mod:`repro.core.iluk` on the schedule of
+  :func:`~repro.kernels.plans.build_factor_schedule`.
 
 Backends agree bit-for-bit; see ``docs/kernel_backends.md`` for the
 accumulation-order contract and how to add a backend.

@@ -2,12 +2,13 @@
 
 An ILU-preconditioned Krylov run re-analyzes the same sparsity pattern
 over and over: every factor/solve cycle needs diagonal positions, level
-sets, level-ordered permutations, batched sweep plans, and row-cost
-arrays — all functions of ``(indptr, indices)`` alone, never of the
-values.  This module fingerprints the pattern and memoizes one
-:class:`SymbolicAnalysis` per fingerprint, so repeated cycles (GMRES
-restarts, CG re-preconditioning, parameter sweeps over ``τ``) pay the
-symbolic cost once.
+sets, level-ordered permutations, batched sweep plans, the numeric
+factor's update schedule, and row-cost arrays — all functions of
+``(indptr, indices)`` alone, never of the values.  This module
+fingerprints the pattern and memoizes one :class:`SymbolicAnalysis` per
+fingerprint, so repeated cycles (GMRES restarts, CG
+re-preconditioning, parameter sweeps over ``τ``) pay the symbolic cost
+once.
 
 The fingerprint hashes the structure bytes, so any pattern mutation —
 a different fill level, a pruned entry, a permutation — produces a new
@@ -28,6 +29,7 @@ from ..obs import spans as _spans
 from ..sparse.csr import CSRMatrix
 from .plans import (
     backward_level_sets,
+    build_factor_schedule,
     build_trisolve_plan,
     diag_positions,
     forward_level_sets,
@@ -70,21 +72,16 @@ def freeze_product(obj):
     site instead of silent corruption of every other consumer.  Handles
     bare arrays, tuples of products, and the dataclass products
     (:class:`~repro.ordering.levelsets.LevelSets`,
-    :class:`~repro.kernels.plans.TriSolvePlan`).
+    :class:`~repro.kernels.plans.TriSolvePlan`,
+    :class:`~repro.kernels.plans.FactorSchedule`, the ``repro.sched``
+    plans), whose every array attribute is frozen.
     """
     if isinstance(obj, np.ndarray):
         obj.flags.writeable = False
         return obj
     if isinstance(obj, tuple):
         return tuple(freeze_product(x) for x in obj)
-    for field in ("level_of", "level_ptr", "rows", "ent_idx", "ent_local",
-                  "lev_ent_ptr", "diag_idx",
-                  # superstep plans (repro.sched)
-                  "step_ptr", "thread_ptr", "thread_of", "step_of",
-                  "step_level_ptr",
-                  # elastic schedules (repro.sched)
-                  "block_of", "final_sweep", "ent_ptr"):
-        arr = getattr(obj, field, None)
+    for arr in getattr(obj, "__dict__", {}).values():
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
     return obj
@@ -187,6 +184,15 @@ class SymbolicAnalysis:
                 part,
                 levels=self.levels(part),
                 diag_idx=self.diag_pos() if part == "upper" else None,
+            ),
+        )
+
+    def factor_schedule(self):
+        """The numeric factor's update schedule (reuses forward levels + diag_pos)."""
+        return self._get(
+            "factor_schedule",
+            lambda: build_factor_schedule(
+                self._pattern, levels=self.levels("lower"), diag_idx=self.diag_pos()
             ),
         )
 

@@ -174,9 +174,13 @@ def elastic_solve_part(
     ``tol * max(1, ||x||_inf)``.  Both backends share the iteration
     structure; the scalar one accumulates per row, the batched one per
     (block, level) segment with the same ascending-entry order.
+    ``rhs`` must have shape ``(sched.n,)``; anything else raises
+    ``ValueError``.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     n = sched.n
+    if rhs.shape != (n,):
+        raise ValueError(f"right-hand side of shape {rhs.shape} does not match {n} rows")
     x = np.zeros(n)
     data, indices = F.data, F.indices
     diag = data[sched.diag_idx] if sched.part == "upper" else None

@@ -15,15 +15,15 @@ from repro.kernels import (
 class TestLookup:
     def test_known_kernels_registered(self):
         names = available_kernels()
-        for expect in ("trisolve_lower", "trisolve_upper", "upper_p2p_sim"):
+        for expect in ("trisolve_lower", "trisolve_upper", "upper_p2p_sim", "ilu_factor"):
             assert expect in names
 
     def test_each_kernel_has_both_backends(self):
-        for name in ("trisolve_lower", "trisolve_upper", "upper_p2p_sim"):
+        for name in ("trisolve_lower", "trisolve_upper", "upper_p2p_sim", "ilu_factor"):
             assert available_backends(name) == ["batched", "scalar"]
 
     def test_batched_is_default(self):
-        for name in ("trisolve_lower", "trisolve_upper", "upper_p2p_sim"):
+        for name in ("trisolve_lower", "trisolve_upper", "upper_p2p_sim", "ilu_factor"):
             assert get_default_backend(name) == "batched"
             assert get_kernel(name) is get_kernel(name, "batched")
 

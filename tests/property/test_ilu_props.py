@@ -4,9 +4,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
-from repro.core.iluk import ilu0_factor, ilu_factor_sequential, iluk_factor
+from repro.core.iluk import PivotBreakdownError, ilu0_factor, ilu_factor_sequential, iluk_factor
 from repro.core.ilut import ilut_factor
 from repro.core.symbolic import iluk_pattern, row_factor_costs
+from repro.kernels import diag_positions, get_kernel
 from repro.sparse import from_dense, split_lu
 
 
@@ -100,3 +101,75 @@ def test_factor_costs_match_actual_flops(D):
                     if P[c, j] and P[i, j]:
                         flops[i] += 2
     assert np.array_equal(f, flops)
+
+
+def _both_backends(A, S, **kw):
+    """Outcome of the ``ilu_factor`` kernel's scalar and batched backends.
+
+    An outcome is the factor's raw bytes, or the breakdown's row, the
+    pivot's bytes (NaN compares equal to itself) and kind.
+    """
+    out = []
+    for backend in ("scalar", "batched"):
+        try:
+            F = get_kernel("ilu_factor", backend)(A, S, **kw)
+        except PivotBreakdownError as e:
+            out.append(("breakdown", e.row, np.float64(e.value).tobytes(), e.kind))
+        else:
+            out.append(("factor", F.data.tobytes()))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dominant_dense(max_n=18),
+    st.sampled_from([0, 1, 2]),
+    st.sampled_from([0.0, 0.05, 0.3]),
+    st.booleans(),
+)
+def test_batched_factor_equals_scalar(D, k, tau, modified):
+    """ILU(k), ILU(k, τ) and MILU: the batched backend has the scalar bits."""
+    A = from_dense(D)
+    thresh = tau * np.sqrt((D * D).sum(axis=1)) if tau > 0.0 else None
+    scalar, batched = _both_backends(
+        A, iluk_pattern(A, k), drop_threshold=thresh, modified=modified
+    )
+    assert scalar[0] == "factor"
+    assert batched == scalar
+
+
+PLANTED = {"zero": 0.0, "tiny": 1e-30, "nan": np.nan}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dominant_dense(max_n=18),
+    st.sampled_from([0, 1, 2]),
+    st.lists(
+        st.tuples(st.integers(0, 16), st.sampled_from(sorted(PLANTED))), min_size=1, max_size=3
+    ),
+)
+def test_planted_pivots_break_down_identically(D, k, planted):
+    """Zero, tiny and NaN pivots: both backends raise the sequential error.
+
+    Each planted row loses its strict-lower entries, so its pivot is the
+    planted value, and gains the last row as a dependent, so the pivot
+    is read.  With several planted rows the batched backend may meet
+    another one first; the (row, value, kind) must still be the row
+    loop's.
+    """
+    n = D.shape[0]
+    rows = sorted({r % (n - 1) for r, _ in planted})
+    for r in rows:
+        D[r, :r] = 0.0
+        D[n - 1, r] = 1.0
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, np.abs(D).sum(axis=1) + 1.0)
+    A = from_dense(D)
+    S = iluk_pattern(A, k)
+    dp = diag_positions(A)
+    for r, kind in planted:
+        A.data[dp[r % (n - 1)]] = PLANTED[kind]
+    scalar, batched = _both_backends(A, S, pivot_tol=1e-20)
+    assert scalar[0] == "breakdown"
+    assert batched == scalar

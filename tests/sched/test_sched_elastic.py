@@ -71,6 +71,15 @@ def test_scalar_and_batched_backends_agree(F):
     assert np.array_equal(xs, xb)
 
 
+@pytest.mark.parametrize("backend", ["scalar", "batched"])
+@pytest.mark.parametrize("shape", [(49,), (51,), (50, 1), ()])
+def test_wrong_rhs_shape_rejected(F, backend, shape):
+    """Regression: an oversized rhs was truncated and a short one hit IndexError."""
+    sched = cached_analysis(F).elastic_schedule("lower", staleness=2)
+    with pytest.raises(ValueError, match="does not match 50 rows"):
+        elastic_solve_part(F, np.ones(shape), sched, backend=backend)
+
+
 def test_max_sweeps_truncation_is_inexact_but_finite(F):
     rng = np.random.default_rng(6)
     b = rng.standard_normal(F.n_rows)

@@ -127,6 +127,15 @@ def test_thawed_cache_array_fails_validation():
         validate_analysis(ana)
 
 
+def test_thawed_factor_schedule_fails_validation():
+    ana = cached_analysis(random_csr(30, 0.2, 14))
+    sched = ana.factor_schedule()
+    assert validate_analysis(ana)
+    sched.src.flags.writeable = True
+    with pytest.raises(InvariantViolation, match="factor_schedule.src"):
+        validate_analysis(ana)
+
+
 def test_cache_lookup_hook_catches_thawed_entry():
     S = random_csr(30, 0.2, 10)
     ana = cached_analysis(S)
