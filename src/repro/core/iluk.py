@@ -22,11 +22,11 @@ loop (what :func:`ilu_factor_sequential` runs); its ``batched`` backend,
 the default behind :meth:`~repro.core.javelin.JavelinILU.factor`, runs
 §III's level schedule on the numeric phase: the cached
 :class:`~repro.kernels.plans.FactorSchedule` groups the strict-lower
-slots into steps (the level sets of the slot DAG), and each step is one
-divide and one multiply-subtract over all its rows.  A step holds at
-most one slot per row and reads only rows finished in earlier steps, so
-every slot sees the same operations in the same order as in
-:func:`factor_row`, and the bits are the same.
+slots by forward level and then by position ``j`` in the row, and each
+group is one divide and one multiply-subtract over all its rows.  A
+group holds at most one slot per row and reads only rows of earlier
+levels, which are final, so every slot sees the same operations in the
+same order as in :func:`factor_row`, and the bits are the same.
 """
 
 from __future__ import annotations
@@ -183,9 +183,9 @@ def _ilu_factor_scalar(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=Fal
 
 @register_kernel("ilu_factor", "batched", default=True)
 def _ilu_factor_batched(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=False):
-    """The scalar backend's factor, one schedule step at a time.
+    """The scalar backend's factor, one (level, ``j``) group at a time.
 
-    A failed pivot re-runs the scalar backend on a fresh scatter: step
+    A failed pivot re-runs the scalar backend on a fresh scatter: level
     order is not row order, so only the row loop raises the sequential
     :class:`PivotBreakdownError` (row, value, kind).
     """
@@ -203,49 +203,52 @@ def _ilu_factor_batched(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=Fa
 
 
 def _run_factor_schedule(F, sch, diag_pos, pivot_tol, drop_threshold, modified):
-    """Factor ``F`` in place along the schedule ``sch``, one step at a time.
+    """Factor ``F`` in place along the schedule ``sch``, one group at a time.
 
-    A step's pivots are final before it starts (their rows finished in
-    earlier steps), so one vectorized test checks them all.  Inside a
-    step the targets are distinct rows' slots and the sources are final,
-    so one fancy-indexed multiply-subtract applies every update.
+    A level's pivots lie in rows of earlier levels, so they are final
+    and one vectorized test per level checks them all.  Inside a group
+    the targets are distinct rows' slots and the sources are final, so
+    one fancy-indexed multiply-subtract applies every update.  With
+    ``drop_threshold``, a level's rows are dropped once its groups are
+    done, before any later level reads them.
     """
     d = F.data
-    step_ptr, pair_ptr = sch.step_ptr.tolist(), sch.pair_ptr.tolist()
+    group_ptr, pair_ptr = sch.group_ptr.tolist(), sch.pair_ptr.tolist()
+    level_group_ptr = sch.level_group_ptr.tolist()
     slot, pivot, tgt, src, own = sch.slot, sch.pivot, sch.tgt, sch.src, sch.own
     if drop_threshold is not None:
         drop_row_ptr, drop_ptr = sch.drop_row_ptr.tolist(), sch.drop_ptr.tolist()
         row_thresh = np.asarray(drop_threshold)[sch.drop_rows]
         row_diag = diag_pos[sch.drop_rows]
     inf = np.inf
-    for s in range(sch.n_steps + 1):
-        if drop_threshold is not None:
-            r0, r1 = drop_row_ptr[s], drop_row_ptr[s + 1]
-            _drop_rows(
-                d, sch, drop_ptr[s], drop_ptr[s + 1], row_thresh[r0:r1], row_diag[r0:r1], modified
-            )
-        if s == sch.n_steps:
-            break
-        a, b = step_ptr[s], step_ptr[s + 1]
-        cur = slot[a:b]
-        piv = d[pivot[a:b]]
+    for lev in range(sch.n_levels):
+        g0, g1 = level_group_ptr[lev], level_group_ptr[lev + 1]
+        a0 = group_ptr[g0]
+        piv = d[pivot[a0 : group_ptr[g1]]]
         mag = np.abs(piv)
         bad = np.flatnonzero(~((pivot_tol < mag) & (mag < inf)))
         if bad.size:
             k = int(bad[0])
             raise PivotBreakdownError(
-                int(F.indices[cur[k]]), piv[k], kind=classify_pivot(piv[k], pivot_tol)
+                int(F.indices[slot[a0 + k]]), piv[k], kind=classify_pivot(piv[k], pivot_tol)
             )
-        lic = d[cur] / piv
-        d[cur] = lic
-        p0, p1 = pair_ptr[s], pair_ptr[s + 1]
-        d[tgt[p0:p1]] -= lic[own[p0:p1]] * d[src[p0:p1]]
+        for g in range(g0, g1):
+            a, b = group_ptr[g], group_ptr[g + 1]
+            cur = slot[a:b]
+            lic = d[cur] / piv[a - a0 : b - a0]
+            d[cur] = lic
+            p0, p1 = pair_ptr[g], pair_ptr[g + 1]
+            d[tgt[p0:p1]] -= lic[own[p0:p1]] * d[src[p0:p1]]
+        if drop_threshold is not None:
+            r0, r1 = drop_row_ptr[lev], drop_row_ptr[lev + 1]
+            p0, p1 = drop_ptr[lev], drop_ptr[lev + 1]
+            _drop_rows(d, sch, p0, p1, row_thresh[r0:r1], row_diag[r0:r1], modified)
 
 
 def _drop_rows(d, sch, a, b, thresh, diag, modified):
-    """:func:`drop_row_fixed_pattern` on the rows of one drop phase.
+    """:func:`drop_row_fixed_pattern` on the rows of one level.
 
-    ``thresh`` and ``diag`` are the phase's rows' thresholds and
+    ``thresh`` and ``diag`` are the level's rows' thresholds and
     diagonal slots.  ``np.bincount`` sums each row's dropped mass in
     ascending column order, the order of the row loop's ``+=``.
     """

@@ -17,8 +17,8 @@ fill pattern (ILU(k)), level-schedule ``lower(S + Sᵀ)``, split into the
 two stages, and symmetrically permute the matrix into the level
 ordering.  ``factor`` runs the ``ilu_factor`` kernel's level-batched
 backend (plus the ILU(k, τ) drop hook) on the permuted matrix: one
-vectorized step per level of the slot DAG, on an update schedule
-cached per pattern, giving the bits of the row-by-row
+vectorized group per (level, position in the row), on an update
+schedule cached per pattern, giving the bits of the row-by-row
 :func:`~repro.core.iluk.factor_row` loop.  Every stage order — the p2p
 upper levels, Even-Rows, Segmented-Rows — eliminates each row's
 columns in ascending order, so each gives those same bits, and the
@@ -167,22 +167,12 @@ class JavelinILU:
         return self
 
     def _set_drop_threshold(self):
-        """Value-dependent ILU(k, τ) thresholds ``τ·‖A[r,:]‖₂`` of ``A_perm``.
-
-        Rows of one length are summed in one 2-D ``np.sum``: numpy's
-        pairwise summation tree depends only on the length, so each norm
-        has the bits of ``np.sum`` over its row alone, which
-        ``np.add.reduceat`` does not give for rows of 8 or more entries.
-        """
+        """Value-dependent ILU(k, τ) thresholds of the current ``A_perm``."""
         if self.options.tau > 0.0:
-            A = self.A_perm
-            lens = np.diff(A.indptr)
-            sq = A.data * A.data
-            norms = np.empty(A.n_rows)
-            for length in np.unique(lens).tolist():
-                rows = np.flatnonzero(lens == length)
-                seg = sq[A.indptr[rows, None] + np.arange(length)]
-                norms[rows] = np.sqrt(np.sum(seg, axis=1))
+            norms = np.zeros(self.A_perm.n_rows)
+            for r in range(self.A_perm.n_rows):
+                _, vals = self.A_perm.row(r)
+                norms[r] = np.sqrt(np.sum(vals * vals))
             self.drop_threshold = self.options.tau * norms
         else:
             self.drop_threshold = None
@@ -242,8 +232,8 @@ class JavelinILU:
         """Numeric factorization: the ``ilu_factor`` kernel on ``A_perm``.
 
         The default ``batched`` backend runs the pattern's cached update
-        schedule one step at a time, dropping each row (ILU(k, τ), when
-        ``tau > 0``) once its last step is done; its bits are those of
+        schedule one group at a time, dropping each level's rows
+        (ILU(k, τ), when ``tau > 0``) once it is done; its bits are those of
         the ``scalar`` row loop.  The lower-stage choice does not enter:
         every stage order gives these bits (the threaded executor runs
         the ER order), and without dropping they are those of

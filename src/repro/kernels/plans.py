@@ -16,9 +16,9 @@ sequentially in that order — exactly the scalar reference's
 bit-for-bit.
 
 A :class:`FactorSchedule` does the same for the numeric ILU factor: the
-strict-lower slots grouped into steps (the level sets of the slot DAG)
-and the multiply-subtract updates each slot triggers, so the numeric
-phase runs one step at a time instead of one row at a time.
+strict-lower slots grouped by (forward level, position in the row) and
+the multiply-subtract updates each slot triggers, so the numeric phase
+runs one group at a time instead of one row at a time.
 
 Also here: the array-level level-set computations shared by the plans
 and the symbolic cache, and the whole-matrix diagonal locator.
@@ -237,26 +237,27 @@ class FactorSchedule:
 
     Every strict-lower slot ``(i, c)`` is one division: ``slot`` is its
     storage index and ``pivot`` the storage index of ``(c, c)``.  The
-    slots are grouped into *steps*, the forward level sets of the slot
-    DAG: slot ``(i, c)`` waits for row ``i``'s previous lower slot and
-    for pivot row ``c``'s last one.  Step ``s`` is
-    ``slot[step_ptr[s]:step_ptr[s+1]]``, at most one slot per row, rows
-    ascending.  Its update pairs are ``pair_ptr[s]:pair_ptr[s+1]``:
-    target slot ``tgt`` in row ``i``, source slot ``src`` in the upper
-    part of row ``c``, and ``own``, the index of the dividing slot
-    inside its step.
+    slots are grouped by the forward level of row ``i`` and then by the
+    slot's position ``j`` among row ``i``'s lower slots, in (level,
+    ``j``) order.  Group ``g`` is ``slot[group_ptr[g]:group_ptr[g+1]]``,
+    at most one slot per row, rows ascending; level ``L`` owns groups
+    ``level_group_ptr[L]:level_group_ptr[L+1]``.  The group's update
+    pairs are ``pair_ptr[g]:pair_ptr[g+1]``: target slot ``tgt`` in row
+    ``i``, source slot ``src`` in the upper part of row ``c``, and
+    ``own``, the index of the dividing slot inside its group.
 
-    The ILU(k, τ) drop hook runs on a row right after its last step:
-    phase ``p`` (before step ``p``; phase ``n_steps`` after the last)
-    drops rows ``drop_rows[drop_row_ptr[p]:drop_row_ptr[p+1]]``, whose
-    off-diagonal slots are ``drop_slot[drop_ptr[p]:drop_ptr[p+1]]``
-    (ascending column within a row) with ``drop_local`` the row's index
-    inside its phase.  All index arrays are int32.
+    The ILU(k, τ) drop hook runs on a level's rows once its groups are
+    done: level ``L`` drops rows ``drop_rows[drop_row_ptr[L]:drop_row_ptr[L+1]]``
+    (the level sets' rows and pointers), whose off-diagonal slots are
+    ``drop_slot[drop_ptr[L]:drop_ptr[L+1]]`` (ascending column within a
+    row) with ``drop_local`` the row's index inside its level.  All
+    index arrays are int32.
     """
 
     slot: np.ndarray
     pivot: np.ndarray
-    step_ptr: np.ndarray
+    group_ptr: np.ndarray
+    level_group_ptr: np.ndarray
     tgt: np.ndarray
     src: np.ndarray
     own: np.ndarray
@@ -268,69 +269,44 @@ class FactorSchedule:
     drop_ptr: np.ndarray
 
     @property
-    def n_steps(self):
-        return self.step_ptr.shape[0] - 1
+    def n_levels(self):
+        return self.level_group_ptr.shape[0] - 1
 
 
 def _i32(a):
     return np.ascontiguousarray(a, dtype=np.int32)
 
 
-def _slot_steps(pattern, levels, row_of, lower):
-    """Step of every lower slot and the last step of every row (-1: none).
-
-    ``step(i, j) = max(step(i, j-1), last(c_j)) + 1`` — a slot runs once
-    its row's previous slot and its pivot row are done.  Rows of one
-    forward level only read rows of earlier levels, so each level is one
-    segmented running max over its slots.
-    """
-    n = pattern.n_rows
-    l_row, l_col = row_of[lower], pattern.indices[lower]
-    j = lower - pattern.indptr[l_row]
-    lev = levels.level_of[l_row]
-    by_level = np.argsort(lev, kind="stable")  # rows still ascend
-    lev_ptr = np.searchsorted(lev[by_level], np.arange(levels.level_ptr.shape[0]))
-    last = np.full(n, -1, dtype=np.int64)
-    step = np.empty(lower.shape[0], dtype=np.int64)
-    big = np.int64(lower.shape[0] + int(j.max(initial=0)) + 2)  # separates rows in one cummax
-    for a, b in zip(lev_ptr[:-1].tolist(), lev_ptr[1:].tolist()):
-        if b == a:
-            continue
-        e = by_level[a:b]
-        r, jj = l_row[e], j[e]
-        st = np.maximum.accumulate(last[l_col[e]] + 1 - jj + r * big) - r * big + jj
-        step[e] = st
-        tail = np.r_[r[1:] != r[:-1], True]
-        last[r[tail]] = st[tail]
-    return step, last
-
-
 def build_factor_schedule(pattern, *, levels=None, diag_idx=None) -> FactorSchedule:
     """Build the numeric factor's update schedule of ``pattern``.
 
-    Whole-array numpy apart from one pass per forward level: a stable
-    sort groups the lower slots by step, one ``np.repeat`` expands every
-    slot over its pivot row's upper span, and one ``searchsorted`` over
-    global ``(row, col)`` keys finds which of those columns row ``i``
-    stores.  ``levels`` (forward level sets) and ``diag_idx`` can be
-    supplied by the symbolic cache.
+    Whole-array numpy: a stable sort on the key ``level * width + j``
+    groups the lower slots, one ``np.repeat`` expands every slot over
+    its pivot row's upper span, and one ``searchsorted`` over global
+    ``(row, col)`` keys finds which of those columns row ``i`` stores.
+    ``levels`` (forward level sets) and ``diag_idx`` can be supplied by
+    the symbolic cache.
     """
     indptr, indices = pattern.indptr, pattern.indices
     if levels is None:
         levels = forward_level_sets(pattern)
     if diag_idx is None:
         diag_idx = diag_positions(pattern)
+    n_levels = levels.level_ptr.shape[0] - 1
     row_of = segment_ids_from_ptr(indptr)
     lower = np.flatnonzero(indices < row_of)
-    step, last = _slot_steps(pattern, levels, row_of, lower)
-    n_steps = int(last.max(initial=-1)) + 1
+    j = lower - indptr[row_of[lower]]
+    width = np.int64(j.max(initial=0)) + 1
 
-    # lower slots grouped by step; the stable sort keeps rows ascending
-    order = np.argsort(step, kind="stable")
-    slot = lower[order]
+    # lower slots grouped by (level, j); the stable sort keeps rows ascending
+    key = levels.level_of[row_of[lower]].astype(np.int64) * width + j
+    order = np.argsort(key, kind="stable")
+    slot, key = lower[order], key[order]
     l_row = row_of[slot]
     pivot = diag_idx[indices[slot]]
-    step_ptr = np.searchsorted(step[order], np.arange(n_steps + 1))
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    group_ptr = np.r_[starts, slot.shape[0]]
+    level_group_ptr = np.searchsorted(key[starts] // width, np.arange(n_levels + 1))
 
     # update pairs: every upper entry of pivot row c that row i also stores
     u_lo = pivot + 1
@@ -345,13 +321,11 @@ def build_factor_schedule(pattern, *, levels=None, diag_idx=None) -> FactorSched
     tgt = np.searchsorted(keys, want)
     hit = keys[np.minimum(tgt, keys.shape[0] - 1)] == want
     q, src, tgt = q[hit], src[hit], tgt[hit]
-    step_start = np.repeat(step_ptr[:-1], np.diff(step_ptr))
-    pair_ptr = np.searchsorted(q, step_ptr)
+    group_start = np.repeat(group_ptr[:-1], np.diff(group_ptr))
+    pair_ptr = np.searchsorted(q, group_ptr)
 
-    # drop hook: each row's off-diagonal slots, in the phase after its last step
-    phase = last + 1
-    drop_rows = np.argsort(phase, kind="stable")
-    drop_row_ptr = np.searchsorted(phase[drop_rows], np.arange(n_steps + 2))
+    # drop hook: each level's rows' off-diagonal slots, after the level's groups
+    drop_rows, drop_row_ptr = levels.rows, levels.level_ptr
     row_ptr, pos = segment_positions(indptr, drop_rows)
     seg = segment_ids_from_ptr(row_ptr)
     keep = pos != diag_idx[drop_rows[seg]]
@@ -361,10 +335,11 @@ def build_factor_schedule(pattern, *, levels=None, diag_idx=None) -> FactorSched
     return FactorSchedule(
         slot=_i32(slot),
         pivot=_i32(pivot),
-        step_ptr=_i32(step_ptr),
+        group_ptr=_i32(group_ptr),
+        level_group_ptr=_i32(level_group_ptr),
         tgt=_i32(tgt),
         src=_i32(src),
-        own=_i32(q - step_start[q]),
+        own=_i32(q - group_start[q]),
         pair_ptr=_i32(pair_ptr),
         drop_rows=_i32(drop_rows),
         drop_row_ptr=_i32(drop_row_ptr),
