@@ -10,6 +10,9 @@ symbolic setup or factor bits shows up here.  ``GOLDEN_CONFIGS`` pins
 the factor under four non-default options on two of the matrices; it
 was recorded while the ER and SR lower stages still ran their own
 numeric loops, so it also pins that the one factor loop kept their bits.
+``GOLDEN_FULL`` pins the permuted matrix alone at ``scale=1.0``, the
+size the e2ebench ``oneshot`` workload orders, recorded from the
+recursive nested dissection.
 """
 
 import hashlib
@@ -39,6 +42,15 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
+#: permuted-matrix digest of ``preorder_for_javelin`` at ``scale=1.0``
+GOLDEN_FULL = {
+    "thermal2": "c5023abfe59333e3aa62cbbf2873fdea",
+    "scircuit": "98f5345f3f78cd8bfdad06ad66b4b3f6",
+    "af_shell3": "3deed2849a27ee9b239a3f76154bf5d2",
+    "TSOPF_RS_b300_c2": "5d3511e6b7463968ca9367d7516529dc",
+}
+
+
 def front_end_record(name, scale=SCALE):
     """``(permuted-matrix digest, factor digest, levels, lower rows)``."""
     B = preorder_for_javelin(build_matrix(name, scale=scale))
@@ -56,6 +68,12 @@ def front_end_record(name, scale=SCALE):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_front_end_matches_golden(name):
     assert front_end_record(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FULL))
+def test_preorder_full_scale_matches_golden(name):
+    B = preorder_for_javelin(build_matrix(name, scale=1.0))
+    assert _digest(B.indptr, B.indices, B.data) == GOLDEN_FULL[name]
 
 
 #: factor options beyond the default, each pinned on two matrices: the
