@@ -17,6 +17,7 @@ from .graph import (
     adjacency_from_pattern,
     bfs_levels,
     connected_components,
+    labelled_bfs,
     pseudo_peripheral_node,
     vertex_degrees,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "adjacency_from_pattern",
     "bfs_levels",
     "connected_components",
+    "labelled_bfs",
     "pseudo_peripheral_node",
     "vertex_degrees",
     "natural_order",

@@ -82,7 +82,8 @@ reports and in suppression comments):
 
 ``JAV010`` — *no per-row loops on the cold structural path.*  In
     ``sparse/csr.py``, ``sparse/pattern.py``, ``ordering/graph.py``,
-    ``ordering/levelsets.py`` and ``kernels/plans.py``, a ``for`` loop
+    ``ordering/nd.py``, ``ordering/levelsets.py`` and
+    ``kernels/plans.py``, a ``for`` loop
     (or comprehension) over ``range(<x>.n_rows)``, ``range(n)`` or
     ``range(n_rows)`` is flagged: these modules run once per matrix
     before any numeric work, and a Python-level pass per row there
@@ -685,7 +686,7 @@ def _check_unstoppable_wait(tree: ast.Module, path: str) -> list[Finding]:
 # JAV010
 # ----------------------------------------------------------------------
 _STRUCTURAL_MODULES = {("sparse", "csr.py"), ("sparse", "pattern.py"), ("ordering", "graph.py"),
-                       ("ordering", "levelsets.py"), ("kernels", "plans.py")}
+                       ("ordering", "nd.py"), ("ordering", "levelsets.py"), ("kernels", "plans.py")}
 
 
 def _is_row_count(node: ast.AST) -> bool:

@@ -5,6 +5,7 @@ from repro.ordering import (
     adjacency_from_pattern,
     bfs_levels,
     connected_components,
+    labelled_bfs,
     pseudo_peripheral_node,
     vertex_degrees,
 )
@@ -76,6 +77,44 @@ class TestBFS:
             bfs_levels(xadj, adjncy, 0, mask=np.array([False, True, True]))
 
 
+    @pytest.mark.parametrize("edgeless", [False, True])
+    @pytest.mark.parametrize("root", [-1, -6, 6, 7])
+    def test_root_out_of_range_rejected(self, root, edgeless):
+        # a negative root used to wrap around (the order [-1] on an
+        # edgeless graph, [-6, 2, 1, 3, 4, 5] on a path), and a root >= n
+        # raised a bare IndexError
+        xadj, adjncy = adjacency_from_pattern(from_dense(np.eye(6)) if edgeless else path_graph(6))
+        with pytest.raises(ValueError, match="out of range"):
+            bfs_levels(xadj, adjncy, root)
+        with pytest.raises(ValueError, match="out of range"):
+            labelled_bfs(xadj, adjncy, [0, root], np.zeros(6, dtype=np.int64))
+        with pytest.raises(ValueError, match="out of range"):
+            pseudo_peripheral_node(xadj, adjncy, root)
+
+
+class TestLabelledBFS:
+    def test_classes_grow_independently(self):
+        # one path 0-…-7 split into classes {0..3} and {4..7}: the edge
+        # 3-4 joins two classes, so neither search crosses it
+        xadj, adjncy = adjacency_from_pattern(path_graph(8))
+        labels = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        levels, order = labelled_bfs(xadj, adjncy, [2, 7], labels)
+        assert list(levels) == [2, 1, 0, 1, 3, 2, 1, 0]
+        assert list(order[labels[order] == 0]) == [2, 1, 3, 0]
+        assert list(order[labels[order] == 1]) == [7, 6, 5, 4]
+
+    def test_unlabelled_vertices_are_skipped(self):
+        xadj, adjncy = adjacency_from_pattern(path_graph(5))
+        levels, order = labelled_bfs(xadj, adjncy, [0], np.array([0, 0, -1, 0, 0]))
+        assert list(levels) == [0, 1, -1, -1, -1]
+        assert list(order) == [0, 1]
+
+    def test_unlabelled_root_rejected(self):
+        xadj, adjncy = adjacency_from_pattern(path_graph(3))
+        with pytest.raises(ValueError, match="root"):
+            labelled_bfs(xadj, adjncy, [1], np.array([0, -1, 0]))
+
+
 class TestComponents:
     def test_two_components(self):
         D = np.eye(5)
@@ -87,6 +126,12 @@ class TestComponents:
         assert labels[0] == labels[1]
         assert labels[3] == labels[4]
         assert labels[2] not in (labels[0], labels[3])
+
+    def test_masked_vertices_get_minus_one(self):
+        xadj, adjncy = adjacency_from_pattern(path_graph(5))
+        labels, k = connected_components(xadj, adjncy, mask=np.array([True, True, False, True, True]))
+        assert k == 2
+        assert list(labels) == [0, 0, -1, 1, 1]
 
     def test_connected_graph_single_component(self):
         A = path_graph(8)
@@ -102,6 +147,13 @@ class TestPseudoPeripheral:
         v, levels, order = pseudo_peripheral_node(xadj, adjncy, 5)
         assert v in (0, 9)  # ends of the path have max eccentricity
         assert levels[order].max() == 9
+
+    def test_batched_start_must_carry_its_class(self):
+        from repro.ordering.graph import pseudo_peripheral_nodes
+
+        xadj, adjncy = adjacency_from_pattern(path_graph(4))
+        with pytest.raises(ValueError, match="label"):
+            pseudo_peripheral_nodes(xadj, adjncy, [2, 0], np.array([0, 0, 1, 1]))
 
     def test_random_graph_returns_valid_vertex(self):
         A = random_csr(25, 0.15, seed=3, sym_pattern=True)

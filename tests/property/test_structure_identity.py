@@ -18,10 +18,14 @@ from repro.kernels import backward_level_sets, forward_level_sets
 from repro.ordering import (
     adjacency_from_pattern,
     bfs_levels,
+    connected_components,
+    labelled_bfs,
     level_schedule,
     nested_dissection_order,
     pseudo_peripheral_node,
 )
+from repro.ordering.graph import pseudo_peripheral_nodes
+from repro.ordering.nd import _min_degree_leaves
 from repro.sparse import CSCMatrix, CSRMatrix
 from repro.sparse import pattern as pat
 
@@ -224,10 +228,72 @@ def test_masked_bfs_matches_reference(A, data):
     assert_same(got[2], want[2])
 
 
-def _multi_component(seed):
+@SETTINGS
+@given(matrices(square=True, min_n=1, max_n=40), st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_labelled_bfs_and_pseudo_peripheral_match_reference_per_class(A, seed, n_classes):
+    # every class searched together must equal its own masked search
+    xadj, adjncy = ref.adjacency_from_pattern(A)
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(-1, n_classes, size=A.n_rows)
+    present = np.unique(labels[labels >= 0])
+    labels = np.searchsorted(present, labels) - (labels < 0)  # classes 0..T-1, -1 kept
+    starts = np.array([rng.choice(np.flatnonzero(labels == t)) for t in range(present.size)], dtype=np.int64)
+    levels, order = labelled_bfs(xadj, adjncy, starts, labels)
+    roots, pp_levels, pp_order, ecc = pseudo_peripheral_nodes(xadj, adjncy, starts, labels)
+    for t in range(present.size):
+        mine = labels == t
+        want_levels, want_order = ref.bfs_levels(xadj, adjncy, starts[t], mask=mine)
+        assert_same(np.where(mine, levels, -1), want_levels)
+        assert_same(order[labels[order] == t], want_order)
+        root, want_levels, want_order = ref.pseudo_peripheral_node(xadj, adjncy, starts[t], mask=mine)
+        assert roots[t] == root
+        assert_same(np.where(mine, pp_levels, -1), want_levels)
+        assert_same(pp_order[labels[pp_order] == t], want_order)
+        assert ecc[t] == want_levels[want_order].max()
+
+
+@SETTINGS
+@given(matrices(square=True, max_n=40), st.integers(0, 2**32 - 1), st.booleans())
+def test_connected_components_matches_reference(A, seed, masked):
+    xadj, adjncy = ref.adjacency_from_pattern(A)
+    mask = np.random.default_rng(seed).random(A.n_rows) < 0.7 if masked else None
+    labels, k = connected_components(xadj, adjncy, mask=mask)
+    want_labels, want_k = ref.connected_components(xadj, adjncy, mask=mask)
+    assert k == want_k
+    assert_same(labels, want_labels)
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 70), min_size=1, max_size=8))
+def test_lockstep_min_degree_matches_reference(seed, sizes):
+    # several leaves of mixed sizes (several padding buckets, some past
+    # the default leaf size) eliminated together, each against the set loop
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + int(rng.integers(0, 10))
+    D = rng.random((n, n)) < rng.uniform(0.02, 0.4)
+    rows, cols = np.nonzero(D | np.eye(n, dtype=bool))
+    A = CSRMatrix(n, n, np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), cols, np.ones(cols.shape[0]))
+    xadj, adjncy = ref.adjacency_from_pattern(A)
+    verts = rng.permutation(n)[: sum(sizes)]
+    leaf = np.repeat(np.arange(len(sizes)), sizes)
+    by = np.lexsort((verts, leaf))
+    verts, leaf = verts[by], leaf[by]
+    off = rng.permutation(len(sizes))  # leaves laid out in a shuffled order
+    start = np.zeros(len(sizes), dtype=np.int64)
+    np.cumsum(np.asarray(sizes)[off][:-1], out=start[1:])
+    place = np.empty(len(sizes), dtype=np.int64)
+    place[off] = start
+    perm = np.full(sum(sizes), -1, dtype=np.int64)
+    _min_degree_leaves(xadj, adjncy, verts, leaf, place, perm)
+    for t, size in enumerate(sizes):
+        want = ref._min_degree_local(xadj, adjncy, verts[leaf == t])
+        assert_same(perm[place[t] : place[t] + size], np.asarray(want, dtype=np.int64))
+
+
+def _multi_component(seed, max_block=30):
     """Square pattern of several random blocks plus isolated vertices, shuffled."""
     rng = np.random.default_rng(seed)
-    sizes = rng.integers(1, 30, size=rng.integers(1, 5))
+    sizes = rng.integers(1, max_block, size=rng.integers(1, 5))
     n = int(sizes.sum())
     D = np.zeros((n, n))
     start = 0
@@ -244,9 +310,9 @@ def _multi_component(seed):
 
 
 @SETTINGS
-@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
-def test_nested_dissection_matches_reference(seed, leaf_size):
-    A = _multi_component(seed)
+@given(st.integers(0, 2**32 - 1), st.one_of(st.integers(1, 8), st.just(32)), st.sampled_from([30, 80]))
+def test_nested_dissection_matches_reference(seed, leaf_size, max_block):
+    A = _multi_component(seed, max_block)
     assert_same(nested_dissection_order(A, leaf_size=leaf_size), ref.nested_dissection_order(A, leaf_size))
 
 

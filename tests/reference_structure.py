@@ -14,7 +14,6 @@ version is a method.
 import numpy as np
 
 from repro.ordering.levelsets import LevelSets
-from repro.ordering.nd import _min_degree_local
 from repro.sparse.csr import CSRMatrix
 
 
@@ -324,9 +323,44 @@ def pseudo_peripheral_node(xadj, adjncy, start, mask=None, max_iter=8):
     return v, levels, order
 
 
+def connected_components(xadj, adjncy, mask=None):
+    """Component labels from one BFS per unlabelled seed, in vertex order."""
+    n = xadj.shape[0] - 1
+    labels = np.full(n, -1, dtype=np.int64)
+    comp = 0
+    for s in range(n):
+        if labels[s] >= 0 or (mask is not None and not mask[s]):
+            continue
+        levels, order = bfs_levels(xadj, adjncy, s, mask=mask)
+        labels[order] = comp
+        comp += 1
+    return labels, comp
+
+
 # ----------------------------------------------------------------------
 # ordering/nd.py
 # ----------------------------------------------------------------------
+def _min_degree_local(xadj, adjncy, verts):
+    """Minimum-degree elimination restricted to ``verts`` (leaf baskets)."""
+    vset = {int(v) for v in verts}
+    adj = {
+        v: {int(u) for u in adjncy[xadj[v] : xadj[v + 1]] if int(u) in vset}
+        for v in vset
+    }
+    order = []
+    remaining = set(vset)
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u]), u))
+        order.append(v)
+        remaining.discard(v)
+        nbrs = [u for u in adj[v] if u in remaining]
+        for u in nbrs:
+            adj[u].discard(v)
+            adj[u].update(w for w in nbrs if w != u)
+        adj[v] = set()
+    return order
+
+
 def _components_of(xadj, adjncy, verts):
     n = xadj.shape[0] - 1
     mask = np.zeros(n, dtype=bool)

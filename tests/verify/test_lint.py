@@ -498,6 +498,7 @@ def test_jav010_flags_per_row_loops_in_structural_modules():
         "src/repro/sparse/csr.py",
         "src/repro/sparse/pattern.py",
         "src/repro/ordering/graph.py",
+        "src/repro/ordering/nd.py",
         "src/repro/ordering/levelsets.py",
         "src/repro/kernels/plans.py",
     ):
