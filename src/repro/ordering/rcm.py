@@ -14,24 +14,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import adjacency_from_pattern, vertex_degrees, pseudo_peripheral_node
+from .graph import (
+    adjacency_from_pattern,
+    connected_components,
+    pseudo_peripheral_nodes,
+    vertex_degrees,
+)
 
 __all__ = ["reverse_cuthill_mckee", "rcm_order"]
 
 
 def reverse_cuthill_mckee(xadj, adjncy):
-    """RCM permutation of the graph (gather convention)."""
+    """RCM permutation of the undirected graph (gather convention)."""
     n = xadj.shape[0] - 1
     deg = vertex_degrees(xadj)
     visited = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=np.int64)
     pos = 0
-    # process components in order of their lowest-numbered vertex
-    for seed in range(n):
-        if visited[seed]:
-            continue
-        root, _, _ = pseudo_peripheral_node(xadj, adjncy, seed, mask=~visited)
-        queue = [root]
+    # components in order of their lowest-numbered vertex, each rooted at
+    # the pseudo-peripheral vertex found from that lowest vertex; one
+    # batched search serves them all
+    labels, _ = connected_components(xadj, adjncy)
+    _, lowest = np.unique(labels, return_index=True)
+    roots, _, _, _ = pseudo_peripheral_nodes(xadj, adjncy, lowest, labels)
+    for root in roots:
+        queue = [int(root)]
         visited[root] = True
         while queue:
             v = queue.pop(0)

@@ -23,6 +23,7 @@ from repro.ordering import (
     level_schedule,
     nested_dissection_order,
     pseudo_peripheral_node,
+    reverse_cuthill_mckee,
 )
 from repro.ordering.graph import pseudo_peripheral_nodes
 from repro.ordering.nd import _min_degree_leaves
@@ -278,11 +279,11 @@ def test_lockstep_min_degree_matches_reference(seed, sizes):
     leaf = np.repeat(np.arange(len(sizes)), sizes)
     by = np.lexsort((verts, leaf))
     verts, leaf = verts[by], leaf[by]
-    off = rng.permutation(len(sizes))  # leaves laid out in a shuffled order
+    layout = rng.permutation(len(sizes))  # leaves laid out in a shuffled order
     start = np.zeros(len(sizes), dtype=np.int64)
-    np.cumsum(np.asarray(sizes)[off][:-1], out=start[1:])
+    np.cumsum(np.asarray(sizes)[layout][:-1], out=start[1:])
     place = np.empty(len(sizes), dtype=np.int64)
-    place[off] = start
+    place[layout] = start
     perm = np.full(sum(sizes), -1, dtype=np.int64)
     _min_degree_leaves(xadj, adjncy, verts, leaf, place, perm)
     for t, size in enumerate(sizes):
@@ -314,6 +315,16 @@ def _multi_component(seed, max_block=30):
 def test_nested_dissection_matches_reference(seed, leaf_size, max_block):
     A = _multi_component(seed, max_block)
     assert_same(nested_dissection_order(A, leaf_size=leaf_size), ref.nested_dissection_order(A, leaf_size))
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_rcm_matches_reference(seed, multi):
+    # one batched pseudo-peripheral search for all components, against
+    # one search per component seed
+    A = _multi_component(seed) if multi else _random_csr(seed, 30, 30, sorted_rows=False)
+    xadj, adjncy = ref.adjacency_from_pattern(A)
+    assert_same(reverse_cuthill_mckee(xadj, adjncy), ref.reverse_cuthill_mckee(xadj, adjncy))
 
 
 # ----------------------------------------------------------------------

@@ -338,6 +338,37 @@ def connected_components(xadj, adjncy, mask=None):
 
 
 # ----------------------------------------------------------------------
+# ordering/rcm.py
+# ----------------------------------------------------------------------
+def reverse_cuthill_mckee(xadj, adjncy):
+    """RCM with one pseudo-peripheral search per component seed."""
+    n = xadj.shape[0] - 1
+    deg = np.diff(xadj)
+    visited = np.zeros(n, dtype=bool)
+    order = np.empty(n, dtype=np.int64)
+    pos = 0
+    # process components in order of their lowest-numbered vertex
+    for seed in range(n):
+        if visited[seed]:
+            continue
+        root, _, _ = pseudo_peripheral_node(xadj, adjncy, seed, mask=~visited)
+        queue = [root]
+        visited[root] = True
+        while queue:
+            v = queue.pop(0)
+            order[pos] = v
+            pos += 1
+            nbrs = adjncy[xadj[v] : xadj[v + 1]]
+            nbrs = nbrs[~visited[nbrs]]
+            if nbrs.size:
+                nbrs = nbrs[np.argsort(deg[nbrs], kind="stable")]
+                visited[nbrs] = True
+                queue.extend(int(u) for u in nbrs)
+    assert pos == n
+    return order[::-1].copy()
+
+
+# ----------------------------------------------------------------------
 # ordering/nd.py
 # ----------------------------------------------------------------------
 def _min_degree_local(xadj, adjncy, verts):
