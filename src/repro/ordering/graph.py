@@ -70,7 +70,7 @@ def labelled_bfs(xadj, adjncy, roots, labels):
     if frontier.size and (frontier.min() < 0 or frontier.max() >= n):
         raise ValueError(f"root out of range for a graph of {n} vertices")
     if np.any(labels[frontier] < 0):
-        raise ValueError("root not in mask")
+        raise ValueError("root not in mask (its label is -1)")
     levels = np.full(n, -1, dtype=np.int64)
     levels[frontier] = 0
     # open[v]: v's label while v is unreached, -1 once reached (or excluded)
@@ -82,7 +82,8 @@ def labelled_bfs(xadj, adjncy, roots, labels):
     first = np.full(n, adjncy.shape[0], dtype=np.int64)
     depth = 0
     while frontier.size:
-        # the frontier's neighbour lists, concatenated (segment_positions inlined)
+        # the frontier's neighbour lists, concatenated (segment_positions
+        # inlined: this runs once per BFS level of every search)
         lens = deg[frontier]
         end = np.cumsum(lens)
         src = np.repeat(np.arange(frontier.shape[0]), lens)
