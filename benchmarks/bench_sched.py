@@ -44,10 +44,10 @@ from repro.sched import (
     superstep_stats,
     validate_superstep_plan,
 )
-from repro.tune.shapes import chain_matrix, grid_matrix, wide_matrix
 from repro.verify import replay_superstep_schedule
 
 from bench_util import HASWELL, KNL, SCALE, bench_main
+from shapes import chain_matrix, grid_matrix, wide_matrix
 
 GPULIKE = gpulike().scaled_overheads(SCALE)
 
@@ -56,7 +56,7 @@ NEW_SCHEDULERS = ("superstep", "elastic", "syncfree")
 
 
 # ----------------------------------------------------------------------
-# DAG shapes — builders shared with the tuner (repro.tune.shapes)
+# DAG shapes — builders shared with the controller tests (shapes.py)
 # ----------------------------------------------------------------------
 def shapes(check):
     if check:

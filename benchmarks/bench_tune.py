@@ -1,15 +1,8 @@
-"""Autotuner gates: recommend() vs oracle, controller recovery, tracker.
+"""Tuning gates: controller recovery and the regression tracker.
 
-The three acceptance properties of ``repro.tune`` (``docs/tuning.md``),
-each measured against ground truth that does *not* come from the model:
+The two acceptance properties of ``repro.tune`` and the bench tooling
+next to it (``docs/tuning.md``):
 
-* **grid accuracy** — ``recommend()`` replayed over every (shape, p)
-  point of the committed crossover study × SLA class.  The backend
-  oracle is a fresh wall-clock scalar-vs-batched trisolve on the actual
-  shape; the width oracle is exhaustive enumeration of the serve cost
-  model under the sync charge of the scheduler the serve rule picks
-  (the one the service runs).  A configuration counts only when both
-  picks are right;
 * **controller recovery** — the serve bench's seeded fault workload
   (straggler shard, spin faults, dropped completions, tight deadlines)
   run untuned vs tuned: the controller must cut the deadline-miss
@@ -26,7 +19,7 @@ Run as a script::
     PYTHONPATH=src python benchmarks/bench_tune.py           # full run,
         # records benchmarks/results/BENCH_tune.json
     PYTHONPATH=src python benchmarks/bench_tune.py --check   # CI gate:
-        # exits non-zero when any of the three gates fails
+        # exits non-zero when either gate fails
 """
 
 import json
@@ -35,106 +28,15 @@ import sys
 
 import numpy as np
 
-from repro.core.trisolve import trisolve_factor, trisolve_factor_levels
-from repro.kernels import cached_analysis
 from repro.serve.workload import outcome_signature, solutions_identical, summarize
-from repro.tune import SlaSpec, bench_shape, check_regressions, extract_features
-from repro.tune.model import WIDTHS, default_model
-from repro.tune.regress import format_report
 
 from bench_serve import fault_workload, run_workload, workload_spec
 from bench_util import RESULTS_DIR, bench_main
-from bench_util import timeit_best as _timeit
-
-#: wall-clock backend comparison tolerance (measurement noise floor)
-BACKEND_REGRET = 1.3
-#: per-request cost of the chosen width vs the enumerated optimum
-WIDTH_REGRET = 1.05
-
-SLA_CLASSES = ("interactive", "standard", "batch")
+from regress import check_regressions, format_report
 
 
 # ----------------------------------------------------------------------
-# gate 1: static recommend() vs oracle on the bench grid
-# ----------------------------------------------------------------------
-def _measure_backends(name, repeats=3):
-    """Wall-clock scalar vs batched trisolve on the actual shape."""
-    F = bench_shape(name)
-    b = np.random.default_rng(0).standard_normal(F.n_rows)
-    analysis = cached_analysis(F)
-    analysis.plan("lower"), analysis.plan("upper")
-    t_scalar, x_s, _ = _timeit(trisolve_factor, F, b, repeats=repeats)
-    t_batched, x_b, _ = _timeit(
-        lambda: trisolve_factor_levels(F, b, analysis=analysis), repeats=repeats
-    )
-    assert np.array_equal(x_s, x_b), f"backends diverged on {name}"
-    return {"scalar": t_scalar, "batched": t_batched}
-
-
-def _oracle_width(model, features, sched, sla):
-    """Exhaustive serve-cost enumeration under ``sched``'s sync charge."""
-    c1 = model.batch_cost(features, sched, 1)
-    budget = sla.budget_factor * c1
-    best_k, best_per_req = 1, c1
-    for k in WIDTHS:
-        ck = model.batch_cost(features, sched, k)
-        if ck <= budget and ck / k < best_per_req:
-            best_k, best_per_req = k, ck / k
-    return best_k, best_per_req
-
-
-def grid_accuracy(model, sched_doc):
-    """recommend() over every (shape, p) bench point × SLA class."""
-    feature_cache = {}
-    backend_cache = {}
-    configs = []
-    for pt in sched_doc["points"]:
-        name, p = pt["shape"], pt["p"]
-        if (name, p) not in feature_cache:
-            feature_cache[name, p] = extract_features(bench_shape(name), n_threads=p)
-        f = feature_cache[name, p]
-        if name not in backend_cache:
-            backend_cache[name] = _measure_backends(name)
-        t_meas = backend_cache[name]
-        for sla_class in SLA_CLASSES:
-            sla = SlaSpec.from_class(sla_class)
-            choice = model.recommend(f, sla)
-            sched = choice.scheduler
-            backend_ok = t_meas[choice.backend] <= BACKEND_REGRET * min(t_meas.values())
-            ok_width, oracle_per_req = _oracle_width(model, f, sched, sla)
-            chosen_batch = model.batch_cost(f, sched, choice.max_batch)
-            budget = sla.budget_factor * model.batch_cost(f, sched, 1)
-            width_ok = (
-                chosen_batch <= budget
-                and chosen_batch / choice.max_batch
-                <= WIDTH_REGRET * oracle_per_req
-            )
-            configs.append(
-                {
-                    "shape": name,
-                    "p": p,
-                    "sla": sla_class,
-                    "choice": choice.as_dict(),
-                    "oracle_width": ok_width,
-                    "backend_ok": bool(backend_ok),
-                    "width_ok": bool(width_ok),
-                    "ok": bool(backend_ok and width_ok),
-                }
-            )
-    n_ok = sum(c["ok"] for c in configs)
-    return {
-        "kernel": "grid_accuracy",
-        "n_configs": len(configs),
-        "n_correct": n_ok,
-        "accuracy": n_ok / len(configs) if configs else 0.0,
-        "backend_accuracy": sum(c["backend_ok"] for c in configs) / len(configs),
-        "width_accuracy": sum(c["width_ok"] for c in configs) / len(configs),
-        "configs": configs,
-    }
-
-
-# ----------------------------------------------------------------------
-# gate 2: controller recovery of the perturbed fault workload
+# gate 1: controller recovery of the perturbed fault workload
 # ----------------------------------------------------------------------
 def controller_recovery():
     """The serve bench's full-mode fault workload, untuned vs tuned.
@@ -174,7 +76,7 @@ def controller_recovery():
 
 
 # ----------------------------------------------------------------------
-# gate 3: regression tracker on the committed bench files
+# gate 2: regression tracker on the committed bench files
 # ----------------------------------------------------------------------
 def tracker_gate():
     rep = check_regressions(RESULTS_DIR, self_test=True)
@@ -197,13 +99,7 @@ def _verify(entries):
     """The gates both modes assert.  Returns a list of failures."""
     failures = []
     for e in entries:
-        if e["kernel"] == "grid_accuracy":
-            if e["accuracy"] < 0.80:
-                failures.append(
-                    f"recommend() accuracy {e['accuracy']:.0%} < 80% "
-                    f"({e['n_correct']}/{e['n_configs']})"
-                )
-        elif e["kernel"] == "controller_recovery":
+        if e["kernel"] == "controller_recovery":
             if e["tuned_miss_rate"] > 0.20:
                 failures.append(
                     f"tuned deadline-miss rate {e['tuned_miss_rate']:.1%} > 20%"
@@ -224,13 +120,7 @@ def _verify(entries):
 
 def _report(entries):
     for e in entries:
-        if e["kernel"] == "grid_accuracy":
-            print(
-                f"grid_accuracy       {e['n_correct']}/{e['n_configs']} "
-                f"({e['accuracy']:.0%}; backend {e['backend_accuracy']:.0%}, "
-                f"width {e['width_accuracy']:.0%})"
-            )
-        elif e["kernel"] == "controller_recovery":
+        if e["kernel"] == "controller_recovery":
             rec = e["recorded_miss_rate"]
             print(
                 f"controller_recovery recorded "
@@ -248,37 +138,27 @@ def _report(entries):
 
 
 def run(check):
-    """The three gates; both modes run them in full."""
-    model = default_model(RESULTS_DIR)
-    with open(os.path.join(RESULTS_DIR, "BENCH_sched.json")) as fh:
-        sched_doc = json.load(fh)
-    entries = [
-        grid_accuracy(model, sched_doc),
-        controller_recovery(),
-        tracker_gate(),
-    ]
+    """The two gates; both modes run them in full."""
+    entries = [controller_recovery(), tracker_gate()]
     failures = _verify(entries)
     record = {
         "meta": {
             "numpy": np.__version__,
             "python": sys.version.split()[0],
-            "note": "autotuner gates: recommend-vs-oracle grid accuracy, "
-            "controller fault-workload recovery (bit-identical numerics), "
-            "regression-tracker self-test",
-            "model": model.to_dict(),
+            "note": "tuning gates: controller fault-workload recovery "
+            "(bit-identical numerics), regression-tracker self-test",
         },
         "entries": [
-            # drop the bulky per-config details and rendered report
-            # from the committed file; keep every gate number
-            {k: v for k, v in e.items() if k not in ("configs", "report")}
+            # drop the rendered report from the committed file; keep
+            # every gate number
+            {k: v for k, v in e.items() if k != "report"}
             for e in entries
         ],
     }
     _report(entries)
     if not failures:
         print(
-            "tune check: recommend>=80% tuned_miss<=20% "
-            "bit_identical=True tracker=ok"
+            "tune check: tuned_miss<=20% bit_identical=True tracker=ok"
         )
     return record, failures
 

@@ -90,7 +90,7 @@ def timeit_best(fn, *args, repeats=3):
 
     Returns ``(best_seconds, output, samples)`` where ``samples`` is
     the per-repeat list — the regression tracker
-    (``repro.tune.regress``) uses the sample spread as each metric's
+    (``benchmarks/regress.py``) uses the sample spread as each metric's
     noise floor, so record the samples next to the best-of value
     (conventionally under a ``*_samples`` key).
     """

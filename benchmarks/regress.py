@@ -19,10 +19,20 @@ control: :func:`plant_slowdown` corrupts a snapshot's lower-better
 leaves, and the self-test gate asserts the checker *fails* on the
 planted copy — a tracker that cannot catch a planted regression is not
 tracking anything.
+
+Run as a script (it needs only numpy)::
+
+    python benchmarks/regress.py                      # each committed file
+        # against itself: parse check + planted-slowdown self-test
+    python benchmarks/regress.py --results new/ --against benchmarks/results
+        # a fresh run against the committed baseline
+
+It exits non-zero on a regression or on a missed planted slowdown.
 """
 
 from __future__ import annotations
 
+import argparse
 import copy
 import glob
 import json
@@ -38,7 +48,11 @@ __all__ = [
     "check_regressions",
     "plant_slowdown",
     "format_report",
+    "main",
 ]
+
+#: the committed bench results, the default candidate directory
+RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
 #: key fragments that mark a metric as lower-better (timings, misses)
 _LOWER = (
@@ -295,3 +309,24 @@ def format_report(report):
             )
     lines.append("overall: " + ("ok" if report["ok"] else "FAIL"))
     return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="noise-aware diff of BENCH_*.json snapshots, with a "
+        "planted-slowdown self-test"
+    )
+    parser.add_argument(
+        "--results", default=RESULTS_DIR, help="candidate results dir (default: committed)"
+    )
+    parser.add_argument(
+        "--against", default=None, help="baseline results dir (default: each file itself)"
+    )
+    args = parser.parse_args(argv)
+    report = check_regressions(args.results, args.against)
+    print(format_report(report))
+    return 0 if report["ok"] else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

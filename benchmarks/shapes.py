@@ -1,11 +1,8 @@
-"""Canonical DAG-shape builders shared by the tuner and the benches.
+"""Canonical DAG-shape builders of the scheduler benches and tests.
 
-The scheduler crossover study (``benchmarks/bench_sched.py``) records
-its points against named shapes — ``chain-400``, ``wide-16x128``,
-``grid-24`` — and the cost model re-fits itself from that committed
-JSON.  Fitting therefore needs to rebuild the *same* matrix from the
-*same* name, so the builders live here, importable from both the bench
-scripts and :mod:`repro.tune.model`.
+The scheduler crossover study (``bench_sched.py``) records its points
+against named shapes — ``chain-400``, ``wide-16x128``, ``grid-24`` —
+built here; the controller tests reuse the two extremes.
 
 Three families span the level-structure spectrum the schedulers
 discriminate on:
@@ -26,14 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "chain_matrix",
     "wide_matrix",
     "grid_matrix",
     "with_values",
-    "bench_shape",
 ]
 
 
@@ -71,9 +67,9 @@ def wide_matrix(n_levels, width):
 
 def grid_matrix(nx):
     """ILU(0) pattern of ``grid2d(nx)`` in level order — the realistic mix."""
-    from ..core.symbolic import ilu0_pattern
-    from ..matrices import grid2d
-    from ..ordering.levelsets import level_schedule
+    from repro.core.symbolic import ilu0_pattern
+    from repro.matrices import grid2d
+    from repro.ordering.levelsets import level_schedule
 
     S = ilu0_pattern(grid2d(nx))
     perm = level_schedule(S).permutation()
@@ -83,7 +79,7 @@ def grid_matrix(nx):
 
 def with_values(S):
     """Deterministic diagonally-dominant values on a pattern (a factor stand-in)."""
-    from ..kernels.plans import diag_positions
+    from repro.kernels.plans import diag_positions
 
     rng = np.random.default_rng(S.n_rows)
     F = CSRMatrix(
@@ -95,23 +91,3 @@ def with_values(S):
     F.data[dp] = 3.0 + np.abs(F.data[dp])
     return F
 
-
-def bench_shape(name):
-    """Rebuild a crossover-study shape from its recorded name.
-
-    ``chain-N`` → :func:`chain_matrix`; ``wide-LxW`` →
-    :func:`wide_matrix`; ``grid-N`` → :func:`grid_matrix`.  Raises
-    ``ValueError`` on anything else — fitting must fail loudly rather
-    than silently skip a bench point.
-    """
-    family, _, param = name.partition("-")
-    if family == "chain":
-        return chain_matrix(int(param))
-    if family == "wide":
-        lv, _, w = param.partition("x")
-        return wide_matrix(int(lv), int(w))
-    if family == "grid":
-        return grid_matrix(int(param))
-    raise ValueError(
-        f"unknown bench shape {name!r}; expected chain-N, wide-LxW or grid-N"
-    )

@@ -25,17 +25,11 @@ obs {report,export,diff}
     (``report``), export it as Chrome trace-event JSON for
     ``chrome://tracing`` / Perfetto (``export``), or compare two
     metrics snapshots (``diff``).
-tune {recommend,fit,check-regressions}
-    Autotuning and regression tracking (``repro.tune``): ``recommend``
-    prints the fitted model's (backend, scheduler, batch width) pick
-    for a bench shape; ``fit`` re-fits the cost model from the
-    committed ``BENCH_*.json``; ``check-regressions`` diffs bench
-    snapshots with noise-aware thresholds (with a planted-slowdown
-    self-test) and fails on unexplained slowdowns.
 
 The gated benches (kernels, resilience, obs, sched, tune, serve,
 cluster, apps) are scripts, not subcommands:
-``python benchmarks/bench_<name>.py [--check]``.
+``python benchmarks/bench_<name>.py [--check]``; so is the bench
+regression tracker, ``python benchmarks/regress.py``.
 
 The ``REPRO_SYMBOLIC_CACHE_SIZE`` environment variable resizes the
 process-wide symbolic cache (``repro.kernels.cache``) before any
@@ -57,7 +51,6 @@ __all__ = ["main", "build_parser"]
 #: name -> (module, help)
 PASSTHROUGH = {
     "verify": ("repro.verify.cli", "run the static-analysis suite"),
-    "tune": ("repro.tune.cli", "autotuning and performance-regression tracking"),
 }
 
 
@@ -476,7 +469,7 @@ def main(argv=None):
             print(f"error: REPRO_SYMBOLIC_CACHE_SIZE={cache_size!r}: {exc}", file=sys.stderr)
             return 2
     # routed before the parser runs, so every option ("verify --list-rules",
-    # "tune --help") reaches the passthrough's own parser
+    # "verify --help") reaches the passthrough's own parser
     if argv and argv[0] in PASSTHROUGH:
         module = importlib.import_module(PASSTHROUGH[argv[0]][0])
         return module.main(argv[1:])

@@ -54,8 +54,8 @@ class ElasticSchedule:
     ``block_of[r] = level_of[r] // (staleness + 1)``; ``final_sweep``
     is the correction-depth recursion above; ``ent_ptr``/``ent_idx``
     are the strict-``part`` entries of each row (CSR order, ascending
-    column — the bit-identity accumulation order), used by both numeric
-    backends to gather arbitrary active-row subsets.
+    column — the bit-identity accumulation order), used by the numeric
+    sweep to gather arbitrary active-row subsets.
     """
 
     part: str
@@ -164,16 +164,15 @@ def elastic_solve_part(
     *,
     tol: float = 0.0,
     max_sweeps: int = 128,
-    backend: str = "batched",
 ):
     """One stale-synchronous triangular sweep (lower or upper part).
 
     ``tol == 0`` runs ``sched.n_sweeps`` correction sweeps — the exact
     fixpoint, bit-identical to the reference sweeps.  ``tol > 0`` stops
     after the first sweep whose largest correction is at most
-    ``tol * max(1, ||x||_inf)``.  Both backends share the iteration
-    structure; the scalar one accumulates per row, the batched one per
-    (block, level) segment with the same ascending-entry order.
+    ``tol * max(1, ||x||_inf)``.  Each (block, level) segment accumulates
+    its rows' entries in ascending-entry order, the order of the
+    reference row sweep.
     ``rhs`` must have shape ``(sched.n,)``; anything else raises
     ``ValueError``.
     """
@@ -187,7 +186,6 @@ def elastic_solve_part(
     n_sweeps = min(sched.n_sweeps, int(max_sweeps)) if n else 0
     fs = sched.final_sweep
     lrows, level_ptr = sched.rows, sched.level_ptr
-    span = sched.staleness + 1
     for k in range(n_sweeps):
         active_mask = fs >= k
         n_active = int(np.count_nonzero(active_mask))
@@ -207,37 +205,22 @@ def elastic_solve_part(
                     rows_l = brows[sched.level_of[brows] == lev]
                     if rows_l.size == 0:
                         continue
-                    if backend == "scalar":
-                        for r in rows_l:
-                            r = int(r)
-                            s = 0.0
-                            for e in sched.ent_idx[sched.ent_ptr[r] : sched.ent_ptr[r + 1]]:
-                                c = int(indices[e])
-                                v = snap[c] if sched.block_of[c] == b else x[c]
-                                s += data[e] * v
-                            new = rhs[r] - s
-                            if sched.part == "upper":
-                                new = new / data[sched.diag_idx[r]]
-                            if tol > 0.0:
-                                delta = max(delta, abs(new - x[r]))
-                            x[r] = new
+                    ents, local = _subset_entries(sched, rows_l)
+                    if ents.size:
+                        c = indices[ents]
+                        src = np.where(sched.block_of[c] == b, snap[c], x[c])
+                        prod = data[ents] * src
+                        s = np.bincount(local, weights=prod, minlength=rows_l.shape[0])
                     else:
-                        ents, local = _subset_entries(sched, rows_l)
-                        if ents.size:
-                            c = indices[ents]
-                            src = np.where(sched.block_of[c] == b, snap[c], x[c])
-                            prod = data[ents] * src
-                            s = np.bincount(local, weights=prod, minlength=rows_l.shape[0])
-                        else:
-                            s = 0.0
-                        new = rhs[rows_l] - s
-                        if sched.part == "upper":
-                            new = new / diag[rows_l]
-                        if tol > 0.0:
-                            d = np.abs(new - x[rows_l])
-                            if d.size:
-                                delta = max(delta, float(d.max()))
-                        x[rows_l] = new
+                        s = 0.0
+                    new = rhs[rows_l] - s
+                    if sched.part == "upper":
+                        new = new / diag[rows_l]
+                    if tol > 0.0:
+                        d = np.abs(new - x[rows_l])
+                        if d.size:
+                            delta = max(delta, float(d.max()))
+                    x[rows_l] = new
         _spans.instant(
             "sched.correction_sweep", cat="sched",
             sweep=k, active=n_active, part=sched.part,

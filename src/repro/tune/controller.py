@@ -1,8 +1,8 @@
 """Online controller: a deterministic feedback loop over serve counters.
 
-The controller closes ROADMAP item 5's loop: ``repro.obs`` records
-queue depth, deadline misses and iteration drift, and nothing consumed
-them online — every knob stayed a static per-request setting.  The
+The controller closes the loop over the serve counters: ``repro.obs``
+records queue depth, deadline misses and iteration drift, and nothing
+consumed them online — every knob stayed a static per-request setting.  The
 controller watches those signals in fixed-size windows of completed
 batches and adapts, between batches, which of the service's
 already-bit-identical paths runs next:
@@ -36,7 +36,35 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-__all__ = ["TunePolicy", "TuneController"]
+__all__ = ["TunePolicy", "TuneController", "count_supersteps", "serve_scheduler"]
+
+#: thread count the superstep plans are counted at
+PLAN_THREADS = 8
+
+
+def count_supersteps(analysis):
+    """Supersteps of one full apply (lower + upper sweep) at ``PLAN_THREADS``."""
+    return sum(
+        int(analysis.superstep_plan(part, n_threads=PLAN_THREADS).n_steps)
+        for part in ("lower", "upper")
+    )
+
+
+def serve_scheduler(superstep_steps, n_levels_lower):
+    """Serving-loop scheduler override: ``"superstep"`` when the DAG
+    partition pays fewer syncs than the level-set charge (two per lower
+    level), else ``None`` (keep the p2p default).
+
+    The structural rule of superstep scheduling (Böhnlein et al.,
+    arXiv 2503.05408), restricted to superstep deliberately:
+    it is the one exact mode whose serve-side sync economy is a pure
+    count of the cached plan (``n_steps``), so the override is
+    reproducible from two structural counts and provably changes only
+    the virtual-time charge, never the applied numerics.
+    """
+    if superstep_steps < 2 * n_levels_lower:
+        return "superstep"
+    return None
 
 
 @dataclass(frozen=True)
@@ -129,7 +157,6 @@ class TuneController:
         if not self.policy.adapt_scheduler:
             return None
         from ..kernels.cache import cached_analysis, pattern_fingerprint
-        from .features import count_supersteps, serve_scheduler
 
         fp = pattern_fingerprint(A)
         if fp not in self._sched_cache:

@@ -1,23 +1,9 @@
-"""Property tests of the tuner's two contracts.
-
-* ``recommend()`` is a **pure function** of (features, SLA):
-  the same inputs give the same choice — within a process, across
-  independently re-fitted models, and across processes (the fit is
-  closed-form least squares on committed JSON, so there is nothing to
-  drift);
-* enabling the online controller **never changes solve results
-  bitwise** on a seeded serve run — the controller only re-routes work
-  onto already-bit-identical paths.
+"""Property tests of the controller's contract: enabling it **never
+changes solve results bitwise** on a seeded serve run — the controller
+only re-routes work onto already-bit-identical paths.
 """
 
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.serve import (
     BatchPolicy,
@@ -28,73 +14,7 @@ from repro.serve import (
     generate_requests,
 )
 from repro.serve.workload import solutions_identical
-from repro.tune import TuneController, default_model, extract_features
-from repro.tune.shapes import bench_shape
-
-SLAS = ("interactive", "standard", "batch")
-
-
-@st.composite
-def shape_names(draw):
-    family = draw(st.sampled_from(("chain", "wide", "grid")))
-    if family == "chain":
-        return f"chain-{draw(st.integers(8, 64))}"
-    if family == "wide":
-        return f"wide-{draw(st.integers(2, 8))}x{draw(st.integers(2, 16))}"
-    return f"grid-{draw(st.integers(4, 10))}"
-
-
-@pytest.fixture(scope="module")
-def model():
-    return default_model()
-
-
-class TestRecommendPurity:
-    @settings(max_examples=20, deadline=None)
-    @given(shape_names(), st.sampled_from(SLAS), st.integers(2, 64))
-    def test_same_inputs_same_choice(self, model, name, sla, p):
-        f = extract_features(bench_shape(name), n_threads=p)
-        first = model.recommend(f, sla)
-        again = model.recommend(f, sla)
-        refit = default_model().recommend(f, sla)
-        assert first == again == refit
-
-    @settings(max_examples=10, deadline=None)
-    @given(shape_names())
-    def test_features_are_the_whole_input(self, model, name):
-        """Two matrices with the same pattern get the same choice."""
-        A, B = bench_shape(name), bench_shape(name)
-        B.data = B.data * 3.0 - 1.0  # values differ; pattern identical
-        assert model.recommend(A) == model.recommend(B)
-
-    def test_choice_identical_across_processes(self, model, tmp_path):
-        """The purity contract that matters for fleet config: a choice
-        computed in a fresh interpreter matches this process bit-for-bit."""
-        cases = [("chain-32", "interactive", 8),
-                 ("wide-4x8", "batch", 14),
-                 ("grid-8", "standard", 32)]
-        here = [
-            model.recommend(extract_features(bench_shape(n), n_threads=p), s).as_dict()
-            for n, s, p in cases
-        ]
-        prog = (
-            "import json, sys\n"
-            "from repro.tune import default_model, extract_features\n"
-            "from repro.tune.shapes import bench_shape\n"
-            "model = default_model()\n"
-            "cases = json.loads(sys.argv[1])\n"
-            "out = [model.recommend(extract_features(bench_shape(n), n_threads=p), s)"
-            ".as_dict() for n, s, p in cases]\n"
-            "print(json.dumps(out))\n"
-        )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        proc = subprocess.run(
-            [sys.executable, "-c", prog, json.dumps(cases)],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert json.loads(proc.stdout) == here
+from repro.tune import TuneController
 
 
 def _run_workload(spec, tune):

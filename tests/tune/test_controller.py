@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-import repro.tune.model
+from repro.kernels import cached_analysis
 from repro.serve import (
     CostModel,
     SolveService,
@@ -15,8 +15,8 @@ from repro.serve import (
 from repro.serve.batcher import BatchPolicy
 from repro.serve.staleness import StalenessPolicy
 from repro.serve.workload import solutions_identical
-from repro.tune import TuneController, TunePolicy
-from repro.tune.shapes import chain_matrix, wide_matrix
+from repro.tune import TuneController, TunePolicy, count_supersteps, serve_scheduler
+from shapes import chain_matrix, wide_matrix
 
 
 @dataclass
@@ -114,6 +114,26 @@ class TestSchedulerOverride:
         assert ctl._sched_cache == {}
 
 
+def _structural_counts(M):
+    an = cached_analysis(M)
+    return count_supersteps(an), an.levels("lower").n_levels
+
+
+class TestServeScheduler:
+    def test_override_only_when_syncs_cheaper(self):
+        steps, n_levels_lower = _structural_counts(chain_matrix(100))
+        assert serve_scheduler(steps, n_levels_lower) == "superstep"
+        assert steps < 2 * n_levels_lower
+
+    def test_no_override_when_level_charge_wins(self):
+        steps, n_levels_lower = _structural_counts(wide_matrix(4, 64))
+        ov = serve_scheduler(steps, n_levels_lower)
+        if ov is None:
+            assert steps >= 2 * n_levels_lower
+        else:
+            assert steps < 2 * n_levels_lower
+
+
 class TestMetrics:
     def test_counters_namespace(self):
         ctl = _controller()
@@ -125,7 +145,7 @@ class TestMetrics:
 
 
 class TestNoBenchFiles:
-    def test_tuned_run_needs_no_results_dir(self, tmp_path, monkeypatch):
+    def test_tuned_run_needs_no_results_dir(self):
         """An installed package has no ``benchmarks/results``: the
         controller must construct and serve the same outcomes without it."""
         spec = WorkloadSpec(
@@ -152,7 +172,6 @@ class TestNoBenchFiles:
             return service.run(generate_requests(spec, matrices))
 
         committed = tuned_run()
-        monkeypatch.setattr(repro.tune.model, "results_dir", lambda: str(tmp_path))
         empty = tuned_run()
         assert [r.outcome for r in empty] == [r.outcome for r in committed]
         assert solutions_identical(empty, committed)

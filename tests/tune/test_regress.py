@@ -5,8 +5,15 @@ import os
 
 import pytest
 
-from repro.tune import check_regressions, plant_slowdown
-from repro.tune.regress import compare_docs, direction, flatten_bench
+from regress import (
+    RESULTS_DIR,
+    check_regressions,
+    compare_docs,
+    direction,
+    flatten_bench,
+    main,
+    plant_slowdown,
+)
 
 
 DOC = {
@@ -123,3 +130,27 @@ class TestCheckRegressions:
         rep = check_regressions(str(new), against_dir=str(old), self_test=False)
         # nothing to compare against: not a failure, but visible
         assert "BENCH_x.json" in rep["files"]
+
+
+class TestMain:
+    def test_committed_results_pass_with_self_test(self, capsys):
+        assert main([]) == 0
+        out = capsys.readouterr().out
+        n_files = len([f for f in os.listdir(RESULTS_DIR) if f.startswith("BENCH_")])
+        assert n_files and out.count("self-test caught") == n_files
+        assert "MISSED" not in out
+        assert out.rstrip().endswith("overall: ok")
+
+    def test_planted_slowdown_against_committed_fails(self, tmp_path, capsys):
+        planted = tmp_path / "planted"
+        planted.mkdir()
+        for name in os.listdir(RESULTS_DIR):
+            if name.startswith("BENCH_") and name.endswith(".json"):
+                with open(os.path.join(RESULTS_DIR, name)) as fh:
+                    doc = json.load(fh)
+                with open(planted / name, "w") as fh:
+                    json.dump(plant_slowdown(doc), fh)
+        assert main(["--results", str(planted), "--against", RESULTS_DIR]) == 1
+        out = capsys.readouterr().out
+        assert "  REGRESSION " in out
+        assert out.rstrip().endswith("overall: FAIL")

@@ -1,10 +1,9 @@
-"""Shape builders: named, deterministic, bit-for-bit reconstructible."""
+"""Shape builders: the level structure each family promises, dominant values."""
 
 import numpy as np
-import pytest
 
 from repro.ordering.levelsets import level_schedule
-from repro.tune.shapes import bench_shape, chain_matrix, grid_matrix, wide_matrix
+from shapes import chain_matrix, grid_matrix, wide_matrix
 
 
 class TestStructure:
@@ -38,22 +37,3 @@ class TestStructure:
         F = chain_matrix(20)
         dp = diag_positions(F)
         assert np.all(F.data[dp] >= 3.0)
-
-
-class TestBenchShape:
-    @pytest.mark.parametrize("name", ["chain-30", "wide-4x8", "grid-6"])
-    def test_roundtrip_deterministic(self, name):
-        a, b = bench_shape(name), bench_shape(name)
-        assert np.array_equal(a.indptr, b.indptr)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.data, b.data)
-
-    def test_names_map_to_builders(self):
-        assert bench_shape("chain-12").n_rows == 12
-        assert bench_shape("wide-3x5").n_rows == 15
-        assert bench_shape("grid-4").n_rows == 16
-
-    @pytest.mark.parametrize("bad", ["ring-8", "chain", "wide-4", "grid-x"])
-    def test_unknown_name_raises(self, bad):
-        with pytest.raises(ValueError):
-            bench_shape(bad)
