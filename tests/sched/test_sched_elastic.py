@@ -64,6 +64,9 @@ def test_tol_mode_stops_early_and_stays_close(F):
 
 def _elastic_solve_part_scalar(F, rhs, sched, *, tol=0.0, max_sweeps=128):
     """Reference: ``elastic_solve_part`` with one Python loop per row."""
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.shape != (sched.n,):
+        raise ValueError(f"right-hand side of shape {rhs.shape} does not match {sched.n} rows")
     x = np.zeros(sched.n)
     data, indices = F.data, F.indices
     n_sweeps = min(sched.n_sweeps, int(max_sweeps)) if sched.n else 0
@@ -110,12 +113,18 @@ def test_scalar_and_batched_backends_agree(F):
         assert np.array_equal(x, _elastic_solve_part_scalar(F, b, sched)), part
 
 
+@pytest.mark.parametrize("backend", ["scalar", "batched"])
 @pytest.mark.parametrize("shape", [(49,), (51,), (50, 1), ()])
-def test_wrong_rhs_shape_rejected(F, shape):
-    """Regression: an oversized rhs was truncated and a short one hit IndexError."""
+def test_wrong_rhs_shape_rejected(F, backend, shape):
+    """Regression: an oversized rhs was truncated and a short one hit IndexError.
+
+    ``batched`` is ``elastic_solve_part``; ``scalar`` is the row-loop
+    reference above, which keeps the same contract.
+    """
+    solve = elastic_solve_part if backend == "batched" else _elastic_solve_part_scalar
     sched = cached_analysis(F).elastic_schedule("lower", staleness=2)
     with pytest.raises(ValueError, match="does not match 50 rows"):
-        elastic_solve_part(F, np.ones(shape), sched)
+        solve(F, np.ones(shape), sched)
 
 
 def test_max_sweeps_truncation_is_inexact_but_finite(F):
