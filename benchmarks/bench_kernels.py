@@ -12,11 +12,12 @@ Run as a script for the scalar-vs-batched kernel comparison::
     PYTHONPATH=src python benchmarks/bench_kernels.py           # full run,
         # records benchmarks/results/BENCH_kernels.json
     PYTHONPATH=src python benchmarks/bench_kernels.py --check   # fast gate:
-        # exits non-zero if the batched backend diverges from the scalar
+        # exits non-zero if a batched kernel diverges from its scalar
         # reference or regresses >2x against the recorded baseline
 
-Both modes assert *exact* equality between backends — the bit-identical
-contract of ``repro.kernels`` — before reporting any timing.
+Both modes assert *exact* equality between each batched kernel and its
+scalar reference — the bit-identical contract of ``repro.kernels`` —
+before reporting any timing.
 """
 
 import json
@@ -124,7 +125,8 @@ def test_trisolve_batched_kernel(benchmark, wang3):
 def test_upper_p2p_sim_batched(benchmark):
     """The batched DES vs its own scalar reference on a suite matrix."""
     from repro.core.symbolic import row_factor_costs
-    from repro.core.upper import simulate_upper_p2p
+    from repro.core.upper import assign_round_robin, simulate_upper_p2p
+    from repro.kernels.des import upper_p2p_sim_scalar
     from repro.machine import SimMachine, haswell
 
     ilu = suite_ilu("wang3")
@@ -135,8 +137,8 @@ def test_upper_p2p_sim_batched(benchmark):
     mk, _, _ = benchmark(
         simulate_upper_p2p, S, ls.level_ptr, mach, flops, touched
     )
-    mk_ref, _, _ = simulate_upper_p2p(
-        S, ls.level_ptr, mach, flops, touched, backend="scalar"
+    mk_ref, _, _ = upper_p2p_sim_scalar(
+        S, mach, assign_round_robin(ls.level_ptr, 8), flops, touched, m=int(ls.level_ptr[-1])
     )
     assert mk == mk_ref
 
@@ -190,22 +192,20 @@ def _trisolve_case(nx, repeats=3):
 def _des_case(nx=64, p=8, repeats=3):
     """Time scalar vs batched upper-stage DES on grid2d(nx)."""
     from repro.core.symbolic import row_factor_costs
-    from repro.core.upper import simulate_upper_p2p
+    from repro.core.upper import assign_round_robin
+    from repro.kernels.des import upper_p2p_sim, upper_p2p_sim_scalar
     from repro.machine import SimMachine, haswell
 
     Sp, lsp = level_ordered_pattern(nx)
     flops, touched = row_factor_costs(Sp)
     mach = SimMachine(haswell(), p)
+    thread_of, m = assign_round_robin(lsp.level_ptr, p), int(lsp.level_ptr[-1])
     t_scalar, res_s, scalar_samples = _timeit(
-        lambda: simulate_upper_p2p(
-            Sp, lsp.level_ptr, mach, flops, touched, backend="scalar"
-        ),
+        lambda: upper_p2p_sim_scalar(Sp, mach, thread_of, flops, touched, m=m),
         repeats=repeats,
     )
     t_batched, res_b, batched_samples = _timeit(
-        lambda: simulate_upper_p2p(
-            Sp, lsp.level_ptr, mach, flops, touched, backend="batched"
-        ),
+        lambda: upper_p2p_sim(Sp, mach, thread_of, flops, touched, m=m),
         repeats=repeats,
     )
     return {
@@ -225,19 +225,19 @@ def _des_case(nx=64, p=8, repeats=3):
 
 
 def _factor_case(nx, repeats=3):
-    """Time the scalar vs batched ``ilu_factor`` kernel: ILU(1) of grid2d(nx).
+    """Time ``ilu_factor_sequential`` vs the batched ``ilu_factor``: ILU(1) of grid2d(nx).
 
-    The batched backend's update schedule is built once before timing,
+    The batched factor's update schedule is built once before timing,
     as a refactor loop reuses it; ``exact_equal`` compares the factor
     bytes.
     """
     from repro.core import JavelinILU, JavelinOptions
-    from repro.kernels import get_kernel
+    from repro.core.iluk import ilu_factor, ilu_factor_sequential
     from repro.matrices.generators import grid2d
 
     ilu = JavelinILU(JavelinOptions(fill_level=1)).setup(grid2d(nx))
     A, S = ilu.A_perm, ilu.S_perm
-    scalar, batched = get_kernel("ilu_factor", "scalar"), get_kernel("ilu_factor", "batched")
+    scalar, batched = ilu_factor_sequential, ilu_factor
     batched(A, S)
     t_scalar, F_scalar, scalar_samples = _timeit(scalar, A, S, repeats=repeats)
     t_batched, F_batched, batched_samples = _timeit(batched, A, S, repeats=repeats)
@@ -291,7 +291,7 @@ def run(check):
                 f"speedup {e['speedup']:6.1f}x, exact={e['exact_equal']}"
             )
         if not all(e["exact_equal"] for e in entries):
-            failures.append("backends diverged")
+            failures.append("batched and scalar kernels diverged")
         return record, failures
 
     if not entry["exact_equal"] or entry["max_abs_diff"] != 0.0:

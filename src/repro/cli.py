@@ -242,7 +242,8 @@ def _scheduler_timeline_events(args, ilu):
     timelines are pids 2/3 already.
     """
     from . import obs
-    from .kernels import cached_analysis, get_kernel
+    from .kernels import cached_analysis
+    from .kernels.des import superstep_sim
     from .machine import SimMachine
 
     name = args.scheduler
@@ -254,7 +255,7 @@ def _scheduler_timeline_events(args, ilu):
     fl, tl = an.solve_costs("lower")
     if name == "superstep":
         plan = an.superstep_plan("lower", n_threads=args.threads)
-        _, _, trace = get_kernel("superstep_sim")(S, machine, plan, fl, tl)
+        _, _, trace = superstep_sim(S, machine, plan, fl, tl)
         return obs.execution_trace_events(
             trace,
             pid=4,

@@ -16,11 +16,11 @@ deterministic, which is the robustness property the paper contrasts
 with the fine-grained asynchronous method of Chow & Patel.  Tests
 assert bit-for-bit agreement.
 
-The ``ilu_factor`` kernel is the whole numeric factor, with the
-ILU(k, τ) drop hook.  Its ``scalar`` backend is the :func:`factor_row`
-loop (what :func:`ilu_factor_sequential` runs); its ``batched`` backend,
-the default behind :meth:`~repro.core.javelin.JavelinILU.factor`, runs
-§III's level schedule on the numeric phase: the cached
+The whole numeric factor, with the ILU(k, τ) drop hook, exists twice.
+:func:`ilu_factor_sequential` is the :func:`factor_row` loop, the
+reference.  :func:`ilu_factor`, the production kernel behind
+:meth:`~repro.core.javelin.JavelinILU.factor`, runs §III's level
+schedule on the numeric phase: the cached
 :class:`~repro.kernels.plans.FactorSchedule` groups the strict-lower
 slots by forward level and then by position ``j`` in the row, and each
 group is one divide and one multiply-subtract over all its rows.  A
@@ -33,12 +33,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import cached_analysis, get_kernel, register_kernel
+from ..kernels import cached_analysis
+from ..kernels.hook import kernel
 from ..sparse.csr import CSRMatrix
 from .breakdown import FactorizationBreakdown, classify_pivot
 from .symbolic import ilu0_pattern, iluk_pattern
 
 __all__ = [
+    "ilu_factor",
     "ilu_factor_sequential",
     "ilu0_factor",
     "PivotBreakdownError",
@@ -165,13 +167,21 @@ def drop_row_fixed_pattern(F: CSRMatrix, r, diag_pos, threshold, *, modified=Fal
     return dropped
 
 
-@register_kernel("ilu_factor", "scalar")
-def _ilu_factor_scalar(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=False):
-    """ILU of A on pattern S: one :func:`factor_row` per row, then its drop hook.
+def ilu_factor_sequential(
+    A: CSRMatrix, S: CSRMatrix | None = None, *, pivot_tol=0.0, drop_threshold=None,
+    modified=False,
+):
+    """Up-looking ILU of A on pattern S (default: ILU(0) pattern).
 
+    Returns the factored CSR matrix holding L (strictly below the
+    diagonal, unit diagonal implicit) and U (diagonal and above): one
+    :func:`factor_row` per row, then its drop hook.  This is the
+    reference every other factor path is tested against.
     ``drop_threshold[r]`` (optional) is row ``r``'s ILU(k, τ) threshold
     for :func:`drop_row_fixed_pattern`, ``modified`` its MILU switch.
     """
+    if S is None:
+        S = ilu0_pattern(A)
     F = _scatter_values(S, A)
     diag_pos = cached_analysis(F).diag_pos()
     for r in range(F.n_rows):
@@ -181,11 +191,11 @@ def _ilu_factor_scalar(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=Fal
     return F
 
 
-@register_kernel("ilu_factor", "batched", default=True)
-def _ilu_factor_batched(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=False):
-    """The scalar backend's factor, one (level, ``j``) group at a time.
+@kernel
+def ilu_factor(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=False):
+    """:func:`ilu_factor_sequential`'s factor, one (level, ``j``) group at a time.
 
-    A failed pivot re-runs the scalar backend on a fresh scatter: level
+    A failed pivot re-runs the reference on a fresh scatter: level
     order is not row order, so only the row loop raises the sequential
     :class:`PivotBreakdownError` (row, value, kind).
     """
@@ -196,7 +206,7 @@ def _ilu_factor_batched(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=Fa
             F, analysis.factor_schedule(), analysis.diag_pos(), pivot_tol, drop_threshold, modified
         )
     except PivotBreakdownError:
-        return _ilu_factor_scalar(
+        return ilu_factor_sequential(
             A, S, pivot_tol=pivot_tol, drop_threshold=drop_threshold, modified=modified
         )
     return F
@@ -262,19 +272,6 @@ def _drop_rows(d, sch, a, b, thresh, diag, modified):
         nz = mass != 0.0
         d[diag[nz]] += mass[nz]
     d[slots[hit]] = 0.0
-
-
-def ilu_factor_sequential(A: CSRMatrix, S: CSRMatrix | None = None, *, pivot_tol=0.0):
-    """Up-looking ILU of A on pattern S (default: ILU(0) pattern).
-
-    Returns the factored CSR matrix holding L (strictly below the
-    diagonal, unit diagonal implicit) and U (diagonal and above).  This
-    is the ``scalar`` backend of the ``ilu_factor`` kernel, the
-    reference every other factor path is tested against.
-    """
-    if S is None:
-        S = ilu0_pattern(A)
-    return get_kernel("ilu_factor", "scalar")(A, S, pivot_tol=pivot_tol)
 
 
 def ilu0_factor(A: CSRMatrix, *, pivot_tol=0.0):

@@ -15,15 +15,15 @@ Typical use::
 ``setup`` performs the paper's preprocessing (§III): predetermine the
 fill pattern (ILU(k)), level-schedule ``lower(S + Sᵀ)``, split into the
 two stages, and symmetrically permute the matrix into the level
-ordering.  ``factor`` runs the ``ilu_factor`` kernel's level-batched
-backend (plus the ILU(k, τ) drop hook) on the permuted matrix: one
-vectorized group per (level, position in the row), on an update
-schedule cached per pattern, giving the bits of the row-by-row
-:func:`~repro.core.iluk.factor_row` loop.  Every stage order — the p2p
-upper levels, Even-Rows, Segmented-Rows — eliminates each row's
-columns in ascending order, so each gives those same bits, and the
-orders themselves run in the threaded executor (:mod:`repro.runtime`)
-and the ``simulate_*`` replays.
+ordering.  ``factor`` runs the level-batched
+:func:`~repro.core.iluk.ilu_factor` (plus the ILU(k, τ) drop hook) on
+the permuted matrix: one vectorized group per (level, position in the
+row), on an update schedule cached per pattern, giving the bits of the
+row-by-row :func:`~repro.core.iluk.factor_row` loop.  Every stage
+order — the p2p upper levels, Even-Rows, Segmented-Rows — eliminates
+each row's columns in ascending order, so each gives those same bits,
+and the orders themselves run in the threaded executor
+(:mod:`repro.runtime`) and the ``simulate_*`` replays.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ from .symbolic import (
     row_factor_costs,
     row_factor_costs_split,
 )
-from ..kernels import cached_analysis, get_kernel
+from ..kernels import cached_analysis
 from ..kernels.trisolve import as_rhs
 from ..kernels.cache import pattern_fingerprint
 from .schedule import ScheduleOptions, build_schedule
 from .upper import simulate_upper_p2p, simulate_upper_barrier
+from .iluk import ilu_factor
 from .lower_er import simulate_lower_er
 from .lower_sr import SegmentedRows, simulate_lower_sr
 from .trisolve import (
@@ -229,23 +230,22 @@ class JavelinILU:
         return method
 
     def factor(self) -> FactorResult:
-        """Numeric factorization: the ``ilu_factor`` kernel on ``A_perm``.
+        """Numeric factorization: :func:`~repro.core.iluk.ilu_factor` on ``A_perm``.
 
-        The default ``batched`` backend runs the pattern's cached update
-        schedule one group at a time, dropping each level's rows
-        (ILU(k, τ), when ``tau > 0``) once it is done; its bits are those of
-        the ``scalar`` row loop.  The lower-stage choice does not enter:
-        every stage order gives these bits (the threaded executor runs
-        the ER order), and without dropping they are those of
+        It runs the pattern's cached update schedule one group at a
+        time, dropping each level's rows (ILU(k, τ), when ``tau > 0``)
+        once it is done; its bits are those of the row loop
         :func:`~repro.core.iluk.ilu_factor_sequential` on
-        ``(A_perm, S_perm)``.
+        ``(A_perm, S_perm)`` with the same drop thresholds.  The
+        lower-stage choice does not enter: every stage order gives these
+        bits (the threaded executor runs the ER order).
         """
         if not self._ready:
             raise RuntimeError("call setup(A) before factor()")
         opts = self.options
         # the kernel's analysis is keyed on F's pattern, so the solve
         # plans built later (build_solver / the lazy solve path) reuse it
-        F = get_kernel("ilu_factor")(
+        F = ilu_factor(
             self.A_perm,
             self.S_perm,
             pivot_tol=opts.pivot_tol,

@@ -20,9 +20,12 @@ structure computed on the strict-upper pattern.
 
 Numeric solves run on the combined L\\U factor and take a right-hand
 side of shape ``(n,)`` or ``(n, k)``: :func:`trisolve_factor` is the
-scalar reference (one row at a time), :func:`trisolve_factor_levels`
-the level-batched sweep, bit-identical to it per column; a caller that
-applies one factor many times passes the same ``analysis`` every time.
+scalar reference (one row at a time, the sweeps
+:func:`~repro.kernels.trisolve.trisolve_lower_serial` and
+:func:`~repro.kernels.trisolve.trisolve_upper_serial` re-exported here),
+:func:`trisolve_factor_levels` the level-batched sweep, bit-identical
+to it per column; a caller that applies one factor many times passes
+the same ``analysis`` every time.
 The simulate_* functions replay the strategy on a
 :class:`~repro.machine.SimMachine` and return the modelled time.  Each
 strategy is a row order plus a row→thread map handed to the DES sweep
@@ -41,7 +44,13 @@ import numpy as np
 from ..machine.core import SimMachine
 from ..sparse.csr import CSRMatrix
 from ..ordering.levelsets import LevelSets
-from ..kernels import backward_level_sets, cached_analysis, get_kernel
+from ..kernels import backward_level_sets, cached_analysis
+from ..kernels.trisolve import (
+    trisolve_lower,
+    trisolve_lower_serial,
+    trisolve_upper,
+    trisolve_upper_serial,
+)
 from .symbolic import row_solve_costs
 from .upper import simulate_sweep
 
@@ -60,21 +69,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # numeric sweeps
 # ----------------------------------------------------------------------
-def trisolve_lower_serial(F: CSRMatrix, b):
-    """Forward solve ``L y = b`` on the combined factor (unit diagonal).
-
-    The scalar reference backend of the ``trisolve_lower`` kernel: its
-    per-row, ascending-column accumulation order is the contract the
-    level-batched backend reproduces bit-for-bit.
-    """
-    return get_kernel("trisolve_lower", "scalar")(F, b)
-
-
-def trisolve_upper_serial(F: CSRMatrix, y):
-    """Backward solve ``U x = y`` on the combined factor (scalar reference)."""
-    return get_kernel("trisolve_upper", "scalar")(F, y)
-
-
 def trisolve_factor(F: CSRMatrix, b):
     """Apply the full preconditioner solve ``x = U⁻¹ L⁻¹ b`` (scalar).
 
@@ -94,8 +88,8 @@ def trisolve_factor_levels(F: CSRMatrix, b, *, analysis=None):
     """
     if analysis is None:
         analysis = cached_analysis(F)
-    y = get_kernel("trisolve_lower", "batched")(F, b, plan=analysis.plan("lower"))
-    return get_kernel("trisolve_upper", "batched")(F, y, plan=analysis.plan("upper"))
+    y = trisolve_lower(F, b, plan=analysis.plan("lower"))
+    return trisolve_upper(F, y, plan=analysis.plan("upper"))
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 from ..machine.core import SimMachine
 from ..machine.trace import ExecutionTrace, Interval
 from ..sparse.csr import CSRMatrix
-from ..kernels import get_kernel
+from ..kernels.des import superstep_sim, upper_p2p_sim
 from ..sched.superstep import SuperstepPlan
 
 __all__ = [
@@ -112,7 +112,6 @@ def simulate_upper_p2p(
     trace: ExecutionTrace | None = None,
     policy="static",
     chunk=1,
-    backend="batched",
     fault_plan=None,
     fault_report=None,
 ):
@@ -135,17 +134,12 @@ def simulate_upper_p2p(
         the default) or "dynamic" (OpenMP DYNAMIC(chunk) self-
         scheduling, the paper's §IV configuration — better balanced on
         skewed rows, pays a per-grab overhead).
-    backend:
-        DES kernel backend: "batched" (default — one-shot producer-CSR
-        dependency table plus vectorized ``work_time_batch`` row costs)
-        or "scalar" (the per-row reference loop).  Both produce
-        identical results; see ``repro.kernels``.
     fault_plan, fault_report:
         Optional :class:`repro.resilience.FaultPlan` injecting spin
         faults and dropped notifications into the DES (stragglers are
         carried by the machine itself), and a
         :class:`repro.resilience.FaultRunReport` filled with what
-        happened.  Both backends honor them identically.
+        happened.
 
     Returns ``(makespan, finish, trace)`` where ``finish[r]`` is each
     row's completion time and makespan is the last thread's finish.
@@ -161,7 +155,7 @@ def simulate_upper_p2p(
         )
     else:
         raise ValueError(f"unknown scheduling policy {policy!r}")
-    return get_kernel("upper_p2p_sim", backend)(
+    return upper_p2p_sim(
         S,
         machine,
         thread_of,
@@ -204,7 +198,7 @@ def simulate_sweep(
     S: CSRMatrix, machine: SimMachine, order, thread_of, flops, touched, *,
     steps=None, part="lower", start_time=0.0, trace: ExecutionTrace | None = None,
 ):
-    """One DES sweep of the rows ``order`` on a registered DES kernel.
+    """One DES sweep of the rows ``order`` on a DES kernel.
 
     A sync model is only data: a row order (original ids), a row→thread
     map (``thread_of[i]`` runs the ``i``-th row) and, for barriers, step
@@ -254,7 +248,7 @@ def simulate_sweep(
         ptr = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(np.bincount(i, minlength=k), out=ptr[1:])
         P = CSRMatrix(k, k, ptr, j[np.lexsort((j, i))], sort=False, check=False)
-        makespan, finish, trace = get_kernel("upper_p2p_sim")(
+        makespan, finish, trace = upper_p2p_sim(
             P, machine, thread_of, fl, tl, m=k, start_time=start_time, trace=trace
         )
     else:
@@ -266,7 +260,7 @@ def simulate_sweep(
             step_ptr=steps, thread_ptr=thread_ptr, thread_of=thread_of,
             step_of=step_of, level_of=step_of, step_level_ptr=np.arange(n_steps + 1),
         )
-        makespan, finish, trace = get_kernel("superstep_sim")(
+        makespan, finish, trace = superstep_sim(
             S, machine, plan, fl, tl, start_time=start_time, trace=trace, spans=False
         )
     new = trace.intervals[n0:]

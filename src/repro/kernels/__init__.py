@@ -1,37 +1,20 @@
 """Level-batched vectorized kernels and the pattern-keyed symbolic cache.
 
-The framework's hot numeric paths — triangular sweeps and the
-upper-stage DES — live here as named kernels with interchangeable
-backends (``"scalar"`` reference vs ``"batched"`` level-set NumPy),
-resolved through :func:`get_kernel`.  Symbolic analysis products
-(diagonal positions, level sets, sweep plans, the numeric factor's
-update schedule, row costs) are memoized
+The framework's hot numeric paths are plain functions: a production
+kernel that production code calls directly, and a scalar reference
+beside it that tests and benches call by name — ``trisolve_lower`` /
+``trisolve_upper`` (``*_serial``) in :mod:`.trisolve`,
+``upper_p2p_sim`` / ``superstep_sim`` (``*_scalar``) in :mod:`.des`,
+and ``ilu_factor`` (``ilu_factor_sequential``) in
+:mod:`repro.core.iluk`.  The two agree bit-for-bit (see
+``docs/kernel_backends.md``); :func:`~repro.kernels.hook.kernel` wraps
+each production kernel with its trace span and debug validator.
+Symbolic analysis products (diagonal positions, level sets, sweep
+plans, the numeric factor's update schedule, row costs) are memoized
 per sparsity-pattern fingerprint in :class:`SymbolicCache` so repeated
 factor/solve cycles reuse them.
-
-Registered kernels (each with ``scalar`` and ``batched`` backends):
-
-* ``trisolve_lower`` — forward solve ``L y = b`` on the combined factor,
-  for ``b`` of shape ``(n,)`` or ``(n, k)``;
-* ``trisolve_upper`` — backward solve ``U x = y``, likewise;
-* ``upper_p2p_sim`` — the point-to-point DES sweep;
-* ``superstep_sim`` — the barrier DES sweep (one barrier per step);
-* ``ilu_factor`` — the numeric ILU factor, registered by
-  :mod:`repro.core.iluk` on the schedule of
-  :func:`~repro.kernels.plans.build_factor_schedule`.
-
-Backends agree bit-for-bit; see ``docs/kernel_backends.md`` for the
-accumulation-order contract and how to add a backend.
 """
 
-from .registry import (
-    available_backends,
-    available_kernels,
-    get_default_backend,
-    get_kernel,
-    register_kernel,
-    set_default_backend,
-)
 from .plans import (
     TriSolvePlan,
     backward_level_sets,
@@ -53,19 +36,12 @@ from .cache import (
     set_validation_hook,
 )
 
-# importing the kernel modules registers their backends; both are part
-# of the public surface (re-exported via __all__, no suppression needed)
-from . import des, trisolve
+from . import des, hook, trisolve
 
 __all__ = [
     "des",
     "trisolve",
-    "register_kernel",
-    "get_kernel",
-    "available_backends",
-    "available_kernels",
-    "set_default_backend",
-    "get_default_backend",
+    "hook",
     "TriSolvePlan",
     "build_trisolve_plan",
     "forward_level_sets",

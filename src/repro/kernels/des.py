@@ -1,14 +1,15 @@
-"""Upper-stage p2p DES kernels: scalar reference and batched backend.
+"""DES kernels: the batched sweeps and their scalar references.
 
-Both simulate the point-to-point level-scheduled upper stage: rows run
-in permuted order on their assigned threads; before starting, a row
-waits for each *other* thread owning one of its strict-lower
-dependencies, bounded by that thread's latest dependency row (the
-implied-ordering pruning of §III-A).
+:func:`upper_p2p_sim` and its reference :func:`upper_p2p_sim_scalar`
+simulate the point-to-point level-scheduled upper stage: rows run in
+permuted order on their assigned threads; before starting, a row waits
+for each *other* thread owning one of its strict-lower dependencies,
+bounded by that thread's latest dependency row (the implied-ordering
+pruning of §III-A).
 
-The scalar backend resolves dependencies inside the row loop with
+The scalar reference resolves dependencies inside the row loop with
 ``np.unique`` + boolean masks and calls ``machine.work_time`` per row.
-The batched backend hoists all of that out of the loop:
+The production sweep hoists all of that out of the loop:
 
 * a one-shot producer-CSR (:func:`~repro.kernels.plans.build_producer_csr`)
   precomputes, per row, the distinct producer threads and their latest
@@ -18,8 +19,10 @@ The batched backend hoists all of that out of the loop:
 * the spin latencies collapse to a ``p × p`` lookup table.
 
 The remaining sequential loop (inherent: each finish time feeds later
-rows) touches only Python floats, and both backends produce the same
-makespan, finish times and trace to the last bit.
+rows) touches only Python floats, and both produce the same makespan,
+finish times and trace to the last bit.  :func:`superstep_sim` and
+:func:`superstep_sim_scalar` are the same pair for the barrier sweep of
+a :class:`~repro.sched.superstep.SuperstepPlan`.
 
 Fault injection (``fault_plan``, a :class:`repro.resilience.FaultPlan`)
 layers three deterministic perturbations on top — see
@@ -47,9 +50,9 @@ import numpy as np
 
 from ..machine.trace import ExecutionTrace
 from ..obs import spans as _spans
-from .registry import register_kernel
+from .hook import kernel
 
-__all__ = []  # access via repro.kernels.get_kernel
+__all__ = ["upper_p2p_sim", "upper_p2p_sim_scalar", "superstep_sim", "superstep_sim_scalar"]
 
 
 def _dropped_covers(thread_of, m, plan):
@@ -72,7 +75,6 @@ def _dropped_covers(thread_of, m, plan):
     return covers
 
 
-@register_kernel("upper_p2p_sim", "scalar")
 def upper_p2p_sim_scalar(
     S,
     machine,
@@ -136,8 +138,8 @@ def upper_p2p_sim_scalar(
     return makespan, finish, trace
 
 
-@register_kernel("upper_p2p_sim", "batched", default=True)
-def upper_p2p_sim_batched(
+@kernel
+def upper_p2p_sim(
     S,
     machine,
     thread_of,
@@ -228,7 +230,6 @@ def _check_superstep_machine(machine, plan):
         )
 
 
-@register_kernel("superstep_sim", "scalar")
 def superstep_sim_scalar(
     S,
     machine,
@@ -283,8 +284,8 @@ def superstep_sim_scalar(
     return clock, finish, trace
 
 
-@register_kernel("superstep_sim", "batched", default=True)
-def superstep_sim_batched(
+@kernel
+def superstep_sim(
     S,
     machine,
     plan,

@@ -12,7 +12,7 @@ The accumulation contract: within a row, entries appear in ascending
 column order (CSR order, preserved by the stable sort), and the batched
 segment reduction (:func:`numpy.bincount`) adds them strictly
 sequentially in that order — exactly the scalar reference's
-``s += data[k] * y[col[k]]`` loop, so the two backends agree
+``s += data[k] * y[col[k]]`` loop, so the two sweeps agree
 bit-for-bit.
 
 A :class:`FactorSchedule` does the same for the numeric ILU factor: the

@@ -1,6 +1,6 @@
-"""Triangular-sweep kernels: scalar reference and level-batched backend.
+"""Triangular-sweep kernels: scalar references and level-batched sweeps.
 
-Both backends implement the same contract on the combined L\\U factor:
+Both forms implement the same contract on the combined L\\U factor:
 
 * ``trisolve_lower``: solve ``L y = b`` with unit diagonal, reading the
   strict-lower entries of each row in ascending column order;
@@ -11,12 +11,14 @@ The right-hand side is a vector of shape ``(n,)`` or a block of shape
 ``(n, k)``; any other shape raises ``ValueError``.  The per-row
 accumulation is ``s = 0; s += data[k] * sol[col[k]]`` in entry order
 followed by a single ``rhs - s`` (and ``/ diag`` for the upper sweep).
-:func:`sweep_row` is that row, the scalar reference; the scalar backend
-runs it over the rows of one column at a time.
+:func:`sweep_row` is that row; the scalar references
+:func:`trisolve_lower_serial` and :func:`trisolve_upper_serial` run it
+over the rows of one column at a time.
 
-The batched backend (:func:`_level_sweep`) reproduces it *bit-for-bit*:
-rows of a level are independent, so each level is one gather / multiply
-/ segment-reduce pass, and ``np.bincount`` performs the per-row segment
+The production sweeps :func:`trisolve_lower` and :func:`trisolve_upper`
+(:func:`_level_sweep`) reproduce them *bit-for-bit*: rows of a level
+are independent, so each level is one gather / multiply /
+segment-reduce pass, and ``np.bincount`` performs the per-row segment
 sums strictly sequentially in the same entry order.  A block runs at
 its own ndim with bins ``local_row * k + column``, so each ``(row,
 column)`` bin accumulates its entries in the same ascending order as
@@ -31,9 +33,10 @@ from __future__ import annotations
 import numpy as np
 
 from .cache import cached_analysis
-from .registry import register_kernel
+from .hook import kernel
 
-__all__ = []  # access via repro.kernels.get_kernel
+__all__ = ["sweep_row", "trisolve_lower_serial", "trisolve_upper_serial", "trisolve_lower",
+           "trisolve_upper"]
 
 
 def as_rhs(B, n_rows):
@@ -84,20 +87,18 @@ def _row_sweep(F, B, upper):
     return X
 
 
-@register_kernel("trisolve_lower", "scalar")
-def trisolve_lower_scalar(F, b, plan=None):
-    """Forward solve ``L y = b`` (unit diagonal), one row at a time."""
+def trisolve_lower_serial(F, b):
+    """Forward solve ``L y = b`` (unit diagonal), one row at a time (scalar reference)."""
     return _row_sweep(F, b, upper=False)
 
 
-@register_kernel("trisolve_upper", "scalar")
-def trisolve_upper_scalar(F, y, plan=None):
-    """Backward solve ``U x = y``, one row at a time."""
+def trisolve_upper_serial(F, y):
+    """Backward solve ``U x = y``, one row at a time (scalar reference)."""
     return _row_sweep(F, y, upper=True)
 
 
 # ----------------------------------------------------------------------
-# level-batched backend
+# level-batched sweeps
 # ----------------------------------------------------------------------
 def _resolve_plan(F, part, plan):
     if plan is None:
@@ -152,13 +153,13 @@ def _level_sweep(F, B, plan):
     return X
 
 
-@register_kernel("trisolve_lower", "batched", default=True)
-def trisolve_lower_batched(F, b, plan=None):
+@kernel
+def trisolve_lower(F, b, plan=None):
     """Forward solve, one gather/multiply/segment-reduce per level."""
     return _level_sweep(F, b, _resolve_plan(F, "lower", plan))
 
 
-@register_kernel("trisolve_upper", "batched", default=True)
-def trisolve_upper_batched(F, y, plan=None):
+@kernel
+def trisolve_upper(F, y, plan=None):
     """Backward solve, one gather/multiply/segment-reduce per level."""
     return _level_sweep(F, y, _resolve_plan(F, "upper", plan))

@@ -44,7 +44,7 @@ class SimMachine:
         multipliers are folded into the per-thread flop/bandwidth rates
         here — the single place both :meth:`work_time` and
         :meth:`work_time_batch` read them — so a faulty machine stays
-        bit-identical between the scalar and batched DES backends.
+        bit-identical between the scalar and batched DES sweeps.
     """
 
     def __init__(self, spec: MachineSpec, n_threads: int, *, fault_plan=None):

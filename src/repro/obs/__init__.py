@@ -5,7 +5,7 @@ scaling story — Figs. 9–13 — is entirely about *where time goes*):
 
 * :mod:`spans` — nested wall-clock spans, instants, counters.
   Disabled by default and free when disabled; instrumentation hooks
-  live in the kernel registry, the symbolic cache, the threaded
+  live in the kernel hook, the symbolic cache, the threaded
   runtime, the solvers and the resilience driver.  Enabling spans
   never changes numeric results (the bit-identity tests enforce it).
 * :mod:`chrome_trace` — export both real-thread recorders and

@@ -45,6 +45,7 @@ from ..core.ilut import ilut_factor
 from ..core.javelin import JavelinILU, JavelinOptions
 from ..core.trisolve import trisolve_factor_levels
 from ..kernels.cache import cached_analysis, default_cache, pattern_fingerprint
+from ..kernels.plans import diag_positions
 from ..obs import spans as _spans
 from ..sparse.pattern import has_full_diagonal
 
@@ -232,11 +233,15 @@ class ResilienceReport:
 
 
 def _row_scales(A):
-    """Per-row magnitude, the shift scaling (cf. ``ichol_shifted``)."""
-    scale = np.empty(A.n_rows)
-    for r in range(A.n_rows):
-        _, vals = A.row(r)
-        scale[r] = float(np.abs(vals).max()) if vals.size else 1.0
+    """Per-row magnitude, the shift scaling (cf. ``ichol_shifted``).
+
+    The largest ``|a_rc|`` of each row; an empty or all-zero row scales
+    by 1.0, and a NaN entry makes its row's scale NaN.
+    """
+    scale = np.ones(A.n_rows)
+    full = np.flatnonzero(np.diff(A.indptr) > 0)
+    if full.size:
+        scale[full] = np.maximum.reduceat(np.abs(A.data[: A.indptr[-1]]), A.indptr[full])
     scale[scale == 0.0] = 1.0
     return scale
 
@@ -244,11 +249,7 @@ def _row_scales(A):
 def _shifted(A, alpha, base_diag, row_scale):
     """``A`` with its diagonal replaced by ``base_diag + α·row_scale``."""
     B = A.copy()
-    for r in range(A.n_rows):
-        lo = int(B.indptr[r])
-        cols = B.indices[lo : int(B.indptr[r + 1])]
-        p = int(np.searchsorted(cols, r))
-        B.data[lo + p] = base_diag[r] + alpha * row_scale[r]
+    B.data[diag_positions(B)] = base_diag + alpha * row_scale
     return B
 
 
@@ -526,20 +527,21 @@ class ResilientFactor:
     def build_multi_solver(self):
         """A multi-RHS apply ``apply(B) -> Z`` on a 2-D block ``(n, k)``.
 
-        When the chain's winner is an ILU variant, the block goes
-        through the multi-RHS level-batched sweeps
-        (:meth:`~repro.core.javelin.JavelinILU.build_multi_solver`) —
-        bit-identical per column to :meth:`solve` while amortizing the
-        per-level dispatch across the batch.  Fallback variants
-        (MILU/block-Jacobi/Jacobi) apply column-by-column, which is
-        trivially identical.  Rebuild after a :meth:`resetup` — the
-        returned callable is pinned to the current variant.
+        When the chain's winner is an ILU variant, this is the apply
+        the chain already built and validated
+        (:meth:`~repro.core.javelin.JavelinILU.build_solver`), whose
+        level-batched sweeps take a block — bit-identical per column to
+        :meth:`solve` while amortizing the per-level dispatch across the
+        batch.  Fallback variants (MILU/block-Jacobi/Jacobi) apply
+        column-by-column, which is trivially identical.  Rebuild after a
+        :meth:`resetup` — the returned callable is pinned to the current
+        variant.
         """
         if not self._ready:
             raise RuntimeError("call setup(A) first")
-        if self.ilu is not None:
-            return self.ilu.build_multi_solver()
         apply = self._apply
+        if self.ilu is not None:
+            return apply
 
         def apply_multi(B):
             B = np.asarray(B, dtype=np.float64)

@@ -28,7 +28,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..kernels import cached_analysis, get_kernel
+from ..kernels import cached_analysis
+from ..kernels.des import superstep_sim
 from .elastic import elastic_solve_part, simulate_elastic
 from .options import SCHEDULER_NAMES, SchedOptions
 from .syncfree import simulate_syncfree
@@ -158,7 +159,7 @@ class SuperstepScheduler(TriSolveScheduler):
 
         def sweep(part, flops, touched, start_time):
             plan = analysis.superstep_plan(part, n_threads=machine.n_threads, opts=opts)
-            return get_kernel("superstep_sim")(
+            return superstep_sim(
                 S, machine, plan, flops, touched, start_time=start_time
             )[0]
 

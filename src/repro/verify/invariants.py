@@ -17,11 +17,11 @@ assumption an executable check with a precise failure message.
 :class:`InvariantViolation` on the first failure.
 
 :func:`enable_debug_validation` wires the validators into the hot paths
-as optional debug hooks: every :func:`repro.kernels.get_kernel` dispatch
-validates its matrix/plan arguments, and every
-:class:`~repro.kernels.cache.SymbolicCache` lookup validates the entry
-it returns (including the frozen-arrays rule, so a mutated cached array
-is caught at the next lookup).  The hooks are off by default — they are
+as optional debug hooks: every production kernel call (the
+:func:`repro.kernels.hook.kernel` wrapper) validates its matrix/plan
+arguments, and every :class:`~repro.kernels.cache.SymbolicCache` lookup
+validates the entry it returns (including the frozen-arrays rule, so a
+mutated cached array is caught at the next lookup).  The hooks are off by default — they are
 sanitizers, not production costs.
 """
 
@@ -254,30 +254,30 @@ def validate(obj: Any, **kw: Any) -> bool:
 
 
 # ----------------------------------------------------------------------
-# debug hooks: wire the validators into kernel dispatch + cache lookups
+# debug hooks: wire the validators into kernel calls + cache lookups
 # ----------------------------------------------------------------------
-def _kernel_argument_validator(name, backend, args, kwargs):
+def _kernel_argument_validator(name, args, kwargs):
     from ..kernels.plans import TriSolvePlan
     from ..sparse.csr import CSRMatrix
 
     for a in list(args) + list(kwargs.values()):
         if isinstance(a, CSRMatrix):
-            validate_csr(a, name=f"kernel {name}/{backend} CSR argument")
+            validate_csr(a, name=f"kernel {name} CSR argument")
         elif isinstance(a, TriSolvePlan):
-            validate_plan(a, name=f"kernel {name}/{backend} plan argument")
+            validate_plan(a, name=f"kernel {name} plan argument")
 
 
 def enable_debug_validation() -> None:
     """Install the invariant validators on the hot-path hooks."""
-    from ..kernels import cache, registry
+    from ..kernels import cache, hook
 
-    registry.set_kernel_validator(_kernel_argument_validator)
+    hook.set_kernel_validator(_kernel_argument_validator)
     cache.set_validation_hook(validate_analysis)
 
 
 def disable_debug_validation() -> None:
     """Remove the hooks installed by :func:`enable_debug_validation`."""
-    from ..kernels import cache, registry
+    from ..kernels import cache, hook
 
-    registry.set_kernel_validator(None)
+    hook.set_kernel_validator(None)
     cache.set_validation_hook(None)

@@ -82,14 +82,15 @@ reports and in suppression comments):
 
 ``JAV010`` — *no per-row loops on the cold structural path.*  In
     ``sparse/csr.py``, ``sparse/pattern.py``, ``ordering/graph.py``,
-    ``ordering/nd.py``, ``ordering/levelsets.py`` and
-    ``kernels/plans.py``, a ``for`` loop
+    ``ordering/nd.py``, ``ordering/levelsets.py``, ``kernels/plans.py``
+    and ``resilience/retry.py``, a ``for`` loop
     (or comprehension) over ``range(<x>.n_rows)``, ``range(n)`` or
     ``range(n_rows)`` is flagged: these modules run once per matrix
-    before any numeric work, and a Python-level pass per row there
-    dominated the cold solve.  Express the transform with whole-array
-    numpy (``segment_ids_from_ptr``, ``segment_positions``, masks,
-    stable sorts); its per-row form lives in the tests as the reference.
+    before any numeric work (``retry.py`` once per value-only
+    refactor), and a Python-level pass per row there dominated the cold
+    solve.  Express the transform with whole-array numpy
+    (``segment_ids_from_ptr``, ``segment_positions``, masks, stable
+    sorts); its per-row form lives in the tests as the reference.
 
 A finding can be suppressed in place with a trailing comment
 ``# verify: ok[JAV002] <reason>`` (comma-separate several IDs, ``*``
@@ -686,7 +687,8 @@ def _check_unstoppable_wait(tree: ast.Module, path: str) -> list[Finding]:
 # JAV010
 # ----------------------------------------------------------------------
 _STRUCTURAL_MODULES = {("sparse", "csr.py"), ("sparse", "pattern.py"), ("ordering", "graph.py"),
-                       ("ordering", "nd.py"), ("ordering", "levelsets.py"), ("kernels", "plans.py")}
+                       ("ordering", "nd.py"), ("ordering", "levelsets.py"), ("kernels", "plans.py"),
+                       ("resilience", "retry.py")}
 
 
 def _is_row_count(node: ast.AST) -> bool:

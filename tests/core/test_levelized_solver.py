@@ -11,7 +11,8 @@ from repro.core.trisolve import (
     trisolve_lower_serial,
     trisolve_upper_serial,
 )
-from repro.kernels import cached_analysis, get_kernel
+from repro.kernels import cached_analysis
+from repro.kernels.trisolve import trisolve_lower, trisolve_upper
 from repro.solvers import as_preconditioner
 from repro.sparse import from_dense
 
@@ -24,10 +25,8 @@ class TestLevelizedSolver:
         F = ilu0_factor(random_csr(40, 0.12, seed=seed))
         b = rng.standard_normal(40)
         y = trisolve_lower_serial(F, b)
-        assert np.array_equal(get_kernel("trisolve_lower", "batched")(F, b), y)
-        assert np.array_equal(
-            get_kernel("trisolve_upper", "batched")(F, y), trisolve_upper_serial(F, y)
-        )
+        assert np.array_equal(trisolve_lower(F, b), y)
+        assert np.array_equal(trisolve_upper(F, y), trisolve_upper_serial(F, y))
 
     def test_solve_equals_full_apply(self, rng):
         F = ilu0_factor(random_csr(30, 0.15, seed=3))

@@ -7,11 +7,26 @@ from repro.baselines import BlockJacobi
 from repro.core import JavelinILU
 from repro.core.iluk import ilu0_factor
 from repro.core.trisolve import trisolve_factor, trisolve_factor_levels
-from repro.kernels import cached_analysis, get_kernel
+from repro.kernels import cached_analysis
+from repro.kernels.trisolve import (
+    trisolve_lower,
+    trisolve_lower_serial,
+    trisolve_upper,
+    trisolve_upper_serial,
+)
 from repro.matrices import grid2d
 from repro.resilience import ResilientFactor
 
 from helpers import random_csr
+
+
+# each sweep's scalar reference and production form, by test parameter
+SWEEPS = {
+    ("trisolve_lower", "scalar"): trisolve_lower_serial,
+    ("trisolve_lower", "batched"): trisolve_lower,
+    ("trisolve_upper", "scalar"): trisolve_upper_serial,
+    ("trisolve_upper", "batched"): trisolve_upper,
+}
 
 
 def _factor(n=40, seed=0):
@@ -28,8 +43,8 @@ class TestKernelBitIdentity:
     def test_batched_matches_scalar_reference(self, name, k):
         F = _factor()
         B = _block(F.n_rows, k)
-        out_s = get_kernel(name, "scalar")(F, B)
-        out_b = get_kernel(name, "batched")(F, B)
+        out_s = SWEEPS[name, "scalar"](F, B)
+        out_b = SWEEPS[name, "batched"](F, B)
         assert np.array_equal(out_s, out_b)  # bitwise, not approx
 
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -52,10 +67,9 @@ class TestKernelBitIdentity:
 
     def test_zero_width_block(self):
         F = _factor()
-        for name in ("trisolve_lower", "trisolve_upper"):
-            for backend in ("scalar", "batched"):
-                X = get_kernel(name, backend)(F, np.empty((F.n_rows, 0)))
-                assert X.shape == (F.n_rows, 0)
+        for sweep in SWEEPS.values():
+            X = sweep(F, np.empty((F.n_rows, 0)))
+            assert X.shape == (F.n_rows, 0)
         assert trisolve_factor_levels(F, np.empty((F.n_rows, 0))).shape == (F.n_rows, 0)
 
     @pytest.mark.parametrize("backend", ["scalar", "batched"])
@@ -63,7 +77,7 @@ class TestKernelBitIdentity:
     def test_vector_and_single_column_agree(self, name, backend):
         F = _factor()
         b = _block(F.n_rows, 1, seed=2)[:, 0]
-        kernel = get_kernel(name, backend)
+        kernel = SWEEPS[name, backend]
         x = kernel(F, b)
         X = kernel(F, b[:, None])
         assert x.shape == (F.n_rows,) and X.shape == (F.n_rows, 1)
@@ -129,7 +143,7 @@ class TestRightHandSideShape:
     def test_kernels_reject(self, ilu, name, backend):
         for b in self._bad(self.N):
             with pytest.raises(ValueError, match=rf"shape \({b.shape[0]},.*{self.N} rows"):
-                get_kernel(name, backend)(ilu.F, b)
+                SWEEPS[name, backend](ilu.F, b)
 
     def test_factor_solves_reject(self, ilu):
         for fn in (trisolve_factor, trisolve_factor_levels):
@@ -154,6 +168,6 @@ class TestRightHandSideShape:
     def test_plan_of_another_pattern_rejected(self, ilu):
         other = cached_analysis(ilu0_factor(grid2d(9)))
         b = np.ones(self.N)
-        for part in ("lower", "upper"):
+        for part, sweep in (("lower", trisolve_lower), ("upper", trisolve_upper)):
             with pytest.raises(ValueError, match="plan is for 81 rows"):
-                get_kernel(f"trisolve_{part}", "batched")(ilu.F, b, plan=other.plan(part))
+                sweep(ilu.F, b, plan=other.plan(part))

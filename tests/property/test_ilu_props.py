@@ -4,10 +4,16 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
-from repro.core.iluk import PivotBreakdownError, ilu0_factor, ilu_factor_sequential, iluk_factor
+from repro.core.iluk import (
+    PivotBreakdownError,
+    ilu0_factor,
+    ilu_factor,
+    ilu_factor_sequential,
+    iluk_factor,
+)
 from repro.core.ilut import ilut_factor
 from repro.core.symbolic import iluk_pattern, row_factor_costs
-from repro.kernels import diag_positions, get_kernel
+from repro.kernels import diag_positions
 from repro.sparse import from_dense, split_lu
 
 
@@ -103,16 +109,16 @@ def test_factor_costs_match_actual_flops(D):
     assert np.array_equal(f, flops)
 
 
-def _both_backends(A, S, **kw):
-    """Outcome of the ``ilu_factor`` kernel's scalar and batched backends.
+def _both_factors(A, S, **kw):
+    """Outcome of ``ilu_factor_sequential`` and the batched ``ilu_factor``.
 
     An outcome is the factor's raw bytes, or the breakdown's row, the
     pivot's bytes (NaN compares equal to itself) and kind.
     """
     out = []
-    for backend in ("scalar", "batched"):
+    for factor in (ilu_factor_sequential, ilu_factor):
         try:
-            F = get_kernel("ilu_factor", backend)(A, S, **kw)
+            F = factor(A, S, **kw)
         except PivotBreakdownError as e:
             out.append(("breakdown", e.row, np.float64(e.value).tobytes(), e.kind))
         else:
@@ -128,10 +134,10 @@ def _both_backends(A, S, **kw):
     st.booleans(),
 )
 def test_batched_factor_equals_scalar(D, k, tau, modified):
-    """ILU(k), ILU(k, τ) and MILU: the batched backend has the scalar bits."""
+    """ILU(k), ILU(k, τ) and MILU: the batched factor has the scalar bits."""
     A = from_dense(D)
     thresh = tau * np.sqrt((D * D).sum(axis=1)) if tau > 0.0 else None
-    scalar, batched = _both_backends(
+    scalar, batched = _both_factors(
         A, iluk_pattern(A, k), drop_threshold=thresh, modified=modified
     )
     assert scalar[0] == "factor"
@@ -150,11 +156,11 @@ PLANTED = {"zero": 0.0, "tiny": 1e-30, "nan": np.nan}
     ),
 )
 def test_planted_pivots_break_down_identically(D, k, planted):
-    """Zero, tiny and NaN pivots: both backends raise the sequential error.
+    """Zero, tiny and NaN pivots: both factors raise the sequential error.
 
     Each planted row loses its strict-lower entries, so its pivot is the
     planted value, and gains the last row as a dependent, so the pivot
-    is read.  With several planted rows the batched backend may meet
+    is read.  With several planted rows the batched factor may meet
     another one first; the (row, value, kind) must still be the row
     loop's.
     """
@@ -170,6 +176,6 @@ def test_planted_pivots_break_down_identically(D, k, planted):
     dp = diag_positions(A)
     for r, kind in planted:
         A.data[dp[r % (n - 1)]] = PLANTED[kind]
-    scalar, batched = _both_backends(A, S, pivot_tol=1e-20)
+    scalar, batched = _both_factors(A, S, pivot_tol=1e-20)
     assert scalar[0] == "breakdown"
     assert batched == scalar

@@ -1,10 +1,10 @@
 """Property-based tests of the kernel layer's bit-identical contract.
 
-The batched (level-set) backends must agree with the scalar reference
+The batched (level-set) kernels must agree with their scalar references
 *exactly* — ``np.array_equal``, not ``allclose`` — on arbitrary ILU(0)
 and ILU(k) factors, any right-hand side, and any thread count.  These
-properties are what lets the rest of the framework treat the backends
-as interchangeable.
+properties are what lets the references stand in for the production
+kernels in every bit-identity test.
 """
 
 import numpy as np
@@ -12,8 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.iluk import ilu0_factor, iluk_factor
 from repro.core.symbolic import row_factor_costs
-from repro.core.upper import simulate_upper_p2p
-from repro.kernels import cached_analysis, get_kernel
+from repro.core.upper import assign_dynamic, assign_round_robin
+from repro.kernels import cached_analysis
+from repro.kernels.des import upper_p2p_sim, upper_p2p_sim_scalar
+from repro.kernels.trisolve import (
+    trisolve_lower,
+    trisolve_lower_serial,
+    trisolve_upper,
+    trisolve_upper_serial,
+)
 from repro.machine import SimMachine, uniform_machine
 from repro.ordering.levelsets import level_schedule
 from repro.sparse import from_dense
@@ -34,14 +41,10 @@ def dominant_dense(draw, max_n=18):
 def test_trisolve_batched_bit_identical_ilu0(D, seed):
     F = ilu0_factor(from_dense(D))
     b = np.random.default_rng(seed).standard_normal(F.n_rows)
-    lo_s = get_kernel("trisolve_lower", "scalar")
-    lo_b = get_kernel("trisolve_lower", "batched")
-    up_s = get_kernel("trisolve_upper", "scalar")
-    up_b = get_kernel("trisolve_upper", "batched")
-    y_s = lo_s(F, b)
-    y_b = lo_b(F, b)
+    y_s = trisolve_lower_serial(F, b)
+    y_b = trisolve_lower(F, b)
     assert np.array_equal(y_s, y_b)
-    assert np.array_equal(up_s(F, y_s), up_b(F, y_b))
+    assert np.array_equal(trisolve_upper_serial(F, y_s), trisolve_upper(F, y_b))
 
 
 @settings(max_examples=20, deadline=None)
@@ -49,33 +52,33 @@ def test_trisolve_batched_bit_identical_ilu0(D, seed):
 def test_trisolve_batched_bit_identical_iluk(D, k, seed):
     F = iluk_factor(from_dense(D), k)
     b = np.random.default_rng(seed).standard_normal(F.n_rows)
-    y_s = get_kernel("trisolve_lower", "scalar")(F, b)
-    y_b = get_kernel("trisolve_lower", "batched")(F, b)
+    y_s = trisolve_lower_serial(F, b)
+    y_b = trisolve_lower(F, b)
     assert np.array_equal(y_s, y_b)
-    x_s = get_kernel("trisolve_upper", "scalar")(F, y_s)
-    x_b = get_kernel("trisolve_upper", "batched")(F, y_b)
+    x_s = trisolve_upper_serial(F, y_s)
+    x_b = trisolve_upper(F, y_b)
     assert np.array_equal(x_s, x_b)
 
 
 @settings(max_examples=20, deadline=None)
 @given(dominant_dense(max_n=14), st.integers(0, 2**31 - 1))
 def test_trisolve_batched_across_rhs_dtypes(D, seed):
-    """float32 / int right-hand sides promote identically in both backends."""
+    """float32 / int right-hand sides promote identically in both sweeps."""
     F = ilu0_factor(from_dense(D))
     rng = np.random.default_rng(seed)
     for b in (
         rng.standard_normal(F.n_rows).astype(np.float32),
         rng.integers(-5, 5, size=F.n_rows),
     ):
-        y_s = get_kernel("trisolve_lower", "scalar")(F, b)
-        y_b = get_kernel("trisolve_lower", "batched")(F, b)
+        y_s = trisolve_lower_serial(F, b)
+        y_b = trisolve_lower(F, b)
         assert np.array_equal(y_s, y_b)
 
 
 @settings(max_examples=25, deadline=None)
 @given(dominant_dense(max_n=16), st.integers(1, 8), st.sampled_from(["static", "dynamic"]))
 def test_des_batched_bit_identical(D, p, policy):
-    """Makespan and every finish time agree exactly across backends."""
+    """Makespan and every finish time agree exactly with the scalar DES."""
     A = from_dense(D)
     S = ilu0_factor(A).pattern_copy()
     ls = level_schedule(S)
@@ -84,11 +87,16 @@ def test_des_batched_bit_identical(D, p, policy):
     lsp = level_schedule(Sp)
     flops, touched = row_factor_costs(Sp)
     mach = SimMachine(uniform_machine(n_cores=max(p, 2)), p)
-    mk_s, fin_s, tr_s = simulate_upper_p2p(
-        Sp, lsp.level_ptr, mach, flops, touched, policy=policy, backend="scalar"
+    m, ovh = int(lsp.level_ptr[-1]), 0.0
+    if policy == "static":
+        thread_of = assign_round_robin(lsp.level_ptr, p)
+    else:
+        thread_of, ovh = assign_dynamic(lsp.level_ptr, p, mach, flops, touched)
+    mk_s, fin_s, tr_s = upper_p2p_sim_scalar(
+        Sp, mach, thread_of, flops, touched, m=m, per_row_overhead=ovh
     )
-    mk_b, fin_b, tr_b = simulate_upper_p2p(
-        Sp, lsp.level_ptr, mach, flops, touched, policy=policy, backend="batched"
+    mk_b, fin_b, tr_b = upper_p2p_sim(
+        Sp, mach, thread_of, flops, touched, m=m, per_row_overhead=ovh
     )
     assert mk_s == mk_b
     assert np.array_equal(fin_s, fin_b)

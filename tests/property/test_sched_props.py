@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.trisolve import trisolve_factor_levels
 from repro.kernels.cache import SymbolicAnalysis
+from repro.kernels.trisolve import trisolve_lower
 from repro.runtime import threaded_trisolve_superstep
 from repro.sched import (
     SchedOptions,
@@ -82,9 +83,7 @@ def test_elastic_fixpoint_converges_exactly(F, staleness, bseed):
     sched = build_elastic_schedule(F, "lower", staleness=staleness)
     # final_sweep is a correct convergence bound: the exact mode runs
     # max(final_sweep)+1 sweeps and matches the reference bit-for-bit
-    from repro.kernels import get_kernel
-
-    y_ref = get_kernel("trisolve_lower")(F, b)
+    y_ref = trisolve_lower(F, b)
     assert np.array_equal(elastic_solve_part(F, b, sched, tol=0.0), y_ref)
 
 
@@ -116,9 +115,7 @@ def contractive_factor(draw, max_n=28):
 def test_elastic_tolerance_mode_lands_within_tolerance(F, staleness, tol):
     b = np.random.default_rng(7).standard_normal(F.n_rows)
     sched = build_elastic_schedule(F, "lower", staleness=staleness)
-    from repro.kernels import get_kernel
-
-    y_ref = get_kernel("trisolve_lower")(F, b)
+    y_ref = trisolve_lower(F, b)
     y = elastic_solve_part(F, b, sched, tol=tol)
     # the stop criterion bounds the last sweep's correction by
     # tol * max(1, ||x||_inf); a contractive strict part turns that

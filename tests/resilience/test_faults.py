@@ -7,7 +7,8 @@ from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
 from repro.core.iluk import ilu_factor_sequential
 from repro.core.symbolic import ilu0_pattern, row_factor_costs
 from repro.core.trisolve import trisolve_lower_serial
-from repro.core.upper import simulate_upper_p2p
+from repro.core.upper import assign_round_robin, simulate_upper_p2p
+from repro.kernels.des import upper_p2p_sim, upper_p2p_sim_scalar
 from repro.machine import SimMachine, TaskGraph, simulate_task_graph, uniform_machine
 from repro.ordering.levelsets import level_schedule
 from repro.resilience import FaultPlan, FaultRunReport, drop_last_publish
@@ -40,7 +41,6 @@ def _sim_inputs(seed=0, n=80):
 
 def _real_wait_pairs(S, level_ptr, n_threads, count=4):
     """(thread, row) pairs that some consumer actually waits on."""
-    from repro.core.upper import assign_round_robin
     from repro.kernels.plans import build_producer_csr
 
     m = int(level_ptr[-1])
@@ -161,13 +161,14 @@ class TestDESFaults:
             dropped=dropped,
         )
         mach = SimMachine(uniform_machine(n_cores=p), p).with_faults(plan)
+        thread_of = assign_round_robin(level_ptr, p)
         reps = [FaultRunReport(), FaultRunReport()]
         out = [
-            simulate_upper_p2p(
-                S, level_ptr, mach, flops, touched,
-                backend=be, fault_plan=plan, fault_report=rep,
+            sim(
+                S, mach, thread_of, flops, touched,
+                m=int(level_ptr[-1]), fault_plan=plan, fault_report=rep,
             )
-            for be, rep in zip(("scalar", "batched"), reps)
+            for sim, rep in zip((upper_p2p_sim_scalar, upper_p2p_sim), reps)
         ]
         (mk_s, fin_s, _), (mk_b, fin_b, _) = out
         assert mk_s == mk_b
@@ -192,8 +193,6 @@ class TestDESFaults:
     def test_uncovered_drop_engages_watchdog(self):
         S, level_ptr, flops, touched = _sim_inputs(seed=5)
         p = 4
-        from repro.core.upper import assign_round_robin
-
         thread_of = assign_round_robin(level_ptr, p)
         # drop every publish of thread 1 from some row onward: consumers
         # of its later rows have no cover and must watchdog
@@ -253,8 +252,6 @@ class TestThreadedWatchdog:
     def test_dropped_notifications_fall_back_bit_identical(self):
         A, S, ls, Fref = self._setup()
         p = 4
-        from repro.core.upper import assign_round_robin
-
         thread_of = assign_round_robin(ls.level_ptr, p)
         dropped = frozenset(
             (1, int(r)) for r in np.nonzero(thread_of == 1)[0]
@@ -285,8 +282,6 @@ class TestThreadedWatchdog:
         b = rng.standard_normal(A.n_rows)
         y_ref = trisolve_lower_serial(Fref, b)
         p = 4
-        from repro.core.upper import assign_round_robin
-
         thread_of = assign_round_robin(ls.level_ptr, p)
         plan = FaultPlan(
             dropped=frozenset((2, int(r)) for r in np.nonzero(thread_of == 2)[0])

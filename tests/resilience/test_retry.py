@@ -387,3 +387,73 @@ class TestRefactor:
         assert rf.report.final_variant == fresh.report.final_variant
         z = rf.solve(np.ones(A.n_rows))
         assert np.all(np.isfinite(z))
+
+
+# ----------------------------------------------------------------------
+# the chain's row transforms: whole-array forms vs their per-row loops
+# ----------------------------------------------------------------------
+def _row_scales_loop(A):
+    """Per-row reference of ``retry._row_scales``."""
+    scale = np.empty(A.n_rows)
+    for r in range(A.n_rows):
+        _, vals = A.row(r)
+        scale[r] = float(np.abs(vals).max()) if vals.size else 1.0
+    scale[scale == 0.0] = 1.0
+    return scale
+
+
+def _shifted_loop(A, alpha, base_diag, row_scale):
+    """Per-row reference of ``retry._shifted``."""
+    B = A.copy()
+    for r in range(A.n_rows):
+        lo = int(B.indptr[r])
+        cols = B.indices[lo : int(B.indptr[r + 1])]
+        p = int(np.searchsorted(cols, r))
+        B.data[lo + p] = base_diag[r] + alpha * row_scale[r]
+    return B
+
+
+@st.composite
+def rows_with_edge_cases(draw, max_n=14, full_diag=False):
+    """A square CSR whose rows may be empty, all-zero or hold a NaN.
+
+    ``full_diag`` stores every diagonal entry (possibly an explicit
+    zero), as the chain's shifts require.
+    """
+    from repro.sparse import CSRMatrix
+
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    D = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+    mask = D != 0.0
+    kind = rng.integers(0, 4, size=n)  # 0 plain, 1 empty, 2 all-zero, 3 NaN
+    mask[kind == 1] = False
+    mask[kind == 2] = rng.random((int((kind == 2).sum()), n)) < 0.5
+    D[kind == 2] = 0.0
+    mask[kind == 3, 0] = True
+    D[kind == 3, 0] = np.nan
+    if full_diag:
+        np.fill_diagonal(mask, True)
+    rows, cols = np.nonzero(mask)
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    return CSRMatrix(n, n, indptr, cols, D[rows, cols])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_with_edge_cases())
+def test_row_scales_match_the_row_loop(A):
+    from repro.resilience.retry import _row_scales
+
+    assert _row_scales(A).tobytes() == _row_scales_loop(A).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_with_edge_cases(full_diag=True), st.sampled_from([0.0, 1e-8, 0.5, 3.0]))
+def test_shifted_matches_the_row_loop(A, alpha):
+    from repro.resilience.retry import _row_scales, _shifted
+
+    base, scale = A.diagonal(), _row_scales(A)
+    got = _shifted(A, alpha, base, scale)
+    ref = _shifted_loop(A, alpha, base, scale)
+    assert got.data.tobytes() == ref.data.tobytes()
+    assert np.array_equal(got.indices, ref.indices)

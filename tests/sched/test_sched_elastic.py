@@ -5,7 +5,8 @@ import pytest
 
 from helpers import random_csr
 from repro.core.trisolve import trisolve_factor_levels
-from repro.kernels import cached_analysis, clear_default_cache, get_kernel
+from repro.kernels import cached_analysis, clear_default_cache
+from repro.kernels.trisolve import trisolve_lower
 from repro.sched import SchedOptions, build_elastic_schedule, get_scheduler
 from repro.sched.elastic import elastic_solve_part
 
@@ -56,7 +57,7 @@ def test_tol_mode_stops_early_and_stays_close(F):
     sched = cached_analysis(F).elastic_schedule("lower", staleness=4)
     exact = elastic_solve_part(F, b, sched, tol=0.0)
     loose = elastic_solve_part(F, b, sched, tol=1e-10)
-    y_ref = get_kernel("trisolve_lower")(F, b)
+    y_ref = trisolve_lower(F, b)
     assert np.array_equal(exact, y_ref)
     scale = max(1.0, float(np.abs(y_ref).max()))
     assert float(np.abs(loose - y_ref).max()) / scale < 1e-8

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import JavelinILU
 from repro.kernels.cache import matrix_fingerprint, pattern_fingerprint
 from repro.matrices import grid2d
 from repro.resilience import ResilientFactor
@@ -80,6 +81,27 @@ class TestRevalue:
         fresh = ResilientFactor().setup(A1)
         x = np.linspace(0.0, 1.0, A1.n_rows)
         assert np.array_equal(entry.factor.build_solver()(x), fresh.build_solver()(x))
+
+    def test_revalue_builds_one_solver(self, monkeypatch):
+        """The chain's validated ILU apply is the entry's multi-RHS apply."""
+        A0, A1 = grid2d(8), grid2d(8, convection=0.5)
+        entry = _entry(factor=ResilientFactor().setup(A0), pattern_fp=pattern_fingerprint(A0))
+        builds = []
+        real = JavelinILU.build_solver
+
+        def counting(self):
+            builds.append(self)
+            return real(self)
+
+        monkeypatch.setattr(JavelinILU, "build_solver", counting)
+        monkeypatch.setattr(JavelinILU, "build_multi_solver", counting)
+        entry.revalue(A1, matrix_fingerprint(A1))
+        assert len(builds) == 1
+        assert entry.apply_multi is entry.factor.build_solver()
+        B = np.random.default_rng(0).standard_normal((A1.n_rows, 3))
+        Z = entry.apply_multi(B)
+        for j in range(3):
+            assert np.array_equal(Z[:, j], entry.factor.solve(B[:, j]))
 
     def test_revalue_rejects_pattern_mismatch(self):
         rf = ResilientFactor().setup(grid2d(8))

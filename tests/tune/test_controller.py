@@ -5,16 +5,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.kernels import cached_analysis
-from repro.serve import (
-    CostModel,
-    SolveService,
-    WorkloadSpec,
-    build_matrices,
-    generate_requests,
-)
 from repro.serve.batcher import BatchPolicy
 from repro.serve.staleness import StalenessPolicy
-from repro.serve.workload import solutions_identical
 from repro.tune import TuneController, TunePolicy, count_supersteps, serve_scheduler
 from shapes import chain_matrix, wide_matrix
 
@@ -143,35 +135,3 @@ class TestMetrics:
         assert m["tune.decisions"] == len(ctl.decisions) == 1
         assert m["tune.action.tighten_batch"] == 1
 
-
-class TestNoBenchFiles:
-    def test_tuned_run_needs_no_results_dir(self):
-        """An installed package has no ``benchmarks/results``: the
-        controller must construct and serve the same outcomes without it."""
-        spec = WorkloadSpec(
-            seed=5,
-            n_requests=32,
-            rate=700.0,
-            patterns=("grid2d-8", "grid2d-10"),
-            deadline_lo=0.02,
-            deadline_hi=0.2,
-            maxiter=60,
-        )
-
-        def tuned_run():
-            matrices = build_matrices(spec.patterns)
-            service = SolveService(
-                matrices,
-                n_shards=2,
-                batch_policy=BatchPolicy(max_batch=16, max_wait=0.01),
-                cost=CostModel(),
-                controller=TuneController(
-                    batch_policy=BatchPolicy(max_batch=16, max_wait=0.01)
-                ),
-            )
-            return service.run(generate_requests(spec, matrices))
-
-        committed = tuned_run()
-        empty = tuned_run()
-        assert [r.outcome for r in empty] == [r.outcome for r in committed]
-        assert solutions_identical(empty, committed)

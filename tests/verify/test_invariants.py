@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.kernels import (
-    cached_analysis,
-    clear_default_cache,
-    get_kernel,
-)
+from repro.kernels import cached_analysis, clear_default_cache, hook
 from repro.kernels.plans import build_trisolve_plan
+from repro.kernels.trisolve import trisolve_lower
 from repro.ordering.levelsets import level_schedule
 from repro.sparse import from_dense
 from repro.sparse.csr import CSRMatrix
@@ -151,20 +148,18 @@ def test_kernel_dispatch_hook_validates_arguments():
     S = random_csr(20, 0.25, 11)
     plan = build_trisolve_plan(S, "lower")
     b = np.ones(S.n_rows)
-    kern = get_kernel("trisolve_lower", "batched")
-    kern(S, b, plan=plan)  # hooks off: no validation cost
+    trisolve_lower(S, b, plan=plan)  # hooks off: no validation cost
     enable_debug_validation()
-    kern = get_kernel("trisolve_lower", "batched")
-    kern(S, b, plan=plan)  # valid arguments still pass
+    trisolve_lower(S, b, plan=plan)  # valid arguments still pass
     bad = _copy_with(S)
     bad.indptr[2], bad.indptr[3] = bad.indptr[3] + 1, bad.indptr[2]
     with pytest.raises(InvariantViolation):
-        kern(bad, b, plan=plan)
+        trisolve_lower(bad, b, plan=plan)
     disable_debug_validation()
-    from repro.kernels.trisolve import trisolve_lower_batched
-
-    # with the hook cleared, dispatch returns the raw implementation again
-    assert get_kernel("trisolve_lower", "batched") is trisolve_lower_batched
+    # with the hook cleared the call validates nothing: the sweep reads
+    # only the plan's gathers, so the corrupted indptr goes unnoticed
+    assert hook._VALIDATOR is None
+    assert np.array_equal(trisolve_lower(bad, b, plan=plan), trisolve_lower(S, b, plan=plan))
 
 
 def test_cached_superstep_plan_validates_and_freezes():

@@ -501,6 +501,7 @@ def test_jav010_flags_per_row_loops_in_structural_modules():
         "src/repro/ordering/nd.py",
         "src/repro/ordering/levelsets.py",
         "src/repro/kernels/plans.py",
+        "src/repro/resilience/retry.py",
     ):
         assert _ids(_lint(src, path, rules=["JAV010"])) == ["JAV010"] * 3
 
