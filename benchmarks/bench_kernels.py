@@ -13,7 +13,8 @@ Run as a script for the scalar-vs-batched kernel comparison::
         # records benchmarks/results/BENCH_kernels.json
     PYTHONPATH=src python benchmarks/bench_kernels.py --check   # fast gate:
         # exits non-zero if a batched kernel diverges from its scalar
-        # reference or regresses >2x against the recorded baseline
+        # reference, or if the trisolve or ilu_factor speedup regresses
+        # >2x against the recorded baseline
 
 Both modes assert *exact* equality between each batched kernel and its
 scalar reference — the bit-identical contract of ``repro.kernels`` —
@@ -152,6 +153,9 @@ BASELINE_PATH = os.path.join(RESULTS_DIR, "BENCH_kernels.json")
 # fast gate the tier-1 smoke test runs on every change
 FULL_CASES = [224, 48]
 CHECK_CASE = 48
+# the numeric factor's cases: ILU(1) of grid2d(24) is its fast gate
+FACTOR_CASES = [24, 48]
+FACTOR_CHECK_CASE = 24
 
 
 def _trisolve_case(nx, repeats=3):
@@ -227,50 +231,79 @@ def _des_case(nx=64, p=8, repeats=3):
 def _factor_case(nx, repeats=3):
     """Time ``ilu_factor_sequential`` vs the batched ``ilu_factor``: ILU(1) of grid2d(nx).
 
-    The batched factor's update schedule is built once before timing,
-    as a refactor loop reuses it; ``exact_equal`` compares the factor
-    bytes.
+    ``batched_s`` times the numeric factor with the slot-wave schedule
+    built once beforehand, as a refactor loop reuses it; ``cold_s``
+    clears the symbolic cache first, so it also pays the schedule build.
+    ``exact_equal`` compares the factor bytes.
     """
     from repro.core import JavelinILU, JavelinOptions
     from repro.core.iluk import ilu_factor, ilu_factor_sequential
+    from repro.kernels import cached_analysis, clear_default_cache
     from repro.matrices.generators import grid2d
 
     ilu = JavelinILU(JavelinOptions(fill_level=1)).setup(grid2d(nx))
     A, S = ilu.A_perm, ilu.S_perm
-    scalar, batched = ilu_factor_sequential, ilu_factor
-    batched(A, S)
-    t_scalar, F_scalar, scalar_samples = _timeit(scalar, A, S, repeats=repeats)
-    t_batched, F_batched, batched_samples = _timeit(batched, A, S, repeats=repeats)
+
+    def cold():
+        clear_default_cache()
+        return ilu_factor(A, S)
+
+    t_cold, F_cold, cold_samples = _timeit(cold, repeats=repeats)
+    t_scalar, F_scalar, scalar_samples = _timeit(ilu_factor_sequential, A, S, repeats=repeats)
+    t_batched, F_batched, batched_samples = _timeit(ilu_factor, A, S, repeats=repeats)
     return {
         "case": f"grid2d-{nx}-ilu1",
         "kernel": "ilu_factor",
         "n": int(S.n_rows),
         "nnz": int(S.nnz),
+        "n_waves": int(cached_analysis(F_batched).factor_schedule().n_waves),
         "scalar_s": t_scalar,
         "batched_s": t_batched,
+        "cold_s": t_cold,
         "scalar_samples": scalar_samples,
         "batched_samples": batched_samples,
+        "cold_samples": cold_samples,
         "speedup": t_scalar / t_batched,
-        "exact_equal": F_scalar.data.tobytes() == F_batched.data.tobytes(),
+        "cold_speedup": t_scalar / t_cold,
+        "exact_equal": F_scalar.data.tobytes() == F_batched.data.tobytes()
+        == F_cold.data.tobytes(),
     }
+
+
+def _speed_gate(entry, baseline):
+    """Failure text if ``entry``'s speedup fell below half its recorded value."""
+    base = next(
+        (
+            e
+            for e in baseline["entries"]
+            if e["kernel"] == entry["kernel"] and e["case"] == entry["case"]
+        ),
+        None,
+    )
+    if base is not None and entry["speedup"] < base["speedup"] / 2.0:
+        return (
+            f"{entry['kernel']} speedup {entry['speedup']:.1f}x regressed "
+            f">2x vs recorded baseline {base['speedup']:.1f}x"
+        )
+    return None
 
 
 def run(check):
     """Scalar vs batched trisolve, DES and factor; ``check`` adds the baseline gate.
 
     Full mode times the acceptance case (n = 50k); the fast gate runs
-    the small case and fails on divergence or a >2x speedup regression
-    against the recorded baseline.
+    the small cases and fails on divergence, or on a >2x trisolve or
+    ``ilu_factor`` speedup regression against the recorded baseline.
     """
     if check:
         entry = _trisolve_case(CHECK_CASE, repeats=3)
         des = _des_case(nx=24, p=4, repeats=1)
-        fac = _factor_case(24, repeats=1)
+        fac = _factor_case(FACTOR_CHECK_CASE, repeats=3)
         entries = [entry, des, fac]
     else:
         entries = [_trisolve_case(nx) for nx in FULL_CASES]
         entries.append(_des_case())
-        entries.append(_factor_case(48))
+        entries += [_factor_case(nx) for nx in FACTOR_CASES]
     record = {
         "meta": {
             "numpy": np.__version__,
@@ -289,6 +322,7 @@ def run(check):
                 f"scalar {e['scalar_s'] * 1e3:8.2f} ms, "
                 f"batched {e['batched_s'] * 1e3:8.2f} ms, "
                 f"speedup {e['speedup']:6.1f}x, exact={e['exact_equal']}"
+                + (f", cold {e['cold_s'] * 1e3:.2f} ms" if "cold_s" in e else "")
             )
         if not all(e["exact_equal"] for e in entries):
             failures.append("batched and scalar kernels diverged")
@@ -303,25 +337,14 @@ def run(check):
     if os.path.exists(BASELINE_PATH):
         with open(BASELINE_PATH) as fh:
             baseline = json.load(fh)
-        base = next(
-            (
-                e
-                for e in baseline["entries"]
-                if e["kernel"] == "trisolve" and e["case"] == entry["case"]
-            ),
-            None,
-        )
-        if base is not None and entry["speedup"] < base["speedup"] / 2.0:
-            failures.append(
-                f"trisolve speedup {entry['speedup']:.1f}x regressed "
-                f">2x vs recorded baseline {base['speedup']:.1f}x"
-            )
+        failures += [f for f in (_speed_gate(e, baseline) for e in (entry, fac)) if f]
     else:
         print(f"note: no baseline at {BASELINE_PATH}; divergence check only")
     print(
         f"check {entry['case']}: speedup {entry['speedup']:.1f}x, "
         f"exact={entry['exact_equal']}; DES exact={des['exact_equal']}; "
-        f"ilu_factor exact={fac['exact_equal']} ({fac['speedup']:.1f}x)"
+        f"ilu_factor exact={fac['exact_equal']} ({fac['speedup']:.1f}x, "
+        f"cold {fac['cold_speedup']:.1f}x)"
     )
     return record, failures
 

@@ -1,4 +1,4 @@
-"""Up-looking incomplete LU: the row reference and the level-batched factor.
+"""Up-looking incomplete LU: the row reference and the wave-batched factor.
 
 This is Fig. 1 of the paper verbatim: rows top to bottom; within row
 ``i`` scan the strict-lower pattern columns ``c`` in ascending order,
@@ -20,13 +20,16 @@ The whole numeric factor, with the ILU(k, τ) drop hook, exists twice.
 :func:`ilu_factor_sequential` is the :func:`factor_row` loop, the
 reference.  :func:`ilu_factor`, the production kernel behind
 :meth:`~repro.core.javelin.JavelinILU.factor`, runs §III's level
-schedule on the numeric phase: the cached
-:class:`~repro.kernels.plans.FactorSchedule` groups the strict-lower
-slots by forward level and then by position ``j`` in the row, and each
-group is one divide and one multiply-subtract over all its rows.  A
-group holds at most one slot per row and reads only rows of earlier
-levels, which are final, so every slot sees the same operations in the
-same order as in :func:`factor_row`, and the bits are the same.
+schedule on the numeric phase at slot granularity: the cached
+:class:`~repro.kernels.plans.FactorSchedule` puts every strict-lower
+slot in a wave of the slot dependency DAG, and each wave is one pivot
+check, one divide and one ``np.subtract.at`` over all its slots.  A
+wave reads only rows that finished in earlier waves, which are final;
+its slots have all their in-row updates; and its updates reach each
+target in column order, because ``ufunc.at`` applies them in array
+order and waves never decrease along a row.  So every slot sees the
+same operations in the same order as in :func:`factor_row`, and the
+bits are the same.
 """
 
 from __future__ import annotations
@@ -192,15 +195,20 @@ def ilu_factor_sequential(
 
 
 @kernel
-def ilu_factor(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=False):
-    """:func:`ilu_factor_sequential`'s factor, one (level, ``j``) group at a time.
+def ilu_factor(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=False, analysis=None):
+    """:func:`ilu_factor_sequential`'s factor, one slot wave at a time.
 
-    A failed pivot re-runs the reference on a fresh scatter: level
+    A failed pivot re-runs the reference on a fresh scatter: wave
     order is not row order, so only the row loop raises the sequential
-    :class:`PivotBreakdownError` (row, value, kind).
+    :class:`PivotBreakdownError` (row, value, kind).  ``analysis`` is
+    the :class:`~repro.kernels.cache.SymbolicAnalysis` of ``S``'s
+    pattern, when the caller holds it; by default it is looked up.
     """
     F = _scatter_values(S, A)
-    analysis = cached_analysis(F)
+    if analysis is None:
+        analysis = cached_analysis(F)
+    elif (analysis.n_rows, analysis.nnz) != (F.n_rows, F.nnz):
+        raise ValueError("analysis is not of the pattern S")
     try:
         _run_factor_schedule(
             F, analysis.factor_schedule(), analysis.diag_pos(), pivot_tol, drop_threshold, modified
@@ -213,52 +221,55 @@ def ilu_factor(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=False):
 
 
 def _run_factor_schedule(F, sch, diag_pos, pivot_tol, drop_threshold, modified):
-    """Factor ``F`` in place along the schedule ``sch``, one group at a time.
+    """Factor ``F`` in place along the schedule ``sch``, one wave at a time.
 
-    A level's pivots lie in rows of earlier levels, so they are final
-    and one vectorized test per level checks them all.  Inside a group
-    the targets are distinct rows' slots and the sources are final, so
-    one fancy-indexed multiply-subtract applies every update.  With
-    ``drop_threshold``, a level's rows are dropped once its groups are
-    done, before any later level reads them.
+    A wave's pivots lie in rows that finished in earlier waves, so they
+    are final and one vectorized test checks them all.  Its slots have
+    received every in-row update, so one division finalizes them all.
+    Its update pairs follow their owning slots' storage order, and
+    ``np.subtract.at`` applies repeated targets in array order, so a
+    target that two of the wave's slots update meets them in column
+    order.  With ``drop_threshold``, the rows that finished before a
+    wave are dropped right before it, ahead of any wave that reads them.
     """
     d = F.data
-    group_ptr, pair_ptr = sch.group_ptr.tolist(), sch.pair_ptr.tolist()
-    level_group_ptr = sch.level_group_ptr.tolist()
+    wave_ptr, pair_ptr = sch.wave_ptr.tolist(), sch.pair_ptr.tolist()
     slot, pivot, tgt, src, own = sch.slot, sch.pivot, sch.tgt, sch.src, sch.own
     if drop_threshold is not None:
         drop_row_ptr, drop_ptr = sch.drop_row_ptr.tolist(), sch.drop_ptr.tolist()
         row_thresh = np.asarray(drop_threshold)[sch.drop_rows]
         row_diag = diag_pos[sch.drop_rows]
-    inf = np.inf
-    for lev in range(sch.n_levels):
-        g0, g1 = level_group_ptr[lev], level_group_ptr[lev + 1]
-        a0 = group_ptr[g0]
-        piv = d[pivot[a0 : group_ptr[g1]]]
-        mag = np.abs(piv)
-        bad = np.flatnonzero(~((pivot_tol < mag) & (mag < inf)))
-        if bad.size:
-            k = int(bad[0])
-            raise PivotBreakdownError(
-                int(F.indices[slot[a0 + k]]), piv[k], kind=classify_pivot(piv[k], pivot_tol)
-            )
-        for g in range(g0, g1):
-            a, b = group_ptr[g], group_ptr[g + 1]
-            cur = slot[a:b]
-            lic = d[cur] / piv[a - a0 : b - a0]
-            d[cur] = lic
-            p0, p1 = pair_ptr[g], pair_ptr[g + 1]
-            d[tgt[p0:p1]] -= lic[own[p0:p1]] * d[src[p0:p1]]
-        if drop_threshold is not None:
-            r0, r1 = drop_row_ptr[lev], drop_row_ptr[lev + 1]
-            p0, p1 = drop_ptr[lev], drop_ptr[lev + 1]
+
+        def drop(w):
+            r0, r1 = drop_row_ptr[w], drop_row_ptr[w + 1]
+            p0, p1 = drop_ptr[w], drop_ptr[w + 1]
             _drop_rows(d, sch, p0, p1, row_thresh[r0:r1], row_diag[r0:r1], modified)
+
+    inf = np.inf
+    for w in range(sch.n_waves):
+        if drop_threshold is not None:
+            drop(w)
+        a, b = wave_ptr[w], wave_ptr[w + 1]
+        piv = d[pivot[a:b]]
+        mag = np.abs(piv)
+        if not (pivot_tol < mag.min() and mag.max() < inf):  # NaN fails both
+            k = int(np.flatnonzero(~((pivot_tol < mag) & (mag < inf)))[0])
+            raise PivotBreakdownError(
+                int(F.indices[slot[a + k]]), piv[k], kind=classify_pivot(piv[k], pivot_tol)
+            )
+        cur = slot[a:b]
+        lic = d[cur] / piv
+        d[cur] = lic
+        p0, p1 = pair_ptr[w], pair_ptr[w + 1]
+        np.subtract.at(d, tgt[p0:p1], lic[own[p0:p1]] * d[src[p0:p1]])
+    if drop_threshold is not None:
+        drop(sch.n_waves)
 
 
 def _drop_rows(d, sch, a, b, thresh, diag, modified):
-    """:func:`drop_row_fixed_pattern` on the rows of one level.
+    """:func:`drop_row_fixed_pattern` on the rows of one drop segment.
 
-    ``thresh`` and ``diag`` are the level's rows' thresholds and
+    ``thresh`` and ``diag`` are the segment's rows' thresholds and
     diagonal slots.  ``np.bincount`` sums each row's dropped mass in
     ascending column order, the order of the row loop's ``+=``.
     """

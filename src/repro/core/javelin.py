@@ -15,11 +15,11 @@ Typical use::
 ``setup`` performs the paper's preprocessing (§III): predetermine the
 fill pattern (ILU(k)), level-schedule ``lower(S + Sᵀ)``, split into the
 two stages, and symmetrically permute the matrix into the level
-ordering.  ``factor`` runs the level-batched
+ordering.  ``factor`` runs the wave-batched
 :func:`~repro.core.iluk.ilu_factor` (plus the ILU(k, τ) drop hook) on
-the permuted matrix: one vectorized group per (level, position in the
-row), on an update schedule cached per pattern, giving the bits of the
-row-by-row :func:`~repro.core.iluk.factor_row` loop.  Every stage
+the permuted matrix: one vectorized step per wave of the strict-lower
+slots' dependency DAG, on a schedule cached per pattern, giving the
+bits of the row-by-row :func:`~repro.core.iluk.factor_row` loop.  Every stage
 order — the p2p upper levels, Even-Rows, Segmented-Rows — eliminates
 each row's columns in ascending order, so each gives those same bits,
 and the orders themselves run in the threaded executor
@@ -156,6 +156,9 @@ class JavelinILU:
         self.inv_perm[self.perm] = np.arange(self.perm.shape[0])
         self.A_perm = A.permute(row_perm=self.perm, col_perm=self.perm)
         self.S_perm = S.permute(row_perm=self.perm, col_perm=self.perm).pattern_copy()
+        # the factor's symbolic products: F has S_perm's pattern, so factor,
+        # refactor and build_solver reuse this without hashing F again
+        self.analysis = cached_analysis(self.S_perm)
         self.level_ptr = self.schedule.upper_level_ptr()
         self.m = self.schedule.n_upper_rows
         self.pattern_key = pattern_fingerprint(A)
@@ -232,9 +235,9 @@ class JavelinILU:
     def factor(self) -> FactorResult:
         """Numeric factorization: :func:`~repro.core.iluk.ilu_factor` on ``A_perm``.
 
-        It runs the pattern's cached update schedule one group at a
-        time, dropping each level's rows (ILU(k, τ), when ``tau > 0``)
-        once it is done; its bits are those of the row loop
+        It runs the pattern's cached slot-wave schedule one wave at a
+        time, dropping each row (ILU(k, τ), when ``tau > 0``) once it is
+        done; its bits are those of the row loop
         :func:`~repro.core.iluk.ilu_factor_sequential` on
         ``(A_perm, S_perm)`` with the same drop thresholds.  The
         lower-stage choice does not enter: every stage order gives these
@@ -243,14 +246,13 @@ class JavelinILU:
         if not self._ready:
             raise RuntimeError("call setup(A) before factor()")
         opts = self.options
-        # the kernel's analysis is keyed on F's pattern, so the solve
-        # plans built later (build_solver / the lazy solve path) reuse it
         F = ilu_factor(
             self.A_perm,
             self.S_perm,
             pivot_tol=opts.pivot_tol,
             drop_threshold=self.drop_threshold,
             modified=opts.modified,
+            analysis=self.analysis,
         )
         self.F = F
         self._factored = True
@@ -286,8 +288,7 @@ class JavelinILU:
         """
         if not self._factored:
             raise RuntimeError("call factor() before build_solver()")
-        F, perm = self.F, self.perm
-        analysis = cached_analysis(F)
+        F, perm, analysis = self.F, self.perm, self.analysis
         # both plans now: a missing diagonal raises here, not mid-solve
         analysis.plan("lower"), analysis.plan("upper")
 

@@ -96,16 +96,18 @@ def pattern_fingerprint(M) -> str:
     return h.hexdigest()
 
 
-def matrix_fingerprint(M) -> str:
+def matrix_fingerprint(M, pattern_fp=None) -> str:
     """Hex digest of pattern *and* values — the numeric identity.
 
     Two matrices on the same stencil (e.g. a diffusion and a convection
     problem on one grid) share a :func:`pattern_fingerprint` but must
     never share a *factor*; use this digest to key caches whose entries
-    depend on the values, not just the structure.
+    depend on the values, not just the structure.  A caller that has
+    already hashed ``M``'s pattern passes it as ``pattern_fp``; the
+    digest is the same.
     """
     h = hashlib.blake2b(digest_size=16)
-    h.update(pattern_fingerprint(M).encode())
+    h.update((pattern_fp or pattern_fingerprint(M)).encode())
     h.update(np.ascontiguousarray(M.data, dtype=np.float64).tobytes())
     return h.hexdigest()
 
@@ -188,12 +190,10 @@ class SymbolicAnalysis:
         )
 
     def factor_schedule(self):
-        """The numeric factor's update schedule (reuses forward levels + diag_pos)."""
+        """The numeric factor's slot-wave schedule (reuses diag_pos)."""
         return self._get(
             "factor_schedule",
-            lambda: build_factor_schedule(
-                self._pattern, levels=self.levels("lower"), diag_idx=self.diag_pos()
-            ),
+            lambda: build_factor_schedule(self._pattern, diag_idx=self.diag_pos()),
         )
 
     def superstep_plan(self, part, *, n_threads, opts=None):

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.javelin import JavelinOptions
-from ..kernels.cache import cached_analysis, matrix_fingerprint, pattern_fingerprint
+from ..kernels.cache import matrix_fingerprint, pattern_fingerprint
 from ..obs import spans as _spans
 from ..resilience import ResilientFactor, RetryPolicy
 from ..sparse import spmv_csr
@@ -287,7 +287,7 @@ class WorkerShard:
             )
         rf = ResilientFactor(opts, pol).setup(A)
         if rf.ilu is not None:
-            n_levels = int(cached_analysis(rf.ilu.F).plan("lower").n_levels)
+            n_levels = int(rf.ilu.analysis.plan("lower").n_levels)
             nnz = int(rf.ilu.F.nnz)
         else:
             n_levels, nnz = 1, int(A.nnz)
@@ -637,10 +637,10 @@ class SolveService:
         """
         if key not in self.matrices:
             raise KeyError(f"unknown matrix_key {key!r}")
-        new_fp = matrix_fingerprint(A_new)
+        new_pat = pattern_fingerprint(A_new)
+        new_fp = matrix_fingerprint(A_new, pattern_fp=new_pat)
         if new_fp == self.fingerprints[key]:
             return "unchanged"
-        new_pat = pattern_fingerprint(A_new)
         self.matrices[key] = A_new
         self.fingerprints[key] = new_fp
         if new_pat != self.pattern_fps[key]:

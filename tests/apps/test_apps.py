@@ -86,6 +86,29 @@ class TestHeatStepper:
             assert np.array_equal(rc.x, rr.x)
             assert rc.iterations == rr.iterations
 
+    def test_value_only_step_hashes_the_pattern_three_times(self, monkeypatch):
+        """Service update, resilient refactor check, JavelinILU refactor check."""
+        import repro.core.javelin
+        import repro.kernels.cache
+        import repro.resilience.retry
+        import repro.serve.workers
+
+        hs = HeatStepper(8, staleness=StalenessPolicy(mode="refactor"))
+        hs.run(2)  # the cold build and one refactor before counting
+        real = repro.kernels.cache.pattern_fingerprint
+        calls = []
+
+        def counted(M):
+            calls.append(M.n_rows)
+            return real(M)
+
+        for mod in (repro.kernels.cache, repro.core.javelin, repro.resilience.retry,
+                    repro.serve.workers):
+            monkeypatch.setattr(mod, "pattern_fingerprint", counted)
+        rec = hs.step()
+        assert rec.update == "values_changed" and rec.outcome == "served"
+        assert len(calls) == 3
+
     def test_invalid_drift_rejected(self):
         with pytest.raises(ValueError, match="kappa_drift"):
             HeatStepper(6, kappa_drift=1.5)

@@ -191,6 +191,10 @@ class TestFactorSchedule:
         assert cached_analysis(ilu.F).compute_counts["factor_schedule"] == 1
         clear_default_cache()
 
+    def test_matrix_fingerprint_from_a_pattern_digest(self):
+        F = _factor(seed=11)
+        assert matrix_fingerprint(F, pattern_fp=pattern_fingerprint(F)) == matrix_fingerprint(F)
+
     def test_arrays_are_read_only_int32(self):
         sched = SymbolicCache().analysis(_factor(n=40, seed=4)).factor_schedule()
         arrays = {k: v for k, v in vars(sched).items() if isinstance(v, np.ndarray)}

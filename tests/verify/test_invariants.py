@@ -1,5 +1,7 @@
 """Structural validators and the frozen-cache + debug-hook wiring."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.verify import (
     validate,
     validate_analysis,
     validate_csr,
+    validate_factor_schedule,
     validate_levels,
     validate_plan,
 )
@@ -131,6 +134,19 @@ def test_thawed_factor_schedule_fails_validation():
     sched.src.flags.writeable = True
     with pytest.raises(InvariantViolation, match="factor_schedule.src"):
         validate_analysis(ana)
+
+
+def test_swapped_slot_waves_fail_validation():
+    """A slot moved into wave 0 runs before what it depends on."""
+    S = random_csr(30, 0.2, 14)
+    sched = cached_analysis(S).factor_schedule()
+    assert sched.n_waves >= 2
+    assert validate_factor_schedule(sched, S)
+    ab = [0, int(sched.wave_ptr[-2])]  # the first slots of the first and the last wave
+    slot, pivot = sched.slot.copy(), sched.pivot.copy()
+    slot[ab], pivot[ab] = slot[ab[::-1]], pivot[ab[::-1]]
+    with pytest.raises(InvariantViolation, match="after|decrease"):
+        validate_factor_schedule(replace(sched, slot=slot, pivot=pivot), S)
 
 
 def test_cache_lookup_hook_catches_thawed_entry():
