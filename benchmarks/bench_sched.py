@@ -6,8 +6,11 @@ subsystem's contracts:
 
 * every superstep plan is a valid topological execution (structural
   validation plus a happens-before replay of its barrier schedule);
-* every exact mode is **bit-identical** to the p2p/level-batched
-  reference solve (superstep, syncfree, and elastic at ``tol == 0``);
+* the modes with their own numerics are **bit-identical** to the
+  level-batched reference solve ``trisolve_factor_levels``: the
+  real-thread superstep executor (lower then upper plan, 4 threads) and
+  elastic at ``tol == 0`` (p2p, barrier and syncfree solve through the
+  reference itself);
 * staleness mode (``elastic_tol > 0``) converges within tolerance;
 * at least one new scheduler beats p2p by ≥ 1.3× simulated solve time
   on at least one shape × machine point (the crossover exists).
@@ -35,12 +38,15 @@ import sys
 
 import numpy as np
 
+from repro.core.trisolve import trisolve_factor_levels
 from repro.kernels import cached_analysis, clear_default_cache
 from repro.machine import SimMachine, gpulike
+from repro.runtime import threaded_trisolve_superstep
 from repro.sched import (
     SchedOptions,
     build_superstep_plan,
-    get_scheduler,
+    elastic_solve,
+    simulate_schedule,
     superstep_stats,
     validate_superstep_plan,
 )
@@ -104,23 +110,28 @@ def check_plans(F, *, thread_counts=(2, 4, 8)):
 
 
 def check_numerics(F, *, staleness=(1, 4), tol_mode=1e-11):
-    """Exact modes bit-identical to p2p; staleness mode within tolerance."""
+    """Exact modes bit-identical to the level sweep; staleness mode within tolerance.
+
+    p2p, barrier and syncfree solve through ``trisolve_factor_levels``
+    itself; the real-thread superstep executor and exact elastic run
+    their own numerics and must reproduce it bit for bit.
+    """
     failures = []
     rng = np.random.default_rng(7)
     b = rng.standard_normal(F.n_rows)
-    ref = get_scheduler("p2p").solve(F, b)
-    for name in ("barrier", "superstep", "syncfree"):
-        x = get_scheduler(name).solve(F, b, opts=SchedOptions(scheduler=name, n_threads=4))
-        if not np.array_equal(x, ref):
-            failures.append(f"{name}: exact mode differs from p2p (max "
-                            f"|Δ|={np.abs(x - ref).max():.3e})")
-    el = get_scheduler("elastic")
+    ref = trisolve_factor_levels(F, b)
+    an = cached_analysis(F)
+    y = threaded_trisolve_superstep(F, b, an.superstep_plan("lower", n_threads=4))
+    x = threaded_trisolve_superstep(F, y, an.superstep_plan("upper", n_threads=4))
+    if not np.array_equal(x, ref):
+        failures.append("superstep executor (p=4): differs from the level "
+                        f"sweep (max |Δ|={np.abs(x - ref).max():.3e})")
     for st in staleness:
-        opts = SchedOptions(scheduler="elastic", staleness=st)
-        x = el.solve(F, b, opts=opts)
+        opts = SchedOptions(staleness=st)
+        x = elastic_solve(F, b, opts=opts)
         if not np.array_equal(x, ref):
-            failures.append(f"elastic(staleness={st}, tol=0): differs from p2p")
-        xt = el.solve(F, b, opts=opts.with_(elastic_tol=tol_mode))
+            failures.append(f"elastic(staleness={st}, tol=0): differs from the level sweep")
+        xt = elastic_solve(F, b, opts=opts.with_(elastic_tol=tol_mode))
         err = float(np.abs(xt - ref).max()) / max(1.0, float(np.abs(ref).max()))
         if err > 1e-8:
             failures.append(
@@ -143,14 +154,12 @@ def crossover(check):
             m = SimMachine(spec, p)
             opts = SchedOptions(n_threads=p)
             times = {
-                "p2p": get_scheduler("p2p").simulate(F, m, opts=opts),
-                "barrier": get_scheduler("barrier").simulate(F, m, opts=opts),
-                "superstep": get_scheduler("superstep").simulate(F, m, opts=opts),
-                "syncfree": get_scheduler("syncfree").simulate(F, m, opts=opts),
+                name: simulate_schedule(name, F, m, opts=opts)
+                for name in ("p2p", "barrier", "superstep", "syncfree")
             }
             for st in staleness_budgets:
-                times[f"elastic-s{st}"] = get_scheduler("elastic").simulate(
-                    F, m, opts=opts.with_(staleness=st)
+                times[f"elastic-s{st}"] = simulate_schedule(
+                    "elastic", F, m, opts=opts.with_(staleness=st)
                 )
             best_new = min(
                 v for k, v in times.items()
@@ -211,7 +220,7 @@ def run(check):
             "python": sys.version.split()[0],
             "scale": SCALE,
             "note": "trisolve scheduler crossover: superstep/elastic/syncfree vs "
-            "p2p/barrier; exact modes are bit-identical to the p2p path, the "
+            "p2p/barrier; exact modes are bit-identical to the level sweep, the "
             "crossover gate requires one >=1.3x win vs p2p",
         },
         "points": points,

@@ -264,9 +264,9 @@ def _scheduler_timeline_events(args, ilu):
             thread_prefix="sched thread",
         )
     if name == "elastic":
-        from .sched import simulate_elastic
+        from .sched import SchedOptions, simulate_elastic
 
-        sched = an.elastic_schedule("lower", staleness=4)
+        sched = an.elastic_schedule("lower", staleness=SchedOptions().staleness)
         ev = []
         simulate_elastic(S, sched, machine, fl, tl, events=ev)
         out = []

@@ -1,8 +1,8 @@
-"""Next-generation trisolve schedulers (see ``docs/schedulers.md``).
+"""Trisolve schedulers (see ``docs/schedulers.md``).
 
-The subsystem generalizes the original barrier/p2p pair into a
-pluggable registry of synchronization strategies for the triangular
-solve DAG:
+The paper compares two synchronization strategies for the triangular
+solve DAG, a barrier per level and point-to-point waits; this package
+adds three more:
 
 * ``superstep`` — DAG-partition scheduling: fuse consecutive levels
   into supersteps whose dependency components live wholly on one
@@ -12,27 +12,21 @@ solve DAG:
   stale reads (exact at ``elastic_tol == 0``, approximate above);
 * ``syncfree`` — self-scheduled flag polling over thousands of slow
   lanes (the GPU execution model of :func:`repro.machine.gpulike`);
-* ``p2p`` / ``barrier`` — wrappers over the existing level-set paths.
+* ``p2p`` / ``barrier`` — the existing level-set paths.
 
-Everything is driven by one frozen knob bundle, :class:`SchedOptions`,
-and dispatched by name through :func:`get_scheduler`.
+Every knob lives in one frozen :class:`SchedOptions`.  Two functions
+take a name from :data:`SCHEDULER_NAMES`: :func:`simulate_schedule`
+(modelled time) and :func:`effective_sync_passes` (sync points per
+apply).  The numeric solve of every exact mode is
+:func:`~repro.core.trisolve.trisolve_factor_levels`; elastic's is
+:func:`elastic_solve`.
 """
 
-from .base import (
-    BarrierScheduler,
-    ElasticScheduler,
-    P2PScheduler,
-    SuperstepScheduler,
-    SyncFreeScheduler,
-    TriSolveScheduler,
-    available_schedulers,
-    effective_sync_passes,
-    get_scheduler,
-    register_scheduler,
-)
+from .base import effective_sync_passes, simulate_schedule, simulate_syncfree
 from .elastic import (
     ElasticSchedule,
     build_elastic_schedule,
+    elastic_solve,
     elastic_solve_part,
     simulate_elastic,
 )
@@ -43,20 +37,11 @@ from .superstep import (
     superstep_stats,
     validate_superstep_plan,
 )
-from .syncfree import simulate_syncfree
 
 __all__ = [
     "SCHEDULER_NAMES",
     "SchedOptions",
-    "TriSolveScheduler",
-    "BarrierScheduler",
-    "P2PScheduler",
-    "SuperstepScheduler",
-    "ElasticScheduler",
-    "SyncFreeScheduler",
-    "register_scheduler",
-    "get_scheduler",
-    "available_schedulers",
+    "simulate_schedule",
     "effective_sync_passes",
     "SuperstepPlan",
     "build_superstep_plan",
@@ -64,6 +49,7 @@ __all__ = [
     "superstep_stats",
     "ElasticSchedule",
     "build_elastic_schedule",
+    "elastic_solve",
     "elastic_solve_part",
     "simulate_elastic",
     "simulate_syncfree",

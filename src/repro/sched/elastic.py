@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..kernels import cached_analysis
 from ..kernels.plans import backward_level_sets, diag_positions, forward_level_sets
 from ..obs import spans as _spans
 from .options import SchedOptions
@@ -42,6 +43,7 @@ from .options import SchedOptions
 __all__ = [
     "ElasticSchedule",
     "build_elastic_schedule",
+    "elastic_solve",
     "elastic_solve_part",
     "simulate_elastic",
 ]
@@ -228,6 +230,26 @@ def elastic_solve_part(
         if tol > 0.0 and delta <= tol * max(1.0, float(np.abs(x).max())):
             break
     return x
+
+
+def elastic_solve(F, b, *, opts=None, analysis=None):
+    """Numeric ``x = U⁻¹ L⁻¹ b`` on the combined factor ``F``, elastically.
+
+    The lower then the upper sweep of :func:`elastic_solve_part`, on the
+    schedules ``analysis`` (default: ``F``'s cached analysis) keeps for
+    ``opts.staleness``.  Bit-identical to
+    :func:`~repro.core.trisolve.trisolve_factor_levels` at
+    ``opts.elastic_tol == 0`` (the default).
+    """
+    opts = SchedOptions() if opts is None else opts
+    if analysis is None:
+        analysis = cached_analysis(F)
+    tol, max_sweeps = opts.elastic_tol, opts.max_sweeps
+    y = b
+    for part in ("lower", "upper"):
+        sched = analysis.elastic_schedule(part, staleness=opts.staleness)
+        y = elastic_solve_part(F, y, sched, tol=tol, max_sweeps=max_sweeps)
+    return y
 
 
 def simulate_elastic(

@@ -21,20 +21,19 @@ SCHEDULER_NAMES = ("p2p", "barrier", "superstep", "elastic", "syncfree")
 class SchedOptions:
     """Knobs for the trisolve schedulers (:mod:`repro.sched`).
 
-    ``scheduler`` names the default strategy a call site without an
-    explicit choice uses.  The superstep knobs bound how many levels a
-    DAG partition may fuse (``max_superstep_rows``) and how much
-    per-thread imbalance a fusion may introduce (``balance_factor``,
-    relative to the larger of the perfectly-balanced share and the
-    window's critical-path work — a pure chain is always fusable, it
-    was serial anyway).  The elastic knobs set the staleness budget in
-    levels (a block spans ``staleness + 1`` levels and threads may read
-    values up to that many levels stale) and the correction-sweep
-    controls: ``elastic_tol == 0`` runs sweeps to the exact fixpoint
+    ``n_threads`` is the thread count superstep plans are built for.
+    The superstep knobs bound how many levels a DAG partition may fuse
+    (``max_superstep_rows``) and how much per-thread imbalance a fusion
+    may introduce (``balance_factor``, relative to the larger of the
+    perfectly-balanced share and the window's critical-path work — a
+    pure chain is always fusable, it was serial anyway).  The elastic
+    knobs set the staleness budget in levels (a block spans
+    ``staleness + 1`` levels and threads may read values up to that
+    many levels stale) and the correction-sweep controls:
+    ``elastic_tol == 0`` runs sweeps to the exact fixpoint
     (bit-identical to the p2p path), a positive tolerance stops early.
     """
 
-    scheduler: str = "p2p"
     n_threads: int = 8
     # --- superstep (DAG partition) ---
     max_superstep_rows: int = 512
@@ -45,10 +44,6 @@ class SchedOptions:
     elastic_tol: float = 0.0
 
     def __post_init__(self):
-        if self.scheduler not in SCHEDULER_NAMES:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; one of {SCHEDULER_NAMES}"
-            )
         if self.n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
         if self.max_superstep_rows < 1:

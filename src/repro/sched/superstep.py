@@ -23,8 +23,7 @@ Fusion is greedy and bounded by two knobs (:class:`SchedOptions`):
   fusable because it was serial to begin with.
 
 The plan changes *when* rows run and where the barriers fall, never
-what a row computes: the numeric solve of
-:class:`~repro.sched.base.SuperstepScheduler` is the shared level sweep
+what a row computes: a superstep solve is the shared level sweep
 (:func:`~repro.core.trisolve.trisolve_factor_levels`), and the plan
 drives the DES, the real-thread executor
 (:func:`~repro.runtime.threaded_trisolve_superstep`), the

@@ -18,7 +18,7 @@ acyclic:
   static twin of the replay's ``missing-sync`` witness;
 * **sync-free** (:func:`check_syncfree_deadlock`) — lane ``r mod p``
   executes its rows in traversal order and polls a ready flag per
-  dependency (:func:`repro.sched.syncfree.simulate_syncfree`, the p2p
+  dependency (:func:`repro.sched.simulate_syncfree`, the p2p
   DES sweep :func:`repro.core.upper.simulate_sweep` under that
   order and lane map, which itself rejects a traversal that runs a row
   before a dependency).  The
@@ -236,7 +236,7 @@ def check_syncfree_deadlock(
 
     ``order`` overrides the traversal (default: ascending rows for the
     lower part, descending for the upper — the order
-    :func:`~repro.sched.syncfree.simulate_syncfree` hands the shared
+    :func:`~repro.sched.simulate_syncfree` hands the shared
     p2p DES sweep, :func:`~repro.core.upper.simulate_sweep`).  Edges are
     ``row -> dependency`` (flag poll) and ``row -> lane predecessor``
     (a lane is one in-order program).  A cycle means a set of lanes

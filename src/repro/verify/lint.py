@@ -29,7 +29,8 @@ reports and in suppression comments):
 ``JAV003`` — *no mutation of symbolic-cache products.*  Arrays obtained
     from ``cached_analysis(...)`` / ``SymbolicCache.analysis(...)`` (or
     their accessors ``diag_pos`` / ``levels`` / ``plan`` /
-    ``solve_costs`` / ``factor_costs`` / ``level_order``) are shared
+    ``solve_costs`` / ``factor_costs`` / ``level_order`` /
+    ``factor_schedule`` / ``superstep_plan`` / ``elastic_schedule``) are shared
     across factor/solve cycles and threads; subscript-assigning or
     calling mutating methods (``fill``, ``sort``, ``resize``, ``put``,
     ``partition``) on them corrupts every other consumer.  (At runtime
@@ -124,6 +125,9 @@ _CACHE_ACCESSORS = {
     "solve_costs",
     "factor_costs",
     "level_order",
+    "factor_schedule",
+    "superstep_plan",
+    "elastic_schedule",
 }
 _MUTATING_METHODS = {"fill", "sort", "resize", "put", "partition", "itemset"}
 _SUPPRESS_RE = re.compile(r"#\s*verify:\s*ok\[([A-Z0-9*,\s]+)\]")

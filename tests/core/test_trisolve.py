@@ -125,7 +125,7 @@ class TestSimulatedSolves:
         """A barrier-per-level sweep runs on the superstep DES kernel, but
         the obs trace keeps ``sched.superstep`` for real superstep plans."""
         from repro import obs
-        from repro.sched import get_scheduler
+        from repro.sched import simulate_schedule
 
         F, ls = self._setup()
         m = self._machine(4)
@@ -133,7 +133,7 @@ class TestSimulatedSolves:
             simulate_trisolve_barrier(F, ls, m)
         assert not [e for e in rec.events() if e.name.startswith("sched.superstep")]
         with obs.tracing() as rec:
-            get_scheduler("superstep").simulate(F, m)
+            simulate_schedule("superstep", F, m)
         assert [e for e in rec.spans() if e.name == "sched.superstep"]
 
     def test_barrier_time_grows_with_levels(self):

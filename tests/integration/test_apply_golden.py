@@ -31,7 +31,7 @@ from repro.kernels import cached_analysis
 from repro.matrices import SUITE, build_matrix, preorder_for_javelin
 from repro.resilience import ResilientFactor
 from repro.runtime import threaded_trisolve_lower, threaded_trisolve_superstep
-from repro.sched import SchedOptions, available_schedulers, get_scheduler
+from repro.sched import SCHEDULER_NAMES, SchedOptions, elastic_solve
 from repro.solvers import as_preconditioner
 from repro.sparse import from_dense
 
@@ -80,9 +80,10 @@ def apply_record(A):
     for part in ("lower", "upper"):
         plan = an.superstep_plan(part, n_threads=2)
         out[f"superstep.{part}"] = threaded_trisolve_superstep(F, b, plan)
-    for name in available_schedulers():
-        out[f"sched.{name}"] = get_scheduler(name).solve(F, b)
-    out["sched.elastic.1e-10"] = get_scheduler("elastic").solve(
+    for name in SCHEDULER_NAMES:
+        solve = elastic_solve if name == "elastic" else trisolve_factor_levels
+        out[f"sched.{name}"] = solve(F, b)
+    out["sched.elastic.1e-10"] = elastic_solve(
         F, b, opts=SchedOptions(elastic_tol=1e-10)
     )
     return {k: _digest(v) for k, v in out.items()}

@@ -28,7 +28,7 @@ from repro.machine import SimMachine, gpulike, haswell, knl
 from repro.machine.trace import ExecutionTrace
 from repro.matrices import SUITE, build_matrix, preorder_for_javelin
 from repro.resilience import FaultPlan
-from repro.sched import available_schedulers, get_scheduler, simulate_syncfree
+from repro.sched import SCHEDULER_NAMES, simulate_schedule, simulate_syncfree
 from repro.sparse import from_dense
 
 SCALE = 0.05
@@ -77,8 +77,8 @@ def des_record(ilu, machine):
     """Every simulated time and trace digest of one case on one machine."""
     S = ilu.S_perm
     rec = {}
-    for name in available_schedulers():
-        rec[f"sched.{name}"] = get_scheduler(name).simulate(S, machine).hex()
+    for name in SCHEDULER_NAMES:
+        rec[f"sched.{name}"] = simulate_schedule(name, S, machine).hex()
     for method in ("barrier", "p2p", "two_stage"):
         rec[f"trisolve.{method}"] = ilu.simulate_trisolve(machine, method=method).hex()
     for sync in ("p2p", "barrier"):

@@ -24,7 +24,7 @@ from repro.machine import SimMachine, uniform_machine
 from repro.matrices import grid2d
 from repro.obs import spans
 from repro.obs.spans import tracing
-from repro.sched import SuperstepScheduler
+from repro.sched import simulate_schedule
 
 # each production kernel beside its scalar reference
 PAIRS = {
@@ -91,7 +91,7 @@ class TestPairs:
         assert _kernel_spans(rec) == ["kernel.upper_p2p_sim"]
         with tracing() as rec:
             simulate_upper_barrier(S, level_ptr, mach, flops, touched)
-            SuperstepScheduler().simulate(S, mach, both=False)
+            simulate_schedule("superstep", S, mach, both=False)
         assert _kernel_spans(rec) == ["kernel.superstep_sim"] * 2
 
 

@@ -7,7 +7,12 @@ from helpers import random_csr
 from repro.core.trisolve import trisolve_factor_levels
 from repro.kernels import cached_analysis, clear_default_cache
 from repro.kernels.trisolve import trisolve_lower
-from repro.sched import SchedOptions, build_elastic_schedule, get_scheduler
+from repro.sched import (
+    SchedOptions,
+    build_elastic_schedule,
+    effective_sync_passes,
+    elastic_solve,
+)
 from repro.sched.elastic import elastic_solve_part
 
 
@@ -28,8 +33,7 @@ def test_exact_mode_bit_identical_for_every_staleness(F, staleness):
     rng = np.random.default_rng(1)
     b = rng.standard_normal(F.n_rows)
     ref = trisolve_factor_levels(F, b)
-    opts = SchedOptions(scheduler="elastic", staleness=staleness)
-    x = get_scheduler("elastic").solve(F, b, opts=opts)
+    x = elastic_solve(F, b, opts=SchedOptions(staleness=staleness))
     assert np.array_equal(x, ref)
 
 
@@ -138,14 +142,37 @@ def test_max_sweeps_truncation_is_inexact_but_finite(F):
 
 
 def test_sync_points_counts_active_blocks(F):
-    el = get_scheduler("elastic")
-    tight = el.sync_points(F, opts=SchedOptions(staleness=0))
-    loose = el.sync_points(F, opts=SchedOptions(staleness=8))
+    tight = effective_sync_passes(F, "elastic", SchedOptions(staleness=0))
+    loose = effective_sync_passes(F, "elastic", SchedOptions(staleness=8))
     an = cached_analysis(F)
     n_levels = an.plan("lower").n_levels + an.plan("upper").n_levels
     # staleness 0: one sweep, one sync per level-block -> exactly the levels
     assert tight == n_levels
     assert loose >= 1
+
+
+def _sync_points_loop(F, opts):
+    """Reference: one sync per (sweep, block with an active row), by loop."""
+    total = 0
+    for part in ("lower", "upper"):
+        sched = cached_analysis(F).elastic_schedule(part, staleness=opts.staleness)
+        fs, lrows, level_ptr = sched.final_sweep, sched.rows, sched.level_ptr
+        for k in range(min(sched.n_sweeps, opts.max_sweeps)):
+            for b in range(sched.n_blocks):
+                lo, hi = sched.block_levels(b)
+                brows = lrows[int(level_ptr[lo]) : int(level_ptr[hi])]
+                if (fs[brows] >= k).any():
+                    total += 1
+    return total
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 3, 128])
+@pytest.mark.parametrize("staleness", [0, 1, 4, 8])
+@pytest.mark.parametrize("seed", [11, 12])
+def test_sync_points_match_the_block_loop(staleness, max_sweeps, seed):
+    F = random_csr(80, density=0.1, seed=seed)
+    opts = SchedOptions(staleness=staleness, max_sweeps=max_sweeps)
+    assert effective_sync_passes(F, "elastic", opts) == _sync_points_loop(F, opts)
 
 
 def test_schedules_cached_per_staleness(F):

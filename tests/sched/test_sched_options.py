@@ -4,31 +4,30 @@ import dataclasses
 
 import pytest
 
-from repro.sched import SCHEDULER_NAMES, SchedOptions
+from repro.sched import SchedOptions
 
 
 def test_defaults_are_the_p2p_status_quo():
     o = SchedOptions()
-    assert o.scheduler == "p2p"
+    assert o.n_threads == 8
     assert o.elastic_tol == 0.0  # elastic default is the exact mode
 
 
 def test_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
-        SchedOptions().scheduler = "barrier"
+        SchedOptions().staleness = 0
 
 
 def test_with_overrides_without_mutation():
     o = SchedOptions()
-    o2 = o.with_(scheduler="elastic", staleness=2)
-    assert (o2.scheduler, o2.staleness) == ("elastic", 2)
-    assert (o.scheduler, o.staleness) == ("p2p", 4)
+    o2 = o.with_(n_threads=2, staleness=2)
+    assert (o2.n_threads, o2.staleness) == (2, 2)
+    assert (o.n_threads, o.staleness) == (8, 4)
 
 
 @pytest.mark.parametrize(
     "kw",
     [
-        {"scheduler": "bulk-sync"},
         {"n_threads": 0},
         {"max_superstep_rows": 0},
         {"balance_factor": 0.99},
@@ -40,11 +39,6 @@ def test_with_overrides_without_mutation():
 def test_validation_rejects_bad_knobs(kw):
     with pytest.raises(ValueError):
         SchedOptions(**kw)
-
-
-def test_every_scheduler_name_constructs():
-    for name in SCHEDULER_NAMES:
-        assert SchedOptions(scheduler=name).scheduler == name
 
 
 def test_cache_keys_cover_only_their_knobs():

@@ -10,11 +10,11 @@ from repro.runtime import threaded_trisolve_superstep
 from repro.sched import (
     SchedOptions,
     build_superstep_plan,
-    get_scheduler,
+    effective_sync_passes,
+    simulate_schedule,
     superstep_stats,
     validate_superstep_plan,
 )
-from repro.sched.base import SuperstepScheduler
 
 
 @pytest.fixture(autouse=True)
@@ -82,16 +82,15 @@ def test_threaded_executor_bit_identical(F):
 
 def test_sync_points_never_exceed_levels(F):
     # fusing can only merge boundaries: steps <= levels, both parts
-    sched = get_scheduler("superstep")
     an = cached_analysis(F)
     n_levels = an.plan("lower").n_levels + an.plan("upper").n_levels
-    assert sched.sync_points(F, opts=SchedOptions(n_threads=4)) <= n_levels
-    assert get_scheduler("p2p").sync_points(F) == n_levels
+    assert effective_sync_passes(F, "superstep", SchedOptions(n_threads=4)) <= n_levels
+    assert effective_sync_passes(F, "p2p") == n_levels
 
 
 def test_simulate_is_finite_and_positive(F):
     m = SimMachine(uniform_machine(n_cores=4), 4)
-    t = get_scheduler("superstep").simulate(F, m, opts=SchedOptions(n_threads=4))
+    t = simulate_schedule("superstep", F, m, opts=SchedOptions(n_threads=4))
     assert np.isfinite(t) and t > 0.0
 
 
@@ -105,6 +104,10 @@ def test_plans_are_cached_per_options(F):
 
 
 def test_scheduler_plan_helper_uses_opts_thread_count(F):
-    sched = SuperstepScheduler()
-    plan = sched.plan(F, "lower", opts=SchedOptions(n_threads=5))
-    assert plan.n_threads == 5
+    # the superstep sync count prices the plans built for opts.n_threads
+    # (2 threads fuse fewer levels than the default 8 on these patterns)
+    opts = SchedOptions(n_threads=2)
+    an = cached_analysis(F)
+    steps = sum(an.superstep_plan(p, n_threads=2).n_steps for p in ("lower", "upper"))
+    assert effective_sync_passes(F, "superstep", opts) == steps
+    assert steps != effective_sync_passes(F, "superstep")

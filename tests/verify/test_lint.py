@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.verify import lint_paths, lint_source
 from repro.verify.lint import RULES, iter_python_files
 
@@ -167,6 +169,24 @@ def test_jav003_flags_mutating_method_on_accessor_result():
         cached_analysis(F).diag_pos().fill(0)
     """
     assert _ids(_lint(src, "src/repro/anything.py")) == ["JAV003"]
+
+
+@pytest.mark.parametrize(
+    "product",
+    [
+        "factor_schedule().own",
+        'superstep_plan("lower", n_threads=4).rows',
+        'elastic_schedule("upper", staleness=2).final_sweep',
+    ],
+)
+def test_jav003_flags_write_through_schedule_accessors(product):
+    src = f"""
+    __all__ = []
+    def f(F):
+        arr = cached_analysis(F).{product}
+        arr[0] = 1
+    """
+    assert _ids(_lint(src, "src/repro/anything.py", rules=["JAV003"])) == ["JAV003"]
 
 
 def test_jav003_allows_reads_and_copies():
