@@ -1,19 +1,19 @@
 """Precomputed structures driving the level-batched kernels.
 
-A :class:`TriSolvePlan` holds everything a batched triangular sweep
-needs: the rows in level order, per-level boundaries, and — aligned
-arrays — the storage index of every strict-part entry grouped by its
-row's position in the level ordering.  With that in hand each level
-solves as one gather / multiply / segment-reduce, and the plan is built
-*without per-row Python loops* (one ``argsort`` over the strict-part
-entries does the grouping), so symbolic setup scales with nnz.
+A :class:`TriSolvePlan` is a triangular part stored in level order: the
+rows in level order, per-level boundaries, a per-row pointer into the
+storage index of every strict-part entry, and each entry's column as a
+position in that order.  Level ``l`` is then a contiguous CSR block
+whose columns point into earlier levels, so each level solves as one
+compiled ``csr_matvec`` call.  The plan is built *without per-row Python
+loops* (one segment gather takes each row's entries in level order), so
+symbolic setup scales with nnz.
 
 The accumulation contract: within a row, entries appear in ascending
-column order (CSR order, preserved by the stable sort), and the batched
-segment reduction (:func:`numpy.bincount`) adds them strictly
-sequentially in that order — exactly the scalar reference's
-``s += data[k] * y[col[k]]`` loop, so the two sweeps agree
-bit-for-bit.
+column order (CSR order, kept by the segment gather), and the compiled
+row sum adds them strictly sequentially in that order — exactly the
+scalar reference's ``s += data[k] * y[col[k]]`` loop, so the two sweeps
+agree bit-for-bit.
 
 A :class:`FactorSchedule` does the same for the numeric ILU factor: it
 levels the DAG of the strict-lower slots themselves, not of the rows.
@@ -123,15 +123,22 @@ def diag_positions(pattern):
     return pos.astype(np.int64)
 
 
+def _i32(a):
+    return np.ascontiguousarray(a, dtype=np.int32)
+
+
 @dataclass
 class TriSolvePlan:
-    """Gather/scatter structure for one level-batched triangular sweep.
+    """Level-ordered CSR structure for one level-batched triangular sweep.
 
-    ``ent_idx[lev_ent_ptr[l]:lev_ent_ptr[l+1]]`` are the storage indices
-    of the strict-``part`` entries of level ``l``'s rows, grouped by row
-    (ascending row id within the level, ascending column within a row);
-    ``ent_local`` maps each entry to its row's local index inside the
-    level.  ``diag_idx`` is present for upper sweeps only.
+    Position ``p`` of the level ordering holds row ``rows[p]``; level
+    ``l`` is the position range ``level_ptr[l]:level_ptr[l+1]`` (rows
+    ascending).  ``ent_idx[ent_ptr[p]:ent_ptr[p+1]]`` are the storage
+    indices of that row's strict-``part`` entries in ascending column
+    order, and ``ent_col`` holds each entry's column as a position in
+    the level ordering, so it points into an earlier level.  ``ent_ptr``
+    and ``ent_col`` are int32, the index type the compiled sweep takes.
+    ``diag_idx`` is present for upper sweeps only.
     """
 
     part: str
@@ -139,8 +146,8 @@ class TriSolvePlan:
     rows: np.ndarray
     level_ptr: np.ndarray
     ent_idx: np.ndarray
-    ent_local: np.ndarray
-    lev_ent_ptr: np.ndarray
+    ent_ptr: np.ndarray
+    ent_col: np.ndarray
     diag_idx: np.ndarray | None = None
 
     @property
@@ -168,29 +175,19 @@ def build_trisolve_plan(pattern, part, *, levels=None, diag_idx=None) -> TriSolv
     row_of = segment_ids_from_ptr(indptr)
     mask = indices < row_of if part == "lower" else indices > row_of
     ent_all = np.flatnonzero(mask)  # CSR order: row-major, ascending column
-    # position of each entry's row in the level ordering
+    # each row's entry segment, rows taken in level order
+    ent_ptr, pos = segment_positions(ptr_from_segment_ids(row_of[ent_all], n), rows)
+    ent_idx = ent_all[pos]
     pos_of_row = np.empty(n, dtype=np.int64)
     pos_of_row[rows] = np.arange(n, dtype=np.int64)
-    key = pos_of_row[row_of[ent_all]]
-    order = np.argsort(key, kind="stable")  # stable: column order survives
-    ent_idx = ent_all[order]
-    ent_pos = key[order]
-    # per-level entry boundaries: cumulative strict-part counts in level order
-    cnt = np.bincount(row_of[ent_all], minlength=n) if ent_all.size else np.zeros(n, dtype=np.int64)
-    row_ent_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(cnt[rows], out=row_ent_ptr[1:])
-    lev_ent_ptr = row_ent_ptr[level_ptr]
-    # local row index within the level
-    lev_of_ent = np.searchsorted(level_ptr, ent_pos, side="right") - 1
-    ent_local = ent_pos - level_ptr[lev_of_ent]
     return TriSolvePlan(
         part=part,
         n=n,
         rows=rows,
         level_ptr=level_ptr,
         ent_idx=ent_idx,
-        ent_local=ent_local,
-        lev_ent_ptr=lev_ent_ptr,
+        ent_ptr=_i32(ent_ptr),
+        ent_col=_i32(pos_of_row[indices[ent_idx]]),
         diag_idx=diag_idx,
     )
 
@@ -278,10 +275,6 @@ class FactorSchedule:
     @property
     def n_waves(self):
         return self.wave_ptr.shape[0] - 1
-
-
-def _i32(a):
-    return np.ascontiguousarray(a, dtype=np.int32)
 
 
 def _slot_waves(low_ptr, dep_from, dep_to):

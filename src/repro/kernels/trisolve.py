@@ -17,21 +17,22 @@ over the rows of one column at a time.
 
 The production sweeps :func:`trisolve_lower` and :func:`trisolve_upper`
 (:func:`_level_sweep`) reproduce them *bit-for-bit*: rows of a level
-are independent, so each level is one gather / multiply /
-segment-reduce pass, and ``np.bincount`` performs the per-row segment
-sums strictly sequentially in the same entry order.  A block runs at
-its own ndim with bins ``local_row * k + column``, so each ``(row,
-column)`` bin accumulates its entries in the same ascending order as
-the vector's — column ``j`` of a block solve equals the solve of
-``B[:, j]``, while the per-level overhead (the dominant cost on the
-many small levels of a triangular schedule) is paid once per level, not
-once per column.  Tests assert exact equality, not closeness.
+are independent, and the plan stores them in level order with columns
+remapped to level positions, so each level is one call to scipy's
+compiled ``csr_matvec`` (``csr_matvecs`` for a block), which sums every
+row from zero in the same entry order.  A block runs one axpy per entry
+across its ``k`` columns, so column ``j`` of a block solve equals the
+solve of ``B[:, j]``, while the per-level overhead (the dominant cost on
+the many small levels of a triangular schedule) is paid once per level,
+not once per column.  Tests assert exact equality, not closeness; see
+:mod:`repro.sparse.spmv` for the risks of the compiled call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..sparse.spmv import csr_matvec, csr_matvecs
 from .cache import cached_analysis
 from .hook import kernel
 
@@ -111,55 +112,47 @@ def _resolve_plan(F, part, plan):
 
 
 def _level_sweep(F, B, plan):
-    """One gather / multiply / segment-reduce per level of ``plan``.
+    """One compiled ``csr_matvec(s)`` call per level of ``plan``.
 
-    Divides by the diagonal iff ``plan.part == "upper"``.  The entry
-    gathers and the segment-sum bins are built once per call; each
-    level then runs at ``B``'s own ndim.
+    Divides by the diagonal iff ``plan.part == "upper"``.  ``B`` is
+    permuted into level order once and the entry values gathered once;
+    level ``l`` then reads only earlier levels' rows of the level-ordered
+    solution, so its sums are one call into a zeroed buffer.
     """
     B = as_rhs(B, F.n_rows)
-    upper = plan.part == "upper"
-    X = np.empty(B.shape)
-    rows, level_ptr, eptr = plan.rows, plan.level_ptr, plan.lev_ent_ptr
+    k = 1 if B.ndim == 1 else B.shape[1]
+    Bp = B[plan.rows].ravel()
+    Xp = np.empty(Bp.shape)
+    s = np.zeros(Bp.shape)
     vals = F.data[plan.ent_idx]
-    cols = F.indices[plan.ent_idx]
-    if B.ndim == 1:
-        k, bins = 1, plan.ent_local
-    else:
-        k = B.shape[1]
-        bins = (plan.ent_local[:, None] * k + np.arange(k)).ravel()
-        vals = vals[:, None]
-    if upper:
-        diag = F.data[plan.diag_idx]
-        if B.ndim == 2:
-            diag = diag[:, None]
-    for l in range(plan.n_levels):
-        rlo, rhi = level_ptr[l], level_ptr[l + 1]
-        rows_l = rows[rlo:rhi]
-        elo, ehi = eptr[l], eptr[l + 1]
-        if ehi > elo:
-            prod = vals[elo:ehi] * X[cols[elo:ehi]]
-            s = np.bincount(
-                bins[elo * k : ehi * k], weights=prod.ravel(), minlength=(rhi - rlo) * k
-            )
-            if B.ndim == 2:
-                s = s.reshape(rhi - rlo, k)
+    ptr, cols, n = plan.ent_ptr, plan.ent_col, plan.n
+    diag = None
+    if plan.part == "upper":
+        diag = F.data[plan.diag_idx[plan.rows]]
+        if k > 1:
+            diag = np.repeat(diag, k)
+    bounds = plan.level_ptr.tolist()
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        lo, hi = r0 * k, r1 * k
+        if k == 1:
+            csr_matvec(r1 - r0, n, ptr[r0 : r1 + 1], cols, vals, Xp, s[lo:hi])
         else:
-            s = 0.0
-        if upper:
-            X[rows_l] = (B[rows_l] - s) / diag[rows_l]
-        else:
-            X[rows_l] = B[rows_l] - s
+            csr_matvecs(r1 - r0, n, k, ptr[r0 : r1 + 1], cols, vals, Xp, s[lo:hi])
+        x = np.subtract(Bp[lo:hi], s[lo:hi], out=Xp[lo:hi])
+        if diag is not None:
+            np.divide(x, diag[lo:hi], out=x)
+    X = np.empty(B.shape)
+    X[plan.rows] = Xp.reshape(B.shape)
     return X
 
 
 @kernel
 def trisolve_lower(F, b, plan=None):
-    """Forward solve, one gather/multiply/segment-reduce per level."""
+    """Forward solve, one compiled row-sum call per level."""
     return _level_sweep(F, b, _resolve_plan(F, "lower", plan))
 
 
 @kernel
 def trisolve_upper(F, y, plan=None):
-    """Backward solve, one gather/multiply/segment-reduce per level."""
+    """Backward solve, one compiled row-sum call per level, then the diagonal divide."""
     return _level_sweep(F, y, _resolve_plan(F, "upper", plan))

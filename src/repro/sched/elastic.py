@@ -38,6 +38,7 @@ import numpy as np
 from ..kernels import cached_analysis
 from ..kernels.plans import backward_level_sets, diag_positions, forward_level_sets
 from ..obs import spans as _spans
+from ..sparse.segscan import ptr_from_segment_ids
 from .options import SchedOptions
 
 __all__ = [
@@ -121,23 +122,25 @@ def build_elastic_schedule(
     cnt = np.bincount(row_of[ent_idx], minlength=n) if ent_idx.size else np.zeros(n, np.int64)
     ent_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(cnt, out=ent_ptr[1:])
-    # correction-depth recursion, rows visited in level (topological) order
+    # correction-depth recursion, one level at a time: a row's deps all
+    # sit in earlier levels, so their final_sweep is already known
+    level_ptr = np.asarray(levels.level_ptr, dtype=np.int64)
+    e_row = row_of[ent_idx]
+    by_level = np.argsort(level_of[e_row], kind="stable")
+    e_row = e_row[by_level]
+    e_col = indices[ent_idx[by_level]]
+    stale = block_of[e_col] == block_of[e_row]
+    lev_ent_ptr = ptr_from_segment_ids(level_of[e_row], level_ptr.shape[0] - 1)
     final_sweep = np.zeros(n, dtype=np.int64)
-    lrows = np.asarray(levels.rows, dtype=np.int64)
-    for r in lrows:
-        r = int(r)
-        ents = ent_idx[ent_ptr[r] : ent_ptr[r + 1]]
-        if ents.size:
-            d = indices[ents]
-            fs = final_sweep[d] + (block_of[d] == block_of[r])
-            final_sweep[r] = int(fs.max())
+    for lo, hi in zip(lev_ent_ptr[:-1].tolist(), lev_ent_ptr[1:].tolist()):
+        np.maximum.at(final_sweep, e_row[lo:hi], final_sweep[e_col[lo:hi]] + stale[lo:hi])
     return ElasticSchedule(
         part=part,
         staleness=staleness,
         n=n,
         level_of=level_of,
-        level_ptr=np.asarray(levels.level_ptr, dtype=np.int64),
-        rows=lrows,
+        level_ptr=level_ptr,
+        rows=np.asarray(levels.rows, dtype=np.int64),
         block_of=block_of,
         final_sweep=final_sweep,
         ent_ptr=ent_ptr,

@@ -50,7 +50,7 @@ class SchedOptions:
             raise ValueError(
                 f"max_superstep_rows must be >= 1, got {self.max_superstep_rows}"
             )
-        if self.balance_factor < 1.0:
+        if not self.balance_factor >= 1.0:  # NaN fails every comparison
             raise ValueError(
                 f"balance_factor must be >= 1.0, got {self.balance_factor}"
             )
@@ -58,7 +58,7 @@ class SchedOptions:
             raise ValueError(f"staleness must be >= 0, got {self.staleness}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if self.elastic_tol < 0.0:
+        if not self.elastic_tol >= 0.0:
             raise ValueError(f"elastic_tol must be >= 0, got {self.elastic_tol}")
 
     def with_(self, **kw) -> "SchedOptions":

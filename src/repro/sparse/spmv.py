@@ -2,37 +2,56 @@
 
 Three kernels:
 
-* ``spmv_csr`` — the conventional row-wise CSR kernel, fully vectorized
-  (one gather, one multiply, one segmented reduce over the whole matrix).
+* ``spmv_csr`` — the conventional row-wise CSR kernel, one compiled
+  :func:`csr_matvec` call over the whole matrix.
 * ``spmv_csr5`` — the CSR5 tile-by-tile segmented-scan kernel with carry
   propagation between tiles that split a row.  Numerically identical to
   ``spmv_csr``; it exists to exercise and validate the tile machinery the
   Segmented-Rows lower stage reuses.
 * ``spmv_rows`` — partial product over a subset of rows, used by the
   triangular-solve update sweeps.
+
+This module is the one place that imports scipy's compiled CSR loops,
+:func:`csr_matvec` (``y += A @ x``) and :func:`csr_matvecs` (the same
+for a row-major ``(n, k)`` block); the level-batched triangular sweeps
+reuse them from here.  Both start each row's sum from ``y[i]`` and add
+``a * x`` entry by entry in storage order, the order of the scalar
+references, so results agree bit for bit.  Two risks come with them:
+
+* ``scipy.sparse._sparsetools`` is a private module of a declared
+  dependency, so a scipy release may move or change it;
+* the bits assume the wheel does not contract ``sum + a * x`` into a
+  fused multiply-add.  ``tests/kernels/test_level_call.py`` compares
+  both calls with the scalar row loop in uint64 bits, so a wheel that
+  does fails there.
+Neither function checks bounds: index arrays must be valid, and both
+index arrays share one integer type (int32 here, to avoid a copy).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .csr import CSRMatrix
 from .csr5 import CSR5Matrix
-from .segscan import segment_ids_from_ptr, segmented_reduce
 
-__all__ = ["spmv_csr", "spmv_csr5", "spmv_rows"]
+__all__ = ["spmv_csr", "spmv_csr5", "spmv_rows", "csr_matvec", "csr_matvecs"]
+
+#: ``csr_matvec(n_row, n_col, ptr, cols, vals, x, y)``: ``y += A @ x``
+csr_matvec = _sparsetools.csr_matvec
+#: ``csr_matvecs(n_row, n_col, k, ptr, cols, vals, x, y)`` on flat row-major ``(·, k)`` blocks
+csr_matvecs = _sparsetools.csr_matvecs
 
 
 def spmv_csr(A: CSRMatrix, x):
     """y = A @ x with the conventional CSR kernel."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != A.n_cols:
-        raise ValueError(f"x has length {x.shape[0]}, expected {A.n_cols}")
-    if A.nnz == 0:
-        return np.zeros(A.n_rows)
-    prod = A.data * x[A.indices]
-    row_of = segment_ids_from_ptr(A.indptr, total=A.nnz)
-    return segmented_reduce(prod, row_of, n_segments=A.n_rows)
+    if x.shape != (A.n_cols,):  # the compiled loop would read a block as flat memory
+        raise ValueError(f"x has shape {x.shape}, expected length {A.n_cols}")
+    y = np.zeros(A.n_rows)
+    csr_matvec(A.n_rows, A.n_cols, A.indptr, A.indices, A.data, x, y)
+    return y
 
 
 def spmv_csr5(A5: CSR5Matrix, x):

@@ -31,6 +31,8 @@ from typing import Any
 
 import numpy as np
 
+from ..sparse.segscan import segment_ids_from_ptr
+
 __all__ = [
     "InvariantViolation",
     "validate",
@@ -138,28 +140,46 @@ def validate_levels(ls: Any, L: Any = None, *, name: str = "LevelSets") -> bool:
 
 
 def validate_plan(plan: Any, pattern: Any = None, *, name: str = "TriSolvePlan") -> bool:
-    """Internal consistency of a batched triangular-sweep plan."""
+    """Internal consistency of a batched triangular-sweep plan.
+
+    The compiled sweep does no bounds checks, so every index it follows
+    is checked here: ``ent_ptr`` ascends to the entry count, and each
+    entry's ``ent_col`` lies before its row's level, so a row reads only
+    rows already solved.  With ``pattern``, ``ent_col`` must also be the
+    level position of the entry's stored column.
+    """
     if plan.part not in ("lower", "upper"):
         _fail(name, f"unknown part {plan.part!r}")
     n = int(plan.n)
     rows = np.asarray(plan.rows)
     if not np.array_equal(np.sort(rows), np.arange(n)):
         _fail(name, "rows is not a permutation")
-    if np.any(np.diff(plan.level_ptr) < 0) or int(plan.level_ptr[-1]) != n:
+    level_ptr = np.asarray(plan.level_ptr, dtype=np.int64)
+    if not _ptr_ok(level_ptr, level_ptr.shape[0], n):
         _fail(name, "level_ptr not monotone or does not cover all rows")
-    if np.any(np.diff(plan.lev_ent_ptr) < 0):
-        _fail(name, "lev_ent_ptr not monotone")
-    if int(plan.lev_ent_ptr[-1]) != np.asarray(plan.ent_idx).shape[0]:
-        _fail(name, "lev_ent_ptr[-1] != number of plan entries")
-    if np.asarray(plan.ent_local).shape[0] != np.asarray(plan.ent_idx).shape[0]:
-        _fail(name, "ent_local and ent_idx lengths disagree")
+    ent = np.asarray(plan.ent_idx)
+    ent_ptr = np.asarray(plan.ent_ptr, dtype=np.int64)
+    if not _ptr_ok(ent_ptr, n + 1, ent.shape[0]):
+        _fail(name, "ent_ptr must ascend from 0 to the number of plan entries")
+    ent_col = np.asarray(plan.ent_col, dtype=np.int64)
+    if ent_col.shape != ent.shape:
+        _fail(name, "ent_col and ent_idx lengths disagree")
+    if ent.size:
+        pos = segment_ids_from_ptr(ent_ptr)
+        start = level_ptr[np.searchsorted(level_ptr, pos, side="right") - 1]
+        bad = (ent_col < 0) | (ent_col >= start)
+        if np.any(bad):
+            p = int(pos[np.flatnonzero(bad)[0]])
+            _fail(name, f"row {int(rows[p])} reads a column outside the levels before its own")
     if plan.part == "upper" and plan.diag_idx is None:
         _fail(name, "upper plan is missing diag_idx")
     if pattern is not None:
-        nnz = int(np.asarray(pattern.indptr)[-1])
-        ent = np.asarray(plan.ent_idx)
+        indices = np.asarray(pattern.indices)
+        nnz = indices.shape[0]
         if ent.size and (int(ent.min()) < 0 or int(ent.max()) >= nnz):
             _fail(name, "ent_idx outside the pattern's storage")
+        if not np.array_equal(rows[ent_col], indices[ent]):
+            _fail(name, "ent_col does not match the pattern's columns")
         if plan.diag_idx is not None:
             di = np.asarray(plan.diag_idx)
             if di.size and (int(di.min()) < 0 or int(di.max()) >= nnz):
@@ -184,8 +204,6 @@ def validate_factor_schedule(sch: Any, pattern: Any, *, name: str = "FactorSched
     the rows that finish in wave ``w - 1``, each once, ascending.
     Whole-array checks: cheap enough for the debug lookup hook.
     """
-    from ..sparse.segscan import segment_ids_from_ptr
-
     indptr = np.asarray(pattern.indptr, dtype=np.int64)
     indices = np.asarray(pattern.indices, dtype=np.int64)
     n, nnz = int(pattern.n_rows), indices.shape[0]
@@ -297,7 +315,7 @@ def validate_analysis(ana: Any, *, name: str = "SymbolicAnalysis") -> bool:
                     _assert_frozen(getattr(item, f), f"{key}.{f}", name)
             elif isinstance(item, TriSolvePlan):
                 validate_plan(item, pat, name=where)
-                for f in ("rows", "level_ptr", "ent_idx", "ent_local", "lev_ent_ptr", "diag_idx"):
+                for f in ("rows", "level_ptr", "ent_idx", "ent_ptr", "ent_col", "diag_idx"):
                     _assert_frozen(getattr(item, f), f"{key}.{f}", name)
             elif isinstance(item, FactorSchedule):
                 if pat is not None:
@@ -358,11 +376,13 @@ def _kernel_argument_validator(name, args, kwargs):
     from ..kernels.plans import TriSolvePlan
     from ..sparse.csr import CSRMatrix
 
-    for a in list(args) + list(kwargs.values()):
+    given = list(args) + list(kwargs.values())
+    factor = next((a for a in given if isinstance(a, CSRMatrix)), None)
+    for a in given:
         if isinstance(a, CSRMatrix):
             validate_csr(a, name=f"kernel {name} CSR argument")
         elif isinstance(a, TriSolvePlan):
-            validate_plan(a, name=f"kernel {name} plan argument")
+            validate_plan(a, factor, name=f"kernel {name} plan argument")
 
 
 def enable_debug_validation() -> None:

@@ -692,7 +692,7 @@ def _check_unstoppable_wait(tree: ast.Module, path: str) -> list[Finding]:
 # ----------------------------------------------------------------------
 _STRUCTURAL_MODULES = {("sparse", "csr.py"), ("sparse", "pattern.py"), ("ordering", "graph.py"),
                        ("ordering", "nd.py"), ("ordering", "levelsets.py"), ("kernels", "plans.py"),
-                       ("resilience", "retry.py")}
+                       ("resilience", "retry.py"), ("sched", "elastic.py")}
 
 
 def _is_row_count(node: ast.AST) -> bool:

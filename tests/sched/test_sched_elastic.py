@@ -55,6 +55,28 @@ def test_final_sweep_is_a_fixpoint_bound(F):
                 assert fs[r] >= fs[c] + (blk[c] == blk[r])
 
 
+def _final_sweep_rows(pattern, sched):
+    """Reference: the correction-depth recursion, one row at a time in level order."""
+    indptr, indices = pattern.indptr, pattern.indices
+    final_sweep = np.zeros(sched.n, dtype=np.int64)
+    for r in sched.rows:
+        cols = indices[indptr[r] : indptr[r + 1]]
+        deps = cols[cols < r] if sched.part == "lower" else cols[cols > r]
+        if deps.size:
+            stale = sched.block_of[deps] == sched.block_of[r]
+            final_sweep[r] = int((final_sweep[deps] + stale).max())
+    return final_sweep
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("staleness", [0, 1, 4])
+def test_final_sweep_matches_the_row_recursion(seed, staleness):
+    S = random_csr(80, density=0.08 + 0.04 * seed, seed=20 + seed)
+    for part in ("lower", "upper"):
+        sched = build_elastic_schedule(S, part, staleness=staleness)
+        assert np.array_equal(sched.final_sweep, _final_sweep_rows(S, sched)), part
+
+
 def test_tol_mode_stops_early_and_stays_close(F):
     rng = np.random.default_rng(2)
     b = rng.standard_normal(F.n_rows)

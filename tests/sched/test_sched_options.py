@@ -41,6 +41,13 @@ def test_validation_rejects_bad_knobs(kw):
         SchedOptions(**kw)
 
 
+@pytest.mark.parametrize("field", ["balance_factor", "elastic_tol"])
+def test_validation_rejects_nan(field):
+    """NaN fails every ``<`` test, so a NaN ``elastic_tol`` once ran the exact mode."""
+    with pytest.raises(ValueError, match=field):
+        SchedOptions(**{field: float("nan")})
+
+
 def test_cache_keys_cover_only_their_knobs():
     o = SchedOptions()
     # superstep plans don't depend on elastic knobs and vice versa

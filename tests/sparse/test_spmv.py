@@ -27,6 +27,10 @@ class TestSpmvCSR:
         with pytest.raises(ValueError, match="length"):
             spmv_csr(from_dense(np.eye(3)), np.ones(4))
 
+    def test_block_x_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            spmv_csr(from_dense(np.eye(3)), np.ones((3, 2)))
+
 
 class TestSpmvCSR5:
     @pytest.mark.parametrize("tile_size", [1, 3, 8, 64])

@@ -98,6 +98,29 @@ def test_validate_plan_round_trip_and_reject():
         validate_plan(plan)
 
 
+@pytest.mark.parametrize("part", ["lower", "upper"])
+def test_validate_plan_rejects_corrupted_columns(part):
+    """The compiled sweep follows ent_col unchecked, so validation must."""
+    S = random_csr(40, 0.15, 16)
+    plan = build_trisolve_plan(S, part)
+    p = int(np.flatnonzero(np.diff(plan.ent_ptr))[-1])  # a row with entries
+    e = int(plan.ent_ptr[p])
+    for col, match in [(p, "levels before"), (plan.n + 5, "levels before"), (-1, "levels before")]:
+        bad = plan.ent_col.copy()
+        bad[e] = col
+        with pytest.raises(InvariantViolation, match=match):
+            validate_plan(replace(plan, ent_col=bad))
+    bad = plan.ent_col.copy()
+    bad[e] = (bad[e] + 1) % int(plan.level_ptr[np.searchsorted(plan.level_ptr, p, "right") - 1])
+    assert validate_plan(replace(plan, ent_col=bad))  # still reads a solved row ...
+    with pytest.raises(InvariantViolation, match="pattern's columns"):
+        validate_plan(replace(plan, ent_col=bad), S)  # ... but not the stored one
+    bad_ptr = plan.ent_ptr.copy()
+    bad_ptr[-1] += 1
+    with pytest.raises(InvariantViolation, match="ent_ptr"):
+        validate_plan(replace(plan, ent_ptr=bad_ptr))
+
+
 def test_validate_dispatches_on_type():
     S = random_csr(12, 0.3, 7)
     assert validate(S)
@@ -176,6 +199,16 @@ def test_kernel_dispatch_hook_validates_arguments():
     # only the plan's gathers, so the corrupted indptr goes unnoticed
     assert hook._VALIDATOR is None
     assert np.array_equal(trisolve_lower(bad, b, plan=plan), trisolve_lower(S, b, plan=plan))
+
+
+def test_kernel_hook_checks_the_plan_against_the_factor():
+    """A plan of another pattern names columns the factor does not store."""
+    S, T = random_csr(20, 0.25, 11), random_csr(20, 0.25, 12)
+    b = np.ones(S.n_rows)
+    enable_debug_validation()
+    trisolve_lower(S, b, plan=build_trisolve_plan(S, "lower"))
+    with pytest.raises(InvariantViolation, match="pattern"):
+        trisolve_lower(S, b, plan=build_trisolve_plan(T, "lower"))
 
 
 def test_cached_superstep_plan_validates_and_freezes():
