@@ -31,7 +31,7 @@ import pytest
 
 from repro.core import JavelinILU
 from repro.core.iluk import ilu0_factor
-from repro.core.trisolve import trisolve_factor
+from repro.kernels.trisolve import trisolve_factor
 from repro.sparse import CSR5Matrix, spmv_csr, spmv_csr5
 
 from bench_util import (
@@ -41,7 +41,7 @@ from bench_util import (
     suite_ilu,
     suite_matrix,
 )
-from bench_util import timeit_best as _timeit
+from bench_util import timeit_alternating
 
 
 @pytest.fixture(scope="module")
@@ -112,14 +112,13 @@ def test_level_schedule_phase(benchmark, wang3):
 
 
 def test_trisolve_batched_kernel(benchmark, wang3):
-    """The registry-dispatched batched sweep, plan from the symbolic cache."""
-    from repro.core.trisolve import trisolve_factor_levels
-    from repro.kernels import cached_analysis
+    """The apply ``factor_solver`` builds, plans from the symbolic cache."""
+    from repro.kernels.trisolve import factor_solver
 
     F = ilu0_factor(wang3)
-    analysis = cached_analysis(F)  # warm the cache; applies reuse it
+    apply = factor_solver(F)  # built once; the applies reuse it
     b = np.random.default_rng(1).standard_normal(wang3.n_rows)
-    x = benchmark(trisolve_factor_levels, F, b, analysis=analysis)
+    x = benchmark(apply, b)
     assert np.array_equal(x, trisolve_factor(F, b))
 
 
@@ -159,23 +158,23 @@ FACTOR_CHECK_CASE = 24
 
 
 def _trisolve_case(nx, repeats=3):
-    """Time scalar vs batched L/U sweeps on a grid2d(nx) ILU(0)-style factor.
+    """Time the scalar L/U sweeps vs the factor apply on a grid2d(nx) ILU(0)-style factor.
 
     The matrix's own values stand in for a factor (same pattern, full
     diagonal) — the sweeps only care about structure, and skipping the
-    numeric factorization keeps the big case fast to regenerate.
+    numeric factorization keeps the big case fast to regenerate.  The
+    apply is built once up front, as a Krylov loop reuses it.
     """
-    from repro.core.trisolve import trisolve_factor, trisolve_factor_levels
+    from repro.kernels.trisolve import factor_solver, trisolve_factor
     from repro.kernels import cached_analysis
     from repro.matrices.generators import grid2d
 
     F = grid2d(nx)
     b = np.random.default_rng(0).standard_normal(F.n_rows)
     analysis = cached_analysis(F)
-    analysis.plan("lower"), analysis.plan("upper")  # symbolic setup up front
-    t_scalar, x_scalar, scalar_samples = _timeit(trisolve_factor, F, b, repeats=repeats)
-    t_batched, x_batched, batched_samples = _timeit(
-        lambda: trisolve_factor_levels(F, b, analysis=analysis), repeats=repeats
+    apply = factor_solver(F, analysis)
+    (t_scalar, x_scalar, scalar_samples), (t_batched, x_batched, batched_samples) = (
+        timeit_alternating([lambda: trisolve_factor(F, b), lambda: apply(b)], repeats=repeats)
     )
     return {
         "case": f"grid2d-{nx}",
@@ -204,12 +203,11 @@ def _des_case(nx=64, p=8, repeats=3):
     flops, touched = row_factor_costs(Sp)
     mach = SimMachine(haswell(), p)
     thread_of, m = assign_round_robin(lsp.level_ptr, p), int(lsp.level_ptr[-1])
-    t_scalar, res_s, scalar_samples = _timeit(
-        lambda: upper_p2p_sim_scalar(Sp, mach, thread_of, flops, touched, m=m),
-        repeats=repeats,
-    )
-    t_batched, res_b, batched_samples = _timeit(
-        lambda: upper_p2p_sim(Sp, mach, thread_of, flops, touched, m=m),
+    (t_scalar, res_s, scalar_samples), (t_batched, res_b, batched_samples) = timeit_alternating(
+        [
+            lambda: upper_p2p_sim_scalar(Sp, mach, thread_of, flops, touched, m=m),
+            lambda: upper_p2p_sim(Sp, mach, thread_of, flops, touched, m=m),
+        ],
         repeats=repeats,
     )
     return {
@@ -234,7 +232,8 @@ def _factor_case(nx, repeats=3):
     ``batched_s`` times the numeric factor with the slot-wave schedule
     built once beforehand, as a refactor loop reuses it; ``cold_s``
     clears the symbolic cache first, so it also pays the schedule build.
-    ``exact_equal`` compares the factor bytes.
+    The three take turns, one call each per round.  ``exact_equal``
+    compares the factor bytes.
     """
     from repro.core import JavelinILU, JavelinOptions
     from repro.core.iluk import ilu_factor, ilu_factor_sequential
@@ -248,9 +247,14 @@ def _factor_case(nx, repeats=3):
         clear_default_cache()
         return ilu_factor(A, S)
 
-    t_cold, F_cold, cold_samples = _timeit(cold, repeats=repeats)
-    t_scalar, F_scalar, scalar_samples = _timeit(ilu_factor_sequential, A, S, repeats=repeats)
-    t_batched, F_batched, batched_samples = _timeit(ilu_factor, A, S, repeats=repeats)
+    # cold runs first in each round, so the batched call after it finds the schedule cached
+    (
+        (t_cold, F_cold, cold_samples),
+        (t_scalar, F_scalar, scalar_samples),
+        (t_batched, F_batched, batched_samples),
+    ) = timeit_alternating(
+        [cold, lambda: ilu_factor_sequential(A, S), lambda: ilu_factor(A, S)], repeats=repeats
+    )
     return {
         "case": f"grid2d-{nx}-ilu1",
         "kernel": "ilu_factor",
@@ -309,8 +313,8 @@ def run(check):
             "numpy": np.__version__,
             "python": sys.version.split()[0],
             "repeats": 3,
-            "note": "best-of-3 wall-clock; exact_equal asserts the "
-            "bit-identical scalar/batched contract",
+            "note": "best-of-3 wall-clock, the timed calls of a case taking "
+            "turns; exact_equal asserts the bit-identical scalar/batched contract",
         },
         "entries": entries,
     }

@@ -7,7 +7,7 @@ subsystem's contracts:
 * every superstep plan is a valid topological execution (structural
   validation plus a happens-before replay of its barrier schedule);
 * the modes with their own numerics are **bit-identical** to the
-  level-batched reference solve ``trisolve_factor_levels``: the
+  level-batched reference solve, the apply of ``factor_solver``: the
   real-thread superstep executor (lower then upper plan, 4 threads) and
   elastic at ``tol == 0`` (p2p, barrier and syncfree solve through the
   reference itself);
@@ -38,7 +38,7 @@ import sys
 
 import numpy as np
 
-from repro.core.trisolve import trisolve_factor_levels
+from repro.kernels.trisolve import factor_solver
 from repro.kernels import cached_analysis, clear_default_cache
 from repro.machine import SimMachine, gpulike
 from repro.runtime import threaded_trisolve_superstep
@@ -112,14 +112,14 @@ def check_plans(F, *, thread_counts=(2, 4, 8)):
 def check_numerics(F, *, staleness=(1, 4), tol_mode=1e-11):
     """Exact modes bit-identical to the level sweep; staleness mode within tolerance.
 
-    p2p, barrier and syncfree solve through ``trisolve_factor_levels``
+    p2p, barrier and syncfree solve through ``factor_solver``
     itself; the real-thread superstep executor and exact elastic run
     their own numerics and must reproduce it bit for bit.
     """
     failures = []
     rng = np.random.default_rng(7)
     b = rng.standard_normal(F.n_rows)
-    ref = trisolve_factor_levels(F, b)
+    ref = factor_solver(F)(b)
     an = cached_analysis(F)
     y = threaded_trisolve_superstep(F, b, an.superstep_plan("lower", n_threads=4))
     x = threaded_trisolve_superstep(F, y, an.superstep_plan("upper", n_threads=4))

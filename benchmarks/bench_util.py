@@ -94,15 +94,27 @@ def timeit_best(fn, *args, repeats=3):
     noise floor, so record the samples next to the best-of value
     (conventionally under a ``*_samples`` key).
     """
+    return timeit_alternating([lambda: fn(*args)], repeats=repeats)[0]
+
+
+def timeit_alternating(fns, repeats=3):
+    """:func:`timeit_best` of each zero-argument callable in ``fns``, in turns.
+
+    Each round calls every function once, in order, so a burst of load
+    on a shared machine lands on all of them alike and the ratio of two
+    best-of times stays fair.  Returns one ``(best_seconds, output,
+    samples)`` per function.
+    """
     import time
 
-    out = None
-    samples = []
+    outs = [None] * len(fns)
+    samples = [[] for _ in fns]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn(*args)
-        samples.append(time.perf_counter() - t0)
-    return min(samples), out, samples
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            outs[i] = fn()
+            samples[i].append(time.perf_counter() - t0)
+    return [(min(s), out, s) for out, s in zip(outs, samples)]
 
 
 def level_ordered_pattern(nx):

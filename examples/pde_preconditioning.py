@@ -12,7 +12,7 @@ Run:  python examples/pde_preconditioning.py
 import numpy as np
 
 from repro import JavelinILU, JavelinOptions, cg, iluk_tau_factor, ilut_factor
-from repro.core.trisolve import trisolve_factor
+from repro.kernels.trisolve import trisolve_factor
 from repro.matrices.generators import grid3d
 from repro.matrices.suite import preorder_for_javelin
 

@@ -18,7 +18,7 @@ from repro import build_matrix, level_schedule, preorder_for_javelin
 from repro.core.iluk import ilu_factor_sequential
 from repro.core.symbolic import ilu0_pattern
 from repro.runtime import threaded_factor, threaded_trisolve_lower
-from repro.core.trisolve import trisolve_lower_serial
+from repro.kernels.trisolve import trisolve_lower_serial
 
 
 def main():

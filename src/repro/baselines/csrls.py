@@ -13,11 +13,8 @@ from ..machine.core import SimMachine
 from ..kernels.cache import cached_analysis
 from ..sparse.csr import CSRMatrix
 from ..sparse.pattern import symmetrize_pattern
-from ..core.trisolve import (
-    trisolve_lower_serial,
-    trisolve_upper_serial,
-    simulate_trisolve_barrier,
-)
+from ..core.trisolve import simulate_trisolve_barrier
+from ..kernels.trisolve import trisolve_factor
 
 __all__ = ["CSRLevelSetSolver"]
 
@@ -35,7 +32,7 @@ class CSRLevelSetSolver:
 
     def solve(self, b):
         """x = U⁻¹ L⁻¹ b (sequential numeric sweeps)."""
-        return trisolve_upper_serial(self.F, trisolve_lower_serial(self.F, b))
+        return trisolve_factor(self.F, b)
 
     def simulate(self, machine: SimMachine, *, both=True):
         """Modelled solve time with barrier-per-level scheduling."""

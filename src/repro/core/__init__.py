@@ -20,8 +20,9 @@ Layout mirrors §III of the paper:
   lower-stage orders (partition and simulation; the numeric factor is
   the ``ilu_factor`` kernel, with the bits of the :func:`iluk.factor_row`
   loop, whatever the order);
-* :mod:`trisolve` — sparse triangular solves co-designed with the
-  factorization (serial, barrier CSR-LS, p2p LS, LS+Lower);
+* :mod:`trisolve` — the simulated triangular solves co-designed with
+  the factorization (barrier CSR-LS, p2p LS, LS+Lower); the numeric
+  sweeps are :mod:`repro.kernels.trisolve`;
 * :mod:`javelin` — the user-facing :class:`JavelinILU` façade.
 """
 
@@ -39,8 +40,6 @@ from .upper import simulate_upper_p2p, simulate_upper_barrier
 from .lower_er import EvenRows, simulate_lower_er
 from .lower_sr import SegmentedRows, simulate_lower_sr
 from .trisolve import (
-    trisolve_lower_serial,
-    trisolve_upper_serial,
     simulate_trisolve_barrier,
     simulate_trisolve_p2p,
     simulate_trisolve_two_stage,
@@ -79,8 +78,6 @@ __all__ = [
     "simulate_lower_er",
     "SegmentedRows",
     "simulate_lower_sr",
-    "trisolve_lower_serial",
-    "trisolve_upper_serial",
     "simulate_trisolve_barrier",
     "simulate_trisolve_p2p",
     "simulate_trisolve_two_stage",

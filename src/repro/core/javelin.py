@@ -36,14 +36,9 @@ from ..machine.core import SimMachine
 from ..machine.trace import ExecutionTrace
 from ..sparse.csr import CSRMatrix
 from ..sparse.pattern import has_full_diagonal
-from .symbolic import (
-    ilu0_pattern,
-    iluk_pattern,
-    row_factor_costs,
-    row_factor_costs_split,
-)
+from .symbolic import ilu0_pattern, iluk_pattern, row_factor_costs_split
 from ..kernels import cached_analysis
-from ..kernels.trisolve import as_rhs
+from ..kernels.trisolve import factor_solver
 from ..kernels.cache import pattern_fingerprint
 from .schedule import ScheduleOptions, build_schedule
 from .upper import simulate_upper_p2p, simulate_upper_barrier
@@ -54,7 +49,6 @@ from .trisolve import (
     simulate_trisolve_barrier,
     simulate_trisolve_p2p,
     simulate_trisolve_two_stage,
-    trisolve_factor_levels,
 )
 from ..sparse.pattern import symmetrize_pattern
 
@@ -163,7 +157,6 @@ class JavelinILU:
         self.m = self.schedule.n_upper_rows
         self.pattern_key = pattern_fingerprint(A)
         self._set_drop_threshold()
-        self._costs = None
         self._split_costs = None
         self._ready = True
         self._factored = False
@@ -279,27 +272,18 @@ class JavelinILU:
         """A fast reusable preconditioner apply: ``apply(B) -> X``.
 
         ``B`` is a vector ``(n,)`` or a block ``(n, k)`` in the original
-        row order.  The apply permutes it, runs the level-batched sweeps
-        of :func:`~repro.core.trisolve.trisolve_factor_levels` on plans
-        from the pattern-keyed symbolic cache — built once and reused
-        across the thousands of applies a Krylov loop performs (§VI) —
-        and permutes back.  Column ``j`` of a block apply is
-        bit-identical to the apply of ``B[:, j]``, and to :meth:`solve`.
+        row order.  :func:`~repro.kernels.trisolve.factor_solver` lays
+        the factor out for the sweeps once, on plans from the
+        pattern-keyed symbolic cache, and folds the permutation into the
+        sweeps' gathers, so each of the thousands of applies a Krylov
+        loop performs (§VI) is two level sweeps.  Column ``j`` of a
+        block apply is bit-identical to the apply of ``B[:, j]``, and to
+        :meth:`solve`.  The apply keeps this factor's values through a
+        later :meth:`refactor`.
         """
         if not self._factored:
             raise RuntimeError("call factor() before build_solver()")
-        F, perm, analysis = self.F, self.perm, self.analysis
-        # both plans now: a missing diagonal raises here, not mid-solve
-        analysis.plan("lower"), analysis.plan("upper")
-
-        def apply(B):
-            B = as_rhs(B, F.n_rows)  # before the permutation gathers rows
-            Xp = trisolve_factor_levels(F, B[perm], analysis=analysis)
-            X = np.empty_like(Xp)
-            X[perm] = Xp
-            return X
-
-        return apply
+        return factor_solver(self.F, self.analysis, self.perm)
 
     # the serving layer's name for the same apply (a block of requests)
     build_multi_solver = build_solver
@@ -307,11 +291,6 @@ class JavelinILU:
     # ------------------------------------------------------------------
     # simulation
     # ------------------------------------------------------------------
-    def _factor_costs(self):
-        if self._costs is None:
-            self._costs = row_factor_costs(self.S_perm)
-        return self._costs
-
     def _factor_split_costs(self):
         if self._split_costs is None:
             self._split_costs = row_factor_costs_split(self.S_perm, self.m)
@@ -374,7 +353,7 @@ class JavelinILU:
                     "apply only to sync='p2p'"
                 )
             sim_upper, upper_kw = simulate_upper_barrier, {}
-        flops, touched = self._factor_costs()
+        flops, touched = self.analysis.factor_costs()
         use_lower = (
             self.schedule.n_lower_rows > 0 if lower is None else bool(lower)
         ) and self.schedule.n_lower_rows > 0

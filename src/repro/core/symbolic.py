@@ -124,38 +124,12 @@ def row_factor_costs(S: CSRMatrix):
     row c that also lies in row i's pattern.  Streamed data: row i's own
     entries plus each visited pivot row's upper part.
 
-    Returns two float arrays of length n.
+    Returns two float arrays of length n: the sum of the two phases of
+    :func:`row_factor_costs_split` at ``m = 0``.  The counts are
+    integer-valued floats, so the sums are exact.
     """
-    n = S.n_rows
-    flops = np.zeros(n)
-    touched = np.zeros(n)
-    indptr, indices = S.indptr, S.indices
-    # precompute, per row, its strict-upper nnz (reused by every consumer)
-    upper_nnz = np.empty(n, dtype=np.int64)
-    for r in range(n):
-        cols = indices[indptr[r] : indptr[r + 1]]
-        upper_nnz[r] = int(np.count_nonzero(cols > r))
-    for i in range(n):
-        cols = indices[indptr[i] : indptr[i + 1]]
-        own = cols.shape[0]
-        lowers = cols[cols < i]
-        f = 0.0
-        t = float(own)
-        for c in lowers:
-            f += 1.0  # the division a_ic /= a_cc
-            t += 1.0  # load of the pivot diagonal
-            lo, hi = indptr[c], indptr[c + 1]
-            uc = indices[lo:hi]
-            uc = uc[uc > c]
-            t += uc.shape[0]
-            if uc.shape[0]:
-                pos = np.searchsorted(cols, uc)
-                pos[pos == own] = own - 1
-                hits = int(np.count_nonzero(cols[pos] == uc))
-                f += 2.0 * hits  # multiply + subtract per realized update
-        flops[i] = f
-        touched[i] = t
-    return flops, touched
+    (fl, tl), (fc, tc) = row_factor_costs_split(S, 0)
+    return fl + fc, tl + tc
 
 
 def row_factor_costs_split(S: CSRMatrix, m):

@@ -18,14 +18,10 @@ The forward solve (unit-diagonal L) shares the factorization's
 dependency structure; the backward solve (U) runs the mirrored level
 structure computed on the strict-upper pattern.
 
-Numeric solves run on the combined L\\U factor and take a right-hand
-side of shape ``(n,)`` or ``(n, k)``: :func:`trisolve_factor` is the
-scalar reference (one row at a time, the sweeps
-:func:`~repro.kernels.trisolve.trisolve_lower_serial` and
-:func:`~repro.kernels.trisolve.trisolve_upper_serial` re-exported here),
-:func:`trisolve_factor_levels` the level-batched sweep, bit-identical
-to it per column; a caller that applies one factor many times passes
-the same ``analysis`` every time.
+The numeric solves live in :mod:`repro.kernels.trisolve`: the scalar
+reference ``trisolve_factor`` and the reusable apply ``factor_solver``,
+which lays the factor out for the sweeps once.
+
 The simulate_* functions replay the strategy on a
 :class:`~repro.machine.SimMachine` and return the modelled time.  Each
 strategy is a row order plus a row→thread map handed to the DES sweep
@@ -44,52 +40,16 @@ import numpy as np
 from ..machine.core import SimMachine
 from ..sparse.csr import CSRMatrix
 from ..ordering.levelsets import LevelSets
-from ..kernels import backward_level_sets, cached_analysis
-from ..kernels.trisolve import (
-    trisolve_lower,
-    trisolve_lower_serial,
-    trisolve_upper,
-    trisolve_upper_serial,
-)
+from ..kernels import backward_level_sets
 from .symbolic import row_solve_costs
 from .upper import simulate_sweep
 
 __all__ = [
-    "trisolve_lower_serial",
-    "trisolve_upper_serial",
-    "trisolve_factor",
-    "trisolve_factor_levels",
     "simulate_trisolve_barrier",
     "simulate_trisolve_p2p",
     "simulate_trisolve_two_stage",
     "simulate_sweeps",
 ]
-
-
-# ----------------------------------------------------------------------
-# numeric sweeps
-# ----------------------------------------------------------------------
-def trisolve_factor(F: CSRMatrix, b):
-    """Apply the full preconditioner solve ``x = U⁻¹ L⁻¹ b`` (scalar).
-
-    ``b`` is a vector ``(n,)`` or a block ``(n, k)``, solved column by
-    column.
-    """
-    return trisolve_upper_serial(F, trisolve_lower_serial(F, b))
-
-
-def trisolve_factor_levels(F: CSRMatrix, b, *, analysis=None):
-    """Level-batched ``x = U⁻¹ L⁻¹ b`` — bit-identical to :func:`trisolve_factor`.
-
-    ``b`` is a vector ``(n,)`` or a block ``(n, k)``; a block pays the
-    per-level overhead once for all ``k`` columns.  ``analysis`` defaults
-    to ``cached_analysis(F)``, which hashes ``F``'s pattern, so a caller
-    applying one factor repeatedly captures it once and passes it in.
-    """
-    if analysis is None:
-        analysis = cached_analysis(F)
-    y = trisolve_lower(F, b, plan=analysis.plan("lower"))
-    return trisolve_upper(F, y, plan=analysis.plan("upper"))
 
 
 # ----------------------------------------------------------------------

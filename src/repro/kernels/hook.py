@@ -20,9 +20,9 @@ __all__ = ["kernel", "set_kernel_validator"]
 _VALIDATOR = None  # debug hook: fn(name, args, kwargs) before the kernel body
 
 
-def kernel(fn):
-    """Decorate ``fn`` as a production kernel named ``fn.__name__``."""
-    name = fn.__name__
+def kernel(fn, name=None):
+    """Decorate ``fn`` as a production kernel named ``name`` (default ``fn.__name__``)."""
+    name = name or fn.__name__
     span_name = f"kernel.{name}"
 
     @wraps(fn)

@@ -16,16 +16,25 @@ followed by a single ``rhs - s`` (and ``/ diag`` for the upper sweep).
 over the rows of one column at a time.
 
 The production sweeps :func:`trisolve_lower` and :func:`trisolve_upper`
-(:func:`_level_sweep`) reproduce them *bit-for-bit*: rows of a level
-are independent, and the plan stores them in level order with columns
-remapped to level positions, so each level is one call to scipy's
-compiled ``csr_matvec`` (``csr_matvecs`` for a block), which sums every
-row from zero in the same entry order.  A block runs one axpy per entry
-across its ``k`` columns, so column ``j`` of a block solve equals the
-solve of ``B[:, j]``, while the per-level overhead (the dominant cost on
-the many small levels of a triangular schedule) is paid once per level,
-not once per column.  Tests assert exact equality, not closeness; see
-:mod:`repro.sparse.spmv` for the risks of the compiled call.
+reproduce them *bit-for-bit*: rows of a level are independent, and the
+plan stores them in level order with columns remapped to level
+positions, so each level is one call to scipy's compiled ``csr_matvec``
+(``csr_matvecs`` for a block), which sums every row from zero in the
+same entry order (:func:`_level_sweep`).  A block runs one axpy per
+entry across its ``k`` columns, so column ``j`` of a block solve equals
+the solve of ``B[:, j]``, while the per-level overhead (the dominant
+cost on the many small levels of a triangular schedule) is paid once per
+level, not once per column.  Tests assert exact equality, not
+closeness; see :mod:`repro.sparse.spmv` for the risks of the compiled
+call.
+
+The whole solve ``x = U⁻¹ L⁻¹ b`` has the scalar reference
+:func:`trisolve_factor` and one production form, :func:`factor_solver`,
+which builds a factor's apply once: the factor "may only be formed
+once, but stri may be called thousands of times" (§VI), so every value
+gather and index map that depends only on the factor happens at build
+time, and a call is a gather, the lower sweep, a gather, the upper
+sweep and a scatter.
 """
 
 from __future__ import annotations
@@ -36,8 +45,8 @@ from ..sparse.spmv import csr_matvec, csr_matvecs
 from .cache import cached_analysis
 from .hook import kernel
 
-__all__ = ["sweep_row", "trisolve_lower_serial", "trisolve_upper_serial", "trisolve_lower",
-           "trisolve_upper"]
+__all__ = ["sweep_row", "trisolve_lower_serial", "trisolve_upper_serial", "trisolve_factor",
+           "trisolve_lower", "trisolve_upper", "factor_solver"]
 
 
 def as_rhs(B, n_rows):
@@ -98,6 +107,11 @@ def trisolve_upper_serial(F, y):
     return _row_sweep(F, y, upper=True)
 
 
+def trisolve_factor(F, b):
+    """The full solve ``x = U⁻¹ L⁻¹ b``, one row at a time (scalar reference)."""
+    return trisolve_upper_serial(F, trisolve_lower_serial(F, b))
+
+
 # ----------------------------------------------------------------------
 # level-batched sweeps
 # ----------------------------------------------------------------------
@@ -111,26 +125,32 @@ def _resolve_plan(F, part, plan):
     return plan
 
 
-def _level_sweep(F, B, plan):
-    """One compiled ``csr_matvec(s)`` call per level of ``plan``.
+def _part_values(F, plan):
+    """The level-ordered values a sweep of ``plan`` reads: entries, diagonal (upper only)."""
+    diag = F.data[plan.diag_idx[plan.rows]] if plan.part == "upper" else None
+    return F.data[plan.ent_idx], diag
 
-    Divides by the diagonal iff ``plan.part == "upper"``.  ``B`` is
-    permuted into level order once and the entry values gathered once;
-    level ``l`` then reads only earlier levels' rows of the level-ordered
-    solution, so its sums are one call into a zeroed buffer.
+
+def _level_sweep(F, Bp, plan, vals, diag):
+    """Solve the level-ordered ``Bp`` over ``plan``: one compiled ``csr_matvec(s)`` per level.
+
+    ``Bp`` is ``(n,)`` or ``(n, k)`` with row ``p`` holding ``plan.rows[p]``,
+    and so is the returned solution.  ``vals`` and ``diag`` are
+    :func:`_part_values`; the sweep divides by ``diag`` unless it is None.
+    Level ``l`` reads only earlier levels' rows of the solution, so its
+    sums are one call into a zeroed buffer.  A block runs on its flat
+    row-major storage, where a level is one contiguous slice (cheaper
+    per level than 2-D slices and a broadcast divide).  ``F`` is not
+    read here: it rides along so the kernel hook can validate the plan
+    against it.
     """
-    B = as_rhs(B, F.n_rows)
-    k = 1 if B.ndim == 1 else B.shape[1]
-    Bp = B[plan.rows].ravel()
-    Xp = np.empty(Bp.shape)
-    s = np.zeros(Bp.shape)
-    vals = F.data[plan.ent_idx]
+    k = 1 if Bp.ndim == 1 else Bp.shape[1]
+    b = Bp.ravel()
+    Xp = np.empty(b.shape)
+    s = np.zeros(b.shape)
     ptr, cols, n = plan.ent_ptr, plan.ent_col, plan.n
-    diag = None
-    if plan.part == "upper":
-        diag = F.data[plan.diag_idx[plan.rows]]
-        if k > 1:
-            diag = np.repeat(diag, k)
+    if diag is not None and k > 1:
+        diag = np.repeat(diag, k)
     bounds = plan.level_ptr.tolist()
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         lo, hi = r0 * k, r1 * k
@@ -138,21 +158,75 @@ def _level_sweep(F, B, plan):
             csr_matvec(r1 - r0, n, ptr[r0 : r1 + 1], cols, vals, Xp, s[lo:hi])
         else:
             csr_matvecs(r1 - r0, n, k, ptr[r0 : r1 + 1], cols, vals, Xp, s[lo:hi])
-        x = np.subtract(Bp[lo:hi], s[lo:hi], out=Xp[lo:hi])
+        x = np.subtract(b[lo:hi], s[lo:hi], out=Xp[lo:hi])
         if diag is not None:
             np.divide(x, diag[lo:hi], out=x)
+    return Xp.reshape(Bp.shape)
+
+
+def _part_solve(F, B, plan):
+    B = as_rhs(B, F.n_rows)
     X = np.empty(B.shape)
-    X[plan.rows] = Xp.reshape(B.shape)
+    X[plan.rows] = _level_sweep(F, B[plan.rows], plan, *_part_values(F, plan))
     return X
 
 
 @kernel
 def trisolve_lower(F, b, plan=None):
     """Forward solve, one compiled row-sum call per level."""
-    return _level_sweep(F, b, _resolve_plan(F, "lower", plan))
+    return _part_solve(F, b, _resolve_plan(F, "lower", plan))
 
 
 @kernel
 def trisolve_upper(F, y, plan=None):
     """Backward solve, one compiled row-sum call per level, then the diagonal divide."""
-    return _level_sweep(F, y, _resolve_plan(F, "upper", plan))
+    return _part_solve(F, y, _resolve_plan(F, "upper", plan))
+
+
+# the two sweeps of a factor apply, traced and validated as the part kernels
+_lower_sweep = kernel(_level_sweep, name="trisolve_lower")
+_upper_sweep = kernel(_level_sweep, name="trisolve_upper")
+
+
+def factor_solver(F, analysis=None, perm=None):
+    """The preconditioner apply ``X = U⁻¹ L⁻¹ B`` of the combined factor ``F``.
+
+    Everything that depends only on the factor is done here, once: both
+    plans (so a missing diagonal raises now, not mid-solve), the
+    level-ordered entry values and upper diagonal, and the index maps
+    from the caller's row order into the lower sweep's level order, from
+    there into the upper sweep's, and back out.  ``analysis`` defaults
+    to ``cached_analysis(F)``, which hashes ``F``'s pattern.  ``perm``
+    is the gather permutation of a factor of ``P A Pᵀ`` (row ``i`` of
+    ``F`` is row ``perm[i]`` of the caller's order); None means ``F`` is
+    in the caller's order.
+
+    ``apply(B)`` takes a vector ``(n,)`` or a block ``(n, k)``: one shape
+    check, one gather, the lower sweep, one gather, the upper sweep and
+    one scatter.  It equals :func:`trisolve_factor` of ``B[perm]``,
+    scattered back through ``perm``, bit for bit and column by column.
+    The apply holds copies of the values, so a later refactor leaves it
+    unchanged.
+    """
+    if analysis is None:
+        analysis = cached_analysis(F)
+    lower, upper = analysis.plan("lower"), analysis.plan("upper")
+    lower_vals, _ = _part_values(F, lower)
+    upper_vals, diag = _part_values(F, upper)
+    n = F.n_rows
+    pos_lower = np.empty(n, dtype=np.int64)
+    pos_lower[lower.rows] = np.arange(n)
+    mid = pos_lower[upper.rows]
+    rows_in, rows_out = lower.rows, upper.rows
+    if perm is not None:
+        rows_in, rows_out = perm[rows_in], perm[rows_out]
+
+    def apply(B):
+        B = as_rhs(B, n)
+        Y = _lower_sweep(F, B[rows_in], lower, lower_vals, None)
+        Xp = _upper_sweep(F, Y[mid], upper, upper_vals, diag)
+        X = np.empty(B.shape)
+        X[rows_out] = Xp
+        return X
+
+    return apply

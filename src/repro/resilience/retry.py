@@ -35,7 +35,6 @@ more robust variant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -43,9 +42,9 @@ from ..baselines.block_jacobi import BlockJacobi
 from ..core.breakdown import FactorizationBreakdown
 from ..core.ilut import ilut_factor
 from ..core.javelin import JavelinILU, JavelinOptions
-from ..core.trisolve import trisolve_factor_levels
-from ..kernels.cache import cached_analysis, default_cache, pattern_fingerprint
+from ..kernels.cache import default_cache, pattern_fingerprint
 from ..kernels.plans import diag_positions
+from ..kernels.trisolve import factor_solver
 from ..obs import spans as _spans
 from ..sparse.pattern import has_full_diagonal
 
@@ -442,10 +441,7 @@ class ResilientFactor:
         F = ilut_factor(
             B, tau=self.policy.milu_tau, modified=True, pivot_tol=self.policy.pivot_floor
         )
-        analysis = cached_analysis(F)
-        # both plans now: a missing diagonal raises here, not mid-solve
-        analysis.plan("lower"), analysis.plan("upper")
-        return partial(trisolve_factor_levels, F, analysis=analysis), F.data, None
+        return factor_solver(F), F.data, None
 
     def _try_block_jacobi(self):
         try:
@@ -527,20 +523,19 @@ class ResilientFactor:
     def build_multi_solver(self):
         """A multi-RHS apply ``apply(B) -> Z`` on a 2-D block ``(n, k)``.
 
-        When the chain's winner is an ILU variant, this is the apply
-        the chain already built and validated
-        (:meth:`~repro.core.javelin.JavelinILU.build_solver`), whose
+        When the chain's winner is an ILU variant (MILU included), this
+        is the apply the chain already built and validated
+        (:func:`~repro.kernels.trisolve.factor_solver`), whose
         level-batched sweeps take a block — bit-identical per column to
         :meth:`solve` while amortizing the per-level dispatch across the
-        batch.  Fallback variants (MILU/block-Jacobi/Jacobi) apply
-        column-by-column, which is trivially identical.  Rebuild after a
-        :meth:`resetup` — the returned callable is pinned to the current
-        variant.
+        batch.  Block-Jacobi and Jacobi apply column by column.  Rebuild
+        after a :meth:`resetup` — the returned callable is pinned to the
+        current variant.
         """
         if not self._ready:
             raise RuntimeError("call setup(A) first")
         apply = self._apply
-        if self.ilu is not None:
+        if self.report.final_variant not in ("block_jacobi", "jacobi"):
             return apply
 
         def apply_multi(B):

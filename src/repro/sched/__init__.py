@@ -18,7 +18,7 @@ Every knob lives in one frozen :class:`SchedOptions`.  Two functions
 take a name from :data:`SCHEDULER_NAMES`: :func:`simulate_schedule`
 (modelled time) and :func:`effective_sync_passes` (sync points per
 apply).  The numeric solve of every exact mode is
-:func:`~repro.core.trisolve.trisolve_factor_levels`; elastic's is
+the apply of :func:`~repro.kernels.trisolve.factor_solver`; elastic's is
 :func:`elastic_solve`.
 """
 

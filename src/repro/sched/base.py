@@ -19,7 +19,7 @@ synchronization points one preconditioner apply pays
 (:func:`effective_sync_passes`, the serving layer's cost-model input).
 The numerics have two paths only.  Every exact mode reorders or
 re-synchronizes the level sweep's rows, so in one process its solve is
-:func:`~repro.core.trisolve.trisolve_factor_levels`, bit for bit;
+the apply :func:`~repro.kernels.trisolve.factor_solver` builds, bit for bit;
 elastic runs :func:`~repro.sched.elastic.elastic_solve`, bit-identical
 to it at ``elastic_tol == 0``.
 """

@@ -240,8 +240,8 @@ def elastic_solve(F, b, *, opts=None, analysis=None):
 
     The lower then the upper sweep of :func:`elastic_solve_part`, on the
     schedules ``analysis`` (default: ``F``'s cached analysis) keeps for
-    ``opts.staleness``.  Bit-identical to
-    :func:`~repro.core.trisolve.trisolve_factor_levels` at
+    ``opts.staleness``.  Bit-identical to the apply of
+    :func:`~repro.kernels.trisolve.factor_solver` at
     ``opts.elastic_tol == 0`` (the default).
     """
     opts = SchedOptions() if opts is None else opts

@@ -24,7 +24,7 @@ Fusion is greedy and bounded by two knobs (:class:`SchedOptions`):
 
 The plan changes *when* rows run and where the barriers fall, never
 what a row computes: a superstep solve is the shared level sweep
-(:func:`~repro.core.trisolve.trisolve_factor_levels`), and the plan
+(:func:`~repro.kernels.trisolve.factor_solver`), and the plan
 drives the DES, the real-thread executor
 (:func:`~repro.runtime.threaded_trisolve_superstep`), the
 verify deadlock replay, the sync-point pricing and the tuner.

@@ -18,10 +18,10 @@ Resilience contract (see ``docs/resilience.md``): every Krylov solver
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
+from ..kernels.trisolve import factor_solver
 from ..obs import spans as _spans
 
 __all__ = [
@@ -200,8 +200,8 @@ def as_preconditioner(M, *, guard=True):
       :class:`~repro.resilience.ResilientFactor`) — its fast reusable
       apply;
     * a combined L\\U factor in CSR form — applied by
-      :func:`~repro.core.trisolve.trisolve_factor_levels`, with its
-      level plans built now from the pattern-keyed symbolic cache.
+      :func:`~repro.kernels.trisolve.factor_solver`, which builds its
+      sweep state now, on plans from the pattern-keyed symbolic cache.
       The factor must be in the *same row/column order as A* (e.g. from
       :func:`~repro.core.iluk.ilu0_factor`); for a permuted
       ``JavelinILU`` factor pass the ``JavelinILU`` object itself,
@@ -219,13 +219,7 @@ def as_preconditioner(M, *, guard=True):
     elif hasattr(M, "build_solver"):
         apply = M.build_solver()
     elif hasattr(M, "indptr") and hasattr(M, "indices") and hasattr(M, "data"):
-        from ..core.trisolve import trisolve_factor_levels
-        from ..kernels import cached_analysis
-
-        analysis = cached_analysis(M)
-        # both plans now: a missing diagonal raises here, not mid-solve
-        analysis.plan("lower"), analysis.plan("upper")
-        apply = partial(trisolve_factor_levels, M, analysis=analysis)
+        apply = factor_solver(M)
     else:
         raise TypeError(
             f"cannot interpret {type(M).__name__} as a preconditioner; pass a "

@@ -4,12 +4,13 @@ This subpackage provides the lightweight sparse storage formats the paper
 builds on: COO for assembly, CSR as the working format of the
 factorization (the paper stresses that Javelin works in *conventional*
 CSR with minimal auxiliary structure), CSC for column access, pattern
-algebra (``lower(A)``, ``lower(A + A^T)``), segmented-scan primitives and
+algebra (``lower(A)``, ``lower(A + A^T)``), segment-pointer helpers and
 a CSR5-style tiled format used by the Segmented-Rows lower stage, sparse
 matrix-vector products, and MatrixMarket I/O.
 
-Everything is implemented from scratch on top of NumPy arrays; SciPy is
-used only in tests as an independent oracle.
+Everything is implemented on top of NumPy arrays; the one SciPy import
+is the compiled CSR row-sum loop in :mod:`.spmv`, and tests use SciPy as
+an independent oracle.
 """
 
 from .coo import COOMatrix
@@ -27,7 +28,7 @@ from .pattern import (
     has_full_diagonal,
     split_lu,
 )
-from .segscan import segmented_scan_sum, segment_ids_from_ptr, segmented_reduce
+from .segscan import segment_ids_from_ptr
 from .csr5 import CSR5Matrix, Tile
 from .spmv import spmv_csr, spmv_csr5, spmv_rows
 from .io import read_matrix_market, write_matrix_market
@@ -52,9 +53,7 @@ __all__ = [
     "is_pattern_symmetric",
     "has_full_diagonal",
     "split_lu",
-    "segmented_scan_sum",
     "segment_ids_from_ptr",
-    "segmented_reduce",
     "CSR5Matrix",
     "Tile",
     "spmv_csr",

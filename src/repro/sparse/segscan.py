@@ -1,11 +1,11 @@
-"""Segmented-scan primitives.
+"""Segment-pointer primitives.
 
-CSR5 (Liu & Vinter) and in turn Javelin's Segmented-Rows lower stage are
-built on the segmented scan of Blelloch et al.: reduce contiguous runs of
-products where segment boundaries are given by the CSR row pointer.  On
-vector machines this maps to register-lane shuffles; here the same
-algorithm is expressed with vectorized NumPy so that the tiled kernels
-operate on whole tiles at once instead of Python-level per-element loops.
+A CSR row pointer splits a flat array into contiguous segments, one per
+row.  CSR5 (Liu & Vinter), Javelin's Segmented-Rows lower stage and the
+level-ordered sweep plans all work segment by segment; these helpers
+convert between pointers and per-element segment ids, gather segment
+subsets, and sort within segments, each as whole-array NumPy with no
+per-element Python loop.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ __all__ = [
     "segment_positions",
     "ptr_from_segment_ids",
     "sort_segments",
-    "segmented_scan_sum",
-    "segmented_reduce",
 ]
 
 
@@ -83,44 +81,3 @@ def ptr_from_segment_ids(ids, n_segments):
     ptr = np.zeros(n_segments + 1, dtype=np.int64)
     np.cumsum(np.bincount(np.asarray(ids, dtype=np.int64), minlength=n_segments), out=ptr[1:])
     return ptr
-
-
-def segmented_scan_sum(values, seg_ids):
-    """Inclusive segmented prefix-sum.
-
-    Within each segment the output is the running sum; sums reset at
-    segment boundaries.  Implemented with a global cumulative sum minus
-    the per-segment offset — two vector passes, no Python loop, which is
-    the same trick the vectorized hardware implementation plays with
-    carry lanes.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    seg_ids = np.asarray(seg_ids, dtype=np.int64)
-    if values.shape != seg_ids.shape:
-        raise ValueError("values and seg_ids must have the same shape")
-    if values.size == 0:
-        return values.copy()
-    csum = np.cumsum(values)
-    # offset[i] = total of all elements in strictly earlier segments
-    first = np.empty(values.shape[0], dtype=bool)
-    first[0] = True
-    first[1:] = seg_ids[1:] != seg_ids[:-1]
-    starts = np.nonzero(first)[0]
-    seg_offsets = np.where(starts > 0, csum[starts - 1], 0.0)
-    offset_per_elem = seg_offsets[np.cumsum(first) - 1]
-    return csum - offset_per_elem
-
-
-def segmented_reduce(values, seg_ids, n_segments=None):
-    """Sum-reduce each segment to a scalar.
-
-    This is the final "carry out" step of a CSR5 tile: the tail partial
-    sums of each row within the tile.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    seg_ids = np.asarray(seg_ids, dtype=np.int64)
-    if n_segments is None:
-        n_segments = int(seg_ids.max()) + 1 if seg_ids.size else 0
-    out = np.zeros(n_segments)
-    np.add.at(out, seg_ids, values)
-    return out

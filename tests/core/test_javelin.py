@@ -3,7 +3,7 @@ import pytest
 
 from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
 from repro.core.iluk import ilu0_factor, ilu_factor_sequential
-from repro.core.trisolve import trisolve_factor
+from repro.kernels.trisolve import trisolve_factor
 from repro.machine import SimMachine, haswell, uniform_machine
 from repro.resilience import FaultPlan, FaultRunReport
 from repro.sparse import from_dense

@@ -1,18 +1,19 @@
-"""The level-batched solve (``trisolve_factor_levels``) and FGMRES."""
+"""The level-batched solve (``factor_solver``) and FGMRES."""
 
 import numpy as np
 import pytest
 
 from repro.core import JavelinILU
 from repro.core.iluk import ilu0_factor
-from repro.core.trisolve import (
+from repro.kernels import cached_analysis
+from repro.kernels.trisolve import (
+    factor_solver,
     trisolve_factor,
-    trisolve_factor_levels,
+    trisolve_lower,
     trisolve_lower_serial,
+    trisolve_upper,
     trisolve_upper_serial,
 )
-from repro.kernels import cached_analysis
-from repro.kernels.trisolve import trisolve_lower, trisolve_upper
 from repro.solvers import as_preconditioner
 from repro.sparse import from_dense
 
@@ -31,7 +32,7 @@ class TestLevelizedSolver:
     def test_solve_equals_full_apply(self, rng):
         F = ilu0_factor(random_csr(30, 0.15, seed=3))
         b = rng.standard_normal(30)
-        assert np.array_equal(trisolve_factor_levels(F, b), trisolve_factor(F, b))
+        assert np.array_equal(factor_solver(F)(b), trisolve_factor(F, b))
 
     def test_reusable_across_rhs(self, rng):
         F = ilu0_factor(random_csr(25, 0.2, seed=4))
@@ -40,7 +41,7 @@ class TestLevelizedSolver:
         for _ in range(3):
             b = rng.standard_normal(25)
             ref = trisolve_factor(F, b)
-            assert np.array_equal(trisolve_factor_levels(F, b, analysis=analysis), ref)
+            assert np.array_equal(factor_solver(F, analysis)(b), ref)
             assert np.array_equal(apply(b), ref)
 
     def test_missing_diagonal_rejected(self):
@@ -56,7 +57,7 @@ class TestLevelizedSolver:
         analysis = cached_analysis(F)
         assert analysis.plan("lower").n_levels == 1
         assert analysis.plan("upper").n_levels == 1
-        assert np.allclose(trisolve_factor_levels(F, np.array([2.0, 8.0])), [1.0, 2.0])
+        assert np.allclose(factor_solver(F)(np.array([2.0, 8.0])), [1.0, 2.0])
 
     def test_facade_build_solver(self, rng):
         A = random_csr(35, 0.12, seed=5)
@@ -87,7 +88,7 @@ class TestLevelizedSolver:
         t_ser = time.perf_counter() - t0
         t0 = time.perf_counter()
         for _ in range(3):
-            trisolve_factor_levels(F, b, analysis=analysis)
+            factor_solver(F, analysis)(b)
         t_lvl = time.perf_counter() - t0
         assert t_lvl < t_ser  # typically ~50x, assert conservatively
 

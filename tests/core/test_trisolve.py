@@ -6,10 +6,8 @@ from repro.core.trisolve import (
     simulate_trisolve_barrier,
     simulate_trisolve_p2p,
     simulate_trisolve_two_stage,
-    trisolve_factor,
-    trisolve_lower_serial,
-    trisolve_upper_serial,
 )
+from repro.kernels.trisolve import trisolve_factor, trisolve_lower_serial, trisolve_upper_serial
 from repro.machine import SimMachine, uniform_machine
 from repro.kernels import backward_level_sets, forward_level_sets
 from repro.ordering.levelsets import LevelSets

@@ -2,8 +2,9 @@
 
 Each record is a blake2b digest of the output bytes of every public
 entry point that applies a combined L\\U factor to a right-hand side:
-the scalar ``trisolve_factor`` and level-batched
-``trisolve_factor_levels``, ``JavelinILU.build_solver()`` (1-D) and
+the scalar ``trisolve_factor`` and the apply of ``factor_solver(F)``
+(recorded under its old name ``trisolve_factor_levels``, because the
+keys enter the digest), ``JavelinILU.build_solver()`` (1-D) and
 ``build_multi_solver()`` (``k`` ∈ {1, 3}),
 ``ResilientFactor.build_multi_solver()``, the real-thread
 ``threaded_trisolve_lower`` (two threads) and
@@ -26,7 +27,7 @@ import pytest
 
 from repro.baselines import CSRLevelSetSolver
 from repro.core import JavelinILU
-from repro.core.trisolve import trisolve_factor, trisolve_factor_levels
+from repro.kernels.trisolve import factor_solver, trisolve_factor
 from repro.kernels import cached_analysis
 from repro.matrices import SUITE, build_matrix, preorder_for_javelin
 from repro.resilience import ResilientFactor
@@ -68,7 +69,7 @@ def apply_record(A):
     an = cached_analysis(F)
     out = {
         "trisolve_factor": trisolve_factor(F, b),
-        "trisolve_factor_levels": trisolve_factor_levels(F, b),
+        "trisolve_factor_levels": factor_solver(F)(b),
         "build_solver": ilu.build_solver()(b),
         "build_multi_solver.1": ilu.build_multi_solver()(B[:, :1]),
         "build_multi_solver.3": ilu.build_multi_solver()(B),
@@ -81,7 +82,7 @@ def apply_record(A):
         plan = an.superstep_plan(part, n_threads=2)
         out[f"superstep.{part}"] = threaded_trisolve_superstep(F, b, plan)
     for name in SCHEDULER_NAMES:
-        solve = elastic_solve if name == "elastic" else trisolve_factor_levels
+        solve = elastic_solve if name == "elastic" else lambda F, b: factor_solver(F)(b)
         out[f"sched.{name}"] = solve(F, b)
     out["sched.elastic.1e-10"] = elastic_solve(
         F, b, opts=SchedOptions(elastic_tol=1e-10)

@@ -86,7 +86,7 @@ class TestFactorizations:
         A = grid2d(16, shift=0.05)
         b = rng.standard_normal(A.n_rows)
         F = ilut_factor(A, tau=1e-2)
-        from repro.core.trisolve import trisolve_factor
+        from repro.kernels.trisolve import trisolve_factor
 
         ours = gmres(A, b, M=lambda v: trisolve_factor(F, v), tol=1e-8)
         ilu = spla.spilu(sp.csc_matrix(to_scipy(A)), drop_tol=1e-2, fill_factor=4)
@@ -107,7 +107,7 @@ class TestFactorizations:
         D = random_sparse_dense(20, 0.25, seed=6)
         A = from_dense(D)
         F = iluk_factor(A, 20)
-        from repro.core.trisolve import trisolve_factor
+        from repro.kernels.trisolve import trisolve_factor
 
         b = rng.standard_normal(20)
         assert np.allclose(trisolve_factor(F, b), np.linalg.solve(D, b), atol=1e-8)

@@ -1,14 +1,17 @@
 """Block right-hand sides: per-column bit-identity with the vector sweep."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.baselines import BlockJacobi
 from repro.core import JavelinILU
 from repro.core.iluk import ilu0_factor
-from repro.core.trisolve import trisolve_factor, trisolve_factor_levels
 from repro.kernels import cached_analysis
 from repro.kernels.trisolve import (
+    factor_solver,
+    trisolve_factor,
     trisolve_lower,
     trisolve_lower_serial,
     trisolve_upper,
@@ -51,7 +54,7 @@ class TestKernelBitIdentity:
     def test_each_column_identical_to_one_rhs_solve(self, k):
         F = _factor(seed=3)
         B = _block(F.n_rows, k, seed=4)
-        X = trisolve_factor_levels(F, B)
+        X = factor_solver(F)(B)
         for j in range(k):
             xj = trisolve_factor(F, B[:, j])
             assert np.array_equal(X[:, j], xj)
@@ -61,8 +64,8 @@ class TestKernelBitIdentity:
         F = _factor(seed=5)
         B = _block(F.n_rows, 4, seed=6)
         perm = [2, 0, 3, 1]
-        X = trisolve_factor_levels(F, B)
-        Xp = trisolve_factor_levels(F, B[:, perm])
+        X = factor_solver(F)(B)
+        Xp = factor_solver(F)(B[:, perm])
         assert np.array_equal(X[:, perm], Xp)
 
     def test_zero_width_block(self):
@@ -70,7 +73,7 @@ class TestKernelBitIdentity:
         for sweep in SWEEPS.values():
             X = sweep(F, np.empty((F.n_rows, 0)))
             assert X.shape == (F.n_rows, 0)
-        assert trisolve_factor_levels(F, np.empty((F.n_rows, 0))).shape == (F.n_rows, 0)
+        assert factor_solver(F)(np.empty((F.n_rows, 0))).shape == (F.n_rows, 0)
 
     @pytest.mark.parametrize("backend", ["scalar", "batched"])
     @pytest.mark.parametrize("name", ["trisolve_lower", "trisolve_upper"])
@@ -87,8 +90,8 @@ class TestKernelBitIdentity:
         F = _factor(seed=7)
         a = cached_analysis(F)
         B = _block(F.n_rows, 3, seed=8)
-        X1 = trisolve_factor_levels(F, B, analysis=a)
-        X2 = trisolve_factor_levels(F, B)
+        X1 = factor_solver(F, a)(B)
+        X2 = factor_solver(F)(B)
         assert np.array_equal(X1, X2)
 
 
@@ -115,6 +118,23 @@ class TestSolverIntegration:
         Z = apply_multi(B)
         for j in range(5):
             assert np.array_equal(Z[:, j], apply_one(B[:, j]))
+
+    @pytest.mark.parametrize(
+        "demotions, variant",
+        [(0, "primary"), (1, "milu"), (2, "block_jacobi"), (3, "jacobi")],
+    )
+    def test_resilient_multi_solver_per_variant(self, demotions, variant):
+        """ILU and MILU hand back their block apply; the fallbacks loop over columns."""
+        rf = ResilientFactor().setup(grid2d(10))
+        for _ in range(demotions):
+            rf.resetup()
+        assert rf.report.final_variant == variant
+        apply_multi = rf.build_multi_solver()
+        assert (apply_multi is rf.build_solver()) == (variant in ("primary", "milu"))
+        B = _block(100, 3, seed=11)
+        Z = apply_multi(B)
+        for j in range(3):
+            assert np.array_equal(Z[:, j], rf.solve(B[:, j]))
 
 
 class TestRightHandSideShape:
@@ -146,10 +166,10 @@ class TestRightHandSideShape:
                 SWEEPS[name, backend](ilu.F, b)
 
     def test_factor_solves_reject(self, ilu):
-        for fn in (trisolve_factor, trisolve_factor_levels):
+        for fn in (partial(trisolve_factor, ilu.F), factor_solver(ilu.F)):
             for b in self._bad(self.N):
                 with pytest.raises(ValueError, match=f"{self.N} rows"):
-                    fn(ilu.F, b)
+                    fn(b)
 
     def test_preconditioner_applies_reject(self, ilu):
         rf = ResilientFactor().setup(grid2d(8))

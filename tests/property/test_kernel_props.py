@@ -107,11 +107,11 @@ def test_des_batched_bit_identical(D, p, policy):
 @given(dominant_dense(max_n=14), st.integers(0, 2**31 - 1))
 def test_levelized_solver_matches_scalar_composition(D, seed):
     """The cached-plan solver path equals scalar lower-then-upper exactly."""
-    from repro.core.trisolve import trisolve_factor, trisolve_factor_levels
+    from repro.kernels.trisolve import factor_solver, trisolve_factor
 
     F = ilu0_factor(from_dense(D))
     b = np.random.default_rng(seed).standard_normal(F.n_rows)
     analysis = cached_analysis(F)
-    assert np.array_equal(trisolve_factor_levels(F, b, analysis=analysis), trisolve_factor(F, b))
+    assert np.array_equal(factor_solver(F, analysis)(b), trisolve_factor(F, b))
     # and the cache hands back the same analysis for the same pattern
     assert cached_analysis(F) is analysis

@@ -13,9 +13,8 @@ Three contracts, fuzzed over random factor patterns:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.trisolve import trisolve_factor_levels
 from repro.kernels.cache import SymbolicAnalysis
-from repro.kernels.trisolve import trisolve_lower
+from repro.kernels.trisolve import factor_solver, trisolve_lower
 from repro.runtime import threaded_trisolve_superstep
 from repro.sched import (
     SchedOptions,
@@ -67,7 +66,7 @@ def test_superstep_plans_are_valid_topological_executions(F, p, part, cap):
 @given(factor_matrix(), st.integers(1, 5), st.integers(0, 1000))
 def test_superstep_solves_bit_identical(F, p, bseed):
     b = np.random.default_rng(bseed).standard_normal(F.n_rows)
-    ref = trisolve_factor_levels(F, b)
+    ref = factor_solver(F)(b)
     an = SymbolicAnalysis(F)
     pl = an.superstep_plan("lower", n_threads=p)
     pu = an.superstep_plan("upper", n_threads=p)

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.iluk import ilu0_factor
-from repro.core.trisolve import trisolve_factor, trisolve_factor_levels
+from repro.kernels.trisolve import factor_solver, trisolve_factor
 from repro.matrices import grid2d
 from repro.resilience import ResilientFactor
 from repro.serve import AdmissionQueue, SolveRequest
@@ -41,7 +41,7 @@ def dominant_dense(draw, max_n=16):
 def test_multi_rhs_trisolve_column_separable(D, k, seed):
     F = ilu0_factor(from_dense(D))
     B = np.random.default_rng(seed).standard_normal((F.n_rows, k))
-    X = trisolve_factor_levels(F, B)
+    X = factor_solver(F)(B)
     for j in range(k):
         assert np.array_equal(X[:, j], trisolve_factor(F, B[:, j]))
 

@@ -14,11 +14,6 @@ from repro.sparse import (
     strict_upper_pattern,
     symmetrize_pattern,
 )
-from repro.sparse.segscan import (
-    segment_ids_from_ptr,
-    segmented_reduce,
-    segmented_scan_sum,
-)
 
 
 @st.composite
@@ -89,20 +84,3 @@ def test_csr5_spmv_equals_csr(D, tile_size, xseed):
     A5 = CSR5Matrix(A, tile_size=tile_size)
     A5.validate()
     assert np.allclose(spmv_csr5(A5, x), spmv_csr(A, x), atol=1e-10)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=20), st.integers(0, 10_000))
-def test_segscan_last_element_equals_reduce(seg_lens, vseed):
-    ptr = np.concatenate([[0], np.cumsum(seg_lens)])
-    total = int(ptr[-1])
-    vals = np.random.default_rng(vseed).standard_normal(total)
-    ids = segment_ids_from_ptr(ptr)
-    scan = segmented_scan_sum(vals, ids)
-    red = segmented_reduce(vals, ids, n_segments=len(seg_lens))
-    for s, ln in enumerate(seg_lens):
-        if ln:
-            last = int(ptr[s] + ln - 1)
-            assert np.isclose(scan[last], red[s], atol=1e-9)
-        else:
-            assert red[s] == 0.0

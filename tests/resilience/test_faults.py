@@ -6,7 +6,7 @@ import pytest
 from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
 from repro.core.iluk import ilu_factor_sequential
 from repro.core.symbolic import ilu0_pattern, row_factor_costs
-from repro.core.trisolve import trisolve_lower_serial
+from repro.kernels.trisolve import trisolve_lower_serial
 from repro.core.upper import assign_round_robin, simulate_upper_p2p
 from repro.kernels.des import upper_p2p_sim, upper_p2p_sim_scalar
 from repro.machine import SimMachine, TaskGraph, simulate_task_graph, uniform_machine

@@ -3,7 +3,7 @@ import pytest
 
 from repro.core.iluk import ilu_factor_sequential
 from repro.core.symbolic import ilu0_pattern
-from repro.core.trisolve import trisolve_lower_serial
+from repro.kernels.trisolve import trisolve_lower_serial
 from repro.ordering.levelsets import level_schedule
 from repro.runtime import ProgressBoard, threaded_factor, threaded_trisolve_lower
 

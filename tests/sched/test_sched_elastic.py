@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import random_csr
-from repro.core.trisolve import trisolve_factor_levels
 from repro.kernels import cached_analysis, clear_default_cache
-from repro.kernels.trisolve import trisolve_lower
+from repro.kernels.trisolve import factor_solver, trisolve_lower
 from repro.sched import (
     SchedOptions,
     build_elastic_schedule,
@@ -32,7 +31,7 @@ def F():
 def test_exact_mode_bit_identical_for_every_staleness(F, staleness):
     rng = np.random.default_rng(1)
     b = rng.standard_normal(F.n_rows)
-    ref = trisolve_factor_levels(F, b)
+    ref = factor_solver(F)(b)
     x = elastic_solve(F, b, opts=SchedOptions(staleness=staleness))
     assert np.array_equal(x, ref)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_csr
-from repro.core.trisolve import trisolve_factor_levels
+from repro.kernels.trisolve import factor_solver
 from repro.kernels import cached_analysis, clear_default_cache
 from repro.machine import SimMachine, gpulike, uniform_machine
 from repro.runtime import threaded_trisolve_superstep
@@ -47,12 +47,12 @@ def test_unknown_scheduler_raises(F):
 def test_all_exact_modes_bit_identical(F):
     """The superstep executor and exact elastic match the level sweep.
 
-    p2p, barrier and syncfree solve through ``trisolve_factor_levels``
+    p2p, barrier and syncfree solve through ``factor_solver``
     itself; superstep and elastic run their own numerics.
     """
     rng = np.random.default_rng(0)
     b = rng.standard_normal(F.n_rows)
-    ref = trisolve_factor_levels(F, b)
+    ref = factor_solver(F)(b)
     an = cached_analysis(F)
     y = threaded_trisolve_superstep(F, b, an.superstep_plan("lower", n_threads=4))
     x = threaded_trisolve_superstep(F, y, an.superstep_plan("upper", n_threads=4))

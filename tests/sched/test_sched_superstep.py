@@ -69,11 +69,11 @@ def test_chain_fuses_to_one_step():
 
 
 def test_threaded_executor_bit_identical(F):
-    from repro.core.trisolve import trisolve_factor_levels
+    from repro.kernels.trisolve import factor_solver
 
     rng = np.random.default_rng(4)
     b = rng.standard_normal(F.n_rows)
-    ref = trisolve_factor_levels(F, b)
+    ref = factor_solver(F)(b)
     an = cached_analysis(F)
     y = threaded_trisolve_superstep(F, b, an.superstep_plan("lower", n_threads=3))
     x = threaded_trisolve_superstep(F, y, an.superstep_plan("upper", n_threads=3))

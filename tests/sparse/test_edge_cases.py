@@ -23,7 +23,7 @@ class TestOneByOne:
 
     def test_factor_and_solve(self):
         from repro.core.iluk import ilu0_factor
-        from repro.core.trisolve import trisolve_factor
+        from repro.kernels.trisolve import trisolve_factor
 
         A = from_dense(np.array([[4.0]]))
         F = ilu0_factor(A)

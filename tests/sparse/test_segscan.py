@@ -1,7 +1,4 @@
-import numpy as np
-import pytest
-
-from repro.sparse import segment_ids_from_ptr, segmented_reduce, segmented_scan_sum
+from repro.sparse import segment_ids_from_ptr
 
 
 class TestSegmentIds:
@@ -21,47 +18,3 @@ class TestSegmentIds:
     def test_explicit_total(self):
         ids = segment_ids_from_ptr([0, 2, 4], total=4)
         assert list(ids) == [0, 0, 1, 1]
-
-
-class TestScan:
-    def test_inclusive_scan_resets(self):
-        ids = np.array([0, 0, 1, 1, 1])
-        out = segmented_scan_sum([1, 2, 3, 4, 5], ids)
-        assert list(out) == [1, 3, 3, 7, 12]
-
-    def test_empty(self):
-        out = segmented_scan_sum(np.array([]), np.array([], dtype=int))
-        assert out.shape == (0,)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="same shape"):
-            segmented_scan_sum([1.0], np.array([0, 0]))
-
-    def test_matches_per_segment_cumsum(self, rng):
-        vals = rng.standard_normal(50)
-        ids = np.sort(rng.integers(0, 7, 50))
-        out = segmented_scan_sum(vals, ids)
-        for s in np.unique(ids):
-            m = ids == s
-            assert np.allclose(out[m], np.cumsum(vals[m]))
-
-    def test_single_element_segments(self):
-        out = segmented_scan_sum([5.0, 6.0, 7.0], np.array([0, 1, 2]))
-        assert list(out) == [5.0, 6.0, 7.0]
-
-
-class TestReduce:
-    def test_basic_reduce(self):
-        out = segmented_reduce([1, 2, 3, 4], np.array([0, 0, 2, 2]), n_segments=3)
-        assert list(out) == [3.0, 0.0, 7.0]
-
-    def test_infers_segment_count(self):
-        out = segmented_reduce([1.0, 1.0], np.array([0, 3]))
-        assert out.shape == (4,)
-
-    def test_matches_bincount_weights(self, rng):
-        vals = rng.standard_normal(40)
-        ids = rng.integers(0, 5, 40)
-        out = segmented_reduce(vals, ids, n_segments=5)
-        expect = np.bincount(ids, weights=vals, minlength=5)
-        assert np.allclose(out, expect)
