@@ -33,10 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..kernels.plans import slot_updates
 from ..machine.core import SimMachine
 from ..machine.tasking import TaskGraph, simulate_task_graph
 from ..machine.trace import ExecutionTrace
 from ..sparse.csr import CSRMatrix
+from ..sparse.segscan import segment_ids_from_ptr
 
 __all__ = ["SegmentedRows", "simulate_lower_sr"]
 
@@ -66,23 +68,13 @@ class SegmentedRows:
 
     @classmethod
     def build(cls, S: CSRMatrix, m, level_ptr, tile_size=64):
-        n = S.n_rows
         level_ptr = np.asarray(level_ptr, dtype=np.int64)
-        n_levels = level_ptr.shape[0] - 1
-        per_level = [[] for _ in range(n_levels)]
-        for r in range(m, n):
-            lo, hi = int(S.indptr[r]), int(S.indptr[r + 1])
-            for kk in range(lo, hi):
-                c = int(S.indices[kk])
-                if c >= m:
-                    break
-                lvl = int(np.searchsorted(level_ptr, c, side="right")) - 1
-                per_level[lvl].append((kk, r, c))
-        sub_entries = []
-        for lvl in range(n_levels):
-            ents = per_level[lvl]
-            ents.sort(key=lambda e: (e[2], e[1]))
-            sub_entries.append(np.asarray(ents, dtype=np.int64).reshape(-1, 3))
+        row_of = segment_ids_from_ptr(S.indptr)
+        kk = np.flatnonzero((row_of >= m) & (S.indices < m))
+        ents = np.stack([kk, row_of[kk], S.indices[kk]], axis=1)
+        ents = ents[np.lexsort((ents[:, 1], ents[:, 2]))]  # (col, row) order
+        cut = np.searchsorted(ents[:, 2], level_ptr)  # levels are column ranges
+        sub_entries = [ents[lo:hi] for lo, hi in zip(cut[:-1], cut[1:])]
         return cls(m=m, level_ptr=level_ptr, tile_size=int(tile_size), sub_entries=sub_entries)
 
     @property
@@ -95,37 +87,42 @@ class SegmentedRows:
         for tid, lo in enumerate(range(0, ents.shape[0], self.tile_size)):
             yield tid, ents[lo : lo + self.tile_size]
 
-    def n_tiles(self, lvl=None):
-        if lvl is not None:
-            return -(-self.sub_entries[lvl].shape[0] // self.tile_size) if self.sub_entries[lvl].shape[0] else 0
-        return sum(self.n_tiles(l) for l in range(self.n_levels))
-
     def level_of_col(self, c):
         if c >= self.m:
             return self.n_levels  # corner pseudo-level
         return int(np.searchsorted(self.level_ptr, c, side="right")) - 1
 
+    def tile_updates(self, S: CSRMatrix):
+        """The UPDATE_BLOCK work of every tile, per target level.
 
-def _tile_update_counts(S: CSRMatrix, sr: SegmentedRows, tile_entries):
-    """Per-target-level (flops, touched) of one tile's UPDATE_BLOCK work."""
-    indptr, indices = S.indptr, S.indices
-    counts = {}
-    for kk, r, c in tile_entries:
-        c = int(c)
-        r = int(r)
-        c_lo, c_hi = int(indptr[c]), int(indptr[c + 1])
-        u_cols = indices[c_lo:c_hi]
-        u_cols = u_cols[u_cols > c]
-        r_cols = indices[int(indptr[r]) : int(indptr[r + 1])]
-        for j in u_cols:
-            tgt = sr.level_of_col(int(j))
-            f, t = counts.get(tgt, (0.0, 0.0))
-            t += 1.0
-            ppos = int(np.searchsorted(r_cols, int(j)))
-            if ppos < r_cols.shape[0] and r_cols[ppos] == j:
-                f += 2.0
-            counts[tgt] = (f, t)
-    return counts
+        Tiles are numbered in ``(level, tile id)`` order.  Tile ``g``'s
+        updates are ``ptr[g]:ptr[g+1]``: a target level each
+        (:meth:`level_of_col`, ascending) with the (flops, touched) of
+        the tile's candidates landing there.  Every candidate of
+        :func:`~repro.kernels.plans.slot_updates` touches one entry,
+        and a hit adds one multiply-subtract (2 flops).  Returns
+        ``(ptr, target, flops, touched)`` as Python lists.
+        """
+        n_levels, size = self.n_levels, self.tile_size
+        lens = np.array([e.shape[0] for e in self.sub_entries], dtype=np.int64)
+        tiles = -(-lens // size)
+        # a slot's tile: its level's first tile + its position in the level // size
+        lvl = np.repeat(np.arange(n_levels), lens)
+        pos = np.arange(lvl.shape[0]) - (np.cumsum(lens) - lens)[lvl]
+        tile_of = np.full(S.nnz, -1, dtype=np.int64)  # storage index -> tile
+        kk = np.concatenate([np.empty((0, 3), dtype=np.int64), *self.sub_entries])[:, 0]
+        tile_of[kk] = (np.cumsum(tiles) - tiles)[lvl] + pos // size
+        ex = slot_updates(S)
+        tile = np.repeat(tile_of[ex.slot], np.diff(ex.cand_ptr))
+        mine = tile >= 0
+        col = ex.cand_col[mine]
+        tgt = np.searchsorted(self.level_ptr, col, side="right") - 1
+        tgt[col >= self.m] = n_levels
+        keys, inv = np.unique(tile[mine] * (n_levels + 1) + tgt, return_inverse=True)
+        flops = 2.0 * np.bincount(inv, weights=ex.hit[mine], minlength=keys.shape[0])
+        touched = np.bincount(inv, minlength=keys.shape[0]).astype(np.float64)
+        ptr = np.searchsorted(keys // (n_levels + 1), np.arange(int(tiles.sum()) + 1))
+        return ptr.tolist(), (keys % (n_levels + 1)).tolist(), flops.tolist(), touched.tolist()
 
 
 def simulate_lower_sr(
@@ -149,6 +146,8 @@ def simulate_lower_sr(
     """
     graph = TaskGraph()
     updates_targeting = {lvl: [] for lvl in range(sr.n_levels + 1)}
+    ptr, targets, flops, touched = sr.tile_updates(S)
+    tile = 0
 
     for lvl in range(sr.n_levels):
         for tid, ents in sr.tiles_of(lvl):
@@ -161,7 +160,9 @@ def simulate_lower_sr(
                 deps=updates_targeting[lvl],
                 label=("sr_div", lvl, tid),
             )
-            for tgt, (f, t) in sorted(_tile_update_counts(S, sr, ents).items()):
+            upd = slice(ptr[tile], ptr[tile + 1])
+            tile += 1
+            for tgt, f, t in zip(targets[upd], flops[upd], touched[upd]):
                 upd_cost = lambda th, f=f, t=t: machine.work_time(
                     f, t, thread=th, vectorized=True
                 )

@@ -22,10 +22,14 @@ times are reproducible.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
+from ..kernels.plans import slot_updates
 from ..sparse.csr import CSRMatrix
 from ..sparse.pattern import add_diagonal_pattern, has_full_diagonal
+from ..sparse.segscan import segment_ids_from_ptr
 
 __all__ = [
     "ilu0_pattern",
@@ -63,56 +67,48 @@ def iluk_pattern(A: CSRMatrix, k: int) -> CSRMatrix:
         raise ValueError("ILU requires a square matrix")
     n = A.n_rows
     base = add_diagonal_pattern(A, value=0.0)
-    # per-row results: sorted column arrays and parallel level arrays
-    rows_cols: list[np.ndarray | None] = [None] * n
-    rows_levs: list[np.ndarray | None] = [None] * n
+    # per-row results, appended in row order: sorted column arrays and
+    # parallel level arrays
+    rows_cols: list[np.ndarray] = []
+    rows_levs: list[np.ndarray] = []
     INF = np.iinfo(np.int64).max
+    lev = np.full(n, INF, dtype=np.int64)  # one workspace; a row resets what it touched
 
     for i in range(n):
         cols0 = base.indices[base.indptr[i] : base.indptr[i + 1]]
-        lev = np.full(n, INF, dtype=np.int64)  # dense workspace, reset per row
         lev[cols0] = 0
+        fill = []  # columns the merges give their first level ≤ k
         # worklist of strict-lower columns to scan, in ascending order.
         # New fill with column < i may itself generate fill, so we use a
         # sorted frontier over the current pattern.
-        import heapq
-
         heap = [int(c) for c in cols0 if c < i]
         heapq.heapify(heap)
-        seen = set(heap)
-        while heap:
+        while heap:  # every queued column has a level ≤ k
             c = heapq.heappop(heap)
             lic = lev[c]
-            if lic > k:
-                continue
-            cc = rows_cols[c]
-            ll = rows_levs[c]
             # rows are finished in ascending order and the heap only ever
             # holds columns < i, so row c is already filled
-            assert cc is not None and ll is not None
+            cc = rows_cols[c]
+            ll = rows_levs[c]
             # merge the strict-upper part of row c
             upper_mask = cc > c
             for j, ljc in zip(cc[upper_mask], ll[upper_mask]):
                 cand = lic + int(ljc) + 1
-                if cand < lev[j]:
-                    if cand <= k:
-                        lev[j] = cand
-                        if j < i and j not in seen:
+                if cand <= k and cand < lev[j]:
+                    if lev[j] == INF:  # new fill, queued once
+                        fill.append(j)
+                        if j < i:
                             heapq.heappush(heap, int(j))
-                            seen.add(int(j))
-        cols = np.nonzero(lev <= k)[0]
-        rows_cols[i] = cols.astype(np.int64)
-        rows_levs[i] = lev[cols].copy()
+                    lev[j] = cand
+        cols = np.unique(np.concatenate((cols0, np.array(fill, dtype=np.int64))))
+        rows_cols.append(cols)
+        rows_levs.append(lev[cols])
+        lev[cols] = INF
 
-    # every slot was filled by the loop above; narrow away the Nones once
-    filled_cols = [c for c in rows_cols if c is not None]
-    filled_levs = [lv for lv in rows_levs if lv is not None]
-    assert len(filled_cols) == n and len(filled_levs) == n
     indptr = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n):
-        indptr[i + 1] = indptr[i] + filled_cols[i].shape[0]
-    indices = np.concatenate(filled_cols)
-    levels = np.concatenate(filled_levs).astype(np.float64)
+    np.cumsum([c.shape[0] for c in rows_cols], out=indptr[1:])
+    indices = np.concatenate(rows_cols)
+    levels = np.concatenate(rows_levs).astype(np.float64)
     return CSRMatrix(n, n, indptr, indices, levels, sort=False, check=False)
 
 
@@ -139,37 +135,23 @@ def row_factor_costs_split(S: CSRMatrix, m):
     strict-lower columns ``c < m`` (Even-Rows' FACTOR_L phase) and while
     eliminating columns ``m ≤ c < row`` (the corner FACTOR_LU phase).
     Summing the two parts reproduces :func:`row_factor_costs`.
+
+    Each slot of :func:`~repro.kernels.plans.slot_updates` costs
+    ``1 + 2·hits`` flops and touches ``1 + span`` entries (its pivot
+    row's upper part); the row's own streaming is charged once, to the
+    first phase.  A row without a stored diagonal raises ``ValueError``.
     """
     n = S.n_rows
-    fl = np.zeros(n)
-    tl = np.zeros(n)
-    fc = np.zeros(n)
-    tc = np.zeros(n)
-    indptr, indices = S.indptr, S.indices
-    for i in range(n):
-        cols = indices[indptr[i] : indptr[i + 1]]
-        own = float(cols.shape[0])
-        nci = cols.shape[0]
-        for c in cols[cols < i]:
-            f = 1.0
-            t = 1.0
-            lo, hi = indptr[c], indptr[c + 1]
-            uc = indices[lo:hi]
-            uc = uc[uc > c]
-            t += uc.shape[0]
-            if uc.shape[0]:
-                pos = np.searchsorted(cols, uc)
-                pos[pos == nci] = nci - 1
-                f += 2.0 * int(np.count_nonzero(cols[pos] == uc))
-            if c >= m:
-                fc[i] += f
-                tc[i] += t
-            else:
-                fl[i] += f
-                tl[i] += t
-        # charge the row's own streaming once, to the first phase that runs
-        tl[i] += own
-    return (fl, tl), (fc, tc)
+    ex = slot_updates(S)
+    f = 1.0 + 2.0 * ex.hits_per_slot()
+    t = 1.0 + np.diff(ex.cand_ptr)
+    first = ex.col < m
+
+    def per_row(mask, w):  # float even without slots, where bincount gives ints
+        return np.bincount(ex.row[mask], weights=w[mask], minlength=n).astype(np.float64)
+
+    own = np.diff(S.indptr)
+    return (per_row(first, f), per_row(first, t) + own), (per_row(~first, f), per_row(~first, t))
 
 
 def row_solve_costs(S: CSRMatrix, part="lower"):
@@ -179,19 +161,11 @@ def row_solve_costs(S: CSRMatrix, part="lower"):
     solve with unit diagonal) or "upper" (backward solve including the
     diagonal division).
     """
-    n = S.n_rows
-    flops = np.zeros(n)
-    touched = np.zeros(n)
-    for r in range(n):
-        cols = S.indices[S.indptr[r] : S.indptr[r + 1]]
-        if part == "lower":
-            m = int(np.count_nonzero(cols < r))
-            flops[r] = 2.0 * m
-            touched[r] = m + 2  # entries + rhs + solution slot
-        elif part == "upper":
-            m = int(np.count_nonzero(cols > r))
-            flops[r] = 2.0 * m + 1.0  # updates + diagonal division
-            touched[r] = m + 3
-        else:
-            raise ValueError("part must be 'lower' or 'upper'")
-    return flops, touched
+    if part not in ("lower", "upper"):
+        raise ValueError("part must be 'lower' or 'upper'")
+    row_of = segment_ids_from_ptr(S.indptr)
+    strict = S.indices < row_of if part == "lower" else S.indices > row_of
+    cnt = np.bincount(row_of[strict], minlength=S.n_rows)
+    if part == "lower":
+        return 2.0 * cnt, cnt + 2.0  # entries + rhs + solution slot
+    return 2.0 * cnt + 1.0, cnt + 3.0  # updates + diagonal division

@@ -22,6 +22,8 @@ to finish; a Kahn-style peel puts it in the first *wave* after those,
 and never ahead of the slot before it in its row.  With the
 multiply-subtract updates each slot triggers listed wave by wave, the
 numeric phase runs one wave at a time instead of one row at a time.
+Those updates come from :func:`slot_updates`, which the DES cost counts
+read too.
 
 Also here: the array-level level-set computations shared by the plans
 and the symbolic cache, and the whole-matrix diagonal locator.
@@ -43,6 +45,8 @@ __all__ = [
     "backward_level_sets",
     "diag_positions",
     "build_producer_csr",
+    "SlotUpdates",
+    "slot_updates",
     "FactorSchedule",
     "build_factor_schedule",
 ]
@@ -327,52 +331,93 @@ def _slot_waves(low_ptr, dep_from, dep_to):
     return wave_of
 
 
-def build_factor_schedule(pattern, *, diag_idx=None) -> FactorSchedule:
-    """Build the numeric factor's slot-wave schedule of ``pattern``.
+@dataclass
+class SlotUpdates:
+    """The up-looking kernel's work on a pattern, slot by slot (Fig. 1).
 
-    Whole-array numpy: one ``np.repeat`` expands every lower slot over
-    its pivot row's upper span, and one ``searchsorted`` over global
-    ``(row, col)`` keys finds which of those columns row ``i`` stores.
-    The update pairs that land on lower slots, plus one edge from each
-    row's last lower slot to every slot pivoting on that row, form the
-    slot DAG that :func:`_slot_waves` peels.  ``diag_idx`` can be
-    supplied by the symbolic cache.
+    Strict-lower slot ``s`` (storage index ``slot[s]``, storage order)
+    of row ``row[s]`` divides by the pivot stored at ``pivot[s]`` of
+    row ``col[s]``.  Its candidates ``cand_ptr[s]:cand_ptr[s+1]`` are
+    that pivot row's upper entries (storage index ``src``, column
+    ``cand_col``; ``cand_row`` repeats ``row[s]``).  ``tgt`` is where
+    ``cand_col`` sits, or would be inserted, among row ``cand_row``'s
+    storage, and ``hit`` marks the candidates that row stores: one
+    multiply-subtract each.
     """
-    n = pattern.n_rows
+
+    slot: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    pivot: np.ndarray
+    cand_ptr: np.ndarray
+    src: np.ndarray
+    cand_row: np.ndarray
+    cand_col: np.ndarray
+    tgt: np.ndarray
+    hit: np.ndarray
+
+    def hits_per_slot(self):
+        """Multiply-subtract updates of every slot."""
+        return np.diff(np.r_[0, np.cumsum(self.hit)][self.cand_ptr])
+
+
+def slot_updates(pattern, *, diag_idx=None) -> SlotUpdates:
+    """Expand every strict-lower slot of ``pattern`` over its pivot row.
+
+    One ``np.repeat`` expands the slots over their pivot rows' upper
+    spans, and one ``searchsorted`` over global ``(row, col)`` keys
+    finds which of those columns row ``i`` stores.  Rows must be
+    sorted; a missing diagonal raises :func:`diag_positions`'
+    ``ValueError``.  ``diag_idx`` can be supplied by the symbolic cache.
+    """
     indptr, indices = pattern.indptr, pattern.indices
     if diag_idx is None:
         diag_idx = diag_positions(pattern)
     row_of = segment_ids_from_ptr(indptr)
-    lower = np.flatnonzero(indices < row_of)  # storage order: a row's lower slots lead it
-    n_low = lower.shape[0]
-    l_row, l_col = row_of[lower], indices[lower]
-    low_ptr = ptr_from_segment_ids(l_row, n)
-    pivot = diag_idx[l_col]
-
-    # candidate pairs, slot by slot: every upper entry of pivot row c;
-    # a hit is one that row i also stores
+    slot = np.flatnonzero(indices < row_of)  # storage order: a row's lower slots lead it
+    row, col = row_of[slot], indices[slot]
+    pivot = diag_idx[col]
     u_lo = pivot + 1
-    cnt = indptr[l_col + 1] - u_lo
-    cand_ptr = np.zeros(n_low + 1, dtype=np.int64)
+    cnt = indptr[col + 1] - u_lo
+    cand_ptr = np.zeros(slot.shape[0] + 1, dtype=np.int64)
     np.cumsum(cnt, out=cand_ptr[1:])
     src = np.arange(cand_ptr[-1], dtype=np.int64) + np.repeat(u_lo - cand_ptr[:-1], cnt)
-    c_row, c_col = np.repeat(l_row, cnt), indices[src]
+    cand_row, cand_col = np.repeat(row, cnt), indices[src]
     ncol = np.int64(pattern.n_cols)
     keys = row_of * ncol + indices
-    want = c_row * ncol + c_col
+    want = cand_row * ncol + cand_col
     tgt = np.searchsorted(keys, want)
     hit = keys[np.minimum(tgt, keys.shape[0] - 1)] == want
+    return SlotUpdates(slot, row, col, pivot, cand_ptr, src, cand_row, cand_col, tgt, hit)
+
+
+def build_factor_schedule(pattern, *, diag_idx=None) -> FactorSchedule:
+    """Build the numeric factor's slot-wave schedule of ``pattern``.
+
+    The update pairs of :func:`slot_updates` that land on lower slots,
+    plus one edge from each row's last lower slot to every slot
+    pivoting on that row, form the slot DAG that :func:`_slot_waves`
+    peels.  ``diag_idx`` can be supplied by the symbolic cache.
+    """
+    n = pattern.n_rows
+    indptr = pattern.indptr
+    if diag_idx is None:
+        diag_idx = diag_positions(pattern)
+    ex = slot_updates(pattern, diag_idx=diag_idx)
+    n_low = ex.slot.shape[0]
+    l_col, cand_ptr, c_row, hit = ex.col, ex.cand_ptr, ex.cand_row, ex.hit
+    low_ptr = ptr_from_segment_ids(ex.row, n)
 
     # slot DAG: in-row updates of lower slots, and pivot row c's last lower
     # slot before every slot on column c; both edge lists ascend in their source
-    in_row = np.flatnonzero(hit & (c_col < c_row))
+    in_row = np.flatnonzero(hit & (ex.cand_col < c_row))
     has_low = low_ptr[1:] > low_ptr[:-1]
     on_done = np.flatnonzero(has_low[l_col])
     on_done = on_done[np.argsort(l_col[on_done], kind="stable")]
     wave_of = _slot_waves(
         low_ptr,
         np.r_[np.searchsorted(cand_ptr, in_row, side="right") - 1, low_ptr[l_col[on_done] + 1] - 1],
-        np.r_[tgt[in_row] - (indptr[:-1] - low_ptr[:-1])[c_row[in_row]], on_done],
+        np.r_[ex.tgt[in_row] - (indptr[:-1] - low_ptr[:-1])[c_row[in_row]], on_done],
     )
     n_waves = int(wave_of.max(initial=-1)) + 1
 
@@ -380,8 +425,7 @@ def build_factor_schedule(pattern, *, diag_idx=None) -> FactorSchedule:
     order = np.argsort(wave_of, kind="stable")
     wave_ptr = np.searchsorted(wave_of[order], np.arange(n_waves + 1))
     in_wave = np.arange(n_low) - np.repeat(wave_ptr[:-1], np.diff(wave_ptr))
-    hits = np.r_[0, np.cumsum(hit)]
-    n_hit = hits[cand_ptr[1:]][order] - hits[cand_ptr[:-1]][order]
+    n_hit = ex.hits_per_slot()[order]
     cand = segment_positions(cand_ptr, order)[1]
     cand = cand[hit[cand]]
     slot_pair_ptr = np.zeros(n_low + 1, dtype=np.int64)
@@ -399,11 +443,11 @@ def build_factor_schedule(pattern, *, diag_idx=None) -> FactorSchedule:
     row_start = np.repeat(drop_row_ptr[:-1], np.diff(drop_row_ptr))
 
     return FactorSchedule(
-        slot=_i32(lower[order]),
-        pivot=_i32(pivot[order]),
+        slot=_i32(ex.slot[order]),
+        pivot=_i32(ex.pivot[order]),
         wave_ptr=_i32(wave_ptr),
-        tgt=_i32(tgt[cand]),
-        src=_i32(src[cand]),
+        tgt=_i32(ex.tgt[cand]),
+        src=_i32(ex.src[cand]),
         own=_i32(np.repeat(in_wave, n_hit)),
         pair_ptr=_i32(slot_pair_ptr[wave_ptr]),
         drop_rows=_i32(drop_rows),

@@ -38,7 +38,7 @@ import numpy as np
 from ..kernels import cached_analysis
 from ..kernels.plans import backward_level_sets, diag_positions, forward_level_sets
 from ..obs import spans as _spans
-from ..sparse.segscan import ptr_from_segment_ids
+from ..sparse.segscan import ptr_from_segment_ids, segment_ids_from_ptr, segment_positions
 from .options import SchedOptions
 
 __all__ = [
@@ -116,12 +116,9 @@ def build_elastic_schedule(
     block_of = level_of // (staleness + 1)
     indptr, indices = pattern.indptr, pattern.indices
     # strict-part entry CSR (storage indices, ascending column per row)
-    row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    mask = indices < row_of if part == "lower" else indices > row_of
-    ent_idx = np.flatnonzero(mask)
-    cnt = np.bincount(row_of[ent_idx], minlength=n) if ent_idx.size else np.zeros(n, np.int64)
-    ent_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(cnt, out=ent_ptr[1:])
+    row_of = segment_ids_from_ptr(indptr)
+    ent_idx = np.flatnonzero(indices < row_of if part == "lower" else indices > row_of)
+    ent_ptr = ptr_from_segment_ids(row_of[ent_idx], n)
     # correction-depth recursion, one level at a time: a row's deps all
     # sit in earlier levels, so their final_sweep is already known
     level_ptr = np.asarray(levels.level_ptr, dtype=np.int64)
@@ -151,15 +148,8 @@ def build_elastic_schedule(
 
 def _subset_entries(sched: ElasticSchedule, rows):
     """Gather the strict entries of ``rows``: (ent_storage, local_row)."""
-    cnt = sched.ent_ptr[rows + 1] - sched.ent_ptr[rows]
-    tot = int(cnt.sum())
-    if tot == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    heads = sched.ent_ptr[rows]
-    offs = np.repeat(heads - np.r_[np.int64(0), np.cumsum(cnt)[:-1]], cnt)
-    ents = sched.ent_idx[offs + np.arange(tot, dtype=np.int64)]
-    local = np.repeat(np.arange(rows.shape[0], dtype=np.int64), cnt)
-    return ents, local
+    ptr, pos = segment_positions(sched.ent_ptr, rows)
+    return sched.ent_idx[pos], segment_ids_from_ptr(ptr)
 
 
 def elastic_solve_part(
@@ -175,9 +165,9 @@ def elastic_solve_part(
     ``tol == 0`` runs ``sched.n_sweeps`` correction sweeps — the exact
     fixpoint, bit-identical to the reference sweeps.  ``tol > 0`` stops
     after the first sweep whose largest correction is at most
-    ``tol * max(1, ||x||_inf)``.  Each (block, level) segment accumulates
-    its rows' entries in ascending-entry order, the order of the
-    reference row sweep.
+    ``tol * max(1, ||x||_inf)``.  Each block is one product over its
+    active rows, each row accumulating its entries in ascending-entry
+    order, the order of the reference row sweep.
     ``rhs`` must have shape ``(sched.n,)``; anything else raises
     ``ValueError``.
     """
@@ -205,27 +195,16 @@ def elastic_solve_part(
                 brows = brows[active_mask[brows]]
                 if brows.size == 0:
                     continue
-                snap = x.copy()  # block-entry snapshot: the stale reads
-                for lev in range(lo, hi):
-                    rows_l = brows[sched.level_of[brows] == lev]
-                    if rows_l.size == 0:
-                        continue
-                    ents, local = _subset_entries(sched, rows_l)
-                    if ents.size:
-                        c = indices[ents]
-                        src = np.where(sched.block_of[c] == b, snap[c], x[c])
-                        prod = data[ents] * src
-                        s = np.bincount(local, weights=prod, minlength=rows_l.shape[0])
-                    else:
-                        s = 0.0
-                    new = rhs[rows_l] - s
-                    if sched.part == "upper":
-                        new = new / diag[rows_l]
-                    if tol > 0.0:
-                        d = np.abs(new - x[rows_l])
-                        if d.size:
-                            delta = max(delta, float(d.max()))
-                    x[rows_l] = new
+                # only this block's rows are written while it runs, so every
+                # read, stale or fresh, sees x as it stood at block entry
+                ents, local = _subset_entries(sched, brows)
+                prod = data[ents] * x[indices[ents]]
+                new = rhs[brows] - np.bincount(local, weights=prod, minlength=brows.shape[0])
+                if sched.part == "upper":
+                    new = new / diag[brows]
+                if tol > 0.0:
+                    delta = max(delta, float(np.abs(new - x[brows]).max()))
+                x[brows] = new
         _spans.instant(
             "sched.correction_sweep", cat="sched",
             sweep=k, active=n_active, part=sched.part,
@@ -294,12 +273,9 @@ def simulate_elastic(
             if not first:
                 clock += machine.barrier_cost()
             first = False
-            thread_time = np.zeros(p)
-            for j, r in enumerate(brows):
-                r = int(r)
-                t = j % p
-                thread_time[t] += machine.work_time(flops[r], touched[r], thread=t)
-            clock += float(thread_time.max())
+            thread = np.arange(brows.shape[0]) % p  # round-robin deal
+            w = machine.work_time_batch(flops[brows], touched[brows], thread=thread)
+            clock += float(np.bincount(thread, weights=w, minlength=p).max())
             if events is not None:
                 events.append(("block", k, b, clock))
         if events is not None:

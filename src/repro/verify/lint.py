@@ -83,8 +83,9 @@ reports and in suppression comments):
 
 ``JAV010`` — *no per-row loops on the cold structural path.*  In
     ``sparse/csr.py``, ``sparse/pattern.py``, ``ordering/graph.py``,
-    ``ordering/nd.py``, ``ordering/levelsets.py``, ``kernels/plans.py``
-    and ``resilience/retry.py``, a ``for`` loop
+    ``ordering/nd.py``, ``ordering/levelsets.py``, ``kernels/plans.py``,
+    ``resilience/retry.py``, ``sched/elastic.py`` and
+    ``core/lower_sr.py``, a ``for`` loop
     (or comprehension) over ``range(<x>.n_rows)``, ``range(n)`` or
     ``range(n_rows)`` is flagged: these modules run once per matrix
     before any numeric work (``retry.py`` once per value-only
@@ -692,7 +693,7 @@ def _check_unstoppable_wait(tree: ast.Module, path: str) -> list[Finding]:
 # ----------------------------------------------------------------------
 _STRUCTURAL_MODULES = {("sparse", "csr.py"), ("sparse", "pattern.py"), ("ordering", "graph.py"),
                        ("ordering", "nd.py"), ("ordering", "levelsets.py"), ("kernels", "plans.py"),
-                       ("resilience", "retry.py"), ("sched", "elastic.py")}
+                       ("resilience", "retry.py"), ("sched", "elastic.py"), ("core", "lower_sr.py")}
 
 
 def _is_row_count(node: ast.AST) -> bool:

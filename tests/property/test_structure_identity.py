@@ -8,12 +8,19 @@ dtype.  Inputs cover unsorted rows, duplicate entries and empty rows
 wherever the function accepts them; the functions that locate the
 diagonal by binary search (``diagonal``, ``has_full_diagonal``,
 ``add_diagonal_pattern``) get rows sorted as the CSR invariant demands.
+The DES cost counts and the Segmented-Rows tiles read the slot
+expansion, so they get ILU patterns (sorted rows, stored diagonal).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_structure as ref
+from helpers import random_csr
+from repro.core import JavelinILU, JavelinOptions, ScheduleOptions
+from repro.core.lower_sr import SegmentedRows
+from repro.core.symbolic import row_factor_costs_split, row_solve_costs
 from repro.kernels import backward_level_sets, forward_level_sets
 from repro.ordering import (
     adjacency_from_pattern,
@@ -342,3 +349,88 @@ def test_level_sets_match_reference(A):
 def test_level_schedule_matches_reference(A, use_ata):
     S = ref.symmetrize_pattern(A) if use_ata else A
     assert_same_levels(level_schedule(A, use_ata=use_ata), ref.forward_level_sets(ref.lower_pattern(S)))
+
+
+# ----------------------------------------------------------------------
+# DES cost counts and Segmented-Rows tiles (the slot expansion)
+# ----------------------------------------------------------------------
+def assert_same_bits(a, b):
+    assert_same(a, b)
+    assert np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@st.composite
+def staged_patterns(draw):
+    """A permuted ILU(k) pattern with its lower-stage boundary ``m`` and upper levels."""
+    n = draw(st.integers(1, 40))
+    A = random_csr(n, draw(st.floats(0.02, 0.3)), seed=draw(st.integers(0, 2**32 - 1)))
+    opts = JavelinOptions(
+        fill_level=draw(st.integers(0, 2)),
+        schedule=ScheduleOptions(min_rows_per_level=draw(st.integers(1, 12))),
+    )
+    ilu = JavelinILU(opts)
+    ilu.setup(A)
+    return ilu.S_perm, ilu.m, ilu.level_ptr
+
+
+def _diagonal_only(n):
+    return CSRMatrix(n, n, np.arange(n + 1), np.arange(n), np.ones(n))
+
+
+def assert_costs_match_reference(S, m):
+    got, want = row_factor_costs_split(S, m), ref.row_factor_costs_split(S, m)
+    for g, w in zip(got, want):
+        assert_same_bits(g[0], w[0])
+        assert_same_bits(g[1], w[1])
+    for part in ("lower", "upper"):
+        for g, w in zip(row_solve_costs(S, part), ref.row_solve_costs(S, part)):
+            assert_same_bits(g, w)
+
+
+def assert_tiles_match_reference(S, m, level_ptr, tile_size):
+    sr = SegmentedRows.build(S, m, level_ptr, tile_size=tile_size)
+    want = ref.segmented_rows_sub_entries(S, m, level_ptr)
+    assert len(sr.sub_entries) == len(want)
+    for g, w in zip(sr.sub_entries, want):
+        assert g.shape == w.shape
+        assert_same(g, w)
+    ptr, target, flops, touched = sr.tile_updates(S)
+    got = [list(zip(target[a:b], zip(flops[a:b], touched[a:b]))) for a, b in zip(ptr[:-1], ptr[1:])]
+    tiles = [ents for lvl in range(sr.n_levels) for _, ents in sr.tiles_of(lvl)]
+    assert got == [sorted(ref._tile_update_counts(S, sr, ents).items()) for ents in tiles]
+    for tgt, (f, t) in (u for tile in got for u in tile):
+        assert type(tgt) is int and type(f) is float and type(t) is float
+
+
+@SETTINGS
+@given(staged_patterns())
+def test_row_costs_match_reference(case):
+    S, m, _ = case
+    for cut in (0, m, S.n_rows):
+        assert_costs_match_reference(S, cut)
+
+
+@SETTINGS
+@given(staged_patterns(), st.sampled_from([1, 4, 64]))
+def test_segmented_rows_match_reference(case, tile_size):
+    S, m, level_ptr = case
+    assert_tiles_match_reference(S, m, level_ptr, tile_size)
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_diagonal_only_costs_and_tiles_match_reference(n):
+    S = _diagonal_only(n)
+    for m in (0, n // 2, n):
+        assert_costs_match_reference(S, m)
+        for tile_size in (1, 4, 64):
+            assert_tiles_match_reference(S, m, np.arange(m + 1), tile_size)
+
+
+def test_missing_diagonal_raises():
+    # the expansion reads every pivot's diagonal position
+    S = CSRMatrix(2, 2, np.array([0, 1, 2]), np.array([0, 0]), np.ones(2))
+    with pytest.raises(ValueError, match="missing diagonal"):
+        row_factor_costs_split(S, 0)
+    sr = SegmentedRows.build(S, 1, np.array([0, 1]))
+    with pytest.raises(ValueError, match="missing diagonal"):
+        sr.tile_updates(S)

@@ -1,14 +1,16 @@
 """Per-row reference implementations of the structural front end.
 
-These are the loop forms that ``repro.sparse``, ``repro.ordering`` and
-``repro.kernels.plans`` used before those functions became whole-array
-numpy.  They are kept verbatim so the identity properties in
+These are the loop forms that ``repro.sparse``, ``repro.ordering``,
+``repro.kernels.plans`` and the DES cost counts of ``repro.core``
+(``symbolic.py``'s row costs, ``lower_sr.py``'s tiles) used before those
+functions became whole-array numpy.  They are kept verbatim so the identity properties in
 ``tests/property/test_structure_identity.py`` can check every output
 array element for element: values, order and dtype.
 
 Each function takes and returns the same things as its library
 counterpart, with the CSR matrix passed explicitly where the library
-version is a method.
+version is a method; ``segmented_rows_sub_entries`` returns only the
+``sub_entries`` that ``SegmentedRows.build`` computes.
 """
 
 import numpy as np
@@ -492,3 +494,104 @@ def backward_level_sets(pattern):
         if deps.size:
             level_of[i] = int(level_of[deps].max()) + 1
     return _pack_levels(level_of, n)
+
+
+# ----------------------------------------------------------------------
+# DES cost counts (core/symbolic.py) and SR tiles (core/lower_sr.py)
+# ----------------------------------------------------------------------
+def row_factor_costs_split(S, m):
+    """Per-row costs split at column boundary ``m`` (for the lower stage)."""
+    n = S.n_rows
+    fl = np.zeros(n)
+    tl = np.zeros(n)
+    fc = np.zeros(n)
+    tc = np.zeros(n)
+    indptr, indices = S.indptr, S.indices
+    for i in range(n):
+        cols = indices[indptr[i] : indptr[i + 1]]
+        own = float(cols.shape[0])
+        nci = cols.shape[0]
+        for c in cols[cols < i]:
+            f = 1.0
+            t = 1.0
+            lo, hi = indptr[c], indptr[c + 1]
+            uc = indices[lo:hi]
+            uc = uc[uc > c]
+            t += uc.shape[0]
+            if uc.shape[0]:
+                pos = np.searchsorted(cols, uc)
+                pos[pos == nci] = nci - 1
+                f += 2.0 * int(np.count_nonzero(cols[pos] == uc))
+            if c >= m:
+                fc[i] += f
+                tc[i] += t
+            else:
+                fl[i] += f
+                tl[i] += t
+        # charge the row's own streaming once, to the first phase that runs
+        tl[i] += own
+    return (fl, tl), (fc, tc)
+
+
+def row_solve_costs(S, part="lower"):
+    """Per-row (flops, nnz_touched) of one triangular-solve sweep."""
+    n = S.n_rows
+    flops = np.zeros(n)
+    touched = np.zeros(n)
+    for r in range(n):
+        cols = S.indices[S.indptr[r] : S.indptr[r + 1]]
+        if part == "lower":
+            m = int(np.count_nonzero(cols < r))
+            flops[r] = 2.0 * m
+            touched[r] = m + 2  # entries + rhs + solution slot
+        elif part == "upper":
+            m = int(np.count_nonzero(cols > r))
+            flops[r] = 2.0 * m + 1.0  # updates + diagonal division
+            touched[r] = m + 3
+        else:
+            raise ValueError("part must be 'lower' or 'upper'")
+    return flops, touched
+
+
+def segmented_rows_sub_entries(S, m, level_ptr):
+    """``SegmentedRows.build``'s per-level ``(storage_idx, row, col)`` arrays."""
+    n = S.n_rows
+    level_ptr = np.asarray(level_ptr, dtype=np.int64)
+    n_levels = level_ptr.shape[0] - 1
+    per_level = [[] for _ in range(n_levels)]
+    for r in range(m, n):
+        lo, hi = int(S.indptr[r]), int(S.indptr[r + 1])
+        for kk in range(lo, hi):
+            c = int(S.indices[kk])
+            if c >= m:
+                break
+            lvl = int(np.searchsorted(level_ptr, c, side="right")) - 1
+            per_level[lvl].append((kk, r, c))
+    sub_entries = []
+    for lvl in range(n_levels):
+        ents = per_level[lvl]
+        ents.sort(key=lambda e: (e[2], e[1]))
+        sub_entries.append(np.asarray(ents, dtype=np.int64).reshape(-1, 3))
+    return sub_entries
+
+
+def _tile_update_counts(S, sr, tile_entries):
+    """Per-target-level (flops, touched) of one tile's UPDATE_BLOCK work."""
+    indptr, indices = S.indptr, S.indices
+    counts = {}
+    for kk, r, c in tile_entries:
+        c = int(c)
+        r = int(r)
+        c_lo, c_hi = int(indptr[c]), int(indptr[c + 1])
+        u_cols = indices[c_lo:c_hi]
+        u_cols = u_cols[u_cols > c]
+        r_cols = indices[int(indptr[r]) : int(indptr[r + 1])]
+        for j in u_cols:
+            tgt = sr.level_of_col(int(j))
+            f, t = counts.get(tgt, (0.0, 0.0))
+            t += 1.0
+            ppos = int(np.searchsorted(r_cols, int(j)))
+            if ppos < r_cols.shape[0] and r_cols[ppos] == j:
+                f += 2.0
+            counts[tgt] = (f, t)
+    return counts

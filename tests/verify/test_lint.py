@@ -522,6 +522,8 @@ def test_jav010_flags_per_row_loops_in_structural_modules():
         "src/repro/ordering/levelsets.py",
         "src/repro/kernels/plans.py",
         "src/repro/resilience/retry.py",
+        "src/repro/sched/elastic.py",
+        "src/repro/core/lower_sr.py",
     ):
         assert _ids(_lint(src, path, rules=["JAV010"])) == ["JAV010"] * 3
 
