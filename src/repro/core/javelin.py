@@ -38,7 +38,7 @@ from ..sparse.csr import CSRMatrix
 from ..sparse.pattern import has_full_diagonal
 from .symbolic import ilu0_pattern, iluk_pattern, row_factor_costs_split
 from ..kernels import cached_analysis
-from ..kernels.trisolve import factor_solver
+from ..kernels.trisolve import apply_maps, factor_solver
 from ..kernels.cache import pattern_fingerprint
 from .schedule import ScheduleOptions, build_schedule
 from .upper import simulate_upper_p2p, simulate_upper_barrier
@@ -158,6 +158,7 @@ class JavelinILU:
         self.pattern_key = pattern_fingerprint(A)
         self._set_drop_threshold()
         self._split_costs = None
+        self._maps = None  # apply_maps of (analysis, perm), composed on the first build_solver
         self._ready = True
         self._factored = False
         self._apply = None
@@ -283,7 +284,9 @@ class JavelinILU:
         """
         if not self._factored:
             raise RuntimeError("call factor() before build_solver()")
-        return factor_solver(self.F, self.analysis, self.perm)
+        if self._maps is None:
+            self._maps = apply_maps(self.analysis, self.perm)
+        return factor_solver(self.F, self.analysis, maps=self._maps)
 
     # the serving layer's name for the same apply (a block of requests)
     build_multi_solver = build_solver

@@ -8,7 +8,8 @@ beside it that tests and benches call by name — ``trisolve_lower`` /
 and ``ilu_factor`` (``ilu_factor_sequential``) in
 :mod:`repro.core.iluk`.  The two agree bit-for-bit (see
 ``docs/kernel_backends.md``); :func:`~repro.kernels.hook.kernel` wraps
-each production kernel with its trace span and debug validator.
+each production kernel with its trace span and debug validator, and
+:mod:`.native` builds and loads the triangular sweep's C row loop.
 Symbolic analysis products (diagonal positions, level sets, sweep
 plans, the numeric factor's update schedule, row costs) are memoized
 per sparsity-pattern fingerprint in :class:`SymbolicCache` so repeated
@@ -36,12 +37,13 @@ from .cache import (
     set_validation_hook,
 )
 
-from . import des, hook, trisolve
+from . import des, hook, native, trisolve
 
 __all__ = [
     "des",
     "trisolve",
     "hook",
+    "native",
     "TriSolvePlan",
     "build_trisolve_plan",
     "forward_level_sets",

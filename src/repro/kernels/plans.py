@@ -4,8 +4,10 @@ A :class:`TriSolvePlan` is a triangular part stored in level order: the
 rows in level order, per-level boundaries, a per-row pointer into the
 storage index of every strict-part entry, and each entry's column as a
 position in that order.  Level ``l`` is then a contiguous CSR block
-whose columns point into earlier levels, so each level solves as one
-compiled ``csr_matvec`` call.  The plan is built *without per-row Python
+whose columns point into earlier levels, so one pass over the
+positions in order solves the whole part: one call of the compiled C
+row loop (or, without a compiler, one ``csr_matvec`` call per level).
+The plan is built *without per-row Python
 loops* (one segment gather takes each row's entries in level order), so
 symbolic setup scales with nnz.
 
@@ -32,6 +34,7 @@ and the symbolic cache, and the whole-matrix diagonal locator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -157,6 +160,15 @@ class TriSolvePlan:
     @property
     def n_levels(self):
         return self.level_ptr.shape[0] - 1
+
+    @cached_property
+    def addresses(self):
+        """The data addresses of ``ent_ptr`` and ``ent_col``, for the compiled sweep.
+
+        Cached because ``ndarray.ctypes`` costs about 3 µs a call; a plan's
+        arrays are never reassigned, so the addresses stay valid.
+        """
+        return self.ent_ptr.ctypes.data, self.ent_col.ctypes.data
 
 
 def build_trisolve_plan(pattern, part, *, levels=None, diag_idx=None) -> TriSolvePlan:

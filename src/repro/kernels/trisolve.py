@@ -18,15 +18,20 @@ over the rows of one column at a time.
 The production sweeps :func:`trisolve_lower` and :func:`trisolve_upper`
 reproduce them *bit-for-bit*: rows of a level are independent, and the
 plan stores them in level order with columns remapped to level
-positions, so each level is one call to scipy's compiled ``csr_matvec``
-(``csr_matvecs`` for a block), which sums every row from zero in the
-same entry order (:func:`_level_sweep`).  A block runs one axpy per
-entry across its ``k`` columns, so column ``j`` of a block solve equals
-the solve of ``B[:, j]``, while the per-level overhead (the dominant
-cost on the many small levels of a triangular schedule) is paid once per
-level, not once per column.  Tests assert exact equality, not
-closeness; see :mod:`repro.sparse.spmv` for the risks of the compiled
-call.
+positions, so one pass over the positions in order reads only final
+values.  :func:`_level_sweep` makes that pass one call into a small C
+row loop (``level_sweep.c``, built and loaded by :mod:`.native`), which
+sums every row from zero in entry order, as the scalar loop does.  A
+block runs one axpy per entry across its ``k`` columns, so column ``j``
+of a block solve equals the solve of ``B[:, j]``.  Python is entered
+once per sweep, not once per level, which was the dominant cost on the
+many small levels of a triangular schedule.  Without a C compiler the
+sweep falls back to one call of scipy's compiled ``csr_matvec`` per
+level (``csr_matvecs`` for a block; :func:`_level_loop`), with the same
+bits.  Tests assert exact equality, not closeness.  The bits rest on no
+multiply-add being fused: the library is built with
+``-ffp-contract=off`` (:data:`.native.FLAGS`), and
+:mod:`repro.sparse.spmv` lists the same risk for the scipy loops.
 
 The whole solve ``x = U⁻¹ L⁻¹ b`` has the scalar reference
 :func:`trisolve_factor` and one production form, :func:`factor_solver`,
@@ -34,19 +39,29 @@ which builds a factor's apply once: the factor "may only be formed
 once, but stri may be called thousands of times" (§VI), so every value
 gather and index map that depends only on the factor happens at build
 time, and a call is a gather, the lower sweep, a gather, the upper
-sweep and a scatter.
+sweep and a gather back.
+
+Threads: ctypes releases the GIL for each compiled sweep.  One apply may
+be called from several threads at once, because a call only reads the
+apply's private copies of the values and writes buffers it allocates.
+Callers must not mutate what a running call reads: ``B``, ``F.data``
+for a part kernel, or the ``vals`` and ``diag`` handed to
+:func:`_level_sweep`.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
 from ..sparse.spmv import csr_matvec, csr_matvecs
 from .cache import cached_analysis
 from .hook import kernel
+from .native import compiled_sweep
 
 __all__ = ["sweep_row", "trisolve_lower_serial", "trisolve_upper_serial", "trisolve_factor",
-           "trisolve_lower", "trisolve_upper", "factor_solver"]
+           "trisolve_lower", "trisolve_upper", "apply_maps", "factor_solver"]
 
 
 def as_rhs(B, n_rows):
@@ -132,17 +147,47 @@ def _part_values(F, plan):
 
 
 def _level_sweep(F, Bp, plan, vals, diag):
-    """Solve the level-ordered ``Bp`` over ``plan``: one compiled ``csr_matvec(s)`` per level.
+    """Solve the level-ordered ``Bp`` over ``plan``: one compiled call per sweep.
 
     ``Bp`` is ``(n,)`` or ``(n, k)`` with row ``p`` holding ``plan.rows[p]``,
-    and so is the returned solution.  ``vals`` and ``diag`` are
-    :func:`_part_values`; the sweep divides by ``diag`` unless it is None.
+    and so is the returned solution, a fresh buffer.  ``vals`` and
+    ``diag`` are :func:`_part_values`; the sweep divides by ``diag``
+    unless it is None.  The C row loop (:mod:`.native`) runs every
+    position in level order on contiguous row-major storage; without it,
+    :func:`_level_loop` gives the same bits.  ``F`` is not read here: it
+    rides along so the kernel hook can validate the plan against it.
+    """
+    sweep = compiled_sweep()
+    if sweep is None:
+        return _level_loop(Bp, plan, vals, diag)
+    # the C loop checks no bounds: it reads n rows of b, every entry value and n diagonals
+    b = np.ascontiguousarray(Bp, dtype=np.float64)
+    if b.shape[0] != plan.n:
+        raise ValueError(f"right-hand side has {b.shape[0]} rows, the plan {plan.n}")
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
+    if vals.shape != (plan.ent_ptr[-1],) or diag is not None and diag.shape != (plan.n,):
+        raise ValueError("entry values or diagonal do not match the plan")
+    if diag is not None:
+        diag = np.ascontiguousarray(diag, dtype=np.float64)
+    X = np.empty(b.shape)
+    sweep(plan.n, 1 if b.ndim == 1 else b.shape[1], *plan.addresses, _address(vals),
+          None if diag is None else _address(diag), _address(b), _address(X))
+    return X
+
+
+def _address(a):
+    """``a.ctypes.data`` of a contiguous ``a``, in a third of the time if ``a`` is writable."""
+    if a.flags.writeable and a.nbytes:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
+
+
+def _level_loop(Bp, plan, vals, diag):
+    """:func:`_level_sweep` without a compiler: one ``csr_matvec(s)`` per level.
+
     Level ``l`` reads only earlier levels' rows of the solution, so its
     sums are one call into a zeroed buffer.  A block runs on its flat
-    row-major storage, where a level is one contiguous slice (cheaper
-    per level than 2-D slices and a broadcast divide).  ``F`` is not
-    read here: it rides along so the kernel hook can validate the plan
-    against it.
+    row-major storage, where a level is one contiguous slice.
     """
     k = 1 if Bp.ndim == 1 else Bp.shape[1]
     b = Bp.ravel()
@@ -167,7 +212,7 @@ def _level_sweep(F, Bp, plan, vals, diag):
 def _part_solve(F, B, plan):
     B = as_rhs(B, F.n_rows)
     X = np.empty(B.shape)
-    X[plan.rows] = _level_sweep(F, B[plan.rows], plan, *_part_values(F, plan))
+    X[plan.rows] = _level_sweep(F, B.take(plan.rows, axis=0), plan, *_part_values(F, plan))
     return X
 
 
@@ -188,45 +233,70 @@ _lower_sweep = kernel(_level_sweep, name="trisolve_lower")
 _upper_sweep = kernel(_level_sweep, name="trisolve_upper")
 
 
-def factor_solver(F, analysis=None, perm=None):
+def apply_maps(analysis, perm=None):
+    """The index maps of a factor apply, which depend only on the pattern and ``perm``.
+
+    Returns read-only ``(rows_in, mid, pos_out)``: the apply gathers the
+    caller's rows ``rows_in`` into the lower sweep's level order, its
+    positions ``mid`` into the upper sweep's, and the upper positions
+    ``pos_out`` back into the caller's order.  ``analysis`` is the
+    pattern's :class:`~repro.kernels.cache.SymbolicAnalysis`.  ``perm``
+    is the gather permutation of a factor of ``P A Pᵀ`` (row ``i`` of the
+    factor is row ``perm[i]`` of the caller's order); None means the
+    factor is in the caller's order.
+    """
+    lower, upper = analysis.plan("lower"), analysis.plan("upper")
+    ramp = np.arange(lower.n)
+    pos_lower = np.empty(lower.n, dtype=np.int64)
+    pos_lower[lower.rows] = ramp
+    rows_in, rows_out = lower.rows, upper.rows
+    if perm is not None:
+        rows_in, rows_out = perm[rows_in], perm[rows_out]
+    pos_out = np.empty(lower.n, dtype=np.int64)
+    pos_out[rows_out] = ramp
+    maps = (rows_in, pos_lower[upper.rows], pos_out)
+    for a in maps:
+        a.flags.writeable = False
+    return maps
+
+
+def factor_solver(F, analysis=None, maps=None):
     """The preconditioner apply ``X = U⁻¹ L⁻¹ B`` of the combined factor ``F``.
 
     Everything that depends only on the factor is done here, once: both
     plans (so a missing diagonal raises now, not mid-solve), the
-    level-ordered entry values and upper diagonal, and the index maps
-    from the caller's row order into the lower sweep's level order, from
-    there into the upper sweep's, and back out.  ``analysis`` defaults
-    to ``cached_analysis(F)``, which hashes ``F``'s pattern.  ``perm``
-    is the gather permutation of a factor of ``P A Pᵀ`` (row ``i`` of
-    ``F`` is row ``perm[i]`` of the caller's order); None means ``F`` is
-    in the caller's order.
+    level-ordered entry values and upper diagonal, and the index maps of
+    :func:`apply_maps` from the caller's row order into the lower
+    sweep's level order, from there into the upper sweep's, and back
+    out.  ``analysis`` defaults to ``cached_analysis(F)``, which hashes
+    ``F``'s pattern.  ``maps`` defaults to ``apply_maps(analysis)``, for
+    a factor in the caller's row order; the factor of ``P A Pᵀ`` passes
+    ``maps=apply_maps(analysis, perm)``, composed once per pattern and
+    permutation and shared by every refactor's apply.
 
     ``apply(B)`` takes a vector ``(n,)`` or a block ``(n, k)``: one shape
     check, one gather, the lower sweep, one gather, the upper sweep and
-    one scatter.  It equals :func:`trisolve_factor` of ``B[perm]``,
-    scattered back through ``perm``, bit for bit and column by column.
+    one gather back.  It equals :func:`trisolve_factor` of ``B[perm]``,
+    scattered back through ``perm`` (the identity for the default maps),
+    bit for bit and column by column.
     The apply holds copies of the values, so a later refactor leaves it
-    unchanged.
+    unchanged.  It only reads those copies and writes fresh buffers, so
+    several threads may call one apply at once.
     """
     if analysis is None:
         analysis = cached_analysis(F)
+    if maps is None:
+        maps = apply_maps(analysis)
+    rows_in, mid, pos_out = maps
     lower, upper = analysis.plan("lower"), analysis.plan("upper")
     lower_vals, _ = _part_values(F, lower)
     upper_vals, diag = _part_values(F, upper)
     n = F.n_rows
-    pos_lower = np.empty(n, dtype=np.int64)
-    pos_lower[lower.rows] = np.arange(n)
-    mid = pos_lower[upper.rows]
-    rows_in, rows_out = lower.rows, upper.rows
-    if perm is not None:
-        rows_in, rows_out = perm[rows_in], perm[rows_out]
 
     def apply(B):
         B = as_rhs(B, n)
-        Y = _lower_sweep(F, B[rows_in], lower, lower_vals, None)
-        Xp = _upper_sweep(F, Y[mid], upper, upper_vals, diag)
-        X = np.empty(B.shape)
-        X[rows_out] = Xp
-        return X
+        Y = _lower_sweep(F, B.take(rows_in, axis=0), lower, lower_vals, None)
+        Xp = _upper_sweep(F, Y.take(mid, axis=0), upper, upper_vals, diag)
+        return Xp.take(pos_out, axis=0)
 
     return apply

@@ -13,17 +13,21 @@ Three kernels:
 
 This module is the one place that imports scipy's compiled CSR loops,
 :func:`csr_matvec` (``y += A @ x``) and :func:`csr_matvecs` (the same
-for a row-major ``(n, k)`` block); the level-batched triangular sweeps
-reuse them from here.  Both start each row's sum from ``y[i]`` and add
-``a * x`` entry by entry in storage order, the order of the scalar
-references, so results agree bit for bit.  Two risks come with them:
+for a row-major ``(n, k)`` block).  ``spmv_csr`` calls the first; the
+triangular sweeps run their own C loop (``kernels/level_sweep.c``) and
+reuse both scipy loops only as their no-compiler fallback, one call per
+level.  Both start each row's sum from ``y[i]`` and add ``a * x`` entry
+by entry in storage order, the order of the scalar references, so
+results agree bit for bit.  Two risks come with them:
 
 * ``scipy.sparse._sparsetools`` is a private module of a declared
   dependency, so a scipy release may move or change it;
 * the bits assume the wheel does not contract ``sum + a * x`` into a
-  fused multiply-add.  ``tests/kernels/test_level_call.py`` compares
-  both calls with the scalar row loop in uint64 bits, so a wheel that
-  does fails there.
+  fused multiply-add.  The sweep's own library has the same risk, held
+  off by building it with ``-ffp-contract=off`` and never a fast-math
+  flag (``kernels/native.py``).  ``tests/kernels/test_level_call.py``
+  compares ``spmv_csr``, both sweeps and their fallback with the scalar
+  row loop in uint64 bits, so a build that fuses fails there.
 Neither function checks bounds: index arrays must be valid, and both
 index arrays share one integer type (int32 here, to avoid a copy).
 """

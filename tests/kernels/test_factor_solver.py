@@ -1,10 +1,13 @@
 """The factor apply ``factor_solver`` against the scalar ``trisolve_factor``, in uint64 bits."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import JavelinILU
-from repro.kernels.trisolve import factor_solver, trisolve_factor
+from repro.kernels.trisolve import apply_maps, factor_solver, trisolve_factor
 from repro.matrices import grid2d
 from repro.sparse import from_dense
 
@@ -71,3 +74,54 @@ def test_apply_keeps_the_values_it_was_built_with():
     # the apply holds copies: overwriting the old factor in place changes nothing
     F_old.data[:] = 1.0
     assert np.array_equal(_bits(apply(b)), _bits(before))
+
+
+def test_maps_are_composed_once_per_setup():
+    A = grid2d(12)
+    ilu = _factored(A)
+    ilu.build_solver()
+    maps = ilu._maps
+    assert all(not m.flags.writeable for m in maps)
+    ilu.refactor(A)
+    ilu.build_solver()
+    assert ilu._maps is maps
+    ilu.setup(A)
+    assert ilu._maps is None
+
+
+def test_default_maps_are_the_identity_permutation():
+    ilu = _factored(grid2d(12))
+    F, a = ilu.F, ilu.analysis
+    B = np.random.default_rng(2).standard_normal((F.n_rows, 3))
+    ident = np.arange(F.n_rows)
+    assert np.array_equal(_bits(factor_solver(F, a)(B)),
+                          _bits(factor_solver(F, a, apply_maps(a, ident))(B)))
+    assert np.array_equal(_bits(factor_solver(F, a, apply_maps(a, ilu.perm))(B)),
+                          _bits(_reference(F, ilu.perm, B)))
+
+
+def test_one_apply_serves_several_threads_at_once():
+    """The compiled sweeps drop the GIL; concurrent calls share only read-only state."""
+    ilu = _factored(grid2d(16))
+    apply = ilu.build_solver()
+    rhs = [np.random.default_rng(s).standard_normal((ilu.F.n_rows, 1 + s % 3)) for s in range(6)]
+    want = [apply(B) for B in rhs]
+    bad = []
+
+    def worker(t):
+        for i in range(40):
+            j = (t + i) % len(rhs)
+            if not np.array_equal(_bits(apply(rhs[j])), _bits(want[j])):
+                bad.append((t, i))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads) and bad == []

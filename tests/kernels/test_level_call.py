@@ -1,64 +1,168 @@
-"""The compiled row sums against the scalar row loop, bit for bit.
+"""The production sweeps against the scalar row loop, bit for bit.
 
-The level sweeps and ``spmv_csr`` hand every row sum to scipy's
-compiled ``csr_matvec`` / ``csr_matvecs``.  They reproduce the scalar
-references only if the wheel adds each ``a * x`` in entry order without
-fusing the multiply into the add; these tests compare uint64 bit
-patterns, so a wheel that contracts to an FMA fails here.
+``trisolve_lower`` / ``trisolve_upper`` run one compiled C call per
+sweep (``kernels/level_sweep.c``), or, without a compiler, one scipy
+``csr_matvec(s)`` call per level; ``spmv_csr`` calls ``csr_matvec``.
+Each reproduces its scalar reference only if every ``a * x`` is added
+in entry order without being fused into a multiply-add.  These tests
+compare uint64 bit patterns, so a build that contracts to an FMA fails
+here, and so does a fallback that drifts from the compiled sweep.
 """
+
+import shutil
 
 import numpy as np
 import pytest
 
-from repro.kernels.plans import build_trisolve_plan
-from repro.kernels.trisolve import sweep_row
-from repro.sparse import spmv_csr
-from repro.sparse.spmv import csr_matvec, csr_matvecs
+from repro.core import JavelinILU
+from repro.kernels import cached_analysis, native, trisolve
+from repro.kernels.trisolve import (
+    trisolve_lower,
+    trisolve_lower_serial,
+    trisolve_upper,
+    trisolve_upper_serial,
+)
+from repro.matrices import grid2d
+from repro.kernels.plans import diag_positions
+from repro.sparse import CSRMatrix, from_dense, spmv_csr
 
 from helpers import random_csr
+
+SWEEPS = {"lower": (trisolve_lower, trisolve_lower_serial),
+          "upper": (trisolve_upper, trisolve_upper_serial)}
 
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-def _level_sums(F, plan, Xp, lev):
-    """The sweep's call for level ``lev`` on the level-ordered solution ``Xp``."""
-    r0, r1 = int(plan.level_ptr[lev]), int(plan.level_ptr[lev + 1])
-    k = 1 if Xp.ndim == 1 else Xp.shape[1]
-    vals = F.data[plan.ent_idx]
-    s = np.zeros((r1 - r0) * k)
-    ptr = plan.ent_ptr[r0 : r1 + 1]
-    if Xp.ndim == 1:
-        csr_matvec(r1 - r0, plan.n, ptr, plan.ent_col, vals, Xp, s)
-    else:
-        csr_matvecs(r1 - r0, plan.n, k, ptr, plan.ent_col, vals, Xp.ravel(), s)
-    return s.reshape((r1 - r0,) + Xp.shape[1:])
+def _assert_equal(got, want, any_nan=False):
+    """Equal in uint64 bits; with ``any_nan``, a NaN only has to meet a NaN.
+
+    When both operands of an add are NaN, IEEE 754 leaves open whose
+    NaN comes out, and each compiler picks its own operand order (the
+    Python scalar loop here returns the other sign than both compiled
+    sweeps), so NaN payloads are not part of the contract.
+    """
+    if any_nan:
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        got, want = got[~nan], want[~nan]
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _assert_same_bits(F, B, part, any_nan=False):
+    fast, ref = SWEEPS[part]
+    _assert_equal(fast(F, B), ref(F, B), any_nan)
+
+
+@pytest.fixture
+def numpy_sweep(monkeypatch):
+    """Run the sweeps on the per-level ``csr_matvec(s)`` loop, as without a compiler."""
+    monkeypatch.setattr(trisolve, "compiled_sweep", lambda: None)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("part", ["lower", "upper"])
 @pytest.mark.parametrize("k", [1, 4])
 def test_level_call_matches_sweep_row(seed, part, k):
-    """Every level of a random factor, each row and column on its own."""
+    """A random factor's whole sweep, each row and column against ``sweep_row``."""
     rng = np.random.default_rng(seed)
     F = random_csr(120, density=0.15, seed=30 + seed)
-    plan = build_trisolve_plan(F, part)
-    shape = (F.n_rows,) if k == 1 else (F.n_rows, k)
-    X, B = rng.standard_normal(shape), rng.standard_normal(shape)
-    Xp = X[plan.rows]
-    upper = part == "upper"
-    for lev in range(plan.n_levels):
-        r0 = int(plan.level_ptr[lev])
-        s = _level_sums(F, plan, Xp, lev)
-        for i, r in enumerate(plan.rows[r0 : int(plan.level_ptr[lev + 1])]):
-            got = B[r] - s[i]
-            if upper:
-                got = got / F.data[plan.diag_idx[r]]
-            for j in range(k):
-                out = (X if k == 1 else X[:, j]).copy()
-                sweep_row(F, B if k == 1 else B[:, j], out, int(r), upper)
-                assert _bits(np.atleast_1d(got)[j]) == _bits(out[r])
+    B = rng.standard_normal((F.n_rows,) if k == 1 else (F.n_rows, k))
+    _assert_same_bits(F, B, part)
+
+
+LAYOUTS = {
+    "C": lambda B: B,
+    "F": np.asfortranarray,
+    "strided": lambda B: np.repeat(B, 2, axis=1)[:, ::2],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("part", ["lower", "upper"])
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_block_layouts(k, part, layout):
+    F = random_csr(80, density=0.2, seed=7)
+    B = LAYOUTS[layout](np.random.default_rng(k).standard_normal((F.n_rows, k)))
+    assert B.shape == (F.n_rows, k)
+    _assert_same_bits(F, B, part)
+
+
+@pytest.mark.parametrize("part", ["lower", "upper"])
+def test_one_row(part):
+    F = from_dense(np.array([[-3.0]]))
+    for B in (np.array([7.0]), np.array([[7.0, -0.0, 1e-300]])):
+        _assert_same_bits(F, B, part)
+
+
+def _poisoned_factor():
+    """A factor with NaN, +inf and -inf among its entries, diagonal ones included."""
+    F = random_csr(60, density=0.2, seed=11)
+    data = F.data.copy()
+    data[::7], data[3::11], data[5::13] = np.nan, np.inf, -np.inf
+    assert not np.all(np.isfinite(data[diag_positions(F)]))
+    return CSRMatrix(F.n_rows, F.n_cols, F.indptr, F.indices, data)
+
+
+def _poisoned_rhs(n, k):
+    B = np.random.default_rng(5).standard_normal((n, k))
+    B[::9, 0] = np.nan
+    B[2::17, -1] = np.inf
+    B[3::23, -1] = -np.inf
+    B[1, :] = -0.0
+    return B
+
+
+@pytest.mark.parametrize("part", ["lower", "upper"])
+@pytest.mark.parametrize("k", [1, 4])
+def test_non_finite_values_propagate_like_the_reference(k, part):
+    clean = random_csr(60, density=0.2, seed=11)
+    poisoned = _poisoned_factor()
+    B = _poisoned_rhs(60, k)
+    with np.errstate(all="ignore"):
+        for F in (clean, poisoned):
+            for rhs in (B[:, 0], B, np.random.default_rng(1).standard_normal((60, k))):
+                _assert_same_bits(F, rhs, part, any_nan=True)
+
+
+@pytest.mark.parametrize("part", ["lower", "upper"])
+@pytest.mark.parametrize("k", [1, 4])
+def test_numpy_fallback_equals_the_compiled_sweep(k, part, monkeypatch):
+    fast, _ = SWEEPS[part]
+    F = random_csr(120, density=0.15, seed=3)
+    cases = [(F, np.random.default_rng(k).standard_normal((F.n_rows, k)), False),
+             (F, _poisoned_rhs(F.n_rows, k), True),
+             (_poisoned_factor(), _poisoned_rhs(60, k), True)]
+    with np.errstate(all="ignore"):
+        compiled = [fast(F, B) for F, B, _ in cases]
+        monkeypatch.setattr(trisolve, "compiled_sweep", lambda: None)
+        for (F, B, any_nan), want in zip(cases, compiled):
+            _assert_equal(fast(F, B), want, any_nan)
+
+
+def test_numpy_fallback_apply_matches_the_reference(numpy_sweep):
+    ilu = JavelinILU().setup(grid2d(10))
+    ilu.factor()
+    B = np.random.default_rng(0).standard_normal((ilu.F.n_rows, 3))
+    X = np.empty(B.shape)
+    X[ilu.perm] = trisolve.trisolve_factor(ilu.F, B[ilu.perm])
+    assert np.array_equal(_bits(ilu.build_solver()(B)), _bits(X))
+
+
+@pytest.mark.skipif(shutil.which("cc") is None and shutil.which("gcc") is None,
+                    reason="no C compiler on PATH")
+def test_compiled_sweep_is_active_when_a_compiler_is_on_path():
+    assert native.sweep_status().startswith("compiled: ")
+    assert trisolve.compiled_sweep() is not None
+
+
+def test_compile_flags_keep_the_bits():
+    flags = set(native.FLAGS)
+    assert "-ffp-contract=off" in flags
+    assert not flags & {"-ffast-math", "-Ofast", "-ffp-contract=fast",
+                        "-funsafe-math-optimizations", "-fassociative-math", "-freciprocal-math"}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -73,3 +177,14 @@ def test_spmv_csr_matches_the_row_loop(seed):
             s += A.data[kk] * x[A.indices[kk]]
         ref[r] = s
     assert np.array_equal(_bits(spmv_csr(A, x)), _bits(ref))
+
+
+def test_the_compiled_call_refuses_mismatched_buffers():
+    """The C loop checks no bounds, so the sizes are checked before the call."""
+    F = random_csr(40, density=0.2, seed=2)
+    plan = cached_analysis(F).plan("upper")
+    vals, diag = trisolve._part_values(F, plan)
+    b = np.ones(F.n_rows)
+    for args in [(b[:-1], vals, diag), (b, vals[:-1], diag), (b, vals, diag[:-1])]:
+        with pytest.raises(ValueError):
+            trisolve._level_sweep(F, args[0], plan, *args[1:])
