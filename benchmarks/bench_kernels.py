@@ -3,7 +3,7 @@
 Unlike the figure benches (which report *simulated* machine times),
 these time the actual implementation with pytest-benchmark: spmv in CSR
 vs CSR5 tiles, the numeric ILU(0) factorization, the staged
-factorization, the triangular solves, and the scalar vs batched
+factorization, the triangular solves, and the scalar vs compiled
 ``ilu_factor`` kernel.  They guard against
 performance regressions in the library itself.
 
@@ -157,13 +157,39 @@ FACTOR_CASES = [24, 48]
 FACTOR_CHECK_CASE = 24
 
 
+#: calls per timed sample of a fast (batched or compiled) kernel: one call
+#: takes 0.1-2 ms, so a sample of one call is mostly timer and scheduler noise
+FAST_CALLS = 50
+
+
+def _timed(fns, calls, repeats):
+    """:func:`timeit_alternating` of ``fns``, ``calls[i]`` calls of ``fns[i]`` per sample.
+
+    Returns one ``(best_seconds, output, samples)`` per function, with
+    the seconds per call.
+    """
+
+    def batch(fn, k):
+        def run():
+            for _ in range(k - 1):
+                fn()
+            return fn()
+
+        return run
+
+    timed = timeit_alternating([batch(fn, k) for fn, k in zip(fns, calls)], repeats=repeats)
+    return [(best / k, out, [t / k for t in samples])
+            for (best, out, samples), k in zip(timed, calls)]
+
+
 def _trisolve_case(nx, repeats=3):
     """Time the scalar L/U sweeps vs the factor apply on a grid2d(nx) ILU(0)-style factor.
 
     The matrix's own values stand in for a factor (same pattern, full
     diagonal) — the sweeps only care about structure, and skipping the
     numeric factorization keeps the big case fast to regenerate.  The
-    apply is built once up front, as a Krylov loop reuses it.
+    apply is built once up front, as a Krylov loop reuses it.  A sample
+    is one scalar solve or :data:`FAST_CALLS` applies.
     """
     from repro.kernels.trisolve import factor_solver, trisolve_factor
     from repro.kernels import cached_analysis
@@ -174,8 +200,8 @@ def _trisolve_case(nx, repeats=3):
     analysis = cached_analysis(F)
     apply = factor_solver(F, analysis)
     apply(b)  # the first call loads the compiled sweep; keep that out of the samples
-    (t_scalar, x_scalar, scalar_samples), (t_batched, x_batched, batched_samples) = (
-        timeit_alternating([lambda: trisolve_factor(F, b), lambda: apply(b)], repeats=repeats)
+    (t_scalar, x_scalar, scalar_samples), (t_batched, x_batched, batched_samples) = _timed(
+        [lambda: trisolve_factor(F, b), lambda: apply(b)], [1, FAST_CALLS], repeats
     )
     return {
         "case": f"grid2d-{nx}",
@@ -183,6 +209,7 @@ def _trisolve_case(nx, repeats=3):
         "n": int(F.n_rows),
         "nnz": int(F.nnz),
         "n_levels": int(analysis.plan("lower").n_levels),
+        "batched_calls": FAST_CALLS,
         "scalar_s": t_scalar,
         "batched_s": t_batched,
         "scalar_samples": scalar_samples,
@@ -228,17 +255,18 @@ def _des_case(nx=64, p=8, repeats=3):
 
 
 def _factor_case(nx, repeats=3):
-    """Time ``ilu_factor_sequential`` vs the batched ``ilu_factor``: ILU(1) of grid2d(nx).
+    """Time ``ilu_factor_sequential`` vs the compiled ``ilu_factor``: ILU(1) of grid2d(nx).
 
-    ``batched_s`` times the numeric factor with the slot-wave schedule
-    built once beforehand, as a refactor loop reuses it; ``cold_s``
-    clears the symbolic cache first, so it also pays the schedule build.
-    The three take turns, one call each per round.  ``exact_equal``
-    compares the factor bytes.
+    ``batched_s`` times the compiled factor with the pattern's symbolic
+    analysis cached, as a refactor loop finds it; ``cold_s`` clears the
+    symbolic cache first, so it also pays the analysis lookup and the
+    diagonal positions.  The three take turns; a sample is one scalar
+    factor or :data:`FAST_CALLS` compiled ones.  ``exact_equal`` compares
+    the factor bytes.
     """
     from repro.core import JavelinILU, JavelinOptions
     from repro.core.iluk import ilu_factor, ilu_factor_sequential
-    from repro.kernels import cached_analysis, clear_default_cache
+    from repro.kernels import clear_default_cache
     from repro.matrices.generators import grid2d
 
     ilu = JavelinILU(JavelinOptions(fill_level=1)).setup(grid2d(nx))
@@ -248,20 +276,23 @@ def _factor_case(nx, repeats=3):
         clear_default_cache()
         return ilu_factor(A, S)
 
-    # cold runs first in each round, so the batched call after it finds the schedule cached
+    ilu_factor(A, S)  # the first call loads the compiled library; keep that out of the samples
+    # cold runs first in each round, so the batched calls after it find the analysis cached
     (
         (t_cold, F_cold, cold_samples),
         (t_scalar, F_scalar, scalar_samples),
         (t_batched, F_batched, batched_samples),
-    ) = timeit_alternating(
-        [cold, lambda: ilu_factor_sequential(A, S), lambda: ilu_factor(A, S)], repeats=repeats
+    ) = _timed(
+        [cold, lambda: ilu_factor_sequential(A, S), lambda: ilu_factor(A, S)],
+        [FAST_CALLS, 1, FAST_CALLS],
+        repeats,
     )
     return {
         "case": f"grid2d-{nx}-ilu1",
         "kernel": "ilu_factor",
         "n": int(S.n_rows),
         "nnz": int(S.nnz),
-        "n_waves": int(cached_analysis(F_batched).factor_schedule().n_waves),
+        "batched_calls": FAST_CALLS,
         "scalar_s": t_scalar,
         "batched_s": t_batched,
         "cold_s": t_cold,
@@ -314,8 +345,9 @@ def run(check):
             "numpy": np.__version__,
             "python": sys.version.split()[0],
             "repeats": 3,
-            "note": "best-of-3 wall-clock, the timed calls of a case taking "
-            "turns; exact_equal asserts the bit-identical scalar/batched contract",
+            "note": "best-of-3 wall-clock per call, the timed calls of a case taking "
+            "turns, batched_calls calls per sample of the fast kernels; exact_equal "
+            "asserts the bit-identical scalar/batched contract",
         },
         "entries": entries,
     }

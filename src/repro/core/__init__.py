@@ -7,8 +7,7 @@ Layout mirrors §III of the paper:
   machine simulator charges;
 * :mod:`iluk` — the sequential up-looking factorization of Fig. 1,
   the numerical reference every parallel path must match bit-for-bit,
-  and the wave-batched ``ilu_factor``, which runs it on a cached
-  slot-wave schedule with the same bits;
+  and ``ilu_factor``, the same row loop as one compiled call;
 * :mod:`ilut` — threshold dropping ILU(τ), the combined ILU(k, τ), and
   modified ILU (MILU) compensation;
 * :mod:`schedule` — the two-stage partition: which levels stay in the

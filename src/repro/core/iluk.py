@@ -1,4 +1,4 @@
-"""Up-looking incomplete LU: the row reference and the wave-batched factor.
+"""Up-looking incomplete LU: the row reference and the compiled factor.
 
 This is Fig. 1 of the paper verbatim: rows top to bottom; within row
 ``i`` scan the strict-lower pattern columns ``c`` in ascending order,
@@ -16,20 +16,16 @@ deterministic, which is the robustness property the paper contrasts
 with the fine-grained asynchronous method of Chow & Patel.  Tests
 assert bit-for-bit agreement.
 
-The whole numeric factor, with the ILU(k, τ) drop hook, exists twice.
-:func:`ilu_factor_sequential` is the :func:`factor_row` loop, the
-reference.  :func:`ilu_factor`, the production kernel behind
-:meth:`~repro.core.javelin.JavelinILU.factor`, runs §III's level
-schedule on the numeric phase at slot granularity: the cached
-:class:`~repro.kernels.plans.FactorSchedule` puts every strict-lower
-slot in a wave of the slot dependency DAG, and each wave is one pivot
-check, one divide and one ``np.subtract.at`` over all its slots.  A
-wave reads only rows that finished in earlier waves, which are final;
-its slots have all their in-row updates; and its updates reach each
-target in column order, because ``ufunc.at`` applies them in array
-order and waves never decrease along a row.  So every slot sees the
-same operations in the same order as in :func:`factor_row`, and the
-bits are the same.
+:func:`ilu_factor_sequential` is the :func:`factor_row` loop with the
+ILU(k, τ) drop hook, the reference.  :func:`ilu_factor`, the production
+kernel behind :meth:`~repro.core.javelin.JavelinILU.factor`, runs the
+same loop as one call into compiled C (``ilu_factor`` in
+``kernels/level_sweep.c``, loaded by :mod:`repro.kernels.native`).  The
+C loop finds row ``i``'s slot of a column through a column→slot mark
+instead of a search, and otherwise does the reference's operations in
+the reference's order, so the bits are the same, and a failed pivot is
+the reference's first failure.  Without a C compiler
+:func:`ilu_factor` is :func:`ilu_factor_sequential`.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ import numpy as np
 
 from ..kernels import cached_analysis
 from ..kernels.hook import kernel
+from ..kernels.native import compiled_factor
 from ..sparse.csr import CSRMatrix
 from .breakdown import FactorizationBreakdown, classify_pivot
 from .symbolic import ilu0_pattern, iluk_pattern
@@ -69,16 +66,20 @@ def _scatter_values(S: CSRMatrix, A: CSRMatrix):
 
     One whole-matrix ``searchsorted`` over global ``(row, col)`` keys —
     rows ascend and columns ascend within a row, so the keys are sorted
-    and every entry of A locates its slot in S in a single pass.
+    and every entry of A locates its slot in S in a single pass.  A row
+    of S with unsorted or repeated columns raises ``ValueError``.
     """
     F = S.pattern_copy()
     F.data[:] = 0.0
+    ncol = np.int64(F.n_cols)
+    f_keys = (
+        np.repeat(np.arange(F.n_rows, dtype=np.int64), np.diff(F.indptr)) * ncol + F.indices
+    )
+    unsorted = np.flatnonzero(f_keys[1:] <= f_keys[:-1])
+    if unsorted.size:
+        r = int(f_keys[unsorted[0] + 1] // ncol)
+        raise ValueError(f"pattern S row {r} is not sorted or repeats a column")
     if A.nnz:
-        ncol = np.int64(F.n_cols)
-        f_keys = (
-            np.repeat(np.arange(F.n_rows, dtype=np.int64), np.diff(F.indptr)) * ncol
-            + F.indices
-        )
         a_keys = (
             np.repeat(np.arange(A.n_rows, dtype=np.int64), np.diff(A.indptr)) * ncol
             + A.indices
@@ -196,93 +197,40 @@ def ilu_factor_sequential(
 
 @kernel
 def ilu_factor(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=False, analysis=None):
-    """:func:`ilu_factor_sequential`'s factor, one slot wave at a time.
+    """:func:`ilu_factor_sequential`'s factor, in one call of the compiled row loop.
 
-    A failed pivot re-runs the reference on a fresh scatter: wave
-    order is not row order, so only the row loop raises the sequential
-    :class:`PivotBreakdownError` (row, value, kind).  ``analysis`` is
-    the :class:`~repro.kernels.cache.SymbolicAnalysis` of ``S``'s
-    pattern, when the caller holds it; by default it is looked up.
+    A failed pivot raises the reference's :class:`PivotBreakdownError`
+    (row, value, kind).  ``analysis`` is the
+    :class:`~repro.kernels.cache.SymbolicAnalysis` of ``S``'s pattern,
+    when the caller holds it; by default it is looked up.  Without a C
+    compiler this is :func:`ilu_factor_sequential`.
     """
-    F = _scatter_values(S, A)
+    run = compiled_factor()
+    if run is None:
+        return ilu_factor_sequential(
+            A, S, pivot_tol=pivot_tol, drop_threshold=drop_threshold, modified=modified
+        )
+    # the C loop checks no bounds: rows sorted, one diagonal slot and one threshold per row
+    F = _scatter_values(S, A)  # raises on unsorted rows
     if analysis is None:
         analysis = cached_analysis(F)
     elif (analysis.n_rows, analysis.nnz) != (F.n_rows, F.nnz):
         raise ValueError("analysis is not of the pattern S")
-    try:
-        _run_factor_schedule(
-            F, analysis.factor_schedule(), analysis.diag_pos(), pivot_tol, drop_threshold, modified
-        )
-    except PivotBreakdownError:
-        return ilu_factor_sequential(
-            A, S, pivot_tol=pivot_tol, drop_threshold=drop_threshold, modified=modified
-        )
+    diag_pos = analysis.diag_pos()  # n_rows slots below nnz; raises on a missing diagonal
+    thresh = None
+    if drop_threshold is not None:
+        thresh = np.ascontiguousarray(drop_threshold, dtype=np.float64)
+        if thresh.shape != (F.n_rows,):
+            raise ValueError(f"drop_threshold has shape {thresh.shape}, want ({F.n_rows},)")
+    mark = np.full(F.n_cols, -1, dtype=np.int64)  # per call: concurrent factors are safe
+    bad = run(F.n_rows, F.indptr.ctypes.data, F.indices.ctypes.data, diag_pos.ctypes.data,
+              F.data.ctypes.data, float(pivot_tol), None if thresh is None else thresh.ctypes.data,
+              int(bool(modified)), mark.ctypes.data)
+    if bad >= 0:
+        c = int(F.indices[bad])
+        pivot = F.data[diag_pos[c]]
+        raise PivotBreakdownError(c, pivot, kind=classify_pivot(pivot, pivot_tol))
     return F
-
-
-def _run_factor_schedule(F, sch, diag_pos, pivot_tol, drop_threshold, modified):
-    """Factor ``F`` in place along the schedule ``sch``, one wave at a time.
-
-    A wave's pivots lie in rows that finished in earlier waves, so they
-    are final and one vectorized test checks them all.  Its slots have
-    received every in-row update, so one division finalizes them all.
-    Its update pairs follow their owning slots' storage order, and
-    ``np.subtract.at`` applies repeated targets in array order, so a
-    target that two of the wave's slots update meets them in column
-    order.  With ``drop_threshold``, the rows that finished before a
-    wave are dropped right before it, ahead of any wave that reads them.
-    """
-    d = F.data
-    wave_ptr, pair_ptr = sch.wave_ptr.tolist(), sch.pair_ptr.tolist()
-    slot, pivot, tgt, src, own = sch.slot, sch.pivot, sch.tgt, sch.src, sch.own
-    if drop_threshold is not None:
-        drop_row_ptr, drop_ptr = sch.drop_row_ptr.tolist(), sch.drop_ptr.tolist()
-        row_thresh = np.asarray(drop_threshold)[sch.drop_rows]
-        row_diag = diag_pos[sch.drop_rows]
-
-        def drop(w):
-            r0, r1 = drop_row_ptr[w], drop_row_ptr[w + 1]
-            p0, p1 = drop_ptr[w], drop_ptr[w + 1]
-            _drop_rows(d, sch, p0, p1, row_thresh[r0:r1], row_diag[r0:r1], modified)
-
-    inf = np.inf
-    for w in range(sch.n_waves):
-        if drop_threshold is not None:
-            drop(w)
-        a, b = wave_ptr[w], wave_ptr[w + 1]
-        piv = d[pivot[a:b]]
-        mag = np.abs(piv)
-        if not (pivot_tol < mag.min() and mag.max() < inf):  # NaN fails both
-            k = int(np.flatnonzero(~((pivot_tol < mag) & (mag < inf)))[0])
-            raise PivotBreakdownError(
-                int(F.indices[slot[a + k]]), piv[k], kind=classify_pivot(piv[k], pivot_tol)
-            )
-        cur = slot[a:b]
-        lic = d[cur] / piv
-        d[cur] = lic
-        p0, p1 = pair_ptr[w], pair_ptr[w + 1]
-        np.subtract.at(d, tgt[p0:p1], lic[own[p0:p1]] * d[src[p0:p1]])
-    if drop_threshold is not None:
-        drop(sch.n_waves)
-
-
-def _drop_rows(d, sch, a, b, thresh, diag, modified):
-    """:func:`drop_row_fixed_pattern` on the rows of one drop segment.
-
-    ``thresh`` and ``diag`` are the segment's rows' thresholds and
-    diagonal slots.  ``np.bincount`` sums each row's dropped mass in
-    ascending column order, the order of the row loop's ``+=``.
-    """
-    slots, local = sch.drop_slot[a:b], sch.drop_local[a:b]
-    v = d[slots]
-    hit = (v != 0.0) & (np.abs(v) < thresh[local])
-    if not hit.any():
-        return
-    if modified:
-        mass = np.bincount(local[hit], weights=v[hit], minlength=thresh.shape[0])
-        nz = mass != 0.0
-        d[diag[nz]] += mass[nz]
-    d[slots[hit]] = 0.0
 
 
 def ilu0_factor(A: CSRMatrix, *, pivot_tol=0.0):

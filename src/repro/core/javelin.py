@@ -15,11 +15,10 @@ Typical use::
 ``setup`` performs the paper's preprocessing (§III): predetermine the
 fill pattern (ILU(k)), level-schedule ``lower(S + Sᵀ)``, split into the
 two stages, and symmetrically permute the matrix into the level
-ordering.  ``factor`` runs the wave-batched
-:func:`~repro.core.iluk.ilu_factor` (plus the ILU(k, τ) drop hook) on
-the permuted matrix: one vectorized step per wave of the strict-lower
-slots' dependency DAG, on a schedule cached per pattern, giving the
-bits of the row-by-row :func:`~repro.core.iluk.factor_row` loop.  Every stage
+ordering.  ``factor`` runs :func:`~repro.core.iluk.ilu_factor` (plus
+the ILU(k, τ) drop hook) on the permuted matrix: the row-by-row
+:func:`~repro.core.iluk.factor_row` loop as one compiled call, with its
+bits.  Every stage
 order — the p2p upper levels, Even-Rows, Segmented-Rows — eliminates
 each row's columns in ascending order, so each gives those same bits,
 and the orders themselves run in the threaded executor
@@ -229,9 +228,9 @@ class JavelinILU:
     def factor(self) -> FactorResult:
         """Numeric factorization: :func:`~repro.core.iluk.ilu_factor` on ``A_perm``.
 
-        It runs the pattern's cached slot-wave schedule one wave at a
-        time, dropping each row (ILU(k, τ), when ``tau > 0``) once it is
-        done; its bits are those of the row loop
+        It runs Fig. 1's row loop as one compiled call, dropping each
+        row (ILU(k, τ), when ``tau > 0``) once it is done; its bits are
+        those of the row loop
         :func:`~repro.core.iluk.ilu_factor_sequential` on
         ``(A_perm, S_perm)`` with the same drop thresholds.  The
         lower-stage choice does not enter: every stage order gives these
@@ -356,7 +355,9 @@ class JavelinILU:
                     "apply only to sync='p2p'"
                 )
             sim_upper, upper_kw = simulate_upper_barrier, {}
-        flops, touched = self.analysis.factor_costs()
+        # full-row costs from the one split at m: exact sums of integer counts
+        (fl, tl), (fc, tc) = self._factor_split_costs()
+        flops, touched = fl + fc, tl + tc
         use_lower = (
             self.schedule.n_lower_rows > 0 if lower is None else bool(lower)
         ) and self.schedule.n_lower_rows > 0

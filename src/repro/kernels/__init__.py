@@ -9,9 +9,9 @@ and ``ilu_factor`` (``ilu_factor_sequential``) in
 :mod:`repro.core.iluk`.  The two agree bit-for-bit (see
 ``docs/kernel_backends.md``); :func:`~repro.kernels.hook.kernel` wraps
 each production kernel with its trace span and debug validator, and
-:mod:`.native` builds and loads the triangular sweep's C row loop.
-Symbolic analysis products (diagonal positions, level sets, sweep
-plans, the numeric factor's update schedule, row costs) are memoized
+:mod:`.native` builds and loads the C row loops of the triangular
+sweep and the numeric factor.  Symbolic analysis products (diagonal
+positions, level sets, sweep plans, row costs) are memoized
 per sparsity-pattern fingerprint in :class:`SymbolicCache` so repeated
 factor/solve cycles reuse them.
 """

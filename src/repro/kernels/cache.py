@@ -2,9 +2,9 @@
 
 An ILU-preconditioned Krylov run re-analyzes the same sparsity pattern
 over and over: every factor/solve cycle needs diagonal positions, level
-sets, level-ordered permutations, batched sweep plans, the numeric
-factor's update schedule, and row-cost arrays — all functions of
-``(indptr, indices)`` alone, never of the values.  This module
+sets, level-ordered permutations, batched sweep plans and row-cost
+arrays — all functions of ``(indptr, indices)`` alone, never of the
+values.  This module
 fingerprints the pattern and memoizes one :class:`SymbolicAnalysis` per
 fingerprint, so repeated cycles (GMRES restarts, CG
 re-preconditioning, parameter sweeps over ``τ``) pay the symbolic cost
@@ -29,7 +29,6 @@ from ..obs import spans as _spans
 from ..sparse.csr import CSRMatrix
 from .plans import (
     backward_level_sets,
-    build_factor_schedule,
     build_trisolve_plan,
     diag_positions,
     forward_level_sets,
@@ -72,8 +71,7 @@ def freeze_product(obj):
     site instead of silent corruption of every other consumer.  Handles
     bare arrays, tuples of products, and the dataclass products
     (:class:`~repro.ordering.levelsets.LevelSets`,
-    :class:`~repro.kernels.plans.TriSolvePlan`,
-    :class:`~repro.kernels.plans.FactorSchedule`, the ``repro.sched``
+    :class:`~repro.kernels.plans.TriSolvePlan`, the ``repro.sched``
     plans), whose every array attribute is frozen.
     """
     if isinstance(obj, np.ndarray):
@@ -187,13 +185,6 @@ class SymbolicAnalysis:
                 levels=self.levels(part),
                 diag_idx=self.diag_pos() if part == "upper" else None,
             ),
-        )
-
-    def factor_schedule(self):
-        """The numeric factor's slot-wave schedule (reuses diag_pos)."""
-        return self._get(
-            "factor_schedule",
-            lambda: build_factor_schedule(self._pattern, diag_idx=self.diag_pos()),
         )
 
     def superstep_plan(self, part, *, n_threads, opts=None):

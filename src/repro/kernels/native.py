@@ -1,9 +1,11 @@
-"""The compiled triangular sweep: ``level_sweep.c``, built once and loaded with ctypes.
+"""The compiled kernels: ``level_sweep.c``, built once and loaded with ctypes.
 
-:func:`compiled_sweep` returns the C function behind
-:func:`repro.kernels.trisolve._level_sweep`, or None when there is no C
-compiler or the library cannot be built or loaded.  The sweep then runs
-its per-level ``csr_matvec(s)`` loop, which gives the same bits.
+The library exports two functions.  :func:`compiled_sweep` returns the
+one behind :func:`repro.kernels.trisolve._level_sweep`, and
+:func:`compiled_factor` the one behind :func:`repro.core.iluk.ilu_factor`.
+Both are None when there is no C compiler or the library cannot be built
+or loaded.  The sweep then runs its per-level ``csr_matvec(s)`` loop and
+the factor its row-by-row reference, which give the same bits.
 
 The first call in a process loads the library, building it if needed:
 
@@ -29,7 +31,8 @@ someone else could have written to, is skipped.
 The one-off compile is a ``kernels.compile_sweep`` span and a fallback
 is a ``kernels.sweep_fallback`` instant carrying the reason; both are
 recorded only if tracing is on at that moment.  :func:`sweep_status`
-tells which sweep runs at any time.
+tells which kernels run at any time: both functions come from one
+library, so they are compiled or fall back together.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ from pathlib import Path
 from ..obs import spans as _spans
 
 __all__ = ["FLAGS", "SOURCE", "PACKAGE_CACHE", "cache_dirs", "load_sweep", "compiled_sweep",
-           "sweep_status"]
+           "compiled_factor", "sweep_status"]
 
-#: compiler flags of the sweep library; never ``-ffast-math``, ``-Ofast``
+#: compiler flags of the library; never ``-ffast-math``, ``-Ofast``
 #: or ``-ffp-contract=fast``, which would change the bits
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 SOURCE = "level_sweep.c"
@@ -58,7 +61,7 @@ SOURCE = "level_sweep.c"
 PACKAGE_CACHE = Path(__file__).resolve().parent / "__pycache__"
 
 _UNSET = object()
-_SWEEP = _UNSET  # the loaded function, None for the numpy loop
+_LIB = _UNSET  # the loaded library, None for the numpy fallbacks
 _STATUS = "not loaded"
 
 
@@ -119,11 +122,13 @@ def _library(d, key, src, cc):
 
 
 def load_sweep(dirs=None):
-    """``(function, status)``: the compiled sweep from the first usable cache directory.
+    """``(library, status)``: the compiled kernels from the first usable cache directory.
 
-    ``dirs`` defaults to :func:`cache_dirs`.  The function is None when
-    there is no compiler, the compile fails or no directory yields a
-    library that loads; ``status`` then gives the reason.
+    ``dirs`` defaults to :func:`cache_dirs`.  The library's
+    ``level_sweep`` and ``ilu_factor`` have their argument types set.
+    It is None when there is no compiler, the compile fails or no
+    directory yields a library that loads; ``status`` then gives the
+    reason.
     """
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
@@ -136,36 +141,58 @@ def load_sweep(dirs=None):
     reason = "numpy: no cache directory"
     for d in cache_dirs() if dirs is None else dirs:
         try:
-            lib = _library(Path(d), key, src, cc)
-            fn = ctypes.CDLL(str(lib)).level_sweep
+            path = _library(Path(d), key, src, cc)
+            lib = ctypes.CDLL(str(path))
         except subprocess.CalledProcessError as e:
             err = e.stderr.decode(errors="replace").strip().splitlines()
             return None, f"numpy: {cc} failed: {err[-1] if err else e}"
         except (OSError, subprocess.SubprocessError) as e:
             reason = f"numpy: {d}: {e}"
             continue
-        fn.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6
-        fn.restype = None
-        return fn, f"compiled: {lib}"
+        lib.level_sweep.argtypes = (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 6
+        lib.level_sweep.restype = None
+        lib.ilu_factor.argtypes = ((ctypes.c_int64,) + (ctypes.c_void_p,) * 4
+                                   + (ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,
+                                      ctypes.c_void_p))
+        lib.ilu_factor.restype = ctypes.c_int64
+        return lib, f"compiled: {path}"
     return None, reason
 
 
+def _library_once():
+    """The process's library, loaded on first call; None means the numpy fallbacks."""
+    global _LIB, _STATUS
+    if _LIB is _UNSET:
+        _LIB, _STATUS = load_sweep()
+        if _LIB is None:
+            _spans.instant("kernels.sweep_fallback", cat="kernels", reason=_STATUS)
+    return _LIB
+
+
 def compiled_sweep():
-    """The process's compiled sweep, loaded on first call; None means the numpy loop.
+    """The compiled sweep, or None for the numpy loop.
 
     ``fn(n, k, ent_ptr, ent_col, vals, diag, b, x)`` takes addresses of
     contiguous arrays (``diag`` may be None).  ctypes releases the GIL
     for the call.
     """
-    global _SWEEP, _STATUS
-    if _SWEEP is _UNSET:
-        _SWEEP, _STATUS = load_sweep()
-        if _SWEEP is None:
-            _spans.instant("kernels.sweep_fallback", cat="kernels", reason=_STATUS)
-    return _SWEEP
+    lib = _library_once()
+    return None if lib is None else lib.level_sweep
+
+
+def compiled_factor():
+    """The compiled ILU row loop, or None for the row-by-row reference.
+
+    ``fn(n, indptr, indices, diag, data, tol, thresh, modified, mark)``
+    takes addresses of contiguous int64 and float64 arrays (``thresh``
+    may be None) and returns -1 or the slot whose pivot failed.  ctypes
+    releases the GIL for the call.
+    """
+    lib = _library_once()
+    return None if lib is None else lib.ilu_factor
 
 
 def sweep_status():
-    """``"compiled: <library>"`` or ``"numpy: <reason>"`` for this process's sweep."""
-    compiled_sweep()
+    """``"compiled: <library>"`` or ``"numpy: <reason>"`` for this process's kernels."""
+    _library_once()
     return _STATUS

@@ -17,15 +17,9 @@ row sum adds them strictly sequentially in that order — exactly the
 scalar reference's ``s += data[k] * y[col[k]]`` loop, so the two sweeps
 agree bit-for-bit.
 
-A :class:`FactorSchedule` does the same for the numeric ILU factor: it
-levels the DAG of the strict-lower slots themselves, not of the rows.
-A slot waits for the in-row slots that update it and for its pivot row
-to finish; a Kahn-style peel puts it in the first *wave* after those,
-and never ahead of the slot before it in its row.  With the
-multiply-subtract updates each slot triggers listed wave by wave, the
-numeric phase runs one wave at a time instead of one row at a time.
-Those updates come from :func:`slot_updates`, which the DES cost counts
-read too.
+:func:`slot_updates` expands the numeric factor's work slot by slot
+(every strict-lower slot over its pivot row's upper part), for the DES
+cost counts and the Segmented-Rows tiles.
 
 Also here: the array-level level-set computations shared by the plans
 and the symbolic cache, and the whole-matrix diagonal locator.
@@ -50,8 +44,6 @@ __all__ = [
     "build_producer_csr",
     "SlotUpdates",
     "slot_updates",
-    "FactorSchedule",
-    "build_factor_schedule",
 ]
 
 
@@ -248,102 +240,6 @@ def build_producer_csr(S, m, thread_of):
 
 
 @dataclass
-class FactorSchedule:
-    """The slot-wave schedule of the numeric ILU factor.
-
-    Every strict-lower slot ``(i, c)`` is one division: ``slot`` is its
-    storage index and ``pivot`` the storage index of ``(c, c)``.  Row
-    ``c`` *finishes* in the wave of its last lower slot (before wave 0
-    when it has none).  A slot's wave is 1 + the latest of the waves of
-    the in-row slots that update it and the wave its pivot row finishes
-    in, raised to the wave of the slot before it in the row, so waves
-    never decrease along a row.  Wave ``w`` is
-    ``slot[wave_ptr[w]:wave_ptr[w+1]]`` in storage order; it may hold
-    several slots of one row.  Its update pairs are
-    ``pair_ptr[w]:pair_ptr[w+1]``: target slot ``tgt`` in row ``i``,
-    source slot ``src`` in the upper part of row ``c``, and ``own``, the
-    index of the dividing slot inside its wave.  The pairs follow their
-    owning slots' storage order, so every target meets its updates in
-    column order.
-
-    The ILU(k, τ) drop hook runs on the rows that finished before wave
-    ``w``, right before it: drop segment ``w`` (``0 <= w <= n_waves``)
-    holds rows ``drop_rows[drop_row_ptr[w]:drop_row_ptr[w+1]]``
-    (ascending), whose off-diagonal slots are
-    ``drop_slot[drop_ptr[w]:drop_ptr[w+1]]`` (ascending column within a
-    row) with ``drop_local`` the row's index inside its segment.  All
-    index arrays are int32.
-    """
-
-    slot: np.ndarray
-    pivot: np.ndarray
-    wave_ptr: np.ndarray
-    tgt: np.ndarray
-    src: np.ndarray
-    own: np.ndarray
-    pair_ptr: np.ndarray
-    drop_rows: np.ndarray
-    drop_row_ptr: np.ndarray
-    drop_slot: np.ndarray
-    drop_local: np.ndarray
-    drop_ptr: np.ndarray
-
-    @property
-    def n_waves(self):
-        return self.wave_ptr.shape[0] - 1
-
-
-def _slot_waves(low_ptr, dep_from, dep_to):
-    """Wave of every lower slot: a Kahn peel of the slot DAG, one wave per pass.
-
-    ``low_ptr`` groups the lower slots by row (storage order); slot
-    ``dep_to[e]`` waits on slot ``dep_from[e]``.  A pass takes, in every
-    row, the run of ready slots that starts at the row's next unassigned
-    slot, then releases what the run's slots unblock.  A slot thus lands
-    one wave after its latest dependency and never before the slot ahead
-    of it in its row.  Index ``n_low`` is a sentinel that is never ready.
-    """
-    n_low = int(low_ptr[-1])
-    waiting = np.bincount(dep_to, minlength=n_low + 1)
-    waiting[n_low] = 1
-    by_from = np.argsort(dep_from, kind="stable")
-    release_ptr = ptr_from_segment_ids(dep_from[by_from], n_low)
-    rel_start, rel_len = release_ptr[:-1], np.diff(release_ptr)
-    released = dep_to[by_from]
-    head = np.zeros(n_low + 1, dtype=bool)  # leads its row or follows an assigned slot
-    head[low_ptr[:-1]] = True
-    cont = (waiting == 0) & ~head  # ready, and not at its row's head
-    stamp = np.zeros(n_low + 1, dtype=np.int64)
-    wave_of = np.full(n_low, -1, dtype=np.int64)
-    cur = np.flatnonzero((waiting == 0) & head)
-    wave = 0
-    while cur.size:
-        run, s = [cur], cur
-        while True:  # extend every row's run over its consecutive ready slots
-            s = s + 1
-            s = s[cont[s]]
-            if not s.size:
-                break
-            run.append(s)
-        took = np.concatenate(run) if len(run) > 1 else cur
-        wave_of[took] = wave
-        head[took + 1] = True
-        lens = rel_len[took]
-        end = np.cumsum(lens)
-        hit = released[np.arange(end[-1]) + np.repeat(rel_start[took] - end + lens, lens)]
-        np.subtract.at(waiting, hit, 1)
-        hit = hit[waiting[hit] == 0]  # one copy per released dependency
-        at_head = head[hit]
-        cont[hit[~at_head]] = True
-        cur = hit[at_head]
-        k = np.arange(cur.shape[0])  # keep one copy of each new head
-        stamp[cur] = k
-        cur = cur[stamp[cur] == k]
-        wave += 1
-    return wave_of
-
-
-@dataclass
 class SlotUpdates:
     """The up-looking kernel's work on a pattern, slot by slot (Fig. 1).
 
@@ -401,70 +297,3 @@ def slot_updates(pattern, *, diag_idx=None) -> SlotUpdates:
     tgt = np.searchsorted(keys, want)
     hit = keys[np.minimum(tgt, keys.shape[0] - 1)] == want
     return SlotUpdates(slot, row, col, pivot, cand_ptr, src, cand_row, cand_col, tgt, hit)
-
-
-def build_factor_schedule(pattern, *, diag_idx=None) -> FactorSchedule:
-    """Build the numeric factor's slot-wave schedule of ``pattern``.
-
-    The update pairs of :func:`slot_updates` that land on lower slots,
-    plus one edge from each row's last lower slot to every slot
-    pivoting on that row, form the slot DAG that :func:`_slot_waves`
-    peels.  ``diag_idx`` can be supplied by the symbolic cache.
-    """
-    n = pattern.n_rows
-    indptr = pattern.indptr
-    if diag_idx is None:
-        diag_idx = diag_positions(pattern)
-    ex = slot_updates(pattern, diag_idx=diag_idx)
-    n_low = ex.slot.shape[0]
-    l_col, cand_ptr, c_row, hit = ex.col, ex.cand_ptr, ex.cand_row, ex.hit
-    low_ptr = ptr_from_segment_ids(ex.row, n)
-
-    # slot DAG: in-row updates of lower slots, and pivot row c's last lower
-    # slot before every slot on column c; both edge lists ascend in their source
-    in_row = np.flatnonzero(hit & (ex.cand_col < c_row))
-    has_low = low_ptr[1:] > low_ptr[:-1]
-    on_done = np.flatnonzero(has_low[l_col])
-    on_done = on_done[np.argsort(l_col[on_done], kind="stable")]
-    wave_of = _slot_waves(
-        low_ptr,
-        np.r_[np.searchsorted(cand_ptr, in_row, side="right") - 1, low_ptr[l_col[on_done] + 1] - 1],
-        np.r_[ex.tgt[in_row] - (indptr[:-1] - low_ptr[:-1])[c_row[in_row]], on_done],
-    )
-    n_waves = int(wave_of.max(initial=-1)) + 1
-
-    # slots in (wave, storage) order, each slot's hits right behind it
-    order = np.argsort(wave_of, kind="stable")
-    wave_ptr = np.searchsorted(wave_of[order], np.arange(n_waves + 1))
-    in_wave = np.arange(n_low) - np.repeat(wave_ptr[:-1], np.diff(wave_ptr))
-    n_hit = ex.hits_per_slot()[order]
-    cand = segment_positions(cand_ptr, order)[1]
-    cand = cand[hit[cand]]
-    slot_pair_ptr = np.zeros(n_low + 1, dtype=np.int64)
-    np.cumsum(n_hit, out=slot_pair_ptr[1:])
-
-    # drop hook: the rows that finished before wave w, ahead of it
-    finish = np.full(n, -1, dtype=np.int64)
-    finish[has_low] = wave_of[low_ptr[1:][has_low] - 1]
-    drop_rows = np.argsort(finish, kind="stable")
-    drop_row_ptr = np.searchsorted(finish[drop_rows], np.arange(-1, n_waves + 1))
-    row_ptr, pos = segment_positions(indptr, drop_rows)
-    seg = segment_ids_from_ptr(row_ptr)
-    keep = pos != diag_idx[drop_rows[seg]]
-    pos, seg = pos[keep], seg[keep]
-    row_start = np.repeat(drop_row_ptr[:-1], np.diff(drop_row_ptr))
-
-    return FactorSchedule(
-        slot=_i32(ex.slot[order]),
-        pivot=_i32(ex.pivot[order]),
-        wave_ptr=_i32(wave_ptr),
-        tgt=_i32(ex.tgt[cand]),
-        src=_i32(ex.src[cand]),
-        own=_i32(np.repeat(in_wave, n_hit)),
-        pair_ptr=_i32(slot_pair_ptr[wave_ptr]),
-        drop_rows=_i32(drop_rows),
-        drop_row_ptr=_i32(drop_row_ptr),
-        drop_slot=_i32(pos),
-        drop_local=_i32(seg - row_start[seg]),
-        drop_ptr=_i32(np.searchsorted(seg, drop_row_ptr)),
-    )

@@ -157,16 +157,16 @@ def _level_sweep(F, Bp, plan, vals, diag):
     :func:`_level_loop` gives the same bits.  ``F`` is not read here: it
     rides along so the kernel hook can validate the plan against it.
     """
-    sweep = compiled_sweep()
-    if sweep is None:
-        return _level_loop(Bp, plan, vals, diag)
-    # the C loop checks no bounds: it reads n rows of b, every entry value and n diagonals
+    # neither loop checks bounds: each reads n rows of b, every entry value and n diagonals
     b = np.ascontiguousarray(Bp, dtype=np.float64)
     if b.shape[0] != plan.n:
         raise ValueError(f"right-hand side has {b.shape[0]} rows, the plan {plan.n}")
     vals = np.ascontiguousarray(vals, dtype=np.float64)
     if vals.shape != (plan.ent_ptr[-1],) or diag is not None and diag.shape != (plan.n,):
         raise ValueError("entry values or diagonal do not match the plan")
+    sweep = compiled_sweep()
+    if sweep is None:
+        return _level_loop(b, plan, vals, diag)
     if diag is not None:
         diag = np.ascontiguousarray(diag, dtype=np.float64)
     X = np.empty(b.shape)

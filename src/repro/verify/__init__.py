@@ -53,7 +53,6 @@ from .invariants import (
     validate_analysis,
     validate_csc,
     validate_csr,
-    validate_factor_schedule,
     validate_levels,
     validate_plan,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "validate_csc",
     "validate_levels",
     "validate_plan",
-    "validate_factor_schedule",
     "validate_analysis",
     "enable_debug_validation",
     "disable_debug_validation",

@@ -40,7 +40,6 @@ __all__ = [
     "validate_csc",
     "validate_levels",
     "validate_plan",
-    "validate_factor_schedule",
     "validate_analysis",
     "enable_debug_validation",
     "disable_debug_validation",
@@ -192,94 +191,6 @@ def _ptr_ok(ptr: np.ndarray, length: int, total: int) -> bool:
             and not np.any(np.diff(ptr) < 0))
 
 
-def validate_factor_schedule(sch: Any, pattern: Any, *, name: str = "FactorSchedule") -> bool:
-    """The slot-wave schedule of ``pattern`` keeps the factor's dependencies.
-
-    Every strict-lower slot sits in exactly one wave, after the waves of
-    the in-row slots that update it and after the wave its pivot row
-    finishes in (its last lower slot's; -1 without one), and waves never
-    decrease along a row.  A wave's slots and its pairs' owners ascend
-    in storage order, each pair updates its owner's row from the upper
-    part of the owner's pivot row, and drop segment ``w`` holds exactly
-    the rows that finish in wave ``w - 1``, each once, ascending.
-    Whole-array checks: cheap enough for the debug lookup hook.
-    """
-    indptr = np.asarray(pattern.indptr, dtype=np.int64)
-    indices = np.asarray(pattern.indices, dtype=np.int64)
-    n, nnz = int(pattern.n_rows), indices.shape[0]
-    slot, pivot = np.asarray(sch.slot, dtype=np.int64), np.asarray(sch.pivot, dtype=np.int64)
-    wave_ptr = np.asarray(sch.wave_ptr, dtype=np.int64)
-    n_waves, n_slot = wave_ptr.shape[0] - 1, slot.shape[0]
-    if n_waves < 0 or not _ptr_ok(wave_ptr, n_waves + 1, n_slot):
-        _fail(name, "wave_ptr must ascend from 0 to the slot count")
-    row_of = segment_ids_from_ptr(indptr)
-    lower = np.flatnonzero(indices < row_of)
-    if n_slot != lower.shape[0] or not np.array_equal(np.sort(slot), lower):
-        _fail(name, "slot does not hold every strict-lower slot exactly once")
-    wave = segment_ids_from_ptr(wave_ptr)
-    wave_at = np.full(nnz, -1, dtype=np.int64)
-    wave_at[slot] = wave
-    l_row, l_col = row_of[lower], indices[lower]
-    c = indices[slot]
-    if pivot.shape != slot.shape or np.any((pivot < 0) | (pivot >= nnz)) or np.any(
-            (row_of[pivot] != c) | (indices[pivot] != c)):
-        _fail(name, "pivot is not the diagonal slot of the slot's column")
-    down = (l_row[1:] == l_row[:-1]) & (wave_at[lower[1:]] < wave_at[lower[:-1]])
-    if np.any(down):
-        _fail(name, f"waves decrease along row {int(l_row[np.flatnonzero(down)[0]])}")
-    finish = np.full(n, -1, dtype=np.int64)
-    np.maximum.at(finish, l_row, wave_at[lower])
-    late = wave_at[lower] <= finish[l_col]
-    if np.any(late):
-        k = int(np.flatnonzero(late)[0])
-        _fail(name, f"slot ({int(l_row[k])}, {int(l_col[k])}) is not after its pivot row finishes")
-    if np.any((np.diff(slot) <= 0) & (np.diff(wave) == 0)):
-        _fail(name, "slots of a wave not in ascending storage order")
-
-    tgt, src = np.asarray(sch.tgt, dtype=np.int64), np.asarray(sch.src, dtype=np.int64)
-    own, pair_ptr = np.asarray(sch.own, dtype=np.int64), np.asarray(sch.pair_ptr, dtype=np.int64)
-    if not _ptr_ok(pair_ptr, n_waves + 1, tgt.shape[0]):
-        _fail(name, "pair_ptr must ascend from 0 to the pair count, one segment per wave")
-    p_wave = segment_ids_from_ptr(pair_ptr)
-    size = np.diff(wave_ptr)[p_wave]
-    if tgt.shape != src.shape or own.shape != src.shape or np.any((own < 0) | (own >= size)):
-        _fail(name, "own points outside its wave")
-    if np.any((tgt < 0) | (tgt >= nnz) | (src < 0) | (src >= nnz)):
-        _fail(name, "tgt/src outside the pattern's storage")
-    if np.any((np.diff(own) < 0) & (np.diff(p_wave) == 0)):
-        _fail(name, "pair owners not ascending within a wave")
-    owner = slot[wave_ptr[p_wave] + own]
-    o_row, o_col = row_of[owner], indices[owner]
-    if np.any((row_of[tgt] != o_row) | (row_of[src] != o_col) | (indices[src] <= o_col)
-              | (indices[tgt] != indices[src])):
-        _fail(name, "a pair does not update its owner's row from its pivot row's upper part")
-    early = (indices[tgt] < o_row) & (wave_at[tgt] <= p_wave)
-    if np.any(early):
-        t = tgt[np.flatnonzero(early)[0]]
-        _fail(name, f"slot ({int(row_of[t])}, {int(indices[t])}) is not after an in-row updater")
-
-    rows = np.asarray(sch.drop_rows, dtype=np.int64)
-    row_ptr = np.asarray(sch.drop_row_ptr, dtype=np.int64)
-    if not _ptr_ok(row_ptr, n_waves + 2, n) or not np.array_equal(np.sort(rows), np.arange(n)):
-        _fail(name, "drop_rows must list every row once, one segment per wave and one before")
-    seg = segment_ids_from_ptr(row_ptr)
-    if np.any(finish[rows] != seg - 1) or np.any((np.diff(rows) <= 0) & (np.diff(seg) == 0)):
-        _fail(name, "drop segment w must hold the rows finishing in wave w - 1, ascending")
-    d_slot = np.asarray(sch.drop_slot, dtype=np.int64)
-    d_ptr = np.asarray(sch.drop_ptr, dtype=np.int64)
-    if not _ptr_ok(d_ptr, n_waves + 2, d_slot.shape[0]):
-        _fail(name, "drop_ptr must ascend from 0 to the drop slot count, one segment per drop list")
-    d_seg, d_local = segment_ids_from_ptr(d_ptr), np.asarray(sch.drop_local, dtype=np.int64)
-    if d_local.shape != d_slot.shape or np.any(
-            (d_local < 0) | (d_local >= np.diff(row_ptr)[d_seg])):
-        _fail(name, "drop_local points outside its drop segment")
-    d_row = rows[row_ptr[d_seg] + d_local]
-    if not np.array_equal(np.sort(d_slot), np.flatnonzero(indices != row_of)) or np.any(
-            row_of[d_slot] != d_row):
-        _fail(name, "drop_slot must list every off-diagonal slot once, under its row")
-    return True
-
-
 def _assert_frozen(arr: Any, what: str, name: str) -> None:
     if isinstance(arr, np.ndarray) and arr.flags.writeable:
         _fail(name, f"cached array {what} is writeable — cache entries must be "
@@ -295,7 +206,7 @@ def validate_analysis(ana: Any, *, name: str = "SymbolicAnalysis") -> bool:
     mutation of a shared cache entry is caught at the next lookup.
     """
     from ..kernels.cache import SymbolicAnalysis  # noqa: F401  (type anchor)
-    from ..kernels.plans import FactorSchedule, TriSolvePlan
+    from ..kernels.plans import TriSolvePlan
     from ..ordering.levelsets import LevelSets
     from ..sched.elastic import ElasticSchedule
     from ..sched.superstep import SuperstepPlan, validate_superstep_plan
@@ -317,11 +228,6 @@ def validate_analysis(ana: Any, *, name: str = "SymbolicAnalysis") -> bool:
                 validate_plan(item, pat, name=where)
                 for f in ("rows", "level_ptr", "ent_idx", "ent_ptr", "ent_col", "diag_idx"):
                     _assert_frozen(getattr(item, f), f"{key}.{f}", name)
-            elif isinstance(item, FactorSchedule):
-                if pat is not None:
-                    validate_factor_schedule(item, pat, name=where)
-                for f, arr in vars(item).items():
-                    _assert_frozen(arr, f"{key}.{f}", name)
             elif isinstance(item, SuperstepPlan):
                 if pat is not None:
                     errs = validate_superstep_plan(item, pat)

@@ -30,7 +30,7 @@ reports and in suppression comments):
     from ``cached_analysis(...)`` / ``SymbolicCache.analysis(...)`` (or
     their accessors ``diag_pos`` / ``levels`` / ``plan`` /
     ``solve_costs`` / ``factor_costs`` / ``level_order`` /
-    ``factor_schedule`` / ``superstep_plan`` / ``elastic_schedule``) are shared
+    ``superstep_plan`` / ``elastic_schedule``) are shared
     across factor/solve cycles and threads; subscript-assigning or
     calling mutating methods (``fill``, ``sort``, ``resize``, ``put``,
     ``partition``) on them corrupts every other consumer.  (At runtime
@@ -126,7 +126,6 @@ _CACHE_ACCESSORS = {
     "solve_costs",
     "factor_costs",
     "level_order",
-    "factor_schedule",
     "superstep_plan",
     "elastic_schedule",
 }

@@ -183,3 +183,24 @@ class TestSimulatedLower:
         ilu.setup(random_csr(30, 0.15, seed=13))
         sr = SegmentedRows.build(ilu.S_perm, ilu.S_perm.n_rows, ilu.level_ptr)
         assert sum(e.shape[0] for e in sr.sub_entries) == 0
+
+    def test_cold_er_simulation_expands_the_slots_once(self, monkeypatch):
+        """Both cost arrays of a cold ER run come from one split at m."""
+        import repro.core.lower_sr as lower_sr
+        import repro.core.symbolic as symbolic
+
+        calls = []
+
+        def counted(expand):
+            def run(*args, **kwargs):
+                calls.append(expand)
+                return expand(*args, **kwargs)
+            return run
+
+        for module in (symbolic, lower_sr):
+            monkeypatch.setattr(module, "slot_updates", counted(module.slot_updates))
+        ilu = staged_setup(seed=14, n=60, alpha=8)
+        assert ilu.resolved_lower_method(4) == "er" and ilu.m < ilu.S_perm.n_rows
+        calls.clear()
+        report = ilu.simulate_factor(self._machine(4))
+        assert report.method == "er" and len(calls) == 1

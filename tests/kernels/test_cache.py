@@ -61,6 +61,10 @@ class TestFingerprint:
         assert pattern_fingerprint(F) == pattern_fingerprint(G)
         assert matrix_fingerprint(F) != matrix_fingerprint(G)
 
+    def test_matrix_fingerprint_from_a_pattern_digest(self):
+        F = _factor(seed=11)
+        assert matrix_fingerprint(F, pattern_fp=pattern_fingerprint(F)) == matrix_fingerprint(F)
+
     def test_matrix_fingerprint_stable(self):
         F = _factor()
         assert matrix_fingerprint(F) == matrix_fingerprint(F)
@@ -173,37 +177,6 @@ class TestCacheBehavior:
         s = cache.stats()
         assert s["hits"] + s["misses"] == 4
         assert s["hit_rate"] == pytest.approx(s["hits"] / 4)
-
-
-class TestFactorSchedule:
-    """The numeric factor's update schedule is a cached symbolic product."""
-
-    def test_built_once_per_pattern_across_refactors(self):
-        from repro.core import JavelinILU, JavelinOptions
-
-        clear_default_cache()
-        A = random_csr(40, 0.12, seed=3)
-        ilu = JavelinILU(JavelinOptions(fill_level=1)).setup(A)
-        ilu.factor()
-        for scale in (2.0, 0.5, 3.0):
-            B = CSRMatrix(A.n_rows, A.n_cols, A.indptr, A.indices, A.data * scale)
-            ilu.refactor(B)
-        assert cached_analysis(ilu.F).compute_counts["factor_schedule"] == 1
-        clear_default_cache()
-
-    def test_matrix_fingerprint_from_a_pattern_digest(self):
-        F = _factor(seed=11)
-        assert matrix_fingerprint(F, pattern_fp=pattern_fingerprint(F)) == matrix_fingerprint(F)
-
-    def test_arrays_are_read_only_int32(self):
-        sched = SymbolicCache().analysis(_factor(n=40, seed=4)).factor_schedule()
-        arrays = {k: v for k, v in vars(sched).items() if isinstance(v, np.ndarray)}
-        assert len(arrays) == len(vars(sched))
-        for name, arr in arrays.items():
-            assert arr.dtype == np.int32, name
-            assert not arr.flags.writeable, name
-        with pytest.raises(ValueError):
-            sched.tgt[:1] = 0
 
 
 class TestDefaultCache:

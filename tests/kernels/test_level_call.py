@@ -188,3 +188,8 @@ def test_the_compiled_call_refuses_mismatched_buffers():
     for args in [(b[:-1], vals, diag), (b, vals[:-1], diag), (b, vals, diag[:-1])]:
         with pytest.raises(ValueError):
             trisolve._level_sweep(F, args[0], plan, *args[1:])
+
+
+def test_the_numpy_fallback_refuses_mismatched_buffers(numpy_sweep):
+    """scipy's ``csr_matvec`` checks no bounds either, so the sizes are checked before it too."""
+    test_the_compiled_call_refuses_mismatched_buffers()

@@ -23,14 +23,14 @@ def _library(d):
     return lib, lib.with_suffix(".sha256")
 
 
-def _solves(fn):
-    """The loaded function runs a 3-row upper sweep correctly."""
+def _solves(lib):
+    """The loaded library's sweep runs a 3-row upper sweep correctly."""
     ptr = np.array([0, 0, 1, 3], dtype=np.int32)
     col = np.array([0, 0, 1], dtype=np.int32)
     val, diag = np.array([2.0, 1.0, 4.0]), np.array([1.0, 2.0, 4.0])
     b, x = np.array([1.0, 6.0, 19.0]), np.empty(3)
-    fn(3, 1, ptr.ctypes.data, col.ctypes.data, val.ctypes.data, diag.ctypes.data,
-       b.ctypes.data, x.ctypes.data)
+    lib.level_sweep(3, 1, ptr.ctypes.data, col.ctypes.data, val.ctypes.data, diag.ctypes.data,
+                    b.ctypes.data, x.ctypes.data)
     return np.array_equal(x, [1.0, 2.0, 2.5])
 
 
@@ -150,7 +150,7 @@ def test_a_failed_compile_means_the_numpy_loop(tmp_path, monkeypatch):
 
 
 def test_the_fallback_is_one_instant(monkeypatch):
-    monkeypatch.setattr(native, "_SWEEP", native._UNSET)
+    monkeypatch.setattr(native, "_LIB", native._UNSET)
     monkeypatch.setattr(native, "_STATUS", native._STATUS)
     monkeypatch.setattr(native, "load_sweep", lambda: (None, "numpy: planted"))
     with tracing() as rec:

@@ -14,8 +14,6 @@ from repro.core.iluk import (
 from repro.core.ilut import ilut_factor
 from repro.core.symbolic import iluk_pattern, row_factor_costs
 from repro.kernels import diag_positions
-from repro.kernels.plans import build_factor_schedule
-from repro.verify import validate_factor_schedule
 from repro.sparse import from_dense, split_lu
 
 
@@ -144,29 +142,6 @@ def test_batched_factor_equals_scalar(D, k, tau, modified):
     )
     assert scalar[0] == "factor"
     assert batched == scalar
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    dominant_dense(max_n=18),
-    st.sampled_from([0, 1, 2]),
-    st.lists(st.integers(0, 17), max_size=4),
-    st.lists(st.integers(0, 17), max_size=4),
-)
-def test_factor_schedule_keeps_wave_invariants(D, k, no_lower, no_upper):
-    """Every slot-wave schedule passes its verify rule.
-
-    Some rows lose their strict-lower part (they finish before wave 0)
-    and some their strict-upper part (their pivot row has an empty upper
-    span), before the ILU(k) fill.
-    """
-    n = D.shape[0]
-    for r in no_lower:
-        D[r % n, : r % n] = 0.0
-    for r in no_upper:
-        D[r % n, r % n + 1 :] = 0.0
-    S = iluk_pattern(from_dense(D), k)
-    assert validate_factor_schedule(build_factor_schedule(S), S)
 
 
 PLANTED = {"zero": 0.0, "tiny": 1e-30, "nan": np.nan}

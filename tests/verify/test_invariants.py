@@ -18,7 +18,6 @@ from repro.verify import (
     validate,
     validate_analysis,
     validate_csr,
-    validate_factor_schedule,
     validate_levels,
     validate_plan,
 )
@@ -148,28 +147,6 @@ def test_thawed_cache_array_fails_validation():
     ana.diag_pos().flags.writeable = True  # simulate a hostile mutation
     with pytest.raises(InvariantViolation, match="frozen"):
         validate_analysis(ana)
-
-
-def test_thawed_factor_schedule_fails_validation():
-    ana = cached_analysis(random_csr(30, 0.2, 14))
-    sched = ana.factor_schedule()
-    assert validate_analysis(ana)
-    sched.src.flags.writeable = True
-    with pytest.raises(InvariantViolation, match="factor_schedule.src"):
-        validate_analysis(ana)
-
-
-def test_swapped_slot_waves_fail_validation():
-    """A slot moved into wave 0 runs before what it depends on."""
-    S = random_csr(30, 0.2, 14)
-    sched = cached_analysis(S).factor_schedule()
-    assert sched.n_waves >= 2
-    assert validate_factor_schedule(sched, S)
-    ab = [0, int(sched.wave_ptr[-2])]  # the first slots of the first and the last wave
-    slot, pivot = sched.slot.copy(), sched.pivot.copy()
-    slot[ab], pivot[ab] = slot[ab[::-1]], pivot[ab[::-1]]
-    with pytest.raises(InvariantViolation, match="after|decrease"):
-        validate_factor_schedule(replace(sched, slot=slot, pivot=pivot), S)
 
 
 def test_cache_lookup_hook_catches_thawed_entry():

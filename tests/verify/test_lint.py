@@ -174,7 +174,7 @@ def test_jav003_flags_mutating_method_on_accessor_result():
 @pytest.mark.parametrize(
     "product",
     [
-        "factor_schedule().own",
+        'plan("lower").ent_idx',
         'superstep_plan("lower", n_threads=4).rows',
         'elastic_schedule("upper", staleness=2).final_sweep',
     ],
