@@ -6,6 +6,7 @@ Usage::
         # records benchmarks/results/BENCH_apps.json
     PYTHONPATH=src python benchmarks/bench_apps.py --check
         # fast CI gate: refactor bit-identity + staleness sanity
+        # + each heat step's matrix against its per-node rebuild
 
 Runs the two application drivers (implicit heat/convection stepper,
 power-flow Newton continuation) against the serve API under each
@@ -22,7 +23,10 @@ factor-staleness policy:
   misses), and must be measurably cheaper than a cold setup in both
   wall-clock and virtual charge;
 * **staleness sanity gates** — the stale policy actually skips
-  refactors, drifts iterations upward, and still serves everything.
+  refactors, drifts iterations upward, and still serves everything;
+* **heat matrix gate** — the matrix every heat step served is bitwise
+  the per-node rebuild of that step's system (the stepper itself
+  builds its pattern once and moves only values).
 
 ``--check`` shrinks sizes and step counts for CI; the gates are
 identical.  Everything is seeded — two runs of the same command
@@ -36,10 +40,13 @@ import numpy as np
 
 from repro.apps import HeatStepper, PowerFlowNewton
 from repro.core import JavelinILU, JavelinOptions
+from repro.kernels import diag_positions
 from repro.kernels.cache import default_cache
 from repro.matrices import grid2d
 from repro.obs.metrics import MetricsRegistry, validate_metrics
 from repro.serve import StalenessPolicy
+from repro.sparse.convert import coo_to_csr
+from repro.sparse.coo import COOMatrix
 
 from bench_util import Gates, bench_main
 
@@ -95,15 +102,65 @@ def _core_refactor_gates(gate, *, size, n_values, fill_level=1):
     }
 
 
+def _heat_matrix_per_node(stepper, step):
+    """The heat system ``I + Δt·κ·A(v)`` of one step, rebuilt node by node.
+
+    The stepper's own matrix comes from a pattern built once and a
+    whole-array value function; this is the 5-point upwind stencil
+    assembled entry by entry (``grid2d``'s per-node loop), scaled, and
+    shifted on the diagonal, as every step once rebuilt it.
+    """
+    kappa_t, conv_t = stepper.coefficients(step)
+    nx, ny = stepper.nx, stepper.ny
+    rows, cols, vals = [], [], []
+    for i in range(nx):
+        for j in range(ny):
+            r = i * ny + j
+            diag = 0.0
+            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                ii, jj = i + di, j + dj
+                if 0 <= ii < nx and 0 <= jj < ny:
+                    w = -1.0
+                    if conv_t and di == 1:
+                        w += conv_t
+                    if conv_t and di == -1:
+                        w -= conv_t
+                    rows.append(r)
+                    cols.append(ii * ny + jj)
+                    vals.append(w)
+                    diag += abs(w)
+            rows.append(r)
+            cols.append(r)
+            vals.append(diag + 0.0)
+    M = coo_to_csr(COOMatrix(nx * ny, nx * ny, np.asarray(rows), np.asarray(cols),
+                             np.asarray(vals)))
+    M.data *= stepper.dt * kappa_t
+    M.data[diag_positions(M)] += 1.0
+    return M
+
+
+def _same_bits(A, B):
+    return all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data))
+    )
+
+
 def _heat_sweep(gate, *, nx, n_steps):
     """Heat stepper under each staleness policy + cross-policy gates."""
     runs = {}
     solutions = {}
+    served_bits = True
     for mode in ("cold", "refactor", "stale"):
         stepper = HeatStepper(nx, seed=SEED, staleness=StalenessPolicy(mode=mode))
-        records = stepper.run(n_steps)
+        records = []
+        for _ in range(n_steps):
+            records.append(stepper.step())
+            served = stepper.session.service.matrices[stepper.session.key]
+            served_bits &= _same_bits(served, _heat_matrix_per_node(stepper, stepper.t))
         runs[mode] = stepper.summary()
         solutions[mode] = [r.x for r in records]
+    gate(served_bits, "heat: every step's matrix bitwise equals its per-node rebuild")
     gate(
         all(
             sum(run["outcomes"].values()) == run["outcomes"].get("served", 0)

@@ -9,12 +9,15 @@ where ``A(v)`` is the 5-point upwind operator
 (:func:`repro.matrices.grid2d` with ``shift=0``).  The coefficients
 drift smoothly and deterministically — a sinusoidal diffusivity and a
 ramping convection velocity — so the *values* of the system matrix
-change every step while its *pattern* never does.  That is precisely
-the traffic shape the value-only re-factorization path exists for:
-under the ``"refactor"`` staleness policy every step is a numeric-only
-refresh of the cached symbolic setup; under ``"stale"`` the old factor
-keeps serving until iteration counts degrade; ``"cold"`` rebuilds from
-scratch and is the baseline the bench compares against.
+change every step while its *pattern* never does.  The stepper builds
+that pattern once, freezes it, and computes each step's values as one
+whole-array function of ``(κ, v)``, with the bits ``grid2d`` would
+give.  That is precisely the traffic shape the value-only
+re-factorization path exists for: under the ``"refactor"`` staleness
+policy every step is a numeric-only refresh of the cached symbolic
+setup; under ``"stale"`` the old factor keeps serving until iteration
+counts degrade; ``"cold"`` rebuilds from scratch and is the baseline
+the bench compares against.
 
 Everything is seeded and virtual-clocked; the same configuration
 replays bit-for-bit.
@@ -28,6 +31,7 @@ import numpy as np
 
 from ..kernels import diag_positions
 from ..matrices import grid2d
+from ..sparse.csr import CSRMatrix
 from .session import AppSession
 
 __all__ = ["HeatStepper"]
@@ -66,6 +70,7 @@ class HeatStepper:
         self.convection = float(convection)
         self.convection_drift = float(convection_drift)
         self.period = int(period)
+        self._build_pattern()
         rng = np.random.default_rng(seed)
         self.u = rng.standard_normal(self.n)
         self.t = 0
@@ -81,6 +86,39 @@ class HeatStepper:
         )
 
     # ------------------------------------------------------------------
+    def _build_pattern(self):
+        """The stencil's CSR pattern, frozen and shared by every step's matrix."""
+        P = grid2d(self.nx, self.ny, shift=0.0)
+        P.indptr.flags.writeable = False
+        P.indices.flags.writeable = False
+        self._indptr, self._indices = P.indptr, P.indices
+        row = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(P.indptr))
+        self._up = np.flatnonzero(P.indices - row == -self.ny)  # (i-1, j): upwind
+        self._down = np.flatnonzero(P.indices - row == self.ny)  # (i+1, j): downwind
+        self._diag = diag_positions(P)
+        i, j = np.divmod(np.arange(self.n), self.ny)
+        # grid2d's offset order: (-1, 0), (1, 0), (0, -1), (0, 1)
+        self._has = (i > 0, i < self.nx - 1, j > 0, j < self.ny - 1)
+
+    def _values(self, kappa_t, conv_t):
+        """``data`` of ``I + Δt·κ·A(v)`` on the shared pattern, with ``grid2d``'s bits.
+
+        Off-diagonals are ``-1 ∓ v`` up/downwind and ``-1`` across; each
+        diagonal sums its neighbours' ``|w|`` in ``grid2d``'s offset
+        order from 0.0 (``shift`` is 0).
+        """
+        w_up, w_down = -1.0 - conv_t, -1.0 + conv_t
+        data = np.full(self._indices.shape[0], -1.0)
+        data[self._up] = w_up
+        data[self._down] = w_down
+        diag = np.zeros(self.n)
+        for has, w in zip(self._has, (w_up, w_down, -1.0, -1.0)):
+            diag += np.where(has, abs(w), 0.0)
+        data[self._diag] = diag
+        data *= self.dt * kappa_t
+        data[self._diag] += 1.0
+        return data
+
     def coefficients(self, step):
         """Deterministic smooth drift of ``(κ, v)`` at a given step."""
         phase = 2.0 * math.pi * step / self.period
@@ -92,14 +130,12 @@ class HeatStepper:
         """The implicit system ``I + Δt·κ·A(v)`` at a given step.
 
         The pattern is the 5-point stencil plus diagonal regardless of
-        the coefficients — only ``data`` moves between steps, which the
-        serve layer detects as a value-only update.
+        the coefficients: every step's matrix shares the stepper's
+        read-only ``indptr``/``indices`` and only ``data`` is new, which
+        the serve layer detects as a value-only update.
         """
-        kappa_t, conv_t = self.coefficients(step)
-        M = grid2d(self.nx, self.ny, convection=conv_t, shift=0.0)
-        M.data *= self.dt * kappa_t
-        M.data[diag_positions(M)] += 1.0
-        return M
+        data = self._values(*self.coefficients(step))
+        return CSRMatrix(self.n, self.n, self._indptr, self._indices, data, sort=False, check=False)
 
     # ------------------------------------------------------------------
     def step(self):

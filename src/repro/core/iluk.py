@@ -41,6 +41,7 @@ from .symbolic import ilu0_pattern, iluk_pattern
 
 __all__ = [
     "ilu_factor",
+    "scatter_slots",
     "ilu_factor_sequential",
     "ilu0_factor",
     "PivotBreakdownError",
@@ -61,38 +62,52 @@ class PivotBreakdownError(FactorizationBreakdown, ZeroDivisionError):
         super().__init__(row, value, kind=kind)
 
 
-def _scatter_values(S: CSRMatrix, A: CSRMatrix):
-    """Copy A's values into the (superset) pattern S; missing → 0.
+def scatter_slots(S: CSRMatrix, A: CSRMatrix):
+    """The storage slot in ``S`` of every entry of ``A`` (``S``'s pattern ⊇ ``A``'s).
 
     One whole-matrix ``searchsorted`` over global ``(row, col)`` keys —
     rows ascend and columns ascend within a row, so the keys are sorted
     and every entry of A locates its slot in S in a single pass.  A row
-    of S with unsorted or repeated columns raises ``ValueError``.
+    of S with unsorted or repeated columns, or an entry of A outside S,
+    raises ``ValueError``.  The slots depend on the two patterns only,
+    so a caller that refactors one pattern computes them once.
     """
-    F = S.pattern_copy()
-    F.data[:] = 0.0
-    ncol = np.int64(F.n_cols)
+    ncol = np.int64(S.n_cols)
     f_keys = (
-        np.repeat(np.arange(F.n_rows, dtype=np.int64), np.diff(F.indptr)) * ncol + F.indices
+        np.repeat(np.arange(S.n_rows, dtype=np.int64), np.diff(S.indptr)) * ncol + S.indices
     )
     unsorted = np.flatnonzero(f_keys[1:] <= f_keys[:-1])
     if unsorted.size:
         r = int(f_keys[unsorted[0] + 1] // ncol)
         raise ValueError(f"pattern S row {r} is not sorted or repeats a column")
-    if A.nnz:
-        a_keys = (
-            np.repeat(np.arange(A.n_rows, dtype=np.int64), np.diff(A.indptr)) * ncol
-            + A.indices
-        )
-        pos = np.searchsorted(f_keys, a_keys)
-        nnz_f = f_keys.shape[0]
-        bad = (pos >= nnz_f) | (f_keys[np.minimum(pos, nnz_f - 1)] != a_keys)
-        if np.any(bad):
-            k = int(np.flatnonzero(bad)[0])
-            r = int(np.searchsorted(A.indptr, k, side="right")) - 1
-            raise ValueError(f"pattern S does not contain all of A's row {r}")
-        F.data[pos] = A.data
+    if not A.nnz:
+        return np.empty(0, dtype=np.int64)
+    a_keys = np.repeat(np.arange(A.n_rows, dtype=np.int64), np.diff(A.indptr)) * ncol + A.indices
+    pos = np.searchsorted(f_keys, a_keys)
+    nnz_f = f_keys.shape[0]
+    bad = (pos >= nnz_f) | (f_keys[np.minimum(pos, nnz_f - 1)] != a_keys)
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        r = int(np.searchsorted(A.indptr, k, side="right")) - 1
+        raise ValueError(f"pattern S does not contain all of A's row {r}")
+    return pos
+
+
+def _scatter(S: CSRMatrix, A: CSRMatrix, slots):
+    """A copy of S holding A's values at ``slots``, zero elsewhere."""
+    F = S.pattern_copy()
+    F.data[:] = 0.0
+    F.data[slots] = A.data
     return F
+
+
+def _scatter_values(S: CSRMatrix, A: CSRMatrix):
+    """Copy A's values into the (superset) pattern S; missing → 0.
+
+    The slots come from :func:`scatter_slots`, which raises on an
+    unsorted row of S or an entry of A that S lacks.
+    """
+    return _scatter(S, A, scatter_slots(S, A))
 
 
 def factor_row(F: CSRMatrix, i, diag_pos, pivot_tol=0.0, *, window=None):
@@ -187,7 +202,12 @@ def ilu_factor_sequential(
     if S is None:
         S = ilu0_pattern(A)
     F = _scatter_values(S, A)
-    diag_pos = cached_analysis(F).diag_pos()
+    return _factor_rows(F, cached_analysis(F), pivot_tol, drop_threshold, modified)
+
+
+def _factor_rows(F, analysis, pivot_tol, drop_threshold, modified):
+    """The reference's row loop on the scattered values ``F``, in place."""
+    diag_pos = analysis.diag_pos()
     for r in range(F.n_rows):
         factor_row(F, r, diag_pos, pivot_tol=pivot_tol)
         if drop_threshold is not None:
@@ -196,26 +216,34 @@ def ilu_factor_sequential(
 
 
 @kernel
-def ilu_factor(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=False, analysis=None):
+def ilu_factor(A, S, *, pivot_tol=0.0, drop_threshold=None, modified=False, analysis=None,
+               slots=None):
     """:func:`ilu_factor_sequential`'s factor, in one call of the compiled row loop.
 
     A failed pivot raises the reference's :class:`PivotBreakdownError`
     (row, value, kind).  ``analysis`` is the
     :class:`~repro.kernels.cache.SymbolicAnalysis` of ``S``'s pattern,
-    when the caller holds it; by default it is looked up.  Without a C
-    compiler this is :func:`ilu_factor_sequential`.
+    when the caller holds it; by default it is looked up.  ``slots`` is
+    :func:`scatter_slots` ``(S, A)``, when the caller holds it (a
+    value-only refactor of one pattern): ``A``'s values then reach the
+    factor in one scatter, without the search and the row checks that
+    made the slots.  Without a C compiler this is
+    :func:`ilu_factor_sequential`.
     """
-    run = compiled_factor()
-    if run is None:
-        return ilu_factor_sequential(
-            A, S, pivot_tol=pivot_tol, drop_threshold=drop_threshold, modified=modified
-        )
     # the C loop checks no bounds: rows sorted, one diagonal slot and one threshold per row
-    F = _scatter_values(S, A)  # raises on unsorted rows
+    if slots is None:
+        F = _scatter_values(S, A)  # raises on unsorted rows
+    elif np.shape(slots) != (A.nnz,):
+        raise ValueError(f"slots has shape {np.shape(slots)}, want ({A.nnz},)")
+    else:
+        F = _scatter(S, A, slots)
     if analysis is None:
         analysis = cached_analysis(F)
     elif (analysis.n_rows, analysis.nnz) != (F.n_rows, F.nnz):
         raise ValueError("analysis is not of the pattern S")
+    run = compiled_factor()
+    if run is None:
+        return _factor_rows(F, analysis, pivot_tol, drop_threshold, modified)
     diag_pos = analysis.diag_pos()  # n_rows slots below nnz; raises on a missing diagonal
     thresh = None
     if drop_threshold is not None:

@@ -41,7 +41,7 @@ from ..kernels.trisolve import apply_maps, factor_solver
 from ..kernels.cache import pattern_fingerprint
 from .schedule import ScheduleOptions, build_schedule
 from .upper import simulate_upper_p2p, simulate_upper_barrier
-from .iluk import ilu_factor
+from .iluk import ilu_factor, scatter_slots
 from .lower_er import simulate_lower_er
 from .lower_sr import SegmentedRows, simulate_lower_sr
 from .trisolve import (
@@ -147,8 +147,23 @@ class JavelinILU:
         self.perm = self.schedule.permutation()
         self.inv_perm = np.empty_like(self.perm)
         self.inv_perm[self.perm] = np.arange(self.perm.shape[0])
-        self.A_perm = A.permute(row_perm=self.perm, col_perm=self.perm)
-        self.S_perm = S.permute(row_perm=self.perm, col_perm=self.perm).pattern_copy()
+        # P A Pᵀ once, on entry numbers: its pattern, and the source of
+        # each of its entries in A (exact in float64 below 2**53 entries)
+        numbered = CSRMatrix(A.n_rows, A.n_cols, A.indptr, A.indices,
+                             np.arange(A.nnz, dtype=np.float64), sort=False, check=False)
+        P = numbered.permute(row_perm=self.perm, col_perm=self.perm)
+        P.indptr.flags.writeable = False
+        P.indices.flags.writeable = False
+        self._perm_pattern = (P.indptr, P.indices)
+        self._perm_src = P.data.astype(np.int64)
+        self.A_perm = self._permuted(A)
+        # ILU(0)'s S is A's pattern (the diagonal is full), so it needs no second sort
+        self.S_perm = (
+            self.A_perm.pattern_copy()
+            if opts.fill_level == 0
+            else S.permute(row_perm=self.perm, col_perm=self.perm).pattern_copy()
+        )
+        self._slots = scatter_slots(self.S_perm, self.A_perm)
         # the factor's symbolic products: F has S_perm's pattern, so factor,
         # refactor and build_solver reuse this without hashing F again
         self.analysis = cached_analysis(self.S_perm)
@@ -163,6 +178,12 @@ class JavelinILU:
         self._apply = None
         return self
 
+    def _permuted(self, A):
+        """``P A Pᵀ`` of a matrix on the setup pattern: one gather of ``A.data``."""
+        n = self.perm.shape[0]
+        indptr, indices = self._perm_pattern
+        return CSRMatrix(n, n, indptr, indices, A.data[self._perm_src], sort=False, check=False)
+
     def _set_drop_threshold(self):
         """Value-dependent ILU(k, τ) thresholds of the current ``A_perm``."""
         if self.options.tau > 0.0:
@@ -174,7 +195,7 @@ class JavelinILU:
         else:
             self.drop_threshold = None
 
-    def refactor(self, A: CSRMatrix) -> FactorResult:
+    def refactor(self, A: CSRMatrix, *, pattern_fp=None) -> FactorResult:
         """Value-only re-factorization: new values, same sparsity pattern.
 
         The time-evolving regime the framework targets — Newton loops,
@@ -182,26 +203,33 @@ class JavelinILU:
         thousands of steps with drifting values.  Everything
         :meth:`setup` computes is a pure function of the pattern (fill
         pattern, level schedule, two-stage split, permutation), so a
-        value change needs none of it: this re-permutes the new values,
-        refreshes the value-dependent ILU(k, τ) drop thresholds, and
-        runs the numeric phase against the cached symbolic products.
+        value change needs none of it.  Two maps made at setup move the
+        values: the source in ``A`` of each entry of ``A_perm`` (so
+        ``A_perm.data`` is one gather, and ``A_perm`` stays whole for
+        the ILU(k, τ) thresholds and any other reader) and the slot of
+        each entry of ``A_perm`` in ``S_perm`` (so the factor's values
+        are one scatter into zeros).  No sort and no search runs; the
+        numeric phase runs against the cached symbolic products.
 
         Contract: the result is **bitwise identical** to
         ``JavelinILU(options).setup(A).factor()`` on the same
         ``A`` — value-only reuse is a cost optimization, never a
         numerical one.  Raises ``ValueError`` when ``A``'s pattern
         differs from the setup pattern (call :meth:`setup` instead).
+        A caller that has already hashed ``A``'s pattern passes its
+        :func:`~repro.kernels.cache.pattern_fingerprint` as
+        ``pattern_fp``; it is compared with the setup digest instead.
         """
         if not self._ready:
             raise RuntimeError("call setup(A) before refactor()")
-        key = pattern_fingerprint(A)
+        key = pattern_fp or pattern_fingerprint(A)
         if key != self.pattern_key:
             raise ValueError(
                 "refactor() requires the setup sparsity pattern "
                 f"(got {key[:12]}, setup was {self.pattern_key[:12]}); "
                 "call setup() for a new pattern"
             )
-        self.A_perm = A.permute(row_perm=self.perm, col_perm=self.perm)
+        self.A_perm = self._permuted(A)
         self._set_drop_threshold()
         return self.factor()
 
@@ -246,6 +274,7 @@ class JavelinILU:
             drop_threshold=self.drop_threshold,
             modified=opts.modified,
             analysis=self.analysis,
+            slots=self._slots,
         )
         self.F = F
         self._factored = True

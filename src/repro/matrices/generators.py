@@ -5,6 +5,25 @@ and diagonally dominant values (so ILU(0) never breaks down and the
 iterative solvers converge — matching the suite, which is dominated by
 SPD and diagonally dominant circuit matrices).  All randomness flows
 through an explicit seed, so every experiment is reproducible.
+
+Every matrix is fixed to the bit, and the golden digests in
+``tests/matrices/test_generator_golden.py`` pin it (``indptr``,
+``indices`` and ``data`` of every suite matrix at two scales, the serve
+keys, and the heat stepper's matrices).  A rewrite keeps three orders:
+
+* the entry order handed to :func:`_assemble`: row by row, a row's
+  entries in the order of its stencil offsets (or draws), its diagonal
+  last, because ``coo_to_csr`` sums duplicates in that order;
+* each diagonal's summation order: ``|w|`` over the row's entries in
+  that same order, starting from 0.0, then the shift;
+* the rng draw order: ``Generator.random(size)`` yields the doubles of
+  ``size`` scalar calls, so a block of scalar draws may become one call.
+
+The per-row ``np.sum`` loops that make ``circuit_network`` and
+``power_flow_blocks`` dominant stay loops: ``np.sum`` adds pairwise,
+and no whole-array form reproduces its order per row.  The per-node
+loops the whole-array stencils replaced are kept as the reference in
+``tests/matrices/reference_generators.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +33,7 @@ import numpy as np
 from ..sparse.coo import COOMatrix
 from ..sparse.convert import coo_to_csr
 from ..sparse.csr import CSRMatrix
+from ..kernels.plans import diag_positions
 
 __all__ = [
     "grid2d",
@@ -62,6 +82,41 @@ def _assemble(n, rows, cols, vals):
     return coo_to_csr(COOMatrix(n, n, np.asarray(rows), np.asarray(cols), np.asarray(vals)))
 
 
+def _stencil_matrix(nbrs, weights, shift):
+    """Assemble a stencil operator from its neighbour table.
+
+    Row ``r`` couples to ``nbrs[r, k]`` with weight ``weights[..., k]``
+    wherever ``nbrs[r, k] >= 0``, then to itself with the sum of those
+    ``|w|`` plus ``shift``.  The entries reach :func:`_assemble` in the
+    per-node loop's order (row by row; a row's neighbours in ``k``
+    order, then its diagonal), and each diagonal sums its ``|w|`` in
+    ``k`` order from 0.0, so the CSR arrays are that loop's, bit for bit.
+    """
+    n, K = nbrs.shape
+    valid = nbrs >= 0
+    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), nbrs.shape)
+    diag = np.zeros(n)
+    for k in range(K):
+        diag += np.where(valid[:, k], np.abs(w[:, k]), 0.0)
+    node = np.arange(n, dtype=np.int64)[:, None]
+    keep = np.hstack([valid, np.ones((n, 1), dtype=bool)])
+    rows = np.broadcast_to(node, keep.shape)[keep]
+    cols = np.hstack([nbrs, node])[keep]
+    vals = np.hstack([w, (diag + shift)[:, None]])[keep]
+    return _assemble(n, rows, cols, vals)
+
+
+def _grid_neighbours(dims, offsets):
+    """``(n, len(offsets))`` row-major neighbour table of a grid; -1 off the grid."""
+    coords = np.indices(dims).reshape(len(dims), -1)
+    nbrs = np.empty((coords.shape[1], len(offsets)), dtype=np.int64)
+    for k, off in enumerate(offsets):
+        moved = coords + np.asarray(off)[:, None]
+        inside = np.all((moved >= 0) & (moved < np.asarray(dims)[:, None]), axis=0)
+        nbrs[:, k] = np.where(inside, np.ravel_multi_index(np.where(inside, moved, 0), dims), -1)
+    return nbrs
+
+
 def _stencil_offsets_2d(kind):
     if kind == "5pt":
         return [(-1, 0), (1, 0), (0, -1), (0, 1)]
@@ -78,44 +133,22 @@ def grid2d(nx, ny=None, stencil="5pt", *, convection=0.0, shift=1.0, seed=0):
     parabolic_fem / apache2-style cases).  SPD when convection = 0.
     """
     ny = ny if ny is not None else nx
-    n = nx * ny
-
-    def idx(i, j):
-        return i * ny + j
-
     offsets = _stencil_offsets_2d(stencil)
-    rows, cols, vals = [], [], []
-    for i in range(nx):
-        for j in range(ny):
-            r = idx(i, j)
-            diag = 0.0
-            for di, dj in offsets:
-                ii, jj = i + di, j + dj
-                if 0 <= ii < nx and 0 <= jj < ny:
-                    w = -1.0
-                    if convection and di == 1 and dj == 0:
-                        w += convection  # downwind weakened
-                    if convection and di == -1 and dj == 0:
-                        w -= convection  # upwind strengthened
-                    rows.append(r)
-                    cols.append(idx(ii, jj))
-                    vals.append(w)
-                    diag += abs(w)
-            rows.append(r)
-            cols.append(r)
-            vals.append(diag + shift)
-    return _assemble(n, rows, cols, vals)
+    weights = []
+    for di, dj in offsets:
+        w = -1.0
+        if convection and di == 1 and dj == 0:
+            w += convection  # downwind weakened
+        if convection and di == -1 and dj == 0:
+            w -= convection  # upwind strengthened
+        weights.append(w)
+    return _stencil_matrix(_grid_neighbours((nx, ny), offsets), weights, shift)
 
 
 def grid3d(nx, ny=None, nz=None, stencil="7pt", *, shift=1.0, seed=0):
     """3D structured grid Laplacian (7- or 27-point stencil)."""
     ny = ny if ny is not None else nx
     nz = nz if nz is not None else nx
-    n = nx * ny * nz
-
-    def idx(i, j, k):
-        return (i * ny + j) * nz + k
-
     if stencil == "7pt":
         offsets = [
             (-1, 0, 0),
@@ -135,23 +168,7 @@ def grid3d(nx, ny=None, nz=None, stencil="7pt", *, shift=1.0, seed=0):
         ]
     else:
         raise ValueError(f"unknown 3D stencil {stencil!r}")
-    rows, cols, vals = [], [], []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                r = idx(i, j, k)
-                diag = 0.0
-                for a, b, c in offsets:
-                    ii, jj, kk = i + a, j + b, k + c
-                    if 0 <= ii < nx and 0 <= jj < ny and 0 <= kk < nz:
-                        rows.append(r)
-                        cols.append(idx(ii, jj, kk))
-                        vals.append(-1.0)
-                        diag += 1.0
-                rows.append(r)
-                cols.append(r)
-                vals.append(diag + shift)
-    return _assemble(n, rows, cols, vals)
+    return _stencil_matrix(_grid_neighbours((nx, ny, nz), offsets), -1.0, shift)
 
 
 def anisotropic2d(nx, ny=None, epsilon=0.01, *, shift=0.01):
@@ -162,27 +179,9 @@ def anisotropic2d(nx, ny=None, epsilon=0.01, *, shift=0.01):
     classic stress test for ILU-family preconditioners.
     """
     ny = ny if ny is not None else nx
-    n = nx * ny
-    rows, cols, vals = [], [], []
-
-    def idx(i, j):
-        return i * ny + j
-
-    for i in range(nx):
-        for j in range(ny):
-            r = idx(i, j)
-            diag = 0.0
-            for di, dj, w in [(-1, 0, -epsilon), (1, 0, -epsilon), (0, -1, -1.0), (0, 1, -1.0)]:
-                ii, jj = i + di, j + dj
-                if 0 <= ii < nx and 0 <= jj < ny:
-                    rows.append(r)
-                    cols.append(idx(ii, jj))
-                    vals.append(w)
-                    diag += abs(w)
-            rows.append(r)
-            cols.append(r)
-            vals.append(diag + shift)
-    return _assemble(n, rows, cols, vals)
+    offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    weights = [-epsilon, -epsilon, -1.0, -1.0]
+    return _stencil_matrix(_grid_neighbours((nx, ny), offsets), weights, shift)
 
 
 def helmholtz2d(nx, ny=None, k2=0.5):
@@ -194,13 +193,8 @@ def helmholtz2d(nx, ny=None, k2=0.5):
     generator behind the breakdown and shifted-retry tests.
     """
     ny = ny if ny is not None else nx
-    A = grid2d(nx, ny, stencil="5pt", shift=0.0)
-    B = A.copy()
-    for r in range(B.n_rows):
-        lo = int(B.indptr[r])
-        cols = B.indices[lo : int(B.indptr[r + 1])]
-        p = int(np.searchsorted(cols, r))
-        B.data[lo + p] -= k2
+    B = grid2d(nx, ny, stencil="5pt", shift=0.0)
+    B.data[diag_positions(B)] -= k2
     return B
 
 
@@ -213,36 +207,20 @@ def fem_shell(nx, ny=None, dofs_per_node=3, *, shift=1.0, seed=0):
     af_shell3.
     """
     ny = ny if ny is not None else nx
-    n_nodes = nx * ny
-    n = n_nodes * dofs_per_node
-    rng = np.random.default_rng(seed)
-    offsets = _stencil_offsets_2d("9pt")
-    rows, cols, vals = [], [], []
-    for i in range(nx):
-        for j in range(ny):
-            node = i * ny + j
-            nbrs = [node]
-            for di, dj in offsets:
-                ii, jj = i + di, j + dj
-                if 0 <= ii < nx and 0 <= jj < ny:
-                    nbrs.append(ii * ny + jj)
-            for d in range(dofs_per_node):
-                r = node * dofs_per_node + d
-                diag = 0.0
-                for nb in nbrs:
-                    for d2 in range(dofs_per_node):
-                        c = nb * dofs_per_node + d2
-                        if c == r:
-                            continue
-                        w = -1.0 if nb == node else -0.5
-                        rows.append(r)
-                        cols.append(c)
-                        vals.append(w)
-                        diag += abs(w)
-                rows.append(r)
-                cols.append(r)
-                vals.append(diag + shift)
-    return _assemble(n, rows, cols, vals)
+    dofs = dofs_per_node
+    # slot 0 is the node itself, then its 9-point neighbours; each slot
+    # holds every dof of that node, and a row skips its own dof
+    node_nbrs = np.hstack(
+        [np.arange(nx * ny, dtype=np.int64)[:, None],
+         _grid_neighbours((nx, ny), _stencil_offsets_2d("9pt"))]
+    )
+    n = nx * ny * dofs
+    row_nbrs = node_nbrs[np.arange(n) // dofs]  # (n, 9)
+    nbrs = row_nbrs[:, :, None] * dofs + np.arange(dofs)  # (n, 9, dofs)
+    nbrs[row_nbrs < 0] = -1
+    nbrs[np.arange(n), 0, np.arange(n) % dofs] = -1
+    weights = np.repeat(np.where(np.arange(9) == 0, -1.0, -0.5), dofs)
+    return _stencil_matrix(nbrs.reshape(n, 9 * dofs), weights, shift)
 
 
 def fem_filter_like(n, bandwidth=10, random_per_row=1.0, *, seed=0):
@@ -345,30 +323,26 @@ def power_flow_blocks(n_blocks, block_size=60, coupling_frac=0.08, *, seed=0):
     """
     rng = np.random.default_rng(seed)
     n = n_blocks * block_size
-    rows, cols, vals = [], [], []
+    # a block's off-diagonal entries, row by row: one draw each, in that order
+    blk_r, blk_c = np.nonzero(~np.eye(block_size, dtype=bool))
+    k = max(1, int(coupling_frac * block_size * block_size))
+    rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for b in range(n_blocks):
         base = b * block_size
         # dense block
-        for a in range(block_size):
-            r = base + a
-            for c in range(block_size):
-                if a == c:
-                    continue
-                rows.append(r)
-                cols.append(base + c)
-                vals.append(-rng.random() * 0.5 / block_size)
+        rows.append(base + blk_r)
+        cols.append(base + blk_c)
+        vals.append(-rng.random(blk_r.shape[0]) * 0.5 / block_size)
         # forward couplings to the next block (asymmetric)
         if b + 1 < n_blocks:
-            k = max(1, int(coupling_frac * block_size * block_size))
             rs = rng.integers(0, block_size, size=k)
             cs = rng.integers(0, block_size, size=k)
-            for a, c in zip(rs, cs):
-                rows.append(base + a)
-                cols.append(base + block_size + c)
-                vals.append(-rng.random() * 0.2)
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    vals = np.asarray(vals)
+            rows.append(base + rs)
+            cols.append(base + block_size + cs)
+            vals.append(-rng.random(k) * 0.2)
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
     pattern = _assemble(n, rows, cols, vals)
     absrow = np.zeros(n)
     for r in range(n):

@@ -313,7 +313,7 @@ class ResilientFactor:
         self._ready = True
         return self
 
-    def refactor(self, A):
+    def refactor(self, A, *, pattern_fp=None):
         """Value-only re-setup: same pattern, new values, symbolic reuse.
 
         The regime Javelin's setup amortization actually targets —
@@ -329,11 +329,14 @@ class ResilientFactor:
         ``ResilientFactor(options, policy).setup(A)`` on the same
         values — value-only reuse moves cost, never bits.  Raises
         ``ValueError`` when ``A``'s pattern differs from the setup
-        pattern (that needs a real :meth:`setup`).
+        pattern (that needs a real :meth:`setup`).  ``pattern_fp`` is
+        ``A``'s :func:`~repro.kernels.cache.pattern_fingerprint`, when
+        the caller has already hashed it; it is compared instead, and
+        the variants' :meth:`JavelinILU.refactor` calls reuse it.
         """
         if not self._ready:
             raise RuntimeError("call setup(A) before refactor()")
-        key = pattern_fingerprint(A)
+        key = pattern_fp or pattern_fingerprint(A)
         if key != self._pattern_key:
             raise ValueError(
                 "refactor() requires the setup sparsity pattern "
@@ -417,7 +420,8 @@ class ResilientFactor:
         """
         ilu = self._ilu_cache.get(variant)
         if ilu is not None and ilu.options == opts:
-            res = ilu.refactor(B)
+            # B has the pattern hashed into _pattern_key: a shift moves values only
+            res = ilu.refactor(B, pattern_fp=self._pattern_key)
         else:
             ilu = JavelinILU(opts).setup(B)
             res = ilu.factor()

@@ -325,17 +325,18 @@ class WorkerShard:
         """
         self._lineage.pop(matrix_key, None)
 
-    def _revalue_entry(self, entry, A, fingerprint, matrix_key):
+    def _revalue_entry(self, entry, A, fingerprint, matrix_key, pattern_fp=None):
         """Value-only refresh of a cached entry, in place.
 
         Runs the numeric phase on the cached symbolic products
-        (:meth:`FactorEntry.revalue`), re-keys the cache slot to the new
-        matrix fingerprint, and re-baselines the staleness iteration
-        counter.  Charged at the refactor rate — the measurable win the
-        apps bench gates on.
+        (:meth:`FactorEntry.revalue`, handed ``A``'s pattern digest when
+        the caller has it), re-keys the cache slot to the new matrix
+        fingerprint, and re-baselines the staleness iteration counter.
+        Charged at the refactor rate — the measurable win the apps bench
+        gates on.
         """
         old_fp = entry.fingerprint
-        entry.revalue(A, fingerprint)
+        entry.revalue(A, fingerprint, pattern_fp=pattern_fp)
         self.cache.rekey(old_fp, fingerprint)
         self._lineage[matrix_key] = fingerprint
         entry.base_iters = 0.0
@@ -377,7 +378,7 @@ class WorkerShard:
         return sp
 
     # ------------------------------------------------------------------
-    def execute(self, batch, A, fingerprint, now, *, scheduler_override=None):
+    def execute(self, batch, A, fingerprint, now, *, scheduler_override=None, pattern_fp=None):
         """Run one batch starting at virtual time ``now``.
 
         Returns ``(results, finish_time)``; the shard is busy until
@@ -385,7 +386,9 @@ class WorkerShard:
         never change the computed numbers.  ``scheduler_override``
         substitutes for an *unpinned* batch scheduler (the tune
         controller's per-pattern pick); a request that named its own
-        scheduler keeps it.
+        scheduler keeps it.  ``pattern_fp`` is ``A``'s pattern digest,
+        when the caller has it: a value-only refactor then hashes
+        nothing.
         """
         reqs = batch.requests
         matrix_key, solver, tol, maxiter, scheduler = batch.key
@@ -406,7 +409,7 @@ class WorkerShard:
                 mode == "stale" and self.staleness.should_refactor(entry)
             ):
                 entry, factor_charge = self._revalue_entry(
-                    entry, A, fingerprint, matrix_key
+                    entry, A, fingerprint, matrix_key, pattern_fp
                 )
             elif mode == "cold":
                 entry, factor_charge = self._build_entry(A, fingerprint, budget)
@@ -797,6 +800,7 @@ class SolveService:
                 self.fingerprints[batch.matrix_key],
                 start,
                 scheduler_override=override,
+                pattern_fp=self.pattern_fps[batch.matrix_key],
             )
             for res in batch_results:
                 results[res.request_id] = res

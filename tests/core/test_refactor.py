@@ -11,7 +11,7 @@ from repro.core import (
     ilu_factor_sequential,
     iluk_pattern,
 )
-from repro.kernels.cache import default_cache
+from repro.kernels.cache import default_cache, pattern_fingerprint
 from repro.matrices import grid2d
 from repro.sparse import from_dense
 
@@ -72,6 +72,74 @@ class TestJavelinRefactor:
         ilu.factor()
         with pytest.raises(ValueError, match="pattern"):
             ilu.refactor(grid2d(11))
+
+    def test_rejects_a_moved_entry_of_the_same_size(self):
+        """Same n and nnz, one column index moved: the digests differ."""
+        A = grid2d(10)
+        ilu = JavelinILU(opts(fill_level=1)).setup(A)
+        ilu.factor()
+        D = A.to_dense()
+        D[0, 2], D[0, 1] = D[0, 1], 0.0  # row 0's east neighbour moves one column over
+        B = from_dense(D)
+        assert (B.n_rows, B.nnz) == (A.n_rows, A.nnz)
+        with pytest.raises(ValueError, match="pattern"):
+            ilu.refactor(B)
+        with pytest.raises(ValueError, match="pattern"):
+            ilu.refactor(B, pattern_fp=pattern_fingerprint(B))
+
+    def test_a_passed_digest_is_compared_with_the_setup_digest(self):
+        A = grid2d(10)
+        ilu = JavelinILU(opts()).setup(A)
+        ilu.factor()
+        B = _drift(A, 1)
+        want = JavelinILU(opts()).setup(B).factor().F.data
+        assert np.array_equal(ilu.refactor(B, pattern_fp=pattern_fingerprint(B)).F.data, want)
+        with pytest.raises(ValueError, match="pattern"):
+            ilu.refactor(B, pattern_fp=pattern_fingerprint(grid2d(11)))
+
+    @pytest.mark.parametrize("kw", [dict(fill_level=0), dict(fill_level=1),
+                                    dict(fill_level=2, tau=1e-2, modified=True)])
+    def test_refactor_neither_permutes_nor_searches(self, kw, monkeypatch):
+        """The setup maps move the values: no sort, no global searchsorted."""
+        import repro.core.iluk
+        from repro.sparse.csr import CSRMatrix
+
+        A = grid2d(10)
+        ilu = JavelinILU(opts(**kw)).setup(A)
+        ilu.factor()
+        values = [_drift(A, seed) for seed in range(3)]
+        cold = [JavelinILU(opts(**kw)).setup(B) for B in values]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("refactor redid pattern work")
+
+        monkeypatch.setattr(CSRMatrix, "permute", forbidden)
+        monkeypatch.setattr(repro.core.iluk, "_scatter_values", forbidden)
+        monkeypatch.setattr(repro.core.iluk, "scatter_slots", forbidden)
+        for B, c in zip(values, cold):
+            warm = ilu.refactor(B)
+            assert np.array_equal(ilu.A_perm.data, c.A_perm.data)
+            assert np.array_equal(warm.F.data, c.factor().F.data)
+
+    @pytest.mark.parametrize("fill_level,sorts", [(0, 1), (1, 2)])
+    def test_cold_setup_sorts_the_pattern_once_per_pattern(self, fill_level, sorts, monkeypatch):
+        """ILU(0)'s S is A's pattern: one sort of P A Pᵀ serves both."""
+        import repro.sparse.csr
+
+        A = grid2d(12)
+        real = repro.sparse.csr.sort_segments
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(repro.sparse.csr, "sort_segments", counted)
+        ilu = JavelinILU(opts(fill_level=fill_level)).setup(A)
+        assert len(calls) == sorts
+        if fill_level == 0:
+            assert np.array_equal(ilu.S_perm.indices, ilu.A_perm.indices)
+            assert np.array_equal(ilu._slots, np.arange(A.nnz))
 
     def test_requires_setup_first(self):
         with pytest.raises(RuntimeError, match="setup"):

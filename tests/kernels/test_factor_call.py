@@ -138,6 +138,21 @@ def test_without_a_compiler_the_factor_is_the_reference(monkeypatch):
                 == ilu_factor_sequential(A, S, **kw).data.tobytes())
 
 
+@pytest.mark.parametrize("compiled", [True, False])
+def test_given_slots_give_the_searched_bits(compiled, monkeypatch):
+    """``slots=scatter_slots(S, A)`` replaces the search, not a bit of the factor."""
+    cases = []
+    for A in (grid2d(12), random_csr(150, density=0.04, seed=7)):
+        for k in (0, 2):
+            S = iluk_pattern(A, k)
+            cases.append((A, S, iluk.scatter_slots(S, A), ilu_factor_sequential(A, S)))
+    if not compiled:
+        monkeypatch.setattr(iluk, "compiled_factor", lambda: None)
+    monkeypatch.setattr(iluk, "_scatter_values", _never_called)
+    for A, S, slots, want in cases:
+        assert ilu_factor(A, S, slots=slots).data.tobytes() == want.data.tobytes()
+
+
 def _never_called(*args):
     raise AssertionError("the compiled factor ran on unchecked input")
 
@@ -153,6 +168,8 @@ def test_sizes_are_checked_before_the_compiled_call(monkeypatch):
     other = iluk_pattern(grid2d(5), 1)
     with pytest.raises(ValueError, match="analysis"):
         ilu_factor(A, S, analysis=iluk.cached_analysis(other))
+    with pytest.raises(ValueError, match="slots"):
+        ilu_factor(A, S, slots=iluk.scatter_slots(S, A)[:-1])
 
 
 def test_unsorted_or_diagonal_free_rows_are_rejected_before_the_compiled_call(monkeypatch):

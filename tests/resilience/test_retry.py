@@ -364,6 +364,21 @@ class TestRefactor:
         with pytest.raises(ValueError, match="pattern"):
             rf.refactor(grid2d(9))
 
+    def test_refactor_rejects_a_passed_digest_of_another_pattern(self):
+        from repro.kernels.cache import pattern_fingerprint
+
+        A = grid2d(8)
+        rf = ResilientFactor().setup(A)
+        with pytest.raises(ValueError, match="pattern"):
+            rf.refactor(grid2d(9), pattern_fp=pattern_fingerprint(grid2d(9)))
+        with pytest.raises(ValueError, match="pattern"):
+            rf.refactor(A, pattern_fp=pattern_fingerprint(grid2d(9)))
+        B = self._drift(A, 0)
+        rf.refactor(B, pattern_fp=pattern_fingerprint(B))
+        fresh = ResilientFactor().setup(B)
+        b = np.linspace(0.5, 1.5, A.n_rows)
+        assert np.array_equal(rf.build_solver()(b), fresh.build_solver()(b))
+
     def test_refactor_before_setup_raises(self):
         with pytest.raises(RuntimeError, match="setup"):
             ResilientFactor().refactor(grid2d(6))
