@@ -4,7 +4,8 @@ Unlike the figure benches (which report *simulated* machine times),
 these time the actual implementation with pytest-benchmark: spmv in CSR
 vs CSR5 tiles, the numeric ILU(0) factorization, the staged
 factorization, the triangular solves, and the scalar vs compiled
-``ilu_factor`` kernel.  They guard against
+``ilu_factor`` kernel, and the numpy vs compiled nested dissection.
+They guard against
 performance regressions in the library itself.
 
 Run as a script for the scalar-vs-batched kernel comparison::
@@ -13,8 +14,8 @@ Run as a script for the scalar-vs-batched kernel comparison::
         # records benchmarks/results/BENCH_kernels.json
     PYTHONPATH=src python benchmarks/bench_kernels.py --check   # fast gate:
         # exits non-zero if a batched kernel diverges from its scalar
-        # reference, or if the trisolve or ilu_factor speedup regresses
-        # >2x against the recorded baseline
+        # reference, or if the trisolve, ilu_factor or nested dissection
+        # speedup regresses >2x against the recorded baseline
 
 Both modes assert *exact* equality between each batched kernel and its
 scalar reference — the bit-identical contract of ``repro.kernels`` —
@@ -155,6 +156,14 @@ CHECK_CASE = 48
 # the numeric factor's cases: ILU(1) of grid2d(24) is its fast gate
 FACTOR_CASES = [24, 48]
 FACTOR_CHECK_CASE = 24
+# nested dissection runs on the four e2ebench ``oneshot`` matrices; scale
+# 0.25 is its fast gate, 1.0 the size a oneshot pass orders
+ND_MATRICES = ("thermal2", "scircuit", "af_shell3", "TSOPF_RS_b300_c2")
+ND_SCALES = [1.0, 0.25]
+ND_CHECK_SCALE = 0.25
+#: compiled orderings per timed sample: one pass over the four matrices
+#: takes 5-25 ms
+ND_CALLS = 5
 
 
 #: calls per timed sample of a fast (batched or compiled) kernel: one call
@@ -306,6 +315,45 @@ def _factor_case(nx, repeats=3):
     }
 
 
+def _nd_case(scale, repeats=3):
+    """Time the numpy walk vs the compiled nested dissection on the ``oneshot`` matrices.
+
+    A sample orders all four matrices at ``scale`` with ``leaf_size=32``,
+    adjacency build included: once with the depth-at-a-time numpy walk
+    (the no-compiler fallback) and :data:`ND_CALLS` times with
+    :func:`~repro.ordering.nd.nested_dissection_order`, which makes one
+    compiled call.  ``exact_equal`` requires every permutation to match.
+    """
+    from repro.matrices import build_matrix
+    from repro.ordering import nd
+    from repro.ordering.graph import adjacency_from_pattern
+
+    mats = [build_matrix(name, scale=scale) for name in ND_MATRICES]
+
+    def numpy_walk():
+        return [nd._dissect_depths(*adjacency_from_pattern(A), 32) for A in mats]
+
+    def compiled():
+        return [nd.nested_dissection_order(A, leaf_size=32) for A in mats]
+
+    compiled()  # the first call loads the compiled library; keep that out of the samples
+    (t_scalar, p_scalar, scalar_samples), (t_batched, p_batched, batched_samples) = _timed(
+        [numpy_walk, compiled], [1, ND_CALLS], repeats
+    )
+    return {
+        "case": f"oneshot-{scale:g}",
+        "kernel": "nested_dissection",
+        "n": int(sum(A.n_rows for A in mats)),
+        "batched_calls": ND_CALLS,
+        "scalar_s": t_scalar,
+        "batched_s": t_batched,
+        "scalar_samples": scalar_samples,
+        "batched_samples": batched_samples,
+        "speedup": t_scalar / t_batched,
+        "exact_equal": all(np.array_equal(a, b) for a, b in zip(p_scalar, p_batched)),
+    }
+
+
 def _speed_gate(entry, baseline):
     """Failure text if ``entry``'s speedup fell below half its recorded value."""
     base = next(
@@ -325,21 +373,24 @@ def _speed_gate(entry, baseline):
 
 
 def run(check):
-    """Scalar vs batched trisolve, DES and factor; ``check`` adds the baseline gate.
+    """Scalar vs batched trisolve, DES, factor and dissection; ``check`` adds the baseline gate.
 
     Full mode times the acceptance case (n = 50k); the fast gate runs
-    the small cases and fails on divergence, or on a >2x trisolve or
-    ``ilu_factor`` speedup regression against the recorded baseline.
+    the small cases and fails on divergence, or on a >2x trisolve,
+    ``ilu_factor`` or nested dissection speedup regression against the
+    recorded baseline.
     """
     if check:
         entry = _trisolve_case(CHECK_CASE, repeats=3)
         des = _des_case(nx=24, p=4, repeats=1)
         fac = _factor_case(FACTOR_CHECK_CASE, repeats=3)
-        entries = [entry, des, fac]
+        ndc = _nd_case(ND_CHECK_SCALE, repeats=3)
+        entries = [entry, des, fac, ndc]
     else:
         entries = [_trisolve_case(nx) for nx in FULL_CASES]
         entries.append(_des_case())
         entries += [_factor_case(nx) for nx in FACTOR_CASES]
+        entries += [_nd_case(scale) for scale in ND_SCALES]
     record = {
         "meta": {
             "numpy": np.__version__,
@@ -371,17 +422,21 @@ def run(check):
         failures.append("batched DES diverges from scalar")
     if not fac["exact_equal"]:
         failures.append("batched ilu_factor diverges from scalar")
+    if not ndc["exact_equal"]:
+        failures.append("compiled nested dissection diverges from the numpy walk")
     if os.path.exists(BASELINE_PATH):
         with open(BASELINE_PATH) as fh:
             baseline = json.load(fh)
-        failures += [f for f in (_speed_gate(e, baseline) for e in (entry, fac)) if f]
+        failures += [f for f in (_speed_gate(e, baseline) for e in (entry, fac, ndc)) if f]
     else:
         print(f"note: no baseline at {BASELINE_PATH}; divergence check only")
     print(
         f"check {entry['case']}: speedup {entry['speedup']:.1f}x, "
         f"exact={entry['exact_equal']}; DES exact={des['exact_equal']}; "
         f"ilu_factor exact={fac['exact_equal']} ({fac['speedup']:.1f}x, "
-        f"cold {fac['cold_speedup']:.1f}x)"
+        f"cold {fac['cold_speedup']:.1f}x); nested dissection exact={ndc['exact_equal']} "
+        f"(numpy {ndc['scalar_s'] * 1e3:.1f} ms, compiled {ndc['batched_s'] * 1e3:.1f} ms, "
+        f"{ndc['speedup']:.1f}x)"
     )
     return record, failures
 

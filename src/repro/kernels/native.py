@@ -1,11 +1,14 @@
 """The compiled kernels: ``level_sweep.c``, built once and loaded with ctypes.
 
-The library exports two functions.  :func:`compiled_sweep` returns the
-one behind :func:`repro.kernels.trisolve._level_sweep`, and
-:func:`compiled_factor` the one behind :func:`repro.core.iluk.ilu_factor`.
-Both are None when there is no C compiler or the library cannot be built
-or loaded.  The sweep then runs its per-level ``csr_matvec(s)`` loop and
-the factor its row-by-row reference, which give the same bits.
+The library exports three functions.  :func:`compiled_sweep` returns the
+one behind :func:`repro.kernels.trisolve._level_sweep`,
+:func:`compiled_factor` the one behind :func:`repro.core.iluk.ilu_factor`
+and :func:`compiled_nd` the one behind
+:func:`repro.ordering.nd.nested_dissection_order`.  All three are None
+when there is no C compiler or the library cannot be built or loaded.
+The sweep then runs its per-level ``csr_matvec(s)`` loop, the factor its
+row-by-row reference and the dissection its depth-at-a-time numpy walk,
+which give the same bits.
 
 The first call in a process loads the library, building it if needed:
 
@@ -31,7 +34,7 @@ someone else could have written to, is skipped.
 The one-off compile is a ``kernels.compile_sweep`` span and a fallback
 is a ``kernels.sweep_fallback`` instant carrying the reason; both are
 recorded only if tracing is on at that moment.  :func:`sweep_status`
-tells which kernels run at any time: both functions come from one
+tells which kernels run at any time: the three functions come from one
 library, so they are compiled or fall back together.
 """
 
@@ -51,7 +54,7 @@ from pathlib import Path
 from ..obs import spans as _spans
 
 __all__ = ["FLAGS", "SOURCE", "PACKAGE_CACHE", "cache_dirs", "load_sweep", "compiled_sweep",
-           "compiled_factor", "sweep_status"]
+           "compiled_factor", "compiled_nd", "sweep_status"]
 
 #: compiler flags of the library; never ``-ffast-math``, ``-Ofast``
 #: or ``-ffp-contract=fast``, which would change the bits
@@ -125,7 +128,8 @@ def load_sweep(dirs=None):
     """``(library, status)``: the compiled kernels from the first usable cache directory.
 
     ``dirs`` defaults to :func:`cache_dirs`.  The library's
-    ``level_sweep`` and ``ilu_factor`` have their argument types set.
+    ``level_sweep``, ``ilu_factor`` and ``nd_order`` have their argument
+    types set.
     It is None when there is no compiler, the compile fails or no
     directory yields a library that loads; ``status`` then gives the
     reason.
@@ -155,6 +159,9 @@ def load_sweep(dirs=None):
                                    + (ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,
                                       ctypes.c_void_p))
         lib.ilu_factor.restype = ctypes.c_int64
+        lib.nd_order.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                                 ctypes.c_int64, ctypes.c_void_p)
+        lib.nd_order.restype = ctypes.c_int64
         return lib, f"compiled: {path}"
     return None, reason
 
@@ -190,6 +197,18 @@ def compiled_factor():
     """
     lib = _library_once()
     return None if lib is None else lib.ilu_factor
+
+
+def compiled_nd():
+    """The compiled nested dissection, or None for the numpy walk.
+
+    ``fn(n, xadj, adjncy, leaf_size, perm)`` takes addresses of
+    contiguous int64 arrays, writes the permutation to ``perm`` and
+    returns 0, -1 when it ran out of memory, or -2 when a set it took
+    for connected was not.  ctypes releases the GIL for the call.
+    """
+    lib = _library_once()
+    return None if lib is None else lib.nd_order
 
 
 def sweep_status():

@@ -15,16 +15,19 @@ available offline, so this is a from-scratch ND:
   paper's Fig. 2-style structure expects;
 * small subgraphs fall back to minimum degree (the standard hybrid).
 
-The dissection tree is walked one depth at a time, without recursion:
-every subgraph ("task") of one depth goes through the same few
-whole-array calls — one component pass, one batch of pseudo-peripheral
-rounds, one vectorized split — and each task carries the offset of its
-block in the output.  A task of ``k`` vertices owns ``perm[off:off+k]``:
-its left half at ``off``, its right half after it and its separator at
-the tail; a disconnected task lays its components out in the order a
-seed loop over its vertices finds them.  The leaves are eliminated
-together by :func:`_min_degree_leaves`.  ``docs/algorithms.md`` argues
-why this yields the order of the depth-first recursion.
+One call of the compiled recursion (``nd_order`` in
+``kernels/level_sweep.c``) computes the order.  Without a C compiler,
+:func:`_dissect_depths` computes the same order by walking the
+dissection tree one depth at a time: every subgraph ("task") of one
+depth goes through the same few whole-array calls — one component pass,
+one batch of pseudo-peripheral rounds, one vectorized split — and each
+task carries the offset of its block in the output.  A task of ``k``
+vertices owns ``perm[off:off+k]``: its left half at ``off``, its right
+half after it and its separator at the tail; a disconnected task lays
+its components out in the order a seed loop over its vertices finds
+them.  The leaves are eliminated together by :func:`_min_degree_leaves`.
+``docs/algorithms.md`` describes the compiled recursion and argues why
+the walk yields its order.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import functools
 
 import numpy as np
 
+from ..kernels.native import compiled_nd
 from ..sparse.segscan import ptr_from_segment_ids, segment_ids_from_ptr, segment_positions
 from .graph import adjacency_from_pattern, label_components, pseudo_peripheral_nodes
 
@@ -194,18 +198,8 @@ def _min_degree_leaves(xadj, adjncy, verts, leaf, off, perm):
             r[rows, v] = False
 
 
-def nested_dissection_order(A, leaf_size=32):
-    """Nested-dissection permutation of the symmetrized pattern.
-
-    Parameters
-    ----------
-    A:
-        Square CSR matrix.
-    leaf_size:
-        Subgraphs at or below this size are ordered with local minimum
-        degree instead of being dissected further.
-    """
-    xadj, adjncy = adjacency_from_pattern(A)
+def _dissect_depths(xadj, adjncy, leaf_size):
+    """The compiled recursion's order, one dissection depth at a time in numpy."""
     n = xadj.shape[0] - 1
     perm = np.full(n, -1, dtype=np.int64)
     leaves = []  # task lists to eliminate by minimum degree, in batches
@@ -221,6 +215,48 @@ def nested_dissection_order(A, leaf_size=32):
     verts, leaf, off = functools.reduce(_join, leaves, none)
     by = np.lexsort((verts, leaf))
     _min_degree_leaves(xadj, adjncy, verts[by], leaf[by], off, perm)
+    return perm
+
+
+def _dissect_compiled(run, xadj, adjncy, leaf_size):
+    """One call of the compiled recursion ``run`` (:func:`~repro.kernels.native.compiled_nd`)."""
+    # the C code checks no bounds: xadj must index adjncy, and adjncy name vertices
+    xadj = np.ascontiguousarray(xadj, dtype=np.int64)
+    adjncy = np.ascontiguousarray(adjncy, dtype=np.int64)
+    n = xadj.shape[0] - 1
+    if xadj.ndim != 1 or n < 0 or xadj[0] != 0 or (np.diff(xadj) < 0).any():
+        raise ValueError("xadj must be a non-decreasing 1-d array from 0")
+    if adjncy.shape != (xadj[-1],):
+        raise ValueError(f"adjncy has shape {adjncy.shape}, want ({xadj[-1]},)")
+    if adjncy.size and (adjncy.min() < 0 or adjncy.max() >= n):
+        raise ValueError(f"adjncy names a vertex outside 0..{n - 1}")
+    perm = np.empty(n, dtype=np.int64)
+    rc = run(n, xadj.ctypes.data, adjncy.ctypes.data, int(leaf_size), perm.ctypes.data)
+    if rc == -1:
+        raise MemoryError("nested dissection could not allocate its work arrays")
+    if rc != 0:
+        raise AssertionError(f"compiled nested dissection failed ({rc})")
+    return perm
+
+
+def nested_dissection_order(A, leaf_size=32):
+    """Nested-dissection permutation of the symmetrized pattern.
+
+    Parameters
+    ----------
+    A:
+        Square CSR matrix.
+    leaf_size:
+        Subgraphs at or below this size are ordered with local minimum
+        degree instead of being dissected further.
+    """
+    xadj, adjncy = adjacency_from_pattern(A)
+    n = xadj.shape[0] - 1
+    run = compiled_nd()
+    if run is None:
+        perm = _dissect_depths(xadj, adjncy, leaf_size)
+    else:
+        perm = _dissect_compiled(run, xadj, adjncy, leaf_size)
     if (perm < 0).any() or np.unique(perm).shape[0] != n:
         raise AssertionError("nested dissection produced a non-permutation")
     return perm
