@@ -4,7 +4,7 @@ Unlike the figure benches (which report *simulated* machine times),
 these time the actual implementation with pytest-benchmark: spmv in CSR
 vs CSR5 tiles, the numeric ILU(0) factorization, the staged
 factorization, the triangular solves, and the scalar vs compiled
-``ilu_factor`` kernel, and the numpy vs compiled nested dissection.
+``ilu_factor`` kernel, and the Python vs compiled nested dissection.
 They guard against
 performance regressions in the library itself.
 
@@ -316,10 +316,10 @@ def _factor_case(nx, repeats=3):
 
 
 def _nd_case(scale, repeats=3):
-    """Time the numpy walk vs the compiled nested dissection on the ``oneshot`` matrices.
+    """Time the Python fallback vs the compiled nested dissection on the ``oneshot`` matrices.
 
     A sample orders all four matrices at ``scale`` with ``leaf_size=32``,
-    adjacency build included: once with the depth-at-a-time numpy walk
+    adjacency build included: once with the explicit-stack Python loop
     (the no-compiler fallback) and :data:`ND_CALLS` times with
     :func:`~repro.ordering.nd.nested_dissection_order`, which makes one
     compiled call.  ``exact_equal`` requires every permutation to match.
@@ -330,15 +330,15 @@ def _nd_case(scale, repeats=3):
 
     mats = [build_matrix(name, scale=scale) for name in ND_MATRICES]
 
-    def numpy_walk():
-        return [nd._dissect_depths(*adjacency_from_pattern(A), 32) for A in mats]
+    def fallback():
+        return [nd._dissect(*adjacency_from_pattern(A), 32) for A in mats]
 
     def compiled():
         return [nd.nested_dissection_order(A, leaf_size=32) for A in mats]
 
     compiled()  # the first call loads the compiled library; keep that out of the samples
     (t_scalar, p_scalar, scalar_samples), (t_batched, p_batched, batched_samples) = _timed(
-        [numpy_walk, compiled], [1, ND_CALLS], repeats
+        [fallback, compiled], [1, ND_CALLS], repeats
     )
     return {
         "case": f"oneshot-{scale:g}",
@@ -423,7 +423,7 @@ def run(check):
     if not fac["exact_equal"]:
         failures.append("batched ilu_factor diverges from scalar")
     if not ndc["exact_equal"]:
-        failures.append("compiled nested dissection diverges from the numpy walk")
+        failures.append("compiled nested dissection diverges from its Python fallback")
     if os.path.exists(BASELINE_PATH):
         with open(BASELINE_PATH) as fh:
             baseline = json.load(fh)
@@ -435,7 +435,7 @@ def run(check):
         f"exact={entry['exact_equal']}; DES exact={des['exact_equal']}; "
         f"ilu_factor exact={fac['exact_equal']} ({fac['speedup']:.1f}x, "
         f"cold {fac['cold_speedup']:.1f}x); nested dissection exact={ndc['exact_equal']} "
-        f"(numpy {ndc['scalar_s'] * 1e3:.1f} ms, compiled {ndc['batched_s'] * 1e3:.1f} ms, "
+        f"(Python {ndc['scalar_s'] * 1e3:.1f} ms, compiled {ndc['batched_s'] * 1e3:.1f} ms, "
         f"{ndc['speedup']:.1f}x)"
     )
     return record, failures

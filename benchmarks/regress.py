@@ -103,20 +103,20 @@ def flatten_bench(doc, prefix=""):
     floats; ``samples`` maps dotted keys of per-repeat arrays (keys
     ending in ``_samples``) to float lists.  ``meta`` blocks are
     skipped — toolchain versions are not performance.  Lists of dicts
-    (bench entries) are indexed by an identifying field when one exists
-    so reordered entries still line up.
+    (bench entries) are indexed by every identifying field they carry
+    (say ``kernel.case``), so reordered entries still line up and entries
+    that share one field (a kernel timed on two cases) stay apart.
     """
     leaves: dict = {}
     samples: dict = {}
 
     def ident(item, i):
-        for k in ("name", "shape", "kernel", "case", "workload", "key"):
-            v = item.get(k)
-            if isinstance(v, str):
-                extra = item.get("machine"), item.get("p"), item.get("width")
-                tag = ".".join(str(x) for x in extra if x is not None)
-                return f"{v}.{tag}" if tag else v
-        return str(i)
+        tags = [item[k] for k in ("name", "shape", "kernel", "case", "workload", "key")
+                if isinstance(item.get(k), str)]
+        if not tags:
+            return str(i)
+        tags += [item[k] for k in ("machine", "p", "width") if item.get(k) is not None]
+        return ".".join(str(t) for t in tags)
 
     def walk(node, path):
         if isinstance(node, dict):

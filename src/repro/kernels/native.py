@@ -7,8 +7,8 @@ and :func:`compiled_nd` the one behind
 :func:`repro.ordering.nd.nested_dissection_order`.  All three are None
 when there is no C compiler or the library cannot be built or loaded.
 The sweep then runs its per-level ``csr_matvec(s)`` loop, the factor its
-row-by-row reference and the dissection its depth-at-a-time numpy walk,
-which give the same bits.
+row-by-row reference and the dissection the same explicit-stack loop in
+Python, which give the same bits.
 
 The first call in a process loads the library, building it if needed:
 
@@ -200,7 +200,7 @@ def compiled_factor():
 
 
 def compiled_nd():
-    """The compiled nested dissection, or None for the numpy walk.
+    """The compiled nested dissection, or None for its Python loop.
 
     ``fn(n, xadj, adjncy, leaf_size, perm)`` takes addresses of
     contiguous int64 arrays, writes the permutation to ``perm`` and

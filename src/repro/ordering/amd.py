@@ -25,16 +25,13 @@ from .graph import adjacency_from_pattern
 __all__ = ["minimum_degree_order"]
 
 
-def minimum_degree_order(A, tie_break="index"):
+def minimum_degree_order(A):
     """Minimum-degree permutation of the symmetrized pattern.
 
     Parameters
     ----------
     A:
         Square CSR matrix.
-    tie_break:
-        "index" (deterministic, lowest vertex id first) — the only mode;
-        the parameter is kept for API symmetry with other orderings.
     """
     xadj, adjncy = adjacency_from_pattern(A)
     n = xadj.shape[0] - 1

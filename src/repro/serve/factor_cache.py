@@ -76,8 +76,6 @@ class FactorEntry:
     resetups: int = 0
     #: per-scheduler sync-point counts, lazily priced by the shards
     sync_points: dict = field(default_factory=dict)
-    #: structure-only fingerprint — what a value-only revalue must match
-    pattern_fp: str = ""
     #: iteration count observed while the factor was fresh (staleness baseline)
     base_iters: float = 0.0
     #: mean iterations / convergence of the most recent solve — the

@@ -300,7 +300,6 @@ class WorkerShard:
             nnz=nnz,
             build_cost=charge,
             demoted=demoted,
-            pattern_fp=pattern_fingerprint(A),
         )
         self.cache.put(entry)
         self.n_cold += 1

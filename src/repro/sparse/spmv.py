@@ -8,8 +8,8 @@ Three kernels:
   propagation between tiles that split a row.  Numerically identical to
   ``spmv_csr``; it exists to exercise and validate the tile machinery the
   Segmented-Rows lower stage reuses.
-* ``spmv_rows`` — partial product over a subset of rows, used by the
-  triangular-solve update sweeps.
+* ``spmv_rows`` — partial product over a subset of rows (a public
+  helper; the library's own sweeps do not call it).
 
 This module is the one place that imports scipy's compiled CSR loops,
 :func:`csr_matvec` (``y += A @ x``) and :func:`csr_matvecs` (the same

@@ -1,4 +1,4 @@
-"""The compiled nested dissection against its numpy fallback and the reference recursion."""
+"""The compiled nested dissection against its Python fallback and the reference recursion."""
 
 import ctypes
 import shutil
@@ -96,7 +96,7 @@ def test_compiled_fallback_and_reference_agree(name, leaf_size):
     got = nd.nested_dissection_order(A, leaf_size=leaf_size)
     want = np.asarray(ref.nested_dissection_order(A, leaf_size), dtype=np.int64)
     assert np.array_equal(got, want)
-    assert np.array_equal(nd._dissect_depths(xadj, adjncy, leaf_size), want)
+    assert np.array_equal(nd._dissect(xadj, adjncy, leaf_size), want)
     if nd.compiled_nd() is not None:
         assert np.array_equal(nd._dissect_compiled(nd.compiled_nd(), xadj, adjncy, leaf_size), want)
 

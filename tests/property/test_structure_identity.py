@@ -33,7 +33,7 @@ from repro.ordering import (
     reverse_cuthill_mckee,
 )
 from repro.ordering.graph import pseudo_peripheral_nodes
-from repro.ordering.nd import _min_degree_leaves
+from repro.ordering.nd import _min_degree
 from repro.sparse import CSCMatrix, CSRMatrix
 from repro.sparse import pattern as pat
 
@@ -274,8 +274,8 @@ def test_connected_components_matches_reference(A, seed, masked):
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 70), min_size=1, max_size=8))
 def test_lockstep_min_degree_matches_reference(seed, sizes):
-    # several leaves of mixed sizes (several padding buckets, some past
-    # the default leaf size) eliminated together, each against the set loop
+    # several leaves of mixed sizes (some past the default leaf size),
+    # each ordered on its own against the set loop
     rng = np.random.default_rng(seed)
     n = sum(sizes) + int(rng.integers(0, 10))
     D = rng.random((n, n)) < rng.uniform(0.02, 0.4)
@@ -284,18 +284,10 @@ def test_lockstep_min_degree_matches_reference(seed, sizes):
     xadj, adjncy = ref.adjacency_from_pattern(A)
     verts = rng.permutation(n)[: sum(sizes)]
     leaf = np.repeat(np.arange(len(sizes)), sizes)
-    by = np.lexsort((verts, leaf))
-    verts, leaf = verts[by], leaf[by]
-    layout = rng.permutation(len(sizes))  # leaves laid out in a shuffled order
-    start = np.zeros(len(sizes), dtype=np.int64)
-    np.cumsum(np.asarray(sizes)[layout][:-1], out=start[1:])
-    place = np.empty(len(sizes), dtype=np.int64)
-    place[layout] = start
-    perm = np.full(sum(sizes), -1, dtype=np.int64)
-    _min_degree_leaves(xadj, adjncy, verts, leaf, place, perm)
-    for t, size in enumerate(sizes):
+    for t in range(len(sizes)):
+        got = _min_degree(xadj, adjncy, verts[leaf == t])
         want = ref._min_degree_local(xadj, adjncy, verts[leaf == t])
-        assert_same(perm[place[t] : place[t] + size], np.asarray(want, dtype=np.int64))
+        assert_same(np.asarray(got, dtype=np.int64), np.asarray(want, dtype=np.int64))
 
 
 def _multi_component(seed, max_block=30):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import JavelinILU
-from repro.kernels.cache import matrix_fingerprint, pattern_fingerprint
+from repro.kernels.cache import matrix_fingerprint
 from repro.matrices import grid2d
 from repro.resilience import ResilientFactor
 from repro.serve import FactorCache, FactorEntry, live_factor_caches
@@ -70,8 +70,7 @@ class TestRevalue:
     def test_revalue_refreshes_values_in_place(self):
         A0, A1 = grid2d(8), grid2d(8, convection=0.5)
         rf = ResilientFactor().setup(A0)
-        entry = _entry(fp=matrix_fingerprint(A0), factor=rf,
-                       pattern_fp=pattern_fingerprint(A0))
+        entry = _entry(fp=matrix_fingerprint(A0), factor=rf)
         new_fp = matrix_fingerprint(A1)
         entry.revalue(A1, new_fp)
         assert entry.fingerprint == new_fp
@@ -85,7 +84,7 @@ class TestRevalue:
     def test_revalue_builds_one_solver(self, monkeypatch):
         """The chain's validated ILU apply is the entry's multi-RHS apply."""
         A0, A1 = grid2d(8), grid2d(8, convection=0.5)
-        entry = _entry(factor=ResilientFactor().setup(A0), pattern_fp=pattern_fingerprint(A0))
+        entry = _entry(factor=ResilientFactor().setup(A0))
         builds = []
         real = JavelinILU.build_solver
 

@@ -54,14 +54,23 @@ class TestDirection:
 class TestFlatten:
     def test_leaves_and_samples(self):
         leaves, samples = flatten_bench(DOC)
-        assert "entries.trisolve.scalar_s" in leaves
+        assert "entries.trisolve.grid2d-8.scalar_s" in leaves
         assert "workload.throughput" in leaves
         assert "meta.numpy" not in leaves  # meta skipped
-        assert samples["entries.trisolve.scalar_samples"] == [0.010, 0.011, 0.0105]
+        assert samples["entries.trisolve.grid2d-8.scalar_samples"] == [0.010, 0.011, 0.0105]
 
     def test_bools_are_not_metrics(self):
         leaves, _ = flatten_bench(DOC)
-        assert "entries.trisolve.exact_equal" not in leaves
+        assert "entries.trisolve.grid2d-8.exact_equal" not in leaves
+
+    def test_every_committed_kernel_entry_has_its_own_leaves(self):
+        # several entries share a kernel (trisolve on two grids, nested
+        # dissection at two scales): none may overwrite another
+        with open(os.path.join(RESULTS_DIR, "BENCH_kernels.json")) as fh:
+            doc = json.load(fh)
+        leaves, _ = flatten_bench(doc)
+        speedups = [k for k in leaves if k.startswith("entries.") and k.endswith(".speedup")]
+        assert len(speedups) == len(doc["entries"])
 
 
 class TestCompare:
@@ -74,7 +83,7 @@ class TestCompare:
         rep = compare_docs(DOC, plant_slowdown(DOC, factor=1.5))
         assert not rep["ok"]
         slowed = {r["key"] for r in rep["regressions"]}
-        assert "entries.trisolve.scalar_s" in slowed
+        assert "entries.trisolve.grid2d-8.scalar_s" in slowed
 
     def test_improvements_reported_not_failed(self):
         faster = plant_slowdown(DOC, factor=0.5)  # everything *faster*
@@ -89,7 +98,7 @@ class TestCompare:
         slowed = json.loads(json.dumps(noisy))
         slowed["entries"][0]["scalar_s"] = 0.013  # +30% — inside 3*cv
         rep = compare_docs(noisy, slowed)
-        assert "entries.trisolve.scalar_s" not in {
+        assert "entries.trisolve.grid2d-8.scalar_s" not in {
             r["key"] for r in rep["regressions"]
         }
 
