@@ -12,7 +12,7 @@ Run:  python examples/pde_preconditioning.py
 import numpy as np
 
 from repro import JavelinILU, JavelinOptions, cg, iluk_tau_factor, ilut_factor
-from repro.kernels.trisolve import trisolve_factor
+from repro.kernels.trisolve import factor_solver
 from repro.matrices.generators import grid3d
 from repro.matrices.suite import preorder_for_javelin
 
@@ -43,7 +43,7 @@ def main():
     print("\nILU(tau) sweep (threshold dropping):")
     for tau in [1e-1, 1e-2, 1e-3]:
         F = ilut_factor(A, tau=tau)
-        r = cg(A, b, M=lambda v, F=F: trisolve_factor(F, v), tol=1e-8, maxiter=4000)
+        r = cg(A, b, M=factor_solver(F), tol=1e-8, maxiter=4000)
         print(f"  tau={tau:7.0e}: {r.iterations:4d} iterations, nnz={F.nnz}")
 
     # --- ILU(k, tau) and MILU ------------------------------------------
@@ -52,7 +52,7 @@ def main():
         ("ILU(1, 1e-2)", iluk_tau_factor(A, k=1, tau=1e-2)),
         ("MILU(1, 1e-2)", iluk_tau_factor(A, k=1, tau=1e-2, modified=True)),
     ]:
-        r = cg(A, b, M=lambda v, F=F: trisolve_factor(F, v), tol=1e-8, maxiter=4000)
+        r = cg(A, b, M=factor_solver(F), tol=1e-8, maxiter=4000)
         print(f"  {label:14s}: {r.iterations:4d} iterations, nnz={F.nnz}")
 
     # MILU preserves row sums: (LU)e == Ae

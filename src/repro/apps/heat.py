@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from ..kernels import diag_positions
+from ..kernels import diag_positions, frozen_pattern
 from ..matrices import grid2d
 from ..sparse.csr import CSRMatrix
 from .session import AppSession
@@ -89,9 +89,7 @@ class HeatStepper:
     def _build_pattern(self):
         """The stencil's CSR pattern, frozen and shared by every step's matrix."""
         P = grid2d(self.nx, self.ny, shift=0.0)
-        P.indptr.flags.writeable = False
-        P.indices.flags.writeable = False
-        self._indptr, self._indices = P.indptr, P.indices
+        self._indptr, self._indices = frozen_pattern(P)
         row = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(P.indptr))
         self._up = np.flatnonzero(P.indices - row == -self.ny)  # (i-1, j): upwind
         self._down = np.flatnonzero(P.indices - row == self.ny)  # (i+1, j): downwind

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import diag_positions
+from ..kernels import diag_positions, frozen_pattern
 from ..matrices import circuit_network
-from ..sparse import spmv_csr
+from ..sparse import CSRMatrix, spmv_csr
 from .session import AppSession
 
 __all__ = ["PowerFlowNewton"]
@@ -60,7 +60,9 @@ class PowerFlowNewton:
         self.load_steps = int(load_steps)
         self.newton_tol = float(newton_tol)
         self.max_newton = int(max_newton)
-        self.G = circuit_network(self.n, seed=seed)
+        G = circuit_network(self.n, seed=seed)
+        # one frozen pattern shared by G and every Jacobian
+        self.G = CSRMatrix(self.n, self.n, *frozen_pattern(G), G.data, sort=False, check=False)
         self._diag = diag_positions(self.G)
         # target injections from a known operating point, so a solution
         # exists at full load and Newton has something to converge to
@@ -86,9 +88,9 @@ class PowerFlowNewton:
 
     def jacobian(self, x):
         """``G + s·diag(cosh(x))`` — same pattern as G, values follow x."""
-        J = self.G.copy()
-        J.data[self._diag] += self.s * np.cosh(x)
-        return J
+        G, data = self.G, self.G.data.copy()
+        data[self._diag] += self.s * np.cosh(x)
+        return CSRMatrix(self.n, self.n, G.indptr, G.indices, data, sort=False, check=False)
 
     # ------------------------------------------------------------------
     def solve(self):

@@ -86,7 +86,7 @@ class ClusterNode:
         self.n_rewarms = 0
 
     # ------------------------------------------------------------------
-    def execute(self, batch, A, fingerprint, now, *, pattern_fp=None):
+    def execute(self, batch, A, fingerprint, now):
         """Run one batch; returns ``(results, finish)`` gray-adjusted.
 
         The numeric work is the wrapped shard's, bit-for-bit.  Only
@@ -95,7 +95,7 @@ class ClusterNode:
         hence its ``served`` vs ``deadline_miss`` outcome, the two
         states that differ only in lateness — is re-derived.
         """
-        results, finish = self.shard.execute(batch, A, fingerprint, now, pattern_fp=pattern_fp)
+        results, finish = self.shard.execute(batch, A, fingerprint, now)
         rate = self.plan.rate(self.node_id, now) if self.plan is not None else 1.0
         if rate != 1.0:
             finish = now + (finish - now) * rate

@@ -319,9 +319,7 @@ class ClusterService(SolveService):
         st["nodes"].append(nid)
         self.protocol_trace.append(("dispatch", now, bid, nid, bool(is_hedge)))
         A = self.matrices[batch.matrix_key]
-        results, finish = node.execute(
-            batch, A, fp, now, pattern_fp=self.pattern_fps[batch.matrix_key]
-        )
+        results, finish = node.execute(batch, A, fp, now)
         lost_at = self.plan.down_during(nid, now, finish)
         fl = _Flight(self._tick(), bid, batch, nid, now, finish, lost_at, results, is_hedge)
         self._inflight.append(fl)

@@ -38,7 +38,7 @@ from ..sparse.pattern import has_full_diagonal
 from .symbolic import ilu0_pattern, iluk_pattern, row_factor_costs_split
 from ..kernels import cached_analysis
 from ..kernels.trisolve import apply_maps, factor_solver
-from ..kernels.cache import pattern_fingerprint
+from ..kernels.cache import frozen_pattern, pattern_fingerprint, require_pattern
 from .schedule import ScheduleOptions, build_schedule
 from .upper import simulate_upper_p2p, simulate_upper_barrier
 from .iluk import ilu_factor, scatter_slots
@@ -152,9 +152,7 @@ class JavelinILU:
         numbered = CSRMatrix(A.n_rows, A.n_cols, A.indptr, A.indices,
                              np.arange(A.nnz, dtype=np.float64), sort=False, check=False)
         P = numbered.permute(row_perm=self.perm, col_perm=self.perm)
-        P.indptr.flags.writeable = False
-        P.indices.flags.writeable = False
-        self._perm_pattern = (P.indptr, P.indices)
+        self._perm_pattern = frozen_pattern(P)
         self._perm_src = P.data.astype(np.int64)
         self.A_perm = self._permuted(A)
         # ILU(0)'s S is A's pattern (the diagonal is full), so it needs no second sort
@@ -195,7 +193,7 @@ class JavelinILU:
         else:
             self.drop_threshold = None
 
-    def refactor(self, A: CSRMatrix, *, pattern_fp=None) -> FactorResult:
+    def refactor(self, A: CSRMatrix) -> FactorResult:
         """Value-only re-factorization: new values, same sparsity pattern.
 
         The time-evolving regime the framework targets — Newton loops,
@@ -216,19 +214,10 @@ class JavelinILU:
         ``A`` — value-only reuse is a cost optimization, never a
         numerical one.  Raises ``ValueError`` when ``A``'s pattern
         differs from the setup pattern (call :meth:`setup` instead).
-        A caller that has already hashed ``A``'s pattern passes its
-        :func:`~repro.kernels.cache.pattern_fingerprint` as
-        ``pattern_fp``; it is compared with the setup digest instead.
         """
         if not self._ready:
             raise RuntimeError("call setup(A) before refactor()")
-        key = pattern_fp or pattern_fingerprint(A)
-        if key != self.pattern_key:
-            raise ValueError(
-                "refactor() requires the setup sparsity pattern "
-                f"(got {key[:12]}, setup was {self.pattern_key[:12]}); "
-                "call setup() for a new pattern"
-            )
+        require_pattern(A, self.pattern_key)
         self.A_perm = self._permuted(A)
         self._set_drop_threshold()
         return self.factor()

@@ -32,6 +32,7 @@ from .cache import (
     configure_default_cache,
     default_cache,
     freeze_product,
+    frozen_pattern,
     matrix_fingerprint,
     pattern_fingerprint,
     set_validation_hook,
@@ -54,6 +55,7 @@ __all__ = [
     "SymbolicCache",
     "pattern_fingerprint",
     "matrix_fingerprint",
+    "frozen_pattern",
     "cached_analysis",
     "default_cache",
     "clear_default_cache",

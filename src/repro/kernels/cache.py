@@ -15,12 +15,18 @@ a different fill level, a pruned entry, a permutation — produces a new
 key and therefore a fresh analysis; stale reuse is structurally
 impossible.  Cached analyses copy the pattern arrays, so later in-place
 edits of the source matrix cannot corrupt an existing entry.
+
+A pattern on ``bytes`` (:func:`frozen_pattern`) cannot be written
+through any view, so :func:`pattern_fingerprint` hashes it once and
+remembers the digest while its arrays live; every other pattern is
+hashed on each call, so an in-place edit is always seen.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -37,6 +43,8 @@ from .plans import (
 __all__ = [
     "pattern_fingerprint",
     "matrix_fingerprint",
+    "frozen_pattern",
+    "require_pattern",
     "SymbolicAnalysis",
     "SymbolicCache",
     "default_cache",
@@ -85,8 +93,21 @@ def freeze_product(obj):
     return obj
 
 
-def pattern_fingerprint(M) -> str:
-    """Hex digest of ``(shape, indptr, indices)`` — the symbolic identity."""
+def frozen_pattern(M):
+    """``M``'s ``(indptr, indices)`` as int64 arrays on ``bytes``, which no view can write."""
+    return tuple(
+        np.frombuffer(np.asarray(a, dtype=np.int64).tobytes(), dtype=np.int64)
+        for a in (M.indptr, M.indices)
+    )
+
+
+def _on_bytes(a):
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a, bytes)
+
+
+def _hash_pattern(M) -> str:
     h = hashlib.blake2b(digest_size=16)
     h.update(np.asarray([M.n_rows, M.n_cols], dtype=np.int64).tobytes())
     h.update(np.ascontiguousarray(M.indptr, dtype=np.int64).tobytes())
@@ -94,18 +115,52 @@ def pattern_fingerprint(M) -> str:
     return h.hexdigest()
 
 
-def matrix_fingerprint(M, pattern_fp=None) -> str:
+# ids of a bytes-backed (indptr, indices) -> (stamp, digest, weakrefs that drop the entry)
+_FROZEN_DIGESTS: dict = {}
+
+
+def pattern_fingerprint(M) -> str:
+    """Hex digest of ``(shape, indptr, indices)`` — the symbolic identity.
+
+    Remembered for a pattern on ``bytes``, checked against what its arrays
+    can still change in place: dtype, shape and strides.
+    """
+    arrays = (M.indptr, M.indices)
+    if not all(map(_on_bytes, arrays)):
+        return _hash_pattern(M)
+    key = tuple(map(id, arrays))
+    stamp = (M.n_rows, M.n_cols, *[(a.dtype, a.shape, a.strides) for a in arrays])
+    hit = _FROZEN_DIGESTS.get(key)
+    if hit is None or hit[0] != stamp:
+
+        def forget(_ref):
+            _FROZEN_DIGESTS.pop(key, None)
+
+        hit = (stamp, _hash_pattern(M), [weakref.ref(a, forget) for a in arrays])
+        _FROZEN_DIGESTS[key] = hit
+    return hit[1]
+
+
+def require_pattern(A, setup_key):
+    """Raise ``ValueError`` unless ``A``'s pattern digest is ``setup_key``."""
+    key = pattern_fingerprint(A)
+    if key != setup_key:
+        raise ValueError(
+            f"refactor() requires the setup sparsity pattern (got {key[:12]}, "
+            f"setup was {setup_key[:12]}); call setup() for a new pattern"
+        )
+
+
+def matrix_fingerprint(M) -> str:
     """Hex digest of pattern *and* values — the numeric identity.
 
     Two matrices on the same stencil (e.g. a diffusion and a convection
     problem on one grid) share a :func:`pattern_fingerprint` but must
     never share a *factor*; use this digest to key caches whose entries
-    depend on the values, not just the structure.  A caller that has
-    already hashed ``M``'s pattern passes it as ``pattern_fp``; the
-    digest is the same.
+    depend on the values, not just the structure.
     """
     h = hashlib.blake2b(digest_size=16)
-    h.update((pattern_fp or pattern_fingerprint(M)).encode())
+    h.update(pattern_fingerprint(M).encode())
     h.update(np.ascontiguousarray(M.data, dtype=np.float64).tobytes())
     return h.hexdigest()
 
@@ -122,20 +177,11 @@ class SymbolicAnalysis:
         self.fingerprint = fingerprint or pattern_fingerprint(M)
         self.n_rows = M.n_rows
         self.n_cols = M.n_cols
-        # own copies: in-place edits of the source matrix must not
+        # own frozen copies: in-place edits of the source matrix must not
         # corrupt an entry already keyed by the old fingerprint
-        self._pattern = CSRMatrix(
-            M.n_rows,
-            M.n_cols,
-            np.array(M.indptr, dtype=np.int64, copy=True),
-            np.array(M.indices, dtype=np.int64, copy=True),
-            np.ones(int(M.indptr[-1])),
-            sort=False,
-            check=False,
-        )
-        # frozen: cached pattern arrays are shared read-only views too
-        for arr in (self._pattern.indptr, self._pattern.indices, self._pattern.data):
-            arr.flags.writeable = False
+        ones = freeze_product(np.ones(int(M.indptr[-1])))
+        self._pattern = CSRMatrix(M.n_rows, M.n_cols, *frozen_pattern(M), ones,
+                                  sort=False, check=False)
         self._memo = {}
         self.compute_counts = {}
         self._lock = threading.Lock()  # verify: ok[JAV002] shared with the threaded runtime

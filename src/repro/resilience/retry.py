@@ -34,7 +34,7 @@ more robust variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -42,10 +42,11 @@ from ..baselines.block_jacobi import BlockJacobi
 from ..core.breakdown import FactorizationBreakdown
 from ..core.ilut import ilut_factor
 from ..core.javelin import JavelinILU, JavelinOptions
-from ..kernels.cache import default_cache, pattern_fingerprint
+from ..kernels.cache import default_cache, pattern_fingerprint, require_pattern
 from ..kernels.plans import diag_positions
 from ..kernels.trisolve import factor_solver
 from ..obs import spans as _spans
+from ..sparse.csr import CSRMatrix
 from ..sparse.pattern import has_full_diagonal
 
 __all__ = [
@@ -97,10 +98,6 @@ class ExponentialBackoff:
             raw *= 1.0 + self.jitter * u
         return min(raw, self.max_delay)
 
-    def delays(self, n) -> list:
-        """The first ``n`` delays (``[delay(0), …, delay(n-1)]``)."""
-        return [self.delay(i) for i in range(int(n))]
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -124,8 +121,6 @@ class RetryPolicy:
     def with_(self, **kw):
         """A copy with some knobs replaced (the serve layer's deadline
         demotion shrinks ``max_shift_attempts`` under a tight budget)."""
-        from dataclasses import replace
-
         return replace(self, **kw)
 
     def backoff(self, base=1e-3, factor=2.0, jitter_seed=0, *, jitter=0.1,
@@ -161,15 +156,7 @@ class AttemptRecord:
     backoff: float = 0.0
 
     def to_dict(self):
-        return {
-            "variant": self.variant,
-            "shift": self.shift,
-            "ok": self.ok,
-            "detail": self.detail,
-            "row": self.row,
-            "kind": self.kind,
-            "backoff": self.backoff,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -245,11 +232,11 @@ def _row_scales(A):
     return scale
 
 
-def _shifted(A, alpha, base_diag, row_scale):
-    """``A`` with its diagonal replaced by ``base_diag + α·row_scale``."""
-    B = A.copy()
-    B.data[diag_positions(B)] = base_diag + alpha * row_scale
-    return B
+def _shifted(A, alpha):
+    """``A``'s diagonal ``d`` replaced by ``d + α·rowscale``, on ``A``'s own pattern arrays."""
+    data = A.data.copy()
+    data[diag_positions(A)] = A.diagonal() + alpha * _row_scales(A)
+    return CSRMatrix(A.n_rows, A.n_cols, A.indptr, A.indices, data, sort=False, check=False)
 
 
 class ResilientFactor:
@@ -303,8 +290,6 @@ class ResilientFactor:
             self._ilu_cache.clear()  # symbolic reuse is per pattern
         self._pattern_key = key
         self.A = A
-        self._base_diag = A.diagonal()
-        self._row_scale = _row_scales(A)
         self._structural_diag = has_full_diagonal(A)
         self.report = ResilienceReport()
         self._stage = 0
@@ -313,7 +298,7 @@ class ResilientFactor:
         self._ready = True
         return self
 
-    def refactor(self, A, *, pattern_fp=None):
+    def refactor(self, A):
         """Value-only re-setup: same pattern, new values, symbolic reuse.
 
         The regime Javelin's setup amortization actually targets —
@@ -329,23 +314,12 @@ class ResilientFactor:
         ``ResilientFactor(options, policy).setup(A)`` on the same
         values — value-only reuse moves cost, never bits.  Raises
         ``ValueError`` when ``A``'s pattern differs from the setup
-        pattern (that needs a real :meth:`setup`).  ``pattern_fp`` is
-        ``A``'s :func:`~repro.kernels.cache.pattern_fingerprint`, when
-        the caller has already hashed it; it is compared instead, and
-        the variants' :meth:`JavelinILU.refactor` calls reuse it.
+        pattern (that needs a real :meth:`setup`).
         """
         if not self._ready:
             raise RuntimeError("call setup(A) before refactor()")
-        key = pattern_fp or pattern_fingerprint(A)
-        if key != self._pattern_key:
-            raise ValueError(
-                "refactor() requires the setup sparsity pattern "
-                f"(got {key[:12]}, setup was {self._pattern_key[:12]}); "
-                "call setup() for a new pattern"
-            )
+        require_pattern(A, self._pattern_key)
         self.A = A
-        self._base_diag = A.diagonal()
-        self._row_scale = _row_scales(A)
         self.report = ResilienceReport()
         self._stage = 0
         self._advance()
@@ -384,11 +358,7 @@ class ResilientFactor:
         pol = self.policy
         alpha = 0.0
         for _ in range(pol.max_shift_attempts + 1):
-            B = (
-                self.A
-                if alpha == 0.0
-                else _shifted(self.A, alpha, self._base_diag, self._row_scale)
-            )
+            B = self.A if alpha == 0.0 else _shifted(self.A, alpha)
             try:
                 apply, data, ilu = build(B)
             except FactorizationBreakdown as e:
@@ -420,8 +390,7 @@ class ResilientFactor:
         """
         ilu = self._ilu_cache.get(variant)
         if ilu is not None and ilu.options == opts:
-            # B has the pattern hashed into _pattern_key: a shift moves values only
-            res = ilu.refactor(B, pattern_fp=self._pattern_key)
+            res = ilu.refactor(B)
         else:
             ilu = JavelinILU(opts).setup(B)
             res = ilu.factor()
@@ -465,7 +434,7 @@ class ResilientFactor:
         return True
 
     def _build_jacobi(self):
-        d = np.array(self._base_diag, dtype=np.float64, copy=True)
+        d = self.A.diagonal()
         bad = ~np.isfinite(d) | (d == 0.0)
         d[bad] = 1.0
         inv = 1.0 / d

@@ -87,18 +87,17 @@ class FactorEntry:
     #: value-only refactors applied in place
     refactors: int = 0
 
-    def revalue(self, A_new, new_fingerprint, pattern_fp=None):
+    def revalue(self, A_new, new_fingerprint):
         """Value-only refresh: same pattern, new values, factor in place.
 
         Runs the resilient chain's :meth:`refactor` (numeric phase only,
         symbolic products reused) and rebuilds the apply.  The caller
         guarantees ``A_new`` shares this entry's pattern; the factor
-        itself compares ``A_new``'s pattern digest (``pattern_fp``, when
-        the caller has hashed it, else its own hash) with its setup
-        digest and raises ``ValueError`` on a mismatch, so a fingerprint
+        itself compares ``A_new``'s pattern digest with its setup digest
+        and raises ``ValueError`` on a mismatch, so a fingerprint
         collision cannot silently produce a wrong preconditioner.
         """
-        self.factor.refactor(A_new, pattern_fp=pattern_fp)
+        self.factor.refactor(A_new)
         self.refresh_applies()
         self.fingerprint = new_fingerprint
         self.stale_steps = 0

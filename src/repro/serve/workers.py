@@ -324,18 +324,17 @@ class WorkerShard:
         """
         self._lineage.pop(matrix_key, None)
 
-    def _revalue_entry(self, entry, A, fingerprint, matrix_key, pattern_fp=None):
+    def _revalue_entry(self, entry, A, fingerprint, matrix_key):
         """Value-only refresh of a cached entry, in place.
 
         Runs the numeric phase on the cached symbolic products
-        (:meth:`FactorEntry.revalue`, handed ``A``'s pattern digest when
-        the caller has it), re-keys the cache slot to the new matrix
-        fingerprint, and re-baselines the staleness iteration counter.
-        Charged at the refactor rate — the measurable win the apps bench
-        gates on.
+        (:meth:`FactorEntry.revalue`), re-keys the cache slot to the new
+        matrix fingerprint, and re-baselines the staleness iteration
+        counter.  Charged at the refactor rate — the measurable win the
+        apps bench gates on.
         """
         old_fp = entry.fingerprint
-        entry.revalue(A, fingerprint, pattern_fp=pattern_fp)
+        entry.revalue(A, fingerprint)
         self.cache.rekey(old_fp, fingerprint)
         self._lineage[matrix_key] = fingerprint
         entry.base_iters = 0.0
@@ -377,7 +376,7 @@ class WorkerShard:
         return sp
 
     # ------------------------------------------------------------------
-    def execute(self, batch, A, fingerprint, now, *, scheduler_override=None, pattern_fp=None):
+    def execute(self, batch, A, fingerprint, now, *, scheduler_override=None):
         """Run one batch starting at virtual time ``now``.
 
         Returns ``(results, finish_time)``; the shard is busy until
@@ -385,9 +384,7 @@ class WorkerShard:
         never change the computed numbers.  ``scheduler_override``
         substitutes for an *unpinned* batch scheduler (the tune
         controller's per-pattern pick); a request that named its own
-        scheduler keeps it.  ``pattern_fp`` is ``A``'s pattern digest,
-        when the caller has it: a value-only refactor then hashes
-        nothing.
+        scheduler keeps it.
         """
         reqs = batch.requests
         matrix_key, solver, tol, maxiter, scheduler = batch.key
@@ -407,9 +404,7 @@ class WorkerShard:
             if mode == "refactor" or (
                 mode == "stale" and self.staleness.should_refactor(entry)
             ):
-                entry, factor_charge = self._revalue_entry(
-                    entry, A, fingerprint, matrix_key, pattern_fp
-                )
+                entry, factor_charge = self._revalue_entry(entry, A, fingerprint, matrix_key)
             elif mode == "cold":
                 entry, factor_charge = self._build_entry(A, fingerprint, budget)
                 self._lineage[matrix_key] = fingerprint
@@ -571,7 +566,7 @@ class SolveService:
         self.fingerprints = {k: matrix_fingerprint(A) for k, A in self.matrices.items()}
         # structure-only digests decide whether an update_matrix() is a
         # value-only drift (revalue-eligible) or a new pattern
-        self.pattern_fps = {k: pattern_fingerprint(A) for k, A in self.matrices.items()}
+        self.pattern_digests = {k: pattern_fingerprint(A) for k, A in self.matrices.items()}
         # routing fingerprints are pinned at registration so value-only
         # updates keep a matrix on the shard that holds its factor
         self._route_fps = dict(self.fingerprints)
@@ -639,14 +634,14 @@ class SolveService:
         """
         if key not in self.matrices:
             raise KeyError(f"unknown matrix_key {key!r}")
-        new_pat = pattern_fingerprint(A_new)
-        new_fp = matrix_fingerprint(A_new, pattern_fp=new_pat)
+        new_fp = matrix_fingerprint(A_new)
         if new_fp == self.fingerprints[key]:
             return "unchanged"
         self.matrices[key] = A_new
         self.fingerprints[key] = new_fp
-        if new_pat != self.pattern_fps[key]:
-            self.pattern_fps[key] = new_pat
+        new_pat = pattern_fingerprint(A_new)
+        if new_pat != self.pattern_digests[key]:
+            self.pattern_digests[key] = new_pat
             self._route_fps[key] = new_fp
             for s in self.shards:
                 s.invalidate(key)
@@ -799,7 +794,6 @@ class SolveService:
                 self.fingerprints[batch.matrix_key],
                 start,
                 scheduler_override=override,
-                pattern_fp=self.pattern_fps[batch.matrix_key],
             )
             for res in batch_results:
                 results[res.request_id] = res

@@ -86,29 +86,24 @@ class TestHeatStepper:
             assert np.array_equal(rc.x, rr.x)
             assert rc.iterations == rr.iterations
 
-    def test_value_only_step_hashes_the_pattern_once(self, monkeypatch):
-        """The service's update hashes; both refactor checks compare that digest."""
-        import repro.core.javelin
+    def test_value_only_step_hashes_no_pattern(self, monkeypatch):
+        """Every step's matrix shares one frozen pattern, whose digest is remembered."""
         import repro.kernels.cache
-        import repro.resilience.retry
-        import repro.serve.workers
 
         hs = HeatStepper(8, staleness=StalenessPolicy(mode="refactor"))
         hs.run(2)  # the cold build and one refactor before counting
-        real = repro.kernels.cache.pattern_fingerprint
-        calls = []
+        real = repro.kernels.cache._hash_pattern
+        hashed = []
 
         def counted(M):
-            calls.append(M.n_rows)
+            hashed.append(M.n_rows)
             return real(M)
 
-        for mod in (repro.kernels.cache, repro.core.javelin, repro.resilience.retry,
-                    repro.serve.workers):
-            monkeypatch.setattr(mod, "pattern_fingerprint", counted)
+        monkeypatch.setattr(repro.kernels.cache, "_hash_pattern", counted)
         rec = hs.step()
         assert rec.update == "values_changed" and rec.outcome == "served"
         assert hs.session.shard.n_refactors == 2
-        assert len(calls) == 1
+        assert hashed == []
 
     def test_step_builds_no_structure(self, monkeypatch):
         """After construction a step neither runs the stencil loop nor assembles."""

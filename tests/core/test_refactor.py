@@ -11,11 +11,11 @@ from repro.core import (
     ilu_factor_sequential,
     iluk_pattern,
 )
-from repro.kernels.cache import default_cache, pattern_fingerprint
+from repro.kernels.cache import default_cache, frozen_pattern
 from repro.matrices import grid2d
 from repro.sparse import from_dense
 
-from helpers import random_csr
+from helpers import on_pattern, random_csr
 
 
 def opts(**kw):
@@ -85,17 +85,20 @@ class TestJavelinRefactor:
         with pytest.raises(ValueError, match="pattern"):
             ilu.refactor(B)
         with pytest.raises(ValueError, match="pattern"):
-            ilu.refactor(B, pattern_fp=pattern_fingerprint(B))
+            ilu.refactor(on_pattern(B, *frozen_pattern(B)))
 
-    def test_a_passed_digest_is_compared_with_the_setup_digest(self):
+    def test_a_frozen_pattern_is_compared_with_the_setup_digest(self):
         A = grid2d(10)
         ilu = JavelinILU(opts()).setup(A)
         ilu.factor()
         B = _drift(A, 1)
         want = JavelinILU(opts()).setup(B).factor().F.data
-        assert np.array_equal(ilu.refactor(B, pattern_fp=pattern_fingerprint(B)).F.data, want)
+        frozen = on_pattern(B, *frozen_pattern(B))
+        for _ in range(2):  # hashed, then the remembered digest
+            assert np.array_equal(ilu.refactor(frozen).F.data, want)
+        C = grid2d(11)
         with pytest.raises(ValueError, match="pattern"):
-            ilu.refactor(B, pattern_fp=pattern_fingerprint(grid2d(11)))
+            ilu.refactor(on_pattern(C, *frozen_pattern(C)))
 
     @pytest.mark.parametrize("kw", [dict(fill_level=0), dict(fill_level=1),
                                     dict(fill_level=2, tau=1e-2, modified=True)])

@@ -115,3 +115,8 @@ def with_diagonal(A, r, value):
     lo, hi = B.indptr[r], B.indptr[r + 1]
     B.data[lo + int(np.searchsorted(B.indices[lo:hi], r))] = value
     return B
+
+
+def on_pattern(A, indptr, indices):
+    """A copy of ``A``'s values on the given pattern arrays (shared, not copied)."""
+    return CSRMatrix(A.n_rows, A.n_cols, indptr, indices, A.data.copy(), sort=False, check=False)

@@ -9,12 +9,14 @@ from repro.kernels import (
     cached_analysis,
     clear_default_cache,
     default_cache,
+    frozen_pattern,
     matrix_fingerprint,
     pattern_fingerprint,
 )
+from repro.matrices import grid2d
 from repro.sparse import CSRMatrix, from_dense
 
-from helpers import random_csr
+from helpers import on_pattern, random_csr
 
 
 def _factor(n=30, seed=0):
@@ -61,14 +63,131 @@ class TestFingerprint:
         assert pattern_fingerprint(F) == pattern_fingerprint(G)
         assert matrix_fingerprint(F) != matrix_fingerprint(G)
 
-    def test_matrix_fingerprint_from_a_pattern_digest(self):
-        F = _factor(seed=11)
-        assert matrix_fingerprint(F, pattern_fp=pattern_fingerprint(F)) == matrix_fingerprint(F)
-
     def test_matrix_fingerprint_stable(self):
         F = _factor()
         assert matrix_fingerprint(F) == matrix_fingerprint(F)
         int(matrix_fingerprint(F), 16)  # hex, usable for shard routing
+
+
+class TestFrozenPatternDigest:
+    """A digest is remembered only for a pattern that nothing can write."""
+
+    def _count_hashes(self, monkeypatch):
+        import repro.kernels.cache as cache
+
+        real, hashed = cache._hash_pattern, []
+
+        def counted(M):
+            hashed.append(M)
+            return real(M)
+
+        monkeypatch.setattr(cache, "_hash_pattern", counted)
+        return hashed
+
+    @staticmethod
+    def _setup_both(M):
+        from repro.core import JavelinILU
+        from repro.resilience import ResilientFactor
+
+        ilu = JavelinILU().setup(M)
+        ilu.factor()
+        return ilu, ResilientFactor().setup(M)
+
+    @staticmethod
+    def _move_an_entry(indices):
+        # grid2d(8)'s row 0 is columns (0, 1, 8): moving 8 to 7 keeps it sorted
+        assert list(indices[:3]) == [0, 1, 8]
+        indices[2] = 7
+
+    def _assert_edit_caught(self, M, edit):
+        ilu, rf = self._setup_both(M)
+        before = [pattern_fingerprint(M) for _ in range(2)]
+        edit()
+        assert pattern_fingerprint(M) != before[0] == before[1]
+        with pytest.raises(ValueError, match="pattern"):
+            ilu.refactor(M)
+        with pytest.raises(ValueError, match="pattern"):
+            rf.refactor(M)
+
+    def test_an_in_place_edit_of_a_flag_only_read_only_pattern_is_caught(self, monkeypatch):
+        A = grid2d(8)
+        indptr, indices = A.indptr.copy(), A.indices.copy()
+        for arr in (indptr, indices):
+            arr.flags.writeable = False
+        M = on_pattern(A, indptr, indices)
+        hashed = self._count_hashes(monkeypatch)
+
+        def edit():
+            indices.flags.writeable = True
+            self._move_an_entry(indices)
+            indices.flags.writeable = False  # read-only again, by flag only
+
+        self._assert_edit_caught(M, edit)
+        # 3 digests in _assert_edit_caught and one in each refactor: all computed
+        assert sum(m is M for m in hashed) >= 5
+
+    def test_an_edit_under_a_read_only_view_is_caught(self):
+        A = grid2d(8)
+        base = A.indices.copy()
+        view = base[:]
+        view.flags.writeable = False
+        M = on_pattern(A, frozen_pattern(A)[0], view)
+        self._assert_edit_caught(M, lambda: self._move_an_entry(base))
+
+    def test_an_edit_of_a_bytearray_under_a_read_only_array_is_caught(self):
+        A = grid2d(8)
+        buf = bytearray(A.indices.tobytes())
+        indices = np.frombuffer(buf, dtype=np.int64)
+        indices.flags.writeable = False
+        M = on_pattern(A, frozen_pattern(A)[0], indices)
+        self._assert_edit_caught(M, lambda: self._move_an_entry(np.frombuffer(buf, dtype=np.int64)))
+
+    def test_a_frozen_pattern_cannot_be_made_writable(self):
+        indptr, indices = frozen_pattern(grid2d(8))
+        for arr in (indptr, indices, indices[3:10]):
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+    def test_the_remembered_digest_is_a_fresh_hash_of_a_copy(self, monkeypatch):
+        A = grid2d(8)
+        M = on_pattern(A, *frozen_pattern(A))
+        hashed = self._count_hashes(monkeypatch)
+        digests = [pattern_fingerprint(M) for _ in range(3)]
+        assert len(hashed) == 1
+        copy = on_pattern(A, M.indptr.copy(), M.indices.copy())
+        assert digests == [pattern_fingerprint(copy)] * 3 == [pattern_fingerprint(A)] * 3
+        # another matrix on the same two arrays reuses the digest ...
+        assert pattern_fingerprint(on_pattern(A, M.indptr, M.indices)) == digests[0]
+        assert len(hashed) == 3
+        # ... unless its shape differs, which is part of the digest
+        wider = CSRMatrix(A.n_rows, A.n_cols + 1, M.indptr, M.indices, A.data,
+                          sort=False, check=False)
+        assert pattern_fingerprint(wider) != digests[0]
+
+    def test_an_in_place_dtype_change_is_hashed_again(self):
+        A = grid2d(8)
+        indptr, indices = frozen_pattern(A)
+        M = on_pattern(A, indptr, indices)
+        before = pattern_fingerprint(M)
+        indices.dtype = np.int32  # the same bytes, read as twice as many entries
+        assert pattern_fingerprint(M) != before
+
+    def test_entries_die_with_their_arrays(self):
+        import gc
+
+        import repro.kernels.cache as cache
+
+        gc.collect()  # earlier tests' garbage must not leave during the count
+        n0 = len(cache._FROZEN_DIGESTS)
+        A = grid2d(8)
+        M = on_pattern(A, *frozen_pattern(A))
+        key = (id(M.indptr), id(M.indices))
+        pattern_fingerprint(M)
+        assert key in cache._FROZEN_DIGESTS
+        del M
+        gc.collect()
+        assert key not in cache._FROZEN_DIGESTS
+        assert len(cache._FROZEN_DIGESTS) == n0
 
 
 class TestCacheBehavior:

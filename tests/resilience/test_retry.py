@@ -20,7 +20,7 @@ from repro.resilience import ResilienceReport, ResilientFactor, RetryPolicy
 from repro.solvers import gmres
 from repro.sparse import from_dense
 
-from helpers import lower_only_pivot, random_csr, with_diagonal
+from helpers import lower_only_pivot, on_pattern, random_csr, with_diagonal
 
 
 # ----------------------------------------------------------------------
@@ -364,17 +364,18 @@ class TestRefactor:
         with pytest.raises(ValueError, match="pattern"):
             rf.refactor(grid2d(9))
 
-    def test_refactor_rejects_a_passed_digest_of_another_pattern(self):
-        from repro.kernels.cache import pattern_fingerprint
+    def test_refactor_rejects_a_frozen_pattern_of_another_grid(self):
+        from repro.kernels.cache import frozen_pattern
 
         A = grid2d(8)
         rf = ResilientFactor().setup(A)
+        C = grid2d(9)
         with pytest.raises(ValueError, match="pattern"):
-            rf.refactor(grid2d(9), pattern_fp=pattern_fingerprint(grid2d(9)))
-        with pytest.raises(ValueError, match="pattern"):
-            rf.refactor(A, pattern_fp=pattern_fingerprint(grid2d(9)))
+            rf.refactor(on_pattern(C, *frozen_pattern(C)))
         B = self._drift(A, 0)
-        rf.refactor(B, pattern_fp=pattern_fingerprint(B))
+        B = on_pattern(B, *frozen_pattern(B))
+        rf.refactor(B)
+        rf.refactor(B)  # the remembered digest
         fresh = ResilientFactor().setup(B)
         b = np.linspace(0.5, 1.5, A.n_rows)
         assert np.array_equal(rf.build_solver()(b), fresh.build_solver()(b))
@@ -467,8 +468,7 @@ def test_row_scales_match_the_row_loop(A):
 def test_shifted_matches_the_row_loop(A, alpha):
     from repro.resilience.retry import _row_scales, _shifted
 
-    base, scale = A.diagonal(), _row_scales(A)
-    got = _shifted(A, alpha, base, scale)
-    ref = _shifted_loop(A, alpha, base, scale)
+    got = _shifted(A, alpha)
+    ref = _shifted_loop(A, alpha, A.diagonal(), _row_scales(A))
     assert got.data.tobytes() == ref.data.tobytes()
     assert np.array_equal(got.indices, ref.indices)
