@@ -11,7 +11,8 @@ Measures what the resilience layer costs and proves what it buys:
   vs bare ``JavelinILU`` (the chain's happy path should cost one probe
   apply, a few percent);
 * **runtime watchdog** — the real threaded factorization under dropped
-  notifications: fallback row counts and the bit-identity check.
+  notifications, LS-only and two-stage (Even-Rows lower rows): fallback
+  row counts and the bit-identity check.
 
 Run as a script::
 
@@ -32,16 +33,15 @@ import numpy as np
 
 from repro.core import JavelinILU
 from repro.core.iluk import ilu_factor_sequential
-from repro.core.symbolic import ilu0_pattern, row_factor_costs
+from repro.core.symbolic import row_factor_costs
 from repro.core.upper import assign_round_robin, simulate_upper_p2p
 from repro.machine import SimMachine, uniform_machine
 from repro.matrices import grid2d, singular_block, zero_diag_rows
-from repro.ordering.levelsets import level_schedule
 from repro.resilience import FaultPlan, FaultRunReport, ResilientFactor
 from repro.runtime import threaded_factor
 from repro.sparse import from_dense
 
-from bench_util import bench_main, level_ordered_pattern
+from bench_util import bench_main, level_ordered_matrix, level_ordered_pattern
 from bench_util import timeit_best as _timeit
 
 SLOWDOWNS = [1.0, 2.0, 4.0, 8.0]
@@ -135,32 +135,36 @@ def retry_overhead(nx=32, repeats=3):
     }
 
 
-def runtime_watchdog(nx=12, p=4, watchdog_timeout=0.2):
-    """Real-thread factorization with thread 1's notifications all lost."""
-    A0 = grid2d(nx)
-    ls0 = level_schedule(A0)
-    perm = ls0.permutation()
-    A = A0.permute(perm, perm)
-    S = ilu0_pattern(A)
-    ls = level_schedule(S)
+def runtime_watchdog(nx=12, p=4, watchdog_timeout=0.2, *, staged=False):
+    """Real-thread factorization with thread 1's notifications all lost.
+
+    ``staged`` runs ``JavelinILU``'s two-stage order, whose small trailing
+    levels are Even-Rows lower rows, instead of the LS-only level order.
+    """
+    if staged:
+        ilu = JavelinILU().setup(grid2d(nx))
+        A, S, level_ptr = ilu.A_perm, ilu.S_perm, ilu.level_ptr
+    else:
+        A, S, ls = level_ordered_matrix(nx)
+        level_ptr = ls.level_ptr
     Fref = ilu_factor_sequential(A, S)
-    thread_of = assign_round_robin(ls.level_ptr, p)
+    thread_of = assign_round_robin(level_ptr, p)
     dropped = frozenset((1, int(r)) for r in np.nonzero(thread_of == 1)[0])
     rep = FaultRunReport()
     t0 = time.perf_counter()
     F = threaded_factor(
         A,
         S,
-        ls.level_ptr,
+        level_ptr,
         p,
         fault_plan=FaultPlan(dropped=dropped),
         fault_report=rep,
         watchdog_timeout=watchdog_timeout,
     )
     elapsed = time.perf_counter() - t0
-    return {
+    entry = {
         "kernel": "runtime_watchdog",
-        "case": f"grid2d-{nx}",
+        "case": f"grid2d-{nx}" + ("-staged" if staged else ""),
         "n": int(A.n_rows),
         "p": p,
         "watchdog_timeout_s": watchdog_timeout,
@@ -170,6 +174,9 @@ def runtime_watchdog(nx=12, p=4, watchdog_timeout=0.2):
         "dropped_events": rep.dropped_events,
         "bit_identical": bool(np.array_equal(F.data, Fref.data)),
     }
+    if staged:
+        entry["lower_rows"] = int(A.n_rows - level_ptr[-1])
+    return entry
 
 
 def _verify(entries):
@@ -187,6 +194,8 @@ def _verify(entries):
                 failures.append("faulty threaded run changed the factor")
             if not e["watchdog_engaged"]:
                 failures.append("watchdog never engaged under dropped plan")
+            if e.get("lower_rows") == 0:
+                failures.append("staged watchdog pattern has no lower rows")
     return failures
 
 
@@ -225,6 +234,7 @@ def run(check):
             straggler_sweep(nx=20, p=4),
             breakdown_recovery(nx=10),
             runtime_watchdog(nx=8, watchdog_timeout=0.1),
+            runtime_watchdog(nx=8, watchdog_timeout=0.1, staged=True),
         ]
     else:
         entries = [
@@ -232,6 +242,7 @@ def run(check):
             breakdown_recovery(nx=16),
             retry_overhead(nx=32),
             runtime_watchdog(nx=12),
+            runtime_watchdog(nx=12, staged=True),
         ]
     failures = _verify(entries)
     record = {

@@ -186,22 +186,20 @@ def _traced_factor_run(args):
 
     Returns ``(ilu, sim_report, recorder)`` — the simulated DES trace
     pair (upper + lower stage) and a :class:`SpanRecorder` holding the
-    wait/work spans of an actual ``threaded_factor_two_stage`` run at
+    wait/work spans of an actual two-stage ``threaded_factor`` run at
     the same thread count.
     """
     from . import obs
     from .core import JavelinILU
     from .machine import SimMachine
-    from .runtime.threaded_lower import threaded_factor_two_stage
+    from .runtime import threaded_factor
 
     A = _load_matrix(args)
     spec = _machine(args)
     ilu = JavelinILU().setup(A, n_threads=args.threads)
     rep = ilu.simulate_factor(SimMachine(spec, args.threads), lower=True)
     with obs.tracing() as rec:
-        threaded_factor_two_stage(
-            ilu.A_perm, ilu.S_perm, ilu.level_ptr, ilu.m, args.threads
-        )
+        threaded_factor(ilu.A_perm, ilu.S_perm, ilu.level_ptr, args.threads)
     return ilu, rep, rec
 
 

@@ -39,7 +39,8 @@ from .symbolic import ilu0_pattern, iluk_pattern, row_factor_costs_split
 from ..kernels import cached_analysis
 from ..kernels.trisolve import apply_maps, factor_solver
 from ..kernels.cache import frozen_pattern, pattern_fingerprint, require_pattern
-from .schedule import ScheduleOptions, build_schedule
+from ..ordering.levelsets import LevelSets
+from .schedule import ScheduleOptions, auto_lower_method, build_schedule
 from .upper import simulate_upper_p2p, simulate_upper_barrier
 from .iluk import ilu_factor, scatter_slots
 from .lower_er import simulate_lower_er
@@ -49,7 +50,6 @@ from .trisolve import (
     simulate_trisolve_p2p,
     simulate_trisolve_two_stage,
 )
-from ..sparse.pattern import symmetrize_pattern
 
 __all__ = ["JavelinOptions", "FactorResult", "SimReport", "JavelinILU"]
 
@@ -228,19 +228,16 @@ class JavelinILU:
     def resolved_lower_method(self, n_threads=None):
         """The lower-stage order ("er" | "sr" | "none") for ``n_threads``.
 
-        Resolves the schedule's "auto" choice: Even-Rows when the lower
-        rows are at least the thread count (or the count is unknown),
-        else Segmented-Rows.  It decides what the simulations and the
-        CLI report; the numeric factor is the same for every choice.
+        Resolves the schedule's "auto" choice with
+        :func:`~repro.core.schedule.auto_lower_method`, the rule
+        ``setup(A, n_threads=...)`` applies; Even-Rows while the count
+        is unknown.  It decides what the simulations and the CLI report;
+        the numeric factor is the same for every choice.
         """
         method = self.schedule.chosen_lower_method
         if method == "auto":
-            if self.schedule.n_lower_rows == 0:
-                return "none"
-            if n_threads is None:
-                return "er"
-            return "er" if self.schedule.n_lower_rows >= n_threads else "sr"
-        return method
+            method = auto_lower_method(self.schedule.n_lower_rows, n_threads)
+        return "er" if method == "auto" else method
 
     def factor(self) -> FactorResult:
         """Numeric factorization: :func:`~repro.core.iluk.ilu_factor` on ``A_perm``.
@@ -317,12 +314,18 @@ class JavelinILU:
         return self._split_costs
 
     def _full_level_ptr(self):
-        """Level boundaries covering *all* rows (lower rows re-leveled).
+        """The schedule's level sets, every row, in the permuted numbering.
 
-        Used by the LS-only simulations, where no rows are excluded: the
-        schedule's own level sets already cover every row.
+        Used by the LS-only simulations, where no rows are excluded.  Only
+        a suffix of levels moves to the lower stage, so ``S_perm``'s rows
+        are in level order already.
         """
-        return cached_analysis(symmetrize_pattern(self.S_perm)).levels("lower")
+        ls = self.schedule.levels
+        return LevelSets(
+            level_of=ls.level_of[self.perm],
+            level_ptr=ls.level_ptr,
+            rows=np.arange(ls.n_rows, dtype=np.int64),
+        )
 
     def simulate_factor(
         self,

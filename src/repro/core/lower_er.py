@@ -13,9 +13,11 @@ the trailing ``(n-m) × (n-m)`` block.  Each row's columns are still
 eliminated in ascending order, so the ER order gives the sequential
 reference's bits: this module keeps the partition (:class:`EvenRows`)
 and its timing (:func:`simulate_lower_er`).  The one place the order
-runs for real is :func:`repro.runtime.threaded_factor_two_stage`, which
-calls :func:`repro.core.iluk.factor_row` with a column window for each
-phase; :meth:`repro.core.javelin.JavelinILU.factor` runs the
+runs for real is :func:`repro.runtime.threaded_factor`, the one
+real-thread factor executor, which calls
+:func:`repro.core.iluk.factor_row` with a column window for each phase
+(and resumes a row from its last finished phase when a stalled wait
+sends the run to the watchdog fallback); :meth:`repro.core.javelin.JavelinILU.factor` runs the
 ``ilu_factor`` kernel, which gives the same bits.
 """
 

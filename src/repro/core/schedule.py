@@ -16,9 +16,10 @@ The partition is computed on the level sets of ``lower(A + Aᵀ)`` (or
 * the rows moved to the lower stage (a suffix of the level ordering);
 * the full *level permutation* — upper rows grouped by level, lower
   rows at the end — which is the ordering the matrix is copied into;
-* the automatic Even-Rows vs. Segmented-Rows choice: ER needs more
-  excluded rows than threads so imbalance averages out; SR handles the
-  few-rows/imbalanced case (§III-B).
+* the automatic Even-Rows vs. Segmented-Rows choice
+  (:func:`auto_lower_method`): ER needs at least as many excluded rows
+  as threads so imbalance averages out; SR handles the few-rows case
+  (§III-B).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from ..sparse.csr import CSRMatrix
 from ..ordering.levelsets import LevelSets, level_schedule
 
-__all__ = ["ScheduleOptions", "TwoStageSchedule", "build_schedule"]
+__all__ = ["ScheduleOptions", "TwoStageSchedule", "auto_lower_method", "build_schedule"]
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,11 @@ class TwoStageSchedule:
         return int(self.lower_rows.shape[0])
 
     def permutation(self):
-        """Gather permutation: upper rows by level, then lower rows."""
-        parts = [np.asarray(l, dtype=np.int64) for l in self.upper_levels]
-        parts.append(np.asarray(self.lower_rows, dtype=np.int64))
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        """Gather permutation: upper rows by level, then lower rows.
+
+        Only a suffix of levels moves, so this is the level order itself.
+        """
+        return self.levels.rows.astype(np.int64)
 
     def upper_level_ptr(self):
         """Level boundaries in the *permuted* row numbering."""
@@ -145,6 +147,20 @@ def _count_tail_moves(ls: LevelSets, row_nnz, avg_rd, opts: ScheduleOptions):
     return move
 
 
+def auto_lower_method(n_lower, n_threads):
+    """The automatic lower-stage order for ``n_lower`` rows on ``n_threads``.
+
+    "none" without lower rows; "auto" while ``n_threads`` is unknown.
+    Even-Rows needs at least as many excluded rows as threads, so that
+    imbalance averages out (§III-B); with fewer, Segmented-Rows.
+    """
+    if n_lower == 0:
+        return "none"
+    if n_threads is None:
+        return "auto"
+    return "er" if n_lower >= n_threads else "sr"
+
+
 def build_schedule(
     A: CSRMatrix,
     opts: ScheduleOptions | None = None,
@@ -187,17 +203,7 @@ def build_schedule(
 
     method = opts.lower_method
     if method == "auto":
-        if lower_rows.shape[0] == 0:
-            method = "none"
-        elif n_threads is not None and lower_rows.shape[0] >= n_threads:
-            # enough rows for per-thread averaging -> Even-Rows, unless
-            # the rows are badly imbalanced in nnz, where SR's tiles win
-            nnz_lower = row_nnz[lower_rows]
-            imbalance = float(nnz_lower.max()) / max(float(nnz_lower.mean()), 1.0)
-            method = "sr" if imbalance > 8.0 else "er"
-        elif n_threads is not None:
-            method = "sr"
-        # n_threads unknown: leave as "auto" for the executor to resolve
+        method = auto_lower_method(lower_rows.shape[0], n_threads)
     if method == "sr" and not opts.use_ata:
         raise ValueError(
             "Segmented-Rows requires the lower(A + A^T) level pattern (use_ata=True)"

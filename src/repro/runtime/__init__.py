@@ -18,11 +18,14 @@ verify the claims the simulator takes for granted:
   barrier schedule and the result is *still* bit-identical — faults
   cost time, never correctness.
 
-All four executors run on one core (:mod:`repro.runtime.team`): one team
-runner spawns and joins the workers and raises the first real error at
-once, and one p2p row loop performs every dependency wait, reading the
-pruned wait table :func:`repro.kernels.plans.build_producer_csr` — the
-same table the DES and the ``repro.verify`` proofs use.
+``threaded_factor`` is the one real-thread factor executor: the p2p
+upper stage, then the Even-Rows lower stage, with one response to any
+stalled wait (the watchdog fallback).  All three executors run on one
+core (:mod:`repro.runtime.team`): one team runner spawns and joins the
+workers and raises the first real error at once, and one p2p row loop
+performs every dependency wait, reading the pruned wait table
+:func:`repro.kernels.plans.build_producer_csr` — the same table the DES
+and the ``repro.verify`` proofs use.
 """
 
 from .pointtopoint import ProgressBoard, FaultInjectedBoard
@@ -31,13 +34,11 @@ from .threadpool import (
     threaded_trisolve_lower,
     threaded_trisolve_superstep,
 )
-from .threaded_lower import threaded_factor_two_stage
 
 __all__ = [
     "ProgressBoard",
     "FaultInjectedBoard",
     "threaded_factor",
     "threaded_trisolve_lower",
-    "threaded_factor_two_stage",
     "threaded_trisolve_superstep",
 ]

@@ -19,17 +19,11 @@ __all__ = ["ProgressBoard", "FaultInjectedBoard"]
 
 
 class ProgressBoard:
-    """Monotonic per-thread progress counters with spin-waiting.
-
-    ``waiting[t]`` is the ``(producer, row)`` thread ``t`` is blocked
-    on, or None: the wait-for graph a timeout follows to name the stalled
-    root.  An entry stays set after its wait times out.
-    """
+    """Monotonic per-thread progress counters with spin-waiting."""
 
     def __init__(self, n_threads):
         self.n_threads = int(n_threads)
         self._progress = [-1] * self.n_threads
-        self.waiting: list[tuple[int, int] | None] = [None] * self.n_threads
 
     def publish(self, thread, row):
         """Thread ``thread`` announces it has completed ``row``.
@@ -46,22 +40,18 @@ class ProgressBoard:
     def load(self, thread):
         return self._progress[thread]
 
-    def try_wait(self, producer_thread, row, *, timeout=30.0, stop=None, waiter=None):
+    def try_wait(self, producer_thread, row, *, timeout=30.0, stop=None):
         """Bounded spin: True when satisfied, False on timeout or ``stop``.
 
         The board's one wait primitive, called only from
         :func:`repro.runtime.team.p2p_wait`.  A stalled dependency (lost
-        notification, dead producer) returns False instead of raising,
-        so the executor picks the response: the barrier-schedule
-        fallback (``threaded_factor``, ``threaded_trisolve_lower``) or a
-        ``TimeoutError`` (``threaded_factor_two_stage``).  ``stop`` is a
+        notification, dead producer) returns False instead of raising;
+        the p2p executors (``threaded_factor``,
+        ``threaded_trisolve_lower``) answer every False the same way,
+        with the watchdog's sequential fallback.  ``stop`` is a
         ``threading.Event`` that aborts the spin early once some other
         worker has already given up (lint rule JAV009 demands it).
-        ``waiter`` is the calling thread, recorded in :attr:`waiting`
-        until the wait is met.
         """
-        if waiter is not None:
-            self.waiting[waiter] = (producer_thread, row)
         deadline = time.monotonic() + timeout
         while self._progress[producer_thread] < row:
             if stop is not None and stop.is_set():
@@ -69,8 +59,6 @@ class ProgressBoard:
             if time.monotonic() > deadline:
                 return False
             time.sleep(0)  # yield the GIL
-        if waiter is not None:
-            self.waiting[waiter] = None
         return True
 
     def snapshot(self):

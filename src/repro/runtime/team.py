@@ -54,16 +54,15 @@ def run_team(n_threads, work, *, stop=None, barrier=None):
         raise errors[0]
 
 
-def p2p_wait(board, u, need, name, *, timeout, stop, waiter, **tags):
+def p2p_wait(board, u, need, name, *, timeout, stop, **tags):
     """Wait under a ``name`` span for thread ``u`` to publish row ``need``.
 
     True when met, False on timeout; raises :class:`_StandDown` once
-    ``stop`` is set.  ``waiter`` (the calling thread) is recorded on the
-    board while blocked.  The span brackets the spin only, so tracing
-    never changes a wait's outcome (or the factor bits).
+    ``stop`` is set.  The span brackets the spin only, so tracing never
+    changes a wait's outcome (or the factor bits).
     """
     with _spans.span(name, cat="runtime", producer=u, need=need, **tags):
-        ok = board.try_wait(u, need, timeout=timeout, stop=stop, waiter=waiter)
+        ok = board.try_wait(u, need, timeout=timeout, stop=stop)
     if not ok and stop.is_set():
         raise _StandDown
     return ok
@@ -73,7 +72,7 @@ def p2p_rows(t, thread_of, waits, board, do_row, span, *, done, stop, timeout, s
     """Thread ``t``'s rows, in order, under the pruned wait table ``waits``.
 
     Returns None when every row is done, or the ``(row, producer,
-    need)`` of a wait that timed out — the caller picks the response.
+    need)`` of a wait that timed out, for the caller's watchdog.
     ``sleep`` is a straggler's per-row delay.
     """
     ptr, prod_u, prod_latest = waits
@@ -83,9 +82,7 @@ def p2p_rows(t, thread_of, waits, board, do_row, span, *, done, stop, timeout, s
             raise _StandDown
         for j in range(int(ptr[r]), int(ptr[r + 1])):
             u, need = int(prod_u[j]), int(prod_latest[j])
-            if not p2p_wait(
-                board, u, need, "wait", timeout=timeout, stop=stop, waiter=t, row=r
-            ):
+            if not p2p_wait(board, u, need, "wait", timeout=timeout, stop=stop, row=r):
                 return r, u, need
         if sleep:
             time.sleep(sleep)

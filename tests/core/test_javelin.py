@@ -53,6 +53,19 @@ class TestSetup:
         assert st["n_lower_rows"] + sum(len(l) for l in ilu.schedule.upper_levels) == 30
 
 
+class TestLowerMethodRule:
+    def test_setup_with_threads_and_later_resolution_agree(self):
+        """One ER/SR rule: scircuit's lower rows are badly imbalanced in
+        nnz, which once made ``setup(A, n_threads=4)`` pick SR while
+        ``resolved_lower_method(4)`` picked ER."""
+        from repro.matrices.suite import build_matrix, preorder_for_javelin
+
+        A = preorder_for_javelin(build_matrix("scircuit", scale=0.25))
+        later = JavelinILU().setup(A).resolved_lower_method(4)
+        now = JavelinILU().setup(A, n_threads=4).schedule.chosen_lower_method
+        assert now == later == "er"
+
+
 class TestFactorParity:
     @pytest.mark.parametrize("method", ["none", "er", "sr"])
     def test_bitwise_equal_to_permuted_reference(self, method):

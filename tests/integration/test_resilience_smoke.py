@@ -59,7 +59,9 @@ def test_recorded_baseline_holds_contract():
     assert overhead["n_attempts"] == 1  # healthy matrix: no retries
     assert overhead["overhead"] < 3.0  # happy path costs a probe, not a chain
 
-    wd = by_kernel["runtime_watchdog"][0]
-    assert wd["bit_identical"]
-    assert wd["watchdog_engaged"]
-    assert wd["n_fallback_rows"] > 0
+    for wd in by_kernel["runtime_watchdog"]:
+        assert wd["bit_identical"]
+        assert wd["watchdog_engaged"]
+        assert wd["n_fallback_rows"] > 0
+    # one of them stalls a two-stage run with Even-Rows lower rows
+    assert any(wd.get("lower_rows", 0) > 0 for wd in by_kernel["runtime_watchdog"])

@@ -13,7 +13,7 @@ from repro.core import JavelinILU
 from repro.core.symbolic import ilu0_pattern
 from repro.matrices import grid2d
 from repro.ordering.levelsets import level_schedule
-from repro.runtime import threaded_factor, threaded_factor_two_stage
+from repro.runtime import threaded_factor
 from repro.solvers import gmres
 
 
@@ -55,13 +55,9 @@ class TestBitIdentity:
     def test_threaded_two_stage(self):
         A0 = grid2d(12)
         ilu = JavelinILU().setup(A0, n_threads=4)
-        F_plain = threaded_factor_two_stage(
-            ilu.A_perm, ilu.S_perm, ilu.level_ptr, ilu.m, 4
-        )
+        F_plain = threaded_factor(ilu.A_perm, ilu.S_perm, ilu.level_ptr, 4)
         with obs.tracing() as rec:
-            F_traced = threaded_factor_two_stage(
-                ilu.A_perm, ilu.S_perm, ilu.level_ptr, ilu.m, 4
-            )
+            F_traced = threaded_factor(ilu.A_perm, ilu.S_perm, ilu.level_ptr, 4)
         assert np.array_equal(F_plain.data, F_traced.data)
         names = {e.name for e in rec.events()}
         assert "upper_stage" in names and "factor_row" in names

@@ -20,10 +20,8 @@ from repro.kernels.cache import SymbolicAnalysis
 from repro.ordering.levelsets import level_schedule
 from repro.runtime import (
     threaded_factor,
-    threaded_factor_two_stage,
     threaded_trisolve_lower,
     threaded_trisolve_superstep,
-    threaded_lower,
     threadpool,
 )
 
@@ -71,10 +69,8 @@ EXECUTORS = {
         [(threadpool, "sweep_row", 3)],
     ),
     "two_stage": (
-        lambda p, part: lambda: threaded_factor_two_stage(
-            ILU.A_perm, ILU.S_perm, ILU.level_ptr, ILU.m, p
-        ),
-        [(threaded_lower, "factor_row", 1)],
+        lambda p, part: lambda: threaded_factor(ILU.A_perm, ILU.S_perm, ILU.level_ptr, p),
+        [(threadpool, "factor_row", 1)],
     ),
     "superstep": (_superstep, [(threadpool, "sweep_row", 3)]),
 }
