@@ -62,7 +62,7 @@ NEW_SCHEDULERS = ("superstep", "elastic", "syncfree")
 
 
 # ----------------------------------------------------------------------
-# DAG shapes — builders shared with the controller tests (shapes.py)
+# DAG shapes — builders in shapes.py
 # ----------------------------------------------------------------------
 def shapes(check):
     if check:
@@ -146,13 +146,13 @@ def check_numerics(F, *, staleness=(1, 4), tol_mode=1e-11):
 def crossover(check):
     """Simulated solve time of every scheduler on every (shape, machine)."""
     staleness_budgets = (1, 4) if check else (1, 4, 8)
+    opts = SchedOptions()
     points = []
     for shape, F in shapes(check).items():
         clear_default_cache()
         an = cached_analysis(F)
         for mname, spec, p in machines(check):
             m = SimMachine(spec, p)
-            opts = SchedOptions(n_threads=p)
             times = {
                 name: simulate_schedule(name, F, m, opts=opts)
                 for name in ("p2p", "barrier", "superstep", "syncfree")

@@ -6,7 +6,6 @@ Usage::
         # records benchmarks/results/BENCH_serve.json
     PYTHONPATH=src python benchmarks/bench_serve.py --check
         # fast CI gate: determinism + batch identity + fault termination
-    PYTHONPATH=src python benchmarks/bench_serve.py --check --scheduler superstep
 
 The bench exercises every acceptance property of the serving layer and
 records the evidence in one JSON file:
@@ -30,10 +29,7 @@ records the evidence in one JSON file:
 ``--check`` shrinks the workload and skips the wall-clock timing (it
 is the one non-deterministic measurement) but still enforces replay,
 batch identity and fault termination — the properties CI can assert
-exactly.  ``--scheduler`` stamps every request with that trisolve
-scheduler (see :data:`repro.sched.SCHEDULER_NAMES`); the default keeps
-the service's p2p pricing.  The tuned run of the fault workload is
-gated by ``bench_tune.py``.
+exactly.
 """
 
 import dataclasses
@@ -44,7 +40,6 @@ import numpy as np
 from repro.matrices import grid2d
 from repro.obs.metrics import MetricsRegistry, validate_metrics
 from repro.resilience import FaultPlan, ResilientFactor
-from repro.sched.options import SCHEDULER_NAMES
 from repro.serve.batcher import BatchPolicy
 from repro.serve.request import OUTCOMES
 from repro.serve.workers import CostModel, SolveService, blocked_richardson
@@ -63,7 +58,7 @@ from bench_util import Gates, bench_main
 SEED = 0
 
 
-def workload_spec(check, scheduler=None):
+def workload_spec(check):
     """The seeded workload of either mode."""
     if check:
         return WorkloadSpec(
@@ -74,7 +69,6 @@ def workload_spec(check, scheduler=None):
             deadline_lo=0.02,
             deadline_hi=0.2,
             maxiter=60,
-            scheduler=scheduler,
             burst_at=0.02,
             burst_duration=0.03,
         )
@@ -86,7 +80,6 @@ def workload_spec(check, scheduler=None):
         deadline_lo=0.05,
         deadline_hi=0.5,
         maxiter=80,
-        scheduler=scheduler,
     )
 
 
@@ -105,8 +98,10 @@ def fault_workload(spec):
     return dataclasses.replace(spec, deadline_lo=0.01, deadline_hi=0.1), plan
 
 
-def _service(matrices, *, registry=None, fault_plan=None, max_batch=16, capacity=64, **kw):
-    return SolveService(
+def run_workload(spec, *, registry=None, fault_plan=None, max_batch=16, capacity=64):
+    """Serve ``spec`` once on a fresh service; returns ``(service, results)``."""
+    matrices = build_matrices(spec.patterns)
+    service = SolveService(
         matrices,
         n_shards=2,
         capacity=capacity,
@@ -114,29 +109,6 @@ def _service(matrices, *, registry=None, fault_plan=None, max_batch=16, capacity
         cost=CostModel(),
         fault_plan=fault_plan,
         registry=registry,
-        **kw,
-    )
-
-
-def _make_controller(max_batch=16):
-    """Fresh tune controller for one run (lazy import: tuning is opt-in)."""
-    from repro.tune import TuneController
-
-    return TuneController(batch_policy=BatchPolicy(max_batch=max_batch, max_wait=0.01))
-
-
-def run_workload(
-    spec, *, registry=None, fault_plan=None, max_batch=16, capacity=64, tune=False
-):
-    """Serve ``spec`` once on a fresh service; returns ``(service, results)``."""
-    matrices = build_matrices(spec.patterns)
-    service = _service(
-        matrices,
-        registry=registry,
-        fault_plan=fault_plan,
-        max_batch=max_batch,
-        capacity=capacity,
-        controller=_make_controller(max_batch) if tune else None,
     )
     results = service.run(generate_requests(spec, matrices))
     return service, results
@@ -182,10 +154,10 @@ def _measure_speedup(widths, *, nx=48, tol=1e-8, maxiter=60):
     return out
 
 
-def run(check, scheduler=None):
+def run(check):
     """The serving gates in order; returns ``(record, failures)``."""
     gate = Gates()
-    spec = workload_spec(check, scheduler)
+    spec = workload_spec(check)
 
     print("serve bench: workload")
     registry = MetricsRegistry()
@@ -261,7 +233,6 @@ def run(check, scheduler=None):
     record = {
         "bench": "serve",
         "mode": "check" if check else "full",
-        "scheduler": scheduler or "p2p",
         "tuned": False,
         "spec": dataclasses.asdict(spec),
         "workload": summary,
@@ -283,16 +254,4 @@ def run(check, scheduler=None):
 
 
 if __name__ == "__main__":
-    raise SystemExit(
-        bench_main(
-            "serve",
-            run,
-            __doc__,
-            scheduler=dict(
-                default=None,
-                choices=list(SCHEDULER_NAMES),
-                help="trisolve scheduler stamped on every request "
-                "(default: the service's p2p pricing, unchanged)",
-            ),
-        )
-    )
+    raise SystemExit(bench_main("serve", run, __doc__))

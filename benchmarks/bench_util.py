@@ -1,7 +1,7 @@
 """Shared benchmark utilities: cached matrices, machines, result files.
 
-Every gated bench (``bench_{kernels,resilience,obs,sched,tune,serve,
-cluster,apps}.py``) defines one ``run(check, ...) -> (record, failures)``
+Every gated bench (``bench_{kernels,resilience,obs,sched,serve,cluster,
+apps}.py``) defines one ``run(check) -> (record, failures)``
 and hands it to :func:`bench_main`, the one command line they share::
 
     PYTHONPATH=src python benchmarks/bench_<name>.py           # full run,
@@ -168,12 +168,10 @@ class Gates:
             self.failures.append(name)
 
 
-def bench_main(name, run, doc, argv=None, **options):
+def bench_main(name, run, doc, argv=None):
     """The command line of every gated bench; returns the exit code.
 
-    Parses ``--check`` plus any bench-specific ``options`` (each
-    ``--<key>`` with its ``argparse`` keywords), calls
-    ``run(check=..., **options)``, writes the record to
+    Parses ``--check``, calls ``run(check)``, writes the record to
     ``RESULTS_DIR/BENCH_<name>.json`` in full mode only, and prints the
     failures.  Exit code 1 when any gate failed, else 0.
     """
@@ -181,10 +179,8 @@ def bench_main(name, run, doc, argv=None, **options):
     ap.add_argument(
         "--check", action="store_true", help="fast CI gate: small cases, write nothing"
     )
-    for key, kwargs in options.items():
-        ap.add_argument(f"--{key}", **kwargs)
     args = ap.parse_args(argv)
-    record, failures = run(**vars(args))
+    record, failures = run(args.check)
     if not args.check:
         os.makedirs(RESULTS_DIR, exist_ok=True)
         path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")

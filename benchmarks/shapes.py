@@ -2,7 +2,7 @@
 
 The scheduler crossover study (``bench_sched.py``) records its points
 against named shapes — ``chain-400``, ``wide-16x128``, ``grid-24`` —
-built here; the controller tests reuse the two extremes.
+built here.
 
 Three families span the level-structure spectrum the schedulers
 discriminate on:

@@ -26,8 +26,8 @@ obs {report,export,diff}
     ``chrome://tracing`` / Perfetto (``export``), or compare two
     metrics snapshots (``diff``).
 
-The gated benches (kernels, resilience, obs, sched, tune, serve,
-cluster, apps) are scripts, not subcommands:
+The gated benches (kernels, resilience, obs, sched, serve, cluster,
+apps) are scripts, not subcommands:
 ``python benchmarks/bench_<name>.py [--check]``; so is the bench
 regression tracker, ``python benchmarks/regress.py``.
 

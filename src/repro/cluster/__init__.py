@@ -17,8 +17,8 @@ failures fleets actually have:
   invisible in the bits) and re-warms from replicas after a crash;
 * :mod:`repro.cluster.service` — :class:`ClusterService`, the serving
   event loop with the cluster's answers plugged in: heartbeat
-  suspicion, hedged requests with shared exponential backoff, failover
-  re-dispatch, cache-aware re-warming.
+  suspicion, hedged requests, failover re-dispatch after an
+  exponential backoff, cache-aware re-warming.
 
 Everything runs on the same virtual clock as the serving layer: a
 cluster run is a pure function of (workload, plan, seeds), replays

@@ -125,9 +125,7 @@ class ClusterNode:
         local) but the factor and its applies are shared with the
         donor — copying a preconditioner does not change it.
         """
-        self.shard.cache.put(
-            dataclasses.replace(entry, sync_points=dict(entry.sync_points))
-        )
+        self.shard.cache.put(dataclasses.replace(entry))
         self.n_rewarms += 1
 
     def on_crash(self):

@@ -23,10 +23,10 @@ delays.  The failure protocol, end to end:
   only mechanism that rescues gray nodes;
 * **failover with backoff** — a batch lost to a mid-flight crash is
   re-dispatched to a surviving owner after a seeded
-  :class:`~repro.resilience.ExponentialBackoff` delay (shared with
-  :class:`~repro.resilience.ResilientFactor` — one retry vocabulary
-  for the whole stack); requests whose deadline passed while the
-  batch was down terminate as ``deadline_miss``, never vanish.
+  :class:`~repro.resilience.ExponentialBackoff` delay (built by
+  :meth:`~repro.resilience.RetryPolicy.backoff`); requests whose
+  deadline passed while the batch was down terminate as
+  ``deadline_miss``, never vanish.
   ``drop_failover=True`` disables the re-route — the *planted bug*
   the CI gate uses to prove the request-conservation checker
   (:func:`repro.verify.check_conservation`) has teeth;
@@ -341,7 +341,7 @@ class ClusterService(SolveService):
         self._maybe_replicate(fp, now)
         return fl
 
-    def _start(self, node, batches, now, queue, results):
+    def _start(self, node, batches, now, results):
         """One batch flies now; the rest wait in the failover backlog."""
         self._dispatch(batches[0], node.node_id, now)
         for extra in batches[1:]:

@@ -62,11 +62,8 @@ __all__ = [
 class ExponentialBackoff:
     """Seeded exponential backoff: ``delay(i) = base·factorⁱ·(1 + jitter·u)``.
 
-    The one backoff implementation shared by every retry loop in the
-    stack — the cluster router's hedged re-dispatches and the
-    :class:`ResilientFactor` chain's virtual retry charges both draw
-    from here, so "how long do we wait before trying again" has a
-    single seeded answer.  ``u`` is a uniform draw in ``[0, 1)``
+    The cluster router's failover delay before it re-dispatches a
+    batch lost to a crash.  ``u`` is a uniform draw in ``[0, 1)``
     derived from ``(jitter_seed, attempt)`` alone, so ``delay(i)`` is a
     pure function — independent of call order, process, or how many
     other backoffs exist — which is what keeps the virtual-clock
@@ -127,11 +124,9 @@ class RetryPolicy:
                 max_delay=float("inf")) -> ExponentialBackoff:
         """The policy's seeded exponential backoff schedule.
 
-        One implementation for every retry loop: the cluster router's
-        hedge/failover re-dispatch delays and the virtual charge a
-        :class:`ResilientFactor` retry ladder accrues
-        (:attr:`ResilienceReport.backoff_total`) both come from the
-        :class:`ExponentialBackoff` built here.
+        The cluster router builds its failover re-dispatch delay here.
+        The :class:`ResilientFactor` chain retries at once and charges
+        no delay.
         """
         return ExponentialBackoff(
             base=float(base),
@@ -152,8 +147,6 @@ class AttemptRecord:
     detail: str = ""
     row: int | None = None
     kind: str | None = None
-    #: seeded virtual delay charged before the *next* retry (0 on a win)
-    backoff: float = 0.0
 
     def to_dict(self):
         return asdict(self)
@@ -189,17 +182,6 @@ class ResilienceReport:
     @property
     def n_breakdowns(self):
         return sum(1 for a in self.attempts if not a.ok)
-
-    @property
-    def backoff_total(self):
-        """Virtual retry-delay charge accrued by failed attempts.
-
-        Serving layers add this to a cold build's cost so a
-        breakdown-riddled setup pays for its retries on the virtual
-        clock too (same :meth:`RetryPolicy.backoff` schedule the
-        cluster router uses for hedging).
-        """
-        return sum(a.backoff for a in self.attempts)
 
     def to_dict(self):
         return {
@@ -266,21 +248,10 @@ class ResilientFactor:
         # value-only refactor()s reuse one symbolic setup per variant
         self._ilu_cache: dict = {}
         self.n_refactors = 0
-        # the chain's virtual retry-delay schedule (shared implementation
-        # with the cluster router's hedging — see RetryPolicy.backoff)
-        self._backoff = self.policy.backoff()
 
     def _record_failure(self, variant, shift, **kw):
-        """Record a failed attempt, charging its seeded backoff delay."""
-        self.report.record(
-            AttemptRecord(
-                variant,
-                shift,
-                False,
-                backoff=self._backoff.delay(self.report.n_breakdowns),
-                **kw,
-            )
-        )
+        """Record a failed attempt."""
+        self.report.record(AttemptRecord(variant, shift, False, **kw))
 
     # ------------------------------------------------------------------
     def setup(self, A):

@@ -37,9 +37,6 @@ class ProgressBoard:
             )
         self._progress[thread] = row
 
-    def load(self, thread):
-        return self._progress[thread]
-
     def try_wait(self, producer_thread, row, *, timeout=30.0, stop=None):
         """Bounded spin: True when satisfied, False on timeout or ``stop``.
 
@@ -60,9 +57,6 @@ class ProgressBoard:
                 return False
             time.sleep(0)  # yield the GIL
         return True
-
-    def snapshot(self):
-        return list(self._progress)
 
 
 class FaultInjectedBoard(ProgressBoard):

@@ -14,15 +14,14 @@ adds three more:
   lanes (the GPU execution model of :func:`repro.machine.gpulike`);
 * ``p2p`` / ``barrier`` — the existing level-set paths.
 
-Every knob lives in one frozen :class:`SchedOptions`.  Two functions
-take a name from :data:`SCHEDULER_NAMES`: :func:`simulate_schedule`
-(modelled time) and :func:`effective_sync_passes` (sync points per
-apply).  The numeric solve of every exact mode is
+Every knob lives in one frozen :class:`SchedOptions`.
+:func:`simulate_schedule` takes a name from :data:`SCHEDULER_NAMES`
+and returns the modelled time.  The numeric solve of every exact mode is
 the apply of :func:`~repro.kernels.trisolve.factor_solver`; elastic's is
 :func:`elastic_solve`.
 """
 
-from .base import effective_sync_passes, simulate_schedule, simulate_syncfree
+from .base import simulate_schedule, simulate_syncfree
 from .elastic import (
     ElasticSchedule,
     build_elastic_schedule,
@@ -42,7 +41,6 @@ __all__ = [
     "SCHEDULER_NAMES",
     "SchedOptions",
     "simulate_schedule",
-    "effective_sync_passes",
     "SuperstepPlan",
     "build_superstep_plan",
     "validate_superstep_plan",

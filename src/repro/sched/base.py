@@ -13,11 +13,9 @@ elastic    bounded-stale + correction      tunable  shallow/wide DAGs
 syncfree   per-dependency flag polls       yes      GPU-like lane counts
 ========== =============================== ======== =======================
 
-Two functions of the name answer the per-strategy questions: the
-modelled time on a machine (:func:`simulate_schedule`) and the
-synchronization points one preconditioner apply pays
-(:func:`effective_sync_passes`, the serving layer's cost-model input).
-The numerics have two paths only.  Every exact mode reorders or
+One function of the name answers the per-strategy question, the
+modelled time on a machine (:func:`simulate_schedule`).  The numerics
+have two paths only.  Every exact mode reorders or
 re-synchronizes the level sweep's rows, so in one process its solve is
 the apply :func:`~repro.kernels.trisolve.factor_solver` builds, bit for bit;
 elastic runs :func:`~repro.sched.elastic.elastic_solve`, bit-identical
@@ -33,7 +31,7 @@ from ..kernels.des import superstep_sim
 from .elastic import simulate_elastic
 from .options import SCHEDULER_NAMES, SchedOptions
 
-__all__ = ["simulate_schedule", "effective_sync_passes", "simulate_syncfree"]
+__all__ = ["simulate_schedule", "simulate_syncfree"]
 
 
 def _check_name(name):
@@ -84,7 +82,8 @@ def simulate_schedule(name, S, machine, *, opts=None, both=True) -> float:
     ``superstep_sim`` DES kernel; elastic races blocks and prices its
     correction sweeps (:func:`simulate_elastic`); syncfree is the p2p
     sweep on lanes ``r mod p``, with one device-wide flush at the
-    stage hand-off.  ``both=False`` models the lower sweep only.
+    stage hand-off.  Every strategy runs on ``machine.n_threads``
+    threads.  ``both=False`` models the lower sweep only.
     """
     from ..core.trisolve import (
         simulate_sweeps,
@@ -117,34 +116,3 @@ def simulate_schedule(name, S, machine, *, opts=None, both=True) -> float:
 
     return simulate_sweeps(S, machine, sweep, both=both)
 
-
-def effective_sync_passes(F, name, opts=None) -> int:
-    """Synchronization points one preconditioner apply pays under ``name``.
-
-    The serving layer's cost model charges ``level_pass`` per sync point
-    (``2 × n_levels`` for the p2p/barrier schedulers); superstep pays
-    one per step of its plans at ``opts.n_threads``; elastic pays one
-    per (sweep, block with rows still active); syncfree pays only the
-    lower→upper hand-off.
-    """
-    _check_name(name)
-    opts = SchedOptions() if opts is None else opts
-    if name == "syncfree":
-        return 1
-    analysis = cached_analysis(F)
-    total = 0
-    for part in ("lower", "upper"):
-        if name == "superstep":
-            total += analysis.superstep_plan(
-                part, n_threads=opts.n_threads, opts=opts
-            ).n_steps
-        elif name == "elastic":
-            sched = analysis.elastic_schedule(part, staleness=opts.staleness)
-            # block b stays active through sweep max(final_sweep over b)
-            last = np.full(sched.n_blocks, -1, dtype=np.int64)
-            np.maximum.at(last, sched.block_of, sched.final_sweep)
-            n_sweeps = min(sched.n_sweeps, opts.max_sweeps)
-            total += int(np.minimum(last + 1, n_sweeps).sum())
-        else:
-            total += analysis.plan(part).n_levels
-    return total

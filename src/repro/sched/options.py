@@ -21,7 +21,8 @@ SCHEDULER_NAMES = ("p2p", "barrier", "superstep", "elastic", "syncfree")
 class SchedOptions:
     """Knobs for the trisolve schedulers (:mod:`repro.sched`).
 
-    ``n_threads`` is the thread count superstep plans are built for.
+    The thread count is not a knob: a simulation takes it from the
+    machine, a plan from its ``n_threads`` argument.
     The superstep knobs bound how many levels a DAG partition may fuse
     (``max_superstep_rows``) and how much per-thread imbalance a fusion
     may introduce (``balance_factor``, relative to the larger of the
@@ -34,7 +35,6 @@ class SchedOptions:
     (bit-identical to the p2p path), a positive tolerance stops early.
     """
 
-    n_threads: int = 8
     # --- superstep (DAG partition) ---
     max_superstep_rows: int = 512
     balance_factor: float = 1.5
@@ -44,8 +44,6 @@ class SchedOptions:
     elastic_tol: float = 0.0
 
     def __post_init__(self):
-        if self.n_threads < 1:
-            raise ValueError(f"n_threads must be >= 1, got {self.n_threads}")
         if self.max_superstep_rows < 1:
             raise ValueError(
                 f"max_superstep_rows must be >= 1, got {self.max_superstep_rows}"

@@ -26,8 +26,8 @@ The plan changes *when* rows run and where the barriers fall, never
 what a row computes: a superstep solve is the shared level sweep
 (:func:`~repro.kernels.trisolve.factor_solver`), and the plan
 drives the DES, the real-thread executor
-(:func:`~repro.runtime.threaded_trisolve_superstep`), the
-verify deadlock replay, the sync-point pricing and the tuner.
+(:func:`~repro.runtime.threaded_trisolve_superstep`) and the
+verify deadlock replay.
 """
 
 from __future__ import annotations

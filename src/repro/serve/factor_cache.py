@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["FactorEntry", "FactorCache", "live_factor_caches"]
 
@@ -74,8 +74,6 @@ class FactorEntry:
     build_cost: float = 0.0
     demoted: bool = False
     resetups: int = 0
-    #: per-scheduler sync-point counts, lazily priced by the shards
-    sync_points: dict = field(default_factory=dict)
     #: iteration count observed while the factor was fresh (staleness baseline)
     base_iters: float = 0.0
     #: mean iterations / convergence of the most recent solve — the

@@ -41,11 +41,10 @@ class SolveRequest:
     ``priority`` orders requests *within* a tenant (higher first);
     fairness across tenants is the admission queue's round-robin, so a
     high-priority tenant cannot starve the others.  ``deadline`` is an
-    absolute virtual time; ``math.inf`` means best-effort.
-    ``scheduler`` picks the trisolve synchronization strategy for this
-    request's preconditioner applies (one of
-    :data:`repro.sched.SCHEDULER_NAMES`); ``None`` means the service
-    default (p2p — behavior unchanged from before the knob existed).
+    absolute virtual time; ``math.inf`` means best-effort.  A NaN
+    ``arrival_time``, ``deadline`` or ``tol`` is rejected here: a NaN
+    arrival never satisfies ``arrival_time <= now``, so the service
+    would wait for it forever.
     """
 
     request_id: int
@@ -58,7 +57,6 @@ class SolveRequest:
     priority: int = 0
     arrival_time: float = 0.0
     maxiter: int = 200
-    scheduler: str | None = None
     sla: str = "standard"
 
     def __post_init__(self):
@@ -67,18 +65,13 @@ class SolveRequest:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
         if self.b.ndim != 1:
             raise ValueError(f"b must be 1-D, got shape {self.b.shape}")
-        if self.tol <= 0.0:
+        for name in ("arrival_time", "deadline"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
+        if not self.tol > 0.0:  # NaN fails every comparison
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.maxiter < 1:
             raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
-        if self.scheduler is not None:
-            from ..sched.options import SCHEDULER_NAMES
-
-            if self.scheduler not in SCHEDULER_NAMES:
-                raise ValueError(
-                    f"unknown scheduler {self.scheduler!r}; "
-                    f"one of {SCHEDULER_NAMES} or None"
-                )
 
     @property
     def batch_key(self):
@@ -88,12 +81,9 @@ class SolveRequest:
         additionally requires identical solver semantics — same matrix
         (hence same values, not just pattern), tolerance and iteration
         cap — so a batched column is bit-identical to the request
-        served alone.  The scheduler is part of the key: exact
-        schedulers produce identical bits, but their *cost* (and an
-        elastic request's tolerance contract) differs, so mixed batches
-        would be mis-priced.
+        served alone.
         """
-        return (self.matrix_key, self.solver, self.tol, self.maxiter, self.scheduler)
+        return (self.matrix_key, self.solver, self.tol, self.maxiter)
 
     @property
     def sla_rank(self):

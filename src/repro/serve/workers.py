@@ -98,20 +98,17 @@ class CostModel:
         """Charge for a value-only refactor of an already-analyzed pattern."""
         return self.refactor_per_nnz * float(nnz) * (1.0 + float(fill_level))
 
-    def solve_cost(self, n_levels, nnz, passes, col_iters, sync_points=None):
+    def solve_cost(self, n_levels, nnz, passes, col_iters):
         """Charge for one (possibly batched) iterative solve.
 
         ``passes`` iterations swept the levels once each (shared by
-        every active column — the batching win); ``col_iters`` is the
-        sum of per-column iteration counts (per-entry work scales with
-        it).  ``sync_points`` overrides the per-pass synchronization
-        count — the historical ``2 × n_levels`` of the level-set
-        schedulers — so superstep/elastic/syncfree batches are priced
-        by their actual sync economy (:func:`repro.sched.effective_sync_passes`).
+        every active column — the batching win), and each pass pays
+        ``level_pass`` per level of the forward and the backward sweep
+        (``2 × n_levels``), the level sets every apply runs;
+        ``col_iters`` is the sum of per-column iteration counts
+        (per-entry work scales with it).
         """
-        if sync_points is None:
-            sync_points = 2.0 * float(n_levels)
-        per_pass = self.iteration_overhead + float(sync_points) * self.level_pass
+        per_pass = self.iteration_overhead + 2.0 * float(n_levels) * self.level_pass
         per_col_iter = float(nnz) * (2.0 * self.entry_op + self.spmv_entry)
         return self.batch_overhead + float(passes) * per_pass + float(col_iters) * per_col_iter
 
@@ -351,45 +348,15 @@ class WorkerShard:
         return entry, charge
 
     # ------------------------------------------------------------------
-    def _scheduler_sync_points(self, entry, scheduler):
-        """Sync-point count of the batch's trisolve scheduler (cached).
-
-        ``None``/``p2p``/``barrier`` keep the historical pricing
-        (``2 × n_levels``, returned as ``None`` so ``solve_cost``'s
-        default applies — the no-knob behavior is bit-identical).  The
-        numeric applies are unchanged either way: every scheduler the
-        service exposes runs in its exact mode, so only the charge
-        moves.
-        """
-        if scheduler in (None, "p2p", "barrier"):
-            return None
-        sp = entry.sync_points.get(scheduler)
-        if sp is None:
-            rf = entry.factor
-            if rf.ilu is None:
-                sp = 2 * entry.n_levels
-            else:
-                from ..sched import effective_sync_passes
-
-                sp = effective_sync_passes(rf.ilu.F, scheduler)
-            entry.sync_points[scheduler] = sp
-        return sp
-
-    # ------------------------------------------------------------------
-    def execute(self, batch, A, fingerprint, now, *, scheduler_override=None):
+    def execute(self, batch, A, fingerprint, now):
         """Run one batch starting at virtual time ``now``.
 
         Returns ``(results, finish_time)``; the shard is busy until
         ``finish_time``.  Faults scale or delay the virtual charges but
-        never change the computed numbers.  ``scheduler_override``
-        substitutes for an *unpinned* batch scheduler (the tune
-        controller's per-pattern pick); a request that named its own
-        scheduler keeps it.
+        never change the computed numbers.
         """
         reqs = batch.requests
-        matrix_key, solver, tol, maxiter, scheduler = batch.key
-        if scheduler is None:
-            scheduler = scheduler_override
+        matrix_key, solver, tol, maxiter = batch.key
         budget = min(r.deadline for r in reqs) - now
         entry = self.cache.get(self._lineage.get(matrix_key, fingerprint))
         factor_charge = 0.0
@@ -410,22 +377,17 @@ class WorkerShard:
                 self._lineage[matrix_key] = fingerprint
             else:
                 stale_this_batch = True
-        sync_points = self._scheduler_sync_points(entry, scheduler)
         if solver == "richardson":
             out = blocked_richardson(
                 A, entry, np.stack([r.b for r in reqs], axis=1), tol, maxiter
             )
             solve_charge = self.cost.solve_cost(
-                entry.n_levels, entry.nnz, out["passes"], out["col_iters"],
-                sync_points=sync_points,
+                entry.n_levels, entry.nnz, out["passes"], out["col_iters"]
             )
         else:
             out = self._krylov(A, entry, reqs, solver, tol, maxiter)
-            solve_charge = self.cost.solve_cost(
-                entry.n_levels, entry.nnz, int(out["iterations"].sum()),
-                int(out["iterations"].sum()),
-                sync_points=sync_points,
-            )
+            n_iters = int(out["iterations"].sum())
+            solve_charge = self.cost.solve_cost(entry.n_levels, entry.nnz, n_iters, n_iters)
         service = factor_charge + solve_charge
         plan = self.fault_plan
         if plan is not None:
@@ -556,7 +518,6 @@ class SolveService:
         registry=None,
         staleness: StalenessPolicy | None = None,
         fairness="round_robin",
-        controller=None,
     ):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -577,10 +538,6 @@ class SolveService:
         self.batch_policy = batch_policy or BatchPolicy()
         self.cost = cost or CostModel()
         self.registry = registry
-        # duck-typed repro.tune controller (scheduler_override / observe
-        # / batch_policy / staleness); None = untuned, the default —
-        # serve never imports repro.tune
-        self.controller = controller
         self.shards = [
             self._make_shard(
                 i,
@@ -676,8 +633,7 @@ class SolveService:
                 raise ValueError(f"unknown solver {r.solver!r}; supported: {SOLVERS}")
         reqs.sort(key=lambda r: (r.arrival_time, r.request_id))
         queue = AdmissionQueue(self.capacity, self.admission, self.fairness)
-        ctl = self.controller
-        batcher = MicroBatcher(ctl.batch_policy if ctl is not None else self.batch_policy)
+        batcher = MicroBatcher(self.batch_policy)
         results: dict[int, RequestResult] = {}
         self._begin_run()
         prefix = self.metric_prefix
@@ -730,13 +686,7 @@ class SolveService:
                     continue
                 batches = batcher.pop_ready(queue, now, self._est_cost, keys=keys_for_s)
                 if batches:
-                    self._start(s, batches, now, queue, results)
-            if ctl is not None:
-                # re-read the knobs the controller may have moved; all
-                # of them select among bit-identical paths only
-                batcher.policy = ctl.batch_policy
-                for sh in self.shards:
-                    sh.staleness = ctl.staleness
+                    self._start(s, batches, now, results)
         ordered = [
             results[r.request_id]
             for r in sorted(reqs, key=lambda r: r.request_id)
@@ -781,25 +731,16 @@ class SolveService:
     def _dispatch_backlog(self, now, results):
         """Hook before fresh batches start (one machine has no backlog)."""
 
-    def _start(self, shard, batches, now, queue, results):
+    def _start(self, shard, batches, now, results):
         """Run ``batches`` back to back on ``shard`` starting at ``now``."""
-        ctl = self.controller
         start = now
         for batch in batches:
-            A = self.matrices[batch.matrix_key]
-            override = ctl.scheduler_override(A) if ctl is not None else None
-            batch_results, finish = shard.execute(
-                batch,
-                A,
-                self.fingerprints[batch.matrix_key],
-                start,
-                scheduler_override=override,
+            key = batch.matrix_key
+            batch_results, start = shard.execute(
+                batch, self.matrices[key], self.fingerprints[key], start
             )
             for res in batch_results:
                 results[res.request_id] = res
-            start = finish
-            if ctl is not None:
-                ctl.observe(batch_results, queue_depth=len(queue), now=finish)
         shard.busy = True
         shard.free_at = start
 
@@ -848,7 +789,4 @@ class SolveService:
             reg.counter(f"{p}.{name}").inc(sum(getattr(s, f"n_{name}") for s in self.shards))
         if finished:
             reg.histogram(f"{p}.wait_time").observe_many(r.wait_time for r in finished)
-        if self.controller is not None:
-            for name, value in self.controller.metrics().items():
-                reg.counter(name).inc(int(value))
 

@@ -76,7 +76,6 @@ class WorkloadSpec:
     tol: float = 1e-8
     maxiter: int = 200
     drift: float = 0.1
-    scheduler: str | None = None  # trisolve scheduler for every request
     #: arrival/mix shape (one of :data:`WORKLOAD_SHAPES`) and its knobs
     shape: str = "poisson"
     diurnal_period: float = 0.5  # one full day on the virtual clock
@@ -309,7 +308,6 @@ def generate_requests(spec: WorkloadSpec, matrices):
                 priority=int(rng.integers(3)),
                 arrival_time=now,
                 maxiter=spec.maxiter,
-                scheduler=spec.scheduler,
                 sla=sla,
             )
         )

@@ -96,7 +96,8 @@ class TestFaultInjectedBoard:
         board = FaultInjectedBoard(2, FaultPlan(dropped=frozenset({(0, 1)})), report=rep)
         board.publish(0, 0)
         board.publish(0, 1)  # dropped: counter stays at 0
-        assert board.load(0) == 0
+        assert board.try_wait(0, 0, timeout=0.0)
+        assert not board.try_wait(0, 1, timeout=0.0)
         assert rep.dropped_events == 1
 
     def test_next_publish_covers(self):
@@ -104,7 +105,7 @@ class TestFaultInjectedBoard:
         board.publish(0, 0)
         board.publish(0, 1)  # lost
         board.publish(0, 2)  # covers it — no monotonicity violation
-        assert board.load(0) == 2
+        assert board.try_wait(0, 2, timeout=0.0)
         assert board.try_wait(0, 1, timeout=0.01)
 
     def test_healthy_board_unchanged(self):

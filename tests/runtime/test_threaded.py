@@ -23,9 +23,11 @@ def level_ordered(seed=0, n=60, density=0.08):
 class TestProgressBoard:
     def test_publish_and_load(self):
         b = ProgressBoard(2)
-        assert b.load(0) == -1
+        assert not b.try_wait(0, 0, timeout=0.0)
         b.publish(0, 3)
-        assert b.load(0) == 3
+        assert b.try_wait(0, 3, timeout=0.0)
+        assert b.try_wait(0, 2, timeout=0.0)  # later rows cover earlier ones
+        assert not b.try_wait(0, 4, timeout=0.0)
 
     def test_publish_must_increase(self):
         b = ProgressBoard(1)
@@ -36,7 +38,9 @@ class TestProgressBoard:
     def test_snapshot(self):
         b = ProgressBoard(3)
         b.publish(2, 1)
-        assert b.snapshot() == [-1, -1, 1]
+        assert b.try_wait(2, 1, timeout=0.0)
+        assert not b.try_wait(0, 0, timeout=0.0)
+        assert not b.try_wait(1, 0, timeout=0.0)
 
 
 class TestThreadedFactor:

@@ -6,11 +6,12 @@ import pytest
 from helpers import random_csr
 from repro.kernels import cached_analysis, clear_default_cache
 from repro.kernels.trisolve import factor_solver, trisolve_lower
+from repro.machine import SimMachine, uniform_machine
 from repro.sched import (
     SchedOptions,
     build_elastic_schedule,
-    effective_sync_passes,
     elastic_solve,
+    simulate_elastic,
 )
 from repro.sched.elastic import elastic_solve_part
 
@@ -162,9 +163,22 @@ def test_max_sweeps_truncation_is_inexact_but_finite(F):
         assert np.isfinite(x).all()
 
 
+def _simulated_syncs(F, opts):
+    """Blocks the elastic DES processes (one barrier each), both parts."""
+    machine = SimMachine(uniform_machine(n_cores=4), 4)
+    ones = np.ones(F.n_rows)
+    events = []
+    for part in ("lower", "upper"):
+        sched = cached_analysis(F).elastic_schedule(part, staleness=opts.staleness)
+        simulate_elastic(
+            F, sched, machine, ones, ones, max_sweeps=opts.max_sweeps, events=events
+        )
+    return sum(1 for e in events if e[0] == "block")
+
+
 def test_sync_points_counts_active_blocks(F):
-    tight = effective_sync_passes(F, "elastic", SchedOptions(staleness=0))
-    loose = effective_sync_passes(F, "elastic", SchedOptions(staleness=8))
+    tight = _simulated_syncs(F, SchedOptions(staleness=0))
+    loose = _simulated_syncs(F, SchedOptions(staleness=8))
     an = cached_analysis(F)
     n_levels = an.plan("lower").n_levels + an.plan("upper").n_levels
     # staleness 0: one sweep, one sync per level-block -> exactly the levels
@@ -172,7 +186,7 @@ def test_sync_points_counts_active_blocks(F):
     assert loose >= 1
 
 
-def _sync_points_loop(F, opts):
+def _block_loop_syncs(F, opts):
     """Reference: one sync per (sweep, block with an active row), by loop."""
     total = 0
     for part in ("lower", "upper"):
@@ -193,7 +207,7 @@ def _sync_points_loop(F, opts):
 def test_sync_points_match_the_block_loop(staleness, max_sweeps, seed):
     F = random_csr(80, density=0.1, seed=seed)
     opts = SchedOptions(staleness=staleness, max_sweeps=max_sweeps)
-    assert effective_sync_passes(F, "elastic", opts) == _sync_points_loop(F, opts)
+    assert _simulated_syncs(F, opts) == _block_loop_syncs(F, opts)
 
 
 def test_schedules_cached_per_staleness(F):

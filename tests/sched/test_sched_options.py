@@ -9,7 +9,6 @@ from repro.sched import SchedOptions
 
 def test_defaults_are_the_p2p_status_quo():
     o = SchedOptions()
-    assert o.n_threads == 8
     assert o.elastic_tol == 0.0  # elastic default is the exact mode
 
 
@@ -20,15 +19,14 @@ def test_frozen():
 
 def test_with_overrides_without_mutation():
     o = SchedOptions()
-    o2 = o.with_(n_threads=2, staleness=2)
-    assert (o2.n_threads, o2.staleness) == (2, 2)
-    assert (o.n_threads, o.staleness) == (8, 4)
+    o2 = o.with_(max_sweeps=2, staleness=2)
+    assert (o2.max_sweeps, o2.staleness) == (2, 2)
+    assert (o.max_sweeps, o.staleness) == (128, 4)
 
 
 @pytest.mark.parametrize(
     "kw",
     [
-        {"n_threads": 0},
         {"max_superstep_rows": 0},
         {"balance_factor": 0.99},
         {"staleness": -1},

@@ -10,7 +10,6 @@ from repro.runtime import threaded_trisolve_superstep
 from repro.sched import (
     SchedOptions,
     build_superstep_plan,
-    effective_sync_passes,
     simulate_schedule,
     superstep_stats,
     validate_superstep_plan,
@@ -81,16 +80,17 @@ def test_threaded_executor_bit_identical(F):
 
 
 def test_sync_points_never_exceed_levels(F):
-    # fusing can only merge boundaries: steps <= levels, both parts
+    # fusing can only merge boundaries: steps <= levels, in each part
     an = cached_analysis(F)
-    n_levels = an.plan("lower").n_levels + an.plan("upper").n_levels
-    assert effective_sync_passes(F, "superstep", SchedOptions(n_threads=4)) <= n_levels
-    assert effective_sync_passes(F, "p2p") == n_levels
+    for part in ("lower", "upper"):
+        stats = superstep_stats(an.superstep_plan(part, n_threads=4))
+        assert stats["n_steps"] <= an.plan(part).n_levels
+        assert stats["sync_points"] == stats["n_steps"] - 1
 
 
 def test_simulate_is_finite_and_positive(F):
     m = SimMachine(uniform_machine(n_cores=4), 4)
-    t = simulate_schedule("superstep", F, m, opts=SchedOptions(n_threads=4))
+    t = simulate_schedule("superstep", F, m)
     assert np.isfinite(t) and t > 0.0
 
 
@@ -103,11 +103,15 @@ def test_plans_are_cached_per_options(F):
     assert c is not a
 
 
-def test_scheduler_plan_helper_uses_opts_thread_count(F):
-    # the superstep sync count prices the plans built for opts.n_threads
-    # (2 threads fuse fewer levels than the default 8 on these patterns)
-    opts = SchedOptions(n_threads=2)
-    an = cached_analysis(F)
-    steps = sum(an.superstep_plan(p, n_threads=2).n_steps for p in ("lower", "upper"))
-    assert effective_sync_passes(F, "superstep", opts) == steps
-    assert steps != effective_sync_passes(F, "superstep")
+def test_superstep_simulation_uses_the_machine_thread_count(F, monkeypatch):
+    from repro.sched import superstep
+
+    built = []
+
+    def recording(*args, n_threads, **kw):
+        built.append(n_threads)
+        return build_superstep_plan(*args, n_threads=n_threads, **kw)
+
+    monkeypatch.setattr(superstep, "build_superstep_plan", recording)
+    simulate_schedule("superstep", F, SimMachine(uniform_machine(n_cores=2), 2))
+    assert built == [2, 2]  # one plan per part, for the machine's 2 threads

@@ -66,7 +66,7 @@ def _schedule(results):
 # ----------------------------------------------------------------------
 # serve: the `repro serve bench --check` workload
 # ----------------------------------------------------------------------
-def _serve_spec(scheduler=None):
+def _serve_spec():
     return WorkloadSpec(
         seed=0,
         n_requests=48,
@@ -75,7 +75,6 @@ def _serve_spec(scheduler=None):
         deadline_lo=0.02,
         deadline_hi=0.2,
         maxiter=60,
-        scheduler=scheduler,
         burst_at=0.02,
         burst_duration=0.03,
     )
@@ -199,7 +198,6 @@ def _cluster_case(name):
 GOLDEN = {
     "serve_healthy": "50caa938b84bd14c21ff80f05958e881",
     "serve_faulted": "dbfdc02ccab41713d15c10d0cdc23272",
-    "serve_superstep": "7081379ff5bc3686dc559262c4131cd2",
     "cluster_healthy": "5368fab1244d74acce4fd173d437a85b",
     "cluster_storm": "a39e311457663442afceaad163979043",
     "cluster_drop_failover": "4942a0da0927d67d306f0ca325641847",
@@ -214,10 +212,6 @@ def test_serve_healthy_schedule():
 
 def test_serve_faulted_schedule():
     assert _serve_faulted() == GOLDEN["serve_faulted"]
-
-
-def test_serve_superstep_schedule():
-    assert _serve_run(_serve_spec("superstep")) == GOLDEN["serve_superstep"]
 
 
 @pytest.mark.parametrize(

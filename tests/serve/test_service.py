@@ -194,6 +194,18 @@ class TestOutcomes:
                 ]
             )
 
+    @pytest.mark.parametrize("field", ["arrival_time", "deadline", "tol"])
+    def test_nan_time_or_tolerance_rejected_at_construction(self, field):
+        """A NaN arrival was never admitted, so ``run`` looped forever."""
+        with pytest.raises(ValueError, match=field):
+            SolveRequest(
+                request_id=0,
+                tenant="t",
+                matrix_key="g12",
+                b=np.ones(144),
+                **{field: math.nan},
+            )
+
 
 class TestDeadlineDemotion:
     def test_cold_miss_under_tight_budget_demotes(self):
