@@ -69,8 +69,6 @@ def workload_spec(check):
             deadline_lo=0.02,
             deadline_hi=0.2,
             maxiter=60,
-            burst_at=0.02,
-            burst_duration=0.03,
         )
     return WorkloadSpec(
         seed=SEED,

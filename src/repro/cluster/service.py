@@ -129,7 +129,6 @@ class ClusterService(SolveService):
         replication=2,
         ring_seed=0,
         capacity=128,
-        admission="reject",
         batch_policy: BatchPolicy | None = None,
         cost: CostModel | None = None,
         options=None,
@@ -147,7 +146,6 @@ class ClusterService(SolveService):
             matrices,
             n_shards=n_nodes,
             capacity=capacity,
-            admission=admission,
             batch_policy=batch_policy,
             cost=cost,
             options=options,

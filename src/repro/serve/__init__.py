@@ -8,8 +8,8 @@ stack below it into a request/response system:
 * :mod:`repro.serve.request` — :class:`SolveRequest` /
   :class:`RequestResult` and the closed outcome vocabulary
   (``served``, ``deadline_miss``, ``rejected``, ``breakdown``);
-* :mod:`repro.serve.queue` — bounded :class:`AdmissionQueue` with
-  backpressure (reject / shed-oldest) and per-tenant fairness;
+* :mod:`repro.serve.queue` — bounded :class:`AdmissionQueue`: a full
+  queue bounces the newcomer; extraction round-robins across tenants;
 * :mod:`repro.serve.batcher` — :class:`MicroBatcher` coalescing
   compatible requests into multi-RHS blocks for the level-batched
   trisolve kernels (close on max-size, max-wait, deadline pressure);
@@ -29,28 +29,18 @@ numerically invisible: a batched column is bit-identical to the same
 request served alone (asserted by property tests and the bench gate).
 """
 
-from .request import OUTCOMES, SLA_CLASSES, RequestResult, SolveRequest
-from .queue import ADMISSION_POLICIES, FAIRNESS_MODES, AdmissionQueue
+from .request import OUTCOMES, RequestResult, SolveRequest
+from .queue import AdmissionQueue
 from .batcher import Batch, BatchPolicy, MicroBatcher
 from .factor_cache import FactorCache, FactorEntry, live_factor_caches
 from .staleness import STALENESS_MODES, StalenessPolicy
 from .workers import SOLVERS, CostModel, SolveService, WorkerShard, blocked_richardson
-from .workload import (
-    WORKLOAD_SHAPES,
-    WorkloadSpec,
-    arrival_rate,
-    build_matrices,
-    generate_requests,
-    summarize,
-)
+from .workload import WorkloadSpec, build_matrices, generate_requests, summarize
 
 __all__ = [
     "OUTCOMES",
-    "SLA_CLASSES",
     "SolveRequest",
     "RequestResult",
-    "ADMISSION_POLICIES",
-    "FAIRNESS_MODES",
     "AdmissionQueue",
     "STALENESS_MODES",
     "StalenessPolicy",
@@ -65,9 +55,7 @@ __all__ = [
     "WorkerShard",
     "SolveService",
     "blocked_richardson",
-    "WORKLOAD_SHAPES",
     "WorkloadSpec",
-    "arrival_rate",
     "build_matrices",
     "generate_requests",
     "summarize",

@@ -15,20 +15,17 @@ A waiting group closes into a batch when **any** of:
 * **max-size** — ``max_batch`` requests are waiting (a full block);
 * **max-wait** — the oldest waiting request has aged ``max_wait``
   (bounds the latency cost of fishing for batch-mates);
-* **SLA wait** — a waiting request of a class named in
-  :attr:`BatchPolicy.sla_waits` has aged its class budget (interactive
-  traffic stops fishing for batch-mates sooner than the global cap);
 * **deadline pressure** — the group's tightest deadline leaves only
-  enough slack to run the batch now (``min_deadline - now ≤
-  est_cost + deadline_slack``);
-* the solver is not in ``batchable`` — those dispatch immediately as
-  singleton batches (a Krylov solve with its own state machine gains
+  enough time to run the batch now (``min_deadline - now ≤
+  est_cost``);
+* the solver is not in :data:`BATCHABLE` — those dispatch immediately
+  as singleton batches (a Krylov solve with its own state machine gains
   nothing from column stacking here).
 
 The batcher owns *policy only*: requests stay in the
 :class:`~repro.serve.queue.AdmissionQueue` (where backpressure and
-fairness are enforced) until the moment a batch closes, at which point
-they are extracted in the queue's fair order.
+tenant round-robin are enforced) until the moment a batch closes, at
+which point they are extracted in the queue's fair order.
 """
 
 from __future__ import annotations
@@ -36,7 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["BatchPolicy", "Batch", "MicroBatcher"]
+__all__ = ["BATCHABLE", "BatchPolicy", "Batch", "MicroBatcher"]
+
+#: solvers whose column-separable iterations may share a block
+BATCHABLE = ("richardson",)
 
 
 @dataclass(frozen=True)
@@ -44,36 +44,17 @@ class BatchPolicy:
     """Knobs of batch formation.
 
     ``max_batch`` is the multi-RHS block width cap; ``max_wait`` the
-    longest a request may age waiting for batch-mates (virtual time);
-    ``deadline_slack`` extra margin subtracted from a group's deadline
-    budget before pressure-closing; ``batchable`` the solvers whose
-    column-separable iterations may share a block.
-
-    ``sla_waits`` is the SLA-aware close rule: ``(sla_class, budget)``
-    pairs that cap how long a waiting request of that class may age
-    before its group closes — an ``interactive`` request in a forming
-    batch *tightens* the close deadline to its SLA budget instead of
-    only ordering extraction via EDF.  Classes absent from the group
-    have no effect.
+    longest a request may age waiting for batch-mates (virtual time).
     """
 
     max_batch: int = 16
     max_wait: float = 0.01
-    deadline_slack: float = 0.0
-    batchable: tuple = ("richardson",)
-    sla_waits: tuple = ()
 
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_wait < 0.0:
             raise ValueError(f"max_wait must be >= 0, got {self.max_wait}")
-        for item in self.sla_waits:
-            cls, budget = item
-            if budget < 0.0:
-                raise ValueError(
-                    f"sla_waits budget must be >= 0, got {budget} for {cls!r}"
-                )
 
 
 @dataclass(eq=False)
@@ -108,18 +89,12 @@ class MicroBatcher:
     def _close_time(self, queue, key, size, est_cost):
         """When group ``key`` becomes ready (may be in the past)."""
         pol = self.policy
-        solver = key[1]
-        if solver not in pol.batchable or size >= pol.max_batch:
+        if key[1] not in BATCHABLE or size >= pol.max_batch:
             return queue.oldest_arrival(key)  # ready since its oldest arrival
         t_wait = queue.oldest_arrival(key) + pol.max_wait
-        for cls, budget in pol.sla_waits:
-            t0 = queue.oldest_arrival_sla(key, cls)
-            if math.isfinite(t0):
-                t_wait = min(t_wait, t0 + budget)
         deadline = queue.min_deadline(key)
         if math.isfinite(deadline):
-            t_pressure = deadline - est_cost(key, size) - pol.deadline_slack
-            return min(t_wait, t_pressure)
+            return min(t_wait, deadline - est_cost(key, size))
         return t_wait
 
     def next_close_time(self, queue, est_cost, *, keys=None):
@@ -157,7 +132,7 @@ class MicroBatcher:
                     break
                 # non-batchable solvers dispatch as singletons: ready at
                 # once, but never sharing a block
-                cap = self.policy.max_batch if key[1] in self.policy.batchable else 1
+                cap = self.policy.max_batch if key[1] in BATCHABLE else 1
                 take = min(size, cap)
                 requests = queue.take(key, take)
                 if not requests:

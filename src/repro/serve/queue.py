@@ -1,22 +1,17 @@
-"""Bounded admission queue with backpressure and per-tenant fairness.
+"""Bounded admission queue with backpressure and per-tenant round-robin.
 
 The waiting room between arrival and batch formation.  Three concerns
 live here and nowhere else:
 
-* **Backpressure.**  The queue holds at most ``capacity`` requests.
-  Past that, policy ``"reject"`` bounces the newcomer and
-  ``"shed_oldest"`` evicts the longest-waiting request instead (the
-  newcomer is fresher and therefore likelier to make its deadline).
-  Either way :meth:`push` returns the displaced requests so the
-  service can terminate them with a ``rejected`` outcome — backpressure
-  never silently drops work.
+* **Backpressure.**  The queue holds at most ``capacity`` requests; a
+  full queue bounces the newcomer.  :meth:`push` says so, and the
+  service terminates the bounced request with a ``rejected`` outcome —
+  backpressure never silently drops work.
 
-* **Per-tenant fairness.**  Default extraction round-robins across the
-  tenants waiting in a batch group, so one chatty tenant cannot
-  monopolize a batch; within a tenant, higher ``priority`` goes first,
-  ties broken by ``(arrival_time, request_id)``.  The alternative
-  ``edf`` mode orders globally by SLA class then deadline
-  (deadline-aware earliest-deadline-first).
+* **Per-tenant round-robin.**  Extraction rotates across the tenants
+  waiting in a batch group, so one chatty tenant cannot monopolize a
+  batch; within a tenant, higher ``priority`` goes first, ties broken
+  by ``(arrival_time, request_id)``.
 
 * **Group indexing.**  Requests are bucketed by ``batch_key`` so the
   micro-batcher (:mod:`repro.serve.batcher`) can ask "how many are
@@ -32,31 +27,16 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["ADMISSION_POLICIES", "FAIRNESS_MODES", "AdmissionQueue"]
-
-ADMISSION_POLICIES = ("reject", "shed_oldest")
-
-#: extraction orders: ``round_robin`` rotates across tenants (the
-#: default, throughput-fair); ``edf`` is deadline-aware earliest-
-#: deadline-first, ordered by ``(sla_rank, deadline, arrival, id)`` —
-#: SLA class outranks raw deadline so an "interactive" tenant's
-#: contract holds even against urgent "batch" stragglers.
-FAIRNESS_MODES = ("round_robin", "edf")
+__all__ = ["AdmissionQueue"]
 
 
 class AdmissionQueue:
     """Bounded, group-indexed, tenant-fair waiting room."""
 
-    def __init__(self, capacity=64, policy="reject", fairness="round_robin"):
+    def __init__(self, capacity=64):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if policy not in ADMISSION_POLICIES:
-            raise ValueError(f"policy must be one of {ADMISSION_POLICIES}, got {policy!r}")
-        if fairness not in FAIRNESS_MODES:
-            raise ValueError(f"fairness must be one of {FAIRNESS_MODES}, got {fairness!r}")
         self.capacity = int(capacity)
-        self.policy = policy
-        self.fairness = fairness
         # group key -> tenant -> list of requests (kept extraction-sorted)
         self._groups: dict = {}
         # group key -> rotating tenant offset (the round-robin cursor)
@@ -69,24 +49,11 @@ class AdmissionQueue:
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def push(self, req):
-        """Admit ``req``; returns the list of displaced requests.
-
-        ``[]`` — admitted, nobody displaced.  ``[req]`` — queue full
-        under the ``reject`` policy, the newcomer bounced.  Under
-        ``shed_oldest`` a full queue sheds its globally oldest waiting
-        request (by ``(arrival_time, request_id)``) to make room, and
-        that victim is returned instead.
-        """
-        displaced = []
+    def push(self, req) -> bool:
+        """Admit ``req``; ``False`` when the queue is full and it bounced."""
         if self._depth >= self.capacity:
-            if self.policy == "reject":
-                self.n_displaced += 1
-                return [req]
-            victim = self._shed_oldest()
-            if victim is not None:
-                displaced.append(victim)
-                self.n_displaced += 1
+            self.n_displaced += 1
+            return False
         bucket = self._groups.setdefault(req.batch_key, {})
         lane = bucket.setdefault(req.tenant, [])
         lane.append(req)
@@ -94,23 +61,7 @@ class AdmissionQueue:
         self._depth += 1
         self.n_admitted += 1
         self.peak_depth = max(self.peak_depth, self._depth)
-        return displaced
-
-    def _shed_oldest(self):
-        oldest, where = None, None
-        for key, bucket in self._groups.items():
-            for tenant, lane in bucket.items():
-                for req in lane:
-                    stamp = (req.arrival_time, req.request_id)
-                    if oldest is None or stamp < oldest:
-                        oldest, where = stamp, (key, tenant, req)
-        if where is None:
-            return None
-        key, tenant, req = where
-        self._groups[key][tenant].remove(req)
-        self._prune(key, tenant)
-        self._depth -= 1
-        return req
+        return True
 
     # ------------------------------------------------------------------
     # extraction (the micro-batcher's side)
@@ -118,16 +69,11 @@ class AdmissionQueue:
     def take(self, key, k):
         """Up to ``k`` requests of group ``key``, in fair order.
 
-        Under ``round_robin`` fairness, rotates across the group's
-        tenants (cursor persists across calls, so a group repeatedly
-        batched keeps rotating who goes first); each tenant contributes
-        its own best request — highest priority, then earliest arrival
-        — per turn.  Under ``edf``, extraction is deadline-aware:
-        globally ordered by ``(sla_rank, deadline, arrival_time,
-        request_id)``, tenants ignored.
+        Rotates across the group's tenants (the cursor persists across
+        calls, so a group repeatedly batched keeps rotating who goes
+        first); each tenant contributes its own best request — highest
+        priority, then earliest arrival — per turn.
         """
-        if self.fairness == "edf":
-            return self._take_edf(key, k)
         bucket = self._groups.get(key)
         if not bucket:
             return []
@@ -167,23 +113,6 @@ class AdmissionQueue:
         self._depth -= len(out)
         return out
 
-    def _take_edf(self, key, k):
-        """Deadline-aware extraction: tightest contract first."""
-        bucket = self._groups.get(key)
-        if not bucket:
-            return []
-        waiting = [req for lane in bucket.values() for req in lane]
-        waiting.sort(key=_edf_order)
-        out = waiting[: int(k)]
-        for req in out:
-            bucket[req.tenant].remove(req)
-        for tenant in list(bucket):
-            self._prune(key, tenant)
-        if key not in self._groups:
-            self._cursor.pop(key, None)
-        self._depth -= len(out)
-        return out
-
     def _prune(self, key, tenant):
         bucket = self._groups.get(key)
         if bucket is None:
@@ -215,22 +144,6 @@ class AdmissionQueue:
         deadlines = [req.deadline for lane in bucket.values() for req in lane]
         return min(deadlines) if deadlines else math.inf
 
-    def oldest_arrival_sla(self, key, sla):
-        """Earliest arrival of an ``sla``-class request in group ``key``.
-
-        ``inf`` when no request of that class is waiting — the
-        SLA-aware batch-close rule only engages for classes actually
-        present in the forming batch.
-        """
-        bucket = self._groups.get(key, {})
-        times = [
-            req.arrival_time
-            for lane in bucket.values()
-            for req in lane
-            if req.sla == sla
-        ]
-        return min(times) if times else math.inf
-
     def __len__(self):
         return self._depth
 
@@ -240,7 +153,3 @@ class AdmissionQueue:
 
 def _lane_order(req):
     return (-req.priority, req.arrival_time, req.request_id)
-
-
-def _edf_order(req):
-    return (req.sla_rank, req.deadline, req.arrival_time, req.request_id)

@@ -21,17 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["OUTCOMES", "SLA_CLASSES", "SolveRequest", "RequestResult"]
+__all__ = ["OUTCOMES", "SolveRequest", "RequestResult"]
 
 #: the complete outcome vocabulary — every admitted request ends in one
 OUTCOMES = ("served", "deadline_miss", "rejected", "breakdown")
-
-#: per-tenant service classes, tightest first.  Under ``edf`` fairness
-#: the admission queue extracts by ``(sla_rank, deadline, ...)`` — an
-#: interactive request with a loose deadline still beats a batch
-#: request with a tight one, because the class encodes the *contract*
-#: (what the tenant paid for), not the instantaneous urgency.
-SLA_CLASSES = ("interactive", "standard", "batch")
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +32,7 @@ class SolveRequest:
     """One solve of ``A[matrix_key] x = b`` under a deadline.
 
     ``priority`` orders requests *within* a tenant (higher first);
-    fairness across tenants is the admission queue's round-robin, so a
+    across tenants the admission queue takes turns round-robin, so a
     high-priority tenant cannot starve the others.  ``deadline`` is an
     absolute virtual time; ``math.inf`` means best-effort.  A NaN
     ``arrival_time``, ``deadline`` or ``tol`` is rejected here: a NaN
@@ -57,11 +50,8 @@ class SolveRequest:
     priority: int = 0
     arrival_time: float = 0.0
     maxiter: int = 200
-    sla: str = "standard"
 
     def __post_init__(self):
-        if self.sla not in SLA_CLASSES:
-            raise ValueError(f"sla must be one of {SLA_CLASSES}, got {self.sla!r}")
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
         if self.b.ndim != 1:
             raise ValueError(f"b must be 1-D, got shape {self.b.shape}")
@@ -84,11 +74,6 @@ class SolveRequest:
         served alone.
         """
         return (self.matrix_key, self.solver, self.tol, self.maxiter)
-
-    @property
-    def sla_rank(self):
-        """Position of this request's SLA class in :data:`SLA_CLASSES` (0 = tightest)."""
-        return SLA_CLASSES.index(self.sla)
 
 
 @dataclass(eq=False)
@@ -134,7 +119,12 @@ class RequestResult:
 
     @property
     def latency(self) -> float:
-        """Arrival → termination on the virtual clock (NaN for rejects)."""
+        """Arrival → termination on the virtual clock.
+
+        A request that never ran terminates when it is decided
+        (:meth:`unrun`), so a reject's latency is its time in the queue
+        — zero for one bounced on arrival.
+        """
         return self.finish_time - self.arrival_time
 
     @property

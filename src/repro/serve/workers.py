@@ -508,7 +508,6 @@ class SolveService:
         *,
         n_shards=2,
         capacity=64,
-        admission="reject",
         batch_policy: BatchPolicy | None = None,
         cost: CostModel | None = None,
         options: JavelinOptions | None = None,
@@ -517,7 +516,6 @@ class SolveService:
         factor_cache_entries=8,
         registry=None,
         staleness: StalenessPolicy | None = None,
-        fairness="round_robin",
     ):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -532,8 +530,6 @@ class SolveService:
         # updates keep a matrix on the shard that holds its factor
         self._route_fps = dict(self.fingerprints)
         self.capacity = int(capacity)
-        self.admission = admission
-        self.fairness = fairness
         self.staleness = staleness or StalenessPolicy()
         self.batch_policy = batch_policy or BatchPolicy()
         self.cost = cost or CostModel()
@@ -632,7 +628,7 @@ class SolveService:
             if r.solver not in SOLVERS:
                 raise ValueError(f"unknown solver {r.solver!r}; supported: {SOLVERS}")
         reqs.sort(key=lambda r: (r.arrival_time, r.request_id))
-        queue = AdmissionQueue(self.capacity, self.admission, self.fairness)
+        queue = AdmissionQueue(self.capacity)
         batcher = MicroBatcher(self.batch_policy)
         results: dict[int, RequestResult] = {}
         self._begin_run()
@@ -663,16 +659,11 @@ class SolveService:
             while i < len(reqs) and reqs[i].arrival_time <= now:
                 req = reqs[i]
                 i += 1
-                for victim in queue.push(req):
-                    results[victim.request_id] = RequestResult.unrun(
-                        victim,
-                        "rejected",
-                        now,
-                        f"queue full (capacity {self.capacity}, policy {self.admission})",
+                if not queue.push(req):
+                    results[req.request_id] = RequestResult.unrun(
+                        req, "rejected", now, f"queue full (capacity {self.capacity})"
                     )
-                    _spans.instant(
-                        f"{prefix}.reject", cat=prefix, request_id=victim.request_id
-                    )
+                    _spans.instant(f"{prefix}.reject", cat=prefix, request_id=req.request_id)
                 self._admitted(req, now)
             # -- 3. close and start ready batches per idle worker -----------
             self._dispatch_backlog(now, results)

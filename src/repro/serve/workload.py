@@ -35,28 +35,13 @@ from ..matrices import circuit_network, grid2d, rhs_stream
 from .request import SolveRequest
 
 __all__ = [
-    "WORKLOAD_SHAPES",
     "WorkloadSpec",
-    "arrival_rate",
     "build_matrices",
     "generate_requests",
     "outcome_signature",
     "solutions_identical",
     "summarize",
 ]
-
-#: arrival/mix shapes a :class:`WorkloadSpec` can take.  ``poisson`` is
-#: the historical constant-rate stream (draw-for-draw identical to the
-#: pre-shape generator); the others stress the serving tier's weak
-#: spots: ``diurnal`` (sinusoidal rate curve — sustained swing between
-#: quiet and rush hours), ``flash_crowd`` (a rate spike of
-#: ``flash_factor``× during a window — queue/backpressure stress), and
-#: ``hot_key_storm`` (pattern mix collapses onto one hot key during a
-#: window — replication and cache-placement stress), and
-#: ``multi_region`` (``n_regions`` regions, each with its own zipf skew
-#: — the hot pattern differs per region — and a phase-shifted diurnal
-#: arrival curve, so "rush hour" rolls around the regions).
-WORKLOAD_SHAPES = ("poisson", "diurnal", "flash_crowd", "hot_key_storm", "multi_region")
 
 
 @dataclass(frozen=True)
@@ -76,72 +61,23 @@ class WorkloadSpec:
     tol: float = 1e-8
     maxiter: int = 200
     drift: float = 0.1
-    #: arrival/mix shape (one of :data:`WORKLOAD_SHAPES`) and its knobs
-    shape: str = "poisson"
-    diurnal_period: float = 0.5  # one full day on the virtual clock
-    diurnal_amplitude: float = 0.8  # rate swings rate·(1 ± amplitude)
-    burst_at: float = 0.1  # flash-crowd / storm window start (virtual time)
-    burst_duration: float = 0.1
-    flash_factor: float = 6.0  # rate multiplier inside the flash window
-    storm_intensity: float = 0.95  # P(hot key) inside the storm window
-    storm_rank: int = 0  # which pattern (by zipf rank) the storm hammers
-    #: multi_region knobs: each region's zipf ranking is rotated by its
-    #: index (region r's hottest pattern is ``patterns[r % len]``) and
-    #: its diurnal phase shifted by ``r / n_regions`` of a period
-    n_regions: int = 3
-    region_weights: tuple = ()  # per-region traffic share; () = equal
-    #: optional SLA-class mix, ``((class, weight), ...)``; () keeps the
-    #: historical draw sequence (every request "standard")
-    sla_weights: tuple = ()
 
     def __post_init__(self):
         if self.n_requests < 1:
             raise ValueError(f"n_requests must be >= 1, got {self.n_requests}")
-        if self.rate <= 0.0:
+        if not self.rate > 0.0:  # NaN fails every comparison
             raise ValueError(f"rate must be positive, got {self.rate}")
+        if self.n_tenants < 1:
+            raise ValueError(f"n_tenants must be >= 1, got {self.n_tenants}")
         if not self.patterns:
             raise ValueError("patterns must be non-empty")
         if len(self.solvers) != len(self.solver_weights):
             raise ValueError("solvers and solver_weights must have equal length")
-        if self.shape not in WORKLOAD_SHAPES:
+        if not self.deadline_lo <= self.deadline_hi:
             raise ValueError(
-                f"shape must be one of {WORKLOAD_SHAPES}, got {self.shape!r}"
+                f"deadline_lo must be <= deadline_hi, got {self.deadline_lo} > "
+                f"{self.deadline_hi}"
             )
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError(
-                f"diurnal_amplitude must be in [0, 1), got {self.diurnal_amplitude}"
-            )
-        if self.diurnal_period <= 0.0:
-            raise ValueError(f"diurnal_period must be positive, got {self.diurnal_period}")
-        if self.flash_factor < 1.0:
-            raise ValueError(f"flash_factor must be >= 1, got {self.flash_factor}")
-        if not 0.0 <= self.storm_intensity <= 1.0:
-            raise ValueError(
-                f"storm_intensity must be in [0, 1], got {self.storm_intensity}"
-            )
-        if not 0 <= self.storm_rank < len(self.patterns):
-            raise ValueError(
-                f"storm_rank must index patterns (0..{len(self.patterns) - 1}), "
-                f"got {self.storm_rank}"
-            )
-        if self.n_regions < 1:
-            raise ValueError(f"n_regions must be >= 1, got {self.n_regions}")
-        if self.region_weights and len(self.region_weights) != self.n_regions:
-            raise ValueError(
-                f"region_weights must have n_regions={self.n_regions} entries, "
-                f"got {len(self.region_weights)}"
-            )
-        if any(w <= 0.0 for w in self.region_weights):
-            raise ValueError("region_weights must be positive")
-        from .request import SLA_CLASSES
-
-        for cls, w in self.sla_weights:
-            if cls not in SLA_CLASSES:
-                raise ValueError(
-                    f"sla_weights class must be one of {SLA_CLASSES}, got {cls!r}"
-                )
-            if w <= 0.0:
-                raise ValueError(f"sla_weights weight must be positive, got {w}")
 
 
 def build_matrices(patterns):
@@ -169,83 +105,8 @@ def build_matrices(patterns):
     return out
 
 
-def _region_shares(spec: WorkloadSpec):
-    """Normalized per-region traffic shares (equal when unspecified)."""
-    if spec.region_weights:
-        w = np.asarray(spec.region_weights, dtype=np.float64)
-    else:
-        w = np.ones(spec.n_regions)
-    return w / w.sum()
-
-
-def _region_rates(spec: WorkloadSpec, t: float):
-    """Per-region instantaneous rates: phase-shifted diurnal curves.
-
-    Region ``r`` peaks ``r / n_regions`` of a period after region 0 —
-    rush hour rolls around the globe instead of hitting everywhere at
-    once.
-    """
-    shares = _region_shares(spec)
-    rates = []
-    for r in range(spec.n_regions):
-        phase = 2.0 * math.pi * (t / spec.diurnal_period - r / spec.n_regions)
-        rates.append(
-            float(shares[r])
-            * spec.rate
-            * (1.0 + spec.diurnal_amplitude * math.sin(phase))
-        )
-    return rates
-
-
-def arrival_rate(spec: WorkloadSpec, t: float) -> float:
-    """Instantaneous arrival rate λ(t) of the spec's shape at time ``t``."""
-    if spec.shape == "diurnal":
-        phase = 2.0 * math.pi * t / spec.diurnal_period
-        return spec.rate * (1.0 + spec.diurnal_amplitude * math.sin(phase))
-    if spec.shape == "flash_crowd":
-        in_burst = spec.burst_at <= t < spec.burst_at + spec.burst_duration
-        return spec.rate * (spec.flash_factor if in_burst else 1.0)
-    if spec.shape == "multi_region":
-        return sum(_region_rates(spec, t))
-    return spec.rate  # poisson and hot_key_storm arrive at constant rate
-
-
-def _peak_rate(spec: WorkloadSpec) -> float:
-    """An upper bound on λ(t), the thinning envelope."""
-    if spec.shape in ("diurnal", "multi_region"):
-        # multi_region: shares sum to 1, so the total is bounded by the
-        # all-regions-at-peak envelope even though phases never align
-        return spec.rate * (1.0 + spec.diurnal_amplitude)
-    if spec.shape == "flash_crowd":
-        return spec.rate * spec.flash_factor
-    return spec.rate
-
-
-def _next_arrival(spec, rng, now):
-    """One inter-arrival step of the (possibly inhomogeneous) process.
-
-    Constant-rate shapes draw one exponential gap; time-varying shapes
-    use Lewis–Shedler thinning against the peak-rate envelope — still a
-    pure function of the seeded generator's draw sequence.
-    """
-    peak = _peak_rate(spec)
-    if spec.shape in ("poisson", "hot_key_storm"):
-        return now + float(rng.exponential(1.0 / peak))
-    while True:
-        now += float(rng.exponential(1.0 / peak))
-        if float(rng.random()) * peak <= arrival_rate(spec, now):
-            return now
-
-
 def generate_requests(spec: WorkloadSpec, matrices):
-    """The workload as a list of :class:`SolveRequest`, sorted by arrival.
-
-    For the default ``poisson`` shape the draw sequence is identical to
-    the historical generator, so existing seeded workloads replay
-    unchanged; the other :data:`WORKLOAD_SHAPES` reinterpret the same
-    seeded stream as an inhomogeneous arrival process or a skewed
-    pattern mix.
-    """
+    """The workload as a list of :class:`SolveRequest`, sorted by arrival."""
     rng = np.random.default_rng(spec.seed)
     ranks = np.arange(1, len(spec.patterns) + 1, dtype=np.float64)
     p_pattern = ranks ** (-spec.zipf_s)
@@ -258,44 +119,11 @@ def generate_requests(spec: WorkloadSpec, matrices):
     }
     reqs = []
     now = 0.0
-    if spec.sla_weights:
-        sla_classes = tuple(cls for cls, _ in spec.sla_weights)
-        sw = np.asarray([w for _, w in spec.sla_weights], dtype=np.float64)
-        p_sla = sw / sw.sum()
     for rid in range(spec.n_requests):
-        now = _next_arrival(spec, rng, now)
-        region = None
-        if spec.shape == "multi_region":
-            # attribute the arrival to a region ∝ its instantaneous
-            # rate (one uniform draw), so regional mix follows the
-            # rolling rush hour
-            rates = _region_rates(spec, now)
-            u = float(rng.random()) * sum(rates)
-            region, acc = spec.n_regions - 1, 0.0
-            for ri, rr in enumerate(rates):
-                acc += rr
-                if u <= acc:
-                    region = ri
-                    break
-        rank = int(rng.choice(len(spec.patterns), p=p_pattern))
-        if region is not None:
-            # per-region zipf skew: rotate the ranking so each region's
-            # hottest pattern is a different key
-            rank = (rank + region) % len(spec.patterns)
-        key = spec.patterns[rank]
-        if (
-            spec.shape == "hot_key_storm"
-            and spec.burst_at <= now < spec.burst_at + spec.burst_duration
-            and float(rng.random()) < spec.storm_intensity
-        ):
-            key = spec.patterns[spec.storm_rank]  # the storm's hot key
+        now += float(rng.exponential(1.0 / spec.rate))
+        key = spec.patterns[int(rng.choice(len(spec.patterns), p=p_pattern))]
         solver = spec.solvers[int(rng.choice(len(spec.solvers), p=p_solver))]
         tenant = f"tenant{int(rng.integers(spec.n_tenants))}"
-        if region is not None:
-            tenant = f"r{region}-{tenant}"
-        sla = "standard"
-        if spec.sla_weights:
-            sla = sla_classes[int(rng.choice(len(sla_classes), p=p_sla))]
         reqs.append(
             SolveRequest(
                 request_id=rid,
@@ -308,7 +136,6 @@ def generate_requests(spec: WorkloadSpec, matrices):
                 priority=int(rng.integers(3)),
                 arrival_time=now,
                 maxiter=spec.maxiter,
-                sla=sla,
             )
         )
     return reqs

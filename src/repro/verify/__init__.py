@@ -25,7 +25,7 @@ into executable checks:
 * :mod:`repro.verify.protocol` — exhaustive small-N model checking of
   the cluster request protocol: every interleaving of dispatch /
   failover / hedge / crash / recover / join keeps the termination
-  invariants, livelock-freedom under fairness, replication-prefix, and
+  invariants, livelock-freedom under a fair scheduler, replication-prefix, and
   conformance replay of real :class:`ClusterService` traces.
 * :mod:`repro.verify.deadlock` — static wait-for-graph analysis of the
   trisolve schedulers: superstep barrier acyclicity, sync-free

@@ -348,7 +348,7 @@ def run_protocol(args, *, out=print) -> int:
         failures += 1
     out(f"[protocol] {rep.format()}")
 
-    # 3) ... and livelock-free under fairness on a richer configuration
+    # 3) ... and livelock-free under a fair scheduler on a richer configuration
     # (deeper crash budget + a delayed join)
     cfg_live = dataclasses.replace(cfg, crash_budget=2, delayed_joins=1)
     rep_live = model_check(cfg_live, liveness=True)

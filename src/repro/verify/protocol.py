@@ -446,7 +446,7 @@ def model_check(
     additionally records the successor relation and then proves, by
     backward reachability from the all-terminated states, that every
     reachable state can still terminate every request (livelock
-    freedom under fairness — the scheduler that always eventually picks
+    freedom under a fair scheduler — one that always eventually picks
     an enabled terminating transition).  ``stop_on_first`` returns at
     the first violation (used for the planted-bug gates, where the
     witness, not the census, is the point).

@@ -84,31 +84,30 @@ def test_blocked_richardson_batched_equals_sequential(k, seed):
         max_size=20,
     ),
     st.integers(1, 8),  # capacity
-    st.sampled_from(["reject", "shed_oldest"]),
     st.data(),
 )
-def test_queue_conserves_requests(specs, capacity, policy, data):
-    q = AdmissionQueue(capacity=capacity, policy=policy)
-    displaced, taken = [], []
+def test_queue_conserves_requests(specs, capacity, data):
+    q = AdmissionQueue(capacity=capacity)
+    bounced, taken = [], []
     keys = ("m0", "m1")
     for i, (tenant, priority, ki) in enumerate(specs):
-        displaced += q.push(
-            SolveRequest(
-                request_id=i,
-                tenant=tenant,
-                matrix_key=keys[ki],
-                b=np.ones(2),
-                priority=priority,
-                arrival_time=float(i),
-            )
+        req = SolveRequest(
+            request_id=i,
+            tenant=tenant,
+            matrix_key=keys[ki],
+            b=np.ones(2),
+            priority=priority,
+            arrival_time=float(i),
         )
+        if not q.push(req):
+            bounced.append(req)
         if data.draw(st.booleans()):
             key = (keys[data.draw(st.integers(0, 1))], "richardson", 1e-8, 200)
             taken += q.take(key, data.draw(st.integers(1, 4)))
-    # conservation: every pushed request is waiting, taken, or displaced
-    assert len(taken) + len(displaced) + len(q) == len(specs)
+    # conservation: every pushed request is waiting, taken, or bounced
+    assert len(taken) + len(bounced) + len(q) == len(specs)
     assert len(q) <= capacity
-    ids = [r.request_id for r in taken + displaced]
+    ids = [r.request_id for r in taken + bounced]
     assert len(ids) == len(set(ids))  # nobody terminated twice
     remaining = sum(q.group_sizes().values())
     assert remaining == len(q)

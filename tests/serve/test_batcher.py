@@ -8,8 +8,7 @@ import pytest
 from repro.serve import AdmissionQueue, BatchPolicy, MicroBatcher, SolveRequest
 
 
-def _req(rid, *, key="m", solver="richardson", arrival=0.0, deadline=math.inf,
-         sla="standard"):
+def _req(rid, *, key="m", solver="richardson", arrival=0.0, deadline=math.inf):
     return SolveRequest(
         request_id=rid,
         tenant="t0",
@@ -18,7 +17,6 @@ def _req(rid, *, key="m", solver="richardson", arrival=0.0, deadline=math.inf,
         solver=solver,
         arrival_time=arrival,
         deadline=deadline,
-        sla=sla,
     )
 
 
@@ -88,82 +86,12 @@ class TestCloseRules:
         assert mb.n_batches == 3
 
 
-class TestSlaWaits:
-    """The SLA-aware close rule: a class budget tightens the group clock."""
-
-    POLICY = BatchPolicy(
-        max_batch=8, max_wait=0.5, sla_waits=(("interactive", 0.05),)
-    )
-
-    def test_interactive_tightens_close(self):
-        q = AdmissionQueue()
-        q.push(_req(0, arrival=0.0))
-        q.push(_req(1, arrival=0.1, sla="interactive"))
-        mb = MicroBatcher(self.POLICY)
-        # the interactive arrival at 0.1 caps the wait at 0.1 + 0.05,
-        # well before the oldest request's max_wait close at 0.5
-        assert mb.next_close_time(q, _flat_cost) == pytest.approx(0.15)
-        assert mb.pop_ready(q, now=0.1, est_cost=_flat_cost) == []
-        batches = mb.pop_ready(q, now=0.16, est_cost=_flat_cost)
-        assert [b.size for b in batches] == [2]  # standard rides along
-
-    def test_no_interactive_keeps_max_wait(self):
-        q = AdmissionQueue()
-        q.push(_req(0, arrival=0.0))
-        q.push(_req(1, arrival=0.1, sla="batch"))
-        mb = MicroBatcher(self.POLICY)
-        assert mb.next_close_time(q, _flat_cost) == pytest.approx(0.5)
-
-    def test_oldest_of_class_sets_the_clock(self):
-        q = AdmissionQueue()
-        q.push(_req(0, arrival=0.2, sla="interactive"))
-        q.push(_req(1, arrival=0.3, sla="interactive"))
-        mb = MicroBatcher(self.POLICY)
-        assert mb.next_close_time(q, _flat_cost) == pytest.approx(0.25)
-
-    def test_budget_looser_than_max_wait_is_inert(self):
-        q = AdmissionQueue()
-        q.push(_req(0, arrival=0.0, sla="interactive"))
-        mb = MicroBatcher(
-            BatchPolicy(max_batch=8, max_wait=0.1, sla_waits=(("interactive", 5.0),))
-        )
-        assert mb.next_close_time(q, _flat_cost) == pytest.approx(0.1)
-
-    def test_per_class_budgets_in_a_mix(self):
-        q = AdmissionQueue()
-        q.push(_req(0, arrival=0.0, sla="batch"))
-        q.push(_req(1, arrival=0.4, sla="standard"))
-        pol = BatchPolicy(
-            max_batch=8,
-            max_wait=2.0,
-            sla_waits=(("interactive", 0.05), ("standard", 0.2)),
-        )
-        mb = MicroBatcher(pol)
-        # no interactive waiting: the standard budget governs (0.4 + 0.2)
-        assert mb.next_close_time(q, _flat_cost) == pytest.approx(0.6)
-        q.push(_req(2, arrival=0.5, sla="interactive"))
-        assert mb.next_close_time(q, _flat_cost) == pytest.approx(0.55)
-
-    def test_zero_budget_closes_on_arrival(self):
-        q = AdmissionQueue()
-        q.push(_req(0, arrival=1.0, sla="interactive"))
-        mb = MicroBatcher(
-            BatchPolicy(max_batch=8, max_wait=3.0, sla_waits=(("interactive", 0.0),))
-        )
-        assert mb.next_close_time(q, _flat_cost) == pytest.approx(1.0)
-        assert [b.size for b in mb.pop_ready(q, now=1.0, est_cost=_flat_cost)] == [1]
-
-
 class TestPolicyValidation:
     def test_bad_policy_values(self):
         with pytest.raises(ValueError, match="max_batch"):
             BatchPolicy(max_batch=0)
         with pytest.raises(ValueError, match="max_wait"):
             BatchPolicy(max_wait=-1.0)
-
-    def test_bad_sla_budget(self):
-        with pytest.raises(ValueError, match="sla_waits"):
-            BatchPolicy(sla_waits=(("interactive", -0.1),))
 
     def test_batch_views(self):
         q = AdmissionQueue()

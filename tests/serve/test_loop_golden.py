@@ -75,8 +75,6 @@ def _serve_spec():
         deadline_lo=0.02,
         deadline_hi=0.2,
         maxiter=60,
-        burst_at=0.02,
-        burst_duration=0.03,
     )
 
 

@@ -1,4 +1,4 @@
-"""AdmissionQueue: backpressure policies, tenant fairness, group views."""
+"""AdmissionQueue: backpressure, tenant round-robin, group views."""
 
 import math
 
@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.serve import AdmissionQueue, SolveRequest
 
 
-def _req(rid, tenant="t0", key="m", arrival=None, priority=0, deadline=math.inf,
-         sla="standard"):
+def _req(rid, tenant="t0", key="m", arrival=None, priority=0, deadline=math.inf):
     return SolveRequest(
         request_id=rid,
         tenant=tenant,
@@ -19,48 +18,31 @@ def _req(rid, tenant="t0", key="m", arrival=None, priority=0, deadline=math.inf,
         arrival_time=float(rid) if arrival is None else arrival,
         priority=priority,
         deadline=deadline,
-        sla=sla,
     )
 
 
 class TestAdmission:
     def test_push_within_capacity_admits(self):
         q = AdmissionQueue(capacity=2)
-        assert q.push(_req(0)) == []
-        assert q.push(_req(1)) == []
+        assert q.push(_req(0)) is True
+        assert q.push(_req(1)) is True
         assert len(q) == 2
 
     def test_reject_policy_bounces_newcomer(self):
-        q = AdmissionQueue(capacity=1, policy="reject")
-        q.push(_req(0))
-        newcomer = _req(1)
-        assert q.push(newcomer) == [newcomer]
-        assert len(q) == 1
-        assert q.n_displaced == 1
-
-    def test_shed_oldest_evicts_longest_waiting(self):
-        q = AdmissionQueue(capacity=2, policy="shed_oldest")
-        old, mid, new = _req(0), _req(1), _req(2)
+        q = AdmissionQueue(capacity=2)
+        old, mid = _req(0, key="ma"), _req(1, key="mb")
         q.push(old), q.push(mid)
-        displaced = q.push(new)
-        assert displaced == [old]
+        newcomer = _req(2, key="mb")
+        assert q.push(newcomer) is False
         assert len(q) == 2
-        remaining = q.take(new.batch_key, 5)
-        assert new in remaining and mid in remaining  # the newcomer was admitted
-
-    def test_shed_oldest_across_groups(self):
-        q = AdmissionQueue(capacity=2, policy="shed_oldest")
-        a = _req(0, key="ma")
-        b = _req(1, key="mb")
-        q.push(a), q.push(b)
-        victim = q.push(_req(2, key="mb"))
-        assert victim == [a]  # globally oldest, regardless of group
+        assert q.n_displaced == 1
+        # the waiting requests stay, whatever group the newcomer joins
+        assert q.take(old.batch_key, 5) == [old]
+        assert q.take(mid.batch_key, 5) == [mid]
 
     def test_invalid_args(self):
         with pytest.raises(ValueError, match="capacity"):
             AdmissionQueue(capacity=0)
-        with pytest.raises(ValueError, match="policy"):
-            AdmissionQueue(policy="drop")
 
     def test_peak_depth_tracks_high_water(self):
         q = AdmissionQueue(capacity=8)
@@ -174,44 +156,6 @@ class TestFairness:
             # a full rotation per take -> the lead always moves
             for a, b in zip(leads, leads[1:]):
                 assert a != b
-
-
-class TestEDF:
-    def test_sla_class_outranks_deadline(self):
-        q = AdmissionQueue(capacity=16, fairness="edf")
-        key = _req(0).batch_key
-        q.push(_req(1, tenant="t1", sla="batch", deadline=0.1))
-        q.push(_req(2, tenant="t2", sla="interactive", deadline=9.0))
-        q.push(_req(3, tenant="t3", sla="standard", deadline=0.5))
-        q.push(_req(4, tenant="t4", sla="standard", deadline=0.2))
-        assert [r.request_id for r in q.take(key, 4)] == [2, 4, 3, 1]
-
-    def test_edf_ignores_tenant_lanes(self):
-        q = AdmissionQueue(capacity=16, fairness="edf")
-        key = _req(0).batch_key
-        # one tenant's tight deadlines may legitimately monopolize
-        for i, dl in enumerate((0.1, 0.2)):
-            q.push(_req(i, tenant="hog", deadline=dl))
-        q.push(_req(9, tenant="other", deadline=5.0))
-        assert [r.request_id for r in q.take(key, 2)] == [0, 1]
-        assert len(q) == 1
-
-    def test_edf_depth_and_prune(self):
-        q = AdmissionQueue(capacity=16, fairness="edf")
-        key = _req(0).batch_key
-        for i in range(3):
-            q.push(_req(i, tenant=f"t{i}"))
-        q.take(key, 3)
-        assert len(q) == 0
-        assert q.group_sizes() == {}
-
-    def test_invalid_fairness_mode(self):
-        with pytest.raises(ValueError, match="fairness"):
-            AdmissionQueue(fairness="lifo")
-
-    def test_invalid_sla_class(self):
-        with pytest.raises(ValueError, match="sla"):
-            _req(0, sla="platinum")
 
 
 class TestGroupViews:

@@ -188,10 +188,6 @@ class TestPolicies:
         assert counters.get("serve.refactors", 0) == 1
         assert counters.get("serve.stale_steps", 0) == 0
 
-    def test_edf_fairness_plumbs_through_service(self):
-        svc = _service(fairness="edf")
-        assert _step(svc, 0).outcome == "served"
-
 
 class TestGoodput:
     def _result(self, rid, outcome, finish=1.0):

@@ -1,107 +1,43 @@
-"""Workload shapes, focused on ``multi_region`` (per-region skew + phase)."""
+"""Workload generation: seeded Poisson replay and spec validation."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from repro.serve.workload import (
-    WORKLOAD_SHAPES,
-    WorkloadSpec,
-    arrival_rate,
-    build_matrices,
-    generate_requests,
-)
+from repro.serve.workload import WorkloadSpec, build_matrices, generate_requests
 
 SPEC = WorkloadSpec(
     seed=3,
     n_requests=120,
     rate=800.0,
     patterns=("grid2d-8", "grid2d-10", "grid2d-12"),
-    shape="multi_region",
-    n_regions=3,
 )
 
 
-@pytest.fixture(scope="module")
-def matrices():
-    return build_matrices(SPEC.patterns)
-
-
-def _regions(reqs):
-    return [int(r.tenant.split("-")[0][1:]) for r in reqs]
-
-
-class TestMultiRegion:
-    def test_registered_shape(self):
-        assert "multi_region" in WORKLOAD_SHAPES
-
-    def test_replay_deterministic(self, matrices):
+class TestPoisson:
+    def test_replay_deterministic(self):
+        matrices = build_matrices(SPEC.patterns)
         a = generate_requests(SPEC, matrices)
         b = generate_requests(SPEC, matrices)
-        assert [(r.arrival_time, r.tenant, r.matrix_key, r.sla) for r in a] == [
-            (r.arrival_time, r.tenant, r.matrix_key, r.sla) for r in b
-        ]
-        assert all(np.array_equal(x.b, y.b) for x, y in zip(a, b))
-
-    def test_tenants_carry_region_tags(self, matrices):
-        reqs = generate_requests(SPEC, matrices)
-        assert all(r.tenant.startswith("r") for r in reqs)
-        assert set(_regions(reqs)) <= {0, 1, 2}
-        assert len(set(_regions(reqs))) == 3  # all regions see traffic
-
-    def test_per_region_hot_key_rotates(self, matrices):
-        """Each region's zipf ranking is rotated: hottest key differs."""
-        reqs = generate_requests(dataclasses.replace(SPEC, n_requests=300), matrices)
-        hottest = {}
-        for region in (0, 1, 2):
-            keys = [r.matrix_key for r in reqs if _regions([r])[0] == region]
-            hottest[region] = max(set(keys), key=keys.count)
-        assert len(set(hottest.values())) == 3
-
-    def test_region_weights_skew_traffic(self, matrices):
-        spec = dataclasses.replace(
-            SPEC, n_requests=300, region_weights=(8.0, 1.0, 1.0)
-        )
-        counts = np.bincount(_regions(generate_requests(spec, matrices)), minlength=3)
-        assert counts[0] > counts[1] and counts[0] > counts[2]
-
-    def test_arrival_rate_sums_regions(self):
-        # region phases cover the period uniformly: the summed rate at
-        # t=0 equals the nominal rate (the sin terms cancel)
-        assert arrival_rate(SPEC, 0.0) == pytest.approx(SPEC.rate, rel=1e-9)
-
-    def test_sla_mix_drawn_from_weights(self, matrices):
-        spec = dataclasses.replace(
-            SPEC, sla_weights=(("interactive", 1.0), ("batch", 1.0))
-        )
-        slas = {r.sla for r in generate_requests(spec, matrices)}
-        assert slas == {"interactive", "batch"}
-
-    def test_poisson_draw_sequence_unchanged(self, matrices):
-        """The historical seeded stream must replay bit-identically."""
-        plain = dataclasses.replace(SPEC, shape="poisson")
-        also = dataclasses.replace(
-            SPEC, shape="poisson", n_regions=5, region_weights=(1.0,) * 5
-        )
-        a = generate_requests(plain, matrices)
-        b = generate_requests(also, matrices)
         assert [(r.arrival_time, r.tenant, r.matrix_key) for r in a] == [
             (r.arrival_time, r.tenant, r.matrix_key) for r in b
         ]
+        assert all(np.array_equal(x.b, y.b) for x, y in zip(a, b))
 
 
 class TestValidation:
-    def test_bad_region_counts(self):
-        with pytest.raises(ValueError, match="n_regions"):
-            dataclasses.replace(SPEC, n_regions=0)
-        with pytest.raises(ValueError, match="region_weights"):
-            dataclasses.replace(SPEC, region_weights=(1.0, 2.0))
-        with pytest.raises(ValueError, match="positive"):
-            dataclasses.replace(SPEC, region_weights=(1.0, -1.0, 1.0))
-
-    def test_bad_sla_weights(self):
-        with pytest.raises(ValueError, match="sla_weights"):
-            dataclasses.replace(SPEC, sla_weights=(("gold", 1.0),))
-        with pytest.raises(ValueError, match="sla_weights"):
-            dataclasses.replace(SPEC, sla_weights=(("batch", 0.0),))
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate", math.nan),
+            ("rate", 0.0),
+            ("n_tenants", 0),
+            ("deadline_lo", 1.0),  # above deadline_hi = 0.5
+            ("deadline_hi", math.nan),
+        ],
+    )
+    def test_bad_inputs_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(SPEC, **{field: value})
